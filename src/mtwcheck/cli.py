@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import MtwError, NumericalError, PreconditionError
 from .geometry import (
+    GeometryJet,
     MetricField,
     PotentialField,
     euclidean_metric,
@@ -461,13 +462,10 @@ def _cmd_curvature(cfg: RunConfig) -> int:
     box = _parse_region(cfg.region, metric.dim)
     spec = mtw.SamplingSpec(box=box, points_per_axis=cfg.points_per_axis,
                             directions=max(cfg.samples, metric.dim), seed=cfg.seed)
-    pts = spec.points()
-    from .geometry import GeometryJet
-
+    dirs = spec.direction_set(metric.dim)
     rows = []
-    for x in pts:
+    for x in spec.points():
         jet = GeometryJet(metric, x, curvature_order=0)
-        dirs = spec.direction_set(metric.dim)
         pairs = mtw._orthonormal_pairs(jet, dirs)
         ks = [jet.sectional(a, b) for a, b in pairs]
         rows.append(list(x) + [min(ks), max(ks)])

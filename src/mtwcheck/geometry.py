@@ -199,22 +199,6 @@ class PotentialField:
     def __call__(self, x: Sequence[float]) -> float:
         return self.field(x)
 
-    def gradient(self, x: Sequence[float]) -> np.ndarray:
-        x = as_point(x)
-        return np.array([self.field.diff(i)(x) for i in range(self.dim)])
-
-    def second_partials(self, x: Sequence[float]) -> np.ndarray:
-        x = as_point(x)
-        n = self.dim
-        h = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                cnt = [0] * n
-                cnt[i] += 1
-                cnt[j] += 1
-                h[i, j] = h[j, i] = self.field.partial(cnt)(x)
-        return h
-
 
 # ---------------------------------------------------------------------------
 # Direct (value-level) formulas
@@ -374,9 +358,13 @@ def _covariant_derivative_jets(
     for s in range(r):
         Tp = np.moveaxis(T, s, 0)  # [p, rest..., size]
         rest = Tp.shape[1:-1]
-        gam_b = gam.reshape((n, n, n) + (1,) * len(rest) + (space.size,))
-        Tp_b = Tp.reshape((n, 1, 1) + rest + (space.size,))
-        corr = jmul(space, gam_b, Tp_b).sum(axis=0)  # [m, q, rest..., size]
+        gam_b = gam.reshape((n, n * n) + (1,) * len(rest) + (space.size,))
+        # one (m, q) at a time keeps the product temporaries n^2 times
+        # smaller; the checker builds jets on pool threads, whose
+        # allocators each keep their largest temporaries
+        corr = np.stack([jmul(space, gam_b[:, mq], Tp).sum(axis=0)
+                         for mq in range(n * n)])
+        corr = corr.reshape((n, n) + rest + (space.size,))  # [m, q, rest..., size]
         out = out - np.moveaxis(corr, 1, s + 1)
     return out
 
@@ -458,10 +446,12 @@ class GeometryJet:
         self.nabla_r: np.ndarray | None = None
         self.nabla2_r: np.ndarray | None = None
         if curvature_order >= 1:
+            # copies, so a kept jet does not hold the Taylor arrays
             nr = _covariant_derivative_jets(space, Rlow, gam)
-            self.nabla_r = jvalue(nr)
+            self.nabla_r = jvalue(nr).copy()
             if curvature_order >= 2:
-                self.nabla2_r = jvalue(_covariant_derivative_jets(space, nr, gam))
+                nr2 = _covariant_derivative_jets(space, nr, gam)
+                self.nabla2_r = jvalue(nr2).copy()
 
         self.grad_v: np.ndarray | None = None
         self.grad_v_lower: np.ndarray | None = None

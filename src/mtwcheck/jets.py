@@ -99,13 +99,6 @@ def jconst(space: JetSpace, value: float, shape: tuple[int, ...] = ()) -> np.nda
     return out
 
 
-def jvar(space: JetSpace, v: int) -> np.ndarray:
-    """Jet of the coordinate offset in variable ``v``."""
-    out = np.zeros(space.size)
-    out[space.index[tuple(1 if k == v else 0 for k in range(space.nvars))]] = 1.0
-    return out
-
-
 def jvalue(a: np.ndarray) -> np.ndarray:
     """Degree-zero (point value) part of a jet array."""
     return a[..., 0]
@@ -157,8 +150,3 @@ def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:
         X = jmatmul(space, X, two_i - jmatmul(space, G, X))
     return X
 
-
-def jet_coeff_linear(space: JetSpace, a: np.ndarray, v: int) -> np.ndarray:
-    """First-derivative value d/dx_v extracted from a jet array."""
-    idx = space.index[tuple(1 if k == v else 0 for k in range(space.nvars))]
-    return a[..., idx]

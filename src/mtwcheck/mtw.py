@@ -37,6 +37,7 @@ from .errors import (
     CalibrationError,
     DimensionError,
     PreconditionError,
+    RankDeficiencyError,
 )
 from .geometry import (
     GeometryJet,
@@ -201,21 +202,29 @@ def mtw_direct_cost(
 # ---------------------------------------------------------------------------
 
 
-def _potential_jet(metric, potential, x) -> GeometryJet:
-    pot = None
-    if potential is not None and not potential.is_zero:
-        pot = potential
-    return GeometryJet(metric, x, potential=pot)
+def _point_jet(metric, potential, x) -> GeometryJet:
+    """The geometry every condition at ``x`` reads: curvature through
+    its second covariant derivative, plus the potential unless it is
+    absent or zero."""
+    if potential is not None and potential.is_zero:
+        potential = None
+    return GeometryJet(metric, x, potential=potential, curvature_order=2)
+
+
+def _grad_norm(jet: GeometryJet) -> float:
+    """|grad V| at the jet's point; zero without a potential."""
+    if jet.grad_v_lower is None:
+        return 0.0
+    return float(np.sqrt(jet.grad_v_lower @ jet.g_inv @ jet.grad_v_lower))
 
 
 def _require_critical(jet: GeometryJet, what: str) -> None:
-    if jet.grad_v_lower is not None:
-        gnorm = float(np.sqrt(jet.grad_v_lower @ jet.g_inv @ jet.grad_v_lower))
-        if gnorm > GRAD_TOL:
-            raise PreconditionError(
-                f"{what} requires a critical point of the potential "
-                f"(|grad V| = {gnorm:.3e})"
-            )
+    gnorm = _grad_norm(jet)
+    if gnorm > GRAD_TOL:
+        raise PreconditionError(
+            f"{what} requires a critical point of the potential "
+            f"(|grad V| = {gnorm:.3e})"
+        )
 
 
 def mtw_zeroth_simplified(
@@ -232,10 +241,11 @@ def mtw_zeroth_simplified(
     Requires both the gradient and the Hessian of the potential to
     vanish at x (use the general evaluator otherwise).
     """
-    x = as_point(x)
-    u = as_point(u)
-    w = as_point(w)
-    jet = _potential_jet(metric, potential, x)
+    return _zeroth_simplified(_point_jet(metric, potential, x),
+                              as_point(u), as_point(w))
+
+
+def _zeroth_simplified(jet: GeometryJet, u, w) -> float:
     value = jet.r4(w, u, w, u)
     if jet.hess_v is not None:
         _require_critical(jet, "the simplified zeroth-order evaluator")
@@ -294,12 +304,11 @@ def mtw_zeroth_general(
     """
     if quad_panels % 2 != 0 or quad_panels < 2:
         raise ValueError("quad_panels must be a positive even integer")
-    x = as_point(x)
-    u = as_point(u)
-    w = as_point(w)
-    jet = _potential_jet(metric, potential, x)
-    n = metric.dim
+    return _zeroth_general(_point_jet(metric, potential, x),
+                           as_point(u), as_point(w), quad_panels)
 
+
+def _zeroth_general(jet: GeometryJet, u, w, quad_panels: int = 1024) -> float:
     tau = np.linspace(0.0, 1.0, quad_panels + 1)
     hq = 1.0 / quad_panels
 
@@ -421,11 +430,11 @@ def g_quantity(
     lines of the full second coefficient vanish and the remaining six
     lines form this quantity.
     """
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
     jet = GeometryJet(metric, x, curvature_order=2)
+    return _g_quantity(jet, as_point(u), as_point(v), as_point(w), curvature_tol)
+
+
+def _g_quantity(jet: GeometryJet, u, v, w, curvature_tol: float) -> float:
     uw = jet.inner(u, w)
     if abs(uw) > ORTHO_TOL * jet.norm(u) * jet.norm(w):
         raise PreconditionError(
@@ -491,10 +500,12 @@ def discriminant_2d(
     """
     if metric.dim != 2:
         raise DimensionError("the discriminant check is specific to dimension 2")
-    x = as_point(x)
-    u = as_point(u)
     jet = GeometryJet(metric, x, curvature_order=2)
-    w = rotate90(metric, x, u)
+    return _discriminant_2d(jet, as_point(u), curvature_tol)
+
+
+def _discriminant_2d(jet: GeometryJet, u, curvature_tol: float) -> DiscriminantResult:
+    w = rotate90(jet.metric, jet.x, u)
     K = jet.sectional(u, w)
     if abs(K) > curvature_tol:
         raise PreconditionError(
@@ -719,7 +730,8 @@ def _worker_count() -> int:
 
 
 def _orthonormal_pairs(jet: GeometryJet, directions: np.ndarray):
-    """Metric-orthonormal (u, w) pairs from consecutive raw directions."""
+    """Metric-orthonormal (u, w) pairs from consecutive raw directions;
+    a numerically dependent pair is dropped."""
     m = len(directions)
     pairs = []
     for i in range(m):
@@ -727,10 +739,35 @@ def _orthonormal_pairs(jet: GeometryJet, directions: np.ndarray):
         d2 = directions[(i + 1) % m]
         try:
             basis = gram_schmidt(jet.metric, jet.x, [d1, d2])
-        except Exception:
+        except RankDeficiencyError:
             continue
         pairs.append((basis[0], basis[1]))
     return pairs
+
+
+def _condition_value(
+    jet: GeometryJet, condition: str, u, v, w,
+    curvature_tol: float = CURVATURE_LOCUS_TOL,
+) -> float:
+    """The scalar behind ``condition`` at the jet's point.
+
+    The one map from condition names to formulas: the checker and
+    :func:`evaluate_condition` both read every value through it.
+    """
+    if condition == "sectional-nonneg":
+        return jet.sectional(u, w)
+    if condition == "zeroth-order":
+        if jet.potential is None:
+            return _zeroth_simplified(jet, u, w)
+        return _zeroth_general(jet, u, w)
+    if condition == "first-order-vanishing":
+        return abs(jet.nr5(w, w, u, v, u))
+    if condition == "g-nonneg":
+        return _g_quantity(jet, u, v, w, curvature_tol)
+    if condition == "discriminant-2d":
+        res = _discriminant_2d(jet, u, curvature_tol)
+        return res.lhs - res.rhs
+    raise ValueError(f"unknown condition {condition!r}")
 
 
 def evaluate_condition(
@@ -745,51 +782,27 @@ def evaluate_condition(
 ) -> float:
     """Re-evaluate the scalar behind a checker witness.
 
-    The checker itself routes through this function, so a reported
-    witness reproduces its value exactly.
+    Builds the same point jet as the checker and reads the value
+    through the same dispatch, so a reported witness reproduces its
+    value exactly.
     """
-    x = as_point(point)
-    if condition == "sectional-nonneg":
-        jet = GeometryJet(metric, x, curvature_order=0)
-        return jet.sectional(as_point(u), as_point(w))
-    if condition == "zeroth-order":
-        if potential is None or potential.is_zero:
-            return mtw_zeroth_simplified(metric, None, x, u, w)
-        return mtw_zeroth_general(metric, potential, x, u, w)
-    if condition == "first-order-vanishing":
-        jet = GeometryJet(metric, x, curvature_order=1)
-        return abs(jet.nr5(as_point(w), as_point(w), as_point(u),
-                           as_point(v), as_point(u)))
-    if condition == "g-nonneg":
-        return g_quantity(metric, x, u, v, w, curvature_tol=curvature_tol)
-    if condition == "discriminant-2d":
-        res = discriminant_2d(metric, x, u, curvature_tol=curvature_tol)
-        return res.lhs - res.rhs
-    raise ValueError(f"unknown condition {condition!r}")
+    u, v, w = (None if a is None else as_point(a) for a in (u, v, w))
+    return _condition_value(_point_jet(metric, potential, point), condition,
+                            u, v, w, curvature_tol)
 
 
 @dataclass
 class _PointData:
-    x: np.ndarray
+    jet: GeometryJet
     pairs: list
     K: list  # sectional per pair
-    grad_norm: float
-    hess_max_eig: float
 
 
 def _scan_point(metric, potential, x, directions) -> _PointData:
-    pot = potential if potential is not None and not potential.is_zero else None
-    jet = GeometryJet(metric, x, potential=pot, curvature_order=0)
+    jet = _point_jet(metric, potential, x)
     pairs = _orthonormal_pairs(jet, directions)
-    K = [jet.sectional(u, w) for (u, w) in pairs]
-    if pot is not None:
-        gnorm = float(np.sqrt(jet.grad_v_lower @ jet.g_inv @ jet.grad_v_lower))
-        lam = eigh(jet.hess_v, jet.g, eigvals_only=True)
-        hmax = float(np.max(lam))
-    else:
-        gnorm = 0.0
-        hmax = 0.0
-    return _PointData(x=x, pairs=pairs, K=K, grad_norm=gnorm, hess_max_eig=hmax)
+    K = [_condition_value(jet, "sectional-nonneg", u, None, w) for u, w in pairs]
+    return _PointData(jet=jet, pairs=pairs, K=K)
 
 
 def check_a3w_necessary(
@@ -810,18 +823,19 @@ def check_a3w_necessary(
     * the two-dimensional discriminant inequality at zero-curvature
       points (dimension 2 only).
 
-    Zero-curvature detection and all violation thresholds are relative
-    to the sampled magnitude of the corresponding quantity, so verdicts
-    are invariant under uniform metric rescaling.
+    Each sample point builds one geometry jet, and every condition at
+    that point reads its values from it.  Zero-curvature detection and
+    all violation thresholds are relative to the sampled magnitude of
+    the corresponding quantity, so verdicts are invariant under uniform
+    metric rescaling.
     """
     n = metric.dim
     pts = sampling.points()
     directions = sampling.direction_set(n)
-    pot = potential if potential is not None and not potential.is_zero else None
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         data = list(
-            pool.map(lambda x: _scan_point(metric, pot, x, directions), pts)
+            pool.map(lambda x: _scan_point(metric, potential, x, directions), pts)
         )
 
     conditions: list[ConditionVerdict] = []
@@ -834,31 +848,33 @@ def check_a3w_necessary(
     for d in data:
         for (u, w), k in zip(d.pairs, d.K):
             if worst is None or k < worst.value:
-                worst = Witness("sectional-nonneg", d.x, u, None, w, k)
+                worst = Witness("sectional-nonneg", d.jet.x, u, None, w, k)
     sec_pass = worst is None or worst.value >= -k_slack
     conditions.append(ConditionVerdict(
         "sectional-nonneg", len(all_K), sec_pass, k_slack, worst,
     ))
 
-    # -- zeroth order at critical points ------------------------------------
-    if pot is not None:
-        g_scale = max((d.grad_norm for d in data), default=0.0)
-        crit = [d for d in data
-                if d.grad_norm <= 1e-8 * max(g_scale, 1e-30)
-                and d.hess_max_eig <= 1e-8 * max(g_scale, 1e-30) + 1e-12]
-    else:
-        crit = data
+    # -- zeroth order at critical points (every point without a potential) --
+    grads = [_grad_norm(d.jet) for d in data]
+    crit_tol = 1e-8 * max(max(grads, default=0.0), 1e-30)
+    crit = []
+    for d, gnorm in zip(data, grads):
+        hmax = 0.0
+        if d.jet.hess_v is not None:
+            hmax = float(np.max(eigh(d.jet.hess_v, d.jet.g, eigvals_only=True)))
+        if gnorm <= crit_tol and hmax <= crit_tol + 1e-12:
+            crit.append(d)
     zer_vals = []
     worst = None
     for d in crit:
         for (u, w) in d.pairs:
             try:
-                val = evaluate_condition(metric, pot, "zeroth-order", d.x, u=u, w=w)
+                val = _condition_value(d.jet, "zeroth-order", u, None, w)
             except PreconditionError:
                 continue
             zer_vals.append(val)
             if worst is None or val < worst.value:
-                worst = Witness("zeroth-order", d.x, u, None, w, val)
+                worst = Witness("zeroth-order", d.jet.x, u, None, w, val)
     z_scale = max((abs(z) for z in zer_vals), default=0.0)
     z_slack = INEQUALITY_SLACK * z_scale
     zer_pass = worst is None or worst.value >= -z_slack
@@ -870,40 +886,49 @@ def check_a3w_necessary(
     locus_tol = CURVATURE_LOCUS_TOL * max(k_scale, 1e-30)
     if k_scale == 0.0:
         locus_tol = 0.0
+    flat_tol = max(locus_tol, 1e-15)
 
-    # first-order vanishing and restricted second-order quantity
+    # first-order vanishing and restricted second-order quantity on the
+    # locus pairs, the discriminant at points whose every pair is on it
     fo_vals = []
     fo_worst = None
     fo_all_scale = 0.0
     g_vals = []
     g_worst = None
+    d_worst = None
+    d_count = 0
     for d in data:
-        jet1 = GeometryJet(metric, d.x, curvature_order=1)
-        for (u, w), k in zip(d.pairs, d.K):
-            for vdir in directions:
-                mag = abs(jet1.nr5(w, w, u, vdir, u))
-                fo_all_scale = max(fo_all_scale, mag)
-        if not all(abs(k) <= locus_tol for k in d.K):
-            # conditions 3-4 apply only on the zero-curvature locus
-            locus_pairs = [
-                (p, k) for p, k in zip(d.pairs, d.K) if abs(k) <= locus_tol
-            ]
-        else:
-            locus_pairs = list(zip(d.pairs, d.K))
-        for (u, w), k in locus_pairs:
-            for vdir in directions:
-                mag = abs(jet1.nr5(w, w, u, vdir, u))
+        x = d.jet.x
+        on_locus = [abs(k) <= locus_tol for k in d.K]
+        for (u, w), flat in zip(d.pairs, on_locus):
+            mags = [_condition_value(d.jet, "first-order-vanishing", u, vdir, w)
+                    for vdir in directions]
+            fo_all_scale = max(fo_all_scale, *mags)
+            if not flat:
+                continue
+            for vdir, mag in zip(directions, mags):
                 fo_vals.append(mag)
                 if fo_worst is None or mag > fo_worst.value:
-                    fo_worst = Witness("first-order-vanishing", d.x, u, vdir, w, mag)
+                    fo_worst = Witness("first-order-vanishing", x, u, vdir, w, mag)
                 try:
-                    gv = g_quantity(metric, d.x, u, vdir, w,
-                                    curvature_tol=max(locus_tol, 1e-15))
+                    gv = _condition_value(d.jet, "g-nonneg", u, vdir, w, flat_tol)
                 except PreconditionError:
                     continue
                 g_vals.append(gv)
                 if g_worst is None or gv < g_worst.value:
-                    g_worst = Witness("g-nonneg", d.x, u, vdir, w, gv)
+                    g_worst = Witness("g-nonneg", x, u, vdir, w, gv)
+        if n != 2 or not all(on_locus):
+            continue
+        for vdir in directions:
+            try:
+                gap = _condition_value(d.jet, "discriminant-2d", vdir, None, None,
+                                       flat_tol)
+            except PreconditionError:
+                continue
+            d_count += 1
+            if d_worst is None or gap > d_worst.value:
+                d_worst = Witness("discriminant-2d", x, vdir, None,
+                                  rotate90(metric, x, vdir), gap)
 
     fo_slack = 1e-6 * fo_all_scale
     fo_pass = fo_worst is None or fo_worst.value <= fo_slack
@@ -916,26 +941,7 @@ def check_a3w_necessary(
     conditions.append(ConditionVerdict(
         "g-nonneg", len(g_vals), g_pass, gq_slack, g_worst,
     ))
-
-    # -- 2D discriminant -----------------------------------------------------
     if n == 2:
-        d_worst = None
-        d_count = 0
-        for d in data:
-            if not all(abs(k) <= locus_tol for k in d.K):
-                continue
-            for vdir in directions:
-                try:
-                    res = discriminant_2d(
-                        metric, d.x, vdir, curvature_tol=max(locus_tol, 1e-15)
-                    )
-                except PreconditionError:
-                    continue
-                d_count += 1
-                gap = res.lhs - res.rhs
-                if d_worst is None or gap > d_worst.value:
-                    d_worst = Witness("discriminant-2d", d.x, vdir, None,
-                                      res.w, gap)
         d_pass = d_worst is None or d_worst.value <= INEQUALITY_SLACK
         conditions.append(ConditionVerdict(
             "discriminant-2d", d_count, d_pass, INEQUALITY_SLACK, d_worst,

@@ -1,6 +1,7 @@
 """Cross-curvature evaluators, calibration, and the necessary-condition checker."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -368,13 +369,68 @@ def test_check_conformal_violation_and_pass():
 
 
 def test_check_witness_reproducible():
-    bad = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
-    rep = mtw.check_a3w_necessary(bad, None, _small_spec())
-    disc = next(c for c in rep.conditions if c.name == "discriminant-2d")
-    wit = disc.worst
-    again = mtw.evaluate_condition(bad, None, wit.condition, wit.point,
-                                   u=wit.u, v=wit.v, w=wit.w)
-    assert again == pytest.approx(wit.value, rel=1e-12, abs=1e-12)
+    """Every worst witness re-evaluates bit-exactly, with and without a
+    potential; the checker already applied the zero-curvature
+    precondition, so the re-evaluation waives it."""
+    quartic = quartic_potential([[0.6, 0.1], [0.1, 0.9]])
+    inputs = {
+        "conformal": (cf.conformal_metric(cf.ConformalSpec(a=-3.5)), None),
+        "quartic": (euclidean_metric(2), quartic),
+    }
+    reports = {}
+    for label, (metric, pot) in inputs.items():
+        rep = reports[label] = mtw.check_a3w_necessary(metric, pot, _small_spec())
+        for cond in rep.conditions:
+            wit = cond.worst
+            if wit is None:
+                continue
+            again = mtw.evaluate_condition(
+                metric, pot, wit.condition, wit.point, u=wit.u, v=wit.v,
+                w=wit.w, curvature_tol=math.inf,
+            )
+            assert again == wit.value, (label, cond.name)
+
+    # the quartic's only critical point is the origin, where it violates
+    # the zeroth-order condition
+    zeroth = next(c for c in reports["quartic"].conditions
+                  if c.name == "zeroth-order")
+    assert not zeroth.passed
+    assert zeroth.evaluated == 8
+    wit = zeroth.worst
+    assert np.array_equal(wit.point, ZERO2)
+    assert wit.value == mtw.mtw_zeroth_general(
+        euclidean_metric(2), quartic, wit.point, wit.u, wit.w
+    )
+
+
+def test_check_builds_one_jet_per_point(monkeypatch):
+    built = []
+    real = mtw.GeometryJet
+
+    def counting(*args, **kwargs):
+        built.append(1)  # list.append is atomic, so pool threads count too
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mtw, "GeometryJet", counting)
+    spec = _small_spec()
+    mtw.check_a3w_necessary(cf.conformal_metric(cf.ConformalSpec(a=-3.5)),
+                            None, spec)
+    assert len(built) == len(spec.points())
+
+
+def test_orthonormal_pairs_drop_only_dependent_pair(flat2):
+    jet = GeometryJet(flat2, ZERO2, curvature_order=0)
+    pairs = mtw._orthonormal_pairs(jet, np.array([E1, E1, E2]))
+    # (e1, e1) is dependent; (e1, e2) and the wrap-around (e2, e1) remain
+    assert len(pairs) == 2
+    for (u, w), (want_u, want_w) in zip(pairs, [(E1, E2), (E2, E1)]):
+        assert np.allclose(u, want_u) and np.allclose(w, want_w)
+
+
+def test_orthonormal_pairs_reject_wrong_length_directions(flat2):
+    jet = GeometryJet(flat2, ZERO2, curvature_order=0)
+    with pytest.raises(ValueError):
+        mtw._orthonormal_pairs(jet, np.eye(3))
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
