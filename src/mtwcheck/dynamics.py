@@ -19,6 +19,7 @@ verified numerically.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -35,7 +36,8 @@ from .geometry import (
     MetricField,
     PotentialField,
     _christoffel_from,
-    _riemann_raised_from,
+    _curvature_from,
+    _first_kind,
     as_point,
 )
 
@@ -132,6 +134,8 @@ class _PointEval:
                 for i in range(n):
                     for j in range(n):
                         dg[m, i, j] = fm[i][j](xt)
+            ginv = np.linalg.inv(g)
+            gam = _christoffel_from(np.einsum, ginv, dg)
             if self.need_curvature:
                 d2g = np.empty((n, n, n, n))
                 for p in range(n):
@@ -140,11 +144,16 @@ class _PointEval:
                         for i in range(n):
                             for j in range(n):
                                 d2g[p, m, i, j] = fpm[i][j](xt)
-                rup = _riemann_raised_from(g, dg, d2g)
+                # product rule: d_p Gamma = (d_p ginv T + ginv d_p T) / 2
+                dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+                dT = np.stack([_first_kind(d2g[p]) for p in range(n)])
+                dgam = 0.5 * (
+                    np.einsum("pkm,ijm->pkij", dginv, _first_kind(dg))
+                    + np.einsum("km,pijm->pkij", ginv, dT)
+                )
+                rup = _curvature_from(np.einsum, gam, dgam)
             else:
                 rup = None
-            ginv = np.linalg.inv(g)
-            gam = _christoffel_from(g, dg)
 
         if self.has_potential:
             grad = np.array([f(xt) for f in self._dv_f])
@@ -160,16 +169,23 @@ class _PointEval:
         return g, ginv, gam, rup, grad_raised, hess_op, v_val
 
 
+# Evaluators of the most recently used (metric, potential, curvature)
+# keys; the bound stops the cache from keeping every metric alive.
+_EVAL_CACHE_SIZE = 16
 _EVAL_CACHE: dict = {}
+_EVAL_CACHE_LOCK = threading.Lock()
 
 
 def _evaluator(metric: MetricField, potential: PotentialField | None,
                need_curvature: bool) -> _PointEval:
     key = (id(metric), id(potential), need_curvature)
-    ev = _EVAL_CACHE.get(key)
-    if ev is None or ev.metric is not metric or ev.potential is not potential:
-        ev = _PointEval(metric, potential, need_curvature)
-        _EVAL_CACHE[key] = ev
+    with _EVAL_CACHE_LOCK:
+        ev = _EVAL_CACHE.pop(key, None)
+        if ev is None or ev.metric is not metric or ev.potential is not potential:
+            ev = _PointEval(metric, potential, need_curvature)
+        _EVAL_CACHE[key] = ev  # insertion order is recency order
+        if len(_EVAL_CACHE) > _EVAL_CACHE_SIZE:
+            del _EVAL_CACHE[next(iter(_EVAL_CACHE))]
     return ev
 
 

@@ -14,17 +14,21 @@ equals +1.  The same array feeds the curve-variation equation through
 the raised operator ``(R(a, b) c)^l``, keeping the two uses mutually
 consistent; the sphere oracle in the test suite pins the sign.
 
-Derivative strategy: values of the metric and its partials come from
-exact expression-tree differentiation.  First-order objects
-(Christoffel symbols, curvature values) use direct coordinate
-formulas; covariant derivatives of curvature and third/fourth
-potential derivatives run the same formulas in truncated Taylor (jet)
-arithmetic, which differentiates the whole pipeline exactly.
+Derivative strategy: the Christoffel formula and the curvature formula
+are written once, in :func:`_christoffel_from` and
+:func:`_curvature_from`, with the tensor product passed in.
+``dynamics`` evaluates them on point values with ``np.einsum`` (the
+metric partials come from exact expression-tree differentiation);
+:class:`GeometryJet` evaluates them on truncated Taylor jets with
+:func:`~mtwcheck.jets.jcontract`, which differentiates the whole
+pipeline exactly, so covariant derivatives of curvature and of the
+potential need no further formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +42,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .expr import ScalarField, taylor_coefficients
-from .jets import JetSpace, jderiv, jmatinv, jmul, jvalue
+from .jets import JetSpace, jcontract, jderiv, jmatinv, jvalue
 
 # Positive-definiteness floor for metric evaluation.
 METRIC_EIGENVALUE_FLOOR = 1e-10
@@ -131,44 +135,6 @@ class MetricField:
         g = self.matrix(x)
         return float(np.asarray(u) @ g @ np.asarray(v))
 
-    def partials(self, x: Sequence[float], order: int) -> list[np.ndarray]:
-        """[g, dg, d2g, ...] with dg[m, i, j] = d_m g_ij and so on.
-
-        Derivative axes come first and are symmetrized (mixed partials
-        commute exactly in the expression layer).
-        """
-        x = as_point(x)
-        n = self.dim
-        out = [np.empty((n,) * r + (n, n)) for r in range(order + 1)]
-        counts = [0] * n
-
-        def fill(remaining: int, start: int, prefix: tuple[int, ...]):
-            if remaining == 0:
-                for i in range(n):
-                    for j in range(i, n):
-                        val = self.entries[i][j].partial(counts)(x)
-                        out[len(prefix)][prefix + (i, j)] = val
-                        out[len(prefix)][prefix + (j, i)] = val
-                return
-            for m in range(start, n):
-                counts[m] += 1
-                fill(remaining - 1, m, prefix + (m,))
-                counts[m] -= 1
-
-        for r in range(order + 1):
-            fill(r, 0, ())
-        for r in range(2, order + 1):
-            arr = out[r]
-            for combo in np.ndindex(*(n,) * r):
-                arr[combo] = arr[tuple(sorted(combo))]
-        w = np.linalg.eigvalsh(out[0])
-        if w[0] <= METRIC_EIGENVALUE_FLOOR:
-            raise MetricDegenerateError(
-                f"metric not positive definite at {x.tolist()}: "
-                f"min eigenvalue {w[0]:.3e}"
-            )
-        return out
-
     def jets(self, x: Sequence[float], space: JetSpace) -> np.ndarray:
         """(n, n, size) array of metric-entry jets about ``x``."""
         n = self.dim
@@ -201,81 +167,58 @@ class PotentialField:
 
 
 # ---------------------------------------------------------------------------
-# Direct (value-level) formulas
+# Connection and curvature formulas, for point values and for jets
 # ---------------------------------------------------------------------------
 
 
-def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols from g and dg[m, i, j] = d_m g_ij."""
-    ginv = np.linalg.inv(g)
-    # T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij
-    T = dg + np.einsum("jim->ijm", dg) - np.einsum("mij->ijm", dg)
-    return 0.5 * np.einsum("km,ijm->kij", ginv, T)
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij from dg[m, i, j].
+
+    T is twice the Christoffel symbols of the first kind; trailing axes
+    (a jet axis) ride along.
+    """
+    return dg + np.einsum("jim...->ijm...", dg) - np.einsum("mij...->ijm...", dg)
+
+
+def _christoffel_from(product, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols G[k, i, j] from the inverse metric and dg[m, i, j].
+
+    ``product`` is ``np.einsum`` on point values or a bound
+    :func:`~mtwcheck.jets.jcontract` on jets.
+    """
+    return 0.5 * product("km,ijm->kij", ginv, _first_kind(dg))
+
+
+def _curvature_from(product, gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
+    """Raised curvature Rup[l, i, j, k]: component l of R(e_i, e_j) e_k.
+
+    ``dgam[p, k, i, j]`` is d_p Gamma^k_ij; ``product`` as in
+    :func:`_christoffel_from`.  Sign convention (sphere-calibrated, see
+    the module docstring): Rup[l, i, j, k] = d_j Gamma^l_ik
+    - d_i Gamma^l_jk + Gamma^l_jm Gamma^m_ik - Gamma^l_im Gamma^m_jk.
+    """
+    return (
+        np.einsum("jlik...->lijk...", dgam)
+        - np.einsum("iljk...->lijk...", dgam)
+        + product("ljm,mik->lijk", gam, gam)
+        - product("lim,mjk->lijk", gam, gam)
+    )
 
 
 def christoffel(metric: MetricField, x: Sequence[float]) -> np.ndarray:
     """Christoffel symbols G[k, i, j] of the metric at ``x``."""
-    g, dg = metric.partials(x, 1)
-    return _christoffel_from(g, dg)
-
-
-def _riemann_raised_from(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
-    """Raised curvature Rup[l, i, j, k]: component l of R(e_i, e_j) e_k.
-
-    Sign convention: Rup[l, i, j, k] = d_j Gamma^l_ik - d_i Gamma^l_jk
-    + Gamma^l_jm Gamma^m_ik - Gamma^l_im Gamma^m_jk (sphere-calibrated,
-    see module docstring).
-    """
-    ginv = np.linalg.inv(g)
-    gam = _christoffel_from(g, dg)
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    T = dg + np.einsum("jim->ijm", dg) - np.einsum("mij->ijm", dg)
-    # dT[p, i, j, m] = d_p T[i, j, m]
-    dT = (
-        d2g
-        + np.einsum("pjim->pijm", d2g)
-        - np.einsum("pmij->pijm", d2g)
-    )
-    # dgam[p, k, i, j] = d_p Gamma^k_ij
-    dgam = 0.5 * (
-        np.einsum("pkm,ijm->pkij", dginv, T) + np.einsum("km,pijm->pkij", ginv, dT)
-    )
-    return (
-        np.einsum("jlik->lijk", dgam)
-        - np.einsum("iljk->lijk", dgam)
-        + np.einsum("ljm,mik->lijk", gam, gam)
-        - np.einsum("lim,mjk->lijk", gam, gam)
-    )
-
-
-def riemann_raised(metric: MetricField, x: Sequence[float]) -> np.ndarray:
-    g, dg, d2g = metric.partials(x, 2)
-    return _riemann_raised_from(g, dg, d2g)
+    return GeometryJet(metric, x, curvature_order=0).gamma
 
 
 def riemann(metric: MetricField, x: Sequence[float]) -> np.ndarray:
     """Fully lowered curvature array R[i, j, k, l] at ``x``."""
-    g, dg, d2g = metric.partials(x, 2)
-    rup = _riemann_raised_from(g, dg, d2g)
-    return np.einsum("lm,mijk->ijkl", g, rup)
+    return GeometryJet(metric, x, curvature_order=0).riemann
 
 
 def sectional(metric: MetricField, x: Sequence[float], u: Vector, w: Vector) -> float:
     """Sectional curvature of span(u, w) at ``x``."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    g = metric.matrix(x)
-    R = riemann(metric, x)
-    uu = float(u @ g @ u)
-    ww = float(w @ g @ w)
-    uw = float(u @ g @ w)
-    denom = uu * ww - uw * uw
-    if denom <= PLANE_DEGENERACY_FLOOR * uu * ww:
-        raise DegeneratePlaneError(
-            f"2-plane spanned by u, w is degenerate (area^2 = {denom:.3e})"
-        )
-    num = float(np.einsum("ijkl,i,j,k,l->", R, w, u, w, u))
-    return num / denom
+    jet = GeometryJet(metric, x, curvature_order=0)
+    return jet.sectional(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
 
 
 def gram_schmidt(
@@ -321,25 +264,8 @@ def rotate90(metric: MetricField, x: Sequence[float], u: Vector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Jet pipeline: curvature derivatives and potential jets
+# Jet pipeline: covariant derivatives and the point geometry object
 # ---------------------------------------------------------------------------
-
-
-def _christoffel_jets(space: JetSpace, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
-    """Jet-valued Christoffel symbols, shape (k, i, j, size)."""
-    n = G.shape[0]
-    dG = np.stack([jderiv(space, G, m) for m in range(n)])  # [m, i, j, :]
-    # T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij  (jet-valued)
-    T = dG + np.einsum("jimz->ijmz", dG) - np.einsum("mijz->ijmz", dG)
-    out = np.zeros((n, n, n, space.size))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = np.zeros(space.size)
-                for m in range(n):
-                    acc += jmul(space, Ginv[k, m], T[i, j, m])
-                out[k, i, j] = 0.5 * acc
-    return out
 
 
 def _covariant_derivative_jets(
@@ -353,19 +279,12 @@ def _covariant_derivative_jets(
         out[m, I] = d_m T[I] - sum_s sum_p Gamma^p_{m, I_s} T[I | I_s -> p].
     """
     n = gam.shape[0]
-    r = T.ndim - 1
+    idx = "abcdefgh"[: T.ndim - 1]
     out = np.stack([jderiv(space, T, m) for m in range(n)])
-    for s in range(r):
-        Tp = np.moveaxis(T, s, 0)  # [p, rest..., size]
-        rest = Tp.shape[1:-1]
-        gam_b = gam.reshape((n, n * n) + (1,) * len(rest) + (space.size,))
-        # one (m, q) at a time keeps the product temporaries n^2 times
-        # smaller; the checker builds jets on pool threads, whose
-        # allocators each keep their largest temporaries
-        corr = np.stack([jmul(space, gam_b[:, mq], Tp).sum(axis=0)
-                         for mq in range(n * n)])
-        corr = corr.reshape((n, n) + rest + (space.size,))  # [m, q, rest..., size]
-        out = out - np.moveaxis(corr, 1, s + 1)
+    for s, q in enumerate(idx):
+        out = out - jcontract(
+            space, f"{idx[:s]}p{idx[s + 1:]},pm{q}->m{idx}", T, gam
+        )
     return out
 
 
@@ -403,43 +322,22 @@ class GeometryJet:
                 f"min eigenvalue {w[0]:.3e}"
             )
         Ginv = jmatinv(space, G)
-        gam = _christoffel_jets(space, G, Ginv)
+        product = partial(jcontract, space)
+        gam = _christoffel_from(
+            product, Ginv, np.stack([jderiv(space, G, m) for m in range(n)])
+        )
 
         self.g = g0
         self.g_inv = jvalue(Ginv)
         self.gamma = jvalue(gam)
-        self.dgamma = np.stack([jvalue(jderiv(space, gam, m)) for m in range(n)])
+        dgam = np.stack([jderiv(space, gam, m) for m in range(n)])  # [m, k, i, j, :]
+        self.dgamma = jvalue(dgam)
         self.d2gamma = np.stack(
-            [
-                np.stack(
-                    [jvalue(jderiv(space, jderiv(space, gam, q), p)) for q in range(n)]
-                )
-                for p in range(n)
-            ]
+            [jvalue(jderiv(space, dgam, p)) for p in range(n)]
         )  # d2gamma[p, q, k, i, j] = d_p d_q Gamma^k_ij
 
-        # Curvature jets (same sign convention as _riemann_raised_from).
-        dgam = np.stack([jderiv(space, gam, m) for m in range(n)])  # [m, k, i, j, :]
-        rup = np.zeros((n, n, n, n, space.size))
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = dgam[j, l, i, k] - dgam[i, l, j, k]
-                        for m in range(n):
-                            acc = acc + jmul(space, gam[l, j, m], gam[m, i, k])
-                            acc = acc - jmul(space, gam[l, i, m], gam[m, j, k])
-                        rup[l, i, j, k] = acc
-        Rlow = np.zeros((n, n, n, n, space.size))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc = np.zeros(space.size)
-                        for m in range(n):
-                            acc += jmul(space, G[l, m], rup[m, i, j, k])
-                        Rlow[i, j, k, l] = acc
-
+        rup = _curvature_from(product, gam, dgam)
+        Rlow = product("lm,mijk->ijkl", G, rup)
         self.riemann = jvalue(Rlow)
         self.riemann_raised = jvalue(rup)
 
@@ -528,36 +426,6 @@ class GeometryJet:
         if self.nabla4_v is None:
             raise PreconditionError("geometry jet was built without a potential")
         return float(np.einsum("abcd,a,b,c,d->", self.nabla4_v, w, w, u, u))
-
-
-def nabla_riemann(metric: MetricField, x: Sequence[float]) -> np.ndarray:
-    """First covariant derivative of lowered curvature: out[m, i, j, k, l]."""
-    return GeometryJet(metric, x, curvature_order=1).nabla_r
-
-
-def nabla2_riemann(metric: MetricField, x: Sequence[float]) -> np.ndarray:
-    """Second covariant derivative of lowered curvature: out[p, q, i, j, k, l]."""
-    return GeometryJet(metric, x, curvature_order=2).nabla2_r
-
-
-@dataclass(frozen=True)
-class PotentialJet:
-    """Covariant potential derivatives at a point."""
-
-    grad: np.ndarray  # raised gradient
-    hess: np.ndarray  # lowered Hessian
-    nabla3: np.ndarray
-    nabla4: np.ndarray
-
-    def fourth_contraction(self, w: Vector, u: Vector) -> float:
-        return float(np.einsum("abcd,a,b,c,d->", self.nabla4, w, w, u, u))
-
-
-def potential_jets(
-    metric: MetricField, potential: PotentialField, x: Sequence[float]
-) -> PotentialJet:
-    jet = GeometryJet(metric, x, potential=potential, curvature_order=0)
-    return PotentialJet(jet.grad_v, jet.hess_v, jet.nabla3_v, jet.nabla4_v)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ metric entries.
 Representation: a jet in ``n`` variables truncated at degree ``d`` is a
 float array whose last axis enumerates the monomials of total degree
 <= ``d`` (graded-lexicographic order, constant term first).  Tensors of
-jets are plain ndarrays with the jet axis last, so whole tensor
-contractions broadcast through :func:`jmul`.
+jets are plain ndarrays with the jet axis last.  A whole tensor
+contraction of jets is one :func:`jcontract` call: an einsum whose
+scalar products are jet products through the space's dense 0/1
+multiplication tensor (Taylor-mode differentiation as batched tensor
+contractions, after Griewank and Walther, *Evaluating Derivatives*).
 
 Accuracy bookkeeping: if two jets carry exact coefficients through
 degree ``k``, their sum/product does too, while :func:`jderiv` lowers
@@ -23,7 +26,7 @@ the final extracted values are exact.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,6 +89,16 @@ class JetSpace:
             fact.append(f)
         self.factorials = np.asarray(fact)
 
+    @cached_property
+    def mul_tensor(self) -> np.ndarray:
+        """Dense 0/1 table M[a, b, c]: monomial a times monomial b is c.
+
+        Built on first use, so importing the package builds none.
+        """
+        M = np.zeros((self.size,) * 3)
+        M[self._mul_a, self._mul_b, self._mul_c] = 1.0
+        return M
+
     @staticmethod
     @lru_cache(maxsize=None)
     def get(nvars: int, degree: int) -> "JetSpace":
@@ -104,18 +117,21 @@ def jvalue(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
-def jmul(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of jet arrays with leading-axes broadcasting."""
-    pa = a[..., space._mul_a]
-    pb = b[..., space._mul_b]
-    prod = pa * pb
-    lead = prod.shape[:-1]
-    out = np.zeros(lead + (space.size,))
-    flat_out = out.reshape(-1, space.size)
-    flat_prod = prod.reshape(-1, prod.shape[-1])
-    rows = np.arange(flat_out.shape[0])[:, None]
-    np.add.at(flat_out, (rows, space._mul_c[None, :]), flat_prod)
-    return flat_out.reshape(lead + (space.size,))
+def jcontract(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet-valued ``np.einsum(subscripts, a, b)``.
+
+    ``subscripts`` names the tensor axes only (for example
+    ``"ik,kj->ij"``); both operands and the result carry the jet axis
+    last.  The jets of ``b`` are expanded into multiplication matrices
+    through :attr:`JetSpace.mul_tensor`, so every jet product of the
+    contraction is part of one einsum; the expansion holds ``size``
+    times the floats of ``b``, so the smaller operand should go second.
+    """
+    ins, out = subscripts.split("->")
+    sa, sb = ins.split(",")
+    # bm[..., y, z] = b[..., z - y]: each jet of b as a multiplication matrix
+    bm = np.tensordot(b, space.mul_tensor, axes=(-1, 1))
+    return np.einsum(f"{sa}Y,{sb}YZ->{out}Z", a, bm, optimize=True)
 
 
 def jderiv(space: JetSpace, a: np.ndarray, v: int) -> np.ndarray:
@@ -123,13 +139,6 @@ def jderiv(space: JetSpace, a: np.ndarray, v: int) -> np.ndarray:
     out = np.zeros_like(a)
     out[..., space._ddst[v]] = a[..., space._dsrc[v]] * space._dfac[v]
     return out
-
-
-def jmatmul(space: JetSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product of two (n, n, size) jet matrices."""
-    # C[i, j] = sum_k A[i, k] * B[k, j]
-    prod = jmul(space, A[:, :, None, :], B[None, :, :, :])
-    return prod.sum(axis=1)
 
 
 def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:
@@ -147,6 +156,7 @@ def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:
     two_i[np.arange(n), np.arange(n), 0] = 2.0
     steps = max(1, int(np.ceil(np.log2(space.degree + 1))))
     for _ in range(steps):
-        X = jmatmul(space, X, two_i - jmatmul(space, G, X))
+        GX = jcontract(space, "ik,kj->ij", G, X)
+        X = jcontract(space, "ik,kj->ij", X, two_i - GX)
     return X
 

@@ -15,9 +15,8 @@ from mtwcheck import mtw
 from mtwcheck.cli import _jsonify
 from mtwcheck.dynamics import jacobi_bvp, least_action_curve, lemma_suite
 from mtwcheck.geometry import (
+    GeometryJet,
     euclidean_metric,
-    nabla2_riemann,
-    nabla_riemann,
     quartic_potential,
     riemann,
     sectional,
@@ -267,13 +266,14 @@ def test_criterion_8_invariant_suites():
                    + np.transpose(R, (0, 3, 1, 2)))
             assert np.allclose(cyc, 0.0, atol=1e-9)
         for x in pts[:10]:
-            nr = nabla_riemann(metric, x)
+            nr = GeometryJet(metric, x, curvature_order=1).nabla_r
             cyc = (nr + np.transpose(nr, (1, 2, 0, 3, 4))
                    + np.transpose(nr, (2, 0, 1, 3, 4)))
             assert np.allclose(cyc, 0.0, atol=1e-8)
     for x in sphere_points(rng, 10):
-        assert np.max(np.abs(nabla_riemann(sphere, x))) < 1e-8
-        assert np.max(np.abs(nabla2_riemann(sphere, x))) < 1e-8
+        jet = GeometryJet(sphere, x)
+        assert np.max(np.abs(jet.nabla_r)) < 1e-8
+        assert np.max(np.abs(jet.nabla2_r)) < 1e-8
 
     # energy conservation along least-action curves
     from mtwcheck.geometry import harmonic_potential

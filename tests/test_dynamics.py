@@ -268,3 +268,54 @@ def test_lemma_suite_requires_normal_coordinates(sphere):
     with pytest.raises(PreconditionError):
         lemma_suite(sphere, None, [1.0, 0.3], [1.0, 0.0], [0.6, -0.3],
                     [0.2, 0.9], taus=(0.5,))
+
+
+# ---------------------------------------------------------------------------
+# Point-evaluator cache
+# ---------------------------------------------------------------------------
+
+
+def test_eval_cache_is_bounded_across_calibrations():
+    # every calibration builds fresh metrics, so an unbounded cache would
+    # grow by four evaluators per call and keep all those metrics alive
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.mtw import calibrate_normalization
+
+    first = calibrate_normalization(steps=20)
+    for _ in range(9):
+        last = calibrate_normalization(steps=20)
+    assert len(dyn._EVAL_CACHE) <= dyn._EVAL_CACHE_SIZE < 40
+    assert last == first
+
+
+def test_eval_cache_is_bounded_under_concurrent_use():
+    import sys
+    import threading
+
+    from mtwcheck import dynamics as dyn
+
+    errors = []
+
+    def work():
+        try:
+            for _ in range(2000):
+                metric = euclidean_metric(2)
+                ev = dyn._evaluator(metric, None, need_curvature=False)
+                if ev.metric is not metric:
+                    errors.append("evaluator of another metric")
+        except Exception as e:  # reported below, with the thread's failure
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(dyn._EVAL_CACHE) <= dyn._EVAL_CACHE_SIZE

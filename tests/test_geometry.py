@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtwcheck import conformal as cf
+from mtwcheck.dynamics import _PointEval
 from mtwcheck.errors import (
     DegeneratePlaneError,
     MetricDegenerateError,
@@ -15,9 +16,6 @@ from mtwcheck.geometry import (
     christoffel,
     euclidean_metric,
     gram_schmidt,
-    nabla2_riemann,
-    nabla_riemann,
-    potential_jets,
     quartic_potential,
     riemann,
     rotate90,
@@ -126,7 +124,8 @@ def test_riemann_symmetries_and_first_bianchi(rng, name):
 def test_second_bianchi(rng, name):
     metric, pts = _random_metric_points(rng, name, 10)
     for x in pts:
-        nr = nabla_riemann(metric, x)  # nr[m, i, j, k, l] = (nabla_m R)_ijkl
+        # nr[m, i, j, k, l] = (nabla_m R)_ijkl
+        nr = GeometryJet(metric, x, curvature_order=1).nabla_r
         cyc = (nr + np.transpose(nr, (1, 2, 0, 3, 4))
                + np.transpose(nr, (2, 0, 1, 3, 4)))
         assert np.allclose(cyc, 0.0, atol=1e-8)
@@ -134,8 +133,9 @@ def test_second_bianchi(rng, name):
 
 def test_sphere_is_locally_symmetric(rng, sphere):
     for x in sphere_points(rng, 10):
-        assert np.max(np.abs(nabla_riemann(sphere, x))) < 1e-8
-        assert np.max(np.abs(nabla2_riemann(sphere, x))) < 1e-8
+        jet = GeometryJet(sphere, x)
+        assert np.max(np.abs(jet.nabla_r)) < 1e-8
+        assert np.max(np.abs(jet.nabla2_r)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +196,29 @@ def test_second_curvature_derivative_contractions(a, rng):
         assert jet.n2r6(w, u, u, w, u, w) == pytest.approx(mixed, abs=1e-9)
 
 
-def test_jet_tensors_match_module_functions(conformal_a3):
-    x = [0.25, -0.4]
-    jet = GeometryJet(conformal_a3, x)
-    assert np.allclose(jet.riemann, riemann(conformal_a3, x), atol=1e-14)
-    assert np.allclose(jet.nabla_r, nabla_riemann(conformal_a3, x), atol=1e-14)
-    assert np.allclose(jet.gamma, christoffel(conformal_a3, x), atol=1e-14)
+@pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
+def test_jet_tensors_match_point_evaluator(name, rng):
+    # The jet pipeline and the integrator's point evaluator share the
+    # Christoffel and curvature formulas but reach them by different
+    # routes: jet products of Taylor coefficients against compiled metric
+    # partials with an explicit product rule for the Christoffel derivative.
+    if name == "inline3d":
+        from mtwcheck.expr import parse_field as pf
+
+        e = pf("exp(2*x*y*z)", 3)
+        zero = pf("0", 3)
+        metric = MetricField.from_upper([e, zero, zero, e, zero, e], 3)
+        pts = rng.uniform(-0.3, 0.3, (3, 3))
+    else:
+        metric, pts = _random_metric_points(rng, name, 3)
+    ev = _PointEval(metric, None, need_curvature=True)
+    for x in pts:
+        jet = GeometryJet(metric, x, curvature_order=0)
+        _, _, gam, rup, *_ = ev(x)
+        assert np.allclose(jet.gamma, gam, rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(gam)))
+        assert np.allclose(jet.riemann_raised, rup, rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(rup)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +231,16 @@ def test_cubic_potential_fourth_contraction_zero(flat2):
     from mtwcheck.expr import parse_field as pf
 
     V = PotentialField(pf("x^3 + x*y^2", 2), 2)
-    pj = potential_jets(flat2, V, [0.2, 0.3])
-    assert pj.fourth_contraction([0.0, 1.0], [1.0, 0.0]) == pytest.approx(
+    jet = GeometryJet(flat2, [0.2, 0.3], potential=V, curvature_order=0)
+    assert jet.fourth_contraction([0.0, 1.0], [1.0, 0.0]) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_quartic_identity_matrix_fourth_contraction(flat2):
     V = quartic_potential(np.eye(2))
-    pj = potential_jets(flat2, V, [0.0, 0.0])
-    assert pj.fourth_contraction([0.0, 1.0], [1.0, 0.0]) == pytest.approx(
+    jet = GeometryJet(flat2, [0.0, 0.0], potential=V, curvature_order=0)
+    assert jet.fourth_contraction([0.0, 1.0], [1.0, 0.0]) == pytest.approx(
         -8.0, abs=1e-12
     )
 
@@ -235,7 +252,7 @@ def test_fourth_contraction_equals_plain_derivative_off_critical(flat2, rng):
     x = np.array([0.3, -0.2])
     u = rng.normal(size=2)
     w = rng.normal(size=2)
-    pj = potential_jets(flat2, V, x)
+    jet = GeometryJet(flat2, x, potential=V, curvature_order=0)
 
     def v_fn(p):
         q = float(p @ A @ p)
@@ -249,7 +266,7 @@ def test_fourth_contraction_equals_plain_derivative_off_critical(flat2, rng):
             vals[i, j] = v_fn(x + a_ * h * u + b_ * h * w)
     d2_u = (vals[3, :] - 2 * vals[2, :] + vals[1, :]) / h**2
     d4 = (d2_u[3] - 2 * d2_u[2] + d2_u[1]) / h**2
-    assert pj.fourth_contraction(w, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
+    assert jet.fourth_contraction(w, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
