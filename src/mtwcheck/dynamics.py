@@ -8,6 +8,23 @@ and solves the two-point linearized-variation (Jacobi) problem by
 fundamental-matrix superposition.  Everything is deterministic: fixed
 step counts, no adaptive control.
 
+The integrator advances a batch of curves ("lanes") at once: lane b
+starts at x0[b] with velocity v0[b], and every array of the coupled
+system carries the lanes on a trailing axis.  Each RK4 stage makes one
+call to a fused field evaluator, a function generated once per
+(metric, potential) by :func:`~mtwcheck.expr.batch_evaluator` that
+returns g, dg, d2g, V, dV and d2V at every lane with each shared
+subexpression computed once; the Christoffel symbols and the curvature
+then come from :mod:`geometry`'s formulas under a lane-batched einsum.
+The RK4 update is elementwise and every contraction sums in a fixed
+order, so a lane's result does not depend on the other lanes.  The
+stencils of the cross-curvature routes run as one batch each, the
+damped-Newton shoot steps every lane with its own line search, and the
+single-curve functions (:func:`c_exp`, :func:`cost`, ...) are one-lane
+calls into the same engine.  Quantities along a stored curve (energy,
+transported norms, the variation residual, the action) are one
+evaluator call over all grid points.
+
 A variation family bundles curves over an (s, t) grid of initial
 velocities t*v + s*w around a common start point, together with the
 transported frame of a reference vector and the two-point variation
@@ -21,7 +38,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +49,7 @@ from .errors import (
     PreconditionError,
     ShootingError,
 )
+from .expr import batch_evaluator
 from .geometry import (
     GeometryJet,
     MetricField,
@@ -47,17 +66,58 @@ CONJUGATE_COND_LIMIT = 1e12
 
 DEFAULT_STEPS = 200
 
+# Shooting gives up on a lane whose line search fails LINE_SEARCH_TRIALS
+# times in a row, that takes STAGNATION_STRIKES consecutive Newton steps
+# each leaving more than STAGNATION_RATIO of its endpoint error, or that
+# would need more than SHOOT_INTEGRATION_BUDGET integrations.
+LINE_SEARCH_TRIALS = 12
+STAGNATION_RATIO = 0.9
+STAGNATION_STRIKES = 2
+SHOOT_INTEGRATION_BUDGET = 40
+
 
 # ---------------------------------------------------------------------------
-# Per-point evaluation of the data entering the equations of motion
+# Field data at a batch of points
 # ---------------------------------------------------------------------------
 
 
-class _PointEval:
-    """Fast per-point evaluation of Christoffel/curvature/potential data.
+@lru_cache(maxsize=16)
+def _lane_subscripts(subscripts: str) -> str:
+    ins, out = subscripts.split("->")
+    return ",".join(f"{s}..." for s in ins.split(",")) + f"->{out}..."
 
-    Compiled entry evaluators are pulled out of the field objects once;
-    all-constant metrics (flat charts) short-circuit to static data.
+
+def _lane_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum`` with a trailing lane axis on every operand and on
+    the result.
+
+    Contractions are kept to two operands: einsum may reorder the sum
+    over several contracted indices by the operands' strides, which
+    change with the lane count, and a lane's result would then depend
+    on the batch it rides in.
+    """
+    return np.einsum(_lane_subscripts(subscripts), *operands)
+
+
+class _Fields(NamedTuple):
+    """Data entering the equations of motion; trailing lane axis."""
+
+    g: np.ndarray  # (n, n, B)
+    ginv: np.ndarray
+    gam: np.ndarray  # (n, n, n, B), Gamma^k_ij
+    rup: np.ndarray | None  # (n, n, n, n, B), needs need_curvature
+    grad: np.ndarray | None  # raised grad V, (n, B); None without potential
+    hess: np.ndarray | None  # raised Hessian operator of V, (n, n, B)
+    v: np.ndarray | float  # V, (B,); 0.0 without potential
+
+
+class _FieldEval:
+    """Metric, connection, curvature and potential data at a batch of points.
+
+    One generated function returns every metric and potential partial
+    the equations need; symmetric entries and commuted partials are the
+    same field objects and are evaluated once.  All-constant metrics
+    (flat charts) short-circuit to static data.
     """
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
@@ -67,106 +127,92 @@ class _PointEval:
         self.need_curvature = need_curvature
         n = metric.dim
         self.n = n
+        ents = metric.entries
+        fields: list = []
+        slots: dict = {}
 
-        self.static = all(
-            metric.entries[i][j].tree[0] == "c" for i in range(n) for j in range(n)
-        )
+        def slot(f):
+            k = slots.get(id(f))
+            if k is None:
+                k = slots[id(f)] = len(fields)
+                fields.append(f)
+            return k
+
+        def cnt(*dirs):
+            c = [0] * n
+            for d in dirs:
+                c[d] += 1
+            return tuple(c)
+
+        R = range(n)
+        self.static = all(ents[i][j].tree[0] == "c" for i in R for j in R)
         if self.static:
-            g = np.array(
-                [[metric.entries[i][j].tree[1] for j in range(n)] for i in range(n)]
-            )
-            w = np.linalg.eigvalsh(g)
-            if w[0] <= 1e-10:
+            g = np.array([[ents[i][j].tree[1] for j in R] for i in R])
+            if np.linalg.eigvalsh(g)[0] <= 1e-10:
                 raise PreconditionError("constant metric is not positive definite")
-            self._g = g
-            self._ginv = np.linalg.inv(g)
-            self._gam = np.zeros((n, n, n))
-            self._rup = np.zeros((n, n, n, n))
+            self._g = g[..., None]
+            self._ginv = np.linalg.inv(g)[..., None]
+            self._gam = np.zeros((n, n, n, 1))
+            self._rup = np.zeros((n, n, n, n, 1))
         else:
-            ents = metric.entries
-            self._g_f = [[ents[i][j]._fn() for j in range(n)] for i in range(n)]
-            self._dg_f = [
-                [[ents[i][j].partial(self._cnt(n, m))._fn() for j in range(n)]
-                 for i in range(n)]
-                for m in range(n)
-            ]
+            self._g_ix = np.array([[slot(ents[i][j]) for j in R] for i in R])
+            self._dg_ix = np.array(
+                [[[slot(ents[i][j].partial(cnt(m))) for j in R] for i in R]
+                 for m in R]
+            )
             if need_curvature:
-                self._d2g_f = [
-                    [
-                        [[ents[i][j].partial(self._cnt(n, p, m))._fn()
-                          for j in range(n)] for i in range(n)]
-                        for m in range(n)
-                    ]
-                    for p in range(n)
-                ]
+                # [m, i, j, p]: the layout _first_kind expects, p riding along
+                self._d2g_ix = np.array(
+                    [[[[slot(ents[i][j].partial(cnt(p, m))) for p in R]
+                       for j in R] for i in R] for m in R]
+                )
 
         self.has_potential = potential is not None and not potential.is_zero
         if self.has_potential:
             vf = potential.field
-            self._v_f = vf._fn()
-            self._dv_f = [vf.partial(self._cnt(n, i))._fn() for i in range(n)]
-            self._d2v_f = [
-                [vf.partial(self._cnt(n, i, j))._fn() for j in range(n)]
-                for i in range(n)
-            ]
+            self._v_ix = slot(vf)
+            self._dv_ix = np.array([slot(vf.partial(cnt(i))) for i in R])
+            self._d2v_ix = np.array(
+                [[slot(vf.partial(cnt(i, j))) for j in R] for i in R]
+            )
+        self._fn = batch_evaluator(fields) if fields else None
 
-    @staticmethod
-    def _cnt(n: int, *dirs: int) -> tuple[int, ...]:
-        c = [0] * n
-        for d in dirs:
-            c[d] += 1
-        return tuple(c)
-
-    def __call__(self, x: np.ndarray):
-        """Return (g, ginv, gam, rup, grad_raised, hess_op, v_value)."""
-        n = self.n
-        xt = tuple(x)
+    def __call__(self, X: np.ndarray) -> _Fields:
+        """Field data at the points X[:, b], X of shape (n, B)."""
+        n, B = X.shape
+        vals = self._fn(X) if self._fn is not None else None
+        rup = None
         if self.static:
-            g, ginv, gam, rup = self._g, self._ginv, self._gam, self._rup
-        else:
-            g = np.empty((n, n))
-            dg = np.empty((n, n, n))
-            for i in range(n):
-                for j in range(n):
-                    g[i, j] = self._g_f[i][j](xt)
-            for m in range(n):
-                fm = self._dg_f[m]
-                for i in range(n):
-                    for j in range(n):
-                        dg[m, i, j] = fm[i][j](xt)
-            ginv = np.linalg.inv(g)
-            gam = _christoffel_from(np.einsum, ginv, dg)
+            g = np.broadcast_to(self._g, (n, n, B))
+            ginv = np.broadcast_to(self._ginv, (n, n, B))
+            gam = np.broadcast_to(self._gam, (n, n, n, B))
             if self.need_curvature:
-                d2g = np.empty((n, n, n, n))
-                for p in range(n):
-                    for m in range(n):
-                        fpm = self._d2g_f[p][m]
-                        for i in range(n):
-                            for j in range(n):
-                                d2g[p, m, i, j] = fpm[i][j](xt)
-                # product rule: d_p Gamma = (d_p ginv T + ginv d_p T) / 2
-                dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-                dT = np.stack([_first_kind(d2g[p]) for p in range(n)])
-                dgam = 0.5 * (
-                    np.einsum("pkm,ijm->pkij", dginv, _first_kind(dg))
-                    + np.einsum("km,pijm->pkij", ginv, dT)
-                )
-                rup = _curvature_from(np.einsum, gam, dgam)
-            else:
-                rup = None
-
-        if self.has_potential:
-            grad = np.array([f(xt) for f in self._dv_f])
-            d2v = np.array([[self._d2v_f[i][j](xt) for j in range(n)] for i in range(n)])
-            hess_low = d2v - np.einsum("kij,k->ij", gam, grad)
-            grad_raised = ginv @ grad
-            hess_op = ginv @ hess_low
-            v_val = self._v_f(xt)
+                rup = np.broadcast_to(self._rup, (n, n, n, n, B))
         else:
-            grad_raised = None
-            hess_op = None
-            v_val = 0.0
-        return g, ginv, gam, rup, grad_raised, hess_op, v_val
+            g = vals[self._g_ix]
+            dg = vals[self._dg_ix]  # [m, i, j, b]
+            # contiguous along the lanes: einsum is slow on strided lanes
+            ginv = np.ascontiguousarray(
+                np.linalg.inv(g.transpose(2, 0, 1)).transpose(1, 2, 0))
+            gam = _christoffel_from(_lane_einsum, ginv, dg)
+            if self.need_curvature:
+                # product rule with d_p ginv = -ginv d_p g ginv:
+                # d_p Gamma^k_ij = ginv^km d_p T_ijm / 2 - ginv^ka d_p g_ab Gamma^b_ij
+                half_dT = _christoffel_from(_lane_einsum, ginv, vals[self._d2g_ix])
+                dgam = half_dT.transpose(3, 0, 1, 2, 4) - _lane_einsum(
+                    "pkb,bij->pkij", _lane_einsum("ka,pab->pkb", ginv, dg), gam)
+                rup = _curvature_from(_lane_einsum, gam, dgam)
+
+        if not self.has_potential:
+            return _Fields(g, ginv, gam, rup, None, None, 0.0)
+        grad = vals[self._dv_ix]
+        hess_low = vals[self._d2v_ix] - _lane_einsum("kij,k->ij", gam, grad)
+        return _Fields(
+            g, ginv, gam, rup,
+            _lane_einsum("ij,j->i", ginv, grad),
+            _lane_einsum("ik,kj->ij", ginv, hess_low),
+            vals[self._v_ix],
+        )
 
 
 # Evaluators of the most recently used (metric, potential, curvature)
@@ -177,16 +223,21 @@ _EVAL_CACHE_LOCK = threading.Lock()
 
 
 def _evaluator(metric: MetricField, potential: PotentialField | None,
-               need_curvature: bool) -> _PointEval:
+               need_curvature: bool) -> _FieldEval:
     key = (id(metric), id(potential), need_curvature)
     with _EVAL_CACHE_LOCK:
         ev = _EVAL_CACHE.pop(key, None)
         if ev is None or ev.metric is not metric or ev.potential is not potential:
-            ev = _PointEval(metric, potential, need_curvature)
+            ev = _FieldEval(metric, potential, need_curvature)
         _EVAL_CACHE[key] = ev  # insertion order is recency order
         if len(_EVAL_CACHE) > _EVAL_CACHE_SIZE:
             del _EVAL_CACHE[next(iter(_EVAL_CACHE))]
     return ev
+
+
+def _quadratic(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """<vecs[k], vecs[k]> under g at grid point k; vecs (K, n), g (n, n, K)."""
+    return _lane_einsum("i,i->", vecs.T, _lane_einsum("ij,j->i", g, vecs.T))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +260,8 @@ class CurvePath:
 
     def energy(self) -> np.ndarray:
         """Conserved quantity 0.5 |dγ|^2 + V along the grid."""
-        ev = _evaluator(self.metric, self.potential, need_curvature=False)
-        out = np.empty(self.steps + 1)
-        for k in range(self.steps + 1):
-            g, *_rest, v_val = ev(self.pos[k])
-            out[k] = 0.5 * float(self.vel[k] @ g @ self.vel[k]) + v_val
-        return out
+        f = _evaluator(self.metric, self.potential, need_curvature=False)(self.pos.T)
+        return 0.5 * _quadratic(self.vel, f.g) + f.v
 
     def energy_drift(self) -> float:
         e = self.energy()
@@ -234,11 +281,8 @@ class ParallelFrame:
     vectors: np.ndarray  # (steps+1, n)
 
     def norm_drift(self) -> float:
-        ev = _evaluator(self.path.metric, None, need_curvature=False)
-        norms = np.empty(self.path.steps + 1)
-        for k in range(self.path.steps + 1):
-            g = ev(self.path.pos[k])[0]
-            norms[k] = np.sqrt(float(self.vectors[k] @ g @ self.vectors[k]))
+        g = _evaluator(self.path.metric, None, need_curvature=False)(self.path.pos.T).g
+        norms = np.sqrt(_quadratic(self.vectors, g))
         return float(np.max(np.abs(norms - norms[0])) / max(1.0, norms[0]))
 
 
@@ -274,19 +318,21 @@ def _integrate(
 ):
     """RK4 integration of the coupled curve / transport / variation system.
 
+    ``x0`` and ``v0`` are (B, n): one lane per row.  Returns the final
+    state of shape (size, B), the stored states (steps+1, size, B) or
+    None, and the offset of the variation block in the state.
+
     variation="full" evolves the 2n x 2n fundamental matrix of the
     linearized flow (positions and covariant derivatives); "velocity"
     evolves only the n columns seeded by initial covariant-derivative
     perturbations, which is the endpoint Jacobian needed for shooting.
     """
     n = metric.dim
-    x0 = as_point(x0)
-    v0 = as_point(v0)
-    if x0.shape != (n,) or v0.shape != (n,):
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != n or v0.shape != x0.shape:
         raise DimensionError("start point/velocity dimension mismatch")
-
-    need_curv = variation is not None
-    ev = _evaluator(metric, potential, need_curv)
+    lanes = x0.shape[0]
 
     ncols = 0
     if variation == "full":
@@ -295,55 +341,51 @@ def _integrate(
         ncols = n
     elif variation is not None:
         raise ValueError(f"unknown variation mode {variation!r}")
+    ev = _evaluator(metric, potential, variation is not None)
 
-    size = 2 * n + (n * n if transport else 0) + (2 * n * ncols if ncols else 0)
-    y = np.zeros(size)
-    y[0:n] = x0
-    y[n: 2 * n] = v0
+    size = 2 * n + (n * n if transport else 0) + 2 * n * ncols
+    y = np.zeros((size, lanes))
+    y[0:n] = x0.T
+    y[n: 2 * n] = v0.T
     off = 2 * n
     if transport:
-        y[off: off + n * n] = np.eye(n).ravel()
+        y[off: off + n * n] = np.eye(n).reshape(-1, 1)
         off += n * n
     voff = off
     if ncols:
-        Phi0 = np.zeros((2 * n, ncols))
-        if variation == "full":
-            Phi0[:] = np.eye(2 * n)
-        else:
-            Phi0[n:, :] = np.eye(n)
-        y[voff: voff + 2 * n * ncols] = Phi0.ravel()
+        # "full" seeds every column, "velocity" the derivative columns
+        y[voff:] = np.eye(2 * n)[:, 2 * n - ncols:].reshape(-1, 1)
 
     def rhs(state: np.ndarray) -> np.ndarray:
         x = state[0:n]
         v = state[n: 2 * n]
-        g, ginv, gam, rup, grad_raised, hess_op, _v = ev(x)
-        Gv = np.einsum("kij,i->kj", gam, v)
-        acc = -Gv @ v
-        if grad_raised is not None:
-            acc = acc - grad_raised
+        f = ev(x)
+        Gv = _lane_einsum("kij,i->kj", f.gam, v)
+        acc = -_lane_einsum("kj,j->k", Gv, v)
+        if f.grad is not None:
+            acc = acc - f.grad
         out = np.empty_like(state)
         out[0:n] = v
         out[n: 2 * n] = acc
         o = 2 * n
         if transport:
-            Psi = state[o: o + n * n].reshape(n, n)
-            out[o: o + n * n] = (-Gv @ Psi).ravel()
+            Psi = state[o: o + n * n].reshape(n, n, lanes)
+            out[o: o + n * n] = -_lane_einsum("kj,jc->kc", Gv, Psi).reshape(-1, lanes)
             o += n * n
         if ncols:
-            Phi = state[o: o + 2 * n * ncols].reshape(2 * n, ncols)
-            M = np.einsum("lijk,i,k->lj", rup, v, v)
-            if hess_op is not None:
-                M = M + hess_op
-            A = np.zeros((2 * n, 2 * n))
-            A[0:n, 0:n] = -Gv
-            A[0:n, n:] = np.eye(n)
-            A[n:, 0:n] = -M
-            A[n:, n:] = -Gv
-            out[o: o + 2 * n * ncols] = (A @ Phi).ravel()
+            # Phi = [J; P]: J' = P - Gv J, P' = -M J - Gv P
+            Phi = state[o:].reshape(2, n, ncols, lanes)
+            M = _lane_einsum("lij,i->lj", _lane_einsum("lijk,k->lij", f.rup, v), v)
+            if f.hess is not None:
+                M = M + f.hess
+            GvPhi = _lane_einsum("kj,sjc->skc", Gv, Phi)
+            dPhi = out[o:].reshape(2, n, ncols, lanes)
+            dPhi[0] = Phi[1] - GvPhi[0]
+            dPhi[1] = -_lane_einsum("lj,jc->lc", M, Phi[0]) - GvPhi[1]
         return out
 
     h = 1.0 / steps
-    traj = np.empty((steps + 1, size)) if store else None
+    traj = np.empty((steps + 1, size, lanes)) if store else None
     if store:
         traj[0] = y
     for k in range(steps):
@@ -358,7 +400,13 @@ def _integrate(
     return y, traj, voff
 
 
-def _unpack_path(metric, potential, x0, v0, steps, traj) -> CurvePath:
+def _one_lane(*vectors) -> list[np.ndarray]:
+    """Each vector as the single row of a (1, n) lane array."""
+    return [as_point(a)[None, :] for a in vectors]
+
+
+def _unpack_path(metric, potential, x0, v0, steps, curve) -> CurvePath:
+    """A CurvePath from one lane's stored states, curve (steps+1, >=2n)."""
     n = metric.dim
     tau = np.linspace(0.0, 1.0, steps + 1)
     return CurvePath(
@@ -368,8 +416,8 @@ def _unpack_path(metric, potential, x0, v0, steps, traj) -> CurvePath:
         v0=as_point(v0),
         steps=steps,
         tau=tau,
-        pos=traj[:, 0:n].copy(),
-        vel=traj[:, n: 2 * n].copy(),
+        pos=curve[:, 0:n].copy(),
+        vel=curve[:, n: 2 * n].copy(),
     )
 
 
@@ -386,9 +434,14 @@ def least_action_curve(
     steps: int = DEFAULT_STEPS,
 ) -> CurvePath:
     """Critical curve of the action from ``x`` with initial velocity ``v0``."""
-    _, traj, _ = _integrate(metric, potential, as_point(x), as_point(v0), steps,
-                            store=True)
-    return _unpack_path(metric, potential, x, v0, steps, traj)
+    _, traj, _ = _integrate(metric, potential, *_one_lane(x, v0), steps, store=True)
+    return _unpack_path(metric, potential, x, v0, steps, traj[..., 0])
+
+
+def _endpoints(metric, potential, X, V, steps) -> np.ndarray:
+    """Unit-time endpoints of the lanes with starts X and velocities V, (B, n)."""
+    y, _, _ = _integrate(metric, potential, X, V, steps)
+    return y[0: metric.dim].T.copy()
 
 
 def c_exp(
@@ -399,9 +452,7 @@ def c_exp(
     steps: int = DEFAULT_STEPS,
 ) -> np.ndarray:
     """Endpoint at unit time of the least-action curve with velocity ``v``."""
-    n = metric.dim
-    y, _, _ = _integrate(metric, potential, as_point(x), as_point(v), steps)
-    return y[0:n].copy()
+    return _endpoints(metric, potential, *_one_lane(x, v), steps)[0]
 
 
 def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
@@ -409,35 +460,24 @@ def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
     n = path.metric.dim
     u = as_point(u)
     _, traj, _ = _integrate(
-        path.metric, path.potential, path.x0, path.v0, path.steps,
+        path.metric, path.potential, *_one_lane(path.x0, path.v0), path.steps,
         transport=True, store=True,
     )
-    Psi = traj[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
+    Psi = traj[:, 2 * n: 2 * n + n * n, 0].reshape(-1, n, n)
     return ParallelFrame(path=path, u0=u, vectors=Psi @ u)
 
 
-@dataclass
-class _VariationData:
-    """Fundamental blocks of the linearized flow along a curve."""
-
-    PhiJJ: np.ndarray  # (steps+1, n, n)
-    PhiJP: np.ndarray
-    PhiPJ: np.ndarray
-    PhiPP: np.ndarray
-
-
-def _variation_blocks(metric, potential, x0, v0, steps) -> tuple[np.ndarray, _VariationData]:
-    n = metric.dim
-    _, traj, voff = _integrate(
-        metric, potential, x0, v0, steps, variation="full", store=True
-    )
-    Phi = traj[:, voff: voff + 4 * n * n].reshape(-1, 2 * n, 2 * n)
-    return traj, _VariationData(
-        PhiJJ=Phi[:, 0:n, 0:n],
-        PhiJP=Phi[:, 0:n, n:],
-        PhiPJ=Phi[:, n:, 0:n],
-        PhiPP=Phi[:, n:, n:],
-    )
+def _two_point_field(Phi: np.ndarray, u: np.ndarray, what: str):
+    """J and its covariant derivative with J(0) = u, J(1) = 0, from the
+    fundamental matrices Phi (steps+1, 2n, 2n) of one curve."""
+    n = len(u)
+    B = Phi[-1, 0:n, n:]
+    if np.linalg.cond(B) > CONJUGATE_COND_LIMIT:
+        raise ConjugatePointError(what)
+    P0 = -np.linalg.solve(B, Phi[-1, 0:n, 0:n] @ u)
+    J = Phi[:, 0:n, 0:n] @ u + Phi[:, 0:n, n:] @ P0
+    dJ = Phi[:, n:, 0:n] @ u + Phi[:, n:, n:] @ P0
+    return J, dJ
 
 
 def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
@@ -446,17 +486,17 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
     The general solution is superposed from fundamental columns; a
     singular endpoint block signals a conjugate point and raises.
     """
+    n = path.metric.dim
     u = as_point(u)
-    _, var = _variation_blocks(path.metric, path.potential, path.x0, path.v0, path.steps)
-    B = var.PhiJP[-1]
-    if np.linalg.cond(B) > CONJUGATE_COND_LIMIT:
-        raise ConjugatePointError(
-            "endpoint variation block is numerically singular "
-            "(conjugate point on the curve)"
-        )
-    P0 = -np.linalg.solve(B, var.PhiJJ[-1] @ u)
-    J = var.PhiJJ @ u + var.PhiJP @ P0
-    dJ = var.PhiPJ @ u + var.PhiPP @ P0
+    _, traj, voff = _integrate(
+        path.metric, path.potential, *_one_lane(path.x0, path.v0), path.steps,
+        variation="full", store=True,
+    )
+    J, dJ = _two_point_field(
+        traj[:, voff:, 0].reshape(-1, 2 * n, 2 * n), u,
+        "endpoint variation block is numerically singular "
+        "(conjugate point on the curve)",
+    )
     return JacobiSolution(path=path, u0=u, J=J, dJ=dJ)
 
 
@@ -467,22 +507,19 @@ def jacobi_residual(sol: JacobiSolution) -> float:
     stencil so the check is limited by the integrator, not the stencil.
     """
     path = sol.path
-    n = path.metric.dim
-    ev = _evaluator(path.metric, path.potential, need_curvature=True)
     h = 1.0 / path.steps
-    worst = 0.0
-    for k in range(2, path.steps - 1):
-        ddJ = (
-            -sol.dJ[k + 2] + 8 * sol.dJ[k + 1] - 8 * sol.dJ[k - 1] + sol.dJ[k - 2]
-        ) / (12 * h)
-        g, ginv, gam, rup, grad_raised, hess_op, _ = ev(path.pos[k])
-        v = path.vel[k]
-        cov = ddJ + np.einsum("kij,i,j->k", gam, v, sol.dJ[k])
-        res = cov + np.einsum("lijk,i,j,k->l", rup, v, sol.J[k], v)
-        if hess_op is not None:
-            res = res + hess_op @ sol.J[k]
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    k = np.arange(2, path.steps - 1)
+    dJ = sol.dJ
+    ddJ = (-dJ[k + 2] + 8 * dJ[k + 1] - 8 * dJ[k - 1] + dJ[k - 2]) / (12 * h)
+    f = _evaluator(path.metric, path.potential, need_curvature=True)(path.pos[k].T)
+    v, J = path.vel[k].T, sol.J[k].T
+    Gv = _lane_einsum("kij,i->kj", f.gam, v)
+    RvJ = _lane_einsum("lij,j->li", _lane_einsum("lijk,k->lij", f.rup, v), J)
+    res = (ddJ.T + _lane_einsum("kj,j->k", Gv, dJ[k].T)
+           + _lane_einsum("li,i->l", RvJ, v))
+    if f.hess is not None:
+        res = res + _lane_einsum("lj,j->l", f.hess, J)
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 @dataclass
@@ -494,6 +531,97 @@ class CostResult:
     iterations: int
     endpoint_error: float
     path: CurvePath
+
+
+def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
+    """Damped-Newton shooting of every lane at once.
+
+    Lane b solves for the velocity taking X[b] to Y[b] at time 1 with
+    its own line search, and drops out of the batch once it converges.
+    A full Newton step is integrated with its endpoint Jacobian; halved
+    trial steps integrate the curve alone, and the one accepted is
+    integrated again with the Jacobian (the curve part of both runs is
+    the same computation).  Returns (velocities, Newton iterations,
+    endpoint errors, curves), the curves (steps+1, 2n, B) being the
+    positions and velocities of each lane's last accepted integration.
+    """
+    n = metric.dim
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
+    used = np.zeros(len(X), dtype=int)  # integrations per lane
+
+    def integrate(lanes, Vl, jacobian=True):
+        """Endpoints of some lanes, with their Jacobians and curves."""
+        if np.any(used[lanes] >= SHOOT_INTEGRATION_BUDGET):
+            raise ShootingError(
+                f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
+                f"integrations without converging"
+            )
+        used[lanes] += 1
+        if not jacobian:
+            return _endpoints(metric, potential, X[lanes], Vl, steps), None, None
+        y, traj, voff = _integrate(metric, potential, X[lanes], Vl, steps,
+                                   variation="velocity", store=True)
+        jac = y[voff:].reshape(2 * n, n, -1)[0:n].transpose(2, 0, 1)
+        return y[0:n].T, jac, traj[:, 0: 2 * n]
+
+    end, jac, curves = integrate(np.arange(len(X)), V)
+    err = np.linalg.norm(end - Y, axis=1)
+    iters = np.zeros(len(X), dtype=int)
+    strikes = np.zeros(len(X), dtype=int)
+    for it in range(1, max_iter + 1):
+        active = np.flatnonzero(err > tol)
+        if not active.size:
+            break
+        if np.any(np.linalg.cond(jac[active]) > CONJUGATE_COND_LIMIT):
+            raise ShootingError(
+                "endpoint Jacobian is numerically singular during shooting"
+            )
+        step = np.zeros_like(V)
+        step[active] = np.linalg.solve(jac[active], (Y - end)[active][..., None])[..., 0]
+        lam = 1.0  # every lane still searching has halved equally often
+        search = active
+        for trial in range(LINE_SEARCH_TRIALS):
+            v_new = V[search] + lam * step[search]
+            end_new, jac_new, curves_new = integrate(search, v_new, trial == 0)
+            err_new = np.linalg.norm(end_new - Y[search], axis=1)
+            ok = err_new < err[search]
+            done = search[ok]
+            if done.size:
+                if trial:
+                    end_new, jac_new, curves_new = integrate(done, v_new[ok])
+                else:
+                    end_new, jac_new, curves_new = (
+                        end_new[ok], jac_new[ok], curves_new[..., ok])
+                weak = err_new[ok] > STAGNATION_RATIO * err[done]
+                strikes[done] = np.where(weak, strikes[done] + 1, 0)
+                V[done], end[done], jac[done], err[done] = (
+                    v_new[ok], end_new, jac_new, err_new[ok])
+                curves[..., done] = curves_new
+                iters[done] = it
+            search = search[~ok]
+            lam *= 0.5
+            if not search.size:
+                break
+        else:
+            raise ShootingError(
+                f"shooting stagnated at endpoint error "
+                f"{np.max(err[search]):.3e} after {it} iterations"
+            )
+        if np.any(strikes >= STAGNATION_STRIKES):
+            raise ShootingError(
+                f"shooting stagnated at endpoint error "
+                f"{np.max(err[strikes >= STAGNATION_STRIKES]):.3e}: "
+                f"{STAGNATION_STRIKES} Newton steps in a row each left more "
+                f"than {STAGNATION_RATIO:g} of the error"
+            )
+    if np.any(err > tol):
+        raise ShootingError(
+            f"shooting did not reach tolerance {tol:.1e} in {max_iter} iterations "
+            f"(endpoint error {np.max(err):.3e})"
+        )
+    return V, iters, err, curves
 
 
 def shoot_velocity(
@@ -510,51 +638,49 @@ def shoot_velocity(
 
     The Newton matrix is the endpoint block of the linearized flow,
     integrated alongside the curve, so no extra finite differencing is
-    involved.  Raises on stagnation or a singular endpoint block.
+    involved.  Raises on stagnation, a singular endpoint block or an
+    exhausted integration budget.
+    """
+    V, iters, err, _ = _shoot(metric, potential, *_one_lane(x, y), steps, tol,
+                              max_iter, None if v_init is None else _one_lane(v_init)[0])
+    return V[0], int(iters[0]), float(err[0])
+
+
+def _costs(
+    metric: MetricField,
+    potential: PotentialField | None,
+    X: np.ndarray,
+    Y: np.ndarray,
+    steps: int = DEFAULT_STEPS,
+    tol: float = 1e-10,
+    max_iter: int = 50,
+    V_init: np.ndarray | None = None,
+) -> list[CostResult]:
+    """:func:`cost` from X[b] to Y[b] for every lane b, shot as one batch.
+
+    The action is integrated along the curve of each lane's last
+    accepted shooting integration; its curve part is the plain
+    integration of the returned velocity.
     """
     n = metric.dim
-    x = as_point(x)
-    y = as_point(y)
-    v = as_point(v_init) if v_init is not None else (y - x)
-
-    def endpoint_and_jac(vcur):
-        state, traj, voff = _integrate(
-            metric, potential, x, vcur, steps, variation="velocity"
+    V, iters, err, curves = _shoot(metric, potential, X, Y, steps, tol,
+                                   max_iter, V_init)
+    pos = curves[:, 0:n].transpose(1, 0, 2)  # (n, steps+1, B)
+    vel = curves[:, n: 2 * n].transpose(1, 0, 2)
+    f = _evaluator(metric, potential, need_curvature=False)(pos.reshape(n, -1))
+    grid = pos.shape[1:]
+    lag = (0.5 * _quadratic(vel.reshape(n, -1).T, f.g) - f.v).reshape(grid)
+    values = _simpson(lag, 1.0 / steps)
+    return [
+        CostResult(
+            value=float(values[b]),
+            initial_velocity=V[b],
+            iterations=int(iters[b]),
+            endpoint_error=float(err[b]),
+            path=_unpack_path(metric, potential, X[b], V[b], steps, curves[..., b]),
         )
-        end = state[0:n]
-        Phi = state[voff: voff + 2 * n * n].reshape(2 * n, n)
-        return end, Phi[0:n, :]
-
-    end, jac = endpoint_and_jac(v)
-    err = float(np.linalg.norm(end - y))
-    for it in range(1, max_iter + 1):
-        if err <= tol:
-            return v, it - 1, err
-        if np.linalg.cond(jac) > CONJUGATE_COND_LIMIT:
-            raise ShootingError(
-                "endpoint Jacobian is numerically singular during shooting"
-            )
-        step = np.linalg.solve(jac, y - end)
-        lam = 1.0
-        for _ in range(12):
-            v_new = v + lam * step
-            end_new, jac_new = endpoint_and_jac(v_new)
-            err_new = float(np.linalg.norm(end_new - y))
-            if err_new < err:
-                break
-            lam *= 0.5
-        else:
-            raise ShootingError(
-                f"shooting stagnated at endpoint error {err:.3e} "
-                f"after {it} iterations"
-            )
-        v, end, jac, err = v_new, end_new, jac_new, err_new
-    if err <= tol:
-        return v, max_iter, err
-    raise ShootingError(
-        f"shooting did not reach tolerance {tol:.1e} in {max_iter} iterations "
-        f"(endpoint error {err:.3e})"
-    )
+        for b in range(len(V))
+    ]
 
 
 def cost(
@@ -573,36 +699,21 @@ def cost(
     accumulated with the trapezoid-free quadrature of the integrator
     grid (Simpson on the stored samples).
     """
-    v, iters, err = shoot_velocity(metric, potential, x, y, steps, tol, max_iter,
-                                   v_init)
-    path = least_action_curve(metric, potential, x, v, steps)
-    ev = _evaluator(metric, potential, need_curvature=False)
-    lag = np.empty(path.steps + 1)
-    for k in range(path.steps + 1):
-        g, *_rest, v_val = ev(path.pos[k])
-        lag[k] = 0.5 * float(path.vel[k] @ g @ path.vel[k]) - v_val
-    value = _simpson(lag, 1.0 / path.steps)
-    return CostResult(
-        value=value,
-        initial_velocity=v,
-        iterations=iters,
-        endpoint_error=err,
-        path=path,
-    )
+    return _costs(metric, potential, *_one_lane(x, y), steps, tol, max_iter,
+                  None if v_init is None else _one_lane(v_init)[0])[0]
 
 
-def _simpson(samples: np.ndarray, h: float) -> float:
-    """Composite Simpson rule; even sample counts fall back to a trapezoid tail."""
+def _simpson(samples: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson rule along axis 0; even sample counts fall back
+    to a trapezoid tail.  Panels are summed in order."""
     m = len(samples) - 1
-    if m == 0:
-        return 0.0
-    total = 0.0
+    total = np.zeros(samples.shape[1:])
     end = m if m % 2 == 0 else m - 1
     for k in range(0, end, 2):
         total += (samples[k] + 4 * samples[k + 1] + samples[k + 2]) * (h / 3.0)
     if m % 2 == 1:
         total += 0.5 * h * (samples[-2] + samples[-1])
-    return float(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -641,26 +752,6 @@ class VariationFamily:
         return self.members[(i, j)]
 
 
-def _family_member(metric, potential, x, u, v0, steps, s, t) -> FamilyMember:
-    n = metric.dim
-    _, traj, voff = _integrate(
-        metric, potential, x, v0, steps,
-        transport=True, variation="full", store=True,
-    )
-    Psi = traj[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
-    Phi = traj[:, voff: voff + 4 * n * n].reshape(-1, 2 * n, 2 * n)
-    path = _unpack_path(metric, potential, x, v0, steps, traj)
-    B = Phi[-1, 0:n, n:]
-    if np.linalg.cond(B) > CONJUGATE_COND_LIMIT:
-        raise ConjugatePointError(
-            "conjugate point inside a variation family member"
-        )
-    P0 = -np.linalg.solve(B, Phi[-1, 0:n, 0:n] @ u)
-    J = Phi[:, 0:n, 0:n] @ u + Phi[:, 0:n, n:] @ P0
-    dJ = Phi[:, n:, 0:n] @ u + Phi[:, n:, n:] @ P0
-    return FamilyMember(s=s, t=t, path=path, U=Psi @ u, J=J, dJ=dJ)
-
-
 def variation_family(
     metric: MetricField,
     potential: PotentialField | None,
@@ -672,22 +763,36 @@ def variation_family(
     t_values: Sequence[float],
     steps: int = DEFAULT_STEPS,
 ) -> VariationFamily:
-    """Build the curve family with fields over the (s, t) grid."""
+    """Build the curve family with fields over the (s, t) grid, all
+    members integrated as one batch."""
+    n = metric.dim
     x = as_point(x)
     u = as_point(u)
     v = as_point(v)
     w = as_point(w)
-    pot = potential if potential is not None else PotentialField.zero(metric.dim)
+    pot = potential if potential is not None else PotentialField.zero(n)
     fam = VariationFamily(
         metric=metric, potential=pot, x=x, u=u, v=v, w=w,
         s_values=tuple(float(s) for s in s_values),
         t_values=tuple(float(t) for t in t_values),
         steps=steps,
     )
-    for i, s in enumerate(fam.s_values):
-        for j, t in enumerate(fam.t_values):
-            v0 = t * v + s * w
-            fam.members[(i, j)] = _family_member(metric, pot, x, u, v0, steps, s, t)
+    grid = [(i, j, s, t) for i, s in enumerate(fam.s_values)
+            for j, t in enumerate(fam.t_values)]
+    V0 = np.array([t * v + s * w for _, _, s, t in grid])
+    _, traj, voff = _integrate(
+        metric, pot, np.tile(x, (len(grid), 1)), V0, steps,
+        transport=True, variation="full", store=True,
+    )
+    for b, (i, j, s, t) in enumerate(grid):
+        lane = traj[..., b]
+        Psi = lane[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
+        J, dJ = _two_point_field(lane[:, voff:].reshape(-1, 2 * n, 2 * n), u,
+                                 "conjugate point inside a variation family member")
+        fam.members[(i, j)] = FamilyMember(
+            s=s, t=t, path=_unpack_path(metric, pot, x, V0[b], steps, lane),
+            U=Psi @ u, J=J, dJ=dJ,
+        )
     return fam
 
 

@@ -168,6 +168,60 @@ def _codegen(node: Node) -> str:
 
 _EVAL_GLOBALS = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos}
 
+# Integer powers go through np.float_power (libm pow), the routine the
+# scalar path reaches, so polynomial fields agree bit for bit.
+_BATCH_GLOBALS = {"_exp": np.exp, "_sin": np.sin, "_cos": np.cos,
+                  "_pow": np.float_power, "_empty": np.empty}
+
+
+def batch_evaluator(fields: Sequence["ScalarField"]) -> Callable:
+    """One generated function evaluating every field at a batch of points.
+
+    The function maps coordinates ``c`` of shape (dim, B) to an array of
+    shape (len(fields), B).  Each distinct subtree across all fields is
+    computed once, as a NumPy array over the batch.  It performs the
+    scalar path's operations in the same order, so values are
+    bit-identical except where NumPy's ``exp`` rounds differently from
+    ``math.exp`` (by at most one ulp), a difference the operations
+    above it carry along.
+    """
+    names: dict = {}
+    lines: list[str] = []
+
+    def emit(node: Node) -> str:
+        kind = node[0]
+        if kind == "c":
+            return f"({node[1]!r})"
+        if kind == "x":
+            return f"c[{node[1]}]"
+        name = names.get(node)
+        if name is not None:
+            return name
+        if kind in ("+", "-", "*"):
+            src = f"{emit(node[1])}{kind}{emit(node[2])}"
+        elif kind == "neg":
+            src = f"-{emit(node[1])}"
+        elif kind == "^":
+            src = f"_pow({emit(node[1])}, {node[2]})"
+        else:
+            src = f"_{kind}({emit(node[1])})"
+        name = names[node] = f"t{len(names)}"
+        lines.append(f"    {name} = {src}")
+        return name
+
+    roots = [emit(f.tree) for f in fields]
+    del emit  # the recursive closure is a reference cycle
+    src = "\n".join(
+        ["def _batch(c):"]
+        + lines
+        + [f"    out = _empty(({len(roots)},) + c.shape[1:])"]
+        + [f"    out[{k}] = {r}" for k, r in enumerate(roots)]
+        + ["    return out"]
+    )
+    scope = dict(_BATCH_GLOBALS)
+    exec(compile(src, "<batch-field>", "exec"), scope)
+    return scope.pop("_batch")  # a function in its own globals is a cycle
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -234,6 +288,8 @@ class ScalarField:
             raise DerivativeOrderError(
                 f"derivative order {order} exceeds supported maximum {MAX_PARTIAL_ORDER}"
             )
+        if order == 0:
+            return self  # caching self would make the field a reference cycle
         key = ("p", counts)
         out = self._cache.get(key)
         if out is None:

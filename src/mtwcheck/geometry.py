@@ -17,8 +17,9 @@ consistent; the sphere oracle in the test suite pins the sign.
 Derivative strategy: the Christoffel formula and the curvature formula
 are written once, in :func:`_christoffel_from` and
 :func:`_curvature_from`, with the tensor product passed in.
-``dynamics`` evaluates them on point values with ``np.einsum`` (the
-metric partials come from exact expression-tree differentiation);
+``dynamics`` evaluates them on batches of point values with
+``np.einsum``, the batch riding along as a trailing axis (the metric
+partials come from exact expression-tree differentiation);
 :class:`GeometryJet` evaluates them on truncated Taylor jets with
 :func:`~mtwcheck.jets.jcontract`, which differentiates the whole
 pipeline exactly, so covariant derivatives of curvature and of the
@@ -175,16 +176,16 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     """T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij from dg[m, i, j].
 
     T is twice the Christoffel symbols of the first kind; trailing axes
-    (a jet axis) ride along.
+    (a jet axis, a batch of points) ride along.
     """
-    return dg + np.einsum("jim...->ijm...", dg) - np.einsum("mij...->ijm...", dg)
+    return dg + dg.swapaxes(0, 1) - dg.swapaxes(0, 1).swapaxes(1, 2)
 
 
 def _christoffel_from(product, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Christoffel symbols G[k, i, j] from the inverse metric and dg[m, i, j].
 
-    ``product`` is ``np.einsum`` on point values or a bound
-    :func:`~mtwcheck.jets.jcontract` on jets.
+    ``product`` is an ``np.einsum`` on (batches of) point values or a
+    bound :func:`~mtwcheck.jets.jcontract` on jets.
     """
     return 0.5 * product("km,ijm->kij", ginv, _first_kind(dg))
 

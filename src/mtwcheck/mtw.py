@@ -87,26 +87,26 @@ class MtwEvaluation:
 # ---------------------------------------------------------------------------
 
 
-def _variation_pairing(metric, potential, x, u, v0, steps) -> float:
-    """<u, covariant d/dtau J(0)> for the two-point variation field J.
+def _variation_pairings(metric, potential, x, u, V0, steps) -> np.ndarray:
+    """<u, covariant d/dtau J(0)> for the two-point variation field J
+    along each curve from x with an initial velocity in the rows of V0.
 
-    J solves the linearized flow along the least-action curve with
-    initial velocity ``v0``, with J(0) = u and J(1) = 0.  Both vectors
-    live at x, so the pairing needs no transport.
+    J solves the linearized flow along the least-action curve, with
+    J(0) = u and J(1) = 0.  Both vectors live at x, so the pairing needs
+    no transport.  The curves are integrated as one batch.
     """
     n = metric.dim
     state, _, voff = dyn._integrate(
-        metric, potential, x, v0, steps, variation="full"
+        metric, potential, np.tile(x, (len(V0), 1)), V0, steps, variation="full"
     )
-    Phi = state[voff: voff + 4 * n * n].reshape(2 * n, 2 * n)
-    B = Phi[0:n, n:]
-    if np.linalg.cond(B) > dyn.CONJUGATE_COND_LIMIT:
+    Phi = state[voff:].reshape(2 * n, 2 * n, -1).transpose(2, 0, 1)
+    B = Phi[:, 0:n, n:]
+    if np.any(np.linalg.cond(B) > dyn.CONJUGATE_COND_LIMIT):
         raise dyn.ConjugatePointError(
             "conjugate point while evaluating the two-point variation pairing"
         )
-    P0 = -np.linalg.solve(B, Phi[0:n, 0:n] @ u)
-    g = metric.matrix(x)
-    return float(u @ g @ P0)
+    P0 = -np.linalg.solve(B, (Phi[:, 0:n, 0:n] @ u)[..., None])[..., 0]
+    return P0 @ (metric.matrix(x) @ u)
 
 
 def mtw_jacobi(
@@ -130,9 +130,10 @@ def mtw_jacobi(
     u = as_point(u)
     v = as_point(v)
     w = as_point(w)
-    F = {}
-    for k in (-2, -1, 0, 1, 2):
-        F[k] = _variation_pairing(metric, potential, x, u, v + (k * h) * w, steps)
+    ks = (-2, -1, 0, 1, 2)
+    F = dict(zip(ks, _variation_pairings(
+        metric, potential, x, u, np.array([v + (k * h) * w for k in ks]), steps
+    ).tolist()))
     d_h = (F[1] - 2.0 * F[0] + F[-1]) / h**2
     d_2h = (F[2] - 2.0 * F[0] + F[-2]) / (4.0 * h**2)
     value = 1.5 * (4.0 * d_h - d_2h) / 3.0
@@ -171,14 +172,15 @@ def mtw_direct_cost(
     v = as_point(v)
     w = as_point(w)
     offsets = (-2, -1, 0, 1, 2)
-    sigma = {i: dyn.c_exp(metric, None, x, (i * h_t) * u, steps) for i in offsets}
-    targets = {j: dyn.c_exp(metric, potential, x, v + (j * h_s) * w, steps)
-               for j in offsets}
-    C = np.empty((5, 5))
-    for a, i in enumerate(offsets):
-        for b, j in enumerate(offsets):
-            C[a, b] = dyn.cost(metric, potential, sigma[i], targets[j],
-                               steps=steps).value
+    starts = np.tile(x, (5, 1))
+    sigma = dyn._endpoints(metric, None, starts,
+                           np.array([(i * h_t) * u for i in offsets]), steps)
+    targets = dyn._endpoints(metric, potential, starts,
+                             np.array([v + (j * h_s) * w for j in offsets]), steps)
+    # C[a, b] = cost(sigma[a], targets[b]): all 25 shot as one batch
+    C = np.array([r.value for r in dyn._costs(
+        metric, potential, np.repeat(sigma, 5, axis=0), np.tile(targets, (5, 1)),
+        steps=steps)]).reshape(5, 5)
 
     def second_diff(row, hstep):
         d1 = (row[3] - 2.0 * row[2] + row[1]) / hstep**2
@@ -435,6 +437,13 @@ def g_quantity(
 
 
 def _g_quantity(jet: GeometryJet, u, v, w, curvature_tol: float) -> float:
+    _g_preconditions(jet, u, w, curvature_tol)
+    return _second_order_terms(jet, u, v, w, full=False)
+
+
+def _g_preconditions(jet: GeometryJet, u, w, curvature_tol: float) -> None:
+    """Raise unless u, w are metric-orthogonal and span a zero-curvature
+    plane, the hypotheses of the restricted second-order quantity."""
     uw = jet.inner(u, w)
     if abs(uw) > ORTHO_TOL * jet.norm(u) * jet.norm(w):
         raise PreconditionError(
@@ -447,7 +456,6 @@ def _g_quantity(jet: GeometryJet, u, v, w, curvature_tol: float) -> float:
             "the restricted second-order quantity needs a zero-curvature "
             f"plane (sectional = {K:.3e}, tolerance {curvature_tol:.1e})"
         )
-    return _second_order_terms(jet, u, v, w, full=False)
 
 
 def first_order_vanishing(
@@ -752,7 +760,9 @@ def _condition_value(
     """The scalar behind ``condition`` at the jet's point.
 
     The one map from condition names to formulas: the checker and
-    :func:`evaluate_condition` both read every value through it.
+    :func:`evaluate_condition` both read every value through it, except
+    that the checker tests the ``g-nonneg`` hypotheses once per (u, w)
+    pair and then reads the same :func:`_second_order_terms` for every v.
     """
     if condition == "sectional-nonneg":
         return jet.sectional(u, w)
@@ -906,14 +916,19 @@ def check_a3w_necessary(
             fo_all_scale = max(fo_all_scale, *mags)
             if not flat:
                 continue
+            # the g-nonneg hypotheses do not involve v: test them once
+            try:
+                _g_preconditions(d.jet, u, w, flat_tol)
+                g_ok = True
+            except PreconditionError:
+                g_ok = False
             for vdir, mag in zip(directions, mags):
                 fo_vals.append(mag)
                 if fo_worst is None or mag > fo_worst.value:
                     fo_worst = Witness("first-order-vanishing", x, u, vdir, w, mag)
-                try:
-                    gv = _condition_value(d.jet, "g-nonneg", u, vdir, w, flat_tol)
-                except PreconditionError:
+                if not g_ok:
                     continue
+                gv = _second_order_terms(d.jet, u, vdir, w, full=False)
                 g_vals.append(gv)
                 if g_worst is None or gv < g_worst.value:
                     g_worst = Witness("g-nonneg", x, u, vdir, w, gv)

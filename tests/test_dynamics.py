@@ -128,9 +128,68 @@ def test_antipodal_shooting_diverges(sphere):
         cost(sphere, None, x, y)
 
 
+def test_antipodal_shoot_raises_within_budget(sphere, monkeypatch):
+    # the work before failing is bounded in integrations, not seconds
+    from mtwcheck import dynamics as dyn
+
+    calls = []
+    integrate = dyn._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))  # lanes in this integration
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "_integrate", counted)
+    x = np.array([1.0, 0.3])
+    y = np.array([np.pi - 1.0, 0.3 + np.pi])
+    with pytest.raises(ShootingError, match="stagnated"):
+        shoot_velocity(sphere, None, x, y)
+    assert set(calls) == {1}
+    assert len(calls) <= dyn.SHOOT_INTEGRATION_BUDGET
+
+
+def test_shoot_integration_budget_raises(sphere, monkeypatch):
+    from mtwcheck import dynamics as dyn
+
+    # this shoot converges in 3 Newton steps, 4 integrations
+    args = (sphere, None, [1.0, 0.2], [1.4, 0.9])
+    assert shoot_velocity(*args)[1] == 3
+    monkeypatch.setattr(dyn, "SHOOT_INTEGRATION_BUDGET", 3)
+    with pytest.raises(ShootingError, match="budget of 3 integrations"):
+        shoot_velocity(*args)
+
+
 def test_shoot_velocity_flat_is_difference(flat2):
     v, iters = shoot_velocity(flat2, None, [0.2, 0.1], [-0.3, 0.8])[:2]
     assert np.allclose(v, [-0.5, 0.7], atol=1e-12)
+
+
+def test_batched_shoot_matches_one_lane_shoots(sphere):
+    from mtwcheck import dynamics as dyn
+
+    X = np.array([[1.0, 0.2], [1.0, 0.2], [1.3, -0.4], [0.9, 0.5]])
+    Y = np.array([[1.4, 0.9], [1.0, 0.2], [1.9, 0.3], [0.2, 1.6]])
+    batch = dyn._costs(sphere, None, X, Y, steps=100)
+    # lanes finish at different iterations, one without any
+    assert sorted({r.iterations for r in batch})[0] == 0
+    assert len({r.iterations for r in batch}) > 2
+    for b, res in enumerate(batch):
+        alone = cost(sphere, None, X[b], Y[b], steps=100)
+        assert np.array_equal(res.initial_velocity, alone.initial_velocity)
+        assert res.iterations == alone.iterations
+        assert res.endpoint_error == alone.endpoint_error
+        assert np.array_equal(res.path.pos, alone.path.pos)
+        assert np.array_equal(res.path.vel, alone.path.vel)
+        assert res.value == alone.value
+
+
+def test_cost_curve_is_the_plain_integration(sphere):
+    # cost() reads the action off the last accepted shooting integration;
+    # its curve part is the plain integration of the returned velocity
+    res = cost(sphere, None, [1.0, 0.2], [1.4, 0.9])
+    path = least_action_curve(sphere, None, [1.0, 0.2], res.initial_velocity)
+    assert np.array_equal(res.path.pos, path.pos)
+    assert np.array_equal(res.path.vel, path.vel)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +327,41 @@ def test_lemma_suite_requires_normal_coordinates(sphere):
     with pytest.raises(PreconditionError):
         lemma_suite(sphere, None, [1.0, 0.3], [1.0, 0.0], [0.6, -0.3],
                     [0.2, 0.9], taus=(0.5,))
+
+
+# ---------------------------------------------------------------------------
+# Lanes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [
+    {}, {"variation": "velocity"}, {"variation": "full"}, {"transport": True},
+])
+@pytest.mark.parametrize("case", ["conformal-potential", "inline3d"])
+def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3):
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import MetricField, PotentialField
+
+    rng = np.random.default_rng(5)
+    if case == "inline3d":
+        e = parse_field("exp(2*x*y*z)", 3)
+        z = parse_field("0", 3)
+        metric = MetricField.from_upper([e, z, z, e, z, e], 3)
+        pot = None
+    else:
+        metric = conformal_a3
+        pot = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
+    n = metric.dim
+    X = rng.uniform(-0.3, 0.3, (4, n))
+    V = rng.uniform(-0.6, 0.6, (4, n))
+    y, traj, _ = dyn._integrate(metric, pot, X, V, 40, store=True, **mode)
+    assert np.array_equal(traj[-1], y)
+    for b in range(4):
+        _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], 40,
+                                     store=True, **mode)
+        scale = np.max(np.abs(alone))
+        assert np.max(np.abs(traj[..., b] - alone[..., 0])) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

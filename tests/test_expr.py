@@ -190,3 +190,89 @@ def test_differentiation_is_linear(c1, c2, x, y, dx, dy):
     lhs = eval_partial(s, (x, y), idx)
     rhs = eval_partial(f, (x, y), idx) + eval_partial(g, (x, y), idx)
     assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Fused batch evaluator
+# ---------------------------------------------------------------------------
+
+
+def _fields_through_second_order(fields, dim):
+    """Each field followed by its first and its second partials."""
+    out = []
+    for f in fields:
+        out.append(f)
+        out += [f.diff(m) for m in range(dim)]
+        out += [f.diff(m).diff(p) for m in range(dim) for p in range(m, dim)]
+    return out
+
+
+def _batch_case(name):
+    """(fields, points of shape (dim, 7), whether the trees contain exp)."""
+    from mtwcheck import conformal as cf
+    from mtwcheck.geometry import MetricField, quartic_potential, sphere_metric
+
+    rng = np.random.default_rng(17)
+    if name == "quartic":
+        A = np.array([[0.6, 0.1, 0.2], [0.1, 0.9, -0.3], [0.2, -0.3, 0.5]])
+        fields = [quartic_potential(A).field]
+        return fields, 3, rng.uniform(-1.0, 1.0, (3, 7)), False
+    if name == "sphere":
+        metric = sphere_metric()
+        pts = np.stack([rng.uniform(0.4, 2.7, 7), rng.uniform(-1.5, 1.5, 7)])
+        has_exp = False
+    elif name == "conformal":
+        metric = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
+        pts = rng.uniform(-0.4, 0.4, (2, 7))
+        has_exp = True
+    else:
+        e = parse_field("exp(2*x*y*z)", 3)
+        zero = parse_field("0", 3)
+        metric = MetricField.from_upper([e, zero, zero, e, zero, e], 3)
+        pts = rng.uniform(-0.4, 0.4, (3, 7))
+        has_exp = True
+    n = metric.dim
+    entries = [metric.entries[i][j] for i in range(n) for j in range(i, n)]
+    return entries, n, pts, has_exp
+
+
+@pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d", "quartic"])
+def test_batch_evaluator_matches_scalar_fields(name):
+    # The generated function repeats the per-point expression code on
+    # arrays with shared subtrees computed once.  The one routine it does
+    # not share is exp (NumPy's against math.exp), so: exp-free fields
+    # agree bit for bit; with exp, they agree bit for bit once the
+    # per-point code runs NumPy's exp too, and the two exps differ by at
+    # most one ulp.
+    from mtwcheck.expr import _EVAL_GLOBALS, _codegen, batch_evaluator
+
+    base, dim, pts, has_exp = _batch_case(name)
+    fields = _fields_through_second_order(base, dim)
+    fn = batch_evaluator(fields)
+    np_scope = dict(_EVAL_GLOBALS, _exp=np.exp)
+    np_exp_fns = [eval(f"lambda c: {_codegen(f.tree)}", dict(np_scope)) for f in fields]
+    for X in (pts[:, :1], pts):
+        got = fn(X)
+        assert got.shape == (len(fields), X.shape[1])
+        scalar = np.array([[f(X[:, b]) for b in range(X.shape[1])] for f in fields])
+        same_exp = np.array([[fe(tuple(X[:, b])) for b in range(X.shape[1])]
+                             for fe in np_exp_fns])
+        assert np.array_equal(got, same_exp)
+        if not has_exp:
+            assert np.array_equal(got, scalar)
+        else:
+            # the metric entries are the exponentials themselves
+            per_field = len(fields) // len(base)
+            entry_rows = list(range(0, len(fields), per_field))
+            ulps = np.abs(got[entry_rows] - scalar[entry_rows]) / np.spacing(
+                np.abs(scalar[entry_rows]))
+            assert np.max(ulps) <= 1.0
+
+
+def test_batch_evaluator_constant_and_variable_roots():
+    from mtwcheck.expr import batch_evaluator
+
+    fields = [parse_field("0", 2), parse_field("y", 2), parse_field("x*y + 2", 2)]
+    X = np.array([[0.5, -1.0, 2.0], [3.0, 0.25, -0.5]])
+    got = batch_evaluator(fields)(X)
+    assert np.array_equal(got, [[0.0, 0.0, 0.0], X[1], X[0] * X[1] + 2.0])

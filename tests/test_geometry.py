@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtwcheck import conformal as cf
-from mtwcheck.dynamics import _PointEval
+from mtwcheck.dynamics import _evaluator
 from mtwcheck.errors import (
     DegeneratePlaneError,
     MetricDegenerateError,
@@ -198,10 +198,11 @@ def test_second_curvature_derivative_contractions(a, rng):
 
 @pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
 def test_jet_tensors_match_point_evaluator(name, rng):
-    # The jet pipeline and the integrator's point evaluator share the
-    # Christoffel and curvature formulas but reach them by different
-    # routes: jet products of Taylor coefficients against compiled metric
-    # partials with an explicit product rule for the Christoffel derivative.
+    # The jet pipeline and the integrator's batched field evaluator share
+    # the Christoffel and curvature formulas but reach them by different
+    # routes: jet products of Taylor coefficients against one generated
+    # function of the metric partials, with an explicit product rule for
+    # the Christoffel derivative.
     if name == "inline3d":
         from mtwcheck.expr import parse_field as pf
 
@@ -211,10 +212,10 @@ def test_jet_tensors_match_point_evaluator(name, rng):
         pts = rng.uniform(-0.3, 0.3, (3, 3))
     else:
         metric, pts = _random_metric_points(rng, name, 3)
-    ev = _PointEval(metric, None, need_curvature=True)
-    for x in pts:
+    fields = _evaluator(metric, None, need_curvature=True)(pts.T)
+    for b, x in enumerate(pts):
         jet = GeometryJet(metric, x, curvature_order=0)
-        _, _, gam, rup, *_ = ev(x)
+        gam, rup = fields.gam[..., b], fields.rup[..., b]
         assert np.allclose(jet.gamma, gam, rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(gam)))
         assert np.allclose(jet.riemann_raised, rup, rtol=1e-12,
