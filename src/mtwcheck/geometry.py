@@ -23,7 +23,12 @@ partials come from exact expression-tree differentiation);
 :class:`GeometryJet` evaluates them on truncated Taylor jets with
 :func:`~mtwcheck.jets.jcontract`, which differentiates the whole
 pipeline exactly, so covariant derivatives of curvature and of the
-potential need no further formulas.
+potential need no further formulas.  Each jet stage runs at the lowest
+Taylor degree that keeps the values read from it exact: every
+derivative costs one degree, so at curvature order 2 the metric runs
+at degree 4, the inverse metric and the Christoffel symbols at 3, the
+curvature at 2, nabla R at 1 and nabla^2 R at 0 (the table in
+:mod:`mtwcheck.jets`).  The same formulas run in each smaller space.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .expr import ScalarField, taylor_coefficients
-from .jets import JetSpace, jcontract, jderiv, jmatinv, jvalue
+from .jets import JetSpace, jcontract, jgrad, jmatinv, jvalue
 
 # Positive-definiteness floor for metric evaluation.
 METRIC_EIGENVALUE_FLOOR = 1e-10
@@ -274,14 +279,15 @@ def _covariant_derivative_jets(
 ) -> np.ndarray:
     """Covariant derivative of a fully lowered jet-valued tensor.
 
-    ``T`` has shape (n,)*r + (size,); the result prepends the new
-    derivative index:
+    ``T`` has shape (n,)*r + (size,) with jets at least one degree above
+    ``space`` and ``gam`` at least at its degree; the result, jets of
+    ``space``, prepends the new derivative index:
 
         out[m, I] = d_m T[I] - sum_s sum_p Gamma^p_{m, I_s} T[I | I_s -> p].
     """
-    n = gam.shape[0]
     idx = "abcdefgh"[: T.ndim - 1]
-    out = np.stack([jderiv(space, T, m) for m in range(n)])
+    out = jgrad(space, T)
+    T, gam = T[..., : space.size], gam[..., : space.size]
     for s, q in enumerate(idx):
         out = out - jcontract(
             space, f"{idx[:s]}p{idx[s + 1:]},pm{q}->m{idx}", T, gam
@@ -296,6 +302,11 @@ class GeometryJet:
     Christoffel symbols and their coordinate derivatives, lowered
     curvature with up to two covariant derivatives, covariant potential
     derivatives through fourth order, and common contractions.
+    ``d2gamma`` is ``None`` at ``curvature_order`` 0.
+
+    Each stage runs in the smallest jet space that keeps its values
+    exact (the stage-degree table of :mod:`mtwcheck.jets`); a jet of
+    lower degree is a prefix slice of a higher one.
     """
 
     def __init__(
@@ -310,11 +321,14 @@ class GeometryJet:
         self.potential = potential
         n = metric.dim
         self.dim = n
+        at = partial(JetSpace.get, n)  # at(d): the jet space of degree d
 
-        space = JetSpace.get(n, 4)
-        self._space = space
-
-        G = metric.jets(self.x, space)
+        # nabla^k R is read at degree 0, so R runs at degree k and the
+        # Christoffel symbols one above; the potential's Hessian reads them
+        # at degree 2, and so does d2gamma from order 1 on.
+        k = curvature_order
+        gam_deg = max(k + 1, 1 if potential is None else 2)
+        G = metric.jets(self.x, at(gam_deg + 1))
         g0 = jvalue(G)
         w = np.linalg.eigvalsh(g0)
         if w[0] <= METRIC_EIGENVALUE_FLOOR:
@@ -322,34 +336,37 @@ class GeometryJet:
                 f"metric not positive definite at {self.x.tolist()}: "
                 f"min eigenvalue {w[0]:.3e}"
             )
-        Ginv = jmatinv(space, G)
-        product = partial(jcontract, space)
-        gam = _christoffel_from(
-            product, Ginv, np.stack([jderiv(space, G, m) for m in range(n)])
-        )
+        space = at(gam_deg)
+        Ginv = jmatinv(space, G[..., : space.size])
+        gam = _christoffel_from(partial(jcontract, space), Ginv, jgrad(space, G))
+        dgam = jgrad(at(gam_deg - 1), gam)  # [m, k, i, j, :]
 
         self.g = g0
         self.g_inv = jvalue(Ginv)
         self.gamma = jvalue(gam)
-        dgam = np.stack([jderiv(space, gam, m) for m in range(n)])  # [m, k, i, j, :]
         self.dgamma = jvalue(dgam)
-        self.d2gamma = np.stack(
-            [jvalue(jderiv(space, dgam, p)) for p in range(n)]
-        )  # d2gamma[p, q, k, i, j] = d_p d_q Gamma^k_ij
+        self.d2gamma: np.ndarray | None = None
+        if k >= 1:
+            # d2gamma[p, q, k, i, j] = d_p d_q Gamma^k_ij
+            self.d2gamma = jvalue(jgrad(at(0), dgam))
 
-        rup = _curvature_from(product, gam, dgam)
-        Rlow = product("lm,mijk->ijkl", G, rup)
+        r_space = at(k)
+        size = r_space.size
+        rup = _curvature_from(
+            partial(jcontract, r_space), gam[..., :size], dgam[..., :size]
+        )
+        Rlow = jcontract(r_space, "mijk,lm->ijkl", rup, G[..., :size])
         self.riemann = jvalue(Rlow)
         self.riemann_raised = jvalue(rup)
 
         self.nabla_r: np.ndarray | None = None
         self.nabla2_r: np.ndarray | None = None
-        if curvature_order >= 1:
+        if k >= 1:
             # copies, so a kept jet does not hold the Taylor arrays
-            nr = _covariant_derivative_jets(space, Rlow, gam)
+            nr = _covariant_derivative_jets(at(k - 1), Rlow, gam)
             self.nabla_r = jvalue(nr).copy()
-            if curvature_order >= 2:
-                nr2 = _covariant_derivative_jets(space, nr, gam)
+            if k >= 2:
+                nr2 = _covariant_derivative_jets(at(k - 2), nr, gam)
                 self.nabla2_r = jvalue(nr2).copy()
 
         self.grad_v: np.ndarray | None = None
@@ -362,11 +379,11 @@ class GeometryJet:
                 raise DimensionError(
                     f"potential dimension {potential.dim} != metric dimension {n}"
                 )
-            vjet = taylor_coefficients(potential.field, self.x, space)
-            dv = np.stack([jderiv(space, vjet, m) for m in range(n)])
-            hess = _covariant_derivative_jets(space, dv, gam)
-            n3 = _covariant_derivative_jets(space, hess, gam)
-            n4 = _covariant_derivative_jets(space, n3, gam)
+            vjet = taylor_coefficients(potential.field, self.x, at(4))
+            dv = jgrad(at(3), vjet)
+            hess = _covariant_derivative_jets(at(2), dv, gam)
+            n3 = _covariant_derivative_jets(at(1), hess, gam)
+            n4 = _covariant_derivative_jets(at(0), n3, gam)
             self.grad_v_lower = jvalue(dv)
             self.grad_v = self.g_inv @ self.grad_v_lower
             self.hess_v = jvalue(hess)

@@ -18,9 +18,30 @@ multiplication tensor (Taylor-mode differentiation as batched tensor
 contractions, after Griewank and Walther, *Evaluating Derivatives*).
 
 Accuracy bookkeeping: if two jets carry exact coefficients through
-degree ``k``, their sum/product does too, while :func:`jderiv` lowers
-the guarantee by one degree.  Callers choose the truncation degree so
-the final extracted values are exact.
+degree ``k``, their sum/product does too, while a derivative
+(:func:`jderiv`, :func:`jgrad`) lowers the guarantee by one degree.
+The monomial order is graded, so the degree-``k`` jet of a function is
+the first ``JetSpace.get(n, k).size`` coefficients of any
+higher-degree jet of it, and a stage can run in the smallest space
+that keeps the values read from it exact.  The geometry pipeline reads
+every tensor at its value (degree 0), so each stage runs at the degree
+below for curvature order 0, 1 or 2 (in parentheses: with a potential,
+whose Hessian reads the Christoffel symbols at degree 2):
+
+===============================  =======  =======  =======
+stage                            order 0  order 1  order 2
+===============================  =======  =======  =======
+metric G                         2 (3)    3        4
+inverse metric, Christoffel Γ    1 (2)    2        3
+dΓ                               0 (1)    1        2
+d²Γ                              --       0        0
+curvature, raised and lowered    0        1        2
+∇R                               --       0        1
+∇²R                              --       --       0
+===============================  =======  =======  =======
+
+The potential V and its covariant derivatives ∇V, Hess V, ∇³V and ∇⁴V
+run at degrees 4, 3, 2, 1 and 0 at every order.
 """
 
 from __future__ import annotations
@@ -139,6 +160,21 @@ def jderiv(space: JetSpace, a: np.ndarray, v: int) -> np.ndarray:
     out = np.zeros_like(a)
     out[..., space._ddst[v]] = a[..., space._dsrc[v]] * space._dfac[v]
     return out
+
+
+def jgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    """All first coordinate derivatives of a jet array, one degree down.
+
+    ``a`` carries jets of degree at least ``space.degree + 1``; the
+    result stacks d_v a for every variable v in front, as jets of
+    ``space``.  A derivative is exact one degree below its operand, so
+    the result drops no exact coefficient.
+    """
+    up = JetSpace.get(space.nvars, space.degree + 1)
+    a = a[..., : up.size]
+    return np.stack(
+        [jderiv(up, a, v)[..., : space.size] for v in range(space.nvars)]
+    )
 
 
 def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:

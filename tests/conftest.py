@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mtwcheck import conformal as cf
-from mtwcheck.geometry import euclidean_metric, sphere_metric
+from mtwcheck.expr import parse_field
+from mtwcheck.geometry import MetricField, euclidean_metric, sphere_metric
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,10 @@ def sphere_points(rng, count):
     theta = rng.uniform(0.4, np.pi - 0.4, count)
     phi = rng.uniform(-1.5, 1.5, count)
     return np.stack([theta, phi], axis=1)
+
+
+def inline3d_metric():
+    """The 3-D inline metric exp(2xyz) I."""
+    e = parse_field("exp(2*x*y*z)", 3)
+    zero = parse_field("0", 3)
+    return MetricField.from_upper([e, zero, zero, e, zero, e], 3)

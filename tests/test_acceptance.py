@@ -23,12 +23,14 @@ from mtwcheck.geometry import (
     sphere_metric,
 )
 
-from conftest import sphere_points
+from conftest import inline3d_metric, sphere_points
 
 EQUATOR = np.pi / 2
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 ZERO2 = np.zeros(2)
+ZERO3 = np.zeros(3)
+E3_1, E3_2 = np.eye(3)[:2]
 
 
 def _report(num, label, elapsed, budget, detail):
@@ -325,3 +327,45 @@ def test_criterion_8_invariant_suites():
 
     _report(8, "invariant suites", time.perf_counter() - t0, 120.0,
             "symmetry, Bianchi, energy, linearity, scaling, determinism")
+
+
+# ---------------------------------------------------------------------------
+# Dimension 3: the conditions hold in every dimension, only the
+# discriminant is 2-D.  kappa = 1 is pinned by criterion 3's calibration.
+# ---------------------------------------------------------------------------
+
+
+def test_3d_flat_quartic_routes_agree():
+    t0 = time.perf_counter()
+    flat = euclidean_metric(3)
+    A = np.array([[1.0, 0.2, 0.1], [0.2, 0.8, 0.0], [0.1, 0.0, 1.2]])
+    assert np.all(np.linalg.eigvalsh(A) > 0)
+    V = quartic_potential(A)
+
+    closed = mtw.mtw_zeroth_simplified(flat, V, ZERO3, E3_1, E3_2)
+    chk = mtw.quartic_potential_check(A, E3_1, E3_2)
+    # -(2/5) [<Aw,w><Au,u> + 2<Au,w>^2] for u = e1, w = e2
+    assert closed == pytest.approx(-0.4 * (0.8 * 1.0 + 2 * 0.2**2), abs=1e-12)
+    assert chk.mtw_value == closed and chk.violates
+
+    jac = mtw.mtw_jacobi(flat, V, ZERO3, E3_1, ZERO3, E3_2).value
+    assert abs(jac - closed) / abs(closed) < 1e-4
+    direct = mtw.mtw_direct_cost(flat, V, ZERO3, E3_1, ZERO3, E3_2,
+                                 h_s=0.05, h_t=0.05).value
+    assert abs(direct - closed) / abs(closed) < 1e-3
+
+    _report("3-D a", "flat quartic in R^3", time.perf_counter() - t0, 2.0,
+            f"closed {closed:.6f}; jacobi rel {abs(jac / closed - 1):.1e}, "
+            f"direct rel {abs(direct / closed - 1):.1e}")
+
+
+def test_3d_inline_metric_closed_form_matches_jacobi():
+    t0 = time.perf_counter()
+    metric = inline3d_metric()
+    x = np.array([0.3, -0.2, 0.25])  # exp(2xyz) varies along every axis here
+    closed = mtw.mtw_zeroth_general(metric, None, x, E3_1, E3_2)
+    jac = mtw.mtw_jacobi(metric, None, x, E3_1, ZERO3, E3_2).value
+    assert abs(jac - closed) / abs(closed) < 1e-4
+
+    _report("3-D b", "inline metric exp(2xyz) I", time.perf_counter() - t0, 2.0,
+            f"closed {closed:.8f}; jacobi rel {abs(jac / closed - 1):.1e}")

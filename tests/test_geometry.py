@@ -1,5 +1,7 @@
 """Pointwise tensor pipeline: Christoffel, curvature, covariant derivatives."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,12 @@ from mtwcheck.errors import (
     MetricDegenerateError,
     RankDeficiencyError,
 )
+from mtwcheck.expr import taylor_coefficients
 from mtwcheck.geometry import (
     GeometryJet,
     MetricField,
+    _christoffel_from,
+    _curvature_from,
     christoffel,
     euclidean_metric,
     gram_schmidt,
@@ -22,8 +27,9 @@ from mtwcheck.geometry import (
     sectional,
     sphere_metric,
 )
+from mtwcheck.jets import JetSpace, jcontract, jderiv, jmatinv
 
-from conftest import sphere_points
+from conftest import inline3d_metric, sphere_points
 
 
 def _random_metric_points(rng, name, count):
@@ -204,11 +210,7 @@ def test_jet_tensors_match_point_evaluator(name, rng):
     # function of the metric partials, with an explicit product rule for
     # the Christoffel derivative.
     if name == "inline3d":
-        from mtwcheck.expr import parse_field as pf
-
-        e = pf("exp(2*x*y*z)", 3)
-        zero = pf("0", 3)
-        metric = MetricField.from_upper([e, zero, zero, e, zero, e], 3)
+        metric = inline3d_metric()
         pts = rng.uniform(-0.3, 0.3, (3, 3))
     else:
         metric, pts = _random_metric_points(rng, name, 3)
@@ -220,6 +222,72 @@ def test_jet_tensors_match_point_evaluator(name, rng):
                            atol=1e-12 * np.max(np.abs(gam)))
         assert np.allclose(jet.riemann_raised, rup, rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(rup)))
+
+
+def _degree4_reference(metric, x, potential, order):
+    """Every GeometryJet field with all stages at Taylor degree 4."""
+    space = JetSpace.get(metric.dim, 4)
+    n = metric.dim
+    product = partial(jcontract, space)
+
+    def d(a):
+        return np.stack([jderiv(space, a, m) for m in range(n)])
+
+    def covariant(T, gam):
+        idx = "abcdefgh"[: T.ndim - 1]
+        out = d(T)
+        for s, q in enumerate(idx):
+            out = out - product(f"{idx[:s]}p{idx[s + 1:]},pm{q}->m{idx}", T, gam)
+        return out
+
+    G = metric.jets(x, space)
+    Ginv = jmatinv(space, G)
+    gam = _christoffel_from(product, Ginv, d(G))
+    dgam = d(gam)
+    rup = _curvature_from(product, gam, dgam)
+    Rlow = product("lm,mijk->ijkl", G, rup)
+    ref = {"x": np.asarray(x, dtype=float), "g": G[..., 0], "g_inv": Ginv[..., 0],
+           "gamma": gam[..., 0], "dgamma": dgam[..., 0],
+           "riemann": Rlow[..., 0], "riemann_raised": rup[..., 0]}
+    if order >= 1:
+        ref["d2gamma"] = d(dgam)[..., 0]
+        nr = covariant(Rlow, gam)
+        ref["nabla_r"] = nr[..., 0]
+        if order >= 2:
+            ref["nabla2_r"] = covariant(nr, gam)[..., 0]
+    if potential is not None:
+        dv = d(taylor_coefficients(potential.field, x, space))
+        hess = covariant(dv, gam)
+        n3 = covariant(hess, gam)
+        ref["grad_v_lower"] = dv[..., 0]
+        ref["grad_v"] = Ginv[..., 0] @ dv[..., 0]
+        ref["hess_v"] = hess[..., 0]
+        ref["nabla3_v"] = n3[..., 0]
+        ref["nabla4_v"] = covariant(n3, gam)[..., 0]
+    return ref
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("with_potential", [False, True])
+@pytest.mark.parametrize("name", ["conformal", "inline3d"])
+def test_graded_jet_matches_degree4_reference(name, with_potential, order):
+    # Each stage runs at the lowest Taylor degree that keeps its values
+    # exact; running every stage at degree 4 must give the same fields up
+    # to rounding.
+    if name == "inline3d":
+        metric = inline3d_metric()
+        x, A = [0.3, -0.2, 0.25], [[1, .2, .1], [.2, .8, 0], [.1, 0, 1.2]]
+    else:
+        metric = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
+        x, A = [0.3, -0.2], [[1, .3], [.3, .7]]
+    potential = quartic_potential(np.array(A, dtype=float)) if with_potential else None
+    jet = GeometryJet(metric, x, potential=potential, curvature_order=order)
+    ref = _degree4_reference(metric, x, potential, order)
+    fields = {k: v for k, v in vars(jet).items() if isinstance(v, np.ndarray)}
+    assert fields.keys() == ref.keys()
+    for key, want in ref.items():
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(fields[key] - want)) <= 1e-13 * scale, key
 
 
 # ---------------------------------------------------------------------------

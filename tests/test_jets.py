@@ -5,7 +5,7 @@ import pytest
 
 from mtwcheck import parse_field
 from mtwcheck.expr import taylor_coefficients
-from mtwcheck.jets import JetSpace, jcontract, jderiv, jmatinv
+from mtwcheck.jets import JetSpace, jcontract, jderiv, jgrad, jmatinv
 
 DEGREE = 4
 
@@ -17,6 +17,15 @@ FIELDS = {
         "exp(0.5*y) * z", "sin(x*y) + z^2", "1 + x*z"],
 }
 POINTS = {2: [0.3, -0.2], 3: [0.3, -0.2, 0.15]}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_lower_degree_space_is_a_prefix(dim):
+    # the graded order lets a stage truncate a jet by slicing it
+    top = JetSpace.get(dim, DEGREE)
+    for d in range(DEGREE + 1):
+        space = JetSpace.get(dim, d)
+        assert space.monomials == top.monomials[: space.size]
 
 
 def _jet(expr: str, dim: int) -> np.ndarray:
@@ -82,3 +91,8 @@ def test_jderiv_matches_field_derivative(dim):
             want = taylor_coefficients(f.diff(v), POINTS[dim], space)
             _close(got[exact], want[exact])
             assert np.all(got[~exact] == 0.0)
+        # jgrad stacks the same derivatives, truncated to the exact degrees
+        lower = JetSpace.get(dim, DEGREE - 1)
+        stacked = np.stack([jderiv(space, _jet(expr, dim), v) for v in range(dim)])
+        assert np.array_equal(jgrad(lower, _jet(expr, dim)),
+                              stacked[:, : lower.size])
