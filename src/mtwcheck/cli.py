@@ -501,6 +501,11 @@ def _cmd_lemma_tests(cfg: RunConfig) -> int:
     else:
         x = (_parse_vector(cfg.point, metric.dim, "--point")
              if cfg.point.strip() else np.zeros(metric.dim))
+    if metric.dim != 2 and not (cfg.v.strip() and cfg.w.strip()):
+        raise UsageError(
+            f"lemma-tests in dimension {metric.dim} needs --v and --w "
+            "(the defaults are 2-vectors)"
+        )
     u = (_parse_vector(cfg.u, metric.dim, "--u")
          if cfg.u.strip() else np.eye(metric.dim)[0])
     v = (_parse_vector(cfg.v, metric.dim, "--v")

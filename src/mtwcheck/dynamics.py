@@ -58,6 +58,7 @@ from .geometry import (
     _curvature_from,
     _first_kind,
     as_point,
+    mode_profile,
 )
 
 # Condition-number ceiling beyond which the endpoint variation block is
@@ -932,33 +933,6 @@ class LemmaCheck:
     error: float
 
 
-def _mode_matrix(metric: MetricField, jet: GeometryJet, x: np.ndarray):
-    """Eigen-modes of the linearized flow at a potential critical point.
-
-    Returns (mus, E, coeffs_fn) where columns of E are metric-orthonormal
-    eigenvectors of the Hessian operator with eigenvalues -mu^2 <= 0.
-    """
-    from scipy.linalg import eigh
-
-    if jet.hess_v is None:
-        lam = np.zeros(metric.dim)
-        E = np.linalg.cholesky(np.linalg.inv(jet.g))  # any g-orthonormal frame
-    else:
-        lam, E = eigh(jet.hess_v, jet.g)
-    if np.any(lam > 1e-8):
-        raise PreconditionError(
-            "linearized-flow modes need Hess V <= 0 at the base point"
-        )
-    mus = np.sqrt(np.maximum(-lam, 0.0))
-    return mus, E
-
-
-def _tangent_mode(mus, E, g, vec, shape_fn):
-    """Apply per-eigenmode scalar profiles to a tangent vector."""
-    coeff = E.T @ g @ vec
-    return E @ (shape_fn(mus) * coeff)
-
-
 def lemma_suite(
     metric: MetricField,
     potential: PotentialField | None,
@@ -977,8 +951,8 @@ def lemma_suite(
     velocity, the transported frame and the two-point variation field
     against their curvature expressions.  With a potential, only the
     identities that survive a flat metric are checked (the base point
-    must be a nondegenerate maximum); with none, the full Riemannian
-    list is checked.
+    must be a critical point with Hess V <= 0); with none, the full
+    Riemannian list is checked.
     """
     x = as_point(x)
     u = as_point(u)
@@ -991,13 +965,8 @@ def lemma_suite(
         raise PreconditionError(
             "lemma suite requires vanishing Christoffel symbols at the base point"
         )
-    if not pot.is_zero:
-        if float(np.max(np.abs(jet.grad_v_lower))) > 1e-10:
-            raise PreconditionError(
-                "lemma suite with a potential requires a critical point of V"
-            )
-
-    mus, E = _mode_matrix(metric, jet, x)
+    mus, E = jet.hessian_modes("the lemma suite")
+    v_modes = E.T @ jet.g @ v
 
     offs = [a * h / 2 for a in (-2, -1, 0, 1, 2)]
     fam = variation_family(metric, pot, x, u, v, w, offs, offs, steps)
@@ -1007,10 +976,6 @@ def lemma_suite(
 
     def Rop(a, b, c):
         return np.einsum("lijk,i,j,k->l", rup, a, b, c)
-
-    def sinh_over(mu, tau):
-        out = np.where(mu > 1e-8, np.sinh(mu * tau) / np.where(mu > 1e-8, mu, 1.0), tau)
-        return out
 
     checks: list[LemmaCheck] = []
 
@@ -1034,8 +999,8 @@ def lemma_suite(
         # stationarity of the center curve
         add("center-curve-velocity", tau, center.path.vel[k], zero)
         # first t-derivative of the curve follows the linearized modes
-        tgt = _tangent_mode(mus, E, jet.g, v, lambda m: sinh_over(m, tau))
-        add("curve-first-t", tau, st.estimate("pos", "t", k), tgt)
+        add("curve-first-t", tau, st.estimate("pos", "t", k),
+            E @ (mode_profile(mus, tau) * v_modes))
         # transported frame is rigid to first order in s
         add("transport-first-s", tau, st.estimate("U", "s", k), zero)
 

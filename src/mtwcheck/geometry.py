@@ -56,6 +56,13 @@ METRIC_EIGENVALUE_FLOOR = 1e-10
 PLANE_DEGENERACY_FLOOR = 1e-12
 # Orthonormality target for Gram-Schmidt output.
 ORTHONORMALITY_TOL = 1e-12
+# Largest |grad V| at which a point counts as critical.
+CRITICAL_GRAD_TOL = 1e-10
+# Largest Hess V eigenvalue, relative to max(1, max |eigenvalue|), that
+# still counts as nonpositive.
+HESS_NONPOSITIVE_TOL = 1e-8
+# Mode frequencies at or below this floor take the mu = 0 profile.
+MODE_MU_FLOOR = 1e-8
 
 Vector = np.ndarray
 Point = np.ndarray
@@ -269,6 +276,29 @@ def rotate90(metric: MetricField, x: Sequence[float], u: Vector) -> np.ndarray:
     )
 
 
+def _generalized_eigh(H: np.ndarray, g: np.ndarray):
+    """Eigenpairs of H e = lam g e for symmetric H and positive-definite g.
+
+    Cholesky reduction (Golub and Van Loan, *Matrix Computations*,
+    section 8.7): with g = L L^T, the eigenvectors y of L^-1 H L^-T give
+    e = L^-T y.  The eigenvalues ascend and the columns of E are
+    g-orthonormal.
+    """
+    Linv = np.linalg.inv(np.linalg.cholesky(g))
+    lam, Y = np.linalg.eigh(Linv @ H @ Linv.T)
+    return lam, Linv.T @ Y
+
+
+def mode_profile(mus: np.ndarray, t) -> np.ndarray:
+    """Outgoing profile sinh(mu t) / mu of each mode, t where mu vanishes.
+
+    ``mus`` broadcasts against ``t``.
+    """
+    small = mus <= MODE_MU_FLOOR
+    mu_safe = np.where(small, 1.0, mus)
+    return np.where(small, t, np.sinh(mu_safe * t) / mu_safe)
+
+
 # ---------------------------------------------------------------------------
 # Jet pipeline: covariant derivatives and the point geometry object
 # ---------------------------------------------------------------------------
@@ -432,6 +462,40 @@ class GeometryJet:
                 f"2-plane spanned by u, w is degenerate (area^2 = {denom:.3e})"
             )
         return self.r4(w, u, w, u) / denom
+
+    def grad_norm(self) -> float:
+        """|grad V| at the point; zero without a potential."""
+        if self.grad_v_lower is None:
+            return 0.0
+        return float(np.sqrt(self.grad_v_lower @ self.g_inv @ self.grad_v_lower))
+
+    def require_critical(self, what: str) -> None:
+        """Raise unless the point is a critical point of the potential."""
+        gnorm = self.grad_norm()
+        if gnorm > CRITICAL_GRAD_TOL:
+            raise PreconditionError(
+                f"{what} requires a critical point of the potential "
+                f"(|grad V| = {gnorm:.3e})"
+            )
+
+    def hessian_modes(self, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """Modes of Hess V relative to g at a maximum of the potential.
+
+        Returns (mus, E) with Hess V E = -g E diag(mus^2) and
+        g-orthonormal columns of E, which linearize the flow about the
+        point.  Raises :class:`PreconditionError` naming ``what`` unless
+        the point is critical and Hess V <= 0.  Without a potential
+        every mu is 0 and E is a g-orthonormal frame.
+        """
+        self.require_critical(what)
+        H = np.zeros_like(self.g) if self.hess_v is None else self.hess_v
+        lam, E = _generalized_eigh(H, self.g)
+        top = float(lam[-1])
+        if top > HESS_NONPOSITIVE_TOL * max(1.0, float(np.max(np.abs(lam)))):
+            raise PreconditionError(
+                f"{what} requires Hess V <= 0 (largest eigenvalue {top:.3e})"
+            )
+        return np.sqrt(np.maximum(-lam, 0.0)), E
 
     def hess_op(self, j: Vector) -> np.ndarray:
         """Raised Hessian operator applied to a vector."""

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     CalibrationError,
@@ -46,6 +45,7 @@ from .geometry import (
     as_point,
     euclidean_metric,
     gram_schmidt,
+    mode_profile,
     quartic_potential,
     rotate90,
     sphere_metric,
@@ -59,7 +59,6 @@ DEFAULT_FD_STEP = 1e-2
 DIRECT_COST_STEP = 1e-1
 DIRECT_COST_STEPS = 100
 
-GRAD_TOL = 1e-10
 HESS_TOL = 1e-10
 CURVATURE_LOCUS_TOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -213,22 +212,6 @@ def _point_jet(metric, potential, x) -> GeometryJet:
     return GeometryJet(metric, x, potential=potential, curvature_order=2)
 
 
-def _grad_norm(jet: GeometryJet) -> float:
-    """|grad V| at the jet's point; zero without a potential."""
-    if jet.grad_v_lower is None:
-        return 0.0
-    return float(np.sqrt(jet.grad_v_lower @ jet.g_inv @ jet.grad_v_lower))
-
-
-def _require_critical(jet: GeometryJet, what: str) -> None:
-    gnorm = _grad_norm(jet)
-    if gnorm > GRAD_TOL:
-        raise PreconditionError(
-            f"{what} requires a critical point of the potential "
-            f"(|grad V| = {gnorm:.3e})"
-        )
-
-
 def mtw_zeroth_simplified(
     metric: MetricField,
     potential: PotentialField | None,
@@ -250,7 +233,7 @@ def mtw_zeroth_simplified(
 def _zeroth_simplified(jet: GeometryJet, u, w) -> float:
     value = jet.r4(w, u, w, u)
     if jet.hess_v is not None:
-        _require_critical(jet, "the simplified zeroth-order evaluator")
+        jet.require_critical("the simplified zeroth-order evaluator")
         hnorm = float(np.max(np.abs(jet.hess_v)))
         if hnorm > HESS_TOL:
             raise PreconditionError(
@@ -311,38 +294,17 @@ def mtw_zeroth_general(
 
 
 def _zeroth_general(jet: GeometryJet, u, w, quad_panels: int = 1024) -> float:
+    mus, E = jet.hessian_modes("the general zeroth-order evaluator")
     tau = np.linspace(0.0, 1.0, quad_panels + 1)
     hq = 1.0 / quad_panels
-
-    if jet.hess_v is None:
-        # no potential: every mode is at mu = 0 and the profiles are
-        # the plain polynomials tau and 1 - tau
-        wbar = np.outer(tau, w)
-        dwbar = np.tile(w, (quad_panels + 1, 1))
-        ut = np.outer(1.0 - tau, u)
-    else:
-        _require_critical(jet, "the general zeroth-order evaluator")
-        lam, Evec = eigh(jet.hess_v, jet.g)
-        if np.any(lam > 1e-8 * max(1.0, float(np.max(np.abs(lam))))):
-            raise PreconditionError(
-                "the general zeroth-order evaluator requires Hess V <= 0 "
-                f"(largest eigenvalue {np.max(lam):.3e})"
-            )
-        mus = np.sqrt(np.maximum(-lam, 0.0))
-        cw = Evec.T @ jet.g @ w
-        cu = Evec.T @ jet.g @ u
-        small = mus <= 1e-8
-        mu_safe = np.where(small, 1.0, mus)
-        T = tau[:, None]
-        # per-mode profiles over the grid, shape (grid, modes)
-        wbar_prof = np.where(small, T, np.sinh(mu_safe * T) / mu_safe)
-        dwbar_prof = np.where(small, 1.0, np.cosh(mu_safe * T))
-        ut_prof = np.where(
-            small, 1.0 - T, np.sinh(mu_safe * (1.0 - T)) / np.sinh(mu_safe)
-        )
-        wbar = (wbar_prof * cw) @ Evec.T
-        dwbar = (dwbar_prof * cw) @ Evec.T
-        ut = (ut_prof * cu) @ Evec.T
+    T = tau[:, None]
+    cw = E.T @ jet.g @ w
+    cu = E.T @ jet.g @ u
+    # per-mode profiles over the grid, shape (grid, modes); without a
+    # potential every mu is 0 and they are tau, 1 and 1 - tau
+    wbar = (mode_profile(mus, T) * cw) @ E.T
+    dwbar = (np.cosh(mus * T) * cw) @ E.T
+    ut = (mode_profile(mus, 1.0 - T) / mode_profile(mus, 1.0) * cu) @ E.T
 
     F = 2.0 * np.einsum("ijkl,ti,tj,tk,l->t", jet.riemann, dwbar, ut, dwbar, u)
     if jet.hess_v is not None:
@@ -826,7 +788,7 @@ def check_a3w_necessary(
 
     * nonnegative sectional curvature over all sampled planes,
     * zeroth-order nonnegativity at critical points of the potential
-      (every point when there is none),
+      with Hess V <= 0 (every point when there is none),
     * first-order vanishing at zero-curvature orthogonal pairs,
     * nonnegativity of the restricted second-order quantity at those
       pairs, and
@@ -865,15 +827,11 @@ def check_a3w_necessary(
     ))
 
     # -- zeroth order at critical points (every point without a potential) --
-    grads = [_grad_norm(d.jet) for d in data]
+    # a critical point that is no maximum fails the evaluator's own
+    # Hess V <= 0 precondition and is skipped like any other
+    grads = [d.jet.grad_norm() for d in data]
     crit_tol = 1e-8 * max(max(grads, default=0.0), 1e-30)
-    crit = []
-    for d, gnorm in zip(data, grads):
-        hmax = 0.0
-        if d.jet.hess_v is not None:
-            hmax = float(np.max(eigh(d.jet.hess_v, d.jet.g, eigvals_only=True)))
-        if gnorm <= crit_tol and hmax <= crit_tol + 1e-12:
-            crit.append(d)
+    crit = [d for d, gnorm in zip(data, grads) if gnorm <= crit_tol]
     zer_vals = []
     worst = None
     for d in crit:

@@ -1,10 +1,14 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mtwcheck
 from mtwcheck.cli import (
     RunConfig,
     UsageError,
@@ -232,6 +236,17 @@ def test_lemma_tests_sphere(capsys):
     assert all(r["verdict"] == "pass" for r in doc["results"])
 
 
+def test_lemma_tests_outside_2d_need_v_and_w(capsys):
+    code, _, err = run_cli(capsys, "lemma-tests", "--metric", "euclidean3")
+    assert code == 2
+    assert "--v" in err and "--w" in err
+    code, out, _ = run_cli(capsys, "lemma-tests", "--metric", "euclidean3",
+                           "--v", "0.6,-0.3,0.1", "--w", "0.2,0.9,-0.4",
+                           "--steps", "100")
+    assert code == 0
+    assert all(r["verdict"] == "pass" for r in json.loads(out)["results"])
+
+
 def test_calibrate_command(capsys):
     code, out, _ = run_cli(capsys, "calibrate")
     assert code == 0
@@ -266,3 +281,14 @@ def test_timings_flag_breaks_no_fields(capsys):
     doc = json.loads(out)
     assert doc["timings"] is not None
     assert doc["timings"]["check_seconds"] > 0
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package depends on NumPy alone; a fresh interpreter shows it
+    src = os.path.dirname(os.path.dirname(mtwcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, mtwcheck, mtwcheck.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -4,26 +4,33 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtwcheck import conformal as cf
+from mtwcheck import expr as ex
 from mtwcheck.dynamics import _evaluator
 from mtwcheck.errors import (
     DegeneratePlaneError,
     MetricDegenerateError,
+    PreconditionError,
     RankDeficiencyError,
 )
-from mtwcheck.expr import taylor_coefficients
+from mtwcheck.expr import parse_field, taylor_coefficients
 from mtwcheck.geometry import (
     GeometryJet,
     MetricField,
+    PotentialField,
     _christoffel_from,
     _curvature_from,
+    _generalized_eigh,
     christoffel,
     euclidean_metric,
     gram_schmidt,
+    mode_profile,
     quartic_potential,
     riemann,
     rotate90,
+    scale_metric,
     sectional,
     sphere_metric,
 )
@@ -336,6 +343,90 @@ def test_fourth_contraction_equals_plain_derivative_off_critical(flat2, rng):
     d2_u = (vals[3, :] - 2 * vals[2, :] + vals[1, :]) / h**2
     d4 = (d2_u[3] - 2 * d2_u[2] + d2_u[1]) / h**2
     assert jet.fourth_contraction(w, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Hessian modes
+# ---------------------------------------------------------------------------
+
+_entry = st.floats(min_value=-2, max_value=2, allow_nan=False,
+                   allow_infinity=False)
+
+
+@st.composite
+def _pencils(draw):
+    """(g, B) with g symmetric positive definite (eigenvalues >= 0.5) and
+    B a square matrix, both n x n for n = 1..4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    A, B = (np.array(draw(st.lists(_entry, min_size=n * n, max_size=n * n)))
+            .reshape(n, n) for _ in range(2))
+    g = A @ A.T + 0.5 * np.eye(n)
+    return 0.5 * (g + g.T), B
+
+
+def _constant_jet(g, H, scale=1.0):
+    """GeometryJet at the origin of the constant metric scale * g with
+    potential scale * (1/2) x^T H x, whose Hess V there is scale * H."""
+    n = len(g)
+    metric = MetricField.from_upper(
+        [ex.const(g[i, j], n) for i in range(n) for j in range(i, n)], n)
+    v = ex.fsum((ex.scale(0.5 * H[i, j], ex.mul(ex.var(i, n), ex.var(j, n)))
+                 for i in range(n) for j in range(n)), n)
+    pot = PotentialField(ex.scale(scale, v), n)
+    return GeometryJet(scale_metric(metric, scale), np.zeros(n),
+                       potential=pot, curvature_order=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pencils())
+def test_generalized_eigh_solves_the_pencil(pencil):
+    g, B = pencil
+    H = B + B.T
+    lam, E = _generalized_eigh(H, g)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.allclose(E.T @ g @ E, np.eye(len(g)), rtol=0.0, atol=1e-10)
+    scale = 1.0 + np.abs(H).max() + np.abs(lam).max() * np.abs(g).max()
+    assert np.allclose(H @ E, g @ E * lam, rtol=0.0, atol=1e-10 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_pencils(), st.floats(min_value=0.1, max_value=10.0),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_mode_reconstruction_invariant_under_joint_scaling(pencil, c, t):
+    # modes exist where Hess V <= 0, so the Hessian is -B B^T
+    g, B = pencil
+    H = -(B @ B.T)
+    H = 0.5 * (H + H.T)
+    v = np.linspace(1.0, -0.5, len(g))
+
+    def reconstruct(jet):
+        mus, E = jet.hessian_modes("the test")
+        return E @ (mode_profile(mus, t) * (E.T @ jet.g @ v))
+
+    want = reconstruct(_constant_jet(g, H))
+    got = reconstruct(_constant_jet(g, H, scale=c))
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_hessian_modes_reject_a_saddle(flat2):
+    V = PotentialField(parse_field("x^2 - y^2", 2), 2)
+    jet = GeometryJet(flat2, [0.0, 0.0], potential=V, curvature_order=0)
+    with pytest.raises(PreconditionError, match="Hess V <= 0"):
+        jet.hessian_modes("the test")
+
+
+def test_hessian_modes_reject_a_noncritical_point(flat2):
+    V = PotentialField(parse_field("0 - x^2 - y^2", 2), 2)
+    jet = GeometryJet(flat2, [0.1, 0.0], potential=V, curvature_order=0)
+    with pytest.raises(PreconditionError, match="critical point"):
+        jet.hessian_modes("the test")
+
+
+def test_hessian_modes_without_potential_are_zero(sphere):
+    jet = GeometryJet(sphere, [1.0, 0.3], curvature_order=0)
+    mus, E = jet.hessian_modes("the test")
+    assert np.array_equal(mus, np.zeros(2))
+    assert np.allclose(E.T @ jet.g @ E, np.eye(2), rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,22 @@ def test_check_witness_reproducible():
     )
 
 
+def test_check_zeroth_order_only_at_potential_maxima(flat2):
+    """A minimum or a saddle of the potential fails the zeroth-order
+    evaluator's Hess V <= 0 precondition and is skipped; the origin of
+    a concave potential is still evaluated, once per pair."""
+    def zeroth(text):
+        pot = PotentialField(parse_field(text, 2), 2)
+        rep = mtw.check_a3w_necessary(flat2, pot, _small_spec())
+        return next(c for c in rep.conditions if c.name == "zeroth-order")
+
+    for text in ("x^2+y^2", "x^2-y^2"):
+        assert zeroth(text).evaluated == 0, text
+    concave = zeroth("0-x^2-y^2")
+    assert concave.evaluated == 8
+    assert np.array_equal(concave.worst.point, ZERO2)
+
+
 def test_check_builds_one_jet_per_point(monkeypatch):
     built = []
     real = mtw.GeometryJet
