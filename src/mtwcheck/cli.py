@@ -16,11 +16,10 @@ Exit codes: 0 = ran, all checks passed; 1 = ran, found violations;
 point, shooting divergence, calibration inconsistency).
 
 A flat ``key = value`` config file can supply any long option
-(``--config run.cfg``); explicit flags override file values.  The
-environment variable MTW_THREADS caps checker parallelism.  Reports are
-deterministic for a fixed config; wall-clock timings are only included
-with ``--timings`` so that identical configs produce byte-identical
-JSON.
+(``--config run.cfg``); explicit flags override file values.  Reports
+are deterministic for a fixed config; wall-clock timings are only
+included with ``--timings`` so that identical configs produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import MtwError, NumericalError, PreconditionError
 from .geometry import (
-    GeometryJet,
+    GeometryBatch,
     MetricField,
     PotentialField,
     euclidean_metric,
@@ -464,11 +463,12 @@ def _cmd_curvature(cfg: RunConfig) -> int:
                             directions=max(cfg.samples, metric.dim), seed=cfg.seed)
     dirs = spec.direction_set(metric.dim)
     rows = []
-    for x in spec.points():
-        jet = GeometryJet(metric, x, curvature_order=0)
-        pairs = mtw._orthonormal_pairs(jet, dirs)
-        ks = [jet.sectional(a, b) for a, b in pairs]
-        rows.append(list(x) + [min(ks), max(ks)])
+    for X in mtw._point_chunks(spec.points()):
+        _, _, ok, K = mtw._sampled_planes(
+            GeometryBatch(metric, X, curvature_order=0), dirs)
+        k_min = np.min(K, axis=1, initial=np.inf, where=ok)
+        k_max = np.max(K, axis=1, initial=-np.inf, where=ok)
+        rows += [list(x) + [lo, hi] for x, lo, hi in zip(X, k_min, k_max)]
     cols = [f"x{i+1}" for i in range(metric.dim)] + ["K_min", "K_max"]
     _emit_csv(cfg, cols, rows)
     return 0
@@ -496,11 +496,12 @@ def _cmd_conformal_scan(cfg: RunConfig) -> int:
 def _cmd_lemma_tests(cfg: RunConfig) -> int:
     metric = build_metric(cfg)
     pot = build_potential(cfg, metric.dim)
-    if cfg.metric == "sphere2":
-        x = np.array([np.pi / 2, 0.0])
+    if cfg.point.strip():
+        x = _parse_vector(cfg.point, metric.dim, "--point")
+    elif cfg.metric == "sphere2":
+        x = np.array([np.pi / 2, 0.0])  # the equator, where the symbols vanish
     else:
-        x = (_parse_vector(cfg.point, metric.dim, "--point")
-             if cfg.point.strip() else np.zeros(metric.dim))
+        x = np.zeros(metric.dim)
     if metric.dim != 2 and not (cfg.v.strip() and cfg.w.strip()):
         raise UsageError(
             f"lemma-tests in dimension {metric.dim} needs --v and --w "

@@ -36,7 +36,6 @@ verified numerically.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -49,7 +48,7 @@ from .errors import (
     PreconditionError,
     ShootingError,
 )
-from .expr import batch_evaluator
+from .expr import RecentCache, batch_evaluator
 from .geometry import (
     GeometryJet,
     MetricField,
@@ -219,21 +218,13 @@ class _FieldEval:
 # Evaluators of the most recently used (metric, potential, curvature)
 # keys; the bound stops the cache from keeping every metric alive.
 _EVAL_CACHE_SIZE = 16
-_EVAL_CACHE: dict = {}
-_EVAL_CACHE_LOCK = threading.Lock()
+_EVAL_CACHE = RecentCache(_EVAL_CACHE_SIZE)
 
 
 def _evaluator(metric: MetricField, potential: PotentialField | None,
                need_curvature: bool) -> _FieldEval:
-    key = (id(metric), id(potential), need_curvature)
-    with _EVAL_CACHE_LOCK:
-        ev = _EVAL_CACHE.pop(key, None)
-        if ev is None or ev.metric is not metric or ev.potential is not potential:
-            ev = _FieldEval(metric, potential, need_curvature)
-        _EVAL_CACHE[key] = ev  # insertion order is recency order
-        if len(_EVAL_CACHE) > _EVAL_CACHE_SIZE:
-            del _EVAL_CACHE[next(iter(_EVAL_CACHE))]
-    return ev
+    return _EVAL_CACHE.get((metric, potential), need_curvature,
+                           lambda: _FieldEval(metric, potential, need_curvature))
 
 
 def _quadratic(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:

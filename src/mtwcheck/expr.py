@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 import re
+import threading
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Sequence
 
@@ -223,6 +225,43 @@ def batch_evaluator(fields: Sequence["ScalarField"]) -> Callable:
     return scope.pop("_batch")  # a function in its own globals is a cycle
 
 
+def _ref(obj):
+    return None if obj is None else weakref.ref(obj)
+
+
+class RecentCache:
+    """Values built from objects, kept for the ``size`` most recently used.
+
+    An entry is keyed by the identities of its owner objects plus a
+    hashable key.  It holds weak references to the owners, so an
+    identity reused after an owner was freed never hits, and the cache
+    keeps no owner alive (a value that refers to its owners does).
+    Lookups from several threads are safe.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, owners: tuple, key, build: Callable):
+        """The value for (owners, key), calling ``build()`` on a miss;
+        an owner may be None."""
+        ident = tuple(map(id, owners)) + (key,)
+        with self._lock:
+            hit = self._entries.pop(ident, None)
+            if hit is None or any((r if r is None else r()) is not o
+                                  for r, o in zip(hit[0], owners)):
+                hit = (tuple(map(_ref, owners)), build())
+            self._entries[ident] = hit  # insertion order is recency order
+            if len(self._entries) > self.size:
+                del self._entries[next(iter(self._entries))]
+        return hit[1]
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A smooth scalar function of ``dim`` chart coordinates.
@@ -330,7 +369,9 @@ def taylor_coefficients(f: ScalarField, point: Sequence[float], space: JetSpace)
 
     Coefficients are exact partial derivatives divided by multi-index
     factorials, so downstream jet arithmetic is free of truncation
-    error through the space's degree.
+    error through the space's degree.  One scalar evaluation per
+    coefficient: the reference that :class:`TaylorPlan` is tested
+    against.
     """
     if space.nvars != f.dim:
         raise DimensionError(
@@ -340,6 +381,43 @@ def taylor_coefficients(f: ScalarField, point: Sequence[float], space: JetSpace)
     for i, mono in enumerate(space.monomials):
         out[i] = eval_partial(f, point, mono) / space.factorials[i]
     return out
+
+
+class TaylorPlan:
+    """Jets of several fields at a batch of points from one generated function.
+
+    Every (field, monomial) coefficient is a partial derivative field.
+    Equal partials (a repeated metric entry, commuted derivatives) are
+    evaluated once, constant partials are filled in without evaluation,
+    and the remaining ones come from one :func:`batch_evaluator` call.
+    """
+
+    def __init__(self, fields: Sequence[ScalarField], space: JetSpace):
+        for f in fields:
+            if f.dim != space.nvars:
+                raise DimensionError(
+                    f"jet space has {space.nvars} variables, field dimension is {f.dim}"
+                )
+        parts = [f.partial(m) for f in fields for m in space.monomials]
+        distinct = list(dict.fromkeys(parts))  # equal fields once, in order
+        live = [p for p in distinct if p.tree[0] != "c"]
+        consts = [p for p in distinct if p.tree[0] == "c"]
+        row = {p: k for k, p in enumerate(live + consts)}
+        self.space = space
+        self._rows = np.array([row[p] for p in parts], dtype=np.intp).reshape(
+            len(fields), space.size)
+        self._live = len(live)
+        self._consts = np.array([p.tree[1] for p in consts])
+        self._fn = batch_evaluator(live) if live else None
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Jets about the points X[b], X of shape (B, dim): an array of
+        shape (fields, B, size)."""
+        vals = np.empty((self._live + len(self._consts), len(X)))
+        if self._fn is not None:
+            vals[: self._live] = self._fn(np.ascontiguousarray(X.T))
+        vals[self._live:] = self._consts[:, None]
+        return vals[self._rows].swapaxes(1, 2) / self.space.factorials
 
 
 # ---------------------------------------------------------------------------

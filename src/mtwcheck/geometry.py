@@ -20,19 +20,29 @@ are written once, in :func:`_christoffel_from` and
 ``dynamics`` evaluates them on batches of point values with
 ``np.einsum``, the batch riding along as a trailing axis (the metric
 partials come from exact expression-tree differentiation);
-:class:`GeometryJet` evaluates them on truncated Taylor jets with
-:func:`~mtwcheck.jets.jcontract`, which differentiates the whole
-pipeline exactly, so covariant derivatives of curvature and of the
-potential need no further formulas.  Each jet stage runs at the lowest
-Taylor degree that keeps the values read from it exact: every
-derivative costs one degree, so at curvature order 2 the metric runs
-at degree 4, the inverse metric and the Christoffel symbols at 3, the
-curvature at 2, nabla R at 1 and nabla^2 R at 0 (the table in
-:mod:`mtwcheck.jets`).  The same formulas run in each smaller space.
+:class:`GeometryBatch` evaluates them on truncated Taylor jets at a
+batch of points with :func:`~mtwcheck.jets.jcontract`, which
+differentiates the whole pipeline exactly, so covariant derivatives of
+curvature and of the potential need no further formulas.  The jets of
+the metric and the potential at all points come from one generated
+function each (:class:`~mtwcheck.expr.TaylorPlan`, cached per field
+and jet space).  Each jet stage runs at the lowest Taylor degree that
+keeps the values read from it exact: every derivative costs one degree,
+so at curvature order 2 the metric runs at degree 4, the inverse metric
+and the Christoffel symbols at 3, the curvature at 2, nabla R at 1 and
+nabla^2 R at 0 (the table in :mod:`mtwcheck.jets`).  The same formulas
+run in each smaller space.
+
+Batches: a :class:`GeometryBatch` holds every array with the point
+axis first, and :class:`GeometryJet` is a batch of one.  Its values are
+contracted with vectors by :func:`contract`, whose leading batch axes
+(points, pairs, directions) broadcast and whose sums run in a fixed
+order, so a value computed in a batch equals the one computed alone.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -47,7 +57,7 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from .expr import ScalarField, taylor_coefficients
+from .expr import RecentCache, ScalarField, TaylorPlan
 from .jets import JetSpace, jcontract, jgrad, jmatinv, jvalue
 
 # Positive-definiteness floor for metric evaluation.
@@ -66,6 +76,22 @@ MODE_MU_FLOOR = 1e-8
 
 Vector = np.ndarray
 Point = np.ndarray
+
+# Taylor plans of the most recently used (field owner, jet space) keys;
+# the bound stops the cache from keeping every metric alive.
+_TAYLOR_PLAN_CACHE_SIZE = 16
+_TAYLOR_PLANS = RecentCache(_TAYLOR_PLAN_CACHE_SIZE)
+
+
+def _jets_of(owner, fields: Sequence[ScalarField], x, space: JetSpace) -> np.ndarray:
+    """Jets of ``fields`` about ``x``: (fields, size) for one point, or
+    (fields, B, size) about each row of a (B, dim) array.  The plan is
+    built on first use per (owner, space) and then reused."""
+    plan = _TAYLOR_PLANS.get((owner,), (space.nvars, space.degree),
+                             lambda: TaylorPlan(fields, space))
+    X = np.asarray(x, dtype=float)
+    out = plan(np.atleast_2d(X))
+    return out if X.ndim == 2 else out[:, 0]
 
 
 def as_point(p: Sequence[float]) -> Point:
@@ -148,16 +174,16 @@ class MetricField:
         g = self.matrix(x)
         return float(np.asarray(u) @ g @ np.asarray(v))
 
-    def jets(self, x: Sequence[float], space: JetSpace) -> np.ndarray:
-        """(n, n, size) array of metric-entry jets about ``x``."""
+    def jets(self, x, space: JetSpace) -> np.ndarray:
+        """Metric-entry jets about ``x``: (n, n, size) for one point, or
+        (n, n, B, size) about each row of a (B, n) array."""
         n = self.dim
-        G = np.empty((n, n, space.size))
-        for i in range(n):
-            for j in range(i, n):
-                c = taylor_coefficients(self.entries[i][j], as_point(x), space)
-                G[i, j] = c
-                G[j, i] = c
-        return G
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        rows = np.empty((n, n), dtype=np.intp)
+        for k, (i, j) in enumerate(upper):
+            rows[i, j] = rows[j, i] = k
+        fields = [self.entries[i][j] for i, j in upper]
+        return _jets_of(self, fields, x, space)[rows]
 
 
 @dataclass(frozen=True)
@@ -177,6 +203,11 @@ class PotentialField:
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.field(x)
+
+    def jets(self, x, space: JetSpace) -> np.ndarray:
+        """Jet of V about ``x``: (size,) for one point, or (B, size) about
+        each row of a (B, n) array."""
+        return _jets_of(self, [self.field], x, space)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +288,68 @@ def gram_schmidt(
     return out
 
 
+def contract(T: np.ndarray, *vecs) -> np.ndarray:
+    """T(..., vecs[0], ..., vecs[-1]): the last ``len(vecs)`` slots of T
+    against vectors, a ``None`` leaving its slot open.
+
+    Every operand carries the same number of leading batch axes (points,
+    pairs, directions, ...), which broadcast; T's slots and each
+    vector's components follow them.  The last given slot is contracted
+    first, and each sum is one elementwise product per index added in
+    index order, so an entry's value does not depend on the batch shape.
+    """
+    open_after = 0
+    for v in reversed(vecs):
+        if v is None:
+            open_after += 1
+            continue
+        v = np.asarray(v, dtype=float)
+        n = v.shape[-1]
+        v = v.reshape(v.shape[:-1] + (1,) * (T.ndim - v.ndim - open_after) + (n,)
+                      + (1,) * open_after)
+        tail = (slice(None),) * open_after
+        out = T[(..., 0) + tail] * v[(..., 0) + tail]
+        for k in range(1, n):
+            out = out + T[(..., k) + tail] * v[(..., k) + tail]
+        T = out
+    return T
+
+
+def sectional_curvature(g: np.ndarray, R: np.ndarray, u, w, where=True) -> np.ndarray:
+    """Sectional curvature of span(u, w) from the metric and the lowered
+    curvature, batch axes as in :func:`contract`.
+
+    Raises :class:`DegeneratePlaneError` for a degenerate plane where
+    ``where`` holds; elsewhere such a plane gets a meaningless value.
+    """
+    uu = contract(g, u, u)
+    ww = contract(g, w, w)
+    uw = contract(g, u, w)
+    denom = uu * ww - uw * uw
+    flat = denom <= PLANE_DEGENERACY_FLOOR * uu * ww
+    bad = flat & where
+    if np.any(bad):
+        area2 = np.broadcast_to(denom, np.shape(bad))[bad].flat[0]
+        raise DegeneratePlaneError(
+            f"2-plane spanned by u, w is degenerate (area^2 = {area2:.3e})"
+        )
+    return contract(R, w, u, w, u) / np.where(flat, 1.0, denom)
+
+
+def quarter_turn(g: np.ndarray, u) -> np.ndarray:
+    """Metric rotation of 2-vectors ``u`` by a quarter turn, batch axes
+    leading on both operands: w with <u, w> = 0 and |w| = |u|."""
+    u = np.asarray(u, dtype=float)
+    s = np.sqrt(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0])
+    return np.stack(
+        [
+            (-g[..., 1, 0] * u[..., 0] - g[..., 1, 1] * u[..., 1]) / s,
+            (g[..., 0, 0] * u[..., 0] + g[..., 0, 1] * u[..., 1]) / s,
+        ],
+        axis=-1,
+    )
+
+
 def rotate90(metric: MetricField, x: Sequence[float], u: Vector) -> np.ndarray:
     """Metric rotation of ``u`` by a quarter turn (dimension 2 only).
 
@@ -265,15 +358,7 @@ def rotate90(metric: MetricField, x: Sequence[float], u: Vector) -> np.ndarray:
     """
     if metric.dim != 2:
         raise DimensionError("quarter-turn rotation requires dimension 2")
-    u = np.asarray(u, dtype=float)
-    g = metric.matrix(x)
-    s = float(np.sqrt(np.linalg.det(g)))
-    return np.array(
-        [
-            (-g[1, 0] * u[0] - g[1, 1] * u[1]) / s,
-            (g[0, 0] * u[0] + g[0, 1] * u[1]) / s,
-        ]
-    )
+    return quarter_turn(metric.matrix(x), u)
 
 
 def _generalized_eigh(H: np.ndarray, g: np.ndarray):
@@ -300,7 +385,7 @@ def mode_profile(mus: np.ndarray, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Jet pipeline: covariant derivatives and the point geometry object
+# Jet pipeline: covariant derivatives and the geometry of a batch of points
 # ---------------------------------------------------------------------------
 
 
@@ -309,13 +394,13 @@ def _covariant_derivative_jets(
 ) -> np.ndarray:
     """Covariant derivative of a fully lowered jet-valued tensor.
 
-    ``T`` has shape (n,)*r + (size,) with jets at least one degree above
-    ``space`` and ``gam`` at least at its degree; the result, jets of
-    ``space``, prepends the new derivative index:
+    ``T`` has shape (n,)*r + (B, size) with jets at least one degree
+    above ``space`` and ``gam`` at least at its degree; the result, jets
+    of ``space``, prepends the new derivative index:
 
         out[m, I] = d_m T[I] - sum_s sum_p Gamma^p_{m, I_s} T[I | I_s -> p].
     """
-    idx = "abcdefgh"[: T.ndim - 1]
+    idx = "abcdefgh"[: T.ndim - 2]
     out = jgrad(space, T)
     T, gam = T[..., : space.size], gam[..., : space.size]
     for s, q in enumerate(idx):
@@ -325,18 +410,165 @@ def _covariant_derivative_jets(
     return out
 
 
+def _values(J: np.ndarray) -> np.ndarray:
+    """Values of a jet array with the point axis before the jet axis,
+    as a new array with the point axis first."""
+    return np.moveaxis(jvalue(J), -1, 0).copy()
+
+
+# Per-point arrays of GeometryBatch and GeometryJet, in build order.
+_FIELDS = (
+    "g", "g_inv", "gamma", "dgamma", "d2gamma", "riemann", "riemann_raised",
+    "nabla_r", "nabla2_r", "grad_v_lower", "grad_v", "hess_v", "nabla3_v",
+    "nabla4_v",
+)
+
+
+class GeometryBatch:
+    """Point-local tensor data at a batch of points, point axis first.
+
+    Built once per (metric, potential, batch of points); exposes the
+    metric, Christoffel symbols and their coordinate derivatives,
+    lowered curvature with up to two covariant derivatives and covariant
+    potential derivatives through fourth order, each array with a
+    leading point axis: ``g[b]`` is the metric at ``x[b]``.
+    ``d2gamma``, ``nabla_r`` and ``nabla2_r`` are ``None`` below the
+    curvature order that needs them, the potential's arrays ``None``
+    without a potential.
+
+    The metric and potential jets at all points come from one generated
+    function each (:meth:`MetricField.jets`).  In the jet pipeline the
+    point axis sits just before the jet axis, so the connection and
+    curvature formulas shared with :mod:`dynamics` run unchanged, and
+    every jet product is a matmul per point (:func:`~mtwcheck.jets.jcontract`):
+    point b of a batch equals the same point built alone, bit for bit.
+    Each stage runs in the smallest jet space that keeps its values
+    exact (the stage-degree table of :mod:`mtwcheck.jets`); a jet of
+    lower degree is a prefix slice of a higher one.  Memory grows
+    linearly with the number of points, so large samples are built in
+    chunks.
+    """
+
+    def __init__(
+        self,
+        metric: MetricField,
+        x,
+        potential: PotentialField | None = None,
+        curvature_order: int = 2,
+    ):
+        n = metric.dim
+        X = np.asarray(x, dtype=float)
+        if X.ndim != 2 or X.shape[1] != n:
+            raise DimensionError(f"expected points of shape (B, {n}), got {X.shape}")
+        if potential is not None and potential.dim != n:
+            raise DimensionError(
+                f"potential dimension {potential.dim} != metric dimension {n}"
+            )
+        self.metric = metric
+        self.x = X
+        self.potential = potential
+        self.dim = n
+        at = partial(JetSpace.get, n)  # at(d): the jet space of degree d
+
+        # nabla^k R is read at degree 0, so R runs at degree k and the
+        # Christoffel symbols one above; the potential's Hessian reads them
+        # at degree 2, and so does d2gamma from order 1 on.
+        k = curvature_order
+        gam_deg = max(k + 1, 1 if potential is None else 2)
+        G = metric.jets(X, at(gam_deg + 1))  # [i, j, b, :]
+        self.g = _values(G)
+        w = np.linalg.eigvalsh(self.g)[:, 0]
+        bad = np.flatnonzero(w <= METRIC_EIGENVALUE_FLOOR)
+        if bad.size:
+            b = bad[0]
+            raise MetricDegenerateError(
+                f"metric not positive definite at {X[b].tolist()}: "
+                f"min eigenvalue {w[b]:.3e}"
+            )
+        space = at(gam_deg)
+        Ginv = jmatinv(space, G[..., : space.size])
+        gam = _christoffel_from(partial(jcontract, space), Ginv, jgrad(space, G))
+        dgam = jgrad(at(gam_deg - 1), gam)  # [m, k, i, j, b, :]
+
+        self.g_inv = _values(Ginv)
+        self.gamma = _values(gam)
+        self.dgamma = _values(dgam)
+        self.d2gamma: np.ndarray | None = None
+        if k >= 1:
+            # d2gamma[p, q, k, i, j] = d_p d_q Gamma^k_ij
+            self.d2gamma = _values(jgrad(at(0), dgam))
+
+        r_space = at(k)
+        size = r_space.size
+        rup = _curvature_from(
+            partial(jcontract, r_space), gam[..., :size], dgam[..., :size]
+        )
+        Rlow = jcontract(r_space, "mijk,lm->ijkl", rup, G[..., :size])
+        self.riemann = _values(Rlow)
+        self.riemann_raised = _values(rup)
+
+        self.nabla_r: np.ndarray | None = None
+        self.nabla2_r: np.ndarray | None = None
+        if k >= 1:
+            nr = _covariant_derivative_jets(at(k - 1), Rlow, gam)
+            self.nabla_r = _values(nr)
+            if k >= 2:
+                nr2 = _covariant_derivative_jets(at(k - 2), nr, gam)
+                self.nabla2_r = _values(nr2)
+
+        self.grad_v: np.ndarray | None = None
+        self.grad_v_lower: np.ndarray | None = None
+        self.hess_v: np.ndarray | None = None
+        self.nabla3_v: np.ndarray | None = None
+        self.nabla4_v: np.ndarray | None = None
+        if potential is not None:
+            dv = jgrad(at(3), potential.jets(X, at(4)))
+            hess = _covariant_derivative_jets(at(2), dv, gam)
+            n3 = _covariant_derivative_jets(at(1), hess, gam)
+            n4 = _covariant_derivative_jets(at(0), n3, gam)
+            self.grad_v_lower = _values(dv)
+            self.grad_v = (self.g_inv @ self.grad_v_lower[..., None])[..., 0]
+            self.hess_v = _values(hess)
+            self.nabla3_v = _values(n3)
+            self.nabla4_v = _values(n4)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def grad_norms(self) -> np.ndarray:
+        """|grad V| at every point; zeros without a potential."""
+        if self.grad_v_lower is None:
+            return np.zeros(len(self))
+        return np.sqrt(contract(self.g_inv, self.grad_v_lower, self.grad_v_lower))
+
+    def expand(self, axes: int) -> "GeometryBatch":
+        """The same batch with ``axes`` unit axes after the point axis of
+        every per-point array, to broadcast (:func:`contract`) against
+        vectors that carry further batch axes such as pairs and
+        directions."""
+        out = copy.copy(self)
+        for name in _FIELDS:
+            val = getattr(self, name)
+            if val is not None:
+                setattr(out, name, val.reshape(val.shape[:1] + (1,) * axes
+                                               + val.shape[1:]))
+        return out
+
+    def point(self, b: int) -> "GeometryJet":
+        """The geometry at point b, sharing this batch's arrays."""
+        jet = GeometryJet.__new__(GeometryJet)
+        jet._take(self, b)
+        return jet
+
+
 class GeometryJet:
     """Point-local tensor data needed by the curvature evaluators.
 
-    Built once per (metric, potential, point); exposes the metric,
-    Christoffel symbols and their coordinate derivatives, lowered
-    curvature with up to two covariant derivatives, covariant potential
-    derivatives through fourth order, and common contractions.
-    ``d2gamma`` is ``None`` at ``curvature_order`` 0.
-
-    Each stage runs in the smallest jet space that keeps its values
-    exact (the stage-degree table of :mod:`mtwcheck.jets`); a jet of
-    lower degree is a prefix slice of a higher one.
+    A batch of one :class:`GeometryBatch` point: built once per (metric,
+    potential, point), with the batch's arrays at that point
+    (``d2gamma`` is ``None`` at ``curvature_order`` 0) and common
+    contractions, which run through :func:`contract` as the checker's
+    batched conditions do.
     """
 
     def __init__(
@@ -346,101 +578,39 @@ class GeometryJet:
         potential: PotentialField | None = None,
         curvature_order: int = 2,
     ):
-        self.metric = metric
-        self.x = as_point(x)
-        self.potential = potential
-        n = metric.dim
-        self.dim = n
-        at = partial(JetSpace.get, n)  # at(d): the jet space of degree d
+        self._take(GeometryBatch(metric, as_point(x)[None], potential,
+                                 curvature_order), 0)
 
-        # nabla^k R is read at degree 0, so R runs at degree k and the
-        # Christoffel symbols one above; the potential's Hessian reads them
-        # at degree 2, and so does d2gamma from order 1 on.
-        k = curvature_order
-        gam_deg = max(k + 1, 1 if potential is None else 2)
-        G = metric.jets(self.x, at(gam_deg + 1))
-        g0 = jvalue(G)
-        w = np.linalg.eigvalsh(g0)
-        if w[0] <= METRIC_EIGENVALUE_FLOOR:
-            raise MetricDegenerateError(
-                f"metric not positive definite at {self.x.tolist()}: "
-                f"min eigenvalue {w[0]:.3e}"
-            )
-        space = at(gam_deg)
-        Ginv = jmatinv(space, G[..., : space.size])
-        gam = _christoffel_from(partial(jcontract, space), Ginv, jgrad(space, G))
-        dgam = jgrad(at(gam_deg - 1), gam)  # [m, k, i, j, :]
-
-        self.g = g0
-        self.g_inv = jvalue(Ginv)
-        self.gamma = jvalue(gam)
-        self.dgamma = jvalue(dgam)
-        self.d2gamma: np.ndarray | None = None
-        if k >= 1:
-            # d2gamma[p, q, k, i, j] = d_p d_q Gamma^k_ij
-            self.d2gamma = jvalue(jgrad(at(0), dgam))
-
-        r_space = at(k)
-        size = r_space.size
-        rup = _curvature_from(
-            partial(jcontract, r_space), gam[..., :size], dgam[..., :size]
-        )
-        Rlow = jcontract(r_space, "mijk,lm->ijkl", rup, G[..., :size])
-        self.riemann = jvalue(Rlow)
-        self.riemann_raised = jvalue(rup)
-
-        self.nabla_r: np.ndarray | None = None
-        self.nabla2_r: np.ndarray | None = None
-        if k >= 1:
-            # copies, so a kept jet does not hold the Taylor arrays
-            nr = _covariant_derivative_jets(at(k - 1), Rlow, gam)
-            self.nabla_r = jvalue(nr).copy()
-            if k >= 2:
-                nr2 = _covariant_derivative_jets(at(k - 2), nr, gam)
-                self.nabla2_r = jvalue(nr2).copy()
-
-        self.grad_v: np.ndarray | None = None
-        self.grad_v_lower: np.ndarray | None = None
-        self.hess_v: np.ndarray | None = None
-        self.nabla3_v: np.ndarray | None = None
-        self.nabla4_v: np.ndarray | None = None
-        if potential is not None:
-            if potential.dim != n:
-                raise DimensionError(
-                    f"potential dimension {potential.dim} != metric dimension {n}"
-                )
-            vjet = taylor_coefficients(potential.field, self.x, at(4))
-            dv = jgrad(at(3), vjet)
-            hess = _covariant_derivative_jets(at(2), dv, gam)
-            n3 = _covariant_derivative_jets(at(1), hess, gam)
-            n4 = _covariant_derivative_jets(at(0), n3, gam)
-            self.grad_v_lower = jvalue(dv)
-            self.grad_v = self.g_inv @ self.grad_v_lower
-            self.hess_v = jvalue(hess)
-            self.nabla3_v = jvalue(n3)
-            self.nabla4_v = jvalue(n4)
+    def _take(self, batch: GeometryBatch, b: int) -> None:
+        self.metric = batch.metric
+        self.potential = batch.potential
+        self.dim = batch.dim
+        self.x = batch.x[b]
+        for name in _FIELDS:
+            val = getattr(batch, name)
+            setattr(self, name, None if val is None else val[b])
 
     # -- contractions ------------------------------------------------------
 
     def inner(self, u: Vector, v: Vector) -> float:
-        return float(np.asarray(u) @ self.g @ np.asarray(v))
+        return float(contract(self.g, u, v))
 
     def norm(self, u: Vector) -> float:
         return float(np.sqrt(self.inner(u, u)))
 
     def curvature_op(self, a: Vector, b: Vector, c: Vector) -> np.ndarray:
         """Vector (R(a, b) c)^l."""
-        return np.einsum("lijk,i,j,k->l", self.riemann_raised, a, b, c)
+        return contract(self.riemann_raised, a, b, c)
 
     def r4(self, a: Vector, b: Vector, c: Vector, d: Vector) -> float:
         """<R(a, b) c, d>."""
-        return float(np.einsum("ijkl,i,j,k,l->", self.riemann, a, b, c, d))
+        return float(contract(self.riemann, a, b, c, d))
 
     def nr5(self, m: Vector, a: Vector, b: Vector, c: Vector, d: Vector) -> float:
         """<(nabla_m R)(a, b) c, d>."""
         if self.nabla_r is None:
             raise PreconditionError("curvature_order >= 1 required")
-        return float(np.einsum("mijkl,m,i,j,k,l->", self.nabla_r, m, a, b, c, d))
+        return float(contract(self.nabla_r, m, a, b, c, d))
 
     def n2r6(
         self, p: Vector, q: Vector, a: Vector, b: Vector, c: Vector, d: Vector
@@ -448,26 +618,17 @@ class GeometryJet:
         """<(nabla_p nabla_q R)(a, b) c, d>."""
         if self.nabla2_r is None:
             raise PreconditionError("curvature_order >= 2 required")
-        return float(
-            np.einsum("pqijkl,p,q,i,j,k,l->", self.nabla2_r, p, q, a, b, c, d)
-        )
+        return float(contract(self.nabla2_r, p, q, a, b, c, d))
 
     def sectional(self, u: Vector, w: Vector) -> float:
-        uu = self.inner(u, u)
-        ww = self.inner(w, w)
-        uw = self.inner(u, w)
-        denom = uu * ww - uw * uw
-        if denom <= PLANE_DEGENERACY_FLOOR * uu * ww:
-            raise DegeneratePlaneError(
-                f"2-plane spanned by u, w is degenerate (area^2 = {denom:.3e})"
-            )
-        return self.r4(w, u, w, u) / denom
+        return float(sectional_curvature(self.g, self.riemann, u, w))
 
     def grad_norm(self) -> float:
         """|grad V| at the point; zero without a potential."""
         if self.grad_v_lower is None:
             return 0.0
-        return float(np.sqrt(self.grad_v_lower @ self.g_inv @ self.grad_v_lower))
+        return float(np.sqrt(contract(self.g_inv, self.grad_v_lower,
+                                      self.grad_v_lower)))
 
     def require_critical(self, what: str) -> None:
         """Raise unless the point is a critical point of the potential."""
@@ -507,7 +668,7 @@ class GeometryJet:
         """Fourth covariant potential derivative contracted (w, w, u, u)."""
         if self.nabla4_v is None:
             raise PreconditionError("geometry jet was built without a potential")
-        return float(np.einsum("abcd,a,b,c,d->", self.nabla4_v, w, w, u, u))
+        return float(contract(self.nabla4_v, w, w, u, u))
 
 
 # ---------------------------------------------------------------------------

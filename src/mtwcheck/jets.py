@@ -11,11 +11,17 @@ metric entries.
 Representation: a jet in ``n`` variables truncated at degree ``d`` is a
 float array whose last axis enumerates the monomials of total degree
 <= ``d`` (graded-lexicographic order, constant term first).  Tensors of
-jets are plain ndarrays with the jet axis last.  A whole tensor
-contraction of jets is one :func:`jcontract` call: an einsum whose
-scalar products are jet products through the space's dense 0/1
-multiplication tensor (Taylor-mode differentiation as batched tensor
+jets are plain ndarrays with the jet axis last.  The jets of a batch of
+points carry a point axis just before the jet axis, so formulas written
+for the tensor axes run on a batch unchanged, and :func:`jcontract`,
+:func:`jgrad` and :func:`jmatinv` all accept it.  A whole tensor
+contraction of jets is one :func:`jcontract` call: the jets of one
+operand become multiplication matrices, and the contraction is one
+batched matmul, transposed to (point, free, contracted) with the points
+as the stack (Taylor-mode differentiation as batched tensor
 contractions, after Griewank and Walther, *Evaluating Derivatives*).
+Every product of a point is then the same matrix product whatever the
+batch, so a point of a batch gets the bits it gets alone.
 
 Accuracy bookkeeping: if two jets carry exact coefficients through
 degree ``k``, their sum/product does too, while a derivative
@@ -47,6 +53,7 @@ run at degrees 4, 3, 2, 1 and 0 at every order.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -111,14 +118,10 @@ class JetSpace:
         self.factorials = np.asarray(fact)
 
     @cached_property
-    def mul_tensor(self) -> np.ndarray:
-        """Dense 0/1 table M[a, b, c]: monomial a times monomial b is c.
-
-        Built on first use, so importing the package builds none.
-        """
-        M = np.zeros((self.size,) * 3)
-        M[self._mul_a, self._mul_b, self._mul_c] = 1.0
-        return M
+    def _mul_yz(self) -> np.ndarray:
+        """Flat (y, z) slots of the multiplication matrices: monomial
+        y times monomial x is z for x = ``_mul_b``."""
+        return self._mul_a * self.size + self._mul_c
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -126,33 +129,67 @@ class JetSpace:
         return JetSpace(nvars, degree)
 
 
-def jconst(space: JetSpace, value: float, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """Constant jet (optionally an array of them)."""
-    out = np.zeros(shape + (space.size,))
-    out[..., 0] = value
-    return out
-
-
 def jvalue(a: np.ndarray) -> np.ndarray:
     """Degree-zero (point value) part of a jet array."""
     return a[..., 0]
+
+
+@lru_cache(maxsize=64)
+def _contract_plan(sa: str, sb: str, out: str, points: int):
+    """Axis orders that turn a jet contraction into one batched matmul:
+    ``a`` to (point, free, contracted, jet), the expanded ``b`` to
+    (point, contracted, jet, free, jet), and the product (point, free
+    of a, free of b, jet) to the output labels followed by (point, jet).
+    Also returns the contracted and free labels of each operand."""
+    con = [c for c in sa if c in sb]
+    fa = [c for c in sa if c not in con]
+    fb = [c for c in sb if c not in con]
+    if sorted(fa + fb) != sorted(out) or len({*sa}) < len(sa) or len({*sb}) < len(sb):
+        raise ValueError(
+            f"jcontract needs a plain two-operand contraction, got {sa},{sb}->{out}")
+    pa, pb = len(sa), len(sb)  # the first axis after the labels
+    a_axes = [*range(pa, pa + points), *map(sa.index, fa + con), pa + points]
+    y = pb + points  # b's jet axis, expanded into (y, z)
+    b_axes = [*range(pb, y), *map(sb.index, con), y, *map(sb.index, fb), y + 1]
+    out_axes = [points + (fa + fb).index(c) for c in out]
+    out_axes += [*range(points), points + len(fa + fb)]
+    return a_axes, b_axes, out_axes, con, fa + fb
 
 
 def jcontract(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Jet-valued ``np.einsum(subscripts, a, b)``.
 
     ``subscripts`` names the tensor axes only (for example
-    ``"ik,kj->ij"``); both operands and the result carry the jet axis
-    last.  The jets of ``b`` are expanded into multiplication matrices
-    through :attr:`JetSpace.mul_tensor`, so every jet product of the
-    contraction is part of one einsum; the expansion holds ``size``
-    times the floats of ``b``, so the smaller operand should go second.
+    ``"ik,kj->ij"``), each label appearing in exactly two of the
+    operands and the output.  Both operands and the result carry the
+    jet axis last; they may also carry one point axis just before it,
+    the same on both, which the result keeps in the same place.
+
+    The jets of the smaller operand are expanded into multiplication
+    matrices (monomial y times monomial x is z, ``size`` times its
+    floats), so the contraction is one matmul per point over
+    (contracted labels, jet) with the point axis as the stack.  Each
+    point's product has the same shape and summation order whatever the
+    number of points, so a point's result does not depend on the batch
+    it rides in.
     """
     ins, out = subscripts.split("->")
     sa, sb = ins.split(",")
-    # bm[..., y, z] = b[..., z - y]: each jet of b as a multiplication matrix
-    bm = np.tensordot(b, space.mul_tensor, axes=(-1, 1))
-    return np.einsum(f"{sa}Y,{sb}YZ->{out}Z", a, bm, optimize=True)
+    if a.size < b.size:
+        sa, sb, a, b = sb, sa, b, a
+    points = a.ndim - 1 - len(sa)
+    a_axes, b_axes, out_axes, con, free = _contract_plan(sa, sb, out, points)
+    size = space.size
+    dims = dict(zip(sa, a.shape)) | dict(zip(sb, b.shape))
+    lead = a.shape[len(sa): len(sa) + points]
+    k = math.prod(dims[c] for c in con) * size
+    bm = np.zeros(b.shape[:-1] + (size * size,))
+    bm[..., space._mul_yz] = b[..., space._mul_b]
+    bm = bm.reshape(b.shape[:-1] + (size, size))
+    A = a.transpose(a_axes).reshape(lead + (-1, k))
+    Bm = bm.transpose(b_axes).reshape(lead + (k, -1))
+    shape = lead + tuple(dims[c] for c in free) + (size,)
+    return (A @ Bm).reshape(shape).transpose(out_axes)
 
 
 def jderiv(space: JetSpace, a: np.ndarray, v: int) -> np.ndarray:
@@ -178,21 +215,20 @@ def jgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
 
 
 def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:
-    """Inverse of an (n, n, size) jet matrix with invertible value part.
+    """Inverse of an (n, n, size) jet matrix with invertible value part,
+    or of an (n, n, B, size) batch of them (one per point).
 
     Newton iteration X <- X(2I - GX) doubles the correct degree each
     step, so ceil(log2(degree + 1)) steps reach the truncation order.
     """
     n = G.shape[0]
-    g0 = jvalue(G)
-    x0 = np.linalg.inv(g0)
+    x0 = np.linalg.inv(np.moveaxis(jvalue(G), (0, 1), (-2, -1)))
     X = np.zeros_like(G)
-    X[..., 0] = x0
-    two_i = jconst(space, 0.0, (n, n))
-    two_i[np.arange(n), np.arange(n), 0] = 2.0
+    X[..., 0] = np.moveaxis(x0, (-2, -1), (0, 1))
+    two_i = np.zeros(G.shape[:2] + (1,) * (G.ndim - 3) + (space.size,))
+    two_i[np.arange(n), np.arange(n), ..., 0] = 2.0
     steps = max(1, int(np.ceil(np.log2(space.degree + 1))))
     for _ in range(steps):
         GX = jcontract(space, "ik,kj->ij", G, X)
         X = jcontract(space, "ik,kj->ij", X, two_i - GX)
     return X
-

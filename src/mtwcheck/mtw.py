@@ -25,9 +25,7 @@ closed forms is a single constant, determined empirically by
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields as dc_fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,18 +34,20 @@ from .errors import (
     CalibrationError,
     DimensionError,
     PreconditionError,
-    RankDeficiencyError,
 )
 from .geometry import (
+    CRITICAL_GRAD_TOL,
+    GeometryBatch,
     GeometryJet,
     MetricField,
     PotentialField,
     as_point,
+    contract,
     euclidean_metric,
-    gram_schmidt,
     mode_profile,
+    quarter_turn,
     quartic_potential,
-    rotate90,
+    sectional_curvature,
     sphere_metric,
 )
 from . import dynamics as dyn
@@ -63,6 +63,10 @@ HESS_TOL = 1e-10
 CURVATURE_LOCUS_TOL = 1e-8
 ORTHO_TOL = 1e-8
 INEQUALITY_SLACK = 1e-9
+
+# Sample points per geometry batch of the region checker (see
+# check_a3w_necessary): the chunk bounds the checker's peak memory.
+CHECK_CHUNK_POINTS = 128
 
 
 @dataclass
@@ -201,15 +205,26 @@ def mtw_direct_cost(
 # ---------------------------------------------------------------------------
 # Closed-form routes
 # ---------------------------------------------------------------------------
+#
+# Each formula below is written once, over arrays whose leading axes are
+# batch axes (geometry.contract): the checker runs it on a geometry
+# batch expanded over (point, pair, direction), and the one-point API
+# runs it on a GeometryJet with plain vectors.  Every operation is
+# elementwise, or a matmul whose stack holds the batch axes, so a
+# sample's value does not depend on the batch it was computed in.
+
+
+def _active_potential(potential: PotentialField | None) -> PotentialField | None:
+    """The potential, or None when it is absent or identically zero."""
+    return None if potential is None or potential.is_zero else potential
 
 
 def _point_jet(metric, potential, x) -> GeometryJet:
     """The geometry every condition at ``x`` reads: curvature through
     its second covariant derivative, plus the potential unless it is
     absent or zero."""
-    if potential is not None and potential.is_zero:
-        potential = None
-    return GeometryJet(metric, x, potential=potential, curvature_order=2)
+    return GeometryJet(metric, x, potential=_active_potential(potential),
+                       curvature_order=2)
 
 
 def mtw_zeroth_simplified(
@@ -289,32 +304,44 @@ def mtw_zeroth_general(
     """
     if quad_panels % 2 != 0 or quad_panels < 2:
         raise ValueError("quad_panels must be a positive even integer")
-    return _zeroth_general(_point_jet(metric, potential, x),
-                           as_point(u), as_point(w), quad_panels)
+    return float(_zeroth_general(_point_jet(metric, potential, x),
+                                 as_point(u)[None], as_point(w)[None],
+                                 quad_panels)[0])
 
 
-def _zeroth_general(jet: GeometryJet, u, w, quad_panels: int = 1024) -> float:
+def _zeroth_general(jet: GeometryJet, u, w, quad_panels: int = 1024) -> np.ndarray:
+    """The general zeroth-order value of the pairs (u[p], w[p]) at the
+    jet's point; ``u`` and ``w`` have shape (pairs, n)."""
     mus, E = jet.hessian_modes("the general zeroth-order evaluator")
     tau = np.linspace(0.0, 1.0, quad_panels + 1)
     hq = 1.0 / quad_panels
-    T = tau[:, None]
-    cw = E.T @ jet.g @ w
-    cu = E.T @ jet.g @ u
-    # per-mode profiles over the grid, shape (grid, modes); without a
-    # potential every mu is 0 and they are tau, 1 and 1 - tau
-    wbar = (mode_profile(mus, T) * cw) @ E.T
-    dwbar = (np.cosh(mus * T) * cw) @ E.T
-    ut = (mode_profile(mus, 1.0 - T) / mode_profile(mus, 1.0) * cu) @ E.T
+    # batch axes (grid, pair); per-mode profiles are (grid, 1, modes), and
+    # without a potential every mu is 0 and they are tau, 1 and 1 - tau
+    T = tau[:, None, None]
+    u, w = u[None], w[None]
 
-    F = 2.0 * np.einsum("ijkl,ti,tj,tk,l->t", jet.riemann, dwbar, ut, dwbar, u)
+    def lift(a):
+        return a[None, None]
+
+    Eg = lift(E.T @ jet.g)
+    cw = contract(Eg, w)
+    cu = contract(Eg, u)
+    El = lift(E)
+    wbar = contract(El, mode_profile(mus, T) * cw)
+    dwbar = contract(El, np.cosh(mus * T) * cw)
+    ut = contract(El, mode_profile(mus, 1.0 - T) / mode_profile(mus, 1.0) * cu)
+
+    F = 2.0 * contract(lift(jet.riemann), dwbar, ut, dwbar, u)
     if jet.hess_v is not None:
-        Gpref = np.einsum("lijk,ti,tj,k->tl", jet.riemann_raised, dwbar, wbar, u)
+        Gpref = contract(lift(jet.riemann_raised), dwbar, wbar, u)
         P = _cumulative_integral(Gpref, hq)
-        F = F + np.einsum("ij,ti,tj->t", jet.hess_v, ut, P)
-        F = F + np.einsum("abcd,ta,tb,tc,d->t", jet.nabla4_v, wbar, wbar, ut, u)
+        F = F + contract(lift(jet.hess_v), ut, P)
+        F = F + contract(lift(jet.nabla4_v), wbar, wbar, ut, u)
 
     weights = _simpson_weights(quad_panels) * hq
-    return 1.5 * float(weights @ ((1.0 - tau) * F))
+    # one dot product per pair, the pair axis as the matmul stack
+    integrand = np.ascontiguousarray(((1.0 - tau)[:, None] * F).T)
+    return 1.5 * (integrand[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
 def mtw_first(
@@ -336,31 +363,55 @@ def mtw_first(
     return 0.5 * jet.nr5(w, w, u, v, u) + 0.25 * jet.nr5(v, w, u, w, u)
 
 
-def _second_order_terms(jet: GeometryJet, u, v, w, *, full: bool) -> float:
-    """Shared contraction list for the second v-coefficient and its
-    restricted variant.
+def _first_order_magnitude(geo, u, v, w) -> np.ndarray:
+    """|<(grad_w R)(w, u) v, u>|; the pair's slots are contracted before v."""
+    return np.abs(contract(contract(geo.nabla_r, w, w, u, None, u), v))
 
-    ``full=True`` evaluates all eight lines of the second coefficient;
+
+def _gram(g: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^T g B for matrices whose columns are vectors, batch axes leading:
+    the bilinear form <A v, B v'> in (v, v')."""
+    n = g.shape[-1]
+    gB = [contract(g, B[..., j]) for j in range(n)]
+    return np.stack([np.stack([contract(gB[j], A[..., i]) for j in range(n)],
+                              axis=-1) for i in range(n)], axis=-2)
+
+
+def _second_order_form(geo, u, w, *, full: bool) -> np.ndarray:
+    """Matrix Q of the second v-coefficient as a quadratic form in v:
+    the coefficient at v is ``contract(Q, v, v)``.
+
+    ``full=True`` sums all eight lines of the second coefficient;
     ``full=False`` drops the two lines that vanish identically under
     the restricted variant's hypotheses (zero-curvature orthogonal
-    planes force R(w,u)w = R(u,w)u = 0).
+    planes force R(w,u)w = R(u,w)u = 0).  Each line is contracted with
+    the pair (u, w), leaving its two v slots open.
     """
-    total = jet.n2r6(w, w, v, u, v, u) / 10.0
-    total -= jet.inner(jet.curvature_op(v, u, u), jet.curvature_op(v, w, w)) / 5.0
+    N2, Rup, g = geo.nabla2_r, geo.riemann_raised, geo.g
+
+    def cross(y, T):
+        """<y, R(v, a) v> as a form, T the R(., a, .) slots (l, i, k)."""
+        return contract(T, contract(g, y), None, None)
+
+    # R(v, u) u, R(v, w) w, R(w, u) v, R(v, u) w and R(v, w) u as
+    # matrices acting on v
+    vuu = contract(Rup, None, u, u)
+    vww = contract(Rup, None, w, w)
+    wuv = contract(Rup, w, u, None)
+    vuw = contract(Rup, None, u, w)
+    vwu = contract(Rup, None, w, u)
+
+    Q = contract(N2, w, w, None, u, None, u) / 10.0
+    Q = Q - _gram(g, vuu, vww) / 5.0
     if full:
-        total += 4.0 / 15.0 * jet.inner(
-            jet.curvature_op(v, u, v), jet.curvature_op(w, u, w)
-        )
-    total += 2.0 / 5.0 * jet.n2r6(v, w, w, u, v, u)
-    total += jet.n2r6(v, v, w, u, w, u) / 10.0
+        Q = Q + 4.0 / 15.0 * cross(contract(Rup, w, u, w), contract(Rup, None, u, None))
+    Q = Q + 2.0 / 5.0 * contract(N2, None, w, w, u, None, u)
+    Q = Q + contract(N2, None, None, w, u, w, u) / 10.0
     if full:
-        total -= jet.inner(jet.curvature_op(w, u, u), jet.curvature_op(v, w, v)) / 5.0
-    rwuv = jet.curvature_op(w, u, v)
-    rvuw = jet.curvature_op(v, u, w)
-    rvwu = jet.curvature_op(v, w, u)
-    total += 4.0 / 15.0 * (jet.inner(rwuv, rwuv) + jet.inner(rvuw, rwuv))
-    total += (jet.inner(rwuv, rvwu) + jet.inner(rvuw, rvwu)) / 3.0
-    return total
+        Q = Q - cross(contract(Rup, w, u, u), contract(Rup, None, w, None)) / 5.0
+    Q = Q + 4.0 / 15.0 * (_gram(g, wuv, wuv) + _gram(g, vuw, wuv))
+    Q = Q + (_gram(g, wuv, vwu) + _gram(g, vuw, vwu)) / 3.0
+    return Q
 
 
 def mtw_second(
@@ -376,7 +427,7 @@ def mtw_second(
     v = as_point(v)
     w = as_point(w)
     jet = GeometryJet(metric, x, curvature_order=2)
-    return _second_order_terms(jet, u, v, w, full=True)
+    return float(contract(_second_order_form(jet, u, w, full=True), v, v))
 
 
 def g_quantity(
@@ -400,17 +451,23 @@ def g_quantity(
 
 def _g_quantity(jet: GeometryJet, u, v, w, curvature_tol: float) -> float:
     _g_preconditions(jet, u, w, curvature_tol)
-    return _second_order_terms(jet, u, v, w, full=False)
+    return float(contract(_second_order_form(jet, u, w, full=False), v, v))
+
+
+def _orthogonal(geo, u, w) -> np.ndarray:
+    """Where <u, w> is negligible against |u| |w|."""
+    uw = contract(geo.g, u, w)
+    norms = np.sqrt(contract(geo.g, u, u)) * np.sqrt(contract(geo.g, w, w))
+    return np.abs(uw) <= ORTHO_TOL * norms
 
 
 def _g_preconditions(jet: GeometryJet, u, w, curvature_tol: float) -> None:
     """Raise unless u, w are metric-orthogonal and span a zero-curvature
     plane, the hypotheses of the restricted second-order quantity."""
-    uw = jet.inner(u, w)
-    if abs(uw) > ORTHO_TOL * jet.norm(u) * jet.norm(w):
+    if not _orthogonal(jet, u, w):
         raise PreconditionError(
             f"the restricted second-order quantity needs <u, w> = 0 "
-            f"(got {uw:.3e})"
+            f"(got {jet.inner(u, w):.3e})"
         )
     K = jet.sectional(u, w)
     if abs(K) > curvature_tol:
@@ -431,14 +488,11 @@ def first_order_vanishing(
     The contraction is linear in v, so the canonical basis bounds all
     directions up to a constant.
     """
-    x = as_point(x)
     u = as_point(u)
     w = as_point(w)
     jet = GeometryJet(metric, x, curvature_order=1)
-    n = metric.dim
-    return max(
-        abs(jet.nr5(w, w, u, np.eye(n)[i], u)) for i in range(n)
-    )
+    return max(float(_first_order_magnitude(jet, u, e, w))
+               for e in np.eye(metric.dim))
 
 
 @dataclass
@@ -474,17 +528,26 @@ def discriminant_2d(
     return _discriminant_2d(jet, as_point(u), curvature_tol)
 
 
+def _discriminant_terms(geo, u):
+    """(w, K, lhs, rhs) of the discriminant inequality for 2-vectors u:
+    w their quarter turns and K the curvature of span(u, w)."""
+    w = quarter_turn(geo.g, u)
+    K = sectional_curvature(geo.g, geo.riemann, u, w)
+    N2 = geo.nabla2_r
+    mixed = contract(N2, w, u, w, u, w, u)
+    lhs = 3.0 * (mixed * mixed)
+    rhs = 2.0 * contract(N2, w, w, w, u, w, u) * contract(N2, u, u, w, u, w, u)
+    return w, K, lhs, rhs
+
+
 def _discriminant_2d(jet: GeometryJet, u, curvature_tol: float) -> DiscriminantResult:
-    w = rotate90(jet.metric, jet.x, u)
-    K = jet.sectional(u, w)
+    w, K, lhs, rhs = _discriminant_terms(jet, u)
     if abs(K) > curvature_tol:
         raise PreconditionError(
             f"the discriminant check needs zero curvature at x "
             f"(sectional = {K:.3e})"
         )
-    mixed = jet.n2r6(w, u, w, u, w, u)
-    lhs = 3.0 * mixed**2
-    rhs = 2.0 * jet.n2r6(w, w, w, u, w, u) * jet.n2r6(u, u, w, u, w, u)
+    lhs, rhs = float(lhs), float(rhs)
     return DiscriminantResult(
         lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs + INEQUALITY_SLACK),
         u=u, w=w,
@@ -690,29 +753,57 @@ class CheckReport:
 
 
 def _worker_count() -> int:
-    env = os.environ.get("MTW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    """Threads the checker computes on: it runs on the calling thread.
+
+    Kept only for the benchmark's provenance line, which reads it; the
+    benchmark change of ROADMAP item 3 stops reading it and deletes it.
+    """
+    return 1
 
 
-def _orthonormal_pairs(jet: GeometryJet, directions: np.ndarray):
-    """Metric-orthonormal (u, w) pairs from consecutive raw directions;
-    a numerically dependent pair is dropped."""
-    m = len(directions)
-    pairs = []
-    for i in range(m):
-        d1 = directions[i]
-        d2 = directions[(i + 1) % m]
-        try:
-            basis = gram_schmidt(jet.metric, jet.x, [d1, d2])
-        except RankDeficiencyError:
-            continue
-        pairs.append((basis[0], basis[1]))
-    return pairs
+def _orthonormal_pairs(geo, directions: np.ndarray):
+    """Metric-orthonormal (u, w) pairs at every point of a batch, from
+    consecutive raw directions (i, i + 1 mod m) by Gram-Schmidt with one
+    re-orthogonalization pass.
+
+    Returns U and W of shape (B, m, n) and the mask ``ok`` of shape
+    (B, m), False where a pair is numerically dependent; such a pair
+    holds meaningless finite vectors and is dropped by every condition.
+    """
+    directions = np.asarray(directions, dtype=float)
+    n = geo.g.shape[-1]
+    if directions.ndim != 2 or directions.shape[1] != n:
+        raise ValueError(
+            f"directions of shape {directions.shape} do not match dimension {n}"
+        )
+    g = geo.g[:, None]  # against the pair axis
+    d1 = directions[None]
+    d2 = np.roll(directions, -1, axis=0)[None]
+    s1 = np.sqrt(contract(g, d1, d1))
+    s2 = np.sqrt(contract(g, d2, d2))
+    ok = (s1 > 0.0) & (s2 > 0.0)
+    u = d1 / np.where(ok, s1, 1.0)[..., None]
+    v = d2
+    for _ in range(2):  # second pass sharpens orthogonality to rounding level
+        v = v - contract(g, u, v)[..., None] * u
+    norm = np.sqrt(contract(g, v, v))
+    ok = ok & (norm > 1e-10 * s2)
+    return u, v / np.where(ok, norm, 1.0)[..., None], ok
+
+
+def _sampled_planes(geo, directions: np.ndarray):
+    """(U, W, ok, K): the orthonormal pairs of :func:`_orthonormal_pairs`
+    at every point of a batch and their sectional curvatures K (B, m)."""
+    U, W, ok = _orthonormal_pairs(geo, directions)
+    pairs = geo.expand(1)
+    K = sectional_curvature(pairs.g, pairs.riemann, U, W, where=ok)
+    return U, W, ok, K
+
+
+def _point_chunks(points: np.ndarray):
+    """The sample points in consecutive chunks of CHECK_CHUNK_POINTS."""
+    for start in range(0, len(points), CHECK_CHUNK_POINTS):
+        yield points[start: start + CHECK_CHUNK_POINTS]
 
 
 def _condition_value(
@@ -721,19 +812,18 @@ def _condition_value(
 ) -> float:
     """The scalar behind ``condition`` at the jet's point.
 
-    The one map from condition names to formulas: the checker and
-    :func:`evaluate_condition` both read every value through it, except
-    that the checker tests the ``g-nonneg`` hypotheses once per (u, w)
-    pair and then reads the same :func:`_second_order_terms` for every v.
+    The map from condition names to formulas for one sample: each
+    formula is the function the checker runs on its whole batch, here
+    on a batch of one.
     """
     if condition == "sectional-nonneg":
         return jet.sectional(u, w)
     if condition == "zeroth-order":
         if jet.potential is None:
             return _zeroth_simplified(jet, u, w)
-        return _zeroth_general(jet, u, w)
+        return float(_zeroth_general(jet, u[None], w[None])[0])
     if condition == "first-order-vanishing":
-        return abs(jet.nr5(w, w, u, v, u))
+        return float(_first_order_magnitude(jet, u, v, w))
     if condition == "g-nonneg":
         return _g_quantity(jet, u, v, w, curvature_tol)
     if condition == "discriminant-2d":
@@ -754,8 +844,8 @@ def evaluate_condition(
 ) -> float:
     """Re-evaluate the scalar behind a checker witness.
 
-    Builds the same point jet as the checker and reads the value
-    through the same dispatch, so a reported witness reproduces its
+    Builds the witness point's geometry as a batch of one and runs the
+    checker's formula on it, so a reported witness reproduces its
     value exactly.
     """
     u, v, w = (None if a is None else as_point(a) for a in (u, v, w))
@@ -764,17 +854,94 @@ def evaluate_condition(
 
 
 @dataclass
-class _PointData:
-    jet: GeometryJet
-    pairs: list
-    K: list  # sectional per pair
+class _Scan:
+    """What the checker keeps of a chunk of sample points, before the
+    sample-wide thresholds are known: per point, per pair (reduced over
+    the v-directions) and, in dimension 2, per discriminant direction.
+    Every field has the point axis first."""
+
+    x: np.ndarray  # (B, n)
+    U: np.ndarray  # (B, P, n) pair vectors
+    W: np.ndarray
+    ok: np.ndarray  # (B, P) pair is independent
+    K: np.ndarray  # (B, P) sectional curvature
+    grad: np.ndarray  # (B,) |grad V|
+    zeroth_ok: np.ndarray  # (B,) the zeroth-order evaluator's preconditions hold
+    zeroth: np.ndarray  # (B, P)
+    fo_max: np.ndarray  # (B, P) largest first-order magnitude over v
+    fo_arg: np.ndarray  # (B, P) its first v index
+    ortho: np.ndarray  # (B, P) the pair passes the g-nonneg orthogonality test
+    g_min: np.ndarray  # (B, P) smallest g-quantity over v
+    g_arg: np.ndarray
+    g_abs: np.ndarray  # (B, P) largest |g-quantity| over v
+    disc_K: np.ndarray | None  # (B, D) curvature of (v, quarter turn of v)
+    disc_gap: np.ndarray | None  # (B, D) lhs - rhs of the discriminant
+    disc_w: np.ndarray | None  # (B, D, 2) the quarter turns
 
 
-def _scan_point(metric, potential, x, directions) -> _PointData:
-    jet = _point_jet(metric, potential, x)
-    pairs = _orthonormal_pairs(jet, directions)
-    K = [_condition_value(jet, "sectional-nonneg", u, None, w) for u, w in pairs]
-    return _PointData(jet=jet, pairs=pairs, K=K)
+def _scan_chunk(metric, potential, X, directions) -> _Scan:
+    """Every condition at every (point, pair, direction) of one geometry
+    batch, as contractions with the batch axes leading."""
+    geo = GeometryBatch(metric, X, potential, curvature_order=2)
+    U, W, ok, K = _sampled_planes(geo, directions)
+    pairs = geo.expand(1)  # against (point, pair)
+    samples = geo.expand(2)  # against (point, pair, direction)
+    u, w = U[:, :, None], W[:, :, None]
+    v = directions[None, None]
+
+    grad = geo.grad_norms()
+    if potential is None:
+        zeroth_ok = np.ones(len(X), dtype=bool)
+        zeroth = contract(pairs.riemann, W, U, W, U)  # _zeroth_simplified
+    else:
+        # the general evaluator refuses a point that is no maximum of the
+        # potential; the gradient test only spares it the refused points
+        zeroth_ok = np.zeros(len(X), dtype=bool)
+        zeroth = np.zeros_like(K)
+        for b in np.flatnonzero(grad <= CRITICAL_GRAD_TOL):
+            try:
+                zeroth[b] = _zeroth_general(geo.point(b), U[b], W[b])
+            except PreconditionError:
+                continue
+            zeroth_ok[b] = True
+
+    mags = _first_order_magnitude(samples, u, v, w)
+    gv = contract(_second_order_form(pairs, U, W, full=False)[:, :, None], v, v)
+    disc = (None, None, None)
+    if metric.dim == 2:
+        wd, Kd, lhs, rhs = _discriminant_terms(pairs, directions[None])
+        disc = (Kd, lhs - rhs, wd)
+    return _Scan(
+        x=X, U=U, W=W, ok=ok, K=K, grad=grad, zeroth_ok=zeroth_ok,
+        zeroth=zeroth, fo_max=mags.max(axis=2), fo_arg=mags.argmax(axis=2),
+        ortho=_orthogonal(pairs, U, W), g_min=gv.min(axis=2),
+        g_arg=gv.argmin(axis=2), g_abs=np.abs(gv).max(axis=2),
+        disc_K=disc[0], disc_gap=disc[1], disc_w=disc[2],
+    )
+
+
+def _join(scans: list) -> _Scan:
+    """The chunk scans as one, points in sample order."""
+    return _Scan(**{
+        f.name: None if getattr(scans[0], f.name) is None
+        else np.concatenate([getattr(s, f.name) for s in scans])
+        for f in dc_fields(_Scan)
+    })
+
+
+def _first_extreme(values: np.ndarray, mask: np.ndarray, pick):
+    """Index tuple of the first entry, in C order, where ``mask`` holds
+    and ``values`` takes its smallest (pick=np.argmin) or largest
+    (np.argmax) masked value; None when the mask is empty."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    return np.unravel_index(idx[pick(values.ravel()[idx])], values.shape)
+
+
+def _scale(values: np.ndarray, mask: np.ndarray) -> float:
+    """Largest |value| where ``mask`` holds, 0.0 when it is empty."""
+    return float(np.max(np.abs(values[mask]), initial=0.0))
 
 
 def check_a3w_necessary(
@@ -795,59 +962,50 @@ def check_a3w_necessary(
     * the two-dimensional discriminant inequality at zero-curvature
       points (dimension 2 only).
 
-    Each sample point builds one geometry jet, and every condition at
-    that point reads its values from it.  Zero-curvature detection and
-    all violation thresholds are relative to the sampled magnitude of
-    the corresponding quantity, so verdicts are invariant under uniform
+    The sample points are processed in chunks of CHECK_CHUNK_POINTS:
+    each chunk builds one :class:`GeometryBatch`, so each point's
+    geometry is built exactly once and the peak memory is bounded by
+    the chunk, and every condition is a few contractions over (point,
+    pair, direction) tensors read from it.  A sample's value does not
+    depend on the chunk it fell in, and :func:`evaluate_condition`
+    reproduces it as a batch of one.  Zero-curvature detection and all
+    violation thresholds are relative to the sampled magnitude of the
+    corresponding quantity, so verdicts are invariant under uniform
     metric rescaling.
     """
     n = metric.dim
-    pts = sampling.points()
+    potential = _active_potential(potential)
     directions = sampling.direction_set(n)
+    s = _join([_scan_chunk(metric, potential, X, directions)
+               for X in _point_chunks(sampling.points())])
+    D = len(directions)
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        data = list(
-            pool.map(lambda x: _scan_point(metric, potential, x, directions), pts)
-        )
+    def witness(name, at, u, v, w, value):
+        return Witness(name, s.x[at[0]].copy(), u, v, w, float(value))
 
     conditions: list[ConditionVerdict] = []
 
     # -- sectional curvature ------------------------------------------------
-    all_K = [k for d in data for k in d.K]
-    k_scale = max((abs(k) for k in all_K), default=0.0)
+    k_scale = _scale(s.K, s.ok)
     k_slack = INEQUALITY_SLACK * k_scale
-    worst = None
-    for d in data:
-        for (u, w), k in zip(d.pairs, d.K):
-            if worst is None or k < worst.value:
-                worst = Witness("sectional-nonneg", d.jet.x, u, None, w, k)
+    at = _first_extreme(s.K, s.ok, np.argmin)
+    worst = at and witness("sectional-nonneg", at, s.U[at], None, s.W[at], s.K[at])
     sec_pass = worst is None or worst.value >= -k_slack
     conditions.append(ConditionVerdict(
-        "sectional-nonneg", len(all_K), sec_pass, k_slack, worst,
+        "sectional-nonneg", int(s.ok.sum()), sec_pass, k_slack, worst,
     ))
 
     # -- zeroth order at critical points (every point without a potential) --
     # a critical point that is no maximum fails the evaluator's own
     # Hess V <= 0 precondition and is skipped like any other
-    grads = [d.jet.grad_norm() for d in data]
-    crit_tol = 1e-8 * max(max(grads, default=0.0), 1e-30)
-    crit = [d for d, gnorm in zip(data, grads) if gnorm <= crit_tol]
-    zer_vals = []
-    worst = None
-    for d in crit:
-        for (u, w) in d.pairs:
-            try:
-                val = _condition_value(d.jet, "zeroth-order", u, None, w)
-            except PreconditionError:
-                continue
-            zer_vals.append(val)
-            if worst is None or val < worst.value:
-                worst = Witness("zeroth-order", d.jet.x, u, None, w, val)
-    z_scale = max((abs(z) for z in zer_vals), default=0.0)
-    z_slack = INEQUALITY_SLACK * z_scale
+    crit_tol = 1e-8 * max(float(np.max(s.grad, initial=0.0)), 1e-30)
+    zmask = s.ok & ((s.grad <= crit_tol) & s.zeroth_ok)[:, None]
+    z_slack = INEQUALITY_SLACK * _scale(s.zeroth, zmask)
+    at = _first_extreme(s.zeroth, zmask, np.argmin)
+    worst = at and witness("zeroth-order", at, s.U[at], None, s.W[at], s.zeroth[at])
     zer_pass = worst is None or worst.value >= -z_slack
     conditions.append(ConditionVerdict(
-        "zeroth-order", len(zer_vals), zer_pass, z_slack, worst,
+        "zeroth-order", int(zmask.sum()), zer_pass, z_slack, worst,
     ))
 
     # -- zero-curvature locus ------------------------------------------------
@@ -855,69 +1013,40 @@ def check_a3w_necessary(
     if k_scale == 0.0:
         locus_tol = 0.0
     flat_tol = max(locus_tol, 1e-15)
+    on_locus = s.ok & (np.abs(s.K) <= locus_tol)
 
-    # first-order vanishing and restricted second-order quantity on the
-    # locus pairs, the discriminant at points whose every pair is on it
-    fo_vals = []
-    fo_worst = None
-    fo_all_scale = 0.0
-    g_vals = []
-    g_worst = None
-    d_worst = None
-    d_count = 0
-    for d in data:
-        x = d.jet.x
-        on_locus = [abs(k) <= locus_tol for k in d.K]
-        for (u, w), flat in zip(d.pairs, on_locus):
-            mags = [_condition_value(d.jet, "first-order-vanishing", u, vdir, w)
-                    for vdir in directions]
-            fo_all_scale = max(fo_all_scale, *mags)
-            if not flat:
-                continue
-            # the g-nonneg hypotheses do not involve v: test them once
-            try:
-                _g_preconditions(d.jet, u, w, flat_tol)
-                g_ok = True
-            except PreconditionError:
-                g_ok = False
-            for vdir, mag in zip(directions, mags):
-                fo_vals.append(mag)
-                if fo_worst is None or mag > fo_worst.value:
-                    fo_worst = Witness("first-order-vanishing", x, u, vdir, w, mag)
-                if not g_ok:
-                    continue
-                gv = _second_order_terms(d.jet, u, vdir, w, full=False)
-                g_vals.append(gv)
-                if g_worst is None or gv < g_worst.value:
-                    g_worst = Witness("g-nonneg", x, u, vdir, w, gv)
-        if n != 2 or not all(on_locus):
-            continue
-        for vdir in directions:
-            try:
-                gap = _condition_value(d.jet, "discriminant-2d", vdir, None, None,
-                                       flat_tol)
-            except PreconditionError:
-                continue
-            d_count += 1
-            if d_worst is None or gap > d_worst.value:
-                d_worst = Witness("discriminant-2d", x, vdir, None,
-                                  rotate90(metric, x, vdir), gap)
+    # first-order vanishing on the locus pairs, every direction
+    fo_slack = 1e-6 * _scale(s.fo_max, s.ok)
+    at = _first_extreme(s.fo_max, on_locus, np.argmax)
+    worst = at and witness("first-order-vanishing", at, s.U[at],
+                           directions[s.fo_arg[at]], s.W[at], s.fo_max[at])
+    fo_pass = worst is None or worst.value <= fo_slack
+    conditions.append(ConditionVerdict(
+        "first-order-vanishing", int(on_locus.sum()) * D, fo_pass, fo_slack, worst,
+    ))
 
-    fo_slack = 1e-6 * fo_all_scale
-    fo_pass = fo_worst is None or fo_worst.value <= fo_slack
+    # restricted second-order quantity on the locus pairs that meet its
+    # hypotheses, every direction
+    gmask = on_locus & s.ortho & (np.abs(s.K) <= flat_tol)
+    gq_slack = INEQUALITY_SLACK * _scale(s.g_abs, gmask)
+    at = _first_extreme(s.g_min, gmask, np.argmin)
+    worst = at and witness("g-nonneg", at, s.U[at], directions[s.g_arg[at]],
+                           s.W[at], s.g_min[at])
+    g_pass = worst is None or worst.value >= -gq_slack
     conditions.append(ConditionVerdict(
-        "first-order-vanishing", len(fo_vals), fo_pass, fo_slack, fo_worst,
+        "g-nonneg", int(gmask.sum()) * D, g_pass, gq_slack, worst,
     ))
-    gq_scale = max((abs(gv) for gv in g_vals), default=0.0)
-    gq_slack = INEQUALITY_SLACK * gq_scale
-    g_pass = g_worst is None or g_worst.value >= -gq_slack
-    conditions.append(ConditionVerdict(
-        "g-nonneg", len(g_vals), g_pass, gq_slack, g_worst,
-    ))
+
+    # the discriminant at points whose every pair is on the locus
     if n == 2:
-        d_pass = d_worst is None or d_worst.value <= INEQUALITY_SLACK
+        flat_point = np.all(on_locus | ~s.ok, axis=1)
+        dmask = flat_point[:, None] & (np.abs(s.disc_K) <= flat_tol)
+        at = _first_extreme(s.disc_gap, dmask, np.argmax)
+        worst = at and witness("discriminant-2d", at, directions[at[1]], None,
+                               s.disc_w[at], s.disc_gap[at])
+        d_pass = worst is None or worst.value <= INEQUALITY_SLACK
         conditions.append(ConditionVerdict(
-            "discriminant-2d", d_count, d_pass, INEQUALITY_SLACK, d_worst,
+            "discriminant-2d", int(dmask.sum()), d_pass, INEQUALITY_SLACK, worst,
         ))
 
     overall = all(c.passed for c in conditions)

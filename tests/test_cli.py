@@ -236,6 +236,14 @@ def test_lemma_tests_sphere(capsys):
     assert all(r["verdict"] == "pass" for r in doc["results"])
 
 
+def test_lemma_tests_sphere_honours_point(capsys):
+    # off the equator the sphere's Christoffel symbols do not vanish
+    code, _, err = run_cli(capsys, "lemma-tests", "--metric", "sphere2",
+                           "--point", "1,0", "--steps", "100")
+    assert code == 2
+    assert "vanishing Christoffel symbols" in err
+
+
 def test_lemma_tests_outside_2d_need_v_and_w(capsys):
     code, _, err = run_cli(capsys, "lemma-tests", "--metric", "euclidean3")
     assert code == 2

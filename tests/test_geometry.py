@@ -15,8 +15,12 @@ from mtwcheck.errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from mtwcheck.expr import parse_field, taylor_coefficients
+from mtwcheck.expr import TaylorPlan, parse_field, taylor_coefficients
 from mtwcheck.geometry import (
+    _FIELDS,
+    _TAYLOR_PLAN_CACHE_SIZE,
+    _TAYLOR_PLANS,
+    GeometryBatch,
     GeometryJet,
     MetricField,
     PotentialField,
@@ -35,6 +39,7 @@ from mtwcheck.geometry import (
     sphere_metric,
 )
 from mtwcheck.jets import JetSpace, jcontract, jderiv, jmatinv
+from mtwcheck.mtw import SamplingSpec
 
 from conftest import inline3d_metric, sphere_points
 
@@ -469,3 +474,81 @@ def test_rotate90_metric_quarter_turn(rng, conformal_a3):
     r = rotate90(conformal_a3, x, u)
     assert abs(u @ g @ r) < 1e-12
     assert u @ g @ u == pytest.approx(r @ g @ r, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batches of points
+# ---------------------------------------------------------------------------
+
+
+def _batch_case(name):
+    """(metric, potential, sample points) of the batch-invariance cases."""
+    if name == "conformal":
+        metric, pot, box = cf.conformal_metric(cf.ConformalSpec(a=-3.5)), None, 0.2
+    elif name == "inline3d":
+        metric, pot, box = inline3d_metric(), None, 0.3
+    else:
+        metric, pot, box = (euclidean_metric(2),
+                            quartic_potential([[0.6, 0.1], [0.1, 0.9]]), 0.5)
+    spec = SamplingSpec(((-box, box),) * metric.dim, points_per_axis=3)
+    return metric, pot, spec.points()
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("name", ["conformal", "inline3d", "flat-quartic"])
+def test_batch_point_equals_point_built_alone(name, order):
+    # every array of point b of a batch is bit-identical to the batch of
+    # one built at that point, whatever the batch around it
+    metric, pot, X = _batch_case(name)
+    for batch_points in (X, X[1:4]):
+        batch = GeometryBatch(metric, batch_points, pot, curvature_order=order)
+        for b, x in enumerate(batch_points):
+            jet = GeometryJet(metric, x, pot, curvature_order=order)
+            for field in _FIELDS:
+                got, want = getattr(batch, field), getattr(jet, field)
+                if want is None:
+                    assert got is None, field
+                else:
+                    assert np.array_equal(got[b], want), (field, b)
+
+
+@pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
+def test_metric_jets_match_scalar_taylor_coefficients(name, rng):
+    # one generated function for all partials against one scalar
+    # evaluation per coefficient; they differ only where NumPy's exp or
+    # sin rounds differently from the math module's
+    if name == "inline3d":
+        metric, pts = inline3d_metric(), rng.uniform(-0.3, 0.3, (4, 3))
+    else:
+        metric, pts = _random_metric_points(rng, name, 4)
+    space = JetSpace.get(metric.dim, 4)
+    G = metric.jets(pts, space)
+    for b, x in enumerate(pts):
+        assert np.array_equal(metric.jets(x, space), G[:, :, b])
+        for i in range(metric.dim):
+            for j in range(metric.dim):
+                want = taylor_coefficients(metric.entries[i][j], x, space)
+                assert np.allclose(G[i, j, b], want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_taylor_plan_evaluates_each_distinct_partial_once():
+    # the three diagonal entries of exp(2xyz) I are separate but equal
+    # fields, and the off-diagonal zeros are constant: one entry's
+    # non-constant partials are all the plan evaluates
+    metric = inline3d_metric()
+    space = JetSpace.get(3, 4)
+    plan = TaylorPlan([metric.entries[i][j] for i in range(3) for j in range(i, 3)],
+                      space)
+    diag = metric.entries[0][0]
+    live = {diag.partial(m) for m in space.monomials} - {
+        diag.partial(m) for m in space.monomials
+        if diag.partial(m).tree[0] == "c"}
+    assert plan._live == len(live)
+
+
+def test_taylor_plan_cache_is_bounded():
+    for _ in range(3 * _TAYLOR_PLAN_CACHE_SIZE):
+        GeometryJet(cf.conformal_metric(cf.ConformalSpec(a=-3.5)), [0.1, 0.0],
+                    curvature_order=0)
+    assert len(_TAYLOR_PLANS) <= _TAYLOR_PLAN_CACHE_SIZE

@@ -96,3 +96,21 @@ def test_jderiv_matches_field_derivative(dim):
         stacked = np.stack([jderiv(space, _jet(expr, dim), v) for v in range(dim)])
         assert np.array_equal(jgrad(lower, _jet(expr, dim)),
                               stacked[:, : lower.size])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_axis_matches_points_alone(dim):
+    # a point axis before the jet axis rides through jcontract and
+    # jmatinv: each point's result equals the same point computed alone
+    space = JetSpace.get(dim, 3)
+    rng = np.random.default_rng(7)
+    B = 5
+    A = rng.normal(size=(dim, dim, B, space.size))
+    T = rng.normal(size=(dim, dim, dim, B, space.size))
+    G = A + 3.0 * dim * np.eye(dim)[:, :, None, None] * (np.arange(space.size) == 0)
+    C = jcontract(space, "km,ijm->kij", A, T)
+    inv = jmatinv(space, G)
+    for b in range(B):
+        assert np.array_equal(C[..., b, :], jcontract(space, "km,ijm->kij",
+                                                      A[..., b, :], T[..., b, :]))
+        assert np.array_equal(inv[..., b, :], jmatinv(space, G[..., b, :]))

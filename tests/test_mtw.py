@@ -2,9 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtwcheck import conformal as cf
 from mtwcheck import mtw
@@ -15,6 +17,7 @@ from mtwcheck.errors import (
     PreconditionError,
 )
 from mtwcheck.geometry import (
+    GeometryBatch,
     GeometryJet,
     PotentialField,
     euclidean_metric,
@@ -24,6 +27,8 @@ from mtwcheck.geometry import (
     sphere_metric,
 )
 from mtwcheck.expr import parse_field
+
+from conftest import inline3d_metric
 
 EQUATOR = np.pi / 2
 E1 = np.array([1.0, 0.0])
@@ -420,33 +425,117 @@ def test_check_zeroth_order_only_at_potential_maxima(flat2):
 
 
 def test_check_builds_one_jet_per_point(monkeypatch):
-    built = []
-    real = mtw.GeometryJet
+    # every sample point's geometry is built exactly once, in batches of
+    # at most CHECK_CHUNK_POINTS points, and no point is built alone
+    sizes, singles = [], []
+    batch, jet = mtw.GeometryBatch, mtw.GeometryJet
 
-    def counting(*args, **kwargs):
-        built.append(1)  # list.append is atomic, so pool threads count too
-        return real(*args, **kwargs)
+    def counting_batch(metric, X, *args, **kwargs):
+        sizes.append(len(X))
+        return batch(metric, X, *args, **kwargs)
 
-    monkeypatch.setattr(mtw, "GeometryJet", counting)
+    def counting_jet(*args, **kwargs):
+        singles.append(1)
+        return jet(*args, **kwargs)
+
+    monkeypatch.setattr(mtw, "GeometryBatch", counting_batch)
+    monkeypatch.setattr(mtw, "GeometryJet", counting_jet)
     spec = _small_spec()
-    mtw.check_a3w_necessary(cf.conformal_metric(cf.ConformalSpec(a=-3.5)),
-                            None, spec)
-    assert len(built) == len(spec.points())
+    points = len(spec.points())
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    for chunk in (mtw.CHECK_CHUNK_POINTS, 5):
+        monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", chunk)
+        sizes.clear()
+        mtw.check_a3w_necessary(metric, None, spec)
+        assert sum(sizes) == points
+        assert len(sizes) == math.ceil(points / chunk)
+        assert max(sizes) <= chunk
+    assert singles == []
 
 
 def test_orthonormal_pairs_drop_only_dependent_pair(flat2):
-    jet = GeometryJet(flat2, ZERO2, curvature_order=0)
-    pairs = mtw._orthonormal_pairs(jet, np.array([E1, E1, E2]))
+    geo = GeometryBatch(flat2, [ZERO2], curvature_order=0)
+    U, W, ok = mtw._orthonormal_pairs(geo, np.array([E1, E1, E2]))
     # (e1, e1) is dependent; (e1, e2) and the wrap-around (e2, e1) remain
-    assert len(pairs) == 2
-    for (u, w), (want_u, want_w) in zip(pairs, [(E1, E2), (E2, E1)]):
+    assert ok.tolist() == [[False, True, True]]
+    for (u, w), (want_u, want_w) in zip(zip(U[ok], W[ok]), [(E1, E2), (E2, E1)]):
         assert np.allclose(u, want_u) and np.allclose(w, want_w)
 
 
 def test_orthonormal_pairs_reject_wrong_length_directions(flat2):
-    jet = GeometryJet(flat2, ZERO2, curvature_order=0)
+    geo = GeometryBatch(flat2, [ZERO2], curvature_order=0)
     with pytest.raises(ValueError):
-        mtw._orthonormal_pairs(jet, np.eye(3))
+        mtw._orthonormal_pairs(geo, np.eye(3))
+
+
+def _chunk_case(name):
+    """(metric, potential, sampling) of the chunking cases."""
+    if name == "conformal":
+        return cf.conformal_metric(cf.ConformalSpec(a=-3.5)), None, _small_spec()
+    if name == "inline3d":
+        return inline3d_metric(), None, mtw.SamplingSpec(
+            box=((-0.3, 0.3),) * 3, points_per_axis=3, directions=6, seed=42)
+    return (euclidean_metric(2), quartic_potential([[0.6, 0.1], [0.1, 0.9]]),
+            _small_spec(-0.5, 0.5))
+
+
+@pytest.mark.parametrize("name", ["conformal", "inline3d", "flat-quartic"])
+def test_check_is_independent_of_chunking(name, monkeypatch):
+    """A check over several chunks gives the report of one chunk, bit for
+    bit, and every witness re-evaluates exactly as a batch of one."""
+    metric, pot, spec = _chunk_case(name)
+    whole = mtw.check_a3w_necessary(metric, pot, spec)
+    monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", 4)
+    chunked = mtw.check_a3w_necessary(metric, pot, spec)
+    assert len(spec.points()) > 2 * mtw.CHECK_CHUNK_POINTS
+    assert (json.dumps(_jsonify(chunked), sort_keys=True)
+            == json.dumps(_jsonify(whole), sort_keys=True))
+    for cond in chunked.conditions:
+        wit = cond.worst
+        if wit is not None:
+            again = mtw.evaluate_condition(
+                metric, pot, wit.condition, wit.point, u=wit.u, v=wit.v,
+                w=wit.w, curvature_tol=math.inf,
+            )
+            assert again == wit.value, (name, cond.name)
+
+
+# Measured peak of the check below: 9.8 MB, nearly all of it one chunk's
+# geometry (CHECK_CHUNK_POINTS points at about 76 kB each in 3-D); the
+# same check in a single batch peaks at about 26 MB.
+CHECK_3D_PEAK_BOUND_MB = 12.0
+
+
+def test_check_memory_is_bounded_by_one_chunk():
+    # 343 3-D points span three chunks; the peak stays that of one
+    metric = inline3d_metric()
+    spec = mtw.SamplingSpec(box=((-0.3, 0.3),) * 3, points_per_axis=7,
+                            directions=6, seed=42)
+    assert len(spec.points()) > mtw.CHECK_CHUNK_POINTS
+    mtw.check_a3w_necessary(metric, None, spec)  # plans built outside the trace
+    tracemalloc.start()
+    try:
+        mtw.check_a3w_necessary(metric, None, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHECK_3D_PEAK_BOUND_MB * 1e6
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=-2.8),
+       st.floats(min_value=-2.0, max_value=2.0))
+def test_check_verdicts_and_counts_invariant_under_metric_scaling(a, log_c):
+    # every threshold is relative, so scaling the metric by c moves no
+    # verdict and no evaluated count (witness points may flip between
+    # near-equal values, so they are not compared)
+    base = cf.conformal_metric(cf.ConformalSpec(a=a))
+    spec = _small_spec()
+    reports = [mtw.check_a3w_necessary(m, None, spec)
+               for m in (base, scale_metric(base, 10.0 ** log_c))]
+    v1, v2 = ([(c.name, c.passed, c.evaluated) for c in r.conditions]
+              for r in reports)
+    assert v1 == v2
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
