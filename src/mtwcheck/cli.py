@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -349,7 +350,7 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
+def _cmd_eval(cfg: RunConfig, given: set) -> int:
     metric = build_metric(cfg)
     pot = build_potential(cfg, metric.dim)
     x = _parse_vector(cfg.point, metric.dim, "--point")
@@ -361,7 +362,13 @@ def _cmd_eval(cfg: RunConfig) -> int:
     if method == "jacobi":
         ev = mtw.mtw_jacobi(metric, pot, x, u, v, w, h=cfg.fd_step, steps=cfg.steps)
     elif method == "direct-cost":
-        ev = mtw.mtw_direct_cost(metric, pot, x, u, v, w)
+        # the route keeps its own defaults unless the options are given
+        kw = {}
+        if "steps" in given:
+            kw["steps"] = cfg.steps
+        if "fd_step" in given:
+            kw["h_s"] = kw["h_t"] = cfg.fd_step
+        ev = mtw.mtw_direct_cost(metric, pot, x, u, v, w, **kw)
     elif method == "closed-form-0":
         if np.any(v != 0.0):
             raise UsageError("closed-form-0 is defined at v = 0; pass --v 0")
@@ -548,7 +555,6 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "eval": _cmd_eval,
     "check": _cmd_check,
     "cost": _cmd_cost,
     "geodesic": _cmd_geodesic,
@@ -575,9 +581,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential-expr", dest="potential_expr",
                    help="potential expression for --potential inline")
     p.add_argument("--quartic", help="quartic matrix, rows ';'-separated")
-    p.add_argument("--steps", type=int, help="integrator steps (default 200)")
+    p.add_argument("--steps", type=int,
+                   help="integrator steps (default 200; direct-cost 100)")
     p.add_argument("--fd-step", dest="fd_step", type=float,
-                   help="finite-difference step (default 1e-2)")
+                   help="finite-difference step (default 1e-2; direct-cost 0.1)")
     p.add_argument("--quad-panels", dest="quad_panels", type=int,
                    help="quadrature subintervals (default 1024)")
     p.add_argument("--seed", type=int, help="sampling seed (default 42)")
@@ -647,7 +654,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def make_config(args: argparse.Namespace) -> RunConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use: building it costs
+    more than a short command, and parsing leaves it unchanged."""
+    return build_parser()
+
+
+def make_config(args: argparse.Namespace, given: set | None = None) -> RunConfig:
+    """The run configuration from the config file and the flags; flags win.
+
+    The names of the options the file or the flags set are added to
+    ``given``.
+    """
     file_values = {}
     if getattr(args, "config", None):
         try:
@@ -660,6 +679,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     cfg = _config_from_mapping(
         {**file_values, "command": args.command}
     )
+    if given is not None:
+        given.update(key.replace("-", "_") for key in file_values)
     for f in dataclasses.fields(RunConfig):
         if f.name == "command":
             continue
@@ -671,6 +692,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if f.name == "param" and isinstance(val, list):
             val = ",".join(val)
         setattr(cfg, f.name, _coerce(f.name, val))
+        if given is not None:
+            given.add(f.name)
     return cfg
 
 
@@ -702,10 +725,12 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = _parser().parse_args(_merge_negative_values(list(argv)))
     try:
-        cfg = make_config(args)
+        given: set = set()
+        cfg = make_config(args, given)
+        if cfg.command == "eval":
+            return _cmd_eval(cfg, given)
         return _COMMANDS[cfg.command](cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

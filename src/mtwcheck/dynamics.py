@@ -9,16 +9,21 @@ fundamental-matrix superposition.  Everything is deterministic: fixed
 step counts, no adaptive control.
 
 The integrator advances a batch of curves ("lanes") at once: lane b
-starts at x0[b] with velocity v0[b], and every array of the coupled
-system carries the lanes on a trailing axis.  Each RK4 stage makes one
-call to a fused field evaluator, a function generated once per
+starts at x0[b] with velocity v0[b], and the state of the coupled
+system is one (B, size) array, a row per lane.  Each RK4 stage makes
+one call to a fused field evaluator, a function generated once per
 (metric, potential) by :func:`~mtwcheck.expr.batch_evaluator` that
 returns g, dg, d2g, V, dV and d2V at every lane with each shared
-subexpression computed once; the Christoffel symbols and the curvature
-then come from :mod:`geometry`'s formulas under a lane-batched einsum.
-The RK4 update is elementwise and every contraction sums in a fixed
-order, so a lane's result does not depend on the other lanes.  The
-stencils of the cross-curvature routes run as one batch each, the
+subexpression computed once.  The velocity then enters the Christoffel
+symbols of the first kind and their derivatives before the inverse
+metric lifts them (:func:`~mtwcheck.geometry._along_velocity`), so a
+stage forms Gamma v, Gamma(v, v) and the curvature operator R(., v) v
+without the full connection or curvature arrays, each product one
+batched matmul; the variation block then advances by one block matmul
+with the generator [[-Gamma v, I], [-R(., v) v - Hess V, -Gamma v]].
+The RK4 update is elementwise and a lane's products see the same
+operand layout whatever the lane count, so a lane's result is
+bit-identical to the curve integrated alone.  The stencils of the cross-curvature routes run as one batch each, the
 damped-Newton shoot steps every lane with its own line search, and the
 single-curve functions (:func:`c_exp`, :func:`cost`, ...) are one-lane
 calls into the same engine.  Quantities along a stored curve (energy,
@@ -37,7 +42,6 @@ verified numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -53,9 +57,8 @@ from .geometry import (
     GeometryJet,
     MetricField,
     PotentialField,
-    _christoffel_from,
-    _curvature_from,
-    _first_kind,
+    _along_velocity,
+    _first_kind_rows,
     as_point,
     mode_profile,
 )
@@ -81,43 +84,30 @@ SHOOT_INTEGRATION_BUDGET = 40
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _lane_subscripts(subscripts: str) -> str:
-    ins, out = subscripts.split("->")
-    return ",".join(f"{s}..." for s in ins.split(",")) + f"->{out}..."
-
-
-def _lane_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum`` with a trailing lane axis on every operand and on
-    the result.
-
-    Contractions are kept to two operands: einsum may reorder the sum
-    over several contracted indices by the operands' strides, which
-    change with the lane count, and a lane's result would then depend
-    on the batch it rides in.
-    """
-    return np.einsum(_lane_subscripts(subscripts), *operands)
-
-
 class _Fields(NamedTuple):
-    """Data entering the equations of motion; trailing lane axis."""
+    """Data entering the equations of motion at lanes b, lane axis leading."""
 
-    g: np.ndarray  # (n, n, B)
-    ginv: np.ndarray
-    gam: np.ndarray  # (n, n, n, B), Gamma^k_ij
-    rup: np.ndarray | None  # (n, n, n, n, B), needs need_curvature
-    grad: np.ndarray | None  # raised grad V, (n, B); None without potential
-    hess: np.ndarray | None  # raised Hessian operator of V, (n, n, B)
+    g: np.ndarray  # (B, n, n)
+    ginv: np.ndarray  # (B, n, n)
+    gam_v: np.ndarray  # (B, n, n), Gamma^k_ij v^i
+    gam_vv: np.ndarray  # (B, n), Gamma(v, v)
+    op: np.ndarray | None  # (B, n, n), R(., v) v + raised Hess V, with curvature
+    grad: np.ndarray | None  # raised grad V, (B, n); None without potential
     v: np.ndarray | float  # V, (B,); 0.0 without potential
 
 
 class _FieldEval:
-    """Metric, connection, curvature and potential data at a batch of points.
+    """Metric, connection, curvature and potential data along a batch of
+    velocities at a batch of points.
 
     One generated function returns every metric and potential partial
     the equations need; symmetric entries and commuted partials are the
-    same field objects and are evaluated once.  All-constant metrics
-    (flat charts) short-circuit to static data.
+    same field objects and, like equal constants, are evaluated once.
+    The connection and the curvature are returned contracted with the
+    velocity, which enters before the inverse metric lifts them (see
+    :func:`~mtwcheck.geometry._along_velocity`), so no stage forms the
+    full Christoffel or curvature arrays.  All-constant metrics (flat
+    charts) short-circuit to static data.
     """
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
@@ -132,9 +122,11 @@ class _FieldEval:
         slots: dict = {}
 
         def slot(f):
-            k = slots.get(id(f))
+            # equal constants (the zero partials) share one slot too
+            key = ("c", repr(f.tree[1])) if f.tree[0] == "c" else id(f)
+            k = slots.get(key)
             if k is None:
-                k = slots[id(f)] = len(fields)
+                k = slots[key] = len(fields)
                 fields.append(f)
             return k
 
@@ -150,69 +142,76 @@ class _FieldEval:
             g = np.array([[ents[i][j].tree[1] for j in R] for i in R])
             if np.linalg.eigvalsh(g)[0] <= 1e-10:
                 raise PreconditionError("constant metric is not positive definite")
-            self._g = g[..., None]
-            self._ginv = np.linalg.inv(g)[..., None]
-            self._gam = np.zeros((n, n, n, 1))
-            self._rup = np.zeros((n, n, n, n, 1))
+            self._g = g
+            self._ginv = np.linalg.inv(g)
         else:
-            self._g_ix = np.array([[slot(ents[i][j]) for j in R] for i in R])
-            self._dg_ix = np.array(
-                [[[slot(ents[i][j].partial(cnt(m))) for j in R] for i in R]
-                 for m in R]
+            g_ix = np.array([[slot(ents[i][j]) for j in R] for i in R])
+            # [0, m, i, j] = d_m g_ij and, with curvature, [1 + p, m, i, j]
+            # = d_p d_m g_ij: the layout _along_velocity expects
+            orders = [()] + ([(p,) for p in R] if need_curvature else [])
+            d_ix = np.array(
+                [[[[slot(ents[i][j].partial(cnt(m, *o))) for j in R] for i in R]
+                  for m in R] for o in orders]
             )
-            if need_curvature:
-                # [m, i, j, p]: the layout _first_kind expects, p riding along
-                self._d2g_ix = np.array(
-                    [[[[slot(ents[i][j].partial(cnt(p, m))) for p in R]
-                       for j in R] for i in R] for m in R]
-                )
 
         self.has_potential = potential is not None and not potential.is_zero
         if self.has_potential:
             vf = potential.field
-            self._v_ix = slot(vf)
-            self._dv_ix = np.array([slot(vf.partial(cnt(i))) for i in R])
-            self._d2v_ix = np.array(
-                [[slot(vf.partial(cnt(i, j))) for j in R] for i in R]
-            )
+            v_ix = np.array([slot(vf)])
+            dv_ix = np.array([slot(vf.partial(cnt(i))) for i in R])
+            d2v_ix = np.array([[slot(vf.partial(cnt(i, j))) for j in R] for i in R])
         self._fn = batch_evaluator(fields) if fields else None
 
-    def __call__(self, X: np.ndarray) -> _Fields:
-        """Field data at the points X[:, b], X of shape (n, B)."""
-        n, B = X.shape
-        vals = self._fn(X) if self._fn is not None else None
-        rup = None
+        # Everything a stage reads from the field values is linear in them:
+        # the entries of g, the first-kind symbols of dg and d2g (the
+        # formula applied to one-hot rows), and V, dV, d2V.  Row f of the
+        # map holds the coefficients of field f, so one matmul per lane
+        # gathers and combines them all.
+        def rows(ix):
+            return np.moveaxis(np.eye(len(fields))[ix], -1, 0)
+
+        blocks = []
+        if not self.static:
+            blocks += [rows(g_ix), _first_kind_rows(rows(d_ix))]
+        self._pot = sum(b[0].size for b in blocks)
+        if self.has_potential:
+            blocks += [rows(v_ix), rows(dv_ix), rows(d2v_ix)]
+        if blocks:
+            self._map = np.concatenate([b.reshape(len(fields), -1) for b in blocks],
+                                       axis=1)
+
+    def __call__(self, X: np.ndarray, V: np.ndarray) -> _Fields:
+        """Field data at the points X[b] along the velocities V[b], both (B, n)."""
+        B, n = X.shape
+        if self._fn is not None:
+            # contiguous rows whatever the lane count, so that every lane
+            # meets the same kernels (exp, sin, cos and the gemv below)
+            vals = np.ascontiguousarray(self._fn(np.ascontiguousarray(X.T)).T)
+            out = (vals[:, None, :] @ self._map)[:, 0]
         if self.static:
-            g = np.broadcast_to(self._g, (n, n, B))
-            ginv = np.broadcast_to(self._ginv, (n, n, B))
-            gam = np.broadcast_to(self._gam, (n, n, n, B))
-            if self.need_curvature:
-                rup = np.broadcast_to(self._rup, (n, n, n, n, B))
+            g = np.broadcast_to(self._g, (B, n, n))
+            ginv = np.broadcast_to(self._ginv, (B, n, n))
+            gam_v = np.zeros((B, n, n))
+            gam_vv = np.zeros((B, n))
+            op = np.zeros((B, n, n)) if self.need_curvature else None
         else:
-            g = vals[self._g_ix]
-            dg = vals[self._dg_ix]  # [m, i, j, b]
-            # contiguous along the lanes: einsum is slow on strided lanes
-            ginv = np.ascontiguousarray(
-                np.linalg.inv(g.transpose(2, 0, 1)).transpose(1, 2, 0))
-            gam = _christoffel_from(_lane_einsum, ginv, dg)
-            if self.need_curvature:
-                # product rule with d_p ginv = -ginv d_p g ginv:
-                # d_p Gamma^k_ij = ginv^km d_p T_ijm / 2 - ginv^ka d_p g_ab Gamma^b_ij
-                half_dT = _christoffel_from(_lane_einsum, ginv, vals[self._d2g_ix])
-                dgam = half_dT.transpose(3, 0, 1, 2, 4) - _lane_einsum(
-                    "pkb,bij->pkij", _lane_einsum("ka,pab->pkb", ginv, dg), gam)
-                rup = _curvature_from(_lane_einsum, gam, dgam)
+            g = out[:, 0: n * n].reshape(B, n, n)
+            ginv = np.linalg.inv(g)
+            C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
+            gam_v, gam_vv, op = _along_velocity(ginv, C, V, self.need_curvature)
 
         if not self.has_potential:
-            return _Fields(g, ginv, gam, rup, None, None, 0.0)
-        grad = vals[self._dv_ix]
-        hess_low = vals[self._d2v_ix] - _lane_einsum("kij,k->ij", gam, grad)
-        return _Fields(
-            g, ginv, gam, rup,
-            _lane_einsum("ij,j->i", ginv, grad),
-            _lane_einsum("ik,kj->ij", ginv, hess_low),
-            vals[self._v_ix],
-        )
+            return _Fields(g, ginv, gam_v, gam_vv, op, None, 0.0)
+        pot = out[:, self._pot:]  # [V, dV, d2V]
+        grad = (ginv @ pot[:, 1: n + 1, None])[..., 0]
+        if op is not None:
+            # Hess V_ij = d_i d_j V - Gamma^m_ij d_m V = d_i d_j V - C_ij,m grad^m
+            hess = pot[:, n + 1:].reshape(B, n, n)
+            if not self.static:
+                hess = hess - (grad[:, None, :] @ C[:, 0].reshape(B, n, n * n)
+                               ).reshape(B, n, n)
+            op = op + ginv @ hess
+        return _Fields(g, ginv, gam_v, gam_vv, op, grad, pot[:, 0])
 
 
 # Evaluators of the most recently used (metric, potential, curvature)
@@ -228,8 +227,8 @@ def _evaluator(metric: MetricField, potential: PotentialField | None,
 
 
 def _quadratic(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """<vecs[k], vecs[k]> under g at grid point k; vecs (K, n), g (n, n, K)."""
-    return _lane_einsum("i,i->", vecs.T, _lane_einsum("ij,j->i", g, vecs.T))
+    """<vecs[k], vecs[k]> under g[k]; vecs (K, n), g (K, n, n)."""
+    return (vecs[:, None, :] @ (g @ vecs[:, :, None]))[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,8 @@ class CurvePath:
 
     def energy(self) -> np.ndarray:
         """Conserved quantity 0.5 |dγ|^2 + V along the grid."""
-        f = _evaluator(self.metric, self.potential, need_curvature=False)(self.pos.T)
+        f = _evaluator(self.metric, self.potential, need_curvature=False)(
+            self.pos, self.vel)
         return 0.5 * _quadratic(self.vel, f.g) + f.v
 
     def energy_drift(self) -> float:
@@ -273,7 +273,8 @@ class ParallelFrame:
     vectors: np.ndarray  # (steps+1, n)
 
     def norm_drift(self) -> float:
-        g = _evaluator(self.path.metric, None, need_curvature=False)(self.path.pos.T).g
+        g = _evaluator(self.path.metric, None, need_curvature=False)(
+            self.path.pos, self.path.vel).g
         norms = np.sqrt(_quadratic(self.vectors, g))
         return float(np.max(np.abs(norms - norms[0])) / max(1.0, norms[0]))
 
@@ -311,13 +312,18 @@ def _integrate(
     """RK4 integration of the coupled curve / transport / variation system.
 
     ``x0`` and ``v0`` are (B, n): one lane per row.  Returns the final
-    state of shape (size, B), the stored states (steps+1, size, B) or
-    None, and the offset of the variation block in the state.
+    state of shape (B, size), the stored states (steps+1, B, size) or
+    None, and the offset of the variation block in a lane's state.
 
-    variation="full" evolves the 2n x 2n fundamental matrix of the
-    linearized flow (positions and covariant derivatives); "velocity"
-    evolves only the n columns seeded by initial covariant-derivative
-    perturbations, which is the endpoint Jacobian needed for shooting.
+    A lane's state is [x, v, Psi, Phi]: Psi (n x n, with ``transport``)
+    transports a frame, and Phi (2n x ncols) stacks the position and
+    covariant-derivative rows [J; P] of the linearized flow, whose
+    right-hand side is one matmul with the generator
+    [[-Gv, I], [-op, -Gv]], op = R(., v) v + raised Hess V.
+    variation="full" evolves the whole 2n x 2n fundamental matrix;
+    "velocity" evolves only the n columns seeded by initial
+    covariant-derivative perturbations, which is the endpoint Jacobian
+    needed for shooting.
     """
     n = metric.dim
     x0 = np.asarray(x0, dtype=float)
@@ -335,49 +341,41 @@ def _integrate(
         raise ValueError(f"unknown variation mode {variation!r}")
     ev = _evaluator(metric, potential, variation is not None)
 
-    size = 2 * n + (n * n if transport else 0) + 2 * n * ncols
-    y = np.zeros((size, lanes))
-    y[0:n] = x0.T
-    y[n: 2 * n] = v0.T
-    off = 2 * n
+    voff = 2 * n + (n * n if transport else 0)
+    size = voff + 2 * n * ncols
+    y = np.zeros((lanes, size))
+    y[:, 0:n] = x0
+    y[:, n: 2 * n] = v0
     if transport:
-        y[off: off + n * n] = np.eye(n).reshape(-1, 1)
-        off += n * n
-    voff = off
+        y[:, 2 * n: voff] = np.eye(n).ravel()
     if ncols:
         # "full" seeds every column, "velocity" the derivative columns
-        y[voff:] = np.eye(2 * n)[:, 2 * n - ncols:].reshape(-1, 1)
+        y[:, voff:] = np.eye(2 * n)[:, 2 * n - ncols:].ravel()
+        gen = np.zeros((lanes, 2 * n, 2 * n))
+        gen[:, 0:n, n:] = np.eye(n)
 
+    # The blocks are views into each lane's row, laid out alike within a
+    # lane whatever the lane count (see geometry._along_velocity).
     def rhs(state: np.ndarray) -> np.ndarray:
-        x = state[0:n]
-        v = state[n: 2 * n]
-        f = ev(x)
-        Gv = _lane_einsum("kij,i->kj", f.gam, v)
-        acc = -_lane_einsum("kj,j->k", Gv, v)
+        v = state[:, n: 2 * n]
+        f = ev(state[:, 0:n], v)
+        acc = -f.gam_vv
         if f.grad is not None:
             acc = acc - f.grad
-        out = np.empty_like(state)
-        out[0:n] = v
-        out[n: 2 * n] = acc
-        o = 2 * n
+        parts = [v, acc]
         if transport:
-            Psi = state[o: o + n * n].reshape(n, n, lanes)
-            out[o: o + n * n] = -_lane_einsum("kj,jc->kc", Gv, Psi).reshape(-1, lanes)
-            o += n * n
+            Psi = state[:, 2 * n: voff].reshape(lanes, n, n)
+            parts.append(-(f.gam_v @ Psi).reshape(lanes, -1))
         if ncols:
-            # Phi = [J; P]: J' = P - Gv J, P' = -M J - Gv P
-            Phi = state[o:].reshape(2, n, ncols, lanes)
-            M = _lane_einsum("lij,i->lj", _lane_einsum("lijk,k->lij", f.rup, v), v)
-            if f.hess is not None:
-                M = M + f.hess
-            GvPhi = _lane_einsum("kj,sjc->skc", Gv, Phi)
-            dPhi = out[o:].reshape(2, n, ncols, lanes)
-            dPhi[0] = Phi[1] - GvPhi[0]
-            dPhi[1] = -_lane_einsum("lj,jc->lc", M, Phi[0]) - GvPhi[1]
-        return out
+            np.negative(f.gam_v, out=gen[:, 0:n, 0:n])
+            gen[:, n:, n:] = gen[:, 0:n, 0:n]
+            np.negative(f.op, out=gen[:, n:, 0:n])
+            Phi = state[:, voff:].reshape(lanes, 2 * n, ncols)
+            parts.append((gen @ Phi).reshape(lanes, -1))
+        return np.concatenate(parts, axis=1)
 
     h = 1.0 / steps
-    traj = np.empty((steps + 1, size, lanes)) if store else None
+    traj = np.empty((steps + 1, lanes, size)) if store else None
     if store:
         traj[0] = y
     for k in range(steps):
@@ -427,13 +425,13 @@ def least_action_curve(
 ) -> CurvePath:
     """Critical curve of the action from ``x`` with initial velocity ``v0``."""
     _, traj, _ = _integrate(metric, potential, *_one_lane(x, v0), steps, store=True)
-    return _unpack_path(metric, potential, x, v0, steps, traj[..., 0])
+    return _unpack_path(metric, potential, x, v0, steps, traj[:, 0])
 
 
 def _endpoints(metric, potential, X, V, steps) -> np.ndarray:
     """Unit-time endpoints of the lanes with starts X and velocities V, (B, n)."""
     y, _, _ = _integrate(metric, potential, X, V, steps)
-    return y[0: metric.dim].T.copy()
+    return y[:, 0: metric.dim].copy()
 
 
 def c_exp(
@@ -455,7 +453,7 @@ def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
         path.metric, path.potential, *_one_lane(path.x0, path.v0), path.steps,
         transport=True, store=True,
     )
-    Psi = traj[:, 2 * n: 2 * n + n * n, 0].reshape(-1, n, n)
+    Psi = traj[:, 0, 2 * n: 2 * n + n * n].reshape(-1, n, n)
     return ParallelFrame(path=path, u0=u, vectors=Psi @ u)
 
 
@@ -485,7 +483,7 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
         variation="full", store=True,
     )
     J, dJ = _two_point_field(
-        traj[:, voff:, 0].reshape(-1, 2 * n, 2 * n), u,
+        traj[:, 0, voff:].reshape(-1, 2 * n, 2 * n), u,
         "endpoint variation block is numerically singular "
         "(conjugate point on the curve)",
     )
@@ -503,14 +501,9 @@ def jacobi_residual(sol: JacobiSolution) -> float:
     k = np.arange(2, path.steps - 1)
     dJ = sol.dJ
     ddJ = (-dJ[k + 2] + 8 * dJ[k + 1] - 8 * dJ[k - 1] + dJ[k - 2]) / (12 * h)
-    f = _evaluator(path.metric, path.potential, need_curvature=True)(path.pos[k].T)
-    v, J = path.vel[k].T, sol.J[k].T
-    Gv = _lane_einsum("kij,i->kj", f.gam, v)
-    RvJ = _lane_einsum("lij,j->li", _lane_einsum("lijk,k->lij", f.rup, v), J)
-    res = (ddJ.T + _lane_einsum("kj,j->k", Gv, dJ[k].T)
-           + _lane_einsum("li,i->l", RvJ, v))
-    if f.hess is not None:
-        res = res + _lane_einsum("lj,j->l", f.hess, J)
+    f = _evaluator(path.metric, path.potential, need_curvature=True)(
+        path.pos[k], path.vel[k])
+    res = ddJ + ((f.gam_v @ dJ[k][..., None]) + (f.op @ sol.J[k][..., None]))[..., 0]
     return float(np.max(np.abs(res), initial=0.0))
 
 
@@ -534,7 +527,7 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     trial steps integrate the curve alone, and the one accepted is
     integrated again with the Jacobian (the curve part of both runs is
     the same computation).  Returns (velocities, Newton iterations,
-    endpoint errors, curves), the curves (steps+1, 2n, B) being the
+    endpoint errors, curves), the curves (steps+1, B, 2n) being the
     positions and velocities of each lane's last accepted integration.
     """
     n = metric.dim
@@ -555,8 +548,8 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
             return _endpoints(metric, potential, X[lanes], Vl, steps), None, None
         y, traj, voff = _integrate(metric, potential, X[lanes], Vl, steps,
                                    variation="velocity", store=True)
-        jac = y[voff:].reshape(2 * n, n, -1)[0:n].transpose(2, 0, 1)
-        return y[0:n].T, jac, traj[:, 0: 2 * n]
+        jac = y[:, voff:].reshape(-1, 2 * n, n)[:, 0:n]
+        return y[:, 0:n], jac, traj[:, :, 0: 2 * n]
 
     end, jac, curves = integrate(np.arange(len(X)), V)
     err = np.linalg.norm(end - Y, axis=1)
@@ -585,12 +578,12 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
                     end_new, jac_new, curves_new = integrate(done, v_new[ok])
                 else:
                     end_new, jac_new, curves_new = (
-                        end_new[ok], jac_new[ok], curves_new[..., ok])
+                        end_new[ok], jac_new[ok], curves_new[:, ok])
                 weak = err_new[ok] > STAGNATION_RATIO * err[done]
                 strikes[done] = np.where(weak, strikes[done] + 1, 0)
                 V[done], end[done], jac[done], err[done] = (
                     v_new[ok], end_new, jac_new, err_new[ok])
-                curves[..., done] = curves_new
+                curves[:, done] = curves_new
                 iters[done] = it
             search = search[~ok]
             lam *= 0.5
@@ -657,11 +650,10 @@ def _costs(
     n = metric.dim
     V, iters, err, curves = _shoot(metric, potential, X, Y, steps, tol,
                                    max_iter, V_init)
-    pos = curves[:, 0:n].transpose(1, 0, 2)  # (n, steps+1, B)
-    vel = curves[:, n: 2 * n].transpose(1, 0, 2)
-    f = _evaluator(metric, potential, need_curvature=False)(pos.reshape(n, -1))
-    grid = pos.shape[1:]
-    lag = (0.5 * _quadratic(vel.reshape(n, -1).T, f.g) - f.v).reshape(grid)
+    pos = curves[:, :, 0:n].reshape(-1, n)  # grid points, lanes inner
+    vel = curves[:, :, n: 2 * n].reshape(-1, n)
+    f = _evaluator(metric, potential, need_curvature=False)(pos, vel)
+    lag = (0.5 * _quadratic(vel, f.g) - f.v).reshape(curves.shape[:2])
     values = _simpson(lag, 1.0 / steps)
     return [
         CostResult(
@@ -669,7 +661,7 @@ def _costs(
             initial_velocity=V[b],
             iterations=int(iters[b]),
             endpoint_error=float(err[b]),
-            path=_unpack_path(metric, potential, X[b], V[b], steps, curves[..., b]),
+            path=_unpack_path(metric, potential, X[b], V[b], steps, curves[:, b]),
         )
         for b in range(len(V))
     ]
@@ -777,7 +769,7 @@ def variation_family(
         transport=True, variation="full", store=True,
     )
     for b, (i, j, s, t) in enumerate(grid):
-        lane = traj[..., b]
+        lane = traj[:, b]
         Psi = lane[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
         J, dJ = _two_point_field(lane[:, voff:].reshape(-1, 2 * n, 2 * n), u,
                                  "conjugate point inside a variation family member")

@@ -16,10 +16,13 @@ consistent; the sphere oracle in the test suite pins the sign.
 
 Derivative strategy: the Christoffel formula and the curvature formula
 are written once, in :func:`_christoffel_from` and
-:func:`_curvature_from`, with the tensor product passed in.
-``dynamics`` evaluates them on batches of point values with
-``np.einsum``, the batch riding along as a trailing axis (the metric
-partials come from exact expression-tree differentiation);
+:func:`_curvature_from`, with the tensor product passed in.  The
+trajectory engine in ``dynamics`` needs them only along a velocity v,
+so :func:`_along_velocity` writes the same formulas with v contracted
+in before the inverse metric lifts them (Gamma v, Gamma(v, v) and
+R(., v) v, in the same sign convention; the tests pin it against
+:func:`_curvature_from`), on point values of the metric partials from
+exact expression-tree differentiation at a batch of lanes;
 :class:`GeometryBatch` evaluates them on truncated Taylor jets at a
 batch of points with :func:`~mtwcheck.jets.jcontract`, which
 differentiates the whole pipeline exactly, so covariant derivatives of
@@ -247,6 +250,57 @@ def _curvature_from(product, gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
         + product("ljm,mik->lijk", gam, gam)
         - product("lim,mjk->lijk", gam, gam)
     )
+
+
+# The same formulas contracted with a velocity at a batch of lanes, the
+# lane axis leading.  Each product is one batched matmul.  NumPy picks a
+# matmul kernel from the strides inside each lane's operand, so every
+# operand is laid out alike within a lane whatever the lane count, and
+# a lane's result does not depend on the batch it rides in.
+
+
+def _first_kind_rows(dg: np.ndarray) -> np.ndarray:
+    """C[..., m, i, j] = T_ijm / 2 (:func:`_first_kind`), the Christoffel
+    symbols of the first kind, from dg[..., m, i, j] with batch axes
+    leading: row m is symmetric in (i, j)."""
+    last = (-3, -2, -1)
+    T = _first_kind(np.moveaxis(dg, last, (0, 1, 2)))
+    return 0.5 * np.moveaxis(T, (2, 0, 1), last)
+
+
+def _along_velocity(ginv: np.ndarray, C: np.ndarray, v: np.ndarray,
+                    curvature: bool):
+    """Connection and curvature contracted with v at every lane b.
+
+    ``C[b, 0]`` is :func:`_first_kind_rows` of dg at lane b and, with
+    ``curvature``, ``C[b, 1 + p]`` its d_p (of d2g[b, p] = d_p dg).
+    Returns Gv[b, k, j] = Gamma^k_ij v^i, Gamma(v, v)[b, k] and
+    M[b, l, j] = Rup[l, i, j, k] v^i v^k, which is :func:`_curvature_from`
+    contracted with v in its first and last slots (R(J, v) v = M J), or
+    None.  v enters the lowered symbols before g^-1 lifts them:
+
+        M = g^-1 [ K v + Cv^T Gv - C(Gvv) ],
+
+    Cv[m, i] = C_ij,m v^j, C(Gvv)[j, m] = C_jm,a Gvv^a, and
+    K[m, j, i] = L[j, m, i] - L[i, m, j] with L[p, m, i] = d_p C_ij,m v^j.
+    K v holds the two derivative terms of the formula, and the product
+    rule's d_v g = Cv + Cv^T folds its quadratic terms into the other two.
+    """
+    lanes, n = v.shape
+    vc = v[:, :, None]
+    r = C.reshape(lanes, -1, n) @ vc
+    cv = r[:, : n * n].reshape(lanes, n, n)
+    gv = ginv @ cv
+    gvv = gv @ vc
+    if not curvature:
+        return gv, gvv[..., 0], None
+    L = r[:, n * n:].reshape(lanes, n, n, n).swapaxes(-3, -2)
+    K = L - L.swapaxes(-1, -2)
+    low = ((K.reshape(lanes, n * n, n) @ vc).reshape(lanes, n, n)
+           + cv.swapaxes(-1, -2) @ gv
+           - (gvv.swapaxes(-1, -2) @ C[:, 0].reshape(lanes, n, n * n)
+              ).reshape(lanes, n, n))
+    return gv, gvv[..., 0], ginv @ low
 
 
 def christoffel(metric: MetricField, x: Sequence[float]) -> np.ndarray:

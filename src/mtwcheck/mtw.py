@@ -90,26 +90,44 @@ class MtwEvaluation:
 # ---------------------------------------------------------------------------
 
 
-def _variation_pairings(metric, potential, x, u, V0, steps) -> np.ndarray:
-    """<u, covariant d/dtau J(0)> for the two-point variation field J
-    along each curve from x with an initial velocity in the rows of V0.
+def _variation_pairings(metric, potential, X, U, V0, steps) -> np.ndarray:
+    """<U[b], covariant d/dtau J_b(0)> for the two-point variation field
+    J_b along the curve from X[b] with initial velocity V0[b].
 
-    J solves the linearized flow along the least-action curve, with
-    J(0) = u and J(1) = 0.  Both vectors live at x, so the pairing needs
-    no transport.  The curves are integrated as one batch.
+    J_b solves the linearized flow along the least-action curve, with
+    J_b(0) = U[b] and J_b(1) = 0.  Both vectors live at X[b], so the
+    pairing needs no transport.  The curves are integrated as one batch,
+    and each lane's value is the one it has alone.
     """
     n = metric.dim
-    state, _, voff = dyn._integrate(
-        metric, potential, np.tile(x, (len(V0), 1)), V0, steps, variation="full"
-    )
-    Phi = state[voff:].reshape(2 * n, 2 * n, -1).transpose(2, 0, 1)
+    X = np.asarray(X, dtype=float)
+    U = np.asarray(U, dtype=float)
+    state, _, voff = dyn._integrate(metric, potential, X, V0, steps, variation="full")
+    Phi = state[:, voff:].reshape(-1, 2 * n, 2 * n)
     B = Phi[:, 0:n, n:]
     if np.any(np.linalg.cond(B) > dyn.CONJUGATE_COND_LIMIT):
         raise dyn.ConjugatePointError(
             "conjugate point while evaluating the two-point variation pairing"
         )
-    P0 = -np.linalg.solve(B, (Phi[:, 0:n, 0:n] @ u)[..., None])[..., 0]
-    return P0 @ (metric.matrix(x) @ u)
+    P0 = -np.linalg.solve(B, Phi[:, 0:n, 0:n] @ U[:, :, None])[..., 0]
+    gU = np.array([metric.matrix(x) @ u for x, u in zip(X, U)])
+    return (P0[:, None, :] @ gU[:, :, None])[:, 0, 0]
+
+
+# The five-point stencil of the jacobi route: velocities v + k h w.
+JACOBI_OFFSETS = (-2, -1, 0, 1, 2)
+
+
+def _jacobi_stencil(v, w, h) -> np.ndarray:
+    return np.array([v + (k * h) * w for k in JACOBI_OFFSETS])
+
+
+def _jacobi_value(pairings, h) -> tuple[float, float]:
+    """Richardson value and defect of 3/2 F'' from F on the stencil."""
+    F = dict(zip(JACOBI_OFFSETS, pairings.tolist()))
+    d_h = (F[1] - 2.0 * F[0] + F[-1]) / h**2
+    d_2h = (F[2] - 2.0 * F[0] + F[-2]) / (4.0 * h**2)
+    return 1.5 * (4.0 * d_h - d_2h) / 3.0, 1.5 * abs(d_h - d_2h) / 3.0
 
 
 def mtw_jacobi(
@@ -133,14 +151,10 @@ def mtw_jacobi(
     u = as_point(u)
     v = as_point(v)
     w = as_point(w)
-    ks = (-2, -1, 0, 1, 2)
-    F = dict(zip(ks, _variation_pairings(
-        metric, potential, x, u, np.array([v + (k * h) * w for k in ks]), steps
-    ).tolist()))
-    d_h = (F[1] - 2.0 * F[0] + F[-1]) / h**2
-    d_2h = (F[2] - 2.0 * F[0] + F[-2]) / (4.0 * h**2)
-    value = 1.5 * (4.0 * d_h - d_2h) / 3.0
-    err = 1.5 * abs(d_h - d_2h) / 3.0
+    k = len(JACOBI_OFFSETS)
+    value, err = _jacobi_value(_variation_pairings(
+        metric, potential, np.tile(x, (k, 1)), np.tile(u, (k, 1)),
+        _jacobi_stencil(v, w, h), steps), h)
     return MtwEvaluation(
         x=x, u=u, v=v, w=w, method="jacobi", value=value,
         h_s=h, steps=steps, error_estimate=err,
@@ -680,13 +694,31 @@ def calibrate_normalization(
     be injected for testing the failure path.
     """
     if cases is None:
-        built = []
-        for label, metric, pot, x, u, w in _default_calibration_inputs():
-            jac = mtw_jacobi(metric, pot, x, u, np.zeros(metric.dim), w,
-                             h=h, steps=steps).value
-            closed = mtw_zeroth_simplified(metric, pot, x, u, w)
-            built.append(CalibrationCase(label, jac, closed))
-        cases = built
+        inputs = _default_calibration_inputs()
+        # the cases sharing a (metric, potential) run as one batch of
+        # lanes; each keeps the value mtw_jacobi gives it alone
+        groups: dict = {}
+        for case in inputs:
+            groups.setdefault((id(case[1]), id(case[2])), []).append(case)
+        k = len(JACOBI_OFFSETS)
+        jac = {}
+        for group in groups.values():
+            _, metric, pot, *_ = group[0]
+            F = _variation_pairings(
+                metric, pot,
+                np.repeat([c[3] for c in group], k, axis=0),
+                np.repeat([c[4] for c in group], k, axis=0),
+                np.concatenate([_jacobi_stencil(np.zeros(metric.dim), c[5], h)
+                                for c in group]),
+                steps,
+            )
+            for case, pairings in zip(group, F.reshape(len(group), k)):
+                jac[case[0]] = _jacobi_value(pairings, h)[0]
+        cases = [
+            CalibrationCase(label, jac[label],
+                            mtw_zeroth_simplified(metric, pot, x, u, w))
+            for label, metric, pot, x, u, w in inputs
+        ]
     return fit_kappa(cases)
 
 

@@ -21,6 +21,7 @@ from mtwcheck.cli import (
     _parse_region,
     _parse_vector,
 )
+from mtwcheck.geometry import euclidean_metric, quartic_potential
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +160,36 @@ def test_eval_sphere_json_fields(capsys):
     assert doc["config"]["seed"] == 42
 
 
+def test_eval_direct_cost_honours_steps_and_fd_step(capsys, tmp_path):
+    from mtwcheck import mtw
+
+    base = ["eval", "--metric", "euclidean2", "--potential", "quartic",
+            "--quartic", "1,0.2;0.2,0.8", "--point", "0,0", "--u", "1,0",
+            "--v", "0", "--w", "0,1", "--method", "direct-cost"]
+
+    def result(*extra):
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == 0
+        return json.loads(out)["results"][0]
+
+    # without the options the route keeps its own defaults, not the CLI's
+    r = result()
+    assert (r["steps"], r["h_s"], r["h_t"]) == (
+        mtw.DIRECT_COST_STEPS, mtw.DIRECT_COST_STEP, mtw.DIRECT_COST_STEP)
+    r = result("--steps", "60", "--fd-step", "0.05")
+    assert (r["steps"], r["h_s"], r["h_t"]) == (60, 0.05, 0.05)
+    want = mtw.mtw_direct_cost(
+        euclidean_metric(2), quartic_potential(np.array([[1.0, 0.2], [0.2, 0.8]])),
+        [0, 0], [1, 0], [0, 0], [0, 1], h_s=0.05, h_t=0.05, steps=60)
+    assert r["value"] == want.value
+    # a value equal to the CLI default still counts when given, also from
+    # a config file
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("fd-step = 0.01\n")
+    r = result("--config", str(cfg_file))
+    assert (r["steps"], r["h_s"]) == (mtw.DIRECT_COST_STEPS, 0.01)
+
+
 def test_eval_closed_form_requires_zero_v(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--metric", "sphere2", "--point", "1.5,0.2",
@@ -278,6 +309,34 @@ def test_reports_byte_identical(tmp_path):
     out.unlink()
     assert main(list(argv)) == 1
     assert out.read_bytes() == first
+
+
+def test_repeated_main_calls_reuse_one_parser(capsys):
+    # main builds its parser once per process and parsing leaves it as
+    # it was, so a command gives the same report before and after others
+    from mtwcheck import cli
+
+    check = ["check", "--metric", "conformal2d", "--param", "a=-3.5",
+             "--region", "-0.2,0.2", "--samples", "4", "--points-per-axis", "3"]
+    first = run_cli(capsys, *check)
+    run_cli(capsys, "cost", "--metric", "euclidean2", "--point", "0,0",
+            "--target", "0.6,0.8", "--steps", "20")
+    run_cli(capsys, "check", "--metric", "nosuch", "--region", "0,1")
+    with pytest.raises(SystemExit):
+        main(["check", "--no-such-flag"])
+    capsys.readouterr()
+    assert run_cli(capsys, *check) == first
+    assert cli._parser() is cli._parser()
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(mtwcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import mtwcheck.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_timings_flag_breaks_no_fields(capsys):

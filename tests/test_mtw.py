@@ -98,6 +98,19 @@ def test_calibration_constant_is_one():
     assert len(res.cases) >= 4
 
 
+def test_calibration_batches_match_per_case_jacobi():
+    # the default cases sharing a metric and potential run as one batch
+    # (the three sphere cases as 15 lanes); each case must keep the value
+    # mtw_jacobi gives it alone, bit for bit
+    res = mtw.calibrate_normalization(h=2e-2, steps=40)
+    inputs = mtw._default_calibration_inputs()
+    assert [c.label for c in res.cases] == [i[0] for i in inputs]
+    for case, (_, metric, pot, x, u, w) in zip(res.cases, inputs):
+        alone = mtw.mtw_jacobi(metric, pot, x, u, np.zeros(metric.dim), w,
+                               h=2e-2, steps=40)
+        assert case.jacobi_value == alone.value, case.label
+
+
 def test_inconsistent_calibration_rejected():
     cases = [
         mtw.CalibrationCase("fake-a", jacobi_value=0.9, closed_value=1.0),
