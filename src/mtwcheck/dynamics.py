@@ -10,25 +10,32 @@ step counts, no adaptive control.
 
 The integrator advances a batch of curves ("lanes") at once: lane b
 starts at x0[b] with velocity v0[b], and the state of the coupled
-system is one (B, size) array, a row per lane.  Each RK4 stage makes
-one call to a fused field evaluator, a function generated once per
-(metric, potential) by :func:`~mtwcheck.expr.batch_evaluator` that
-returns g, dg, d2g, V, dV and d2V at every lane with each shared
-subexpression computed once.  The velocity then enters the Christoffel
-symbols of the first kind and their derivatives before the inverse
-metric lifts them (:func:`~mtwcheck.geometry._along_velocity`), so a
+system is one (B, size) array, a row per lane.  The metric must be
+positive definite at every start point, and a stage whose metric cannot
+be inverted raises :class:`~mtwcheck.errors.MetricDegenerateError`,
+the error of the geometry pipeline.  Each RK4 stage makes one call to a
+fused field evaluator, built once per (metric, potential) on a
+:class:`~mtwcheck.expr.TaylorPlan`, the evaluator of the geometry jets,
+that returns g, dg, d2g, V, dV and d2V at every lane with each distinct
+partial and shared subexpression computed once.  The velocity then
+enters the Christoffel symbols of the first kind and their derivatives
+before the inverse metric lifts them (:func:`~mtwcheck.geometry._along_velocity`), so a
 stage forms Gamma v, Gamma(v, v) and the curvature operator R(., v) v
 without the full connection or curvature arrays, each product one
 batched matmul; the variation block then advances by one block matmul
 with the generator [[-Gamma v, I], [-R(., v) v - Hess V, -Gamma v]].
 The RK4 update is elementwise and a lane's products see the same
 operand layout whatever the lane count, so a lane's result is
-bit-identical to the curve integrated alone.  The stencils of the cross-curvature routes run as one batch each, the
-damped-Newton shoot steps every lane with its own line search, and the
-single-curve functions (:func:`c_exp`, :func:`cost`, ...) are one-lane
-calls into the same engine.  Quantities along a stored curve (energy,
-transported norms, the variation residual, the action) are one
-evaluator call over all grid points.
+bit-identical to the curve integrated alone.  The stencils of the
+cross-curvature routes run as one batch each, the damped-Newton shoot
+steps every lane with its own line search, and the single-curve
+functions (:func:`c_exp`, :func:`cost`, ...) are one-lane calls into
+the same engine.  Quantities along a stored curve (energy, transported
+norms, the variation residual, the action) are one evaluator call over
+all grid points.  Every two-point variation field, of one curve or a
+batch, comes from one endpoint solve (:func:`_endpoint_solve`), and the
+action integral here and the closed-form zeroth-order quadrature of
+:mod:`mtwcheck.mtw` share one rule (:func:`simpson`).
 
 A variation family bundles curves over an (s, t) grid of initial
 velocities t*v + s*w around a common start point, together with the
@@ -52,7 +59,7 @@ from .errors import (
     PreconditionError,
     ShootingError,
 )
-from .expr import RecentCache, batch_evaluator
+from .expr import RecentCache, TaylorPlan
 from .geometry import (
     GeometryJet,
     MetricField,
@@ -61,7 +68,9 @@ from .geometry import (
     _first_kind_rows,
     as_point,
     mode_profile,
+    require_positive_definite,
 )
+from .jets import JetSpace
 
 # Condition-number ceiling beyond which the endpoint variation block is
 # treated as singular (conjugate endpoint).
@@ -100,14 +109,13 @@ class _FieldEval:
     """Metric, connection, curvature and potential data along a batch of
     velocities at a batch of points.
 
-    One generated function returns every metric and potential partial
-    the equations need; symmetric entries and commuted partials are the
-    same field objects and, like equal constants, are evaluated once.
-    The connection and the curvature are returned contracted with the
-    velocity, which enters before the inverse metric lifts them (see
-    :func:`~mtwcheck.geometry._along_velocity`), so no stage forms the
-    full Christoffel or curvature arrays.  All-constant metrics (flat
-    charts) short-circuit to static data.
+    One :class:`~mtwcheck.expr.TaylorPlan` of the metric entries and the
+    potential returns every partial the equations need, each distinct
+    partial once.  The connection and the curvature are returned
+    contracted with the velocity, which enters before the inverse metric
+    lifts them (see :func:`~mtwcheck.geometry._along_velocity`), so no
+    stage forms the full Christoffel or curvature arrays.  All-constant
+    metrics (flat charts) short-circuit to static data.
     """
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
@@ -118,75 +126,52 @@ class _FieldEval:
         n = metric.dim
         self.n = n
         ents = metric.entries
-        fields: list = []
-        slots: dict = {}
-
-        def slot(f):
-            # equal constants (the zero partials) share one slot too
-            key = ("c", repr(f.tree[1])) if f.tree[0] == "c" else id(f)
-            k = slots.get(key)
-            if k is None:
-                k = slots[key] = len(fields)
-                fields.append(f)
-            return k
-
-        def cnt(*dirs):
-            c = [0] * n
-            for d in dirs:
-                c[d] += 1
-            return tuple(c)
-
         R = range(n)
         self.static = all(ents[i][j].tree[0] == "c" for i in R for j in R)
-        if self.static:
-            g = np.array([[ents[i][j].tree[1] for j in R] for i in R])
-            if np.linalg.eigvalsh(g)[0] <= 1e-10:
-                raise PreconditionError("constant metric is not positive definite")
-            self._g = g
-            self._ginv = np.linalg.inv(g)
-        else:
-            g_ix = np.array([[slot(ents[i][j]) for j in R] for i in R])
-            # [0, m, i, j] = d_m g_ij and, with curvature, [1 + p, m, i, j]
-            # = d_p d_m g_ij: the layout _along_velocity expects
-            orders = [()] + ([(p,) for p in R] if need_curvature else [])
-            d_ix = np.array(
-                [[[[slot(ents[i][j].partial(cnt(m, *o))) for j in R] for i in R]
-                  for m in R] for o in orders]
-            )
-
         self.has_potential = potential is not None and not potential.is_zero
+        fields = [ents[i][j] for i in R for j in R]
         if self.has_potential:
-            vf = potential.field
-            v_ix = np.array([slot(vf)])
-            dv_ix = np.array([slot(vf.partial(cnt(i))) for i in R])
-            d2v_ix = np.array([[slot(vf.partial(cnt(i, j))) for j in R] for i in R])
-        self._fn = batch_evaluator(fields) if fields else None
+            fields.append(potential.field)
+        space = JetSpace.get(n, 2 if need_curvature else 1)
+        self._plan = TaylorPlan(fields, space)
+        # per field, the plan's rows of its value, of d_m for each m and,
+        # with curvature, of d_p d_m for each (p, m)
+        e = np.eye(n, dtype=int)
+        monos = [0 * e[0], *e] + [p + m for p in e for m in e if need_curvature]
+        part = self._plan.rows[:, [space.index[tuple(m)] for m in monos]]
 
         # Everything a stage reads from the field values is linear in them:
-        # the entries of g, the first-kind symbols of dg and d2g (the
-        # formula applied to one-hot rows), and V, dV, d2V.  Row f of the
-        # map holds the coefficients of field f, so one matmul per lane
-        # gathers and combines them all.
+        # the entries of g, the first-kind symbols of dg and, with
+        # curvature, of d2g (the formula applied to one-hot rows), and V,
+        # dV, d2V.  Row r of the map holds the coefficients of the plan's
+        # value r, so one matmul per lane gathers and combines them all.
         def rows(ix):
-            return np.moveaxis(np.eye(len(fields))[ix], -1, 0)
+            return np.moveaxis(np.eye(self._plan.distinct)[ix], -1, 0)
 
         blocks = []
-        if not self.static:
-            blocks += [rows(g_ix), _first_kind_rows(rows(d_ix))]
+        if self.static:
+            self._g = np.array([[ents[i][j].tree[1] for j in R] for i in R])
+            self._ginv = np.linalg.inv(self._g)
+        else:
+            # [0, m, i, j] = d_m g_ij and, with curvature, [1 + p, m, i, j]
+            # = d_p d_m g_ij: the layout _along_velocity expects
+            d_ix = part[: n * n, 1:].T.reshape(-1, n, n, n)
+            blocks += [rows(part[: n * n, 0].reshape(n, n)),
+                       _first_kind_rows(rows(d_ix))]
         self._pot = sum(b[0].size for b in blocks)
         if self.has_potential:
-            blocks += [rows(v_ix), rows(dv_ix), rows(d2v_ix)]
-        if blocks:
-            self._map = np.concatenate([b.reshape(len(fields), -1) for b in blocks],
-                                       axis=1)
+            blocks.append(rows(part[n * n]))  # [V, dV, d2V]
+        self._map = np.concatenate(
+            [b.reshape(self._plan.distinct, -1) for b in blocks], axis=1
+        ) if blocks else None
 
     def __call__(self, X: np.ndarray, V: np.ndarray) -> _Fields:
         """Field data at the points X[b] along the velocities V[b], both (B, n)."""
         B, n = X.shape
-        if self._fn is not None:
+        if self._map is not None:
             # contiguous rows whatever the lane count, so that every lane
             # meets the same kernels (exp, sin, cos and the gemv below)
-            vals = np.ascontiguousarray(self._fn(np.ascontiguousarray(X.T)).T)
+            vals = np.ascontiguousarray(self._plan.values(X).T)
             out = (vals[:, None, :] @ self._map)[:, 0]
         if self.static:
             g = np.broadcast_to(self._g, (B, n, n))
@@ -196,7 +181,11 @@ class _FieldEval:
             op = np.zeros((B, n, n)) if self.need_curvature else None
         else:
             g = out[:, 0: n * n].reshape(B, n, n)
-            ginv = np.linalg.inv(g)
+            try:
+                ginv = np.linalg.inv(g)
+            except np.linalg.LinAlgError:
+                require_positive_definite(g, X)
+                raise
             C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
             gam_v, gam_vv, op = _along_velocity(ginv, C, V, self.need_curvature)
 
@@ -330,6 +319,7 @@ def _integrate(
     v0 = np.asarray(v0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != n or v0.shape != x0.shape:
         raise DimensionError("start point/velocity dimension mismatch")
+    metric.matrix(x0)  # raises unless the metric is positive definite there
     lanes = x0.shape[0]
 
     ncols = 0
@@ -457,17 +447,26 @@ def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
     return ParallelFrame(path=path, u0=u, vectors=Psi @ u)
 
 
-def _two_point_field(Phi: np.ndarray, u: np.ndarray, what: str):
-    """J and its covariant derivative with J(0) = u, J(1) = 0, from the
-    fundamental matrices Phi (steps+1, 2n, 2n) of one curve."""
-    n = len(u)
-    B = Phi[-1, 0:n, n:]
-    if np.linalg.cond(B) > CONJUGATE_COND_LIMIT:
+def _endpoint_solve(Phi1: np.ndarray, U: np.ndarray, what: str) -> np.ndarray:
+    """Initial covariant derivatives P0[b] of the two-point fields with
+    J_b(0) = U[b] and J_b(1) = 0, from the fundamental matrices Phi1[b]
+    (2n x 2n) of each lane at time 1.  Raises ConjugatePointError(what)
+    if an endpoint block is numerically singular."""
+    n = U.shape[-1]
+    B = Phi1[:, 0:n, n:]
+    if np.any(np.linalg.cond(B) > CONJUGATE_COND_LIMIT):
         raise ConjugatePointError(what)
-    P0 = -np.linalg.solve(B, Phi[-1, 0:n, 0:n] @ u)
-    J = Phi[:, 0:n, 0:n] @ u + Phi[:, 0:n, n:] @ P0
-    dJ = Phi[:, n:, 0:n] @ u + Phi[:, n:, n:] @ P0
-    return J, dJ
+    return -np.linalg.solve(B, Phi1[:, 0:n, 0:n] @ U[:, :, None])[..., 0]
+
+
+def _two_point_fields(Phi: np.ndarray, U: np.ndarray, what: str):
+    """J and its covariant derivative, each (steps+1, B, n), with
+    J_b(0) = U[b] and J_b(1) = 0, from the fundamental matrices Phi
+    (steps+1, B, 2n, 2n) of each lane."""
+    n = U.shape[-1]
+    P0 = _endpoint_solve(Phi[-1], U, what)
+    JP = Phi[..., 0:n] @ U[:, :, None] + Phi[..., n:] @ P0[:, :, None]
+    return JP[..., 0:n, 0], JP[..., n:, 0]
 
 
 def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
@@ -482,12 +481,12 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
         path.metric, path.potential, *_one_lane(path.x0, path.v0), path.steps,
         variation="full", store=True,
     )
-    J, dJ = _two_point_field(
-        traj[:, 0, voff:].reshape(-1, 2 * n, 2 * n), u,
+    J, dJ = _two_point_fields(
+        traj[:, :, voff:].reshape(-1, 1, 2 * n, 2 * n), u[None],
         "endpoint variation block is numerically singular "
         "(conjugate point on the curve)",
     )
-    return JacobiSolution(path=path, u0=u, J=J, dJ=dJ)
+    return JacobiSolution(path=path, u0=u, J=J[:, 0], dJ=dJ[:, 0])
 
 
 def jacobi_residual(sol: JacobiSolution) -> float:
@@ -654,7 +653,7 @@ def _costs(
     vel = curves[:, :, n: 2 * n].reshape(-1, n)
     f = _evaluator(metric, potential, need_curvature=False)(pos, vel)
     lag = (0.5 * _quadratic(vel, f.g) - f.v).reshape(curves.shape[:2])
-    values = _simpson(lag, 1.0 / steps)
+    values = simpson(lag.T, 1.0 / steps)
     return [
         CostResult(
             value=float(values[b]),
@@ -687,17 +686,25 @@ def cost(
                   None if v_init is None else _one_lane(v_init)[0])[0]
 
 
-def _simpson(samples: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson rule along axis 0; even sample counts fall back
-    to a trapezoid tail.  Panels are summed in order."""
-    m = len(samples) - 1
-    total = np.zeros(samples.shape[1:])
-    end = m if m % 2 == 0 else m - 1
-    for k in range(0, end, 2):
-        total += (samples[k] + 4 * samples[k + 1] + samples[k + 2]) * (h / 3.0)
-    if m % 2 == 1:
-        total += 0.5 * h * (samples[-2] + samples[-1])
-    return total
+def simpson_weights(panels: int) -> np.ndarray:
+    """Composite Simpson weights of ``panels`` + 1 samples at unit step;
+    an odd panel count ends with one trapezoid panel."""
+    m = panels - panels % 2  # the Simpson panels
+    w = np.zeros(panels + 1)
+    w[0:m:2] += 1.0
+    w[1:m:2] += 4.0
+    w[2:m + 1:2] += 1.0
+    if panels % 2:
+        w[m:] += 1.5  # the trapezoid's 1/2 in units of 1/3
+    return w / 3.0
+
+
+def simpson(samples: np.ndarray, h: float) -> np.ndarray:
+    """Integral of each row of ``samples`` (rows, grid) at step h under
+    :func:`simpson_weights`, as one dot product per row (the row axis is
+    the matmul stack, so a row's value does not depend on the others)."""
+    w = simpson_weights(samples.shape[-1] - 1) * h
+    return (np.ascontiguousarray(samples)[:, None, :] @ w[:, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -768,14 +775,17 @@ def variation_family(
         metric, pot, np.tile(x, (len(grid), 1)), V0, steps,
         transport=True, variation="full", store=True,
     )
+    J, dJ = _two_point_fields(
+        traj[:, :, voff:].reshape(steps + 1, len(grid), 2 * n, 2 * n),
+        np.tile(u, (len(grid), 1)),
+        "conjugate point inside a variation family member",
+    )
     for b, (i, j, s, t) in enumerate(grid):
         lane = traj[:, b]
         Psi = lane[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
-        J, dJ = _two_point_field(lane[:, voff:].reshape(-1, 2 * n, 2 * n), u,
-                                 "conjugate point inside a variation family member")
         fam.members[(i, j)] = FamilyMember(
             s=s, t=t, path=_unpack_path(metric, pot, x, V0[b], steps, lane),
-            U=Psi @ u, J=J, dJ=dJ,
+            U=Psi @ u, J=J[:, b], dJ=dJ[:, b],
         )
     return fam
 

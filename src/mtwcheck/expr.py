@@ -387,9 +387,12 @@ class TaylorPlan:
     """Jets of several fields at a batch of points from one generated function.
 
     Every (field, monomial) coefficient is a partial derivative field.
-    Equal partials (a repeated metric entry, commuted derivatives) are
-    evaluated once, constant partials are filled in without evaluation,
-    and the remaining ones come from one :func:`batch_evaluator` call.
+    Equal partials (equal trees: a repeated metric entry, commuted
+    derivatives) are evaluated once, constant partials are filled in
+    without evaluation, and the remaining ones come from one
+    :func:`batch_evaluator` call.  :meth:`values` returns each distinct
+    partial once, and ``rows[f, k]`` is the row holding field f's partial
+    at monomial k of the space.
     """
 
     def __init__(self, fields: Sequence[ScalarField], space: JetSpace):
@@ -404,20 +407,26 @@ class TaylorPlan:
         consts = [p for p in distinct if p.tree[0] == "c"]
         row = {p: k for k, p in enumerate(live + consts)}
         self.space = space
-        self._rows = np.array([row[p] for p in parts], dtype=np.intp).reshape(
+        self.rows = np.array([row[p] for p in parts], dtype=np.intp).reshape(
             len(fields), space.size)
+        self.distinct = len(distinct)
         self._live = len(live)
         self._consts = np.array([p.tree[1] for p in consts])
         self._fn = batch_evaluator(live) if live else None
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Jets about the points X[b], X of shape (B, dim): an array of
-        shape (fields, B, size)."""
-        vals = np.empty((self._live + len(self._consts), len(X)))
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """The distinct partials, not divided by factorials, at the points
+        X[b], X of shape (B, dim): an array of shape (distinct, B)."""
+        vals = np.empty((self.distinct, len(X)))
         if self._fn is not None:
             vals[: self._live] = self._fn(np.ascontiguousarray(X.T))
         vals[self._live:] = self._consts[:, None]
-        return vals[self._rows].swapaxes(1, 2) / self.space.factorials
+        return vals
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Jets about the points X[b], X of shape (B, dim): an array of
+        shape (fields, B, size)."""
+        return self.values(X)[self.rows].swapaxes(1, 2) / self.space.factorials
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ axis first, and :class:`GeometryJet` is a batch of one.  Its values are
 contracted with vectors by :func:`contract`, whose leading batch axes
 (points, pairs, directions) broadcast and whose sums run in a fixed
 order, so a value computed in a batch equals the one computed alone.
+The other shared formulas are written the same way, once each:
+:func:`require_positive_definite` is the metric test of every module
+(it raises :class:`MetricDegenerateError`), :func:`orthonormalize` the
+Gram-Schmidt of the checker and of :func:`gram_schmidt`, and
+:meth:`GeometryBatch.grad_norms` the |grad V| of every critical-point
+test.
 """
 
 from __future__ import annotations
@@ -67,8 +73,9 @@ from .jets import JetSpace, jcontract, jgrad, jmatinv, jvalue
 METRIC_EIGENVALUE_FLOOR = 1e-10
 # Relative floor below which a 2-plane counts as degenerate.
 PLANE_DEGENERACY_FLOOR = 1e-12
-# Orthonormality target for Gram-Schmidt output.
-ORTHONORMALITY_TOL = 1e-12
+# Residual norm, relative to the input norm, below which Gram-Schmidt
+# counts a vector as dependent on the ones before it.
+DEPENDENCE_FLOOR = 1e-10
 # Largest |grad V| at which a point counts as critical.
 CRITICAL_GRAD_TOL = 1e-10
 # Largest Hess V eigenvalue, relative to max(1, max |eigenvalue|), that
@@ -99,6 +106,19 @@ def _jets_of(owner, fields: Sequence[ScalarField], x, space: JetSpace) -> np.nda
 
 def as_point(p: Sequence[float]) -> Point:
     return np.asarray(p, dtype=float)
+
+
+def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
+    """Raise :class:`MetricDegenerateError` naming the first point X[b]
+    whose metric g[b] is not positive definite; g is (B, n, n), X (B, n)."""
+    w = np.linalg.eigvalsh(g)[:, 0]
+    bad = np.flatnonzero(w <= METRIC_EIGENVALUE_FLOOR)
+    if bad.size:
+        b = bad[0]
+        raise MetricDegenerateError(
+            f"metric not positive definite at {X[b].tolist()}: "
+            f"min eigenvalue {w[b]:.3e}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +179,17 @@ class MetricField:
                 grid[j][i] = f
         return MetricField.from_entries(grid)
 
-    def matrix(self, x: Sequence[float]) -> np.ndarray:
-        """Metric matrix at ``x``; raises if not positive definite."""
-        x = as_point(x)
-        g = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g[i, j] = g[j, i] = self.entries[i][j](x)
-        w = np.linalg.eigvalsh(g)
-        if w[0] <= METRIC_EIGENVALUE_FLOOR:
-            raise MetricDegenerateError(
-                f"metric not positive definite at {x.tolist()}: min eigenvalue {w[0]:.3e}"
-            )
-        return g
+    def matrix(self, x) -> np.ndarray:
+        """Metric matrix at ``x`` (n, n), or at each row of a (B, n) array
+        (B, n, n), read from the degree-0 jets; raises unless positive
+        definite."""
+        X = np.atleast_2d(as_point(x))
+        if X.shape[-1] != self.dim:
+            raise DimensionError(
+                f"point has {X.shape[-1]} coordinates, metric expects {self.dim}")
+        g = np.moveaxis(self.jets(X, JetSpace.get(self.dim, 0))[..., 0], -1, 0)
+        require_positive_definite(g, X)
+        return g if np.ndim(x) == 2 else g[0]
 
     def inner(self, x: Sequence[float], u: Vector, v: Vector) -> float:
         g = self.matrix(x)
@@ -316,29 +334,19 @@ def riemann(metric: MetricField, x: Sequence[float]) -> np.ndarray:
 def sectional(metric: MetricField, x: Sequence[float], u: Vector, w: Vector) -> float:
     """Sectional curvature of span(u, w) at ``x``."""
     jet = GeometryJet(metric, x, curvature_order=0)
-    return jet.sectional(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+    return float(sectional_curvature(jet.g, jet.riemann, u, w))
 
 
 def gram_schmidt(
     metric: MetricField, x: Sequence[float], vectors: Sequence[Vector]
 ) -> list[np.ndarray]:
-    """Metric-orthonormalize ``vectors`` at ``x`` (with re-orthogonalization)."""
-    g = metric.matrix(x)
-    out: list[np.ndarray] = []
-    for v in vectors:
-        v = np.asarray(v, dtype=float).copy()
-        scale0 = float(np.sqrt(v @ g @ v))
-        if scale0 == 0.0:
-            raise RankDeficiencyError("zero vector passed to orthonormalization")
-        for _ in range(2):  # second pass sharpens orthogonality to rounding level
-            for e in out:
-                v = v - float(e @ g @ v) * e
-        norm = float(np.sqrt(v @ g @ v))
-        if norm <= 1e-10 * scale0:
-            raise RankDeficiencyError(
-                "vectors are numerically linearly dependent at this point"
-            )
-        out.append(v / norm)
+    """Metric-orthonormalize ``vectors`` at ``x`` (:func:`orthonormalize`);
+    raises :class:`RankDeficiencyError` if they are dependent."""
+    out, ok = orthonormalize(metric.matrix(x), vectors)
+    if not ok:
+        raise RankDeficiencyError(
+            "vectors are zero or numerically linearly dependent at this point"
+        )
     return out
 
 
@@ -367,6 +375,29 @@ def contract(T: np.ndarray, *vecs) -> np.ndarray:
             out = out + T[(..., k) + tail] * v[(..., k) + tail]
         T = out
     return T
+
+
+def orthonormalize(g: np.ndarray, vectors) -> tuple[list[np.ndarray], np.ndarray]:
+    """Metric-orthonormal vectors from ``vectors`` by Gram-Schmidt with one
+    re-orthogonalization pass, batch axes leading as in :func:`contract`.
+
+    Returns the vectors and the mask ``ok``, False where they are zero or
+    numerically dependent; there the output holds meaningless finite
+    vectors.
+    """
+    out: list[np.ndarray] = []
+    ok = np.True_
+    for d in vectors:
+        d = np.asarray(d, dtype=float)
+        scale = np.sqrt(contract(g, d, d))
+        v = d
+        for _ in range(2):  # second pass sharpens orthogonality to rounding level
+            for e in out:
+                v = v - contract(g, e, v)[..., None] * e
+        norm = np.sqrt(contract(g, v, v)) if out else scale
+        ok = ok & (norm > DEPENDENCE_FLOOR * scale)
+        out.append(v / np.where(ok, norm, 1.0)[..., None])
+    return out, ok
 
 
 def sectional_curvature(g: np.ndarray, R: np.ndarray, u, w, where=True) -> np.ndarray:
@@ -531,14 +562,7 @@ class GeometryBatch:
         gam_deg = max(k + 1, 1 if potential is None else 2)
         G = metric.jets(X, at(gam_deg + 1))  # [i, j, b, :]
         self.g = _values(G)
-        w = np.linalg.eigvalsh(self.g)[:, 0]
-        bad = np.flatnonzero(w <= METRIC_EIGENVALUE_FLOOR)
-        if bad.size:
-            b = bad[0]
-            raise MetricDegenerateError(
-                f"metric not positive definite at {X[b].tolist()}: "
-                f"min eigenvalue {w[b]:.3e}"
-            )
+        require_positive_definite(self.g, X)
         space = at(gam_deg)
         Ginv = jmatinv(space, G[..., : space.size])
         gam = _christoffel_from(partial(jcontract, space), Ginv, jgrad(space, G))
@@ -620,9 +644,9 @@ class GeometryJet:
 
     A batch of one :class:`GeometryBatch` point: built once per (metric,
     potential, point), with the batch's arrays at that point
-    (``d2gamma`` is ``None`` at ``curvature_order`` 0) and common
-    contractions, which run through :func:`contract` as the checker's
-    batched conditions do.
+    (``d2gamma`` is ``None`` at ``curvature_order`` 0).  Its values are
+    contracted by :func:`contract` and :func:`sectional_curvature`, as
+    the checker's batched conditions are.
     """
 
     def __init__(
@@ -636,6 +660,7 @@ class GeometryJet:
                                  curvature_order), 0)
 
     def _take(self, batch: GeometryBatch, b: int) -> None:
+        self._batch, self._b = batch, b
         self.metric = batch.metric
         self.potential = batch.potential
         self.dim = batch.dim
@@ -644,49 +669,9 @@ class GeometryJet:
             val = getattr(batch, name)
             setattr(self, name, None if val is None else val[b])
 
-    # -- contractions ------------------------------------------------------
-
-    def inner(self, u: Vector, v: Vector) -> float:
-        return float(contract(self.g, u, v))
-
-    def norm(self, u: Vector) -> float:
-        return float(np.sqrt(self.inner(u, u)))
-
-    def curvature_op(self, a: Vector, b: Vector, c: Vector) -> np.ndarray:
-        """Vector (R(a, b) c)^l."""
-        return contract(self.riemann_raised, a, b, c)
-
-    def r4(self, a: Vector, b: Vector, c: Vector, d: Vector) -> float:
-        """<R(a, b) c, d>."""
-        return float(contract(self.riemann, a, b, c, d))
-
-    def nr5(self, m: Vector, a: Vector, b: Vector, c: Vector, d: Vector) -> float:
-        """<(nabla_m R)(a, b) c, d>."""
-        if self.nabla_r is None:
-            raise PreconditionError("curvature_order >= 1 required")
-        return float(contract(self.nabla_r, m, a, b, c, d))
-
-    def n2r6(
-        self, p: Vector, q: Vector, a: Vector, b: Vector, c: Vector, d: Vector
-    ) -> float:
-        """<(nabla_p nabla_q R)(a, b) c, d>."""
-        if self.nabla2_r is None:
-            raise PreconditionError("curvature_order >= 2 required")
-        return float(contract(self.nabla2_r, p, q, a, b, c, d))
-
-    def sectional(self, u: Vector, w: Vector) -> float:
-        return float(sectional_curvature(self.g, self.riemann, u, w))
-
-    def grad_norm(self) -> float:
-        """|grad V| at the point; zero without a potential."""
-        if self.grad_v_lower is None:
-            return 0.0
-        return float(np.sqrt(contract(self.g_inv, self.grad_v_lower,
-                                      self.grad_v_lower)))
-
     def require_critical(self, what: str) -> None:
         """Raise unless the point is a critical point of the potential."""
-        gnorm = self.grad_norm()
+        gnorm = float(self._batch.grad_norms()[self._b])
         if gnorm > CRITICAL_GRAD_TOL:
             raise PreconditionError(
                 f"{what} requires a critical point of the potential "
@@ -711,18 +696,6 @@ class GeometryJet:
                 f"{what} requires Hess V <= 0 (largest eigenvalue {top:.3e})"
             )
         return np.sqrt(np.maximum(-lam, 0.0)), E
-
-    def hess_op(self, j: Vector) -> np.ndarray:
-        """Raised Hessian operator applied to a vector."""
-        if self.hess_v is None:
-            raise PreconditionError("geometry jet was built without a potential")
-        return self.g_inv @ (self.hess_v @ np.asarray(j))
-
-    def fourth_contraction(self, w: Vector, u: Vector) -> float:
-        """Fourth covariant potential derivative contracted (w, w, u, u)."""
-        if self.nabla4_v is None:
-            raise PreconditionError("geometry jet was built without a potential")
-        return float(contract(self.nabla4_v, w, w, u, u))
 
 
 # ---------------------------------------------------------------------------

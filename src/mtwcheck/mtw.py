@@ -18,6 +18,12 @@ Three independent evaluation routes are provided and cross-checked:
   value problem for the variation field (fast, general), and
 * brute-force finite differencing of the cost itself (slow oracle).
 
+The two differencing routes share one Richardson second difference
+(:func:`_richardson_second`); the two-point route's endpoint solve and
+the Simpson rule come from :mod:`mtwcheck.dynamics`, and the
+checker's Gram-Schmidt from :mod:`mtwcheck.geometry`, so each formula
+has one implementation whichever route or condition reads it.
+
 The overall normalization between the action-induced cost and the
 closed forms is a single constant, determined empirically by
 ``calibrate_normalization`` and never assumed.
@@ -45,6 +51,7 @@ from .geometry import (
     contract,
     euclidean_metric,
     mode_profile,
+    orthonormalize,
     quarter_turn,
     quartic_potential,
     sectional_curvature,
@@ -103,15 +110,10 @@ def _variation_pairings(metric, potential, X, U, V0, steps) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
     state, _, voff = dyn._integrate(metric, potential, X, V0, steps, variation="full")
-    Phi = state[:, voff:].reshape(-1, 2 * n, 2 * n)
-    B = Phi[:, 0:n, n:]
-    if np.any(np.linalg.cond(B) > dyn.CONJUGATE_COND_LIMIT):
-        raise dyn.ConjugatePointError(
-            "conjugate point while evaluating the two-point variation pairing"
-        )
-    P0 = -np.linalg.solve(B, Phi[:, 0:n, 0:n] @ U[:, :, None])[..., 0]
-    gU = np.array([metric.matrix(x) @ u for x, u in zip(X, U)])
-    return (P0[:, None, :] @ gU[:, :, None])[:, 0, 0]
+    P0 = dyn._endpoint_solve(
+        state[:, voff:].reshape(-1, 2 * n, 2 * n), U,
+        "conjugate point while evaluating the two-point variation pairing")
+    return (P0[:, None, :] @ (metric.matrix(X) @ U[:, :, None]))[:, 0, 0]
 
 
 # The five-point stencil of the jacobi route: velocities v + k h w.
@@ -122,12 +124,13 @@ def _jacobi_stencil(v, w, h) -> np.ndarray:
     return np.array([v + (k * h) * w for k in JACOBI_OFFSETS])
 
 
-def _jacobi_value(pairings, h) -> tuple[float, float]:
-    """Richardson value and defect of 3/2 F'' from F on the stencil."""
-    F = dict(zip(JACOBI_OFFSETS, pairings.tolist()))
-    d_h = (F[1] - 2.0 * F[0] + F[-1]) / h**2
-    d_2h = (F[2] - 2.0 * F[0] + F[-2]) / (4.0 * h**2)
-    return 1.5 * (4.0 * d_h - d_2h) / 3.0, 1.5 * abs(d_h - d_2h) / 3.0
+def _richardson_second(F, h, scale=1.0):
+    """Richardson value and defect of scale * F'' at the stencil's center
+    from F[..., k] = F((k - 2) h), k = 0..4: the (h, 2h) pair of
+    second differences.  ``scale`` multiplies before the division by 3."""
+    d_h = (F[..., 3] - 2.0 * F[..., 2] + F[..., 1]) / h**2
+    d_2h = (F[..., 4] - 2.0 * F[..., 2] + F[..., 0]) / (4.0 * h**2)
+    return scale * (4.0 * d_h - d_2h) / 3.0, scale * np.abs(d_h - d_2h) / 3.0
 
 
 def mtw_jacobi(
@@ -152,12 +155,12 @@ def mtw_jacobi(
     v = as_point(v)
     w = as_point(w)
     k = len(JACOBI_OFFSETS)
-    value, err = _jacobi_value(_variation_pairings(
+    value, err = _richardson_second(_variation_pairings(
         metric, potential, np.tile(x, (k, 1)), np.tile(u, (k, 1)),
-        _jacobi_stencil(v, w, h), steps), h)
+        _jacobi_stencil(v, w, h), steps), h, 1.5)
     return MtwEvaluation(
-        x=x, u=u, v=v, w=w, method="jacobi", value=value,
-        h_s=h, steps=steps, error_estimate=err,
+        x=x, u=u, v=v, w=w, method="jacobi", value=float(value),
+        h_s=h, steps=steps, error_estimate=float(err),
     )
 
 
@@ -199,16 +202,8 @@ def mtw_direct_cost(
         metric, potential, np.repeat(sigma, 5, axis=0), np.tile(targets, (5, 1)),
         steps=steps)]).reshape(5, 5)
 
-    def second_diff(row, hstep):
-        d1 = (row[3] - 2.0 * row[2] + row[1]) / hstep**2
-        d2 = (row[4] - 2.0 * row[2] + row[0]) / (4.0 * hstep**2)
-        return (4.0 * d1 - d2) / 3.0, abs(d1 - d2) / 3.0
-
     # s-direction first (per t-offset), then t-direction of the results
-    rich_s = np.empty(5)
-    for a in range(5):
-        rich_s[a], _ = second_diff(C[a], h_s)
-    d4, defect = second_diff(rich_s, h_t)
+    d4, defect = _richardson_second(_richardson_second(C, h_s)[0], h_t)
     value = -1.5 * d4
     return MtwEvaluation(
         x=x, u=u, v=v, w=w, method="direct-cost", value=value,
@@ -260,7 +255,7 @@ def mtw_zeroth_simplified(
 
 
 def _zeroth_simplified(jet: GeometryJet, u, w) -> float:
-    value = jet.r4(w, u, w, u)
+    value = float(contract(jet.riemann, w, u, w, u))
     if jet.hess_v is not None:
         jet.require_critical("the simplified zeroth-order evaluator")
         hnorm = float(np.max(np.abs(jet.hess_v)))
@@ -269,7 +264,7 @@ def _zeroth_simplified(jet: GeometryJet, u, w) -> float:
                 "the simplified zeroth-order evaluator requires a vanishing "
                 f"potential Hessian (max |Hess V| = {hnorm:.3e})"
             )
-        value += jet.fourth_contraction(w, u) / 20.0
+        value += float(contract(jet.nabla4_v, w, w, u, u)) / 20.0
     return value
 
 
@@ -286,13 +281,6 @@ def _cumulative_integral(G: np.ndarray, h: float) -> np.ndarray:
     for k in range(1, m + 1, 2):
         P[k] = P[k - 1] + (h / 12.0) * (5.0 * G[k - 1] + 8.0 * G[k] - G[k + 1])
     return P
-
-
-def _simpson_weights(panels: int) -> np.ndarray:
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
 
 
 def mtw_zeroth_general(
@@ -352,10 +340,7 @@ def _zeroth_general(jet: GeometryJet, u, w, quad_panels: int = 1024) -> np.ndarr
         F = F + contract(lift(jet.hess_v), ut, P)
         F = F + contract(lift(jet.nabla4_v), wbar, wbar, ut, u)
 
-    weights = _simpson_weights(quad_panels) * hq
-    # one dot product per pair, the pair axis as the matmul stack
-    integrand = np.ascontiguousarray(((1.0 - tau)[:, None] * F).T)
-    return 1.5 * (integrand[:, None, :] @ weights[:, None])[:, 0, 0]
+    return 1.5 * dyn.simpson(((1.0 - tau)[:, None] * F).T, hq)
 
 
 def mtw_first(
@@ -373,8 +358,9 @@ def mtw_first(
     u = as_point(u)
     v = as_point(v)
     w = as_point(w)
-    jet = GeometryJet(metric, x, curvature_order=1)
-    return 0.5 * jet.nr5(w, w, u, v, u) + 0.25 * jet.nr5(v, w, u, w, u)
+    N = GeometryJet(metric, x, curvature_order=1).nabla_r
+    return (0.5 * float(contract(N, w, w, u, v, u))
+            + 0.25 * float(contract(N, v, w, u, w, u)))
 
 
 def _first_order_magnitude(geo, u, v, w) -> np.ndarray:
@@ -481,9 +467,9 @@ def _g_preconditions(jet: GeometryJet, u, w, curvature_tol: float) -> None:
     if not _orthogonal(jet, u, w):
         raise PreconditionError(
             f"the restricted second-order quantity needs <u, w> = 0 "
-            f"(got {jet.inner(u, w):.3e})"
+            f"(got {float(contract(jet.g, u, w)):.3e})"
         )
-    K = jet.sectional(u, w)
+    K = float(sectional_curvature(jet.g, jet.riemann, u, w))
     if abs(K) > curvature_tol:
         raise PreconditionError(
             "the restricted second-order quantity needs a zero-curvature "
@@ -712,8 +698,9 @@ def calibrate_normalization(
                                 for c in group]),
                 steps,
             )
-            for case, pairings in zip(group, F.reshape(len(group), k)):
-                jac[case[0]] = _jacobi_value(pairings, h)[0]
+            values, _ = _richardson_second(F.reshape(len(group), k), h, 1.5)
+            for case, value in zip(group, values):
+                jac[case[0]] = float(value)
         cases = [
             CalibrationCase(label, jac[label],
                             mtw_zeroth_simplified(metric, pot, x, u, w))
@@ -795,8 +782,8 @@ def _worker_count() -> int:
 
 def _orthonormal_pairs(geo, directions: np.ndarray):
     """Metric-orthonormal (u, w) pairs at every point of a batch, from
-    consecutive raw directions (i, i + 1 mod m) by Gram-Schmidt with one
-    re-orthogonalization pass.
+    consecutive raw directions (i, i + 1 mod m) by
+    :func:`~mtwcheck.geometry.orthonormalize`.
 
     Returns U and W of shape (B, m, n) and the mask ``ok`` of shape
     (B, m), False where a pair is numerically dependent; such a pair
@@ -808,19 +795,10 @@ def _orthonormal_pairs(geo, directions: np.ndarray):
         raise ValueError(
             f"directions of shape {directions.shape} do not match dimension {n}"
         )
-    g = geo.g[:, None]  # against the pair axis
-    d1 = directions[None]
-    d2 = np.roll(directions, -1, axis=0)[None]
-    s1 = np.sqrt(contract(g, d1, d1))
-    s2 = np.sqrt(contract(g, d2, d2))
-    ok = (s1 > 0.0) & (s2 > 0.0)
-    u = d1 / np.where(ok, s1, 1.0)[..., None]
-    v = d2
-    for _ in range(2):  # second pass sharpens orthogonality to rounding level
-        v = v - contract(g, u, v)[..., None] * u
-    norm = np.sqrt(contract(g, v, v))
-    ok = ok & (norm > 1e-10 * s2)
-    return u, v / np.where(ok, norm, 1.0)[..., None], ok
+    # the pair axis after the point axis
+    (u, w), ok = orthonormalize(
+        geo.g[:, None], [directions[None], np.roll(directions, -1, axis=0)[None]])
+    return u, w, ok
 
 
 def _sampled_planes(geo, directions: np.ndarray):
@@ -849,7 +827,7 @@ def _condition_value(
     on a batch of one.
     """
     if condition == "sectional-nonneg":
-        return jet.sectional(u, w)
+        return float(sectional_curvature(jet.g, jet.riemann, u, w))
     if condition == "zeroth-order":
         if jet.potential is None:
             return _zeroth_simplified(jet, u, w)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mtwcheck import conformal as cf
+from mtwcheck import dynamics as dyn
 from mtwcheck import mtw
 from mtwcheck.cli import _jsonify
 from mtwcheck.dynamics import jacobi_bvp, least_action_curve, lemma_suite
@@ -233,7 +234,7 @@ def test_criterion_7_quadrature_identities():
     panels = 1024
     tau = np.linspace(0.0, 1.0, panels + 1)
     h = 1.0 / panels
-    weights = mtw._simpson_weights(panels) * h
+    weights = dyn.simpson_weights(panels) * h
     one = 1.5 * float(weights @ mtw._cumulative_integral(2.0 * (1.0 - tau), h))
     twentieth = 1.5 * float(
         weights @ mtw._cumulative_integral(tau**2 * (1.0 - tau), h)

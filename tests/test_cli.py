@@ -209,15 +209,60 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
-def test_numerical_failure_exit_three(capsys):
-    code, _, err = run_cli(
-        capsys, "eval", "--metric", "sphere2",
-        "--point", "1.5707963267948966,0.5", "--u", "1,0",
-        "--v", "0,3.141592653589793", "--w", "0,1", "--method", "jacobi",
-        "--steps", "2000",
-    )
+POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
+             "--v", "0", "--w", "0,1", "--method")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--metric", "sphere2", "--point", "1.5707963267948966,0.5",
+      "--u", "1,0", "--v", "0,3.141592653589793", "--w", "0,1",
+      "--method", "jacobi", "--steps", "2000"), "conjugate"),
+    # the sphere chart's metric diag(1, sin^2 x) is singular at x = 0: at
+    # the start of a curve, and at the last RK4 stage of 0.5 - t
+    (("geodesic", "--metric", "sphere2", "--point", "0,0", "--velocity", "1,0"),
+     "not positive definite at [0.0, 0.0]"),
+    (("geodesic", "--metric", "sphere2", "--point", "0.5,0", "--velocity", "-1,0",
+      "--steps", "2"), "not positive definite at [0.0, 0.0]"),
+    (("cost", "--metric", "sphere2", "--point", "0,0", "--target", "0.5,0.5"),
+     "not positive definite at [0.0, 0.0]"),
+    (POLE_EVAL + ("jacobi",), "not positive definite at [0.0, 0.0]"),
+    (POLE_EVAL + ("closed-form-0",), "not positive definite at [0.0, 0.0]"),
+], ids=["conjugate", "geodesic-start", "geodesic-stage", "cost", "jacobi",
+        "closed-form-0"])
+def test_numerical_failure_exit_three(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 3
-    assert "conjugate" in err.lower()
+    assert err.startswith("numerical failure:")
+    assert message in err.lower()
+
+
+def test_indefinite_constant_metric_one_error_everywhere(capsys):
+    metric = ("--metric", "inline", "--g-upper", "1|2|1")
+    code, _, err = run_cli(capsys, "eval", *metric, "--point", "0,0",
+                           "--u", "1,0", "--v", "0", "--w", "0,1")
+    assert code == 3
+    # the check's first sample point is the same (0, 0)
+    assert run_cli(capsys, "check", *metric, "--region", "0,0.1",
+                   "--points-per-axis", "2", "--samples", "4")[::2] == (code, err)
+    assert err == ("numerical failure: metric not positive definite at "
+                   "[0.0, 0.0]: min eigenvalue -1.000e+00\n")
+
+
+@pytest.mark.parametrize("g_upper", ["1|2|1", "1|1|1"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--region", "-0.1,0.1", "--points-per-axis", "2", "--samples", "4"),
+    ("curvature", "--region", "-0.1,0.1", "--points-per-axis", "2"),
+    ("geodesic", "--point", "0,0", "--velocity", "1,0"),
+    ("cost", "--point", "0,0", "--target", "0.1,0"),
+    ("lemma-tests",),
+    *[("eval", "--point", "0,0", "--u", "1,0", "--v", "0", "--w", "0,1",
+       "--method", m) for m in ("jacobi", "direct-cost", "closed-form-0",
+                                "closed-form-1", "closed-form-2")],
+], ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+def test_degenerate_metric_exits_three_in_every_subcommand(capsys, argv, g_upper):
+    code, _, err = run_cli(capsys, *argv, "--metric", "inline", "--g-upper", g_upper)
+    assert code == 3
+    assert "metric not positive definite" in err
 
 
 def test_cost_command(capsys):

@@ -14,6 +14,8 @@ from mtwcheck.dynamics import (
     lemma_suite,
     parallel_transport,
     shoot_velocity,
+    simpson,
+    simpson_weights,
 )
 from mtwcheck.errors import (
     ConjugatePointError,
@@ -190,6 +192,34 @@ def test_cost_curve_is_the_plain_integration(sphere):
     path = least_action_curve(sphere, None, [1.0, 0.2], res.initial_velocity)
     assert np.array_equal(res.path.pos, path.pos)
     assert np.array_equal(res.path.vel, path.vel)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 8, 199, 200])
+def test_simpson_weights_integrate_low_degrees_exactly(panels):
+    # every count integrates constants and linear functions exactly; an
+    # even count is pure Simpson and integrates cubics too, but not
+    # quartics, and an odd count's trapezoid tail misses quadratics
+    t = np.linspace(-0.5, 1.5, panels + 1)
+    weights = simpson_weights(panels) * (2.0 / panels)
+    exact = 4 if panels % 2 == 0 else 2
+    for k in range(exact + 1):
+        want = (1.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
+        got = weights @ t**k
+        if k < exact:
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+        else:
+            assert got != pytest.approx(want, rel=1e-12)
+
+
+def test_simpson_even_count_is_the_classic_rule():
+    # the weights 1, 4, 2, ..., 4, 1 over 3, bit for bit: the closed-form
+    # zeroth-order quadrature keeps its values at 1024 panels
+    classic = np.ones(1025)
+    classic[1:-1:2] = 4.0
+    classic[2:-1:2] = 2.0
+    assert np.array_equal(simpson_weights(1024), classic / 3.0)
+    rows = np.random.default_rng(3).normal(size=(5, 1025))
+    assert np.array_equal(simpson(rows, 0.5)[2:3], simpson(rows[2:3], 0.5))
 
 
 # ---------------------------------------------------------------------------

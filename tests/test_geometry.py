@@ -11,6 +11,7 @@ from mtwcheck import expr as ex
 from mtwcheck.dynamics import _evaluator
 from mtwcheck.errors import (
     DegeneratePlaneError,
+    DimensionError,
     MetricDegenerateError,
     PreconditionError,
     RankDeficiencyError,
@@ -30,6 +31,7 @@ from mtwcheck.geometry import (
     _first_kind_rows,
     _generalized_eigh,
     christoffel,
+    contract,
     euclidean_metric,
     gram_schmidt,
     mode_profile,
@@ -107,6 +109,19 @@ def test_degenerate_metric_rejected():
     bad = MetricField.from_upper([pf("0", 2), pf("0", 2), pf("1", 2)], 2)
     with pytest.raises(MetricDegenerateError):
         christoffel(bad, [0.0, 0.0])
+    with pytest.raises(MetricDegenerateError, match=r"at \[0.5, 0.0\]"):
+        bad.matrix([0.5, 0.0])
+
+
+def test_matrix_of_a_batch_is_the_matrices_of_its_points(rng):
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
+    X = rng.uniform(-0.3, 0.3, size=(4, 2))
+    G = metric.matrix(X)
+    assert G.shape == (4, 2, 2)
+    for x, g in zip(X, G):
+        assert np.array_equal(metric.matrix(x), g)
+    with pytest.raises(DimensionError):
+        metric.matrix([0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +225,12 @@ def test_second_curvature_derivative_contractions(a, rng):
         u = u / np.hypot(*u)  # identities are stated for unit directions
         w = np.array([-u[1], u[0]])
         expected = -4.0 * (a * u[0] ** 2 + 6 * u[0] * u[1] + a * u[1] ** 2)
-        assert jet.n2r6(u, u, u, w, u, w) == pytest.approx(expected, abs=1e-9)
+        assert contract(jet.nabla2_r, u, u, u, w, u, w) == pytest.approx(
+            expected, abs=1e-9)
         mixed = -4.0 * (a * u[0] * w[0] + 3 * u[0] * w[1]
                         + 3 * w[0] * u[1] + a * u[1] * w[1])
-        assert jet.n2r6(w, u, u, w, u, w) == pytest.approx(mixed, abs=1e-9)
+        assert contract(jet.nabla2_r, w, u, u, w, u, w) == pytest.approx(
+            mixed, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
@@ -360,7 +377,8 @@ def test_cubic_potential_fourth_contraction_zero(flat2):
 
     V = PotentialField(pf("x^3 + x*y^2", 2), 2)
     jet = GeometryJet(flat2, [0.2, 0.3], potential=V, curvature_order=0)
-    assert jet.fourth_contraction([0.0, 1.0], [1.0, 0.0]) == pytest.approx(
+    w, u = [0.0, 1.0], [1.0, 0.0]
+    assert contract(jet.nabla4_v, w, w, u, u) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -368,7 +386,8 @@ def test_cubic_potential_fourth_contraction_zero(flat2):
 def test_quartic_identity_matrix_fourth_contraction(flat2):
     V = quartic_potential(np.eye(2))
     jet = GeometryJet(flat2, [0.0, 0.0], potential=V, curvature_order=0)
-    assert jet.fourth_contraction([0.0, 1.0], [1.0, 0.0]) == pytest.approx(
+    w, u = [0.0, 1.0], [1.0, 0.0]
+    assert contract(jet.nabla4_v, w, w, u, u) == pytest.approx(
         -8.0, abs=1e-12
     )
 
@@ -394,7 +413,7 @@ def test_fourth_contraction_equals_plain_derivative_off_critical(flat2, rng):
             vals[i, j] = v_fn(x + a_ * h * u + b_ * h * w)
     d2_u = (vals[3, :] - 2 * vals[2, :] + vals[1, :]) / h**2
     d4 = (d2_u[3] - 2 * d2_u[2] + d2_u[1]) / h**2
-    assert jet.fourth_contraction(w, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
+    assert contract(jet.nabla4_v, w, w, u, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtwcheck import conformal as cf
+from mtwcheck import dynamics as dyn
 from mtwcheck import mtw
 from mtwcheck.cli import _jsonify
 from mtwcheck.errors import (
@@ -20,7 +21,9 @@ from mtwcheck.geometry import (
     GeometryBatch,
     GeometryJet,
     PotentialField,
+    contract,
     euclidean_metric,
+    gram_schmidt,
     harmonic_potential,
     quartic_potential,
     scale_metric,
@@ -181,7 +184,7 @@ def test_quadrature_identities():
     panels = 1024
     tau = np.linspace(0.0, 1.0, panels + 1)
     h = 1.0 / panels
-    weights = mtw._simpson_weights(panels) * h
+    weights = dyn.simpson_weights(panels) * h
     for integrand, expected in [
         (2.0 * (1.0 - tau), 1.0),
         (tau**2 * (1.0 - tau), 0.05),
@@ -237,9 +240,9 @@ def test_g_quantity_matches_simplified_decomposition(conformal_a3, rng):
         got = mtw.g_quantity(conformal_a3, ZERO2, E1, v, E2)
         u, w = E1, E2
         expected = (
-            0.6 * b_c**2 * jet.n2r6(w, w, w, u, w, u)
-            + 0.6 * a_c * b_c * jet.n2r6(w, u, w, u, w, u)
-            + 0.1 * a_c**2 * jet.n2r6(u, u, w, u, w, u)
+            0.6 * b_c**2 * contract(jet.nabla2_r, w, w, w, u, w, u)
+            + 0.6 * a_c * b_c * contract(jet.nabla2_r, w, u, w, u, w, u)
+            + 0.1 * a_c**2 * contract(jet.nabla2_r, u, u, w, u, w, u)
         )
         assert got == pytest.approx(expected, abs=1e-10)
 
@@ -473,6 +476,24 @@ def test_orthonormal_pairs_drop_only_dependent_pair(flat2):
     assert ok.tolist() == [[False, True, True]]
     for (u, w), (want_u, want_w) in zip(zip(U[ok], W[ok]), [(E1, E2), (E2, E1)]):
         assert np.allclose(u, want_u) and np.allclose(w, want_w)
+
+
+@pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
+def test_gram_schmidt_is_the_checkers_pair(name, rng):
+    # one Gram-Schmidt: gram_schmidt on two directions returns the
+    # checker's pair from the same directions at the same point, bitwise
+    metric, x = {
+        "sphere": (sphere_metric(), np.array([1.1, -0.3])),
+        "conformal": (cf.conformal_metric(cf.ConformalSpec(a=-3.0)),
+                      np.array([0.1, -0.2])),
+        "inline3d": (inline3d_metric(), np.array([0.1, 0.2, -0.1])),
+    }[name]
+    d1, d2 = rng.normal(size=(2, metric.dim))
+    geo = GeometryBatch(metric, x[None], curvature_order=0)
+    U, W, ok = mtw._orthonormal_pairs(geo, np.array([d1, d2]))
+    u, w = gram_schmidt(metric, x, [d1, d2])
+    assert ok[0, 0]
+    assert np.array_equal(U[0, 0], u) and np.array_equal(W[0, 0], w)
 
 
 def test_orthonormal_pairs_reject_wrong_length_directions(flat2):
