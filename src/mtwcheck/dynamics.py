@@ -67,6 +67,7 @@ from .geometry import (
     _along_velocity,
     _first_kind_rows,
     as_point,
+    contract,
     mode_profile,
     require_positive_definite,
 )
@@ -873,10 +874,10 @@ class CenterStencil:
         d2gam = self.jet.d2gamma
 
         def dG(p, q, r):
-            return np.einsum("mkij,m,i,j->k", dgam, p, q, r)
+            return contract(dgam, p, None, q, r)
 
         def d2G(p1, p2, q, r):
-            return np.einsum("pmkij,p,m,i,j->k", d2gam, p1, p2, q, r)
+            return contract(d2gam, p1, p2, None, q, r)
 
         # Mixed selectors compose the t-derivative first, then s: "ts"
         # estimates the s-covariant derivative of the t-covariant
@@ -968,7 +969,7 @@ def lemma_suite(
     rup = jet.riemann_raised
 
     def Rop(a, b, c):
-        return np.einsum("lijk,i,j,k->l", rup, a, b, c)
+        return contract(rup, a, b, c)
 
     checks: list[LemmaCheck] = []
 

@@ -26,8 +26,16 @@ non-integer power; negative constants enter through bindings or as
 ``0 - ...``.
 
 Mixed partials commute bit-exactly because every derivative request is
-canonicalized to a fixed differentiation order (variable 0 first) and
-memoized per field.
+canonicalized to a fixed differentiation order (variable 0 first); a
+field memoizes its own partials.
+
+Derivatives are taken on a DAG that one build makes for itself and
+drops when it ends (:class:`_Dag`, hash-consing): its nodes are interned
+by kind and by their children's identities, so equal subtrees are one
+object, and :func:`_diff` derives each (node, variable) pair once.  A
+:class:`TaylorPlan` derives all partials of all its fields on one DAG,
+and :func:`batch_evaluator` names its temporaries by node identity, so
+both cost one step per distinct node.  No table outlives its build.
 """
 
 from __future__ import annotations
@@ -120,31 +128,101 @@ def _mk_pow(a: Node, k: int) -> Node:
     return ("^", a, k)
 
 
-def _diff(node: Node, v: int) -> Node:
+class _Dag:
+    """The derivative DAG of one build: hash-consed nodes and memoized
+    derivatives (Filliâtre and Conchon, "Type-safe modular hash-consing",
+    2006).
+
+    A node is interned by its kind and its children's identities: a
+    constant by its repr, the text the evaluators emit (so 0.0 and -0.0
+    stay apart), a variable by its index and ``^`` by its base's identity
+    and its exponent.  Equal subtrees are therefore one object, and
+    :func:`_diff` derives each (node, variable) pair once.  The tables
+    keep every node alive, which keeps the identities valid; they live
+    as long as the build that made them and are not shared.
+    """
+
+    def __init__(self):
+        self.nodes: dict = {("c", repr(0.0)): _ZERO, ("c", repr(1.0)): _ONE}
+        self.derivs: dict = {}  # (id(node), v) -> derivative node
+        self._imported: dict = {}  # id of an outside node -> interned node
+
+    def node(self, n: Node) -> Node:
+        """The interned node equal to ``n``, whose children are interned."""
+        kind = n[0]
+        if kind == "c":
+            key = ("c", repr(n[1]))
+        elif kind == "x":
+            key = n
+        elif kind == "^":
+            key = ("^", id(n[1]), n[2])
+        elif len(n) == 3:
+            key = (kind, id(n[1]), id(n[2]))
+        else:
+            key = (kind, id(n[1]))
+        return self.nodes.setdefault(key, n)
+
+    def tree(self, n: Node) -> Node:
+        """The interned copy of a tree built outside the DAG (which must
+        stay alive while the DAG is in use)."""
+        out = self._imported.get(id(n))
+        if out is None:
+            kind = n[0]
+            if kind in ("c", "x"):
+                out = self.node(n)
+            elif kind == "^":
+                out = self.node(("^", self.tree(n[1]), n[2]))
+            else:
+                out = self.node((kind, *map(self.tree, n[1:])))
+            self._imported[id(n)] = out
+        return out
+
+    def partial(self, node: Node, counts: Sequence[int]) -> Node:
+        """The partial of an interned node for per-variable counts, in
+        the canonical order (variable 0 first)."""
+        for v, k in enumerate(counts):
+            for _ in range(k):
+                node = _diff(node, v, self)
+        return node
+
+
+def _diff(node: Node, v: int, dag: _Dag) -> Node:
+    """d node / d x_v for an interned node of ``dag``, derived once per
+    (node, v) and built through the ``_mk_*`` constructors."""
+    key = (id(node), v)
+    out = dag.derivs.get(key)
+    if out is not None:
+        return out
+    mk = dag.node
     kind = node[0]
     if kind == "c":
-        return _ZERO
-    if kind == "x":
-        return _ONE if node[1] == v else _ZERO
-    if kind == "+":
-        return _mk_add(_diff(node[1], v), _diff(node[2], v))
-    if kind == "-":
-        return _mk_sub(_diff(node[1], v), _diff(node[2], v))
-    if kind == "neg":
-        return _mk_neg(_diff(node[1], v))
-    if kind == "*":
+        out = _ZERO
+    elif kind == "x":
+        out = _ONE if node[1] == v else _ZERO
+    elif kind == "+":
+        out = mk(_mk_add(_diff(node[1], v, dag), _diff(node[2], v, dag)))
+    elif kind == "-":
+        out = mk(_mk_sub(_diff(node[1], v, dag), _diff(node[2], v, dag)))
+    elif kind == "neg":
+        out = mk(_mk_neg(_diff(node[1], v, dag)))
+    elif kind == "*":
         a, b = node[1], node[2]
-        return _mk_add(_mk_mul(_diff(a, v), b), _mk_mul(a, _diff(b, v)))
-    if kind == "^":
+        out = mk(_mk_add(mk(_mk_mul(_diff(a, v, dag), b)),
+                         mk(_mk_mul(a, _diff(b, v, dag)))))
+    elif kind == "^":
         a, k = node[1], node[2]
-        return _mk_mul(_mk_mul(("c", float(k)), _mk_pow(a, k - 1)), _diff(a, v))
-    if kind == "exp":
-        return _mk_mul(node, _diff(node[1], v))
-    if kind == "sin":
-        return _mk_mul(("cos", node[1]), _diff(node[1], v))
-    if kind == "cos":
-        return _mk_mul(_mk_neg(("sin", node[1])), _diff(node[1], v))
-    raise AssertionError(f"unknown node kind {kind!r}")
+        out = mk(_mk_mul(mk(_mk_mul(mk(("c", float(k))), mk(_mk_pow(a, k - 1)))),
+                         _diff(a, v, dag)))
+    elif kind == "exp":
+        out = mk(_mk_mul(node, _diff(node[1], v, dag)))
+    elif kind == "sin":
+        out = mk(_mk_mul(mk(("cos", node[1])), _diff(node[1], v, dag)))
+    elif kind == "cos":
+        out = mk(_mk_mul(mk(_mk_neg(mk(("sin", node[1])))), _diff(node[1], v, dag)))
+    else:
+        raise AssertionError(f"unknown node kind {kind!r}")
+    dag.derivs[key] = out
+    return out
 
 
 def _codegen(node: Node) -> str:
@@ -180,13 +258,20 @@ def batch_evaluator(fields: Sequence["ScalarField"]) -> Callable:
     """One generated function evaluating every field at a batch of points.
 
     The function maps coordinates ``c`` of shape (dim, B) to an array of
-    shape (len(fields), B).  Each distinct subtree across all fields is
-    computed once, as a NumPy array over the batch.  It performs the
-    scalar path's operations in the same order, so values are
-    bit-identical except where NumPy's ``exp`` rounds differently from
-    ``math.exp`` (by at most one ulp), a difference the operations
-    above it carry along.
+    shape (len(fields), B).  The trees are interned in one :class:`_Dag`
+    first, so each distinct subtree across all fields is computed once,
+    as a NumPy array over the batch.  It performs the scalar path's
+    operations in the same order, so values are bit-identical except
+    where NumPy's ``exp`` rounds differently from ``math.exp`` (by at
+    most one ulp), a difference the operations above it carry along.
     """
+    dag = _Dag()
+    return _batch_function([dag.tree(f.tree) for f in fields])
+
+
+def _batch_function(roots: Sequence[Node]) -> Callable:
+    """:func:`batch_evaluator` of interned roots: a temporary is named by
+    its node's identity, so the source is built in one pass over the DAG."""
     names: dict = {}
     lines: list[str] = []
 
@@ -196,7 +281,7 @@ def batch_evaluator(fields: Sequence["ScalarField"]) -> Callable:
             return f"({node[1]!r})"
         if kind == "x":
             return f"c[{node[1]}]"
-        name = names.get(node)
+        name = names.get(id(node))
         if name is not None:
             return name
         if kind in ("+", "-", "*"):
@@ -207,17 +292,17 @@ def batch_evaluator(fields: Sequence["ScalarField"]) -> Callable:
             src = f"_pow({emit(node[1])}, {node[2]})"
         else:
             src = f"_{kind}({emit(node[1])})"
-        name = names[node] = f"t{len(names)}"
+        name = names[id(node)] = f"t{len(names)}"
         lines.append(f"    {name} = {src}")
         return name
 
-    roots = [emit(f.tree) for f in fields]
+    out = [emit(r) for r in roots]
     del emit  # the recursive closure is a reference cycle
     src = "\n".join(
         ["def _batch(c):"]
         + lines
-        + [f"    out = _empty(({len(roots)},) + c.shape[1:])"]
-        + [f"    out[{k}] = {r}" for k, r in enumerate(roots)]
+        + [f"    out = _empty(({len(out)},) + c.shape[1:])"]
+        + [f"    out[{k}] = {r}" for k, r in enumerate(out)]
         + ["    return out"]
     )
     scope = dict(_BATCH_GLOBALS)
@@ -304,7 +389,8 @@ class ScalarField:
         key = ("d", v)
         out = self._cache.get(key)
         if out is None:
-            out = ScalarField(_diff(self.tree, v), self.dim)
+            dag = _Dag()
+            out = ScalarField(_diff(dag.tree(self.tree), v, dag), self.dim)
             self._cache[key] = out
         return out
 
@@ -386,13 +472,17 @@ def taylor_coefficients(f: ScalarField, point: Sequence[float], space: JetSpace)
 class TaylorPlan:
     """Jets of several fields at a batch of points from one generated function.
 
-    Every (field, monomial) coefficient is a partial derivative field.
-    Equal partials (equal trees: a repeated metric entry, commuted
-    derivatives) are evaluated once, constant partials are filled in
-    without evaluation, and the remaining ones come from one
-    :func:`batch_evaluator` call.  :meth:`values` returns each distinct
-    partial once, and ``rows[f, k]`` is the row holding field f's partial
-    at monomial k of the space.
+    Every (field, monomial) coefficient is a partial derivative.  The
+    plan derives them all on one :class:`_Dag` of its own, dropped when
+    the build ends: equal trees (a repeated metric entry, the shared
+    subtrees of its partials) are one node there, so each distinct
+    (node, variable) pair is differentiated once across all fields and
+    monomials, and commuted derivatives end at one node.  Each distinct
+    partial is evaluated once, constant partials are filled in without
+    evaluation, and the remaining ones come from one generated function
+    (:func:`batch_evaluator`).  :meth:`values` returns each distinct
+    partial once, and ``rows[f, k]`` is the row holding field f's
+    partial at monomial k of the space.
     """
 
     def __init__(self, fields: Sequence[ScalarField], space: JetSpace):
@@ -401,18 +491,25 @@ class TaylorPlan:
                 raise DimensionError(
                     f"jet space has {space.nvars} variables, field dimension is {f.dim}"
                 )
-        parts = [f.partial(m) for f in fields for m in space.monomials]
-        distinct = list(dict.fromkeys(parts))  # equal fields once, in order
-        live = [p for p in distinct if p.tree[0] != "c"]
-        consts = [p for p in distinct if p.tree[0] == "c"]
-        row = {p: k for k, p in enumerate(live + consts)}
+        dag = _Dag()
+        roots = [dag.tree(f.tree) for f in fields]
+        parts = [dag.partial(r, m) for r in roots for m in space.monomials]
+        # distinct partials by identity, constants by value (0.0 and
+        # -0.0 are equal trees and share a row)
+        keys = [p if p[0] == "c" else id(p) for p in parts]
+        first: dict = {}
+        for k, p in zip(keys, parts):
+            first.setdefault(k, p)
+        live = [k for k, p in first.items() if p[0] != "c"]
+        consts = [k for k, p in first.items() if p[0] == "c"]
+        row = {k: r for r, k in enumerate(live + consts)}
         self.space = space
-        self.rows = np.array([row[p] for p in parts], dtype=np.intp).reshape(
+        self.rows = np.array([row[k] for k in keys], dtype=np.intp).reshape(
             len(fields), space.size)
-        self.distinct = len(distinct)
+        self.distinct = len(first)
         self._live = len(live)
-        self._consts = np.array([p.tree[1] for p in consts])
-        self._fn = batch_evaluator(live) if live else None
+        self._consts = np.array([first[k][1] for k in consts])
+        self._fn = _batch_function([first[k] for k in live]) if live else None
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """The distinct partials, not divided by factorials, at the points

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mtwcheck import conformal as cf
 from mtwcheck.expr import parse_field
 from mtwcheck.geometry import MetricField, euclidean_metric, sphere_metric
+
+# CI runs with --hypothesis-profile=ci: the same examples every run, so a
+# fresh random draw cannot fail a build, and a failure prints the blob
+# that reproduces it.  Local runs keep the default, randomized profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtwcheck import eval_partial, eval_partial_seq, parse_field
+from mtwcheck import expr as ex
 from mtwcheck.errors import DerivativeOrderError, FieldSyntaxError
+from mtwcheck.jets import JetSpace
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +195,108 @@ def test_differentiation_is_linear(c1, c2, x, y, dx, dy):
 
 
 # ---------------------------------------------------------------------------
+# Derivatives on the shared DAG against plain recursion
+# ---------------------------------------------------------------------------
+
+
+def _reference_diff(node, v):
+    """d node / d x_v by plain recursion over the tree, nothing shared or
+    memoized: the oracle for the DAG's derivatives."""
+    kind = node[0]
+    if kind == "c":
+        return ex._ZERO
+    if kind == "x":
+        return ex._ONE if node[1] == v else ex._ZERO
+    if kind == "+":
+        return ex._mk_add(_reference_diff(node[1], v), _reference_diff(node[2], v))
+    if kind == "-":
+        return ex._mk_sub(_reference_diff(node[1], v), _reference_diff(node[2], v))
+    if kind == "neg":
+        return ex._mk_neg(_reference_diff(node[1], v))
+    if kind == "*":
+        a, b = node[1], node[2]
+        return ex._mk_add(ex._mk_mul(_reference_diff(a, v), b),
+                          ex._mk_mul(a, _reference_diff(b, v)))
+    if kind == "^":
+        a, k = node[1], node[2]
+        return ex._mk_mul(ex._mk_mul(("c", float(k)), ex._mk_pow(a, k - 1)),
+                          _reference_diff(a, v))
+    if kind == "exp":
+        return ex._mk_mul(node, _reference_diff(node[1], v))
+    if kind == "sin":
+        return ex._mk_mul(("cos", node[1]), _reference_diff(node[1], v))
+    if kind == "cos":
+        return ex._mk_mul(ex._mk_neg(("sin", node[1])), _reference_diff(node[1], v))
+    raise AssertionError(kind)
+
+
+def _reference_partial(node, counts):
+    for v, k in enumerate(counts):
+        for _ in range(k):
+            node = _reference_diff(node, v)
+    return node
+
+
+_TREE_DIM = 3
+_tree_leaves = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, -0.5]).map(lambda c: ex.const(c, _TREE_DIM)),
+    st.integers(0, _TREE_DIM - 1).map(lambda i: ex.var(i, _TREE_DIM)),
+)
+
+
+def _tree_nodes(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([ex.add, ex.sub, ex.mul]), children, children),
+        st.builds(ex.power, children, st.integers(0, 3)),
+        st.builds(lambda op, a: op(a), st.sampled_from([ex.exp, ex.sin, ex.cos]),
+                  children),
+    )
+
+
+# random fields over the whole primitive set (sub(0, a) gives 'neg')
+_random_fields = st.recursive(_tree_leaves, _tree_nodes, max_leaves=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=st.lists(_random_fields, min_size=1, max_size=3),
+       degree=st.integers(0, 4))
+def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
+    space = JetSpace.get(_TREE_DIM, degree)
+    # the derivation the plan runs, on one DAG for all fields
+    dag = ex._Dag()
+    refs = []
+    for f in fields:
+        root = dag.tree(f.tree)
+        assert root == f.tree
+        for m in space.monomials:
+            want = _reference_partial(f.tree, m)
+            assert dag.partial(root, m) == want
+            refs.append(want)
+    # one row per distinct partial: equal trees share a row, and only
+    # constants of equal value but different sign of zero share more
+    plan = ex.TaylorPlan(fields, space)
+    assert len(set(refs)) <= plan.distinct <= len(set(map(repr, refs)))
+    X = np.random.default_rng(5).uniform(-0.5, 0.5, (4, _TREE_DIM))
+    with np.errstate(all="ignore"):
+        got = plan.values(X)[plan.rows.ravel()]
+        want = _per_field_values([ex.ScalarField(r, _TREE_DIM) for r in refs], X.T)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
 # Fused batch evaluator
 # ---------------------------------------------------------------------------
+
+
+def _per_field_values(fields, X, scope=None):
+    """Each field's own generated expression (``_codegen``) at the points
+    X[:, b], with NumPy's exp, sin and cos unless ``scope`` says otherwise:
+    an array of shape (fields, B)."""
+    scope = scope or dict(ex._EVAL_GLOBALS, _exp=np.exp, _sin=np.sin, _cos=np.cos)
+    fns = [eval(f"lambda c: {ex._codegen(f.tree)}", dict(scope)) for f in fields]
+    return np.array([[fn(tuple(X[:, b])) for b in range(X.shape[1])] for fn in fns],
+                    dtype=float).reshape(len(fields), X.shape[1])
 
 
 def _fields_through_second_order(fields, dim):
@@ -244,20 +346,15 @@ def test_batch_evaluator_matches_scalar_fields(name):
     # agree bit for bit; with exp, they agree bit for bit once the
     # per-point code runs NumPy's exp too, and the two exps differ by at
     # most one ulp.
-    from mtwcheck.expr import _EVAL_GLOBALS, _codegen, batch_evaluator
-
     base, dim, pts, has_exp = _batch_case(name)
     fields = _fields_through_second_order(base, dim)
-    fn = batch_evaluator(fields)
-    np_scope = dict(_EVAL_GLOBALS, _exp=np.exp)
-    np_exp_fns = [eval(f"lambda c: {_codegen(f.tree)}", dict(np_scope)) for f in fields]
+    fn = ex.batch_evaluator(fields)
+    np_exp = dict(ex._EVAL_GLOBALS, _exp=np.exp)
     for X in (pts[:, :1], pts):
         got = fn(X)
         assert got.shape == (len(fields), X.shape[1])
         scalar = np.array([[f(X[:, b]) for b in range(X.shape[1])] for f in fields])
-        same_exp = np.array([[fe(tuple(X[:, b])) for b in range(X.shape[1])]
-                             for fe in np_exp_fns])
-        assert np.array_equal(got, same_exp)
+        assert np.array_equal(got, _per_field_values(fields, X, np_exp))
         if not has_exp:
             assert np.array_equal(got, scalar)
         else:
@@ -267,6 +364,23 @@ def test_batch_evaluator_matches_scalar_fields(name):
             ulps = np.abs(got[entry_rows] - scalar[entry_rows]) / np.spacing(
                 np.abs(scalar[entry_rows]))
             assert np.max(ulps) <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=st.lists(_random_fields, min_size=1, max_size=3),
+       degree=st.integers(0, 2))
+def test_batch_evaluator_matches_scalar_fields_on_dag_roots(fields, degree):
+    # roots of one DAG share their subtrees (a field's partials share the
+    # field's, and each other's); with the same elementary routines the
+    # batch equals every field's own expression bit for bit
+    dag = ex._Dag()
+    roots = [ex.ScalarField(dag.partial(dag.tree(f.tree), m), _TREE_DIM)
+             for f in fields for m in JetSpace.get(_TREE_DIM, degree).monomials]
+    X = np.random.default_rng(9).uniform(-0.5, 0.5, (_TREE_DIM, 5))
+    with np.errstate(all="ignore"):
+        got = ex.batch_evaluator(roots)(X)
+        want = _per_field_values(roots, X)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_batch_evaluator_constant_and_variable_roots():

@@ -1,5 +1,6 @@
 """Pointwise tensor pipeline: Christoffel, curvature, covariant derivatives."""
 
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -600,19 +601,57 @@ def test_metric_jets_match_scalar_taylor_coefficients(name, rng):
                                    atol=1e-14 * np.max(np.abs(want)))
 
 
-def test_taylor_plan_evaluates_each_distinct_partial_once():
+def test_taylor_plan_evaluates_each_distinct_partial_once(monkeypatch):
     # the three diagonal entries of exp(2xyz) I are separate but equal
-    # fields, and the off-diagonal zeros are constant: one entry's
-    # non-constant partials are all the plan evaluates
-    metric = inline3d_metric()
+    # fields (parsed one by one, as the CLI does), and the off-diagonal
+    # zeros are constant: one entry's non-constant partials are all the
+    # plan evaluates, and its build differentiates each distinct
+    # (node, variable) pair once
+    upper = [parse_field("exp(2*x*y*z)" if i == j else "0", 3)
+             for i in range(3) for j in range(i, 3)]
+    steps = []
+    diff = ex._diff
+
+    def counting(node, v, dag):
+        if (id(node), v) not in dag.derivs:
+            steps.append((repr(node), v))
+        return diff(node, v, dag)
+
+    monkeypatch.setattr(ex, "_diff", counting)
     space = JetSpace.get(3, 4)
-    plan = TaylorPlan([metric.entries[i][j] for i in range(3) for j in range(i, 3)],
-                      space)
-    diag = metric.entries[0][0]
+    plan = TaylorPlan(upper, space)
+    monkeypatch.undo()
+    diag = upper[0]
+    assert sorted(v for node, v in steps if node == repr(diag.tree)) == [0, 1, 2]
+    assert len(steps) == len(set(steps))
     live = {diag.partial(m) for m in space.monomials} - {
         diag.partial(m) for m in space.monomials
         if diag.partial(m).tree[0] == "c"}
     assert plan._live == len(live)
+
+
+def test_taylor_plans_built_concurrently_agree():
+    # each build derives on a DAG of its own, so threads building plans of
+    # fresh metrics share nothing, and no module table of expr grows
+    def tables():
+        return {k: len(v) for k, v in vars(ex).items()
+                if isinstance(v, dict) and not k.startswith("__")}
+
+    before = tables()
+    space = JetSpace.get(2, 4)
+    X = np.array([[0.1, -0.2], [0.3, 0.05]])
+
+    def build(_):
+        m = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+        plan = TaylorPlan([m.entries[0][0], m.entries[0][1], m.entries[1][1]], space)
+        return plan.rows, plan.values(X)
+
+    with ThreadPoolExecutor(4) as pool:
+        out = list(pool.map(build, range(16)))
+    for rows, vals in out[1:]:
+        assert np.array_equal(rows, out[0][0])
+        assert np.array_equal(vals, out[0][1])
+    assert tables() == before
 
 
 def test_taylor_plan_cache_is_bounded():
