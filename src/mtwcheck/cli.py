@@ -471,8 +471,9 @@ def _cmd_curvature(cfg: RunConfig) -> int:
     dirs = spec.direction_set(metric.dim)
     rows = []
     for X in mtw._point_chunks(spec.points()):
-        _, _, ok, K = mtw._sampled_planes(
-            GeometryBatch(metric, X, curvature_order=0), dirs)
+        geo = GeometryBatch(metric, X, curvature_order=0)
+        U, W, ok = mtw._orthonormal_pairs(geo, dirs)
+        K = mtw.CONDITIONS["sectional-nonneg"].value(geo, U, None, W)
         k_min = np.min(K, axis=1, initial=np.inf, where=ok)
         k_max = np.max(K, axis=1, initial=-np.inf, where=ok)
         rows += [list(x) + [lo, hi] for x, lo, hi in zip(X, k_min, k_max)]

@@ -61,12 +61,13 @@ from .errors import (
 )
 from .expr import RecentCache, TaylorPlan
 from .geometry import (
-    GeometryJet,
+    GeometryBatch,
     MetricField,
     PotentialField,
     _along_velocity,
     _first_kind_rows,
     as_point,
+    as_vectors,
     contract,
     mode_profile,
     require_positive_definite,
@@ -823,10 +824,11 @@ class CenterStencil:
     terms below are derived under that assumption, which holds in flat
     charts, on the sphere equator, and at the origin of the conformal
     charts used throughout.  Estimates combine the h and h/2 levels by
-    Richardson extrapolation.
+    Richardson extrapolation.  ``geo`` is the geometry at the center
+    point, a batch of one.
     """
 
-    def __init__(self, family: VariationFamily, jet: GeometryJet):
+    def __init__(self, family: VariationFamily, geo: GeometryBatch):
         s_vals, t_vals = family.s_values, family.t_values
         if len(s_vals) != 5 or len(t_vals) != 5 or s_vals != t_vals:
             raise PreconditionError(
@@ -838,13 +840,14 @@ class CenterStencil:
             raise PreconditionError(
                 "center stencil needs the symmetric grid {-h, -h/2, 0, h/2, h}"
             )
-        if float(np.max(np.abs(jet.gamma))) > 1e-10:
+        if float(np.max(np.abs(geo.gamma[0]))) > 1e-10:
             raise PreconditionError(
                 "center stencil requires vanishing Christoffel symbols "
                 "at the family base point"
             )
         self.family = family
-        self.jet = jet
+        self.dgamma = geo.dgamma[0]
+        self.d2gamma = geo.d2gamma[0]
         self.h = h
 
     def _fields(self, name: str, tau_index: int) -> dict:
@@ -870,8 +873,7 @@ class CenterStencil:
         if which == "t":
             return L.d_t
         P = _Diffs(Y, stride, delta)
-        dgam = self.jet.dgamma
-        d2gam = self.jet.d2gamma
+        dgam, d2gam = self.dgamma, self.d2gamma
 
         def dG(p, q, r):
             return contract(dgam, p, None, q, r)
@@ -948,25 +950,23 @@ def lemma_suite(
     must be a critical point with Hess V <= 0); with none, the full
     Riemannian list is checked.
     """
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
+    x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
     pot = potential if potential is not None else PotentialField.zero(metric.dim)
-    jet = GeometryJet(metric, x, potential=None if pot.is_zero else pot)
+    geo = GeometryBatch(metric, x[None], potential=None if pot.is_zero else pot)
 
-    if float(np.max(np.abs(jet.gamma))) > 1e-10:
+    if float(np.max(np.abs(geo.gamma[0]))) > 1e-10:
         raise PreconditionError(
             "lemma suite requires vanishing Christoffel symbols at the base point"
         )
-    mus, E = jet.hessian_modes("the lemma suite")
-    v_modes = E.T @ jet.g @ v
+    mus, E, _ = geo.hessian_modes("the lemma suite")
+    mus, E = mus[0], E[0]
+    v_modes = E.T @ geo.g[0] @ v
 
     offs = [a * h / 2 for a in (-2, -1, 0, 1, 2)]
     fam = variation_family(metric, pot, x, u, v, w, offs, offs, steps)
-    st = CenterStencil(fam, jet)
+    st = CenterStencil(fam, geo)
 
-    rup = jet.riemann_raised
+    rup = geo.riemann_raised[0]
 
     def Rop(a, b, c):
         return contract(rup, a, b, c)

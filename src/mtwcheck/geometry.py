@@ -36,17 +36,18 @@ and the Christoffel symbols at 3, the curvature at 2, nabla R at 1 and
 nabla^2 R at 0 (the table in :mod:`mtwcheck.jets`).  The same formulas
 run in each smaller space.
 
-Batches: a :class:`GeometryBatch` holds every array with the point
-axis first, and :class:`GeometryJet` is a batch of one.  Its values are
-contracted with vectors by :func:`contract`, whose leading batch axes
-(points, pairs, directions) broadcast and whose sums run in a fixed
-order, so a value computed in a batch equals the one computed alone.
-The other shared formulas are written the same way, once each:
-:func:`require_positive_definite` is the metric test of every module
-(it raises :class:`MetricDegenerateError`), :func:`orthonormalize` the
+Batches: :class:`GeometryBatch`, the only geometry type, holds every
+array with the point axis first; a one-point evaluator builds a batch of
+one and reads its point 0.  Its values are contracted with vectors by
+:func:`contract`, whose leading batch axes (points, pairs, directions)
+broadcast and whose sums run in a fixed order, so a value computed in a
+batch equals the one computed alone.  The other shared formulas are
+written the same way, once each: :func:`require_positive_definite` is
+the metric test of every module (it raises
+:class:`MetricDegenerateError`), :func:`orthonormalize` the
 Gram-Schmidt of the checker and of :func:`gram_schmidt`, and
-:meth:`GeometryBatch.grad_norms` the |grad V| of every critical-point
-test.
+:meth:`GeometryBatch.hessian_modes` the per-point test for a maximum of
+the potential.
 """
 
 from __future__ import annotations
@@ -106,6 +107,17 @@ def _jets_of(owner, fields: Sequence[ScalarField], x, space: JetSpace) -> np.nda
 
 def as_point(p: Sequence[float]) -> Point:
     return np.asarray(p, dtype=float)
+
+
+def as_vectors(dim: int, **vectors) -> list[np.ndarray]:
+    """The named vectors (or points) as float arrays, in the order
+    given; raises :class:`DimensionError` naming the first whose shape
+    is not (dim,).  Every one-point evaluator checks its input here."""
+    for name, vec in vectors.items():
+        if np.shape(vec) != (dim,):
+            raise DimensionError(
+                f"{name} has shape {np.shape(vec)}, expected ({dim},) in dimension {dim}")
+    return [as_point(vec) for vec in vectors.values()]
 
 
 def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
@@ -323,18 +335,19 @@ def _along_velocity(ginv: np.ndarray, C: np.ndarray, v: np.ndarray,
 
 def christoffel(metric: MetricField, x: Sequence[float]) -> np.ndarray:
     """Christoffel symbols G[k, i, j] of the metric at ``x``."""
-    return GeometryJet(metric, x, curvature_order=0).gamma
+    return GeometryBatch(metric, as_point(x)[None], curvature_order=0).gamma[0]
 
 
 def riemann(metric: MetricField, x: Sequence[float]) -> np.ndarray:
     """Fully lowered curvature array R[i, j, k, l] at ``x``."""
-    return GeometryJet(metric, x, curvature_order=0).riemann
+    return GeometryBatch(metric, as_point(x)[None], curvature_order=0).riemann[0]
 
 
 def sectional(metric: MetricField, x: Sequence[float], u: Vector, w: Vector) -> float:
     """Sectional curvature of span(u, w) at ``x``."""
-    jet = GeometryJet(metric, x, curvature_order=0)
-    return float(sectional_curvature(jet.g, jet.riemann, u, w))
+    u, w = as_vectors(metric.dim, u=u, w=w)
+    geo = GeometryBatch(metric, as_point(x)[None], curvature_order=0)
+    return float(sectional_curvature(geo.g[0], geo.riemann[0], u, w))
 
 
 def gram_schmidt(
@@ -443,6 +456,7 @@ def rotate90(metric: MetricField, x: Sequence[float], u: Vector) -> np.ndarray:
     """
     if metric.dim != 2:
         raise DimensionError("quarter-turn rotation requires dimension 2")
+    (u,) = as_vectors(2, u=u)
     return quarter_turn(metric.matrix(x), u)
 
 
@@ -452,11 +466,12 @@ def _generalized_eigh(H: np.ndarray, g: np.ndarray):
     Cholesky reduction (Golub and Van Loan, *Matrix Computations*,
     section 8.7): with g = L L^T, the eigenvectors y of L^-1 H L^-T give
     e = L^-T y.  The eigenvalues ascend and the columns of E are
-    g-orthonormal.
+    g-orthonormal.  Leading axes of H and g are batch axes.
     """
     Linv = np.linalg.inv(np.linalg.cholesky(g))
-    lam, Y = np.linalg.eigh(Linv @ H @ Linv.T)
-    return lam, Linv.T @ Y
+    LinvT = np.swapaxes(Linv, -1, -2)
+    lam, Y = np.linalg.eigh(Linv @ H @ LinvT)
+    return lam, LinvT @ Y
 
 
 def mode_profile(mus: np.ndarray, t) -> np.ndarray:
@@ -501,7 +516,7 @@ def _values(J: np.ndarray) -> np.ndarray:
     return np.moveaxis(jvalue(J), -1, 0).copy()
 
 
-# Per-point arrays of GeometryBatch and GeometryJet, in build order.
+# Per-point arrays of GeometryBatch, in build order.
 _FIELDS = (
     "g", "g_inv", "gamma", "dgamma", "d2gamma", "riemann", "riemann_raised",
     "nabla_r", "nabla2_r", "grad_v_lower", "grad_v", "hess_v", "nabla3_v",
@@ -519,7 +534,8 @@ class GeometryBatch:
     leading point axis: ``g[b]`` is the metric at ``x[b]``.
     ``d2gamma``, ``nabla_r`` and ``nabla2_r`` are ``None`` below the
     curvature order that needs them, the potential's arrays ``None``
-    without a potential.
+    without a potential.  The geometry at one point is a batch of one,
+    ``GeometryBatch(metric, x[None], ...)``, read at index 0.
 
     The metric and potential jets at all points come from one generated
     function each (:meth:`MetricField.jets`).  In the jet pipeline the
@@ -632,70 +648,31 @@ class GeometryBatch:
                                                + val.shape[1:]))
         return out
 
-    def point(self, b: int) -> "GeometryJet":
-        """The geometry at point b, sharing this batch's arrays."""
-        jet = GeometryJet.__new__(GeometryJet)
-        jet._take(self, b)
-        return jet
+    def hessian_modes(self, what: str | None = None):
+        """Modes of Hess V relative to g at every point: (mus, E, ok) with
+        Hess V E = -g E diag(mus^2) and g-orthonormal columns of E.
 
-
-class GeometryJet:
-    """Point-local tensor data needed by the curvature evaluators.
-
-    A batch of one :class:`GeometryBatch` point: built once per (metric,
-    potential, point), with the batch's arrays at that point
-    (``d2gamma`` is ``None`` at ``curvature_order`` 0).  Its values are
-    contracted by :func:`contract` and :func:`sectional_curvature`, as
-    the checker's batched conditions are.
-    """
-
-    def __init__(
-        self,
-        metric: MetricField,
-        x: Sequence[float],
-        potential: PotentialField | None = None,
-        curvature_order: int = 2,
-    ):
-        self._take(GeometryBatch(metric, as_point(x)[None], potential,
-                                 curvature_order), 0)
-
-    def _take(self, batch: GeometryBatch, b: int) -> None:
-        self._batch, self._b = batch, b
-        self.metric = batch.metric
-        self.potential = batch.potential
-        self.dim = batch.dim
-        self.x = batch.x[b]
-        for name in _FIELDS:
-            val = getattr(batch, name)
-            setattr(self, name, None if val is None else val[b])
-
-    def require_critical(self, what: str) -> None:
-        """Raise unless the point is a critical point of the potential."""
-        gnorm = float(self._batch.grad_norms()[self._b])
-        if gnorm > CRITICAL_GRAD_TOL:
-            raise PreconditionError(
-                f"{what} requires a critical point of the potential "
-                f"(|grad V| = {gnorm:.3e})"
-            )
-
-    def hessian_modes(self, what: str) -> tuple[np.ndarray, np.ndarray]:
-        """Modes of Hess V relative to g at a maximum of the potential.
-
-        Returns (mus, E) with Hess V E = -g E diag(mus^2) and
-        g-orthonormal columns of E, which linearize the flow about the
-        point.  Raises :class:`PreconditionError` naming ``what`` unless
-        the point is critical and Hess V <= 0.  Without a potential
-        every mu is 0 and E is a g-orthonormal frame.
+        ``ok`` masks the maxima of the potential, the critical points
+        with Hess V <= 0, about which the modes linearize the flow; given
+        ``what``, the first other point raises :class:`PreconditionError`
+        naming it.  Without a potential every point is ok, every mu is 0
+        and E is a g-orthonormal frame.
         """
-        self.require_critical(what)
+        gnorm = self.grad_norms()
         H = np.zeros_like(self.g) if self.hess_v is None else self.hess_v
         lam, E = _generalized_eigh(H, self.g)
-        top = float(lam[-1])
-        if top > HESS_NONPOSITIVE_TOL * max(1.0, float(np.max(np.abs(lam)))):
+        top = lam[:, -1]
+        critical = gnorm <= CRITICAL_GRAD_TOL
+        ok = critical & (top <= HESS_NONPOSITIVE_TOL
+                         * np.maximum(1.0, np.max(np.abs(lam), axis=-1)))
+        bad = np.flatnonzero(~ok)
+        if what is not None and bad.size:
+            b = bad[0]
             raise PreconditionError(
-                f"{what} requires Hess V <= 0 (largest eigenvalue {top:.3e})"
-            )
-        return np.sqrt(np.maximum(-lam, 0.0)), E
+                f"{what} requires a critical point of the potential "
+                f"(|grad V| = {gnorm[b]:.3e})" if not critical[b] else
+                f"{what} requires Hess V <= 0 (largest eigenvalue {top[b]:.3e})")
+        return np.sqrt(np.maximum(-lam, 0.0)), E, ok
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ closed forms is a single constant, determined empirically by
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,12 +42,11 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
-    CRITICAL_GRAD_TOL,
     GeometryBatch,
-    GeometryJet,
     MetricField,
     PotentialField,
     as_point,
+    as_vectors,
     contract,
     euclidean_metric,
     mode_profile,
@@ -150,10 +149,7 @@ def mtw_jacobi(
     (h, 2h) Richardson pair to F'' and scales by 3/2.  The reported
     error estimate is the Richardson defect.
     """
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
+    x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
     k = len(JACOBI_OFFSETS)
     value, err = _richardson_second(_variation_pairings(
         metric, potential, np.tile(x, (k, 1)), np.tile(u, (k, 1)),
@@ -187,10 +183,7 @@ def mtw_direct_cost(
     the action endpoint of v + s w.  A 5x5 stencil with Richardson
     pairs in both directions gives the mixed fourth derivative.
     """
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
+    x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
     offsets = (-2, -1, 0, 1, 2)
     starts = np.tile(x, (5, 1))
     sigma = dyn._endpoints(metric, None, starts,
@@ -215,12 +208,12 @@ def mtw_direct_cost(
 # Closed-form routes
 # ---------------------------------------------------------------------------
 #
-# Each formula below is written once, over arrays whose leading axes are
-# batch axes (geometry.contract): the checker runs it on a geometry
-# batch expanded over (point, pair, direction), and the one-point API
-# runs it on a GeometryJet with plain vectors.  Every operation is
-# elementwise, or a matmul whose stack holds the batch axes, so a
-# sample's value does not depend on the batch it was computed in.
+# Each formula below is written once, over a GeometryBatch and vectors
+# whose leading axes are batch axes, points first (geometry.contract):
+# the checker runs it over (point, pair, direction), the one-point API
+# on a batch of one.  Every operation is elementwise, or a matmul whose
+# stack holds the batch axes, so a sample's value does not depend on
+# its batch.  CONDITIONS holds the five conditions for both.
 
 
 def _active_potential(potential: PotentialField | None) -> PotentialField | None:
@@ -228,12 +221,19 @@ def _active_potential(potential: PotentialField | None) -> PotentialField | None
     return None if potential is None or potential.is_zero else potential
 
 
-def _point_jet(metric, potential, x) -> GeometryJet:
-    """The geometry every condition at ``x`` reads: curvature through
-    its second covariant derivative, plus the potential unless it is
-    absent or zero."""
-    return GeometryJet(metric, x, potential=_active_potential(potential),
-                       curvature_order=2)
+def _against(geo: GeometryBatch, *vecs) -> GeometryBatch:
+    """``geo`` with a unit axis for each batch axis that the vectors
+    (None for one not given) carry after the point axis."""
+    return geo.expand(max(np.ndim(a) for a in vecs if a is not None) - 2)
+
+
+def _require(holds, message: str, values) -> None:
+    """Raise :class:`PreconditionError` with ``message`` formatted with
+    the entry of ``values`` at the first sample where ``holds`` fails."""
+    bad = ~np.asarray(holds)
+    if np.any(bad):
+        raise PreconditionError(
+            message.format(np.broadcast_to(values, bad.shape)[bad].flat[0]))
 
 
 def mtw_zeroth_simplified(
@@ -250,36 +250,31 @@ def mtw_zeroth_simplified(
     Requires both the gradient and the Hessian of the potential to
     vanish at x (use the general evaluator otherwise).
     """
-    return _zeroth_simplified(_point_jet(metric, potential, x),
-                              as_point(u), as_point(w))
-
-
-def _zeroth_simplified(jet: GeometryJet, u, w) -> float:
-    value = float(contract(jet.riemann, w, u, w, u))
-    if jet.hess_v is not None:
-        jet.require_critical("the simplified zeroth-order evaluator")
-        hnorm = float(np.max(np.abs(jet.hess_v)))
+    u, w = as_vectors(metric.dim, u=u, w=w)
+    geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential))
+    value = float(contract(geo.riemann[0], w, u, w, u))
+    if geo.hess_v is not None:
+        geo.hessian_modes("the simplified zeroth-order evaluator")
+        hnorm = float(np.max(np.abs(geo.hess_v)))
         if hnorm > HESS_TOL:
             raise PreconditionError(
                 "the simplified zeroth-order evaluator requires a vanishing "
                 f"potential Hessian (max |Hess V| = {hnorm:.3e})"
             )
-        value += float(contract(jet.nabla4_v, w, w, u, u)) / 20.0
+        value += float(contract(geo.nabla4_v[0], w, w, u, u)) / 20.0
     return value
 
 
 def _cumulative_integral(G: np.ndarray, h: float) -> np.ndarray:
     """Prefix integral of samples on a uniform grid, O(h^4) accurate.
 
-    Even nodes take composite Simpson panels; odd nodes add the
-    half-panel rule through the next node.
+    Even nodes take composite Simpson panels, summed in node order;
+    odd nodes add the half-panel rule through the next node.
     """
-    m = len(G) - 1
-    P = np.zeros_like(G, shape=(len(G),) + G.shape[1:])
-    for k in range(2, m + 1, 2):
-        P[k] = P[k - 2] + (h / 3.0) * (G[k - 2] + 4.0 * G[k - 1] + G[k])
-    for k in range(1, m + 1, 2):
-        P[k] = P[k - 1] + (h / 12.0) * (5.0 * G[k - 1] + 8.0 * G[k] - G[k + 1])
+    P = np.zeros_like(G)
+    panels = (h / 3.0) * (G[:-2:2] + 4.0 * G[1:-1:2] + G[2::2])
+    P[::2] = np.cumsum(np.concatenate([P[:1], panels]), axis=0)
+    P[1::2] = P[:-1:2] + (h / 12.0) * (5.0 * G[:-1:2] + 8.0 * G[1::2] - G[2::2])
     return P
 
 
@@ -306,41 +301,62 @@ def mtw_zeroth_general(
     """
     if quad_panels % 2 != 0 or quad_panels < 2:
         raise ValueError("quad_panels must be a positive even integer")
-    return float(_zeroth_general(_point_jet(metric, potential, x),
-                                 as_point(u)[None], as_point(w)[None],
-                                 quad_panels)[0])
+    u, w = as_vectors(metric.dim, u=u, w=w)
+    geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential))
+    return float(_zeroth_general(geo, u[None], w[None], quad_panels, strict=True)[0])
 
 
-def _zeroth_general(jet: GeometryJet, u, w, quad_panels: int = 1024) -> np.ndarray:
-    """The general zeroth-order value of the pairs (u[p], w[p]) at the
-    jet's point; ``u`` and ``w`` have shape (pairs, n)."""
-    mus, E = jet.hessian_modes("the general zeroth-order evaluator")
+# Elements of the general zeroth-order evaluator's largest temporary,
+# (quadrature nodes, points, pairs, n, n): it takes the maxima in slices
+# of as many points as fit (at least one), so its memory does not grow
+# with their number.  Larger slices measured no faster.
+ZEROTH_SLICE_ELEMENTS = 2 ** 16
+
+
+def _zeroth_general(geo: GeometryBatch, u, w, quad_panels: int = 1024,
+                    strict: bool = False) -> np.ndarray:
+    """The general zeroth-order value of the pairs (u, w) at every point
+    that :meth:`~mtwcheck.geometry.GeometryBatch.hessian_modes` masks
+    ok, 0 at the others, or with ``strict`` raising at them; ``u`` and
+    ``w`` have the point axis first and may carry a pair axis."""
+    mus, E, ok = geo.hessian_modes(
+        "the general zeroth-order evaluator" if strict else None)
+    u, w = np.broadcast_arrays(u, w)
+    shape, n = u.shape[:-1], geo.dim
+    u, w = u.reshape(len(u), -1, n), w.reshape(len(w), -1, n)
+    out = np.zeros(u.shape[:2])
     tau = np.linspace(0.0, 1.0, quad_panels + 1)
     hq = 1.0 / quad_panels
-    # batch axes (grid, pair); per-mode profiles are (grid, 1, modes), and
-    # without a potential every mu is 0 and they are tau, 1 and 1 - tau
-    T = tau[:, None, None]
-    u, w = u[None], w[None]
+    Eg = np.swapaxes(E, -1, -2) @ geo.g
+    # batch axes (grid, point, pair); per-mode profiles are (grid, point,
+    # 1, modes), and without a potential every mu is 0 and they are tau,
+    # 1 and 1 - tau
+    T = tau[:, None, None, None]
+    maxima = np.flatnonzero(ok)
+    step = max(1, ZEROTH_SLICE_ELEMENTS // (tau.size * u.shape[1] * n * n))
+    for start in range(0, maxima.size, step):
+        b = maxima[start: start + step]
 
-    def lift(a):
-        return a[None, None]
+        def lift(a):
+            return a[b][None, :, None]
 
-    Eg = lift(E.T @ jet.g)
-    cw = contract(Eg, w)
-    cu = contract(Eg, u)
-    El = lift(E)
-    wbar = contract(El, mode_profile(mus, T) * cw)
-    dwbar = contract(El, np.cosh(mus * T) * cw)
-    ut = contract(El, mode_profile(mus, 1.0 - T) / mode_profile(mus, 1.0) * cu)
+        m, ub, wb = lift(mus), u[b][None], w[b][None]
+        cw = contract(lift(Eg), wb)
+        cu = contract(lift(Eg), ub)
+        El = lift(E)
+        wbar = contract(El, mode_profile(m, T) * cw)
+        dwbar = contract(El, np.cosh(m * T) * cw)
+        ut = contract(El, mode_profile(m, 1.0 - T) / mode_profile(m, 1.0) * cu)
 
-    F = 2.0 * contract(lift(jet.riemann), dwbar, ut, dwbar, u)
-    if jet.hess_v is not None:
-        Gpref = contract(lift(jet.riemann_raised), dwbar, wbar, u)
-        P = _cumulative_integral(Gpref, hq)
-        F = F + contract(lift(jet.hess_v), ut, P)
-        F = F + contract(lift(jet.nabla4_v), wbar, wbar, ut, u)
-
-    return 1.5 * dyn.simpson(((1.0 - tau)[:, None] * F).T, hq)
+        F = 2.0 * contract(lift(geo.riemann), dwbar, ut, dwbar, ub)
+        if geo.hess_v is not None:
+            Gpref = contract(lift(geo.riemann_raised), dwbar, wbar, ub)
+            P = _cumulative_integral(Gpref, hq)
+            F = F + contract(lift(geo.hess_v), ut, P)
+            F = F + contract(lift(geo.nabla4_v), wbar, wbar, ut, ub)
+        rows = ((1.0 - tau)[:, None, None] * F).reshape(tau.size, -1).T
+        out[b] = 1.5 * dyn.simpson(rows, hq).reshape(F.shape[1:])
+    return out.reshape(shape)
 
 
 def mtw_first(
@@ -354,18 +370,16 @@ def mtw_first(
 
         (1/2) <(grad_w R)(w, u) v, u> + (1/4) <(grad_v R)(w, u) w, u>.
     """
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
-    N = GeometryJet(metric, x, curvature_order=1).nabla_r
+    u, v, w = as_vectors(metric.dim, u=u, v=v, w=w)
+    N = GeometryBatch(metric, as_point(x)[None], curvature_order=1).nabla_r[0]
     return (0.5 * float(contract(N, w, w, u, v, u))
             + 0.25 * float(contract(N, v, w, u, w, u)))
 
 
-def _first_order_magnitude(geo, u, v, w) -> np.ndarray:
+def _first_order_magnitude(geo, u, v, w, curvature_tol=None) -> np.ndarray:
     """|<(grad_w R)(w, u) v, u>|; the pair's slots are contracted before v."""
-    return np.abs(contract(contract(geo.nabla_r, w, w, u, None, u), v))
+    N = _against(geo, u, v, w).nabla_r
+    return np.abs(contract(contract(N, w, w, u, None, u), v))
 
 
 def _gram(g: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -387,6 +401,7 @@ def _second_order_form(geo, u, w, *, full: bool) -> np.ndarray:
     planes force R(w,u)w = R(u,w)u = 0).  Each line is contracted with
     the pair (u, w), leaving its two v slots open.
     """
+    geo = _against(geo, u, w)
     N2, Rup, g = geo.nabla2_r, geo.riemann_raised, geo.g
 
     def cross(y, T):
@@ -422,12 +437,9 @@ def mtw_second(
     w: Sequence[float],
 ) -> float:
     """Second Taylor coefficient in the v-variable (pure metric case)."""
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
-    jet = GeometryJet(metric, x, curvature_order=2)
-    return float(contract(_second_order_form(jet, u, w, full=True), v, v))
+    u, v, w = (a[None] for a in as_vectors(metric.dim, u=u, v=v, w=w))
+    geo = GeometryBatch(metric, as_point(x)[None], curvature_order=2)
+    return float(contract(_second_order_form(geo, u, w, full=True), v, v)[0])
 
 
 def g_quantity(
@@ -445,13 +457,7 @@ def g_quantity(
     lines of the full second coefficient vanish and the remaining six
     lines form this quantity.
     """
-    jet = GeometryJet(metric, x, curvature_order=2)
-    return _g_quantity(jet, as_point(u), as_point(v), as_point(w), curvature_tol)
-
-
-def _g_quantity(jet: GeometryJet, u, v, w, curvature_tol: float) -> float:
-    _g_preconditions(jet, u, w, curvature_tol)
-    return float(contract(_second_order_form(jet, u, w, full=False), v, v))
+    return evaluate_condition(metric, None, "g-nonneg", x, u, v, w, curvature_tol)
 
 
 def _orthogonal(geo, u, w) -> np.ndarray:
@@ -461,20 +467,22 @@ def _orthogonal(geo, u, w) -> np.ndarray:
     return np.abs(uw) <= ORTHO_TOL * norms
 
 
-def _g_preconditions(jet: GeometryJet, u, w, curvature_tol: float) -> None:
-    """Raise unless u, w are metric-orthogonal and span a zero-curvature
-    plane, the hypotheses of the restricted second-order quantity."""
-    if not _orthogonal(jet, u, w):
-        raise PreconditionError(
-            f"the restricted second-order quantity needs <u, w> = 0 "
-            f"(got {float(contract(jet.g, u, w)):.3e})"
-        )
-    K = float(sectional_curvature(jet.g, jet.riemann, u, w))
-    if abs(K) > curvature_tol:
-        raise PreconditionError(
-            "the restricted second-order quantity needs a zero-curvature "
-            f"plane (sectional = {K:.3e}, tolerance {curvature_tol:.1e})"
-        )
+def _g_value(geo, u, v, w, curvature_tol=None) -> np.ndarray:
+    """The restricted second-order quantity at v of the pairs (u, w).
+
+    Given ``curvature_tol``, raise unless every pair meets the
+    quantity's hypotheses: u, w metric-orthogonal and spanning a plane
+    of curvature at most ``curvature_tol``.
+    """
+    if curvature_tol is not None:
+        pairs = _against(geo, u, w)
+        _require(_orthogonal(pairs, u, w), "the restricted second-order "
+                 "quantity needs <u, w> = 0 (got {:.3e})", contract(pairs.g, u, w))
+        K = _sectional(geo, u, None, w, curvature_tol)
+        _require(np.abs(K) <= curvature_tol, "the restricted second-order "
+                 "quantity needs a zero-curvature plane (sectional = {:.3e}, "
+                 f"tolerance {curvature_tol:.1e})", K)
+    return contract(_second_order_form(geo, u, w, full=False), v, v)
 
 
 def first_order_vanishing(
@@ -488,11 +496,10 @@ def first_order_vanishing(
     The contraction is linear in v, so the canonical basis bounds all
     directions up to a constant.
     """
-    u = as_point(u)
-    w = as_point(w)
-    jet = GeometryJet(metric, x, curvature_order=1)
-    return max(float(_first_order_magnitude(jet, u, e, w))
-               for e in np.eye(metric.dim))
+    u, w = as_vectors(metric.dim, u=u, w=w)
+    geo = GeometryBatch(metric, as_point(x)[None], curvature_order=1)
+    return float(np.max(_first_order_magnitude(
+        geo, u[None, None], np.eye(metric.dim)[None], w[None, None])))
 
 
 @dataclass
@@ -524,34 +531,110 @@ def discriminant_2d(
     """
     if metric.dim != 2:
         raise DimensionError("the discriminant check is specific to dimension 2")
-    jet = GeometryJet(metric, x, curvature_order=2)
-    return _discriminant_2d(jet, as_point(u), curvature_tol)
+    (u,) = as_vectors(2, u=u)
+    geo = GeometryBatch(metric, as_point(x)[None], curvature_order=2)
+    w, lhs, rhs = _discriminant_sides(geo, u[None], curvature_tol)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return DiscriminantResult(
+        lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs + INEQUALITY_SLACK),
+        u=u, w=w[0],
+    )
 
 
-def _discriminant_terms(geo, u):
-    """(w, K, lhs, rhs) of the discriminant inequality for 2-vectors u:
-    w their quarter turns and K the curvature of span(u, w)."""
-    w = quarter_turn(geo.g, u)
-    K = sectional_curvature(geo.g, geo.riemann, u, w)
-    N2 = geo.nabla2_r
+def _discriminant_sides(geo, u, curvature_tol=None):
+    """(w, lhs, rhs) of the discriminant inequality for 2-vectors u, w
+    their quarter turns; given ``curvature_tol``, raise unless every
+    span(u, w) has curvature at most ``curvature_tol``."""
+    at = _against(geo, u)
+    w = quarter_turn(at.g, u)
+    if curvature_tol is not None:
+        K = _sectional(geo, u, None, w, curvature_tol)
+        _require(np.abs(K) <= curvature_tol, "the discriminant check needs "
+                 "zero curvature at x (sectional = {:.3e})", K)
+    N2 = at.nabla2_r
     mixed = contract(N2, w, u, w, u, w, u)
     lhs = 3.0 * (mixed * mixed)
     rhs = 2.0 * contract(N2, w, w, w, u, w, u) * contract(N2, u, u, w, u, w, u)
-    return w, K, lhs, rhs
+    return w, lhs, rhs
 
 
-def _discriminant_2d(jet: GeometryJet, u, curvature_tol: float) -> DiscriminantResult:
-    w, K, lhs, rhs = _discriminant_terms(jet, u)
-    if abs(K) > curvature_tol:
-        raise PreconditionError(
-            f"the discriminant check needs zero curvature at x "
-            f"(sectional = {K:.3e})"
-        )
-    lhs, rhs = float(lhs), float(rhs)
-    return DiscriminantResult(
-        lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs + INEQUALITY_SLACK),
-        u=u, w=w,
-    )
+def _sectional(geo, u, v, w, curvature_tol=None) -> np.ndarray:
+    """Sectional curvature of span(u, w); given ``curvature_tol``, a
+    degenerate plane raises, else it gets a meaningless value."""
+    pairs = _against(geo, u, w)
+    return sectional_curvature(pairs.g, pairs.riemann, u, w,
+                               where=curvature_tol is not None)
+
+
+def _zeroth_order(geo, u, v, w, curvature_tol=None) -> np.ndarray:
+    """<R(w, u) w, u> without a potential; with one, the general
+    evaluator (strict given ``curvature_tol``)."""
+    if geo.hess_v is None:
+        return contract(_against(geo, u, w).riemann, w, u, w, u)
+    return _zeroth_general(geo, u, w, strict=curvature_tol is not None)
+
+
+class _Condition(NamedTuple):
+    """One necessary condition as a batch formula: ``value(geo, u, v, w,
+    curvature_tol=None)``, its scalar at every sample (vectors not read
+    may be None).  Given ``curvature_tol`` it raises unless the
+    condition's hypotheses hold at every sample; the checker calls it
+    without and masks them, with tolerances relative to the sample."""
+
+    value: Callable
+    reads: str  # the vectors the condition reads, of "uvw"
+    dim: int | None = None  # the only dimension it is defined in
+
+
+# The conditions the checker reports, in report order.
+CONDITIONS = {
+    "sectional-nonneg": _Condition(_sectional, "uw"),
+    "zeroth-order": _Condition(_zeroth_order, "uw"),
+    "first-order-vanishing": _Condition(_first_order_magnitude, "uvw"),
+    "g-nonneg": _Condition(_g_value, "uvw"),
+    "discriminant-2d": _Condition(
+        lambda geo, u, v, w, curvature_tol=None:  # lhs - rhs
+        np.subtract(*_discriminant_sides(geo, u, curvature_tol)[1:]), "u", dim=2),
+}
+
+
+def evaluate_condition(
+    metric: MetricField,
+    potential: PotentialField | None,
+    condition: str,
+    point: Sequence[float],
+    u: Sequence[float] | None = None,
+    v: Sequence[float] | None = None,
+    w: Sequence[float] | None = None,
+    curvature_tol: float = CURVATURE_LOCUS_TOL,
+) -> float:
+    """Re-evaluate the scalar behind a checker witness: the checker's
+    formula, from :data:`CONDITIONS`, on the point's geometry as a batch
+    of one, so a reported witness reproduces its value exactly.
+
+    Before any geometry is built, an unknown condition or a missing
+    vector the condition reads raises ValueError, and a vector of the
+    wrong length or a metric outside the condition's dimension
+    :class:`DimensionError`; then the condition's hypotheses are checked.
+    """
+    row = CONDITIONS.get(condition)
+    if row is None:
+        raise ValueError(
+            f"unknown condition {condition!r}; expected one of {list(CONDITIONS)}")
+    if row.dim is not None and metric.dim != row.dim:
+        raise DimensionError(
+            f"condition {condition!r} is defined in dimension {row.dim} only, "
+            f"not {metric.dim}")
+    given = {"u": u, "v": v, "w": w}
+    for name in row.reads:
+        if given[name] is None:
+            raise ValueError(f"condition {condition!r} reads vector {name}, "
+                             "which was not given")
+    vecs = dict(zip(row.reads, as_vectors(
+        metric.dim, **{name: given[name] for name in row.reads})))
+    geo = GeometryBatch(metric, as_point(point)[None], _active_potential(potential))
+    return float(row.value(geo, *(vecs[k][None] if k in vecs else None for k in "uvw"),
+                           curvature_tol)[0])
 
 
 @dataclass
@@ -775,7 +858,7 @@ def _worker_count() -> int:
     """Threads the checker computes on: it runs on the calling thread.
 
     Kept only for the benchmark's provenance line, which reads it; the
-    benchmark change of ROADMAP item 3 stops reading it and deletes it.
+    benchmark change of ROADMAP item 1 stops reading it and deletes it.
     """
     return 1
 
@@ -801,66 +884,10 @@ def _orthonormal_pairs(geo, directions: np.ndarray):
     return u, w, ok
 
 
-def _sampled_planes(geo, directions: np.ndarray):
-    """(U, W, ok, K): the orthonormal pairs of :func:`_orthonormal_pairs`
-    at every point of a batch and their sectional curvatures K (B, m)."""
-    U, W, ok = _orthonormal_pairs(geo, directions)
-    pairs = geo.expand(1)
-    K = sectional_curvature(pairs.g, pairs.riemann, U, W, where=ok)
-    return U, W, ok, K
-
-
 def _point_chunks(points: np.ndarray):
     """The sample points in consecutive chunks of CHECK_CHUNK_POINTS."""
     for start in range(0, len(points), CHECK_CHUNK_POINTS):
         yield points[start: start + CHECK_CHUNK_POINTS]
-
-
-def _condition_value(
-    jet: GeometryJet, condition: str, u, v, w,
-    curvature_tol: float = CURVATURE_LOCUS_TOL,
-) -> float:
-    """The scalar behind ``condition`` at the jet's point.
-
-    The map from condition names to formulas for one sample: each
-    formula is the function the checker runs on its whole batch, here
-    on a batch of one.
-    """
-    if condition == "sectional-nonneg":
-        return float(sectional_curvature(jet.g, jet.riemann, u, w))
-    if condition == "zeroth-order":
-        if jet.potential is None:
-            return _zeroth_simplified(jet, u, w)
-        return float(_zeroth_general(jet, u[None], w[None])[0])
-    if condition == "first-order-vanishing":
-        return float(_first_order_magnitude(jet, u, v, w))
-    if condition == "g-nonneg":
-        return _g_quantity(jet, u, v, w, curvature_tol)
-    if condition == "discriminant-2d":
-        res = _discriminant_2d(jet, u, curvature_tol)
-        return res.lhs - res.rhs
-    raise ValueError(f"unknown condition {condition!r}")
-
-
-def evaluate_condition(
-    metric: MetricField,
-    potential: PotentialField | None,
-    condition: str,
-    point: Sequence[float],
-    u: Sequence[float] | None = None,
-    v: Sequence[float] | None = None,
-    w: Sequence[float] | None = None,
-    curvature_tol: float = CURVATURE_LOCUS_TOL,
-) -> float:
-    """Re-evaluate the scalar behind a checker witness.
-
-    Builds the witness point's geometry as a batch of one and runs the
-    checker's formula on it, so a reported witness reproduces its
-    value exactly.
-    """
-    u, v, w = (None if a is None else as_point(a) for a in (u, v, w))
-    return _condition_value(_point_jet(metric, potential, point), condition,
-                            u, v, w, curvature_tol)
 
 
 @dataclass
@@ -890,40 +917,30 @@ class _Scan:
 
 
 def _scan_chunk(metric, potential, X, directions) -> _Scan:
-    """Every condition at every (point, pair, direction) of one geometry
-    batch, as contractions with the batch axes leading."""
+    """Every condition of :data:`CONDITIONS` at every (point, pair,
+    direction) of one geometry batch, with the batch axes leading."""
     geo = GeometryBatch(metric, X, potential, curvature_order=2)
-    U, W, ok, K = _sampled_planes(geo, directions)
+    C = CONDITIONS
     pairs = geo.expand(1)  # against (point, pair)
-    samples = geo.expand(2)  # against (point, pair, direction)
+    U, W, ok = _orthonormal_pairs(geo, directions)
+    K = C["sectional-nonneg"].value(geo, U, None, W)
     u, w = U[:, :, None], W[:, :, None]
     v = directions[None, None]
-
-    grad = geo.grad_norms()
-    if potential is None:
-        zeroth_ok = np.ones(len(X), dtype=bool)
-        zeroth = contract(pairs.riemann, W, U, W, U)  # _zeroth_simplified
-    else:
-        # the general evaluator refuses a point that is no maximum of the
-        # potential; the gradient test only spares it the refused points
-        zeroth_ok = np.zeros(len(X), dtype=bool)
-        zeroth = np.zeros_like(K)
-        for b in np.flatnonzero(grad <= CRITICAL_GRAD_TOL):
-            try:
-                zeroth[b] = _zeroth_general(geo.point(b), U[b], W[b])
-            except PreconditionError:
-                continue
-            zeroth_ok[b] = True
-
-    mags = _first_order_magnitude(samples, u, v, w)
-    gv = contract(_second_order_form(pairs, U, W, full=False)[:, :, None], v, v)
+    mags = C["first-order-vanishing"].value(geo, u, v, w)
+    gv = C["g-nonneg"].value(geo, u, v, w)
     disc = (None, None, None)
     if metric.dim == 2:
-        wd, Kd, lhs, rhs = _discriminant_terms(pairs, directions[None])
-        disc = (Kd, lhs - rhs, wd)
+        d = directions[None]
+        wd = quarter_turn(pairs.g, d)
+        disc = (C["sectional-nonneg"].value(geo, d, None, wd),
+                C["discriminant-2d"].value(geo, d, None, None), wd)
+    # the general evaluator's points: the maxima of the potential
+    zeroth_ok = (np.ones(len(X), dtype=bool) if potential is None
+                 else geo.hessian_modes()[2])
     return _Scan(
-        x=X, U=U, W=W, ok=ok, K=K, grad=grad, zeroth_ok=zeroth_ok,
-        zeroth=zeroth, fo_max=mags.max(axis=2), fo_arg=mags.argmax(axis=2),
+        x=X, U=U, W=W, ok=ok, K=K, grad=geo.grad_norms(), zeroth_ok=zeroth_ok,
+        zeroth=C["zeroth-order"].value(geo, U, None, W),
+        fo_max=mags.max(axis=2), fo_arg=mags.argmax(axis=2),
         ortho=_orthogonal(pairs, U, W), g_min=gv.min(axis=2),
         g_arg=gv.argmin(axis=2), g_abs=np.abs(gv).max(axis=2),
         disc_K=disc[0], disc_gap=disc[1], disc_w=disc[2],

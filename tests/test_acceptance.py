@@ -16,7 +16,7 @@ from mtwcheck import mtw
 from mtwcheck.cli import _jsonify
 from mtwcheck.dynamics import jacobi_bvp, least_action_curve, lemma_suite
 from mtwcheck.geometry import (
-    GeometryJet,
+    GeometryBatch,
     euclidean_metric,
     quartic_potential,
     riemann,
@@ -269,14 +269,14 @@ def test_criterion_8_invariant_suites():
                    + np.transpose(R, (0, 3, 1, 2)))
             assert np.allclose(cyc, 0.0, atol=1e-9)
         for x in pts[:10]:
-            nr = GeometryJet(metric, x, curvature_order=1).nabla_r
+            nr = GeometryBatch(metric, x[None], curvature_order=1).nabla_r[0]
             cyc = (nr + np.transpose(nr, (1, 2, 0, 3, 4))
                    + np.transpose(nr, (2, 0, 1, 3, 4)))
             assert np.allclose(cyc, 0.0, atol=1e-8)
     for x in sphere_points(rng, 10):
-        jet = GeometryJet(sphere, x)
-        assert np.max(np.abs(jet.nabla_r)) < 1e-8
-        assert np.max(np.abs(jet.nabla2_r)) < 1e-8
+        geo = GeometryBatch(sphere, x[None])
+        assert np.max(np.abs(geo.nabla_r)) < 1e-8
+        assert np.max(np.abs(geo.nabla2_r)) < 1e-8
 
     # energy conservation along least-action curves
     from mtwcheck.geometry import harmonic_potential

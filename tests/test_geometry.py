@@ -23,7 +23,6 @@ from mtwcheck.geometry import (
     _TAYLOR_PLAN_CACHE_SIZE,
     _TAYLOR_PLANS,
     GeometryBatch,
-    GeometryJet,
     MetricField,
     PotentialField,
     _along_velocity,
@@ -161,7 +160,7 @@ def test_second_bianchi(rng, name):
     metric, pts = _random_metric_points(rng, name, 10)
     for x in pts:
         # nr[m, i, j, k, l] = (nabla_m R)_ijkl
-        nr = GeometryJet(metric, x, curvature_order=1).nabla_r
+        nr = GeometryBatch(metric, x[None], curvature_order=1).nabla_r[0]
         cyc = (nr + np.transpose(nr, (1, 2, 0, 3, 4))
                + np.transpose(nr, (2, 0, 1, 3, 4)))
         assert np.allclose(cyc, 0.0, atol=1e-8)
@@ -169,9 +168,9 @@ def test_second_bianchi(rng, name):
 
 def test_sphere_is_locally_symmetric(rng, sphere):
     for x in sphere_points(rng, 10):
-        jet = GeometryJet(sphere, x)
-        assert np.max(np.abs(jet.nabla_r)) < 1e-8
-        assert np.max(np.abs(jet.nabla2_r)) < 1e-8
+        geo = GeometryBatch(sphere, x[None])
+        assert np.max(np.abs(geo.nabla_r)) < 1e-8
+        assert np.max(np.abs(geo.nabla2_r)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +219,17 @@ def test_second_curvature_derivative_contractions(a, rng):
     # first derivative vanish, and the second-derivative contractions
     # evaluate to quadratic forms in the direction components.
     metric = cf.conformal_metric(cf.ConformalSpec(a=a))
-    jet = GeometryJet(metric, [0.0, 0.0])
+    N2 = GeometryBatch(metric, [[0.0, 0.0]]).nabla2_r[0]
     for _ in range(5):
         u = rng.normal(size=2)
         u = u / np.hypot(*u)  # identities are stated for unit directions
         w = np.array([-u[1], u[0]])
         expected = -4.0 * (a * u[0] ** 2 + 6 * u[0] * u[1] + a * u[1] ** 2)
-        assert contract(jet.nabla2_r, u, u, u, w, u, w) == pytest.approx(
+        assert contract(N2, u, u, u, w, u, w) == pytest.approx(
             expected, abs=1e-9)
         mixed = -4.0 * (a * u[0] * w[0] + 3 * u[0] * w[1]
                         + 3 * w[0] * u[1] + a * u[1] * w[1])
-        assert contract(jet.nabla2_r, w, u, u, w, u, w) == pytest.approx(
+        assert contract(N2, w, u, u, w, u, w) == pytest.approx(
             mixed, abs=1e-9)
 
 
@@ -253,14 +252,15 @@ def test_jet_tensors_match_point_evaluator(name, rng):
     vel = rng.normal(size=pts.shape)
     fields = _evaluator(metric, potential, need_curvature=True)(pts, vel)
     for b, (x, v) in enumerate(zip(pts, vel)):
-        jet = GeometryJet(metric, x, potential=potential, curvature_order=0)
-        rup = _curvature_from(np.einsum, jet.gamma, jet.dgamma)
+        geo = GeometryBatch(metric, x[None], potential=potential, curvature_order=0)
+        gam, ginv = geo.gamma[0], geo.g_inv[0]
+        rup = _curvature_from(np.einsum, gam, geo.dgamma[0])
         want = {
-            "ginv": jet.g_inv,
-            "gam_v": np.einsum("kij,i->kj", jet.gamma, v),
-            "gam_vv": np.einsum("kij,i,j->k", jet.gamma, v, v),
+            "ginv": ginv,
+            "gam_v": np.einsum("kij,i->kj", gam, v),
+            "gam_vv": np.einsum("kij,i,j->k", gam, v, v),
             "op": np.einsum("lijk,i,k->lj", rup, v, v)
-            + (0.0 if potential is None else jet.g_inv @ jet.hess_v),
+            + (0.0 if potential is None else ginv @ geo.hess_v[0]),
         }
         for key, ref in want.items():
             got = getattr(fields, key)[b]
@@ -302,7 +302,8 @@ def test_curvature_operator_is_the_contracted_curvature(n):
 
 
 def _degree4_reference(metric, x, potential, order):
-    """Every GeometryJet field with all stages at Taylor degree 4."""
+    """Every GeometryBatch field at one point with all stages at Taylor
+    degree 4."""
     space = JetSpace.get(metric.dim, 4)
     n = metric.dim
     product = partial(jcontract, space)
@@ -358,9 +359,9 @@ def test_graded_jet_matches_degree4_reference(name, with_potential, order):
         metric = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
         x, A = [0.3, -0.2], [[1, .3], [.3, .7]]
     potential = quartic_potential(np.array(A, dtype=float)) if with_potential else None
-    jet = GeometryJet(metric, x, potential=potential, curvature_order=order)
+    geo = GeometryBatch(metric, [x], potential=potential, curvature_order=order)
     ref = _degree4_reference(metric, x, potential, order)
-    fields = {k: v for k, v in vars(jet).items() if isinstance(v, np.ndarray)}
+    fields = {k: v[0] for k, v in vars(geo).items() if isinstance(v, np.ndarray)}
     assert fields.keys() == ref.keys()
     for key, want in ref.items():
         scale = np.max(np.abs(want))
@@ -377,18 +378,18 @@ def test_cubic_potential_fourth_contraction_zero(flat2):
     from mtwcheck.expr import parse_field as pf
 
     V = PotentialField(pf("x^3 + x*y^2", 2), 2)
-    jet = GeometryJet(flat2, [0.2, 0.3], potential=V, curvature_order=0)
+    geo = GeometryBatch(flat2, [[0.2, 0.3]], potential=V, curvature_order=0)
     w, u = [0.0, 1.0], [1.0, 0.0]
-    assert contract(jet.nabla4_v, w, w, u, u) == pytest.approx(
+    assert contract(geo.nabla4_v[0], w, w, u, u) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_quartic_identity_matrix_fourth_contraction(flat2):
     V = quartic_potential(np.eye(2))
-    jet = GeometryJet(flat2, [0.0, 0.0], potential=V, curvature_order=0)
+    geo = GeometryBatch(flat2, [[0.0, 0.0]], potential=V, curvature_order=0)
     w, u = [0.0, 1.0], [1.0, 0.0]
-    assert contract(jet.nabla4_v, w, w, u, u) == pytest.approx(
+    assert contract(geo.nabla4_v[0], w, w, u, u) == pytest.approx(
         -8.0, abs=1e-12
     )
 
@@ -400,7 +401,7 @@ def test_fourth_contraction_equals_plain_derivative_off_critical(flat2, rng):
     x = np.array([0.3, -0.2])
     u = rng.normal(size=2)
     w = rng.normal(size=2)
-    jet = GeometryJet(flat2, x, potential=V, curvature_order=0)
+    geo = GeometryBatch(flat2, x[None], potential=V, curvature_order=0)
 
     def v_fn(p):
         q = float(p @ A @ p)
@@ -414,7 +415,7 @@ def test_fourth_contraction_equals_plain_derivative_off_critical(flat2, rng):
             vals[i, j] = v_fn(x + a_ * h * u + b_ * h * w)
     d2_u = (vals[3, :] - 2 * vals[2, :] + vals[1, :]) / h**2
     d4 = (d2_u[3] - 2 * d2_u[2] + d2_u[1]) / h**2
-    assert contract(jet.nabla4_v, w, w, u, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
+    assert contract(geo.nabla4_v[0], w, w, u, u) == pytest.approx(d4, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +437,18 @@ def _pencils(draw):
     return 0.5 * (g + g.T), B
 
 
-def _constant_jet(g, H, scale=1.0):
-    """GeometryJet at the origin of the constant metric scale * g with
-    potential scale * (1/2) x^T H x, whose Hess V there is scale * H."""
+def _constant_geometry(g, H, scale=1.0):
+    """Geometry at the origin, a batch of one, of the constant metric
+    scale * g with potential scale * (1/2) x^T H x, whose Hess V there is
+    scale * H."""
     n = len(g)
     metric = MetricField.from_upper(
         [ex.const(g[i, j], n) for i in range(n) for j in range(i, n)], n)
     v = ex.fsum((ex.scale(0.5 * H[i, j], ex.mul(ex.var(i, n), ex.var(j, n)))
                  for i in range(n) for j in range(n)), n)
     pot = PotentialField(ex.scale(scale, v), n)
-    return GeometryJet(scale_metric(metric, scale), np.zeros(n),
-                       potential=pot, curvature_order=0)
+    return GeometryBatch(scale_metric(metric, scale), np.zeros((1, n)),
+                         potential=pot, curvature_order=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,12 +473,14 @@ def test_mode_reconstruction_invariant_under_joint_scaling(pencil, c, t):
     H = 0.5 * (H + H.T)
     v = np.linspace(1.0, -0.5, len(g))
 
-    def reconstruct(jet):
-        mus, E = jet.hessian_modes("the test")
-        return E @ (mode_profile(mus, t) * (E.T @ jet.g @ v))
+    def reconstruct(geo):
+        mus, E, ok = geo.hessian_modes()
+        assert ok.tolist() == [True]
+        mus, E = mus[0], E[0]
+        return E @ (mode_profile(mus, t) * (E.T @ geo.g[0] @ v))
 
-    want = reconstruct(_constant_jet(g, H))
-    got = reconstruct(_constant_jet(g, H, scale=c))
+    want = reconstruct(_constant_geometry(g, H))
+    got = reconstruct(_constant_geometry(g, H, scale=c))
     # the floor keeps the tolerance nonzero where a tiny t underflows
     assert np.allclose(got, want, rtol=1e-9,
                        atol=1e-9 * np.abs(want).max() + 1e-300)
@@ -484,23 +488,48 @@ def test_mode_reconstruction_invariant_under_joint_scaling(pencil, c, t):
 
 def test_hessian_modes_reject_a_saddle(flat2):
     V = PotentialField(parse_field("x^2 - y^2", 2), 2)
-    jet = GeometryJet(flat2, [0.0, 0.0], potential=V, curvature_order=0)
+    geo = GeometryBatch(flat2, [[0.0, 0.0]], potential=V, curvature_order=0)
+    assert geo.hessian_modes()[2].tolist() == [False]
     with pytest.raises(PreconditionError, match="Hess V <= 0"):
-        jet.hessian_modes("the test")
+        geo.hessian_modes("the test")
 
 
 def test_hessian_modes_reject_a_noncritical_point(flat2):
     V = PotentialField(parse_field("0 - x^2 - y^2", 2), 2)
-    jet = GeometryJet(flat2, [0.1, 0.0], potential=V, curvature_order=0)
+    geo = GeometryBatch(flat2, [[0.1, 0.0]], potential=V, curvature_order=0)
+    assert geo.hessian_modes()[2].tolist() == [False]
     with pytest.raises(PreconditionError, match="critical point"):
-        jet.hessian_modes("the test")
+        geo.hessian_modes("the test")
 
 
 def test_hessian_modes_without_potential_are_zero(sphere):
-    jet = GeometryJet(sphere, [1.0, 0.3], curvature_order=0)
-    mus, E = jet.hessian_modes("the test")
-    assert np.array_equal(mus, np.zeros(2))
-    assert np.allclose(E.T @ jet.g @ E, np.eye(2), rtol=0.0, atol=1e-14)
+    geo = GeometryBatch(sphere, [[1.0, 0.3]], curvature_order=0)
+    mus, E, ok = geo.hessian_modes("the test")
+    assert ok.tolist() == [True]
+    assert np.array_equal(mus, np.zeros((1, 2)))
+    assert np.allclose(E[0].T @ geo.g[0] @ E[0], np.eye(2), rtol=0.0, atol=1e-14)
+
+
+def test_hessian_modes_are_per_point_masks(flat2):
+    # in a batch of a maximum and a noncritical point, each point's
+    # modes and mask are those it has alone, and the raising form names
+    # the first point that is no maximum
+    V = PotentialField(parse_field("0 - x^2 - 2*y^4 + x*y^3", 2), 2)
+    X = np.array([[0.0, 0.0], [0.3, 0.1]])
+    geo = GeometryBatch(flat2, X, potential=V, curvature_order=0)
+    mus, E, ok = geo.hessian_modes()
+    assert ok.tolist() == [True, False]
+    for b, x in enumerate(X):
+        mus1, E1, ok1 = GeometryBatch(flat2, x[None], potential=V,
+                                      curvature_order=0).hessian_modes()
+        assert np.array_equal(mus[b], mus1[0]) and np.array_equal(E[b], E1[0])
+        assert ok1[0] == ok[b]
+    with pytest.raises(PreconditionError, match="critical point"):
+        geo.hessian_modes("the test")
+    GeometryBatch(flat2, X[:1], potential=V, curvature_order=0).hessian_modes("x")
+    saddle = PotentialField(parse_field("x^2 - y^2", 2), 2)
+    both = GeometryBatch(flat2, np.zeros((2, 2)), potential=saddle, curvature_order=0)
+    assert both.hessian_modes()[2].tolist() == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +601,13 @@ def test_batch_point_equals_point_built_alone(name, order):
     for batch_points in (X, X[1:4]):
         batch = GeometryBatch(metric, batch_points, pot, curvature_order=order)
         for b, x in enumerate(batch_points):
-            jet = GeometryJet(metric, x, pot, curvature_order=order)
+            alone = GeometryBatch(metric, x[None], pot, curvature_order=order)
             for field in _FIELDS:
-                got, want = getattr(batch, field), getattr(jet, field)
+                got, want = getattr(batch, field), getattr(alone, field)
                 if want is None:
                     assert got is None, field
                 else:
-                    assert np.array_equal(got[b], want), (field, b)
+                    assert np.array_equal(got[b], want[0]), (field, b)
 
 
 @pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
@@ -656,6 +685,6 @@ def test_taylor_plans_built_concurrently_agree():
 
 def test_taylor_plan_cache_is_bounded():
     for _ in range(3 * _TAYLOR_PLAN_CACHE_SIZE):
-        GeometryJet(cf.conformal_metric(cf.ConformalSpec(a=-3.5)), [0.1, 0.0],
-                    curvature_order=0)
+        GeometryBatch(cf.conformal_metric(cf.ConformalSpec(a=-3.5)), [[0.1, 0.0]],
+                      curvature_order=0)
     assert len(_TAYLOR_PLANS) <= _TAYLOR_PLAN_CACHE_SIZE

@@ -19,14 +19,15 @@ from mtwcheck.errors import (
 )
 from mtwcheck.geometry import (
     GeometryBatch,
-    GeometryJet,
     PotentialField,
     contract,
     euclidean_metric,
     gram_schmidt,
     harmonic_potential,
     quartic_potential,
+    rotate90,
     scale_metric,
+    sectional,
     sphere_metric,
 )
 from mtwcheck.expr import parse_field
@@ -233,16 +234,16 @@ def test_second_conformal_origin_collapses_to_g(conformal_a3):
 
 
 def test_g_quantity_matches_simplified_decomposition(conformal_a3, rng):
-    jet = GeometryJet(conformal_a3, ZERO2)
+    N2 = GeometryBatch(conformal_a3, [ZERO2]).nabla2_r[0]
     for _ in range(5):
         a_c, b_c = rng.normal(size=2)
         v = a_c * E1 + b_c * E2
         got = mtw.g_quantity(conformal_a3, ZERO2, E1, v, E2)
         u, w = E1, E2
         expected = (
-            0.6 * b_c**2 * contract(jet.nabla2_r, w, w, w, u, w, u)
-            + 0.6 * a_c * b_c * contract(jet.nabla2_r, w, u, w, u, w, u)
-            + 0.1 * a_c**2 * contract(jet.nabla2_r, u, u, w, u, w, u)
+            0.6 * b_c**2 * contract(N2, w, w, w, u, w, u)
+            + 0.6 * a_c * b_c * contract(N2, w, u, w, u, w, u)
+            + 0.1 * a_c**2 * contract(N2, u, u, w, u, w, u)
         )
         assert got == pytest.approx(expected, abs=1e-10)
 
@@ -424,6 +425,68 @@ def test_check_witness_reproducible():
     )
 
 
+@pytest.mark.parametrize("condition", list(mtw.CONDITIONS))
+def test_evaluate_condition_checks_input_against_its_row(condition):
+    """Before any geometry is built, a vector the condition reads that is
+    missing raises ValueError, one of the wrong length DimensionError,
+    and so does a metric outside the condition's dimension."""
+    row = mtw.CONDITIONS[condition]
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    given = {"u": E1, "v": np.array([0.3, 0.4]), "w": E2}
+
+    def evaluate(metric, point, **vectors):
+        return mtw.evaluate_condition(metric, None, condition, point,
+                                      curvature_tol=math.inf, **vectors)
+
+    assert isinstance(evaluate(metric, ZERO2, **given), float)
+    for name in row.reads:
+        with pytest.raises(ValueError, match=f"{condition}.*vector {name}"):
+            evaluate(metric, ZERO2, **{**given, name: None})
+        with pytest.raises(DimensionError, match=f"{name} has shape \\(3,\\)"):
+            evaluate(metric, ZERO2, **{**given, name: [1.0, 0.0, 0.0]})
+    assert set(row.reads) <= set("uvw")
+
+    m3 = inline3d_metric()
+    e = np.eye(3)
+    if row.dim == 2:
+        with pytest.raises(DimensionError, match=condition):
+            evaluate(m3, [0.1, 0.2, 0.0], u=[1, 0, 0])
+    else:
+        assert isinstance(evaluate(m3, [0.1, 0.2, 0.0], u=e[0], v=e[2], w=e[1]),
+                          float)
+    with pytest.raises(ValueError, match="unknown condition"):
+        mtw.evaluate_condition(metric, None, condition + "-x", ZERO2, u=E1)
+
+
+def test_one_point_evaluators_reject_wrong_length_vectors(flat2):
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    bad = [0.0, 1.0, 0.0]
+    calls = {
+        "sectional": lambda: sectional(metric, ZERO2, E1, bad),
+        "rotate90": lambda: rotate90(metric, ZERO2, bad),
+        "mtw_zeroth_simplified": lambda: mtw.mtw_zeroth_simplified(
+            metric, None, ZERO2, E1, bad),
+        "mtw_zeroth_general": lambda: mtw.mtw_zeroth_general(
+            metric, None, ZERO2, bad, E2),
+        "mtw_first": lambda: mtw.mtw_first(metric, ZERO2, [1, 0, 0], E1, E2),
+        "mtw_second": lambda: mtw.mtw_second(metric, ZERO2, E1, bad, E2),
+        "g_quantity": lambda: mtw.g_quantity(metric, ZERO2, E1, E1, w=bad),
+        "first_order_vanishing": lambda: mtw.first_order_vanishing(
+            metric, ZERO2, bad, E2),
+        "discriminant_2d": lambda: mtw.discriminant_2d(metric, ZERO2, bad),
+        "evaluate_condition": lambda: mtw.evaluate_condition(
+            metric, None, "zeroth-order", ZERO2, u=E1, w=bad),
+        "mtw_jacobi": lambda: mtw.mtw_jacobi(metric, None, ZERO2, E1, bad, E2),
+        "mtw_direct_cost": lambda: mtw.mtw_direct_cost(
+            metric, None, ZERO2, E1, ZERO2, bad),
+        "lemma_suite": lambda: dyn.lemma_suite(flat2, None, ZERO2, E1, bad, E2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DimensionError, match=r"has shape \(3,\)"):
+            call()
+            pytest.fail(f"{name} accepted a 3-vector in dimension 2")
+
+
 def test_check_zeroth_order_only_at_potential_maxima(flat2):
     """A minimum or a saddle of the potential fails the zeroth-order
     evaluator's Hess V <= 0 precondition and is skipped; the origin of
@@ -440,33 +503,85 @@ def test_check_zeroth_order_only_at_potential_maxima(flat2):
     assert np.array_equal(concave.worst.point, ZERO2)
 
 
+# Verdicts, evaluated counts and worst witnesses (point, u, v, w, value)
+# of check_a3w_necessary on conformal a = -3.5 with a potential, pinned
+# bit for bit.  With V = -x^2 - y^2 the origin is the only critical
+# point; with V = 1 every sample point is critical, and the general
+# zeroth-order evaluator runs at each one.
+_ORIGIN = ([0.0, 0.0], [1.0, 0.0], None, [0.0, 1.0], 0.0)
+_ORIGIN_FIRST = ([0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], 0.0)
+_ORIGIN_G = ([0.0, 0.0], [-0.831757125902519, -0.5551396972928356],
+             [0.7490544887347783, 0.6625083945930644],
+             [0.5551396972928356, -0.8317571259025189], 0.1915687767080183)
+_ORIGIN_DISC = ([0.0, 0.0], [1.0, 0.0], None, [-0.0, 1.0], 40.0)
+_OFFSET_POINT = [0.033333333333333326, 0.033333333333333326]
+POTENTIAL_CHECKS = {
+    ("0-x^2-y^2", -0.2, 0.2): [
+        ("sectional-nonneg", True, 136, _ORIGIN),
+        ("zeroth-order", True, 8, _ORIGIN),
+        ("first-order-vanishing", True, 64, _ORIGIN_FIRST),
+        ("g-nonneg", True, 64, _ORIGIN_G),
+        ("discriminant-2d", False, 8, _ORIGIN_DISC),
+    ],
+    ("1", -0.2, 0.2): [
+        ("sectional-nonneg", True, 136, _ORIGIN),
+        ("zeroth-order", True, 136, _ORIGIN),
+        ("first-order-vanishing", True, 64, _ORIGIN_FIRST),
+        ("g-nonneg", True, 64, _ORIGIN_G),
+        ("discriminant-2d", False, 8, _ORIGIN_DISC),
+    ],
+    ("1", -0.1, 0.3): [
+        ("sectional-nonneg", True, 136, (
+            _OFFSET_POINT, [-0.8317586661949191, -0.5551407253302639], None,
+            [0.5551407253302638, -0.8317586661949191], 0.0022222304526901392)),
+        ("zeroth-order", True, 136, (
+            _OFFSET_POINT, [1.0000018518535665, 0.0], None,
+            [0.0, 1.0000018518535665], 0.0022222304526901375)),
+        ("first-order-vanishing", True, 0, None),
+        ("g-nonneg", True, 0, None),
+        ("discriminant-2d", True, 0, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("text,lo,hi", list(POTENTIAL_CHECKS))
+def test_check_with_potential_is_pinned(text, lo, hi):
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    pot = PotentialField(parse_field(text, 2), 2)
+    rep = mtw.check_a3w_necessary(metric, pot, _small_spec(lo, hi))
+
+    def listed(a):
+        return None if a is None else a.tolist()
+
+    got = [(c.name, c.passed, c.evaluated, None if c.worst is None else (
+        listed(c.worst.point), listed(c.worst.u), listed(c.worst.v),
+        listed(c.worst.w), c.worst.value)) for c in rep.conditions]
+    assert got == POTENTIAL_CHECKS[(text, lo, hi)]
+
+
 def test_check_builds_one_jet_per_point(monkeypatch):
     # every sample point's geometry is built exactly once, in batches of
-    # at most CHECK_CHUNK_POINTS points, and no point is built alone
-    sizes, singles = [], []
-    batch, jet = mtw.GeometryBatch, mtw.GeometryJet
+    # at most CHECK_CHUNK_POINTS points, and no point is built alone,
+    # with a potential too
+    sizes = []
+    batch = mtw.GeometryBatch
 
     def counting_batch(metric, X, *args, **kwargs):
         sizes.append(len(X))
         return batch(metric, X, *args, **kwargs)
 
-    def counting_jet(*args, **kwargs):
-        singles.append(1)
-        return jet(*args, **kwargs)
-
     monkeypatch.setattr(mtw, "GeometryBatch", counting_batch)
-    monkeypatch.setattr(mtw, "GeometryJet", counting_jet)
     spec = _small_spec()
     points = len(spec.points())
     metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
-    for chunk in (mtw.CHECK_CHUNK_POINTS, 5):
-        monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", chunk)
-        sizes.clear()
-        mtw.check_a3w_necessary(metric, None, spec)
-        assert sum(sizes) == points
-        assert len(sizes) == math.ceil(points / chunk)
-        assert max(sizes) <= chunk
-    assert singles == []
+    for pot in (None, PotentialField(parse_field("1", 2), 2)):
+        for chunk in (mtw.CHECK_CHUNK_POINTS, 5):
+            monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", chunk)
+            sizes.clear()
+            mtw.check_a3w_necessary(metric, pot, spec)
+            assert sum(sizes) == points
+            assert len(sizes) == math.ceil(points / chunk)
+            assert max(sizes) <= chunk
 
 
 def test_orthonormal_pairs_drop_only_dependent_pair(flat2):
@@ -554,6 +669,32 @@ def test_check_memory_is_bounded_by_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= CHECK_3D_PEAK_BOUND_MB * 1e6
+
+
+# Measured peak of the check below: 2.2 MB, in 0.13 s.  The general
+# zeroth-order evaluator's temporaries over (quadrature node, point,
+# pair, n, n) take about 0.44 MB per 3-D point at 6 pairs, so one point
+# fills a slice; slices of 18 points peak at about 31 MB.
+CHECK_3D_POTENTIAL_PEAK_BOUND_MB = 6.0
+
+
+def test_check_memory_with_potential_is_bounded_by_one_slice():
+    # V = 1 makes every point critical; the zeroth-order evaluator takes
+    # them in slices of ZEROTH_SLICE_ELEMENTS
+    metric = inline3d_metric()
+    pot = PotentialField(parse_field("1", 3), 3)
+    spec = mtw.SamplingSpec(box=((-0.3, 0.3),) * 3, points_per_axis=3,
+                            directions=6, seed=42)
+    mtw.check_a3w_necessary(metric, pot, spec)  # plans built outside the trace
+    tracemalloc.start()
+    try:
+        rep = mtw.check_a3w_necessary(metric, pot, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    zeroth = next(c for c in rep.conditions if c.name == "zeroth-order")
+    assert zeroth.evaluated == 27 * 6
+    assert peak <= CHECK_3D_POTENTIAL_PEAK_BOUND_MB * 1e6
 
 
 @settings(max_examples=20, deadline=None)
