@@ -382,9 +382,10 @@ def _integrate(
     return y, traj, voff
 
 
-def _one_lane(*vectors) -> list[np.ndarray]:
-    """Each vector as the single row of a (1, n) lane array."""
-    return [as_point(a)[None, :] for a in vectors]
+def _one_lane(dim: int, **vectors) -> list[np.ndarray]:
+    """Each named vector as the single row of a (1, dim) lane array;
+    a wrong length raises :class:`DimensionError` naming it."""
+    return [a[None, :] for a in as_vectors(dim, **vectors)]
 
 
 def _unpack_path(metric, potential, x0, v0, steps, curve) -> CurvePath:
@@ -416,7 +417,8 @@ def least_action_curve(
     steps: int = DEFAULT_STEPS,
 ) -> CurvePath:
     """Critical curve of the action from ``x`` with initial velocity ``v0``."""
-    _, traj, _ = _integrate(metric, potential, *_one_lane(x, v0), steps, store=True)
+    _, traj, _ = _integrate(metric, potential, *_one_lane(metric.dim, x=x, v0=v0),
+                            steps, store=True)
     return _unpack_path(metric, potential, x, v0, steps, traj[:, 0])
 
 
@@ -434,15 +436,15 @@ def c_exp(
     steps: int = DEFAULT_STEPS,
 ) -> np.ndarray:
     """Endpoint at unit time of the least-action curve with velocity ``v``."""
-    return _endpoints(metric, potential, *_one_lane(x, v), steps)[0]
+    return _endpoints(metric, potential, *_one_lane(metric.dim, x=x, v=v), steps)[0]
 
 
 def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
     """Transport ``u`` along ``path`` (re-integrated at the path's step count)."""
     n = path.metric.dim
-    u = as_point(u)
+    (u,) = as_vectors(n, u=u)
     _, traj, _ = _integrate(
-        path.metric, path.potential, *_one_lane(path.x0, path.v0), path.steps,
+        path.metric, path.potential, *_one_lane(n, x0=path.x0, v0=path.v0), path.steps,
         transport=True, store=True,
     )
     Psi = traj[:, 0, 2 * n: 2 * n + n * n].reshape(-1, n, n)
@@ -478,9 +480,9 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
     singular endpoint block signals a conjugate point and raises.
     """
     n = path.metric.dim
-    u = as_point(u)
+    (u,) = as_vectors(n, u=u)
     _, traj, voff = _integrate(
-        path.metric, path.potential, *_one_lane(path.x0, path.v0), path.steps,
+        path.metric, path.potential, *_one_lane(n, x0=path.x0, v0=path.v0), path.steps,
         variation="full", store=True,
     )
     J, dJ = _two_point_fields(
@@ -627,8 +629,9 @@ def shoot_velocity(
     involved.  Raises on stagnation, a singular endpoint block or an
     exhausted integration budget.
     """
-    V, iters, err, _ = _shoot(metric, potential, *_one_lane(x, y), steps, tol,
-                              max_iter, None if v_init is None else _one_lane(v_init)[0])
+    V, iters, err, _ = _shoot(
+        metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,
+        None if v_init is None else _one_lane(metric.dim, v_init=v_init)[0])
     return V[0], int(iters[0]), float(err[0])
 
 
@@ -684,8 +687,9 @@ def cost(
     accumulated with the trapezoid-free quadrature of the integrator
     grid (Simpson on the stored samples).
     """
-    return _costs(metric, potential, *_one_lane(x, y), steps, tol, max_iter,
-                  None if v_init is None else _one_lane(v_init)[0])[0]
+    return _costs(
+        metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,
+        None if v_init is None else _one_lane(metric.dim, v_init=v_init)[0])[0]
 
 
 def simpson_weights(panels: int) -> np.ndarray:
@@ -759,10 +763,7 @@ def variation_family(
     """Build the curve family with fields over the (s, t) grid, all
     members integrated as one batch."""
     n = metric.dim
-    x = as_point(x)
-    u = as_point(u)
-    v = as_point(v)
-    w = as_point(w)
+    x, u, v, w = as_vectors(n, x=x, u=u, v=v, w=w)
     pot = potential if potential is not None else PotentialField.zero(n)
     fam = VariationFamily(
         metric=metric, potential=pot, x=x, u=u, v=v, w=w,

@@ -355,6 +355,8 @@ def gram_schmidt(
 ) -> list[np.ndarray]:
     """Metric-orthonormalize ``vectors`` at ``x`` (:func:`orthonormalize`);
     raises :class:`RankDeficiencyError` if they are dependent."""
+    x, *vectors = as_vectors(metric.dim, x=x, **{
+        f"vectors[{i}]": vec for i, vec in enumerate(vectors)})
     out, ok = orthonormalize(metric.matrix(x), vectors)
     if not ok:
         raise RankDeficiencyError(
@@ -646,6 +648,18 @@ class GeometryBatch:
             if val is not None:
                 setattr(out, name, val.reshape(val.shape[:1] + (1,) * axes
                                                + val.shape[1:]))
+        return out
+
+    def take(self, rows) -> "GeometryBatch":
+        """The batch of the points ``x[rows]``, in that order: every
+        per-point array indexed along its point axis, nothing rebuilt.
+        A point's entries are those of this batch, bit for bit."""
+        out = copy.copy(self)
+        out.x = self.x[rows]
+        for name in _FIELDS:
+            val = getattr(self, name)
+            if val is not None:
+                setattr(out, name, val[rows])
         return out
 
     def hessian_modes(self, what: str | None = None):

@@ -895,7 +895,12 @@ class _Scan:
     """What the checker keeps of a chunk of sample points, before the
     sample-wide thresholds are known: per point, per pair (reduced over
     the v-directions) and, in dimension 2, per discriminant direction.
-    Every field has the point axis first."""
+    Every field has the point axis first.  The locus-only fields
+    ``g_min``, ``g_arg``, ``g_abs`` and ``disc_gap`` are defined only
+    at the points holding a sample of :func:`_locus_masks`, the only
+    ones the verdict reads, or at every point of a chunk scanned before
+    the sample's curvature scale was complete; elsewhere they are NaN
+    (``g_arg`` 0)."""
 
     x: np.ndarray  # (B, n)
     U: np.ndarray  # (B, P, n) pair vectors
@@ -908,32 +913,85 @@ class _Scan:
     fo_max: np.ndarray  # (B, P) largest first-order magnitude over v
     fo_arg: np.ndarray  # (B, P) its first v index
     ortho: np.ndarray  # (B, P) the pair passes the g-nonneg orthogonality test
-    g_min: np.ndarray  # (B, P) smallest g-quantity over v
+    g_min: np.ndarray  # (B, P) smallest g-quantity over v, on gmask
     g_arg: np.ndarray
-    g_abs: np.ndarray  # (B, P) largest |g-quantity| over v
+    g_abs: np.ndarray  # (B, P) largest |g-quantity| over v, on gmask
     disc_K: np.ndarray | None  # (B, D) curvature of (v, quarter turn of v)
-    disc_gap: np.ndarray | None  # (B, D) lhs - rhs of the discriminant
+    disc_gap: np.ndarray | None  # (B, D) lhs - rhs of the discriminant, on dmask
     disc_w: np.ndarray | None  # (B, D, 2) the quarter turns
 
 
-def _scan_chunk(metric, potential, X, directions) -> _Scan:
-    """Every condition of :data:`CONDITIONS` at every (point, pair,
-    direction) of one geometry batch, with the batch axes leading."""
+def _locus_masks(k_scale: float, K, ok, ortho, disc_K):
+    """The samples of the zero-curvature locus under the sample-wide
+    curvature scale ``k_scale``, the largest |K| over the ok pairs:
+    (on_locus, gmask, dmask).  ``on_locus`` (B, P) holds the pairs of
+    relatively vanishing curvature, ``gmask`` those that also meet the
+    g-quantity's hypotheses, and ``dmask`` (B, D), in dimension 2 (else
+    None), the flat discriminant directions at points whose every pair
+    is on the locus.  The chunk scan and the verdict both take the masks
+    from here."""
+    locus_tol = CURVATURE_LOCUS_TOL * max(k_scale, 1e-30)
+    if k_scale == 0.0:
+        locus_tol = 0.0
+    flat_tol = max(locus_tol, 1e-15)
+    on_locus = ok & (np.abs(K) <= locus_tol)
+    gmask = on_locus & ortho & (np.abs(K) <= flat_tol)
+    dmask = None
+    if disc_K is not None:
+        flat_point = np.all(on_locus | ~ok, axis=1)
+        dmask = flat_point[:, None] & (np.abs(disc_K) <= flat_tol)
+    return on_locus, gmask, dmask
+
+
+def _rows(held: np.ndarray):
+    """Index of the points where ``held``: a slice when every point is,
+    so that indexing copies nothing, and None when none is."""
+    if held.all():
+        return slice(None)
+    return np.flatnonzero(held) if held.any() else None
+
+
+def _scan_chunk(metric, potential, X, directions, k_before=None) -> _Scan:
+    """The conditions of :data:`CONDITIONS` over (point, pair,
+    direction) of one geometry batch, with the batch axes leading.
+
+    ``sectional-nonneg``, ``zeroth-order`` and ``first-order-vanishing``
+    run at every sample.  The verdict reads ``g-nonneg`` and
+    ``discriminant-2d`` only on the locus (:func:`_locus_masks`), whose
+    tolerance scales with the sample-wide curvature scale.  Given
+    ``k_before``, that scale over the sample's earlier chunks, this is
+    its last chunk: the scale is complete with this chunk's curvature,
+    and the two run only at the points holding a sample the verdict
+    reads.  Without it they run at every point.
+    """
     geo = GeometryBatch(metric, X, potential, curvature_order=2)
     C = CONDITIONS
     pairs = geo.expand(1)  # against (point, pair)
     U, W, ok = _orthonormal_pairs(geo, directions)
     K = C["sectional-nonneg"].value(geo, U, None, W)
+    ortho = _orthogonal(pairs, U, W)
     u, w = U[:, :, None], W[:, :, None]
     v = directions[None, None]
     mags = C["first-order-vanishing"].value(geo, u, v, w)
-    gv = C["g-nonneg"].value(geo, u, v, w)
-    disc = (None, None, None)
+    disc_K = disc_w = disc_gap = None
     if metric.dim == 2:
         d = directions[None]
-        wd = quarter_turn(pairs.g, d)
-        disc = (C["sectional-nonneg"].value(geo, d, None, wd),
-                C["discriminant-2d"].value(geo, d, None, None), wd)
+        disc_w = quarter_turn(pairs.g, d)
+        disc_K = C["sectional-nonneg"].value(geo, d, None, disc_w)
+
+    g_rows = d_rows = slice(None)  # every point
+    if k_before is not None:
+        _, gmask, dmask = _locus_masks(max(k_before, _scale(K, ok)), K, ok,
+                                       ortho, disc_K)
+        g_rows = _rows(gmask.any(axis=1))
+        d_rows = None if dmask is None else _rows(dmask.any(axis=1))
+    gv = np.full(mags.shape, np.nan)
+    if g_rows is not None:
+        gv[g_rows] = C["g-nonneg"].value(geo.take(g_rows), u[g_rows], v, w[g_rows])
+    if metric.dim == 2:
+        disc_gap = np.full(disc_K.shape, np.nan)
+        if d_rows is not None:
+            disc_gap[d_rows] = C["discriminant-2d"].value(geo.take(d_rows), d, None, None)
     # the general evaluator's points: the maxima of the potential
     zeroth_ok = (np.ones(len(X), dtype=bool) if potential is None
                  else geo.hessian_modes()[2])
@@ -941,9 +999,9 @@ def _scan_chunk(metric, potential, X, directions) -> _Scan:
         x=X, U=U, W=W, ok=ok, K=K, grad=geo.grad_norms(), zeroth_ok=zeroth_ok,
         zeroth=C["zeroth-order"].value(geo, U, None, W),
         fo_max=mags.max(axis=2), fo_arg=mags.argmax(axis=2),
-        ortho=_orthogonal(pairs, U, W), g_min=gv.min(axis=2),
+        ortho=ortho, g_min=gv.min(axis=2),
         g_arg=gv.argmin(axis=2), g_abs=np.abs(gv).max(axis=2),
-        disc_K=disc[0], disc_gap=disc[1], disc_w=disc[2],
+        disc_K=disc_K, disc_gap=disc_gap, disc_w=disc_w,
     )
 
 
@@ -993,9 +1051,14 @@ def check_a3w_necessary(
     each chunk builds one :class:`GeometryBatch`, so each point's
     geometry is built exactly once and the peak memory is bounded by
     the chunk, and every condition is a few contractions over (point,
-    pair, direction) tensors read from it.  A sample's value does not
-    depend on the chunk it fell in, and :func:`evaluate_condition`
-    reproduces it as a batch of one.  Zero-curvature detection and all
+    pair, direction) tensors read from it.  The conditions stated only
+    on the zero-curvature locus, ``g-nonneg`` and ``discriminant-2d``,
+    run on the points of the batch that hold a locus sample alone
+    (:meth:`GeometryBatch.take`).  The locus is relative to the
+    curvature scale of the whole sample, which the last chunk
+    completes, so in an earlier chunk they still run at every point.
+    A sample's value does not depend on the batch it fell in, and
+    :func:`evaluate_condition` reproduces it as a batch of one.  Zero-curvature detection and all
     violation thresholds are relative to the sampled magnitude of the
     corresponding quantity, so verdicts are invariant under uniform
     metric rescaling.
@@ -1003,8 +1066,11 @@ def check_a3w_necessary(
     n = metric.dim
     potential = _active_potential(potential)
     directions = sampling.direction_set(n)
-    s = _join([_scan_chunk(metric, potential, X, directions)
-               for X in _point_chunks(sampling.points())])
+    # the last chunk completes the curvature scale of the earlier ones
+    *early, last = _point_chunks(sampling.points())
+    scans = [_scan_chunk(metric, potential, X, directions) for X in early]
+    k_before = max((_scale(c.K, c.ok) for c in scans), default=0.0)
+    s = _join(scans + [_scan_chunk(metric, potential, last, directions, k_before)])
     D = len(directions)
 
     def witness(name, at, u, v, w, value):
@@ -1036,11 +1102,7 @@ def check_a3w_necessary(
     ))
 
     # -- zero-curvature locus ------------------------------------------------
-    locus_tol = CURVATURE_LOCUS_TOL * max(k_scale, 1e-30)
-    if k_scale == 0.0:
-        locus_tol = 0.0
-    flat_tol = max(locus_tol, 1e-15)
-    on_locus = s.ok & (np.abs(s.K) <= locus_tol)
+    on_locus, gmask, dmask = _locus_masks(k_scale, s.K, s.ok, s.ortho, s.disc_K)
 
     # first-order vanishing on the locus pairs, every direction
     fo_slack = 1e-6 * _scale(s.fo_max, s.ok)
@@ -1054,7 +1116,6 @@ def check_a3w_necessary(
 
     # restricted second-order quantity on the locus pairs that meet its
     # hypotheses, every direction
-    gmask = on_locus & s.ortho & (np.abs(s.K) <= flat_tol)
     gq_slack = INEQUALITY_SLACK * _scale(s.g_abs, gmask)
     at = _first_extreme(s.g_min, gmask, np.argmin)
     worst = at and witness("g-nonneg", at, s.U[at], directions[s.g_arg[at]],
@@ -1066,8 +1127,6 @@ def check_a3w_necessary(
 
     # the discriminant at points whose every pair is on the locus
     if n == 2:
-        flat_point = np.all(on_locus | ~s.ok, axis=1)
-        dmask = flat_point[:, None] & (np.abs(s.disc_K) <= flat_tol)
         at = _first_extreme(s.disc_gap, dmask, np.argmax)
         worst = at and witness("discriminant-2d", at, directions[at[1]], None,
                                s.disc_w[at], s.disc_gap[at])

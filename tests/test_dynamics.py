@@ -19,11 +19,13 @@ from mtwcheck.dynamics import (
 )
 from mtwcheck.errors import (
     ConjugatePointError,
+    DimensionError,
     PreconditionError,
     ShootingError,
 )
 from mtwcheck.geometry import (
     euclidean_metric,
+    gram_schmidt,
     harmonic_potential,
     sphere_metric,
 )
@@ -357,6 +359,34 @@ def test_lemma_suite_requires_normal_coordinates(sphere):
     with pytest.raises(PreconditionError):
         lemma_suite(sphere, None, [1.0, 0.3], [1.0, 0.0], [0.6, -0.3],
                     [0.2, 0.9], taus=(0.5,))
+
+
+# A 3-vector in dimension 2, given to each trajectory entry point in
+# the slot named; the point is [0, 0] of conformal a = -3.
+_BAD = [1.0, 0.0, 0.0]
+_WRONG_LENGTH_CALLS = {
+    "cost": ("y", lambda m, path: cost(m, None, [0.0, 0.0], _BAD)),
+    "shoot_velocity": ("y", lambda m, path: shoot_velocity(m, None, [0.0, 0.0], _BAD)),
+    "shoot_velocity v_init": ("v_init", lambda m, path: shoot_velocity(
+        m, None, [0.0, 0.0], [0.1, 0.0], v_init=_BAD)),
+    "c_exp": ("v", lambda m, path: c_exp(m, None, [0.0, 0.0], _BAD)),
+    "least_action_curve": ("x", lambda m, path: least_action_curve(
+        m, None, _BAD, [0.1, 0.0])),
+    "gram_schmidt": ("vectors\\[0\\]", lambda m, path: gram_schmidt(
+        m, [0.0, 0.0], [_BAD])),
+    "parallel_transport": ("u", lambda m, path: parallel_transport(path, _BAD)),
+    "jacobi_bvp": ("u", lambda m, path: jacobi_bvp(path, _BAD)),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_LENGTH_CALLS))
+def test_trajectory_api_rejects_wrong_length_vectors(name, conformal_a3):
+    """A vector of the wrong length raises DimensionError naming it,
+    before any integration, not a broadcast, index or solver error."""
+    slot, call = _WRONG_LENGTH_CALLS[name]
+    path = least_action_curve(conformal_a3, None, [0.0, 0.0], [0.1, 0.0])
+    with pytest.raises(DimensionError, match=f"^{slot} has shape \\(3,\\)"):
+        call(conformal_a3, path)
 
 
 # ---------------------------------------------------------------------------

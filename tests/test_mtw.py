@@ -584,6 +584,67 @@ def test_check_builds_one_jet_per_point(monkeypatch):
             assert max(sizes) <= chunk
 
 
+# The sampling of the benchmark's 2-D check: 8x8 points and the centre
+# of [-0.2, 0.2]^2, 16 directions.
+_CHECK_8X8 = mtw.SamplingSpec(box=((-0.2, 0.2),) * 2, points_per_axis=8,
+                              directions=16, seed=42)
+
+
+def _record_batches(monkeypatch, names):
+    """Wrap the named rows of mtw.CONDITIONS so that each records the
+    points of every geometry batch it is given."""
+    seen = {name: [] for name in names}
+    for name in names:
+        row = mtw.CONDITIONS[name]
+
+        def value(geo, *args, _value=row.value, _seen=seen[name], **kwargs):
+            _seen.append(geo.x.tolist())
+            return _value(geo, *args, **kwargs)
+
+        monkeypatch.setitem(mtw.CONDITIONS, name, row._replace(value=value))
+    return seen
+
+
+def test_locus_conditions_run_only_where_the_verdict_reads(monkeypatch):
+    """g-nonneg and the discriminant run only at the points holding a
+    sample the verdict reads, once the chunk completes the sample's
+    curvature scale; every other condition runs at every point."""
+    seen = _record_batches(monkeypatch,
+                           ["sectional-nonneg", "g-nonneg", "discriminant-2d"])
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    points = len(_CHECK_8X8.points())
+    rep = mtw.check_a3w_necessary(metric, None, _CHECK_8X8)
+    # the pairs and the discriminant's planes, at all 65 points
+    assert [len(x) for x in seen["sectional-nonneg"]] == [points, points]
+    # the centre is the only point on the locus, and the only flat one
+    assert seen["g-nonneg"] == seen["discriminant-2d"] == [[[0.0, 0.0]]]
+    counts = {c.name: c.evaluated for c in rep.conditions}
+    assert counts["g-nonneg"] == 16 * 16 and counts["discriminant-2d"] == 16
+
+    # a chunk before the last cannot know the scale and runs every point;
+    # the last chunk holds only the centre, which the sampling appends
+    monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", 4)
+    for batches in seen.values():
+        batches.clear()
+    mtw.check_a3w_necessary(metric, None, _CHECK_8X8)
+    for name in ("g-nonneg", "discriminant-2d"):
+        assert [len(x) for x in seen[name]] == [4] * 16 + [1]
+        assert seen[name][-1] == [[0.0, 0.0]]
+
+    # flat space with a quartic potential: K = 0, so every pair is on
+    # the locus and every point is flat
+    monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", 128)
+    for batches in seen.values():
+        batches.clear()
+    spec = _small_spec(-0.5, 0.5)
+    points = len(spec.points())
+    mtw.check_a3w_necessary(
+        euclidean_metric(2), quartic_potential([[0.6, 0.1], [0.1, 0.9]]), spec)
+    assert [len(x) for x in seen["sectional-nonneg"]] == [points, points]
+    assert [len(x) for x in seen["g-nonneg"]] == [points]
+    assert [len(x) for x in seen["discriminant-2d"]] == [points]
+
+
 def test_orthonormal_pairs_drop_only_dependent_pair(flat2):
     geo = GeometryBatch(flat2, [ZERO2], curvature_order=0)
     U, W, ok = mtw._orthonormal_pairs(geo, np.array([E1, E1, E2]))
@@ -618,9 +679,15 @@ def test_orthonormal_pairs_reject_wrong_length_directions(flat2):
 
 
 def _chunk_case(name):
-    """(metric, potential, sampling) of the chunking cases."""
+    """(metric, potential, sampling) of the chunking cases.  On conformal
+    a = -3 the zero-curvature locus is the diagonal x = y (144 of the
+    1040 pairs at 8x8 points and 16 directions), so in chunks of 4 the
+    locus pairs lie in several chunks, each with a curvature scale of
+    its own below the sample's."""
     if name == "conformal":
         return cf.conformal_metric(cf.ConformalSpec(a=-3.5)), None, _small_spec()
+    if name == "conformal-diagonal":
+        return cf.conformal_metric(cf.ConformalSpec(a=-3.0)), None, _CHECK_8X8
     if name == "inline3d":
         return inline3d_metric(), None, mtw.SamplingSpec(
             box=((-0.3, 0.3),) * 3, points_per_axis=3, directions=6, seed=42)
@@ -628,7 +695,8 @@ def _chunk_case(name):
             _small_spec(-0.5, 0.5))
 
 
-@pytest.mark.parametrize("name", ["conformal", "inline3d", "flat-quartic"])
+@pytest.mark.parametrize("name", ["conformal", "conformal-diagonal", "inline3d",
+                                  "flat-quartic"])
 def test_check_is_independent_of_chunking(name, monkeypatch):
     """A check over several chunks gives the report of one chunk, bit for
     bit, and every witness re-evaluates exactly as a batch of one."""
@@ -647,6 +715,22 @@ def test_check_is_independent_of_chunking(name, monkeypatch):
                 w=wit.w, curvature_tol=math.inf,
             )
             assert again == wit.value, (name, cond.name)
+
+
+def test_check_is_independent_of_one_point_chunks(monkeypatch):
+    """In chunks of one point, each diagonal point of conformal a = -3 is
+    a chunk whose own curvature scale is rounding-level (|K| <= 3e-17,
+    against 0.98 over the sample), so a chunk that took the locus from
+    its own scale would miss its locus pairs; the report stays that of
+    one chunk."""
+    metric, pot, spec = _chunk_case("conformal-diagonal")
+    whole = mtw.check_a3w_necessary(metric, pot, spec)
+    monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", 1)
+    chunked = mtw.check_a3w_necessary(metric, pot, spec)
+    assert (json.dumps(_jsonify(chunked), sort_keys=True)
+            == json.dumps(_jsonify(whole), sort_keys=True))
+    counts = {c.name: c.evaluated for c in whole.conditions}
+    assert counts["g-nonneg"] == 144 * 16 and counts["discriminant-2d"] == 9 * 16
 
 
 # Measured peak of the check below: 9.8 MB, nearly all of it one chunk's
