@@ -467,7 +467,7 @@ def _cmd_curvature(cfg: RunConfig) -> int:
     metric = build_metric(cfg)
     box = _parse_region(cfg.region, metric.dim)
     spec = mtw.SamplingSpec(box=box, points_per_axis=cfg.points_per_axis,
-                            directions=max(cfg.samples, metric.dim), seed=cfg.seed)
+                            directions=cfg.samples, seed=cfg.seed)
     dirs = spec.direction_set(metric.dim)
     rows = []
     for X in mtw._point_chunks(spec.points()):
@@ -615,7 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--region", help="lo,hi (all axes) or per-axis bounds")
     p.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    p.add_argument("--samples", type=int, help="direction samples (default 16)")
+    p.add_argument("--samples", type=int,
+                   help="direction samples (default 16; at least 1, and raised "
+                        "to the dimension if below it)")
 
     p = sub.add_parser("cost", help="two-point action cost")
     _add_common(p)
@@ -631,7 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--region", help="lo,hi (all axes) or per-axis bounds")
     p.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int,
+                   help="direction samples (default 16; at least 1, and raised "
+                        "to the dimension if below it)")
 
     p = sub.add_parser("conformal-scan", help="classification sweep to CSV")
     _add_common(p)

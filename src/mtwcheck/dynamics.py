@@ -16,7 +16,8 @@ be inverted raises :class:`~mtwcheck.errors.MetricDegenerateError`,
 the error of the geometry pipeline.  Each RK4 stage makes one call to a
 fused field evaluator, built once per (metric, potential) on a
 :class:`~mtwcheck.expr.TaylorPlan`, the evaluator of the geometry jets,
-that returns g, dg, d2g, V, dV and d2V at every lane with each distinct
+taken from their content-keyed cache (:func:`~mtwcheck.geometry._plan_of`);
+it returns g, dg, d2g, V, dV and d2V at every lane with each distinct
 partial and shared subexpression computed once.  The velocity then
 enters the Christoffel symbols of the first kind and their derivatives
 before the inverse metric lifts them (:func:`~mtwcheck.geometry._along_velocity`), so a
@@ -59,13 +60,14 @@ from .errors import (
     PreconditionError,
     ShootingError,
 )
-from .expr import RecentCache, TaylorPlan
+from .expr import RecentCache
 from .geometry import (
     GeometryBatch,
     MetricField,
     PotentialField,
     _along_velocity,
     _first_kind_rows,
+    _plan_of,
     as_point,
     as_vectors,
     contract,
@@ -135,7 +137,7 @@ class _FieldEval:
         if self.has_potential:
             fields.append(potential.field)
         space = JetSpace.get(n, 2 if need_curvature else 1)
-        self._plan = TaylorPlan(fields, space)
+        self._plan = _plan_of(fields, space)
         # per field, the plan's rows of its value, of d_m for each m and,
         # with curvature, of d_p d_m for each (p, m)
         e = np.eye(n, dtype=int)

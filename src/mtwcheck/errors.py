@@ -35,6 +35,10 @@ class DerivativeOrderError(MtwError):
     """A partial-derivative request exceeded the supported order."""
 
 
+class SamplingError(MtwError):
+    """A sampling plan asks for fewer than one point per axis or direction."""
+
+
 class NumericalError(MtwError):
     """Base class for runtime numerical failures."""
 

@@ -321,7 +321,10 @@ class RecentCache:
     hashable key.  It holds weak references to the owners, so an
     identity reused after an owner was freed never hits, and the cache
     keeps no owner alive (a value that refers to its owners does).
-    Lookups from several threads are safe.
+    With no owners the key alone decides, so a value built from content
+    (the Taylor plans of :mod:`mtwcheck.geometry`, keyed by the fields'
+    texts) is shared by every object of that content.  Lookups from
+    several threads are safe.
     """
 
     def __init__(self, size: int):
@@ -365,10 +368,20 @@ class ScalarField:
 
     # -- evaluation --------------------------------------------------------
 
+    def _source(self) -> str:
+        """The expression text the scalar evaluator runs, memoized.  Two
+        fields of one dimension have equal texts exactly when their trees
+        are equal with constants compared by repr, as on a :class:`_Dag`
+        (0.0 and -0.0 differ), so the text keys what is built from a tree."""
+        src = self._cache.get("src")
+        if src is None:
+            src = self._cache["src"] = _codegen(self.tree)
+        return src
+
     def _fn(self) -> Callable:
         fn = self._cache.get("fn")
         if fn is None:
-            src = f"lambda c: {_codegen(self.tree)}"
+            src = f"lambda c: {self._source()}"
             fn = eval(compile(src, "<scalar-field>", "eval"), dict(_EVAL_GLOBALS))
             self._cache["fn"] = fn
         return fn
@@ -509,6 +522,9 @@ class TaylorPlan:
         self.distinct = len(first)
         self._live = len(live)
         self._consts = np.array([first[k][1] for k in consts])
+        # a plan is shared by every equal field and thread that asks for it
+        self.rows.flags.writeable = False
+        self._consts.flags.writeable = False
         self._fn = _batch_function([first[k] for k in live]) if live else None
 
     def values(self, X: np.ndarray) -> np.ndarray:

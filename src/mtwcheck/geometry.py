@@ -28,13 +28,20 @@ batch of points with :func:`~mtwcheck.jets.jcontract`, which
 differentiates the whole pipeline exactly, so covariant derivatives of
 curvature and of the potential need no further formulas.  The jets of
 the metric and the potential at all points come from one generated
-function each (:class:`~mtwcheck.expr.TaylorPlan`, cached per field
-and jet space).  Each jet stage runs at the lowest Taylor degree that
-keeps the values read from it exact: every derivative costs one degree,
-so at curvature order 2 the metric runs at degree 4, the inverse metric
-and the Christoffel symbols at 3, the curvature at 2, nabla R at 1 and
-nabla^2 R at 0 (the table in :mod:`mtwcheck.jets`).  The same formulas
-run in each smaller space.
+function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
+by the content of its fields (their expression texts) and the jet space,
+not by the object that owns them, in one bounded cache that the RK4
+evaluators of ``dynamics`` share (:func:`_plan_of`): repeated checks of
+identical metric text in a process compile one plan, however often the
+metric is parsed again.  A metric that differs in any constant (each
+value of a family parameter) builds its own plan, and a one-shot
+process still builds its plans cold.
+Each jet stage runs at the lowest Taylor degree that keeps the values
+read from it exact: every derivative costs one degree, so at curvature
+order 2 the metric runs at degree 4, the inverse metric and the
+Christoffel symbols at 3, the curvature at 2, nabla R at 1 and nabla^2 R
+at 0 (the table in :mod:`mtwcheck.jets`).  The same formulas run in
+each smaller space.
 
 Batches: :class:`GeometryBatch`, the only geometry type, holds every
 array with the point axis first; a one-point evaluator builds a batch of
@@ -88,18 +95,26 @@ MODE_MU_FLOOR = 1e-8
 Vector = np.ndarray
 Point = np.ndarray
 
-# Taylor plans of the most recently used (field owner, jet space) keys;
-# the bound stops the cache from keeping every metric alive.
+# Taylor plans of the most recently used (field contents, jet space)
+# keys; the bound keeps the cache small, and a plan holds no field.
 _TAYLOR_PLAN_CACHE_SIZE = 16
 _TAYLOR_PLANS = RecentCache(_TAYLOR_PLAN_CACHE_SIZE)
 
 
-def _jets_of(owner, fields: Sequence[ScalarField], x, space: JetSpace) -> np.ndarray:
+def _plan_of(fields: Sequence[ScalarField], space: JetSpace) -> TaylorPlan:
+    """The Taylor plan of ``fields`` in ``space``, built on first use per
+    content and then shared: a plan is a function of the fields' trees
+    alone, so every metric parsed from the same text gets one plan, and
+    fields that differ in any constant (0.0 and -0.0 too) or in their
+    dimension never share one."""
+    key = (space.nvars, space.degree, *((f.dim, f._source()) for f in fields))
+    return _TAYLOR_PLANS.get((), key, lambda: TaylorPlan(fields, space))
+
+
+def _jets_of(fields: Sequence[ScalarField], x, space: JetSpace) -> np.ndarray:
     """Jets of ``fields`` about ``x``: (fields, size) for one point, or
-    (fields, B, size) about each row of a (B, dim) array.  The plan is
-    built on first use per (owner, space) and then reused."""
-    plan = _TAYLOR_PLANS.get((owner,), (space.nvars, space.degree),
-                             lambda: TaylorPlan(fields, space))
+    (fields, B, size) about each row of a (B, dim) array."""
+    plan = _plan_of(fields, space)
     X = np.asarray(x, dtype=float)
     out = plan(np.atleast_2d(X))
     return out if X.ndim == 2 else out[:, 0]
@@ -216,7 +231,7 @@ class MetricField:
         for k, (i, j) in enumerate(upper):
             rows[i, j] = rows[j, i] = k
         fields = [self.entries[i][j] for i, j in upper]
-        return _jets_of(self, fields, x, space)[rows]
+        return _jets_of(fields, x, space)[rows]
 
 
 @dataclass(frozen=True)
@@ -240,7 +255,7 @@ class PotentialField:
     def jets(self, x, space: JetSpace) -> np.ndarray:
         """Jet of V about ``x``: (size,) for one point, or (B, size) about
         each row of a (B, n) array."""
-        return _jets_of(self, [self.field], x, space)[0]
+        return _jets_of([self.field], x, space)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .errors import (
     CalibrationError,
     DimensionError,
     PreconditionError,
+    SamplingError,
 )
 from .geometry import (
     GeometryBatch,
@@ -799,12 +800,23 @@ def calibrate_normalization(
 
 @dataclass
 class SamplingSpec:
-    """Deterministic sampling plan for the region checker."""
+    """Deterministic sampling plan for the region checker.
+
+    ``directions`` below the dimension is raised to it (the coordinate
+    axes are always sampled); below 1, like ``points_per_axis`` below 1,
+    it raises :class:`SamplingError`.
+    """
 
     box: tuple  # ((lo, hi), ...) per axis
     points_per_axis: int = 8
     directions: int = 16
     seed: int = 42
+
+    def __post_init__(self):
+        for name in ("points_per_axis", "directions"):
+            value = getattr(self, name)
+            if value < 1:
+                raise SamplingError(f"{name} must be at least 1, got {value}")
 
     def points(self) -> np.ndarray:
         axes = [np.linspace(lo, hi, self.points_per_axis) for lo, hi in self.box]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 
 from mtwcheck import conformal as cf
-from mtwcheck.expr import parse_field
+from mtwcheck import geometry
+from mtwcheck.expr import RecentCache, TaylorPlan, parse_field
 from mtwcheck.geometry import MetricField, euclidean_metric, sphere_metric
 
 # CI runs with --hypothesis-profile=ci: the same examples every run, so a
@@ -30,6 +31,29 @@ def sphere():
 @pytest.fixture(scope="session")
 def conformal_a3():
     return cf.conformal_metric(cf.ConformalSpec(a=-3.0))
+
+
+@pytest.fixture
+def plan_cache(monkeypatch):
+    """An empty Taylor plan cache in place of the process's own, for the
+    test's duration: every plan the test asks for is built cold."""
+    cache = RecentCache(geometry._TAYLOR_PLAN_CACHE_SIZE)
+    monkeypatch.setattr(geometry, "_TAYLOR_PLANS", cache)
+    return cache
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """The jet space of every TaylorPlan built during the test, in order."""
+    built = []
+    init = TaylorPlan.__init__
+
+    def counting(self, fields, space):
+        built.append(space)
+        init(self, fields, space)
+
+    monkeypatch.setattr(TaylorPlan, "__init__", counting)
+    return built
 
 
 @pytest.fixture

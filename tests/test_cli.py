@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,7 +22,13 @@ from mtwcheck.cli import (
     _parse_region,
     _parse_vector,
 )
-from mtwcheck.geometry import euclidean_metric, quartic_potential
+from mtwcheck import conformal as cf
+from mtwcheck.geometry import (
+    _TAYLOR_PLAN_CACHE_SIZE,
+    GeometryBatch,
+    euclidean_metric,
+    quartic_potential,
+)
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +216,29 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--points-per-axis", "-2", "points_per_axis"),
+    ("--points-per-axis", "0", "points_per_axis"),
+    ("--samples", "-3", "directions"),
+])
+@pytest.mark.parametrize("command", ["check", "curvature"])
+def test_empty_sampling_plan_exits_two(capsys, command, flag, value, name):
+    code, out, err = run_cli(capsys, command, "--metric", "euclidean2",
+                             "--region", "-1,1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be at least 1, got {value}\n"
+
+
+def test_samples_below_dimension_are_raised_to_it(capsys):
+    # the coordinate axes are always sampled: --samples 1 in 3-D is 3
+    code, out, _ = run_cli(capsys, "check", "--metric", "euclidean3",
+                           "--region", "-1,1", "--points-per-axis", "2",
+                           "--samples", "1")
+    assert code == 0
+    assert json.loads(out)["results"][0]["evaluated"] == 9 * 3
+
+
 POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
              "--v", "0", "--w", "0,1", "--method")
 
@@ -354,6 +384,46 @@ def test_reports_byte_identical(tmp_path):
     out.unlink()
     assert main(list(argv)) == 1
     assert out.read_bytes() == first
+
+
+def _benchmark_check_args() -> dict:
+    # the argument lists of the benchmark's check workloads, read from
+    # perfbench/workloads.py as the CI step reads them, not copied here
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CHECK_ARGS
+
+
+CHECK_ARGS = _benchmark_check_args()
+CHECK_CONFORMAL2D = CHECK_ARGS["check-conformal2d"]
+CHECK_INLINE3D = CHECK_ARGS["check-inline3d"]
+
+
+def test_repeated_checks_build_one_taylor_plan(capsys, plan_cache, plan_builds):
+    # every call parses the metric afresh; its plan is keyed by content
+    reports = {run_cli(capsys, *CHECK_CONFORMAL2D) for _ in range(40)}
+    assert len(reports) == 1
+    assert len(plan_builds) == 1
+
+
+@pytest.mark.parametrize("argv", [CHECK_CONFORMAL2D, CHECK_INLINE3D],
+                         ids=["conformal2d", "inline3d"])
+def test_reports_byte_identical_through_plan_cache_states(
+        capsys, plan_cache, plan_builds, argv):
+    cold = run_cli(capsys, *argv)
+    built = len(plan_builds)
+    assert built >= 1
+    assert run_cli(capsys, *argv) == cold
+    assert len(plan_builds) == built
+    for k in range(2 * _TAYLOR_PLAN_CACHE_SIZE):
+        GeometryBatch(cf.conformal_metric(cf.ConformalSpec(a=-1.0 - 0.01 * k)),
+                      np.zeros((1, 2)), curvature_order=0)
+    evicted = len(plan_builds)
+    assert run_cli(capsys, *argv) == cold
+    assert len(plan_builds) == evicted + built
 
 
 def test_repeated_main_calls_reuse_one_parser(capsys):

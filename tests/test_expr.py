@@ -284,6 +284,17 @@ def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def test_plan_arrays_are_read_only():
+    # one plan serves every equal metric and thread: no caller may write it
+    plan = ex.TaylorPlan([parse_field("x*y + 2", 2), parse_field("3", 2)],
+                         JetSpace.get(2, 2))
+    assert plan._consts.size
+    with pytest.raises(ValueError):
+        plan.rows[0, 0] = 0
+    with pytest.raises(ValueError):
+        plan._consts[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # Fused batch evaluator
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Pointwise tensor pipeline: Christoffel, curvature, covariant derivatives."""
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -30,6 +32,7 @@ from mtwcheck.geometry import (
     _curvature_from,
     _first_kind_rows,
     _generalized_eigh,
+    _plan_of,
     christoffel,
     contract,
     euclidean_metric,
@@ -684,7 +687,67 @@ def test_taylor_plans_built_concurrently_agree():
 
 
 def test_taylor_plan_cache_is_bounded():
-    for _ in range(3 * _TAYLOR_PLAN_CACHE_SIZE):
-        GeometryBatch(cf.conformal_metric(cf.ConformalSpec(a=-3.5)), [[0.1, 0.0]],
-                      curvature_order=0)
+    # distinct metrics, since equal ones share one plan
+    for k in range(3 * _TAYLOR_PLAN_CACHE_SIZE):
+        GeometryBatch(cf.conformal_metric(cf.ConformalSpec(a=-3.5 - 0.01 * k)),
+                      [[0.1, 0.0]], curvature_order=0)
     assert len(_TAYLOR_PLANS) <= _TAYLOR_PLAN_CACHE_SIZE
+
+
+def _metric_plan(metric, degree):
+    """The cached plan of the metric's upper-triangle entries, as
+    MetricField.jets asks for it."""
+    n = metric.dim
+    return _plan_of([metric.entries[i][j] for i in range(n) for j in range(i, n)],
+                    JetSpace.get(n, degree))
+
+
+@pytest.mark.parametrize("make", [
+    inline3d_metric, lambda: cf.conformal_metric(cf.ConformalSpec(a=-3.5))],
+    ids=["inline3d", "conformal2d"])
+def test_equal_metrics_share_one_taylor_plan(make, plan_cache, plan_builds):
+    # each call parses the metric text afresh: new field objects, one plan
+    first, second = make(), make()
+    assert first.entries[0][0] is not second.entries[0][0]
+    for metric in (first, second):
+        GeometryBatch(metric, np.zeros((1, metric.dim)), curvature_order=2)
+    assert len(plan_builds) == 1 == len(plan_cache)
+    assert _metric_plan(first, 4) is _metric_plan(second, 4)
+    assert len(plan_builds) == 1
+
+
+@pytest.mark.parametrize("a, b", [
+    (ex.const(0.0, 2), ex.const(-0.0, 2)),
+    (ex.ScalarField(("*", ("c", 0.0), ("x", 0)), 2),
+     ex.ScalarField(("*", ("c", -0.0), ("x", 0)), 2)),
+    (parse_field("exp(2*x*y)", 2), parse_field("exp(3*x*y)", 2)),
+], ids=["zero", "signed-zero-factor", "coefficient"])
+def test_taylor_plans_differ_in_every_constant(a, b, plan_cache):
+    space = JetSpace.get(2, 3)
+    X = np.array([[0.3, -0.2], [0.7, 0.4]])
+    plans = [_plan_of([f], space) for f in (a, b)]
+    assert plans[0] is not plans[1]
+    got = [p(X) for p in plans]
+    for f, jets in zip((a, b), got):
+        assert jets.tobytes() == TaylorPlan([f], space)(X).tobytes()
+    assert got[0].tobytes() != got[1].tobytes()
+
+
+def test_taylor_plan_cache_checks_the_dimension(plan_cache):
+    space = JetSpace.get(2, 2)
+    _plan_of([parse_field("x*y", 2)], space)
+    # the same text in another dimension is another field
+    with pytest.raises(DimensionError):
+        _plan_of([parse_field("x*y", 3)], space)
+
+
+def test_taylor_plan_cache_keeps_no_metric_alive(plan_cache):
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    GeometryBatch(metric, np.zeros((1, 2)), curvature_order=0)
+    plan = _metric_plan(metric, 2)
+    ref = weakref.ref(metric)
+    del metric
+    gc.collect()
+    assert ref() is None
+    assert _metric_plan(cf.conformal_metric(cf.ConformalSpec(a=-3.5)), 2) is plan
+    assert len(plan_cache) == 1
