@@ -14,11 +14,11 @@ system is one (B, size) array, a row per lane.  The metric must be
 positive definite at every start point, and a stage whose metric cannot
 be inverted raises :class:`~mtwcheck.errors.MetricDegenerateError`,
 the error of the geometry pipeline.  Each RK4 stage makes one call to a
-fused field evaluator, built once per (metric, potential) on a
-:class:`~mtwcheck.expr.TaylorPlan`, the evaluator of the geometry jets,
-taken from their content-keyed cache (:func:`~mtwcheck.geometry._plan_of`);
-it returns g, dg, d2g, V, dV and d2V at every lane with each distinct
-partial and shared subexpression computed once.  The velocity then
+fused field evaluator, built afresh per integration (well under a
+millisecond) on the cached :class:`~mtwcheck.expr.TaylorPlan` of the
+geometry jets (:func:`~mtwcheck.geometry._plan_of`); it returns g, dg,
+d2g, V, dV and d2V at every lane with each distinct partial and shared
+subexpression computed once.  The velocity then
 enters the Christoffel symbols of the first kind and their derivatives
 before the inverse metric lifts them (:func:`~mtwcheck.geometry._along_velocity`), so a
 stage forms Gamma v, Gamma(v, v) and the curvature operator R(., v) v
@@ -57,10 +57,10 @@ import numpy as np
 from .errors import (
     ConjugatePointError,
     DimensionError,
+    DiscretizationError,
     PreconditionError,
     ShootingError,
 )
-from .expr import RecentCache
 from .geometry import (
     GeometryBatch,
     MetricField,
@@ -124,11 +124,8 @@ class _FieldEval:
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
                  need_curvature: bool):
-        self.metric = metric
-        self.potential = potential
         self.need_curvature = need_curvature
         n = metric.dim
-        self.n = n
         ents = metric.entries
         R = range(n)
         self.static = all(ents[i][j].tree[0] == "c" for i in R for j in R)
@@ -207,18 +204,6 @@ class _FieldEval:
         return _Fields(g, ginv, gam_v, gam_vv, op, grad, pot[:, 0])
 
 
-# Evaluators of the most recently used (metric, potential, curvature)
-# keys; the bound stops the cache from keeping every metric alive.
-_EVAL_CACHE_SIZE = 16
-_EVAL_CACHE = RecentCache(_EVAL_CACHE_SIZE)
-
-
-def _evaluator(metric: MetricField, potential: PotentialField | None,
-               need_curvature: bool) -> _FieldEval:
-    return _EVAL_CACHE.get((metric, potential), need_curvature,
-                           lambda: _FieldEval(metric, potential, need_curvature))
-
-
 def _quadratic(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
     """<vecs[k], vecs[k]> under g[k]; vecs (K, n), g (K, n, n)."""
     return (vecs[:, None, :] @ (g @ vecs[:, :, None]))[:, 0, 0]
@@ -244,7 +229,7 @@ class CurvePath:
 
     def energy(self) -> np.ndarray:
         """Conserved quantity 0.5 |dγ|^2 + V along the grid."""
-        f = _evaluator(self.metric, self.potential, need_curvature=False)(
+        f = _FieldEval(self.metric, self.potential, need_curvature=False)(
             self.pos, self.vel)
         return 0.5 * _quadratic(self.vel, f.g) + f.v
 
@@ -266,7 +251,7 @@ class ParallelFrame:
     vectors: np.ndarray  # (steps+1, n)
 
     def norm_drift(self) -> float:
-        g = _evaluator(self.path.metric, None, need_curvature=False)(
+        g = _FieldEval(self.path.metric, None, need_curvature=False)(
             self.path.pos, self.path.vel).g
         norms = np.sqrt(_quadratic(self.vectors, g))
         return float(np.max(np.abs(norms - norms[0])) / max(1.0, norms[0]))
@@ -318,6 +303,8 @@ def _integrate(
     covariant-derivative perturbations, which is the endpoint Jacobian
     needed for shooting.
     """
+    if steps < 1:
+        raise DiscretizationError(f"steps must be at least 1, got {steps}")
     n = metric.dim
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -333,7 +320,7 @@ def _integrate(
         ncols = n
     elif variation is not None:
         raise ValueError(f"unknown variation mode {variation!r}")
-    ev = _evaluator(metric, potential, variation is not None)
+    ev = _FieldEval(metric, potential, variation is not None)
 
     voff = 2 * n + (n * n if transport else 0)
     size = voff + 2 * n * ncols
@@ -382,6 +369,12 @@ def _integrate(
             traj[k + 1] = y
 
     return y, traj, voff
+
+
+def _require_step(h: float, what: str) -> None:
+    """Raise :class:`DiscretizationError` unless ``h`` is positive and finite."""
+    if not 0.0 < h < np.inf:
+        raise DiscretizationError(f"{what} must be positive and finite, got {h}")
 
 
 def _one_lane(dim: int, **vectors) -> list[np.ndarray]:
@@ -506,7 +499,7 @@ def jacobi_residual(sol: JacobiSolution) -> float:
     k = np.arange(2, path.steps - 1)
     dJ = sol.dJ
     ddJ = (-dJ[k + 2] + 8 * dJ[k + 1] - 8 * dJ[k - 1] + dJ[k - 2]) / (12 * h)
-    f = _evaluator(path.metric, path.potential, need_curvature=True)(
+    f = _FieldEval(path.metric, path.potential, need_curvature=True)(
         path.pos[k], path.vel[k])
     res = ddJ + ((f.gam_v @ dJ[k][..., None]) + (f.op @ sol.J[k][..., None]))[..., 0]
     return float(np.max(np.abs(res), initial=0.0))
@@ -658,7 +651,7 @@ def _costs(
                                    max_iter, V_init)
     pos = curves[:, :, 0:n].reshape(-1, n)  # grid points, lanes inner
     vel = curves[:, :, n: 2 * n].reshape(-1, n)
-    f = _evaluator(metric, potential, need_curvature=False)(pos, vel)
+    f = _FieldEval(metric, potential, need_curvature=False)(pos, vel)
     lag = (0.5 * _quadratic(vel, f.g) - f.v).reshape(curves.shape[:2])
     values = simpson(lag.T, 1.0 / steps)
     return [
@@ -954,6 +947,12 @@ def lemma_suite(
     Riemannian list is checked.
     """
     x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
+    _require_step(h, "the family step h")
+    grid = [round(tau * steps) for tau in taus]
+    for tau, k in zip(taus, grid):
+        if abs(k - tau * steps) > 1e-9 or not 0 <= k <= steps:
+            raise DiscretizationError(
+                f"tau={tau} is not on the integration grid with {steps} steps")
     pot = potential if potential is not None else PotentialField.zero(metric.dim)
     geo = GeometryBatch(metric, x[None], potential=None if pot.is_zero else pot)
 
@@ -985,12 +984,7 @@ def lemma_suite(
         )
 
     center = fam.member(2, 2)
-    for tau in taus:
-        k = round(tau * steps)
-        if abs(k - tau * steps) > 1e-9:
-            raise ValueError(
-                f"tau={tau} is not on the integration grid with {steps} steps"
-            )
+    for tau, k in zip(taus, grid):
         zero = np.zeros(metric.dim)
 
         # stationarity of the center curve

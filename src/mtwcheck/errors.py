@@ -36,7 +36,11 @@ class DerivativeOrderError(MtwError):
 
 
 class SamplingError(MtwError):
-    """A sampling plan asks for fewer than one point per axis or direction."""
+    """A sampling plan has a count below 1 or a negative seed."""
+
+
+class DiscretizationError(MtwError, ValueError):
+    """A step count, step size, panel count or time grid is out of range."""
 
 
 class NumericalError(MtwError):

@@ -35,15 +35,15 @@ by kind and by their children's identities, so equal subtrees are one
 object, and :func:`_diff` derives each (node, variable) pair once.  A
 :class:`TaylorPlan` derives all partials of all its fields on one DAG,
 and :func:`batch_evaluator` names its temporaries by node identity, so
-both cost one step per distinct node.  No table outlives its build.
+both cost one step per distinct node.  No table outlives its build:
+the one cache that does, of plans keyed by their fields' texts
+(``ScalarField._source``), is kept by :mod:`mtwcheck.geometry`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
-import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Sequence
 
@@ -308,46 +308,6 @@ def _batch_function(roots: Sequence[Node]) -> Callable:
     scope = dict(_BATCH_GLOBALS)
     exec(compile(src, "<batch-field>", "exec"), scope)
     return scope.pop("_batch")  # a function in its own globals is a cycle
-
-
-def _ref(obj):
-    return None if obj is None else weakref.ref(obj)
-
-
-class RecentCache:
-    """Values built from objects, kept for the ``size`` most recently used.
-
-    An entry is keyed by the identities of its owner objects plus a
-    hashable key.  It holds weak references to the owners, so an
-    identity reused after an owner was freed never hits, and the cache
-    keeps no owner alive (a value that refers to its owners does).
-    With no owners the key alone decides, so a value built from content
-    (the Taylor plans of :mod:`mtwcheck.geometry`, keyed by the fields'
-    texts) is shared by every object of that content.  Lookups from
-    several threads are safe.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, owners: tuple, key, build: Callable):
-        """The value for (owners, key), calling ``build()`` on a miss;
-        an owner may be None."""
-        ident = tuple(map(id, owners)) + (key,)
-        with self._lock:
-            hit = self._entries.pop(ident, None)
-            if hit is None or any((r if r is None else r()) is not o
-                                  for r, o in zip(hit[0], owners)):
-                hit = (tuple(map(_ref, owners)), build())
-            self._entries[ident] = hit  # insertion order is recency order
-            if len(self._entries) > self.size:
-                del self._entries[next(iter(self._entries))]
-        return hit[1]
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ differentiates the whole pipeline exactly, so covariant derivatives of
 curvature and of the potential need no further formulas.  The jets of
 the metric and the potential at all points come from one generated
 function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
-by the content of its fields (their expression texts) and the jet space,
-not by the object that owns them, in one bounded cache that the RK4
-evaluators of ``dynamics`` share (:func:`_plan_of`): repeated checks of
-identical metric text in a process compile one plan, however often the
-metric is parsed again.  A metric that differs in any constant (each
+by its fields' expression texts and the jet space alone, in the
+package's one cache (:func:`_plan_of`, 16 plans), which the RK4
+evaluators of ``dynamics`` read too: repeated checks of identical
+metric text in a process compile one plan, however often the metric is
+parsed again.  A metric that differs in any constant (each
 value of a family parameter) builds its own plan, and a one-shot
 process still builds its plans cold.
 Each jet stage runs at the lowest Taylor degree that keeps the values
@@ -60,9 +60,10 @@ the potential.
 from __future__ import annotations
 
 import copy
+import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,7 +75,7 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from .expr import RecentCache, ScalarField, TaylorPlan
+from .expr import ScalarField, TaylorPlan
 from .jets import JetSpace, jcontract, jgrad, jmatinv, jvalue
 
 # Positive-definiteness floor for metric evaluation.
@@ -95,6 +96,32 @@ MODE_MU_FLOOR = 1e-8
 Vector = np.ndarray
 Point = np.ndarray
 
+
+class RecentCache:
+    """Values keyed by content, kept for the ``size`` most recently used
+    keys: no key holds an object, so no metric is kept alive.  Lookups
+    from several threads are safe and see one value per key."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, build: Callable):
+        """The value for ``key``, calling ``build()`` on a miss."""
+        with self._lock:
+            value = self._entries.pop(key, None)
+            if value is None:
+                value = build()
+            self._entries[key] = value  # insertion order is recency order
+            if len(self._entries) > self.size:
+                del self._entries[next(iter(self._entries))]
+        return value
+
+
 # Taylor plans of the most recently used (field contents, jet space)
 # keys; the bound keeps the cache small, and a plan holds no field.
 _TAYLOR_PLAN_CACHE_SIZE = 16
@@ -108,7 +135,7 @@ def _plan_of(fields: Sequence[ScalarField], space: JetSpace) -> TaylorPlan:
     fields that differ in any constant (0.0 and -0.0 too) or in their
     dimension never share one."""
     key = (space.nvars, space.degree, *((f.dim, f._source()) for f in fields))
-    return _TAYLOR_PLANS.get((), key, lambda: TaylorPlan(fields, space))
+    return _TAYLOR_PLANS.get(key, lambda: TaylorPlan(fields, space))
 
 
 def _jets_of(fields: Sequence[ScalarField], x, space: JetSpace) -> np.ndarray:
@@ -710,6 +737,8 @@ class GeometryBatch:
 
 
 def euclidean_metric(dim: int) -> MetricField:
+    if dim < 1:
+        raise DimensionError(f"dimension must be at least 1, got {dim}")
     entries = [
         [ex.const(1.0 if i == j else 0.0, dim) for j in range(dim)] for i in range(dim)
     ]

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     CalibrationError,
     DimensionError,
+    DiscretizationError,
     PreconditionError,
     SamplingError,
 )
@@ -121,6 +122,7 @@ JACOBI_OFFSETS = (-2, -1, 0, 1, 2)
 
 
 def _jacobi_stencil(v, w, h) -> np.ndarray:
+    dyn._require_step(h, "the finite-difference step h")
     return np.array([v + (k * h) * w for k in JACOBI_OFFSETS])
 
 
@@ -185,12 +187,12 @@ def mtw_direct_cost(
     pairs in both directions gives the mixed fourth derivative.
     """
     x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
-    offsets = (-2, -1, 0, 1, 2)
+    stencil = _jacobi_stencil(v, w, h_s)  # checks h_s before any integration
+    dyn._require_step(h_t, "the finite-difference step h")
     starts = np.tile(x, (5, 1))
     sigma = dyn._endpoints(metric, None, starts,
-                           np.array([(i * h_t) * u for i in offsets]), steps)
-    targets = dyn._endpoints(metric, potential, starts,
-                             np.array([v + (j * h_s) * w for j in offsets]), steps)
+                           np.array([(i * h_t) * u for i in JACOBI_OFFSETS]), steps)
+    targets = dyn._endpoints(metric, potential, starts, stencil, steps)
     # C[a, b] = cost(sigma[a], targets[b]): all 25 shot as one batch
     C = np.array([r.value for r in dyn._costs(
         metric, potential, np.repeat(sigma, 5, axis=0), np.tile(targets, (5, 1)),
@@ -301,7 +303,8 @@ def mtw_zeroth_general(
     Reduces to the simplified evaluator when the Hessian vanishes.
     """
     if quad_panels % 2 != 0 or quad_panels < 2:
-        raise ValueError("quad_panels must be a positive even integer")
+        raise DiscretizationError(
+            f"quad_panels must be an even integer of at least 2, got {quad_panels}")
     u, w = as_vectors(metric.dim, u=u, w=w)
     geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential))
     return float(_zeroth_general(geo, u[None], w[None], quad_panels, strict=True)[0])
@@ -803,8 +806,9 @@ class SamplingSpec:
     """Deterministic sampling plan for the region checker.
 
     ``directions`` below the dimension is raised to it (the coordinate
-    axes are always sampled); below 1, like ``points_per_axis`` below 1,
-    it raises :class:`SamplingError`.
+    axes are always sampled); below 1, like ``points_per_axis`` below 1
+    or a negative ``seed``, it raises :class:`SamplingError`, and
+    :meth:`direction_set` raises :class:`DimensionError` in dimension 1.
     """
 
     box: tuple  # ((lo, hi), ...) per axis
@@ -817,6 +821,8 @@ class SamplingSpec:
             value = getattr(self, name)
             if value < 1:
                 raise SamplingError(f"{name} must be at least 1, got {value}")
+        if self.seed < 0:
+            raise SamplingError(f"seed must be non-negative, got {self.seed}")
 
     def points(self) -> np.ndarray:
         axes = [np.linspace(lo, hi, self.points_per_axis) for lo, hi in self.box]
@@ -828,6 +834,9 @@ class SamplingSpec:
         return pts
 
     def direction_set(self, dim: int) -> np.ndarray:
+        if dim < 2:
+            raise DimensionError(
+                f"sampled 2-planes need dimension at least 2, got {dim}")
         rng = np.random.default_rng(self.seed)
         dirs = [np.eye(dim)[i] for i in range(dim)]
         while len(dirs) < self.directions:

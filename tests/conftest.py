@@ -4,8 +4,13 @@ from hypothesis import settings
 
 from mtwcheck import conformal as cf
 from mtwcheck import geometry
-from mtwcheck.expr import RecentCache, TaylorPlan, parse_field
-from mtwcheck.geometry import MetricField, euclidean_metric, sphere_metric
+from mtwcheck.expr import TaylorPlan, parse_field
+from mtwcheck.geometry import (
+    MetricField,
+    RecentCache,
+    euclidean_metric,
+    sphere_metric,
+)
 
 # CI runs with --hypothesis-profile=ci: the same examples every run, so a
 # fresh random draw cannot fail a build, and a failure prints the blob

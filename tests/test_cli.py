@@ -230,6 +230,55 @@ def test_empty_sampling_plan_exits_two(capsys, command, flag, value, name):
     assert err == f"error: {name} must be at least 1, got {value}\n"
 
 
+SPHERE_EVAL = ("eval", "--metric", "sphere2", "--point", "1.5,0", "--u", "1,0",
+               "--v", "0", "--w", "0,1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SPHERE_EVAL + ("--steps", "0"), "steps must be at least 1, got 0"),
+    (("cost", "--metric", "sphere2", "--point", "1.5,0", "--target", "1.5,0.3",
+      "--steps", "0"), "steps must be at least 1, got 0"),
+    (("geodesic", "--metric", "sphere2", "--point", "1.5,0", "--velocity", "0,1",
+      "--steps", "0"), "steps must be at least 1, got 0"),
+    (("calibrate", "--steps", "0"), "steps must be at least 1, got 0"),
+    (SPHERE_EVAL + ("--steps", "-3"), "steps must be at least 1, got -3"),
+    (SPHERE_EVAL + ("--fd-step", "0"),
+     "the finite-difference step h must be positive and finite, got 0.0"),
+    (SPHERE_EVAL + ("--method", "closed-form-0", "--quad-panels", "3"),
+     "quad_panels must be an even integer of at least 2, got 3"),
+    (("lemma-tests", "--metric", "sphere2", "--steps", "7"),
+     "tau=0.2 is not on the integration grid with 7 steps"),
+    (("lemma-tests", "--metric", "sphere2", "--lemma-h", "0"),
+     "the family step h must be positive and finite, got 0.0"),
+], ids=["eval-steps-0", "cost-steps-0", "geodesic-steps-0", "calibrate-steps-0",
+        "eval-steps-negative", "fd-step-0", "quad-panels-odd", "lemma-steps-off-grid",
+        "lemma-h-0"])
+def test_bad_discretization_exits_two(capsys, argv, message):
+    # exit 1 reads as "violations found" and 3 as a numerical verdict, so
+    # a step or size out of range is a configuration error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--metric", "conformal2d", "--param", "a=-3.5",
+      "--region", "-0.5,0.5", "--seed", "-1"), "seed must be non-negative, got -1"),
+    (("eval", "--metric", "euclidean0", "--point", "0", "--u", "0", "--w", "0"),
+     "dimension must be at least 1, got 0"),
+    (("check", "--metric", "euclidean1", "--region", "-1,1"),
+     "sampled 2-planes need dimension at least 2, got 1"),
+    (("curvature", "--metric", "euclidean1", "--region", "-1,1"),
+     "sampled 2-planes need dimension at least 2, got 1"),
+], ids=["negative-seed", "dimension-0", "check-1d", "curvature-1d"])
+def test_bad_sampling_or_dimension_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_samples_below_dimension_are_raised_to_it(capsys):
     # the coordinate axes are always sampled: --samples 1 in 3-D is 3
     code, out, _ = run_cli(capsys, "check", "--metric", "euclidean3",

@@ -1,6 +1,8 @@
 """Trajectories, transport, Jacobi boundary-value problems, variation families."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from mtwcheck.errors import (
     ShootingError,
 )
 from mtwcheck.geometry import (
-    euclidean_metric,
+    _TAYLOR_PLAN_CACHE_SIZE,
+    _plan_of,
     gram_schmidt,
     harmonic_potential,
     sphere_metric,
 )
+from mtwcheck.jets import JetSpace
 
 EQUATOR = np.pi / 2
 
@@ -430,38 +434,39 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
 
 
 # ---------------------------------------------------------------------------
-# Point-evaluator cache
+# The field evaluator reads the content-keyed plan cache
 # ---------------------------------------------------------------------------
 
 
-def test_eval_cache_is_bounded_across_calibrations():
-    # every calibration builds fresh metrics, so an unbounded cache would
-    # grow by four evaluators per call and keep all those metrics alive
-    from mtwcheck import dynamics as dyn
+def test_repeated_calibrations_reuse_their_plans(plan_cache, plan_builds):
+    # every calibration builds fresh metrics; their plans are found by
+    # content, so only the first call builds any
     from mtwcheck.mtw import calibrate_normalization
 
     first = calibrate_normalization(steps=20)
+    built = len(plan_builds)
+    assert built >= 1
     for _ in range(9):
-        last = calibrate_normalization(steps=20)
-    assert len(dyn._EVAL_CACHE) <= dyn._EVAL_CACHE_SIZE < 40
-    assert last == first
+        assert calibrate_normalization(steps=20) == first
+        assert len(plan_builds) == built
+    assert len(plan_cache) <= _TAYLOR_PLAN_CACHE_SIZE
 
 
-def test_eval_cache_is_bounded_under_concurrent_use():
+def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):
     import sys
     import threading
 
-    from mtwcheck import dynamics as dyn
+    from mtwcheck.conformal import ConformalSpec, conformal_metric
 
-    errors = []
+    space = JetSpace.get(2, 1)
+    plans, errors = [], []
 
     def work():
         try:
-            for _ in range(2000):
-                metric = euclidean_metric(2)
-                ev = dyn._evaluator(metric, None, need_curvature=False)
-                if ev.metric is not metric:
-                    errors.append("evaluator of another metric")
+            for _ in range(1000):
+                metric = conformal_metric(ConformalSpec(a=-3.5))
+                fields = [f for row in metric.entries for f in row]
+                plans.append(_plan_of(fields, space))
         except Exception as e:  # reported below, with the thread's failure
             errors.append(e)
 
@@ -477,4 +482,15 @@ def test_eval_cache_is_bounded_under_concurrent_use():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(dyn._EVAL_CACHE) <= dyn._EVAL_CACHE_SIZE
+    assert len(plans) == 8 * 1000
+    assert all(p is plans[0] for p in plans)
+    assert len(plan_cache) <= _TAYLOR_PLAN_CACHE_SIZE
+
+
+def test_cost_keeps_no_metric_alive():
+    metric = sphere_metric()
+    res = cost(metric, None, [EQUATOR, 0.0], [EQUATOR, 0.5], steps=20)
+    ref = weakref.ref(metric)
+    del metric, res
+    gc.collect()
+    assert ref() is None

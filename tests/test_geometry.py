@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtwcheck import conformal as cf
 from mtwcheck import expr as ex
-from mtwcheck.dynamics import _evaluator
+from mtwcheck.dynamics import _FieldEval
 from mtwcheck.errors import (
     DegeneratePlaneError,
     DimensionError,
@@ -253,7 +253,7 @@ def test_jet_tensors_match_point_evaluator(name, rng):
         if name == "conformal":
             potential = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
     vel = rng.normal(size=pts.shape)
-    fields = _evaluator(metric, potential, need_curvature=True)(pts, vel)
+    fields = _FieldEval(metric, potential, need_curvature=True)(pts, vel)
     for b, (x, v) in enumerate(zip(pts, vel)):
         geo = GeometryBatch(metric, x[None], potential=potential, curvature_order=0)
         gam, ginv = geo.gamma[0], geo.g_inv[0]
