@@ -137,15 +137,23 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(name: str, value):
+    """``value`` as the type of the RunConfig field ``name``; a value that
+    does not convert raises UsageError naming the key and the value."""
     kind = _FIELD_TYPES[name]
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    try:
+        if kind == "bool":
+            return {"1": True, "true": True, "yes": True, "on": True, "0": False,
+                    "false": False, "no": False, "off": False}[str(value).strip().lower()]
+        if kind == "int":
+            return int(value)
+        if kind == "float":
+            return float(value)
+    except (KeyError, ValueError):
+        want = {"bool": "true or false", "int": "an integer", "float": "a number"}[kind]
+        raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
+                         f"expected {want}") from None
     return str(value)
 
 
@@ -319,24 +327,27 @@ def _emit_report(cfg: RunConfig, results, timings) -> None:
         "results": _jsonify(results),
         "timings": _jsonify(timings) if cfg.timings else None,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(cfg.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_csv(cfg: RunConfig, columns, rows) -> None:
     lines = ["# columns: " + ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if cfg.csv:
-        with open(cfg.csv, "w") as f:
-            f.write(text)
-    else:
+    _emit(cfg.csv, "\n".join(lines) + "\n")
+
+
+def _emit(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is empty;
+    a file that cannot be written raises UsageError."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path!r}: {e.strerror}") from None
 
 
 def _fmt(v) -> str:
@@ -469,8 +480,9 @@ def _cmd_curvature(cfg: RunConfig) -> int:
     spec = mtw.SamplingSpec(box=box, points_per_axis=cfg.points_per_axis,
                             directions=cfg.samples, seed=cfg.seed)
     dirs = spec.direction_set(metric.dim)
-    rows = []
-    for X in mtw._point_chunks(spec.points()):
+    points, rows = spec.points(), []
+    for b in mtw._chunks(len(points)):
+        X = points[b]
         geo = GeometryBatch(metric, X, curvature_order=0)
         U, W, ok = mtw._orthonormal_pairs(geo, dirs)
         K = mtw.CONDITIONS["sectional-nonneg"].value(geo, U, None, W)

@@ -30,7 +30,7 @@ curvature and of the potential need no further formulas.  The jets of
 the metric and the potential at all points come from one generated
 function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
 by its fields' expression texts and the jet space alone, in the
-package's one cache (:func:`_plan_of`, 16 plans), which the RK4
+package's one cache (:func:`_plan_of`, 32 plans), which the RK4
 evaluators of ``dynamics`` read too: repeated checks of identical
 metric text in a process compile one plan, however often the metric is
 parsed again.  A metric that differs in any constant (each
@@ -123,8 +123,10 @@ class RecentCache:
 
 
 # Taylor plans of the most recently used (field contents, jet space)
-# keys; the bound keeps the cache small, and a plan holds no field.
-_TAYLOR_PLAN_CACHE_SIZE = 16
+# keys; the bound keeps the cache small, and a plan holds no field.  It
+# holds the 18 keys of a calibration followed by the jacobi, general
+# closed-form, direct-cost and sphere-cost routes, and a check's two.
+_TAYLOR_PLAN_CACHE_SIZE = 32
 _TAYLOR_PLANS = RecentCache(_TAYLOR_PLAN_CACHE_SIZE)
 
 
@@ -690,18 +692,6 @@ class GeometryBatch:
             if val is not None:
                 setattr(out, name, val.reshape(val.shape[:1] + (1,) * axes
                                                + val.shape[1:]))
-        return out
-
-    def take(self, rows) -> "GeometryBatch":
-        """The batch of the points ``x[rows]``, in that order: every
-        per-point array indexed along its point axis, nothing rebuilt.
-        A point's entries are those of this batch, bit for bit."""
-        out = copy.copy(self)
-        out.x = self.x[rows]
-        for name in _FIELDS:
-            val = getattr(self, name)
-            if val is not None:
-                setattr(out, name, val[rows])
         return out
 
     def hessian_modes(self, what: str | None = None):

@@ -581,24 +581,28 @@ def _zeroth_order(geo, u, v, w, curvature_tol=None) -> np.ndarray:
 class _Condition(NamedTuple):
     """One necessary condition as a batch formula: ``value(geo, u, v, w,
     curvature_tol=None)``, its scalar at every sample (vectors not read
-    may be None).  Given ``curvature_tol`` it raises unless the
-    condition's hypotheses hold at every sample; the checker calls it
-    without and masks them, with tolerances relative to the sample."""
+    may be None), on geometry built at curvature order ``order``.  Given
+    ``curvature_tol`` it raises unless the condition's hypotheses hold
+    at every sample; the checker calls it without and masks them, with
+    tolerances relative to the sample."""
 
     value: Callable
     reads: str  # the vectors the condition reads, of "uvw"
+    order: int  # the curvature order of the geometry it is evaluated on
     dim: int | None = None  # the only dimension it is defined in
 
 
-# The conditions the checker reports, in report order.
+# The conditions the checker reports, in report order.  Those of order 1
+# read at most nabla R and run at every sample; those of order 2 read
+# nabla^2 R and are stated only on the zero-curvature locus.
 CONDITIONS = {
-    "sectional-nonneg": _Condition(_sectional, "uw"),
-    "zeroth-order": _Condition(_zeroth_order, "uw"),
-    "first-order-vanishing": _Condition(_first_order_magnitude, "uvw"),
-    "g-nonneg": _Condition(_g_value, "uvw"),
+    "sectional-nonneg": _Condition(_sectional, "uw", 1),
+    "zeroth-order": _Condition(_zeroth_order, "uw", 1),
+    "first-order-vanishing": _Condition(_first_order_magnitude, "uvw", 1),
+    "g-nonneg": _Condition(_g_value, "uvw", 2),
     "discriminant-2d": _Condition(
         lambda geo, u, v, w, curvature_tol=None:  # lhs - rhs
-        np.subtract(*_discriminant_sides(geo, u, curvature_tol)[1:]), "u", dim=2),
+        np.subtract(*_discriminant_sides(geo, u, curvature_tol)[1:]), "u", 2, dim=2),
 }
 
 
@@ -614,7 +618,8 @@ def evaluate_condition(
 ) -> float:
     """Re-evaluate the scalar behind a checker witness: the checker's
     formula, from :data:`CONDITIONS`, on the point's geometry as a batch
-    of one, so a reported witness reproduces its value exactly.
+    of one at the row's curvature order, so a reported witness
+    reproduces its value exactly.
 
     Before any geometry is built, an unknown condition or a missing
     vector the condition reads raises ValueError, and a vector of the
@@ -636,7 +641,8 @@ def evaluate_condition(
                              "which was not given")
     vecs = dict(zip(row.reads, as_vectors(
         metric.dim, **{name: given[name] for name in row.reads})))
-    geo = GeometryBatch(metric, as_point(point)[None], _active_potential(potential))
+    geo = GeometryBatch(metric, as_point(point)[None], _active_potential(potential),
+                        curvature_order=row.order)
     return float(row.value(geo, *(vecs[k][None] if k in vecs else None for k in "uvw"),
                            curvature_tol)[0])
 
@@ -905,23 +911,20 @@ def _orthonormal_pairs(geo, directions: np.ndarray):
     return u, w, ok
 
 
-def _point_chunks(points: np.ndarray):
-    """The sample points in consecutive chunks of CHECK_CHUNK_POINTS."""
-    for start in range(0, len(points), CHECK_CHUNK_POINTS):
-        yield points[start: start + CHECK_CHUNK_POINTS]
+def _chunks(count: int):
+    """Slices of ``count`` sample points (or indices of them) in
+    consecutive chunks of CHECK_CHUNK_POINTS."""
+    for start in range(0, count, CHECK_CHUNK_POINTS):
+        yield slice(start, start + CHECK_CHUNK_POINTS)
 
 
 @dataclass
 class _Scan:
-    """What the checker keeps of a chunk of sample points, before the
-    sample-wide thresholds are known: per point, per pair (reduced over
-    the v-directions) and, in dimension 2, per discriminant direction.
-    Every field has the point axis first.  The locus-only fields
-    ``g_min``, ``g_arg``, ``g_abs`` and ``disc_gap`` are defined only
-    at the points holding a sample of :func:`_locus_masks`, the only
-    ones the verdict reads, or at every point of a chunk scanned before
-    the sample's curvature scale was complete; elsewhere they are NaN
-    (``g_arg`` 0)."""
+    """What the checker's first pass keeps of a chunk of sample points:
+    the conditions of curvature order 1 and what places the
+    zero-curvature locus (:func:`_locus_masks`), per point, per pair
+    (reduced over the v-directions) and, in dimension 2, per
+    discriminant direction.  Every field has the point axis first."""
 
     x: np.ndarray  # (B, n)
     U: np.ndarray  # (B, P, n) pair vectors
@@ -934,11 +937,7 @@ class _Scan:
     fo_max: np.ndarray  # (B, P) largest first-order magnitude over v
     fo_arg: np.ndarray  # (B, P) its first v index
     ortho: np.ndarray  # (B, P) the pair passes the g-nonneg orthogonality test
-    g_min: np.ndarray  # (B, P) smallest g-quantity over v, on gmask
-    g_arg: np.ndarray
-    g_abs: np.ndarray  # (B, P) largest |g-quantity| over v, on gmask
     disc_K: np.ndarray | None  # (B, D) curvature of (v, quarter turn of v)
-    disc_gap: np.ndarray | None  # (B, D) lhs - rhs of the discriminant, on dmask
     disc_w: np.ndarray | None  # (B, D, 2) the quarter turns
 
 
@@ -949,8 +948,7 @@ def _locus_masks(k_scale: float, K, ok, ortho, disc_K):
     relatively vanishing curvature, ``gmask`` those that also meet the
     g-quantity's hypotheses, and ``dmask`` (B, D), in dimension 2 (else
     None), the flat discriminant directions at points whose every pair
-    is on the locus.  The chunk scan and the verdict both take the masks
-    from here."""
+    is on the locus."""
     locus_tol = CURVATURE_LOCUS_TOL * max(k_scale, 1e-30)
     if k_scale == 0.0:
         locus_tol = 0.0
@@ -964,55 +962,23 @@ def _locus_masks(k_scale: float, K, ok, ortho, disc_K):
     return on_locus, gmask, dmask
 
 
-def _rows(held: np.ndarray):
-    """Index of the points where ``held``: a slice when every point is,
-    so that indexing copies nothing, and None when none is."""
-    if held.all():
-        return slice(None)
-    return np.flatnonzero(held) if held.any() else None
-
-
-def _scan_chunk(metric, potential, X, directions, k_before=None) -> _Scan:
-    """The conditions of :data:`CONDITIONS` over (point, pair,
-    direction) of one geometry batch, with the batch axes leading.
-
-    ``sectional-nonneg``, ``zeroth-order`` and ``first-order-vanishing``
-    run at every sample.  The verdict reads ``g-nonneg`` and
-    ``discriminant-2d`` only on the locus (:func:`_locus_masks`), whose
-    tolerance scales with the sample-wide curvature scale.  Given
-    ``k_before``, that scale over the sample's earlier chunks, this is
-    its last chunk: the scale is complete with this chunk's curvature,
-    and the two run only at the points holding a sample the verdict
-    reads.  Without it they run at every point.
-    """
-    geo = GeometryBatch(metric, X, potential, curvature_order=2)
+def _scan_chunk(metric, potential, X, directions) -> _Scan:
+    """The first pass over one chunk of sample points: one geometry
+    batch at curvature order 1, and on it the conditions of that order
+    from :data:`CONDITIONS` over (point, pair, direction), the batch
+    axes leading."""
+    geo = GeometryBatch(metric, X, potential, curvature_order=1)
     C = CONDITIONS
     pairs = geo.expand(1)  # against (point, pair)
     U, W, ok = _orthonormal_pairs(geo, directions)
     K = C["sectional-nonneg"].value(geo, U, None, W)
-    ortho = _orthogonal(pairs, U, W)
-    u, w = U[:, :, None], W[:, :, None]
-    v = directions[None, None]
-    mags = C["first-order-vanishing"].value(geo, u, v, w)
-    disc_K = disc_w = disc_gap = None
+    mags = C["first-order-vanishing"].value(
+        geo, U[:, :, None], directions[None, None], W[:, :, None])
+    disc_K = disc_w = None
     if metric.dim == 2:
         d = directions[None]
         disc_w = quarter_turn(pairs.g, d)
         disc_K = C["sectional-nonneg"].value(geo, d, None, disc_w)
-
-    g_rows = d_rows = slice(None)  # every point
-    if k_before is not None:
-        _, gmask, dmask = _locus_masks(max(k_before, _scale(K, ok)), K, ok,
-                                       ortho, disc_K)
-        g_rows = _rows(gmask.any(axis=1))
-        d_rows = None if dmask is None else _rows(dmask.any(axis=1))
-    gv = np.full(mags.shape, np.nan)
-    if g_rows is not None:
-        gv[g_rows] = C["g-nonneg"].value(geo.take(g_rows), u[g_rows], v, w[g_rows])
-    if metric.dim == 2:
-        disc_gap = np.full(disc_K.shape, np.nan)
-        if d_rows is not None:
-            disc_gap[d_rows] = C["discriminant-2d"].value(geo.take(d_rows), d, None, None)
     # the general evaluator's points: the maxima of the potential
     zeroth_ok = (np.ones(len(X), dtype=bool) if potential is None
                  else geo.hessian_modes()[2])
@@ -1020,10 +986,32 @@ def _scan_chunk(metric, potential, X, directions, k_before=None) -> _Scan:
         x=X, U=U, W=W, ok=ok, K=K, grad=geo.grad_norms(), zeroth_ok=zeroth_ok,
         zeroth=C["zeroth-order"].value(geo, U, None, W),
         fo_max=mags.max(axis=2), fo_arg=mags.argmax(axis=2),
-        ortho=ortho, g_min=gv.min(axis=2),
-        g_arg=gv.argmin(axis=2), g_abs=np.abs(gv).max(axis=2),
-        disc_K=disc_K, disc_gap=disc_gap, disc_w=disc_w,
+        ortho=_orthogonal(pairs, U, W), disc_K=disc_K, disc_w=disc_w,
     )
+
+
+def _scan_locus(metric, X, U, W, directions):
+    """The second pass, at the points X with pairs (U, W): one geometry
+    batch at curvature order 2 per chunk of them, and on it the
+    conditions of that order.  The batch omits the potential, which
+    neither reads; at order 2 the metric's stages run at the same Taylor
+    degrees with or without one.  Returns per pair the smallest
+    g-quantity over v, its first v index and the largest |g-quantity|
+    over v, and in dimension 2 (else None) lhs - rhs of the discriminant
+    per direction."""
+    C = CONDITIONS
+    g_min, g_abs = np.empty(U.shape[:2]), np.empty(U.shape[:2])
+    g_arg = np.empty(U.shape[:2], dtype=np.intp)
+    gap = np.empty((len(X), len(directions))) if metric.dim == 2 else None
+    for b in _chunks(len(X)):
+        geo = GeometryBatch(metric, X[b], curvature_order=2)
+        gv = C["g-nonneg"].value(
+            geo, U[b, :, None], directions[None, None], W[b, :, None])
+        g_min[b], g_arg[b] = gv.min(axis=2), gv.argmin(axis=2)
+        g_abs[b] = np.abs(gv).max(axis=2)
+        if gap is not None:
+            gap[b] = C["discriminant-2d"].value(geo, directions[None], None, None)
+    return g_min, g_arg, g_abs, gap
 
 
 def _join(scans: list) -> _Scan:
@@ -1050,6 +1038,23 @@ def _scale(values: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(values[mask]), initial=0.0))
 
 
+def _verdict(name, values, mask, pick, slack, x, u, v, w, per_entry=1):
+    """The verdict of one condition, by the rule every condition goes
+    through: the first extreme of ``values`` under ``mask``
+    (:func:`_first_extreme`), which passes when it is at least -slack
+    for pick=np.argmin and at most slack for np.argmax, with the point
+    x[at[0]] and the vectors u[at], v[at] and w[at] (None for a vector
+    the condition does not read) as its witness.  Each masked entry
+    stands for ``per_entry`` samples (the v-directions reduced into it)."""
+    at = _first_extreme(values, mask, pick)
+    worst = None if at is None else Witness(
+        name, x[at[0]].copy(), *(None if a is None else a[at] for a in (u, v, w)),
+        float(values[at]))
+    passed = worst is None or (worst.value >= -slack if pick is np.argmin
+                               else worst.value <= slack)
+    return ConditionVerdict(name, int(mask.sum()) * per_entry, passed, slack, worst)
+
+
 def check_a3w_necessary(
     metric: MetricField,
     potential: PotentialField | None,
@@ -1068,94 +1073,60 @@ def check_a3w_necessary(
     * the two-dimensional discriminant inequality at zero-curvature
       points (dimension 2 only).
 
-    The sample points are processed in chunks of CHECK_CHUNK_POINTS:
-    each chunk builds one :class:`GeometryBatch`, so each point's
-    geometry is built exactly once and the peak memory is bounded by
-    the chunk, and every condition is a few contractions over (point,
-    pair, direction) tensors read from it.  The conditions stated only
-    on the zero-curvature locus, ``g-nonneg`` and ``discriminant-2d``,
-    run on the points of the batch that hold a locus sample alone
-    (:meth:`GeometryBatch.take`).  The locus is relative to the
-    curvature scale of the whole sample, which the last chunk
-    completes, so in an earlier chunk they still run at every point.
-    A sample's value does not depend on the batch it fell in, and
-    :func:`evaluate_condition` reproduces it as a batch of one.  Zero-curvature detection and all
-    violation thresholds are relative to the sampled magnitude of the
-    corresponding quantity, so verdicts are invariant under uniform
-    metric rescaling.
+    The check runs in two passes by the curvature order each condition
+    reads (:data:`CONDITIONS`), each in chunks of at most
+    CHECK_CHUNK_POINTS points, one :class:`GeometryBatch` per chunk, so
+    each point's geometry is built at most once per order and the peak
+    memory is bounded by the chunk.  The first pass builds every point
+    at order 1 and evaluates the conditions that read at most nabla R
+    at every sample; the curvature scale of the whole sample then fixes
+    the zero-curvature locus, and the second pass builds at order 2 only
+    the points holding a locus sample, where ``g-nonneg`` and
+    ``discriminant-2d``, the conditions stated on the locus, are read.
+    Every condition is a few contractions over (point, pair, direction)
+    tensors, a sample's value does not depend on the batch it fell in,
+    and :func:`evaluate_condition` reproduces it as a batch of one.
+    Zero-curvature detection and all violation thresholds are relative
+    to the sampled magnitude of the corresponding quantity, so verdicts
+    are invariant under uniform metric rescaling.
     """
     n = metric.dim
     potential = _active_potential(potential)
     directions = sampling.direction_set(n)
-    # the last chunk completes the curvature scale of the earlier ones
-    *early, last = _point_chunks(sampling.points())
-    scans = [_scan_chunk(metric, potential, X, directions) for X in early]
-    k_before = max((_scale(c.K, c.ok) for c in scans), default=0.0)
-    s = _join(scans + [_scan_chunk(metric, potential, last, directions, k_before)])
     D = len(directions)
-
-    def witness(name, at, u, v, w, value):
-        return Witness(name, s.x[at[0]].copy(), u, v, w, float(value))
-
-    conditions: list[ConditionVerdict] = []
-
-    # -- sectional curvature ------------------------------------------------
+    points = sampling.points()
+    s = _join([_scan_chunk(metric, potential, points[b], directions)
+               for b in _chunks(len(points))])
     k_scale = _scale(s.K, s.ok)
-    k_slack = INEQUALITY_SLACK * k_scale
-    at = _first_extreme(s.K, s.ok, np.argmin)
-    worst = at and witness("sectional-nonneg", at, s.U[at], None, s.W[at], s.K[at])
-    sec_pass = worst is None or worst.value >= -k_slack
-    conditions.append(ConditionVerdict(
-        "sectional-nonneg", int(s.ok.sum()), sec_pass, k_slack, worst,
-    ))
+    on_locus, gmask, dmask = _locus_masks(k_scale, s.K, s.ok, s.ortho, s.disc_K)
+    held = gmask.any(axis=1)
+    if dmask is not None:
+        held |= dmask.any(axis=1)
+    # the points holding a locus sample, in sample order
+    rows = np.flatnonzero(held)
+    x, U, W = s.x[rows], s.U[rows], s.W[rows]
+    g_min, g_arg, g_abs, gap = _scan_locus(metric, x, U, W, directions)
 
-    # -- zeroth order at critical points (every point without a potential) --
-    # a critical point that is no maximum fails the evaluator's own
-    # Hess V <= 0 precondition and is skipped like any other
+    # a critical point that is no maximum fails the zeroth-order
+    # evaluator's own Hess V <= 0 precondition and is skipped like any other
     crit_tol = 1e-8 * max(float(np.max(s.grad, initial=0.0)), 1e-30)
     zmask = s.ok & ((s.grad <= crit_tol) & s.zeroth_ok)[:, None]
-    z_slack = INEQUALITY_SLACK * _scale(s.zeroth, zmask)
-    at = _first_extreme(s.zeroth, zmask, np.argmin)
-    worst = at and witness("zeroth-order", at, s.U[at], None, s.W[at], s.zeroth[at])
-    zer_pass = worst is None or worst.value >= -z_slack
-    conditions.append(ConditionVerdict(
-        "zeroth-order", int(zmask.sum()), zer_pass, z_slack, worst,
-    ))
-
-    # -- zero-curvature locus ------------------------------------------------
-    on_locus, gmask, dmask = _locus_masks(k_scale, s.K, s.ok, s.ortho, s.disc_K)
-
-    # first-order vanishing on the locus pairs, every direction
-    fo_slack = 1e-6 * _scale(s.fo_max, s.ok)
-    at = _first_extreme(s.fo_max, on_locus, np.argmax)
-    worst = at and witness("first-order-vanishing", at, s.U[at],
-                           directions[s.fo_arg[at]], s.W[at], s.fo_max[at])
-    fo_pass = worst is None or worst.value <= fo_slack
-    conditions.append(ConditionVerdict(
-        "first-order-vanishing", int(on_locus.sum()) * D, fo_pass, fo_slack, worst,
-    ))
-
-    # restricted second-order quantity on the locus pairs that meet its
-    # hypotheses, every direction
-    gq_slack = INEQUALITY_SLACK * _scale(s.g_abs, gmask)
-    at = _first_extreme(s.g_min, gmask, np.argmin)
-    worst = at and witness("g-nonneg", at, s.U[at], directions[s.g_arg[at]],
-                           s.W[at], s.g_min[at])
-    g_pass = worst is None or worst.value >= -gq_slack
-    conditions.append(ConditionVerdict(
-        "g-nonneg", int(gmask.sum()) * D, g_pass, gq_slack, worst,
-    ))
-
-    # the discriminant at points whose every pair is on the locus
+    conditions = [
+        _verdict("sectional-nonneg", s.K, s.ok, np.argmin,
+                 INEQUALITY_SLACK * k_scale, s.x, s.U, None, s.W),
+        _verdict("zeroth-order", s.zeroth, zmask, np.argmin,
+                 INEQUALITY_SLACK * _scale(s.zeroth, zmask), s.x, s.U, None, s.W),
+        _verdict("first-order-vanishing", s.fo_max, on_locus, np.argmax,
+                 1e-6 * _scale(s.fo_max, s.ok), s.x, s.U, directions[s.fo_arg],
+                 s.W, D),
+        _verdict("g-nonneg", g_min, gmask[rows], np.argmin,
+                 INEQUALITY_SLACK * _scale(g_abs, gmask[rows]), x, U,
+                 directions[g_arg], W, D),
+    ]
     if n == 2:
-        at = _first_extreme(s.disc_gap, dmask, np.argmax)
-        worst = at and witness("discriminant-2d", at, directions[at[1]], None,
-                               s.disc_w[at], s.disc_gap[at])
-        d_pass = worst is None or worst.value <= INEQUALITY_SLACK
-        conditions.append(ConditionVerdict(
-            "discriminant-2d", int(dmask.sum()), d_pass, INEQUALITY_SLACK, worst,
-        ))
-
-    overall = all(c.passed for c in conditions)
+        conditions.append(_verdict(
+            "discriminant-2d", gap, dmask[rows], np.argmax, INEQUALITY_SLACK,
+            x, np.broadcast_to(directions, gap.shape + (n,)), None,
+            s.disc_w[rows]))
     return CheckReport(sampling=sampling, conditions=conditions,
-                       overall_pass=overall)
+                       overall_pass=all(c.passed for c in conditions))

@@ -75,6 +75,42 @@ def test_unknown_config_key_rejected():
         RunConfig.from_config_text("command = check\nnonsense = 1\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("steps = 1.5", "bad value '1.5' for steps: expected an integer"),
+    ("points-per-axis = many",
+     "bad value 'many' for points-per-axis: expected an integer"),
+    ("fd-step = small", "bad value 'small' for fd-step: expected a number"),
+    ("timings = maybe", "bad value 'maybe' for timings: expected true or false"),
+])
+def test_config_value_of_wrong_type_exits_two(capsys, tmp_path, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg_file),
+                             "--metric", "euclidean2", "--region", "-1,1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("word, value", [
+    ("true", True), ("On", True), ("1", True), ("yes", True),
+    ("false", False), ("OFF", False), ("0", False), ("no", False),
+])
+def test_config_bool_words(word, value):
+    cfg = RunConfig.from_config_text(f"command = check\ntimings = {word}\n")
+    assert cfg.timings is value
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_unwritable_output_exits_two(capsys, tmp_path, flag):
+    path = tmp_path / "missing" / "out.txt"
+    command = "check" if flag == "--output" else "curvature"
+    code, out, err = run_cli(capsys, command, "--metric", "euclidean2",
+                             "--region", "-1,1", "--points-per-axis", "2",
+                             flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {str(path)!r}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
 def test_vector_and_region_parsing():
     assert np.allclose(_parse_vector("0", 3, "v"), np.zeros(3))
     assert np.allclose(_parse_vector("1.5,-2", 2, "v"), [1.5, -2.0])
@@ -452,10 +488,14 @@ CHECK_INLINE3D = CHECK_ARGS["check-inline3d"]
 
 
 def test_repeated_checks_build_one_taylor_plan(capsys, plan_cache, plan_builds):
-    # every call parses the metric afresh; its plan is keyed by content
-    reports = {run_cli(capsys, *CHECK_CONFORMAL2D) for _ in range(40)}
-    assert len(reports) == 1
-    assert len(plan_builds) == 1
+    # every call parses the metric afresh; its plans are keyed by content,
+    # so only the first check builds any: the metric's jets of degree 3
+    # (curvature order 1 at every point) and 4 (order 2 at the locus)
+    first = run_cli(capsys, *CHECK_CONFORMAL2D)
+    assert [space.degree for space in plan_builds] == [3, 4]
+    reports = {run_cli(capsys, *CHECK_CONFORMAL2D) for _ in range(39)}
+    assert reports == {first}
+    assert len(plan_builds) == 2
 
 
 @pytest.mark.parametrize("argv", [CHECK_CONFORMAL2D, CHECK_INLINE3D],

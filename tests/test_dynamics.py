@@ -28,8 +28,10 @@ from mtwcheck.errors import (
 from mtwcheck.geometry import (
     _TAYLOR_PLAN_CACHE_SIZE,
     _plan_of,
+    euclidean_metric,
     gram_schmidt,
     harmonic_potential,
+    quartic_potential,
     sphere_metric,
 )
 from mtwcheck.jets import JetSpace
@@ -450,6 +452,40 @@ def test_repeated_calibrations_reuse_their_plans(plan_cache, plan_builds):
         assert calibrate_normalization(steps=20) == first
         assert len(plan_builds) == built
     assert len(plan_cache) <= _TAYLOR_PLAN_CACHE_SIZE
+
+
+def _routes_sequence(steps):
+    """The library calls of the benchmark's routes workload, on metrics
+    built afresh as a new process would build them: the calibration,
+    jacobi against the general closed form on the sphere and on
+    conformal a = -3, the direct cost against the simplified closed form
+    on a flat quartic, and a sphere cost."""
+    from mtwcheck import mtw
+    from mtwcheck.conformal import ConformalSpec, conformal_metric
+
+    zero2, e1, e2 = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    sphere, flat = sphere_metric(), euclidean_metric(2)
+    quartic = quartic_potential([[0.8, 0.1], [0.1, 1.2]])
+    mtw.calibrate_normalization(steps=steps)
+    for metric, x in ((sphere, [1.2, 0.3]),
+                      (conformal_metric(ConformalSpec(a=-3.0)), [0.1, -0.1])):
+        mtw.mtw_jacobi(metric, None, x, e1, zero2, e2, steps=steps)
+        mtw.mtw_zeroth_general(metric, None, x, e1, e2)
+    mtw.mtw_direct_cost(flat, quartic, zero2, e1, zero2, e2, h_s=0.05, h_t=0.05,
+                        steps=steps)
+    mtw.mtw_zeroth_simplified(flat, quartic, zero2, e1, e2)
+    cost(sphere, None, [1.2, 0.3], [1.5, 0.6], steps=steps)
+
+
+def test_repeated_routes_sequences_reuse_their_plans(plan_cache, plan_builds):
+    # one pass touches more plan keys than a bound of 16 would hold, and
+    # all of them fit the cache, so a second pass builds no plan; the keys
+    # do not depend on the step count
+    _routes_sequence(steps=20)
+    built = len(plan_builds)
+    assert 16 < built <= _TAYLOR_PLAN_CACHE_SIZE
+    _routes_sequence(steps=20)
+    assert len(plan_builds) == built
 
 
 def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):

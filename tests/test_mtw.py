@@ -560,28 +560,36 @@ def test_check_with_potential_is_pinned(text, lo, hi):
 
 
 def test_check_builds_one_jet_per_point(monkeypatch):
-    # every sample point's geometry is built exactly once, in batches of
-    # at most CHECK_CHUNK_POINTS points, and no point is built alone,
-    # with a potential too
-    sizes = []
+    """Every sample point's geometry is built once at curvature order 1,
+    and only the points holding a locus sample once more at order 2, in
+    batches of at most CHECK_CHUNK_POINTS points, with a potential too.
+    On conformal a = -3.5 the locus holds the centre alone; on a = -3 it
+    is the diagonal x = y, 9 of the 65 points."""
+    builds = []
     batch = mtw.GeometryBatch
 
     def counting_batch(metric, X, *args, **kwargs):
-        sizes.append(len(X))
+        builds.append((kwargs["curvature_order"], np.asarray(X).tolist()))
         return batch(metric, X, *args, **kwargs)
 
     monkeypatch.setattr(mtw, "GeometryBatch", counting_batch)
-    spec = _small_spec()
-    points = len(spec.points())
-    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
-    for pot in (None, PotentialField(parse_field("1", 2), 2)):
-        for chunk in (mtw.CHECK_CHUNK_POINTS, 5):
-            monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", chunk)
-            sizes.clear()
-            mtw.check_a3w_necessary(metric, pot, spec)
-            assert sum(sizes) == points
-            assert len(sizes) == math.ceil(points / chunk)
-            assert max(sizes) <= chunk
+    for a, spec in ((-3.5, _small_spec()), (-3.0, _CHECK_8X8)):
+        points = spec.points().tolist()
+        locus = [p for p in points if p[0] == p[1]] if a == -3.0 else [[0.0, 0.0]]
+        assert len(locus) == (9 if a == -3.0 else 1)
+        metric = cf.conformal_metric(cf.ConformalSpec(a=a))
+        for pot in (None, PotentialField(parse_field("1", 2), 2)):
+            for chunk in (128, 5):
+                monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", chunk)
+                builds.clear()
+                mtw.check_a3w_necessary(metric, pot, spec)
+                built = {1: [], 2: []}
+                for order, X in builds:
+                    assert len(X) <= chunk
+                    built[order] += X
+                assert built == {1: points, 2: locus}
+                assert len(builds) == (math.ceil(len(points) / chunk)
+                                       + math.ceil(len(locus) / chunk))
 
 
 # The sampling of the benchmark's 2-D check: 8x8 points and the centre
@@ -607,8 +615,8 @@ def _record_batches(monkeypatch, names):
 
 def test_locus_conditions_run_only_where_the_verdict_reads(monkeypatch):
     """g-nonneg and the discriminant run only at the points holding a
-    sample the verdict reads, once the chunk completes the sample's
-    curvature scale; every other condition runs at every point."""
+    sample the verdict reads, whatever the chunking; every other
+    condition runs at every point."""
     seen = _record_batches(monkeypatch,
                            ["sectional-nonneg", "g-nonneg", "discriminant-2d"])
     metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
@@ -621,15 +629,14 @@ def test_locus_conditions_run_only_where_the_verdict_reads(monkeypatch):
     counts = {c.name: c.evaluated for c in rep.conditions}
     assert counts["g-nonneg"] == 16 * 16 and counts["discriminant-2d"] == 16
 
-    # a chunk before the last cannot know the scale and runs every point;
-    # the last chunk holds only the centre, which the sampling appends
+    # the locus is placed once the first pass has seen every chunk, so
+    # in chunks of 4 the two still see the centre alone
     monkeypatch.setattr(mtw, "CHECK_CHUNK_POINTS", 4)
     for batches in seen.values():
         batches.clear()
     mtw.check_a3w_necessary(metric, None, _CHECK_8X8)
-    for name in ("g-nonneg", "discriminant-2d"):
-        assert [len(x) for x in seen[name]] == [4] * 16 + [1]
-        assert seen[name][-1] == [[0.0, 0.0]]
+    assert [len(x) for x in seen["sectional-nonneg"]] == [4] * 32 + [1] * 2
+    assert seen["g-nonneg"] == seen["discriminant-2d"] == [[[0.0, 0.0]]]
 
     # flat space with a quartic potential: K = 0, so every pair is on
     # the locus and every point is flat
