@@ -11,9 +11,17 @@ step counts, no adaptive control.
 The integrator advances a batch of curves ("lanes") at once: lane b
 starts at x0[b] with velocity v0[b], and the state of the coupled
 system is one (B, size) array, a row per lane.  The metric must be
-positive definite at every start point, and a stage whose metric cannot
-be inverted raises :class:`~mtwcheck.errors.MetricDegenerateError`,
-the error of the geometry pipeline.  Each RK4 stage makes one call to a
+positive definite at every grid point of every lane, or
+:class:`~mtwcheck.errors.MetricDegenerateError`, the error of the
+geometry pipeline, is raised: the start points are tested before the
+first step and the other grid points once after the last, in step
+order, so that the error names the first point that fails; a stage
+whose metric cannot be inverted raises once the grid points reached so
+far have been tested.  An integration sets up its stage once: the
+state, the stage argument, the four slopes and their block views are
+made before the first step, and every slope part and the RK4 update are
+written into them in place, each operation in the same order as the
+formula.  Each RK4 stage makes one call to a
 fused field evaluator, built afresh per integration (well under a
 millisecond) on the cached :class:`~mtwcheck.expr.TaylorPlan` of the
 geometry jets (:func:`~mtwcheck.geometry._plan_of`); it returns g, dg,
@@ -58,6 +66,7 @@ from .errors import (
     ConjugatePointError,
     DimensionError,
     DiscretizationError,
+    MetricDegenerateError,
     PreconditionError,
     ShootingError,
 )
@@ -120,6 +129,12 @@ class _FieldEval:
     lifts them (see :func:`~mtwcheck.geometry._along_velocity`), so no
     stage forms the full Christoffel or curvature arrays.  All-constant
     metrics (flat charts) short-circuit to static data.
+
+    What depends only on the lane count is made on the first call at
+    that count and kept until a call at another: the static metric's
+    broadcast g and g^-1 and its zero connection (read-only), and the
+    lane-major buffer of the plan's values, whose constant columns are
+    filled once.  The arrays a call returns are never written again.
     """
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
@@ -165,21 +180,44 @@ class _FieldEval:
         self._map = np.concatenate(
             [b.reshape(self._plan.distinct, -1) for b in blocks], axis=1
         ) if blocks else None
+        self._lanes = None  # the lane count of the data below
+
+    def _for_lanes(self, B: int, n: int) -> None:
+        """Make the data that depends only on the lane count B."""
+        self._lanes = B
+        if self._map is not None:
+            plan = self._plan
+            # contiguous rows whatever the lane count, so that every lane
+            # meets the same kernels (exp, sin, cos and the gemv below)
+            self._coords = np.empty((n, B))
+            self._vals = np.empty((B, plan.distinct))
+            self._vals[:, plan._live:] = plan._consts
+        if self.static:
+            def zeros(*shape):
+                a = np.zeros(shape)
+                a.flags.writeable = False
+                return a
+
+            self._static = (
+                np.broadcast_to(self._g, (B, n, n)),
+                np.broadcast_to(self._ginv, (B, n, n)),
+                zeros(B, n, n), zeros(B, n),
+                zeros(B, n, n) if self.need_curvature else None,
+            )
 
     def __call__(self, X: np.ndarray, V: np.ndarray) -> _Fields:
         """Field data at the points X[b] along the velocities V[b], both (B, n)."""
         B, n = X.shape
+        if B != self._lanes:
+            self._for_lanes(B, n)
         if self._map is not None:
-            # contiguous rows whatever the lane count, so that every lane
-            # meets the same kernels (exp, sin, cos and the gemv below)
-            vals = np.ascontiguousarray(self._plan.values(X).T)
+            vals = self._vals
+            if self._plan._fn is not None:
+                np.copyto(self._coords, X.T)
+                vals[:, : self._plan._live] = self._plan._fn(self._coords).T
             out = (vals[:, None, :] @ self._map)[:, 0]
         if self.static:
-            g = np.broadcast_to(self._g, (B, n, n))
-            ginv = np.broadcast_to(self._ginv, (B, n, n))
-            gam_v = np.zeros((B, n, n))
-            gam_vv = np.zeros((B, n))
-            op = np.zeros((B, n, n)) if self.need_curvature else None
+            g, ginv, gam_v, gam_vv, op = self._static
         else:
             g = out[:, 0: n * n].reshape(B, n, n)
             try:
@@ -324,6 +362,15 @@ def _integrate(
 
     voff = 2 * n + (n * n if transport else 0)
     size = voff + 2 * n * ncols
+
+    # The state, the stage argument and the four slopes are made once,
+    # each with its block views [x, v, Psi, Phi]: views into each lane's
+    # row, laid out alike within a lane whatever the lane count (see
+    # geometry._along_velocity).
+    def blocks(a: np.ndarray):
+        return (a[:, 0:n], a[:, n: 2 * n], a[:, 2 * n: voff].reshape(lanes, n, -1),
+                a[:, voff:].reshape(lanes, 2 * n, ncols))
+
     y = np.zeros((lanes, size))
     y[:, 0:n] = x0
     y[:, n: 2 * n] = v0
@@ -334,41 +381,65 @@ def _integrate(
         y[:, voff:] = np.eye(2 * n)[:, 2 * n - ncols:].ravel()
         gen = np.zeros((lanes, 2 * n, 2 * n))
         gen[:, 0:n, n:] = np.eye(n)
+        # the generator's blocks -Gamma v (twice) and -op
+        gen_x, gen_p, gen_op = gen[:, 0:n, 0:n], gen[:, n:, n:], gen[:, n:, 0:n]
+    y_b = blocks(y)
+    arg = np.empty((lanes, size))
+    arg_b = blocks(arg)
+    k1, k2, k3, k4 = (np.empty((lanes, size)) for _ in range(4))
+    k_b = [blocks(k) for k in (k1, k2, k3, k4)]
 
-    # The blocks are views into each lane's row, laid out alike within a
-    # lane whatever the lane count (see geometry._along_velocity).
-    def rhs(state: np.ndarray) -> np.ndarray:
-        v = state[:, n: 2 * n]
-        f = ev(state[:, 0:n], v)
-        acc = -f.gam_vv
+    def rhs(src, dst) -> None:
+        """The slope at the state of views ``src``, into the views ``dst``."""
+        x, v, Psi, Phi = src
+        dx, dv, dPsi, dPhi = dst
+        f = ev(x, v)
+        np.copyto(dx, v)
+        np.negative(f.gam_vv, out=dv)
         if f.grad is not None:
-            acc = acc - f.grad
-        parts = [v, acc]
+            np.subtract(dv, f.grad, out=dv)
         if transport:
-            Psi = state[:, 2 * n: voff].reshape(lanes, n, n)
-            parts.append(-(f.gam_v @ Psi).reshape(lanes, -1))
+            np.matmul(f.gam_v, Psi, out=dPsi)
+            np.negative(dPsi, out=dPsi)
         if ncols:
-            np.negative(f.gam_v, out=gen[:, 0:n, 0:n])
-            gen[:, n:, n:] = gen[:, 0:n, 0:n]
-            np.negative(f.op, out=gen[:, n:, 0:n])
-            Phi = state[:, voff:].reshape(lanes, 2 * n, ncols)
-            parts.append((gen @ Phi).reshape(lanes, -1))
-        return np.concatenate(parts, axis=1)
+            np.negative(f.gam_v, out=gen_x)
+            np.copyto(gen_p, gen_x)
+            np.negative(f.op, out=gen_op)
+            np.matmul(gen, Phi, out=dPhi)
 
+    # The grid states with ``store``, else the grid positions: every grid
+    # point is tested once for a positive-definite metric, in step order,
+    # after the steps or before a failing stage's error is raised.
     h = 1.0 / steps
-    traj = np.empty((steps + 1, lanes, size)) if store else None
-    if store:
-        traj[0] = y
-    for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if store:
-            traj[k + 1] = y
-
-    return y, traj, voff
+    traj = np.empty((steps + 1, lanes, size if store else n))
+    keep = y if store else y_b[0]
+    traj[0] = keep
+    try:
+        for k in range(steps):
+            rhs(y_b, k_b[0])
+            np.multiply(k1, 0.5 * h, out=arg)
+            np.add(y, arg, out=arg)
+            rhs(arg_b, k_b[1])
+            np.multiply(k2, 0.5 * h, out=arg)
+            np.add(y, arg, out=arg)
+            rhs(arg_b, k_b[2])
+            np.multiply(k3, h, out=arg)
+            np.add(y, arg, out=arg)
+            rhs(arg_b, k_b[3])
+            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.multiply(k2, 2.0, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(k3, 2.0, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(k1, h / 6.0, out=k1)
+            np.add(y, k1, out=y)
+            traj[k + 1] = keep
+    except (np.linalg.LinAlgError, MetricDegenerateError):
+        metric.matrix(traj[1: k + 1, :, 0:n].reshape(-1, n))
+        raise
+    metric.matrix(traj[1:, :, 0:n].reshape(-1, n))
+    return y, traj if store else None, voff
 
 
 def _require_step(h: float, what: str) -> None:

@@ -166,14 +166,16 @@ def as_vectors(dim: int, **vectors) -> list[np.ndarray]:
 
 def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
     """Raise :class:`MetricDegenerateError` naming the first point X[b]
-    whose metric g[b] is not positive definite; g is (B, n, n), X (B, n)."""
-    w = np.linalg.eigvalsh(g)[:, 0]
-    bad = np.flatnonzero(w <= METRIC_EIGENVALUE_FLOOR)
+    whose metric g[b] is not positive definite, a non-finite eigenvalue
+    counting as a failure; g is (B, n, n), X (B, n)."""
+    w = np.linalg.eigvalsh(g)
+    bad = np.flatnonzero(~np.isfinite(w).all(axis=1)
+                         | (w[:, 0] <= METRIC_EIGENVALUE_FLOOR))
     if bad.size:
         b = bad[0]
         raise MetricDegenerateError(
             f"metric not positive definite at {X[b].tolist()}: "
-            f"min eigenvalue {w[b]:.3e}"
+            f"min eigenvalue {w[b, 0]:.3e}"
         )
 
 

@@ -254,7 +254,8 @@ def mtw_zeroth_simplified(
     vanish at x (use the general evaluator otherwise).
     """
     u, w = as_vectors(metric.dim, u=u, w=w)
-    geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential))
+    geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential),
+                        curvature_order=0)
     value = float(contract(geo.riemann[0], w, u, w, u))
     if geo.hess_v is not None:
         geo.hessian_modes("the simplified zeroth-order evaluator")
@@ -306,7 +307,8 @@ def mtw_zeroth_general(
         raise DiscretizationError(
             f"quad_panels must be an even integer of at least 2, got {quad_panels}")
     u, w = as_vectors(metric.dim, u=u, w=w)
-    geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential))
+    geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential),
+                        curvature_order=0)
     return float(_zeroth_general(geo, u[None], w[None], quad_panels, strict=True)[0])
 
 

@@ -342,8 +342,12 @@ POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
      "not positive definite at [0.0, 0.0]"),
     (POLE_EVAL + ("jacobi",), "not positive definite at [0.0, 0.0]"),
     (POLE_EVAL + ("closed-form-0",), "not positive definite at [0.0, 0.0]"),
+    # g = diag(1 + x, 1 + y): the curve crosses y = -1, where no stage's
+    # metric is singular, and the first grid point past it names the error
+    (("geodesic", "--metric", "inline", "--g-upper", "1 + x | 0 | 1 + y",
+      "--point", "0,0", "--velocity", "0,-0.8"), "not positive definite at [0.0, -1.0"),
 ], ids=["conjugate", "geodesic-start", "geodesic-stage", "cost", "jacobi",
-        "closed-form-0"])
+        "closed-form-0", "geodesic-grid"])
 def test_numerical_failure_exit_three(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3

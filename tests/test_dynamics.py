@@ -1,6 +1,7 @@
 """Trajectories, transport, Jacobi boundary-value problems, variation families."""
 
 import gc
+import json
 import math
 import weakref
 
@@ -404,9 +405,11 @@ def test_trajectory_api_rejects_wrong_length_vectors(name, conformal_a3):
     {}, {"variation": "velocity"}, {"variation": "full"}, {"transport": True},
     {"transport": True, "variation": "full"},
 ])
-@pytest.mark.parametrize("case", ["conformal-potential", "inline3d", "sphere"])
+@pytest.mark.parametrize("case", ["conformal-potential", "inline3d", "sphere",
+                                  "flat-quartic"])
 def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
-    # nine lanes cross a SIMD width of eight in the elementwise kernels
+    # nine lanes cross a SIMD width of eight in the elementwise kernels;
+    # the flat case runs the evaluator's static-metric branch
     from mtwcheck import dynamics as dyn
     from mtwcheck.expr import parse_field
     from mtwcheck.geometry import MetricField, PotentialField
@@ -421,6 +424,9 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     elif case == "sphere":
         metric = sphere
         center = np.array([1.2, 0.1])
+    elif case == "flat-quartic":
+        metric = euclidean_metric(2)
+        pot = quartic_potential([[0.8, 0.1], [0.1, 1.2]])
     else:
         metric = conformal_a3
         pot = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
@@ -433,6 +439,94 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
         _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], 40,
                                      store=True, **mode)
         assert np.array_equal(traj[:, b], alone[:, 0])
+
+
+@pytest.mark.parametrize("mode", [{}, {"transport": True, "variation": "full"}])
+@pytest.mark.parametrize("case", ["conformal-potential", "flat-quartic"])
+def test_integration_and_field_outputs_are_not_reused(case, mode, conformal_a3):
+    # the buffers an integration or an evaluator keeps between stages are
+    # never what it returns: a second call at the same lane count, on other
+    # inputs, leaves the first call's arrays as they were
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import PotentialField
+
+    if case == "flat-quartic":
+        metric = euclidean_metric(2)
+        pot = quartic_potential([[0.8, 0.1], [0.1, 1.2]])
+    else:
+        metric = conformal_a3
+        pot = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
+    rng = np.random.default_rng(8)
+    X, V = rng.uniform(-0.2, 0.2, (2, 3, 2))
+    for store in (False, True):
+        first = dyn._integrate(metric, pot, X, V, 10, store=store, **mode)[:2]
+        kept = [None if a is None else a.copy() for a in first]
+        dyn._integrate(metric, pot, X + 0.1, V - 0.1, 10, store=store, **mode)
+        for a, b in zip(first, kept):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    ev = dyn._FieldEval(metric, pot, need_curvature=True)
+    first = ev(X, V)
+    kept = [np.array(a, copy=True) for a in first]
+    ev(X + 0.1, V - 0.1)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Curves that leave the region where the metric is positive definite
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def half_plane_metric():
+    """g = diag(1 + x, 1 + y), positive definite where x, y > -1."""
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import MetricField
+
+    return MetricField.from_upper(
+        [parse_field("1 + x", 2), parse_field("0", 2), parse_field("1 + y", 2)], 2)
+
+
+def _named_point(err) -> np.ndarray:
+    """The point a MetricDegenerateError names."""
+    text = str(err)
+    return np.array(json.loads(text[text.index("["): text.index("]") + 1]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: c_exp(m, None, [0.0, 0.0], [0.0, -0.8]),
+    lambda m: least_action_curve(m, None, [0.0, 0.0], [0.0, -0.8]),
+    lambda m: cost(m, None, [0.0, 0.0], [0.0, -1.2]),
+], ids=["c_exp", "least_action_curve", "cost"])
+def test_curve_leaving_the_positive_definite_region_raises(call, half_plane_metric):
+    # the curve runs down the y axis past y = -1 without a stage whose
+    # metric cannot be inverted: a grid point names the failure
+    from mtwcheck.errors import MetricDegenerateError
+
+    with pytest.raises(MetricDegenerateError, match="not positive definite") as e:
+        call(half_plane_metric)
+    x, y = _named_point(e.value)
+    assert x == 0.0 and 1.0 + y <= 0.0
+
+
+def test_one_lane_leaving_the_region_fails_the_batch_at_its_grid_point(
+        half_plane_metric):
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    X = np.zeros((3, 2))
+    V = np.array([[0.3, 0.2], [0.0, -0.8], [-0.2, 0.3]])
+    with pytest.raises(MetricDegenerateError) as alone:
+        dyn._integrate(half_plane_metric, None, X[1:2], V[1:2], 50)
+    with pytest.raises(MetricDegenerateError) as batch:
+        dyn._integrate(half_plane_metric, None, X, V, 50, variation="velocity")
+    # the lane's grid points are bit-identical to the curve integrated
+    # alone, and the other lanes stay inside the region
+    assert str(batch.value) == str(alone.value)
+    assert 1.0 + _named_point(batch.value)[1] <= 0.0
+    dyn._integrate(half_plane_metric, None, X[[0, 2]], V[[0, 2]], 50)
 
 
 # ---------------------------------------------------------------------------

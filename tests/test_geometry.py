@@ -116,6 +116,17 @@ def test_degenerate_metric_rejected():
         bad.matrix([0.5, 0.0])
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_non_finite_metric_is_not_positive_definite(entry):
+    from mtwcheck.geometry import require_positive_definite
+
+    g = np.tile(np.eye(2), (3, 1, 1))
+    g[1, 0, 0] = g[2, 1, 1] = entry
+    X = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(MetricDegenerateError, match=r"at \[2.0, 3.0\]"):
+        require_positive_definite(g, X)
+
+
 def test_matrix_of_a_batch_is_the_matrices_of_its_points(rng):
     metric = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
     X = rng.uniform(-0.3, 0.3, size=(4, 2))
