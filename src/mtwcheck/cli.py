@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -149,7 +150,11 @@ def _coerce(name: str, value):
         if kind == "int":
             return int(value)
         if kind == "float":
-            return float(value)
+            out = float(value)
+            if not math.isfinite(out):
+                raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
+                                 "expected a finite number")
+            return out
     except (KeyError, ValueError):
         want = {"bool": "true or false", "int": "an integer", "float": "a number"}[kind]
         raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
@@ -172,6 +177,13 @@ def _config_from_mapping(data: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _finite(vals: list, what: str) -> None:
+    """Refuse inf and nan among ``vals``: no input of the program may be."""
+    for v in vals:
+        if not math.isfinite(v):
+            raise UsageError(f"bad {what}: {v!r} is not finite")
+
+
 def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
     text = text.strip()
     if not text:
@@ -182,6 +194,7 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
         vals = [float(p) for p in text.split(",")]
     except ValueError as e:
         raise UsageError(f"bad {what} {text!r}: {e}") from None
+    _finite(vals, f"{what} {text!r}")
     if len(vals) != dim:
         raise UsageError(
             f"{what} has {len(vals)} components, metric dimension is {dim}"
@@ -194,6 +207,7 @@ def _parse_matrix(text: str) -> np.ndarray:
         rows = [[float(p) for p in row.split(",")] for row in text.split(";")]
     except ValueError as e:
         raise UsageError(f"bad matrix {text!r}: {e}") from None
+    _finite([v for row in rows for v in row], f"matrix {text!r}")
     arr = np.array(rows)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise UsageError(f"matrix {text!r} is not square")
@@ -212,9 +226,11 @@ def _parse_params(text: str) -> dict:
             raise UsageError(f"bad metric parameter {part!r}, expected name=value")
         k, v = part.split("=", 1)
         try:
-            out[k.strip()] = float(v)
+            value = float(v)
         except ValueError:
             raise UsageError(f"bad metric parameter value in {part!r}") from None
+        _finite([value], f"metric parameter {part!r}")
+        out[k.strip()] = value
     return out
 
 
@@ -225,6 +241,7 @@ def _parse_region(text: str, dim: int) -> tuple:
         vals = [float(p) for p in text.split(",")]
     except ValueError as e:
         raise UsageError(f"bad region {text!r}: {e}") from None
+    _finite(vals, f"region {text!r}")
     if len(vals) == 2:
         lo, hi = vals
         box = tuple((lo, hi) for _ in range(dim))

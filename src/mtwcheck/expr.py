@@ -26,18 +26,21 @@ non-integer power; negative constants enter through bindings or as
 ``0 - ...``.
 
 Mixed partials commute bit-exactly because every derivative request is
-canonicalized to a fixed differentiation order (variable 0 first); a
-field memoizes its own partials.
+canonicalized to a fixed differentiation order (variable 0 first).
 
 Derivatives are taken on a DAG that one build makes for itself and
 drops when it ends (:class:`_Dag`, hash-consing): its nodes are interned
 by kind and by their children's identities, so equal subtrees are one
 object, and :func:`_diff` derives each (node, variable) pair once.  A
-:class:`TaylorPlan` derives all partials of all its fields on one DAG,
-and :func:`batch_evaluator` names its temporaries by node identity, so
-both cost one step per distinct node.  No table outlives its build:
-the one cache that does, of plans keyed by their fields' texts
-(``ScalarField._source``), is kept by :mod:`mtwcheck.geometry`.
+:class:`TaylorPlan` derives all partials of all its fields on one DAG
+and evaluates them through one generated NumPy function
+(:func:`_batch_function`), which names its temporaries by node identity,
+so both cost one step per distinct node.  :func:`eval_partial` derives
+one partial on a DAG of its own and evaluates it with the scalar
+evaluator (:func:`_codegen`); it stores nothing on the field.  No table
+outlives its build: the one cache that does, of plans keyed by their
+fields' texts (``ScalarField._source``), is kept by
+:mod:`mtwcheck.geometry`.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ import numpy as np
 from .errors import DerivativeOrderError, DimensionError, FieldSyntaxError
 from .jets import JetSpace
 
-# Highest total derivative order served by eval_partial.  The tensor
-# pipeline needs order 4; a little headroom is allowed before refusing,
-# since very deep derivative trees grow combinatorially.
+# Highest total derivative order served by eval_partial: it bounds the
+# work one request can ask for, since derivative trees grow
+# combinatorially with the order.  The tensor pipeline needs order 4.
 MAX_PARTIAL_ORDER = 8
 
 # ---------------------------------------------------------------------------
@@ -246,32 +249,31 @@ def _codegen(node: Node) -> str:
     raise AssertionError(f"unknown node kind {kind!r}")
 
 
-_EVAL_GLOBALS = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos}
+# A parsed field's constants are finite, but a derivative folds its
+# own (2 * 1e308 is inf), so the generated code names inf and nan.
+_EVAL_GLOBALS = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos,
+                 "inf": math.inf, "nan": math.nan}
 
 # Integer powers go through np.float_power (libm pow), the routine the
 # scalar path reaches, so polynomial fields agree bit for bit.
 _BATCH_GLOBALS = {"_exp": np.exp, "_sin": np.sin, "_cos": np.cos,
-                  "_pow": np.float_power, "_empty": np.empty}
-
-
-def batch_evaluator(fields: Sequence["ScalarField"]) -> Callable:
-    """One generated function evaluating every field at a batch of points.
-
-    The function maps coordinates ``c`` of shape (dim, B) to an array of
-    shape (len(fields), B).  The trees are interned in one :class:`_Dag`
-    first, so each distinct subtree across all fields is computed once,
-    as a NumPy array over the batch.  It performs the scalar path's
-    operations in the same order, so values are bit-identical except
-    where NumPy's ``exp`` rounds differently from ``math.exp`` (by at
-    most one ulp), a difference the operations above it carry along.
-    """
-    dag = _Dag()
-    return _batch_function([dag.tree(f.tree) for f in fields])
+                  "_pow": np.float_power, "_empty": np.empty,
+                  "inf": math.inf, "nan": math.nan}
 
 
 def _batch_function(roots: Sequence[Node]) -> Callable:
-    """:func:`batch_evaluator` of interned roots: a temporary is named by
-    its node's identity, so the source is built in one pass over the DAG."""
+    """One generated function evaluating interned roots of one
+    :class:`_Dag` at a batch of points.
+
+    The function maps coordinates ``c`` of shape (dim, B) to an array of
+    shape (len(roots), B).  A temporary is named by its node's identity,
+    so each distinct subtree across all roots is computed once, as a
+    NumPy array over the batch, and the source is built in one pass over
+    the DAG.  It performs the scalar path's operations in the same
+    order, so values are bit-identical except where NumPy's ``exp``
+    rounds differently from ``math.exp`` (by at most one ulp), a
+    difference the operations above it carry along.
+    """
     names: dict = {}
     lines: list[str] = []
 
@@ -314,8 +316,9 @@ def _batch_function(roots: Sequence[Node]) -> Callable:
 class ScalarField:
     """A smooth scalar function of ``dim`` chart coordinates.
 
-    Instances are immutable and hashable; derivative fields and the
-    compiled evaluator are memoized on first use.
+    Instances are immutable and hashable; the expression text and the
+    compiled scalar evaluator are memoized on first use, and nothing
+    else is kept on a field.
     """
 
     tree: Node
@@ -353,59 +356,30 @@ class ScalarField:
             )
         return self._fn()(tuple(point))
 
-    # -- differentiation ---------------------------------------------------
-
-    def diff(self, v: int) -> "ScalarField":
-        """Exact partial derivative with respect to coordinate ``v``."""
-        if not 0 <= v < self.dim:
-            raise DimensionError(f"variable index {v} out of range for dim {self.dim}")
-        key = ("d", v)
-        out = self._cache.get(key)
-        if out is None:
-            dag = _Dag()
-            out = ScalarField(_diff(dag.tree(self.tree), v, dag), self.dim)
-            self._cache[key] = out
-        return out
-
-    def partial(self, counts: Sequence[int]) -> "ScalarField":
-        """Derivative field for a multi-index of per-variable counts.
-
-        The differentiation order is canonicalized (variable 0 first),
-        so any route to the same multi-index yields the identical field
-        object and bit-identical values.
-        """
-        counts = tuple(int(k) for k in counts)
-        if len(counts) != self.dim:
-            raise DimensionError(
-                f"multi-index has {len(counts)} entries, field dimension is {self.dim}"
-            )
-        if any(k < 0 for k in counts):
-            raise DerivativeOrderError(f"negative derivative count in {counts}")
-        order = sum(counts)
-        if order > MAX_PARTIAL_ORDER:
-            raise DerivativeOrderError(
-                f"derivative order {order} exceeds supported maximum {MAX_PARTIAL_ORDER}"
-            )
-        if order == 0:
-            return self  # caching self would make the field a reference cycle
-        key = ("p", counts)
-        out = self._cache.get(key)
-        if out is None:
-            out = self
-            for v, k in enumerate(counts):
-                for _ in range(k):
-                    out = out.diff(v)
-            self._cache[key] = out
-        return out
-
 
 def eval_partial(f: ScalarField, point: Sequence[float], idx: Sequence[int]) -> float:
     """Exact mixed partial of ``f`` at ``point``.
 
     ``idx`` gives per-variable derivative counts, e.g. ``(3, 1)`` for
     three derivatives in the first coordinate and one in the second.
+    The partial is derived on a :class:`_Dag` of its own in the
+    canonical order (variable 0 first) and evaluated by the scalar
+    evaluator; neither is kept.
     """
-    return f.partial(idx)(point)
+    counts = tuple(int(k) for k in idx)
+    if len(counts) != f.dim:
+        raise DimensionError(
+            f"multi-index has {len(counts)} entries, field dimension is {f.dim}"
+        )
+    if any(k < 0 for k in counts):
+        raise DerivativeOrderError(f"negative derivative count in {counts}")
+    order = sum(counts)
+    if order > MAX_PARTIAL_ORDER:
+        raise DerivativeOrderError(
+            f"derivative order {order} exceeds supported maximum {MAX_PARTIAL_ORDER}"
+        )
+    dag = _Dag()
+    return ScalarField(dag.partial(dag.tree(f.tree), counts), f.dim)(point)
 
 
 def eval_partial_seq(f: ScalarField, point: Sequence[float], dirs: Iterable[int]) -> float:
@@ -423,25 +397,6 @@ def eval_partial_seq(f: ScalarField, point: Sequence[float], dirs: Iterable[int]
     return eval_partial(f, point, counts)
 
 
-def taylor_coefficients(f: ScalarField, point: Sequence[float], space: JetSpace) -> np.ndarray:
-    """Jet (Taylor coefficient vector) of ``f`` about ``point``.
-
-    Coefficients are exact partial derivatives divided by multi-index
-    factorials, so downstream jet arithmetic is free of truncation
-    error through the space's degree.  One scalar evaluation per
-    coefficient: the reference that :class:`TaylorPlan` is tested
-    against.
-    """
-    if space.nvars != f.dim:
-        raise DimensionError(
-            f"jet space has {space.nvars} variables, field dimension is {f.dim}"
-        )
-    out = np.empty(space.size)
-    for i, mono in enumerate(space.monomials):
-        out[i] = eval_partial(f, point, mono) / space.factorials[i]
-    return out
-
-
 class TaylorPlan:
     """Jets of several fields at a batch of points from one generated function.
 
@@ -453,7 +408,7 @@ class TaylorPlan:
     monomials, and commuted derivatives end at one node.  Each distinct
     partial is evaluated once, constant partials are filled in without
     evaluation, and the remaining ones come from one generated function
-    (:func:`batch_evaluator`).  :meth:`values` returns each distinct
+    (:func:`_batch_function`).  :meth:`values` returns each distinct
     partial once, and ``rows[f, k]`` is the row holding field f's
     partial at monomial k of the space.
     """
@@ -629,7 +584,8 @@ class _Parser:
             if tok is not None and tok[0] == "op" and tok[1] in "+-":
                 self.i += 1
                 rhs = self._term()
-                node = _mk_add(node, rhs) if tok[1] == "+" else _mk_sub(node, rhs)
+                node = self._fold(tok[2], _mk_add if tok[1] == "+" else _mk_sub,
+                                  node, rhs)
             else:
                 return node
 
@@ -639,7 +595,7 @@ class _Parser:
             tok = self._peek()
             if tok is not None and tok[0] == "op" and tok[1] == "*":
                 self.i += 1
-                node = _mk_mul(node, self._factor())
+                node = self._fold(tok[2], _mk_mul, node, self._factor())
             else:
                 return node
 
@@ -653,13 +609,13 @@ class _Parser:
                 pos = exp_tok[2] if exp_tok else len(self.text)
                 raise FieldSyntaxError("exponent must be an unsigned integer", pos)
             self.i += 1
-            node = _mk_pow(node, int(exp_tok[1]))
+            node = self._fold(tok[2], _mk_pow, node, int(exp_tok[1]))
         return node
 
     def _base(self) -> Node:
         kind, value, pos = self._next()
         if kind == "number":
-            return ("c", float(value))
+            return self._constant(float(value), pos)
         if kind == "ident":
             if value in _FUNCS:
                 self._expect_op("(")
@@ -674,13 +630,31 @@ class _Parser:
                     )
                 return ("x", idx)
             if value in self.constants:
-                return ("c", float(self.constants[value]))
+                return self._constant(float(self.constants[value]), pos)
             raise FieldSyntaxError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self._expr()
             self._expect_op(")")
             return inner
         raise FieldSyntaxError(f"unexpected token {value!r}", pos)
+
+    @staticmethod
+    def _constant(value: float, pos: int) -> Node:
+        """A literal's or binding's constant, refused at ``pos`` unless it
+        is finite: no field holds inf or nan."""
+        if not math.isfinite(value):
+            raise FieldSyntaxError(f"constant {value!r} is not finite", pos)
+        return ("c", value)
+
+    @classmethod
+    def _fold(cls, pos: int, mk: Callable, *args) -> Node:
+        """``mk(*args)`` for the operator at ``pos``, refused there if it
+        folds its operands to a constant that is not finite."""
+        try:
+            node = mk(*args)
+        except OverflowError:  # a float ** int past the float range
+            raise FieldSyntaxError("constant overflows the float range", pos) from None
+        return cls._constant(node[1], pos) if node[0] == "c" else node
 
     @staticmethod
     def _var_index(name: str) -> int | None:

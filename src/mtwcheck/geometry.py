@@ -280,9 +280,6 @@ class PotentialField:
     def is_zero(self) -> bool:
         return self.field.tree == ("c", 0.0)
 
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.field(x)
-
     def jets(self, x, space: JetSpace) -> np.ndarray:
         """Jet of V about ``x``: (size,) for one point, or (B, size) about
         each row of a (B, n) array."""

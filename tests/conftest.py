@@ -3,8 +3,9 @@ import pytest
 from hypothesis import settings
 
 from mtwcheck import conformal as cf
+from mtwcheck import expr as ex
 from mtwcheck import geometry
-from mtwcheck.expr import TaylorPlan, parse_field
+from mtwcheck.expr import ScalarField, TaylorPlan, parse_field
 from mtwcheck.geometry import (
     MetricField,
     RecentCache,
@@ -78,3 +79,50 @@ def inline3d_metric():
     e = parse_field("exp(2*x*y*z)", 3)
     zero = parse_field("0", 3)
     return MetricField.from_upper([e, zero, zero, e, zero, e], 3)
+
+
+def reference_diff(node, v):
+    """d node / d x_v by plain recursion over the tree, nothing shared or
+    memoized: the oracle for every derivative the package takes."""
+    kind = node[0]
+    if kind == "c":
+        return ex._ZERO
+    if kind == "x":
+        return ex._ONE if node[1] == v else ex._ZERO
+    if kind == "+":
+        return ex._mk_add(reference_diff(node[1], v), reference_diff(node[2], v))
+    if kind == "-":
+        return ex._mk_sub(reference_diff(node[1], v), reference_diff(node[2], v))
+    if kind == "neg":
+        return ex._mk_neg(reference_diff(node[1], v))
+    if kind == "*":
+        a, b = node[1], node[2]
+        return ex._mk_add(ex._mk_mul(reference_diff(a, v), b),
+                          ex._mk_mul(a, reference_diff(b, v)))
+    if kind == "^":
+        a, k = node[1], node[2]
+        return ex._mk_mul(ex._mk_mul(("c", float(k)), ex._mk_pow(a, k - 1)),
+                          reference_diff(a, v))
+    if kind == "exp":
+        return ex._mk_mul(node, reference_diff(node[1], v))
+    if kind == "sin":
+        return ex._mk_mul(("cos", node[1]), reference_diff(node[1], v))
+    if kind == "cos":
+        return ex._mk_mul(ex._mk_neg(("sin", node[1])), reference_diff(node[1], v))
+    raise AssertionError(kind)
+
+
+def reference_partial(node, counts):
+    """The partial of a tree for per-variable counts, variable 0 first."""
+    for v, k in enumerate(counts):
+        for _ in range(k):
+            node = reference_diff(node, v)
+    return node
+
+
+def reference_jet(f, x, space):
+    """The jet of field ``f`` about the point ``x``: each monomial's
+    reference partial, evaluated by the scalar evaluator, over its
+    factorial."""
+    return np.array([ScalarField(reference_partial(f.tree, m), f.dim)(x)
+                     for m in space.monomials]) / space.factorials

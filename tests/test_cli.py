@@ -80,6 +80,7 @@ def test_unknown_config_key_rejected():
     ("points-per-axis = many",
      "bad value 'many' for points-per-axis: expected an integer"),
     ("fd-step = small", "bad value 'small' for fd-step: expected a number"),
+    ("a-to = inf", "bad value 'inf' for a-to: expected a finite number"),
     ("timings = maybe", "bad value 'maybe' for timings: expected true or false"),
 ])
 def test_config_value_of_wrong_type_exits_two(capsys, tmp_path, line, message):
@@ -309,6 +310,44 @@ def test_bad_discretization_exits_two(capsys, argv, message):
      "sampled 2-planes need dimension at least 2, got 1"),
 ], ids=["negative-seed", "dimension-0", "check-1d", "curvature-1d"])
 def test_bad_sampling_or_dimension_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+CHECK_2D = ("check", "--region", "-0.5,0.5", "--points-per-axis", "2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (CHECK_2D + ("--metric", "conformal2d", "--param", "a=inf"),
+     "bad metric parameter 'a=inf': inf is not finite"),
+    (CHECK_2D + ("--metric", "conformal2d", "--param", "a=nan"),
+     "bad metric parameter 'a=nan': nan is not finite"),
+    (CHECK_2D + ("--metric", "euclidean2", "--potential", "quartic",
+                 "--quartic", "inf,0;0,1"),
+     "bad matrix 'inf,0;0,1': inf is not finite"),
+    (CHECK_2D + ("--metric", "euclidean2", "--potential", "quartic",
+                 "--quartic", "nan,0;0,1"),
+     "bad matrix 'nan,0;0,1': nan is not finite"),
+    (CHECK_2D + ("--metric", "inline", "--g-upper", "1 + 1e400*x | 0 | 1"),
+     "bad metric entry: constant inf is not finite (at offset 4)"),
+    (CHECK_2D + ("--metric", "inline", "--g-upper", "1e308*10 | 0 | 1"),
+     "bad metric entry: constant inf is not finite (at offset 5)"),
+    (CHECK_2D + ("--metric", "euclidean2", "--potential", "inline",
+                 "--potential-expr", "0 - 10^400*x^2"),
+     "bad potential expression: constant overflows the float range (at offset 6)"),
+    (("check", "--metric", "euclidean2", "--region", "0.5,inf"),
+     "bad region '0.5,inf': inf is not finite"),
+    (("eval", "--metric", "sphere2", "--point", "nan,0.3", "--u", "1,0",
+      "--v", "0", "--w", "0,1"), "bad --point 'nan,0.3': nan is not finite"),
+    (("conformal-scan", "--a-step", "nan"),
+     "bad value nan for a-step: expected a finite number"),
+], ids=["param-inf", "param-nan", "quartic-inf", "quartic-nan", "literal-inf",
+        "folded-inf", "power-overflow", "region-inf", "point-nan", "scan-step-nan"])
+def test_non_finite_input_exits_two(capsys, argv, message):
+    # inf and nan are bad input: neither a traceback (exit 1) nor a
+    # numerical verdict about the metric (exit 3)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

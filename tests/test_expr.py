@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from mtwcheck import eval_partial, eval_partial_seq, parse_field
 from mtwcheck import expr as ex
-from mtwcheck.errors import DerivativeOrderError, FieldSyntaxError
+from mtwcheck.errors import DerivativeOrderError, DimensionError, FieldSyntaxError
 from mtwcheck.jets import JetSpace
+
+from conftest import reference_diff, reference_partial
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,33 @@ def test_syntax_error_position():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(FieldSyntaxError):
         parse_field(text, 2)
+
+
+@pytest.mark.parametrize("text, constants, position", [
+    ("1 + 1e400*x", {}, 4),  # a literal past the float range
+    ("x + a", {"a": math.inf}, 4),  # a binding
+    ("x*a", {"a": math.nan}, 2),
+    ("1e308*10", {}, 5),  # a product folded at parse time
+    ("1e308 + 1e308 + x", {}, 6),  # a sum
+    ("0 - 10^400*x^2", {}, 6),  # a power whose folding overflows
+])
+def test_constant_that_is_not_finite_rejected(text, constants, position):
+    # generated code cannot name inf or nan, and no field is meant to
+    # hold one: the parser refuses it where it appears
+    with pytest.raises(FieldSyntaxError) as e:
+        parse_field(text, 2, constants=constants)
+    assert e.value.position == position
+
+
+def test_derivative_constant_past_float_range_evaluates():
+    # a parsed field's constants are finite, but a derivative folds its
+    # own: d^3/dx^3 of 1e308*x^3*y is 6e308*y, whose constant is inf
+    f = parse_field("1e308*x^3*y", 2)
+    assert eval_partial(f, (0.5, 2.0), (3, 0)) == math.inf
+    plan = ex.TaylorPlan([f], JetSpace.get(2, 3))
+    with np.errstate(over="ignore"):
+        jet = plan(np.array([[0.5, 2.0]]))[0, 0]
+    assert jet[JetSpace.get(2, 3).monomials.index((3, 0))] == math.inf
 
 
 def test_unknown_identifier():
@@ -103,6 +132,16 @@ def test_order_cap_enforced():
     f = parse_field("x^2*y", 2)
     with pytest.raises(DerivativeOrderError):
         eval_partial(f, (1.0, 1.0), (6, 3))
+
+
+@pytest.mark.parametrize("point, idx, error", [
+    ((1.0, 1.0), (1, -1), DerivativeOrderError),
+    ((1.0, 1.0), (1, 0, 0), DimensionError),
+    ((1.0,), (1, 0), DimensionError),
+])
+def test_eval_partial_rejects_bad_input(point, idx, error):
+    with pytest.raises(error):
+        eval_partial(parse_field("x^2*y", 2), point, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -199,44 +238,6 @@ def test_differentiation_is_linear(c1, c2, x, y, dx, dy):
 # ---------------------------------------------------------------------------
 
 
-def _reference_diff(node, v):
-    """d node / d x_v by plain recursion over the tree, nothing shared or
-    memoized: the oracle for the DAG's derivatives."""
-    kind = node[0]
-    if kind == "c":
-        return ex._ZERO
-    if kind == "x":
-        return ex._ONE if node[1] == v else ex._ZERO
-    if kind == "+":
-        return ex._mk_add(_reference_diff(node[1], v), _reference_diff(node[2], v))
-    if kind == "-":
-        return ex._mk_sub(_reference_diff(node[1], v), _reference_diff(node[2], v))
-    if kind == "neg":
-        return ex._mk_neg(_reference_diff(node[1], v))
-    if kind == "*":
-        a, b = node[1], node[2]
-        return ex._mk_add(ex._mk_mul(_reference_diff(a, v), b),
-                          ex._mk_mul(a, _reference_diff(b, v)))
-    if kind == "^":
-        a, k = node[1], node[2]
-        return ex._mk_mul(ex._mk_mul(("c", float(k)), ex._mk_pow(a, k - 1)),
-                          _reference_diff(a, v))
-    if kind == "exp":
-        return ex._mk_mul(node, _reference_diff(node[1], v))
-    if kind == "sin":
-        return ex._mk_mul(("cos", node[1]), _reference_diff(node[1], v))
-    if kind == "cos":
-        return ex._mk_mul(ex._mk_neg(("sin", node[1])), _reference_diff(node[1], v))
-    raise AssertionError(kind)
-
-
-def _reference_partial(node, counts):
-    for v, k in enumerate(counts):
-        for _ in range(k):
-            node = _reference_diff(node, v)
-    return node
-
-
 _TREE_DIM = 3
 _tree_leaves = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0, -0.5]).map(lambda c: ex.const(c, _TREE_DIM)),
@@ -270,7 +271,7 @@ def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
         root = dag.tree(f.tree)
         assert root == f.tree
         for m in space.monomials:
-            want = _reference_partial(f.tree, m)
+            want = reference_partial(f.tree, m)
             assert dag.partial(root, m) == want
             refs.append(want)
     # one row per distinct partial: equal trees share a row, and only
@@ -282,6 +283,26 @@ def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
         got = plan.values(X)[plan.rows.ravel()]
         want = _per_field_values([ex.ScalarField(r, _TREE_DIM) for r in refs], X.T)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_random_fields, degree=st.integers(0, 4))
+def test_eval_partial_equals_plain_recursive_derivative(f, degree):
+    # the one-point partial equals the scalar value of the plain
+    # recursive derivative bit for bit (repr tells -0.0 from 0.0), or
+    # both raise the same error, and no partial is kept on the field
+    x = (0.3, -0.2, 0.15)
+
+    def outcome(fn):
+        try:
+            return repr(fn())
+        except (OverflowError, ValueError) as e:  # math.exp, math.sin
+            return type(e)
+
+    for m in JetSpace.get(_TREE_DIM, degree).monomials:
+        want = ex.ScalarField(reference_partial(f.tree, m), _TREE_DIM)
+        assert outcome(lambda: eval_partial(f, x, m)) == outcome(lambda: want(x))
+    assert set(f._cache) <= {"src", "fn"}
 
 
 def test_plan_arrays_are_read_only():
@@ -314,10 +335,19 @@ def _fields_through_second_order(fields, dim):
     """Each field followed by its first and its second partials."""
     out = []
     for f in fields:
+        first = [reference_diff(f.tree, m) for m in range(dim)]
         out.append(f)
-        out += [f.diff(m) for m in range(dim)]
-        out += [f.diff(m).diff(p) for m in range(dim) for p in range(m, dim)]
+        out += [ex.ScalarField(d, dim) for d in first]
+        out += [ex.ScalarField(reference_diff(first[m], p), dim)
+                for m in range(dim) for p in range(m, dim)]
     return out
+
+
+def _interned_batch(fields):
+    """The generated function of the fields' trees interned on one DAG,
+    as a TaylorPlan builds it."""
+    dag = ex._Dag()
+    return ex._batch_function([dag.tree(f.tree) for f in fields])
 
 
 def _batch_case(name):
@@ -359,7 +389,7 @@ def test_batch_evaluator_matches_scalar_fields(name):
     # most one ulp.
     base, dim, pts, has_exp = _batch_case(name)
     fields = _fields_through_second_order(base, dim)
-    fn = ex.batch_evaluator(fields)
+    fn = _interned_batch(fields)
     np_exp = dict(ex._EVAL_GLOBALS, _exp=np.exp)
     for X in (pts[:, :1], pts):
         got = fn(X)
@@ -385,19 +415,17 @@ def test_batch_evaluator_matches_scalar_fields_on_dag_roots(fields, degree):
     # field's, and each other's); with the same elementary routines the
     # batch equals every field's own expression bit for bit
     dag = ex._Dag()
-    roots = [ex.ScalarField(dag.partial(dag.tree(f.tree), m), _TREE_DIM)
+    roots = [dag.partial(dag.tree(f.tree), m)
              for f in fields for m in JetSpace.get(_TREE_DIM, degree).monomials]
     X = np.random.default_rng(9).uniform(-0.5, 0.5, (_TREE_DIM, 5))
     with np.errstate(all="ignore"):
-        got = ex.batch_evaluator(roots)(X)
-        want = _per_field_values(roots, X)
+        got = ex._batch_function(roots)(X)
+        want = _per_field_values([ex.ScalarField(r, _TREE_DIM) for r in roots], X)
     assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_batch_evaluator_constant_and_variable_roots():
-    from mtwcheck.expr import batch_evaluator
-
     fields = [parse_field("0", 2), parse_field("y", 2), parse_field("x*y + 2", 2)]
     X = np.array([[0.5, -1.0, 2.0], [3.0, 0.25, -0.5]])
-    got = batch_evaluator(fields)(X)
+    got = _interned_batch(fields)(X)
     assert np.array_equal(got, [[0.0, 0.0, 0.0], X[1], X[0] * X[1] + 2.0])

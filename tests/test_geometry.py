@@ -19,7 +19,7 @@ from mtwcheck.errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from mtwcheck.expr import TaylorPlan, parse_field, taylor_coefficients
+from mtwcheck.expr import TaylorPlan, parse_field
 from mtwcheck.geometry import (
     _FIELDS,
     _TAYLOR_PLAN_CACHE_SIZE,
@@ -48,7 +48,7 @@ from mtwcheck.geometry import (
 from mtwcheck.jets import JetSpace, jcontract, jderiv, jmatinv
 from mtwcheck.mtw import SamplingSpec
 
-from conftest import inline3d_metric, sphere_points
+from conftest import inline3d_metric, reference_jet, reference_partial, sphere_points
 
 
 def _random_metric_points(rng, name, count):
@@ -348,7 +348,7 @@ def _degree4_reference(metric, x, potential, order):
         if order >= 2:
             ref["nabla2_r"] = covariant(nr, gam)[..., 0]
     if potential is not None:
-        dv = d(taylor_coefficients(potential.field, x, space))
+        dv = d(reference_jet(potential.field, x, space))
         hess = covariant(dv, gam)
         n3 = covariant(hess, gam)
         ref["grad_v_lower"] = dv[..., 0]
@@ -639,7 +639,7 @@ def test_metric_jets_match_scalar_taylor_coefficients(name, rng):
         assert np.array_equal(metric.jets(x, space), G[:, :, b])
         for i in range(metric.dim):
             for j in range(metric.dim):
-                want = taylor_coefficients(metric.entries[i][j], x, space)
+                want = reference_jet(metric.entries[i][j], x, space)
                 assert np.allclose(G[i, j, b], want, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(want)))
 
@@ -667,9 +667,8 @@ def test_taylor_plan_evaluates_each_distinct_partial_once(monkeypatch):
     diag = upper[0]
     assert sorted(v for node, v in steps if node == repr(diag.tree)) == [0, 1, 2]
     assert len(steps) == len(set(steps))
-    live = {diag.partial(m) for m in space.monomials} - {
-        diag.partial(m) for m in space.monomials
-        if diag.partial(m).tree[0] == "c"}
+    partials = {reference_partial(diag.tree, m) for m in space.monomials}
+    live = {p for p in partials if p[0] != "c"}
     assert plan._live == len(live)
 
 
