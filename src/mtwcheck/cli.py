@@ -50,6 +50,10 @@ from . import conformal as cf
 from . import dynamics as dyn
 from . import mtw
 
+# Most rows one conformal-scan may make (a row takes about 5 us to
+# classify): a wider range or a finer step is refused before any row.
+CONFORMAL_SCAN_MAX_ROWS = 100_000
+
 DEFAULTS = {
     "metric": "euclidean2",
     "potential": "none",
@@ -514,9 +518,12 @@ def _cmd_curvature(cfg: RunConfig) -> int:
 def _cmd_conformal_scan(cfg: RunConfig) -> int:
     if cfg.a_step <= 0:
         raise UsageError("--a-step must be positive")
-    rows = []
-    a = cfg.a_from
     count = int(round((cfg.a_to - cfg.a_from) / cfg.a_step))
+    if count + 1 > CONFORMAL_SCAN_MAX_ROWS:
+        raise UsageError(
+            f"conformal-scan would make {count + 1} rows, more than "
+            f"{CONFORMAL_SCAN_MAX_ROWS}: narrow --a-from/--a-to or raise --step")
+    rows = []
     for k in range(count + 1):
         a = cfg.a_from + k * cfg.a_step
         verdict = cf.classify(a)

@@ -17,25 +17,26 @@ geometry pipeline, is raised: the start points are tested before the
 first step and the other grid points once after the last, in step
 order, so that the error names the first point that fails; a stage
 whose metric cannot be inverted raises once the grid points reached so
-far have been tested.  An integration sets up its stage once: the
-state, the stage argument, the four slopes and their block views are
-made before the first step, and every slope part and the RK4 update are
-written into them in place, each operation in the same order as the
-formula.  Each RK4 stage makes one call to a
-fused field evaluator, built afresh per integration (well under a
-millisecond) on the cached :class:`~mtwcheck.expr.TaylorPlan` of the
-geometry jets (:func:`~mtwcheck.geometry._plan_of`); it returns g, dg,
-d2g, V, dV and d2V at every lane with each distinct partial and shared
-subexpression computed once.  The velocity then
-enters the Christoffel symbols of the first kind and their derivatives
-before the inverse metric lifts them (:func:`~mtwcheck.geometry._along_velocity`), so a
-stage forms Gamma v, Gamma(v, v) and the curvature operator R(., v) v
-without the full connection or curvature arrays, each product one
-batched matmul; the variation block then advances by one block matmul
-with the generator [[-Gamma v, I], [-R(., v) v - Hess V, -Gamma v]].
-The RK4 update is elementwise and a lane's products see the same
-operand layout whatever the lane count, so a lane's result is
-bit-identical to the curve integrated alone.  The stencils of the
+far have been tested; a curve stops at its first non-finite state
+(NumPy's overflow warnings kept out), which raises
+:class:`~mtwcheck.errors.CurveOverflowError` unless a grid point fails
+first.  The curve [x, v] is stepped alone, as nothing in it reads the
+transport or the variation: each RK4 stage makes one call to a fused
+field evaluator without curvature, built afresh per integration on the
+cached :class:`~mtwcheck.expr.TaylorPlan` of the geometry jets
+(:func:`~mtwcheck.geometry._plan_of`), in which the velocity enters the
+Christoffel symbols of the first kind before the inverse metric lifts
+them (:func:`~mtwcheck.geometry._along_velocity`); the state, stage
+arguments and slopes are made once and written in place.  The transport
+Psi and the variation Phi solve linear equations Y' = A(t) Y, on which
+RK4 is one matrix per step (:func:`_step_maps`): per block of at most
+STEP_MAP_BLOCK_POINTS recorded stage points, the curve's g^-1 and
+Gamma v are reused, R(., v) v + Hess V is one evaluator call, the maps
+of -Gamma v and [[-Gamma v, I], [-R(., v) v - Hess V, -Gamma v]] are
+batched matmuls, and they apply in step order, one stacked matmul per
+step.  Every operation is elementwise or a matmul stacked over lanes,
+so a lane's result is bit-identical to the curve integrated alone,
+wherever its blocks start.  The stencils of the
 cross-curvature routes run as one batch each, the damped-Newton shoot
 steps every lane with its own line search, and the single-curve
 functions (:func:`c_exp`, :func:`cost`, ...) are one-lane calls into
@@ -57,6 +58,7 @@ verified numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
@@ -64,6 +66,7 @@ import numpy as np
 
 from .errors import (
     ConjugatePointError,
+    CurveOverflowError,
     DimensionError,
     DiscretizationError,
     MetricDegenerateError,
@@ -99,6 +102,11 @@ LINE_SEARCH_TRIALS = 12
 STAGNATION_RATIO = 0.9
 STAGNATION_STRIKES = 2
 SHOOT_INTEGRATION_BUDGET = 40
+
+# Stage points per evaluation of the transport and variation coefficients
+# (see _integrate): a block of steps holds at most this many, and at least
+# one step.  The block bounds the linear pass's memory.
+STEP_MAP_BLOCK_POINTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +213,11 @@ class _FieldEval:
                 zeros(B, n, n) if self.need_curvature else None,
             )
 
-    def __call__(self, X: np.ndarray, V: np.ndarray) -> _Fields:
-        """Field data at the points X[b] along the velocities V[b], both (B, n)."""
+    def __call__(self, X: np.ndarray, V: np.ndarray,
+                 ginv: np.ndarray | None = None) -> _Fields:
+        """Field data at the points X[b] along the velocities V[b], both (B, n);
+        ``ginv``, the inverse metric at X when the caller has it, is used
+        in place of inverting the metric again."""
         B, n = X.shape
         if B != self._lanes:
             self._for_lanes(B, n)
@@ -220,11 +231,12 @@ class _FieldEval:
             g, ginv, gam_v, gam_vv, op = self._static
         else:
             g = out[:, 0: n * n].reshape(B, n, n)
-            try:
-                ginv = np.linalg.inv(g)
-            except np.linalg.LinAlgError:
-                require_positive_definite(g, X)
-                raise
+            if ginv is None:
+                try:
+                    ginv = np.linalg.inv(g)
+                except np.linalg.LinAlgError:
+                    require_positive_definite(g, X)
+                    raise
             C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
             gam_v, gam_vv, op = _along_velocity(ginv, C, V, self.need_curvature)
 
@@ -314,6 +326,25 @@ class JacobiSolution:
 # ---------------------------------------------------------------------------
 
 
+def _step_maps(A: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step maps of the linear system Y' = A(t) Y.
+
+    ``A`` is (steps, 4, lanes, m, m), the coefficient at the four stage
+    points of each step.  RK4 applied to a linear system is one matrix
+    per step (Hairer, Nørsett and Wanner, *Solving ODEs I*, §II.1):
+    Y_{k+1} = S_k Y_k with S = I + h/6 (T1 + 2 T2 + 2 T3 + T4), where
+    T1 = A1, T2 = A2 (I + h/2 T1), T3 = A3 (I + h/2 T2) and
+    T4 = A4 (I + h T3).  Returns S, (steps, lanes, m, m); every product
+    is a matmul whose stack holds the steps and lanes.
+    """
+    eye = np.eye(A.shape[-1])
+    t1 = A[:, 0]
+    t2 = A[:, 1] @ (eye + (0.5 * h) * t1)
+    t3 = A[:, 2] @ (eye + (0.5 * h) * t2)
+    t4 = A[:, 3] @ (eye + h * t3)
+    return eye + (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+
+
 def _integrate(
     metric: MetricField,
     potential: PotentialField | None,
@@ -325,21 +356,22 @@ def _integrate(
     variation: str | None = None,  # None | "full" | "velocity"
     store: bool = False,
 ):
-    """RK4 integration of the coupled curve / transport / variation system.
+    """RK4 integration of the curve and of its transport and variation.
 
     ``x0`` and ``v0`` are (B, n): one lane per row.  Returns the final
     state of shape (B, size), the stored states (steps+1, B, size) or
     None, and the offset of the variation block in a lane's state.
 
     A lane's state is [x, v, Psi, Phi]: Psi (n x n, with ``transport``)
-    transports a frame, and Phi (2n x ncols) stacks the position and
-    covariant-derivative rows [J; P] of the linearized flow, whose
-    right-hand side is one matmul with the generator
-    [[-Gv, I], [-op, -Gv]], op = R(., v) v + raised Hess V.
-    variation="full" evolves the whole 2n x 2n fundamental matrix;
-    "velocity" evolves only the n columns seeded by initial
+    transports a frame, Psi' = -Gv Psi, and Phi (2n x ncols) stacks the
+    position and covariant-derivative rows [J; P] of the linearized
+    flow, Phi' = [[-Gv, I], [-op, -Gv]] Phi, op = R(., v) v + raised
+    Hess V.  variation="full" evolves the whole 2n x 2n fundamental
+    matrix; "velocity" evolves only the n columns seeded by initial
     covariant-derivative perturbations, which is the endpoint Jacobian
-    needed for shooting.
+    needed for shooting.  The curve is stepped alone, and after each
+    block of steps Psi and Phi advance by the RK4 step maps of the
+    block's recorded stage points (see the module docstring).
     """
     if steps < 1:
         raise DiscretizationError(f"steps must be at least 1, got {steps}")
@@ -358,88 +390,136 @@ def _integrate(
         ncols = n
     elif variation is not None:
         raise ValueError(f"unknown variation mode {variation!r}")
-    ev = _FieldEval(metric, potential, variation is not None)
-
+    ev = _FieldEval(metric, potential, need_curvature=False)
+    if ncols:
+        lin = _FieldEval(metric, potential, need_curvature=True)
     voff = 2 * n + (n * n if transport else 0)
     size = voff + 2 * n * ncols
-
-    # The state, the stage argument and the four slopes are made once,
-    # each with its block views [x, v, Psi, Phi]: views into each lane's
-    # row, laid out alike within a lane whatever the lane count (see
-    # geometry._along_velocity).
-    def blocks(a: np.ndarray):
-        return (a[:, 0:n], a[:, n: 2 * n], a[:, 2 * n: voff].reshape(lanes, n, -1),
-                a[:, voff:].reshape(lanes, 2 * n, ncols))
-
-    y = np.zeros((lanes, size))
-    y[:, 0:n] = x0
-    y[:, n: 2 * n] = v0
+    linear = []  # the blocks [columns in a lane's state, value] of Psi, Phi
     if transport:
-        y[:, 2 * n: voff] = np.eye(n).ravel()
-    if ncols:
-        # "full" seeds every column, "velocity" the derivative columns
-        y[:, voff:] = np.eye(2 * n)[:, 2 * n - ncols:].ravel()
-        gen = np.zeros((lanes, 2 * n, 2 * n))
-        gen[:, 0:n, n:] = np.eye(n)
-        # the generator's blocks -Gamma v (twice) and -op
-        gen_x, gen_p, gen_op = gen[:, 0:n, 0:n], gen[:, n:, n:], gen[:, n:, 0:n]
-    y_b = blocks(y)
-    arg = np.empty((lanes, size))
-    arg_b = blocks(arg)
-    k1, k2, k3, k4 = (np.empty((lanes, size)) for _ in range(4))
-    k_b = [blocks(k) for k in (k1, k2, k3, k4)]
+        linear.append([slice(2 * n, voff), np.broadcast_to(np.eye(n), (lanes, n, n))])
+    if ncols:  # "full" seeds every column, "velocity" the derivative columns
+        linear.append([slice(voff, size), np.broadcast_to(
+            np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))])
 
-    def rhs(src, dst) -> None:
-        """The slope at the state of views ``src``, into the views ``dst``."""
-        x, v, Psi, Phi = src
-        dx, dv, dPsi, dPhi = dst
+    h = 1.0 / steps
+    block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes)) if linear else steps
+    if linear:
+        stages = np.empty((block, 4, lanes, 2 * n))  # [x, v] at each stage
+    ginvs, gams = [], []  # with ``linear``, the curve's g^-1 and Gv per stage
+    y = np.empty((lanes, 2 * n))
+    y[:, 0:n] = x0
+    y[:, n:] = v0
+    arg = np.empty((4, lanes, 2 * n))  # the stage arguments of one step
+    a0, a1, a2, a3 = arg
+    k1, k2, k3, k4 = (np.empty((lanes, 2 * n)) for _ in range(4))
+    # per stage, the views [x, v] of its argument and [dx, dv] of its slope
+    views = [(a[:, 0:n], a[:, n:], k[:, 0:n], k[:, n:])
+             for a, k in zip(arg, (k1, k2, k3, k4))]
+
+    def state(out: np.ndarray) -> np.ndarray:
+        """[x, v, Psi, Phi] of every lane, written into out (B, size)."""
+        out[:, 0: 2 * n] = y
+        for cols, Y in linear:
+            out[:, cols] = Y.reshape(lanes, -1)
+        return out
+
+    def slope(i: int) -> None:
+        """The curve's slope at stage i, into k_i."""
+        x, v, dx, dv = views[i]
         f = ev(x, v)
+        if linear:
+            ginvs.append(f.ginv)
+            gams.append(f.gam_v)
         np.copyto(dx, v)
         np.negative(f.gam_vv, out=dv)
         if f.grad is not None:
             np.subtract(dv, f.grad, out=dv)
-        if transport:
-            np.matmul(f.gam_v, Psi, out=dPsi)
-            np.negative(dPsi, out=dPsi)
+
+    def step() -> None:
+        """One RK4 step of the curve, its stage arguments left in ``arg``."""
+        np.copyto(a0, y)
+        slope(0)
+        np.multiply(k1, 0.5 * h, out=a1)
+        np.add(y, a1, out=a1)
+        slope(1)
+        np.multiply(k2, 0.5 * h, out=a2)
+        np.add(y, a2, out=a2)
+        slope(2)
+        np.multiply(k3, h, out=a3)
+        np.add(y, a3, out=a3)
+        slope(3)
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(k2, 2.0, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(k3, 2.0, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(k1, h / 6.0, out=k1)
+        np.add(y, k1, out=y)
+
+    def advance(k0: int, count: int) -> None:
+        """Psi and Phi over the steps k0 .. k0 + count - 1, by the step
+        maps of the recorded stage points, with the curve's g^-1 and Gv."""
+        shape = (count, 4, lanes, n, n)
+        gam_v = np.concatenate(gams).reshape(shape)
+        gens = [np.negative(gam_v)] if transport else []
         if ncols:
-            np.negative(f.gam_v, out=gen_x)
-            np.copyto(gen_p, gen_x)
-            np.negative(f.op, out=gen_op)
-            np.matmul(gen, Phi, out=dPhi)
+            pts = stages[:count].reshape(-1, 2 * n)
+            op = lin(pts[:, 0:n], pts[:, n:], np.concatenate(ginvs)).op
+            gen = np.zeros(shape[:3] + (2 * n, 2 * n))
+            gen[..., 0:n, n:] = np.eye(n)
+            np.negative(gam_v, out=gen[..., 0:n, 0:n])
+            gen[..., n:, n:] = gen[..., 0:n, 0:n]
+            np.negative(op.reshape(shape), out=gen[..., n:, 0:n])
+            gens.append(gen)
+        ginvs.clear()
+        gams.clear()
+        for part, gen in zip(linear, gens):
+            cols, Y = part
+            for k, S in enumerate(_step_maps(gen, h), start=k0 + 1):
+                Y = S @ Y
+                if store:
+                    traj[k, :, cols] = Y.reshape(lanes, -1)
+            part[1] = Y
 
     # The grid states with ``store``, else the grid positions: every grid
-    # point is tested once for a positive-definite metric, in step order,
-    # after the steps or before a failing stage's error is raised.
-    h = 1.0 / steps
+    # point reached is tested once for a positive-definite metric, in step
+    # order, after the steps or before a failing stage's error is raised.
     traj = np.empty((steps + 1, lanes, size if store else n))
-    keep = y if store else y_b[0]
-    traj[0] = keep
-    try:
-        for k in range(steps):
-            rhs(y_b, k_b[0])
-            np.multiply(k1, 0.5 * h, out=arg)
-            np.add(y, arg, out=arg)
-            rhs(arg_b, k_b[1])
-            np.multiply(k2, 0.5 * h, out=arg)
-            np.add(y, arg, out=arg)
-            rhs(arg_b, k_b[2])
-            np.multiply(k3, h, out=arg)
-            np.add(y, arg, out=arg)
-            rhs(arg_b, k_b[3])
-            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            np.multiply(k2, 2.0, out=k2)
-            np.add(k1, k2, out=k1)
-            np.multiply(k3, 2.0, out=k3)
-            np.add(k1, k3, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(k1, h / 6.0, out=k1)
-            np.add(y, k1, out=y)
-            traj[k + 1] = keep
-    except (np.linalg.LinAlgError, MetricDegenerateError):
-        metric.matrix(traj[1: k + 1, :, 0:n].reshape(-1, n))
-        raise
-    metric.matrix(traj[1:, :, 0:n].reshape(-1, n))
-    return y, traj if store else None, voff
+    traj[0] = state(np.empty((lanes, size))) if store else x0
+    grid = traj[:, :, 0: min(traj.shape[-1], 2 * n)]  # the curve's part
+    kept = y[:, 0: grid.shape[-1]]
+    # 0 * y sums to 0 where every entry of y is finite and to nan elsewhere
+    flat, zeros = y.reshape(-1), np.zeros(y.size)
+    done = 0  # curve steps taken
+    finite = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while finite and done < steps:
+                k0 = done
+                for k in range(k0, min(k0 + block, steps)):
+                    step()
+                    if linear:
+                        stages[k - k0] = arg
+                    done += 1
+                    grid[done] = kept
+                    finite = math.isfinite(flat @ zeros)
+                    if not finite:
+                        break
+                else:
+                    if linear:
+                        advance(k0, done - k0)
+        except (np.linalg.LinAlgError, MetricDegenerateError):
+            metric.matrix(traj[1: done + 1, :, 0:n].reshape(-1, n))
+            raise
+        metric.matrix(traj[1: done + 1, :, 0:n].reshape(-1, n))
+    if not finite:
+        lane = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
+        raise CurveOverflowError(
+            f"curve state is not finite after step {done} of {steps} "
+            f"(lane {lane}: {y[lane].tolist()})")
+    return state(np.empty((lanes, size))), traj if store else None, voff
 
 
 def _require_step(h: float, what: str) -> None:
@@ -595,30 +675,63 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     A full Newton step is integrated with its endpoint Jacobian; halved
     trial steps integrate the curve alone, and the one accepted is
     integrated again with the Jacobian (the curve part of both runs is
-    the same computation).  Returns (velocities, Newton iterations,
-    endpoint errors, curves), the curves (steps+1, B, 2n) being the
-    positions and velocities of each lane's last accepted integration.
+    the same computation).  A trial whose curve leaves the region where
+    the metric is positive definite, or overflows, fails its line-search
+    test in the lanes that left, and the other lanes go on; a lane that
+    then fails to converge raises the error of its first such trial, and
+    the initial integration raises at once.  Returns (velocities, Newton
+    iterations, endpoint errors, curves), the curves (steps+1, B, 2n)
+    being the positions and velocities of each lane's last accepted
+    integration.
     """
     n = metric.dim
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
     used = np.zeros(len(X), dtype=int)  # integrations per lane
+    left = (MetricDegenerateError, CurveOverflowError)
+    escaped = {}  # lane: the error of its first trial curve that left
 
-    def integrate(lanes, Vl, jacobian=True):
-        """Endpoints of some lanes, with their Jacobians and curves."""
-        if np.any(used[lanes] >= SHOOT_INTEGRATION_BUDGET):
-            raise ShootingError(
-                f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
-                f"integrations without converging"
-            )
-        used[lanes] += 1
+    def fail(lanes, message: str):
+        """Raise for lanes that did not converge: the error of the first
+        one's trial curve that left, if any, else ShootingError."""
+        raise next((escaped[b] for b in lanes if b in escaped), ShootingError(message))
+
+    def run(lanes, Vl, jacobian):
         if not jacobian:
             return _endpoints(metric, potential, X[lanes], Vl, steps), None, None
         y, traj, voff = _integrate(metric, potential, X[lanes], Vl, steps,
                                    variation="velocity", store=True)
         jac = y[:, voff:].reshape(-1, 2 * n, n)[:, 0:n]
         return y[:, 0:n], jac, traj[:, :, 0: 2 * n]
+
+    def integrate(lanes, Vl, jacobian=True, trial=False):
+        """Endpoints of some lanes, with their Jacobians and curves; in a
+        trial, NaN for each lane whose curve left the region."""
+        spent = lanes[used[lanes] >= SHOOT_INTEGRATION_BUDGET]
+        if spent.size:
+            fail(spent, f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
+                        f"integrations without converging")
+        used[lanes] += 1
+        try:
+            return run(lanes, Vl, jacobian)
+        except left:
+            if not trial:
+                raise
+        # each lane alone, which gives the bits it has in a batch
+        end = np.full((len(lanes), n), np.nan)
+        jac = np.full((len(lanes), n, n), np.nan) if jacobian else None
+        curves = np.full((steps + 1, len(lanes), 2 * n), np.nan) if jacobian else None
+        for b, lane in enumerate(lanes):
+            try:
+                e, j, c = run(lanes[b: b + 1], Vl[b: b + 1], jacobian)
+            except left as error:
+                escaped.setdefault(int(lane), error)
+                continue
+            end[b] = e[0]
+            if jacobian:
+                jac[b], curves[:, b] = j[0], c[:, 0]
+        return end, jac, curves
 
     end, jac, curves = integrate(np.arange(len(X)), V)
     err = np.linalg.norm(end - Y, axis=1)
@@ -638,9 +751,10 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
         search = active
         for trial in range(LINE_SEARCH_TRIALS):
             v_new = V[search] + lam * step[search]
-            end_new, jac_new, curves_new = integrate(search, v_new, trial == 0)
+            end_new, jac_new, curves_new = integrate(search, v_new, trial == 0,
+                                                      trial=True)
             err_new = np.linalg.norm(end_new - Y[search], axis=1)
-            ok = err_new < err[search]
+            ok = err_new < err[search]  # False where the curve left
             done = search[ok]
             if done.size:
                 if trial:
@@ -659,22 +773,18 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
             if not search.size:
                 break
         else:
-            raise ShootingError(
-                f"shooting stagnated at endpoint error "
-                f"{np.max(err[search]):.3e} after {it} iterations"
-            )
-        if np.any(strikes >= STAGNATION_STRIKES):
-            raise ShootingError(
-                f"shooting stagnated at endpoint error "
-                f"{np.max(err[strikes >= STAGNATION_STRIKES]):.3e}: "
-                f"{STAGNATION_STRIKES} Newton steps in a row each left more "
-                f"than {STAGNATION_RATIO:g} of the error"
-            )
+            fail(search, f"shooting stagnated at endpoint error "
+                         f"{np.max(err[search]):.3e} after {it} iterations")
+        stuck = np.flatnonzero(strikes >= STAGNATION_STRIKES)
+        if stuck.size:
+            fail(stuck, f"shooting stagnated at endpoint error "
+                        f"{np.max(err[stuck]):.3e}: "
+                        f"{STAGNATION_STRIKES} Newton steps in a row each left more "
+                        f"than {STAGNATION_RATIO:g} of the error")
     if np.any(err > tol):
-        raise ShootingError(
-            f"shooting did not reach tolerance {tol:.1e} in {max_iter} iterations "
-            f"(endpoint error {np.max(err):.3e})"
-        )
+        fail(np.flatnonzero(err > tol),
+             f"shooting did not reach tolerance {tol:.1e} in {max_iter} iterations "
+             f"(endpoint error {np.max(err):.3e})")
     return V, iters, err, curves
 
 

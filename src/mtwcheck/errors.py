@@ -51,6 +51,10 @@ class MetricDegenerateError(NumericalError):
     """The metric matrix failed the positive-definiteness check."""
 
 
+class CurveOverflowError(NumericalError):
+    """A least-action curve's state stopped being finite during integration."""
+
+
 class DegeneratePlaneError(NumericalError):
     """Sectional curvature requested for a (numerically) degenerate 2-plane."""
 

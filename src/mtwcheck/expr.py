@@ -111,6 +111,11 @@ def _mk_neg(a: Node) -> Node:
 
 def _mk_mul(a: Node, b: Node) -> Node:
     if _is_const(a) and _is_const(b):
+        # a zero times a derivative constant that overflowed is an exact
+        # zero, not the nan of folding 0 * inf
+        if (a[1] == 0.0 and not math.isfinite(b[1])
+                or b[1] == 0.0 and not math.isfinite(a[1])):
+            return _ZERO
         return ("c", a[1] * b[1])
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return _ZERO

@@ -126,3 +126,42 @@ def reference_jet(f, x, space):
     factorial."""
     return np.array([ScalarField(reference_partial(f.tree, m), f.dim)(x)
                      for m in space.monomials]) / space.factorials
+
+
+def reference_integrate(metric, potential, x0, v0, steps, transport=False,
+                        variation=None):
+    """One lane of the coupled RK4 of the curve, its transport Psi and its
+    variation Phi, the whole state stepped together: the oracle for
+    ``dynamics._integrate``.  Returns the grid states (steps+1, size)
+    in its layout [x, v, Psi, Phi]."""
+    from mtwcheck.dynamics import _FieldEval
+
+    n = metric.dim
+    ncols = {None: 0, "velocity": n, "full": 2 * n}[variation]
+    ev = _FieldEval(metric, potential, need_curvature=ncols > 0)
+    voff = 2 * n + (n * n if transport else 0)
+
+    def rhs(y):
+        x, v = y[None, 0:n], y[None, n: 2 * n]
+        f = ev(x, v)
+        dv = -f.gam_vv[0] - (0.0 if f.grad is None else f.grad[0])
+        parts = [v[0], dv]
+        if transport:
+            parts.append((-f.gam_v[0] @ y[2 * n: voff].reshape(n, n)).ravel())
+        if ncols:
+            gen = np.block([[-f.gam_v[0], np.eye(n)], [-f.op[0], -f.gam_v[0]]])
+            parts.append((gen @ y[voff:].reshape(2 * n, ncols)).ravel())
+        return np.concatenate(parts)
+
+    y = np.concatenate([x0, v0, np.eye(n).ravel() if transport else [],
+                        np.eye(2 * n)[:, 2 * n - ncols:].ravel()])
+    h = 1.0 / steps
+    out = [y]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -385,10 +386,19 @@ POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
     # metric is singular, and the first grid point past it names the error
     (("geodesic", "--metric", "inline", "--g-upper", "1 + x | 0 | 1 + y",
       "--point", "0,0", "--velocity", "0,-0.8"), "not positive definite at [0.0, -1.0"),
+    # g = [[1, x], [x, 1]]: the curve's connection overflows past |x| = 1;
+    # it stops at its first non-finite state, and the first failing grid
+    # point before it names the error
+    (("geodesic", "--metric", "inline", "--g-upper", "1 | x | 1", "--point", "0,0",
+      "--velocity=-1.8,-1.7"), "not positive definite at [6.464563883083915, 4.52829"),
 ], ids=["conjugate", "geodesic-start", "geodesic-stage", "cost", "jacobi",
-        "closed-form-0", "geodesic-grid"])
+        "closed-form-0", "geodesic-grid", "geodesic-overflow"])
 def test_numerical_failure_exit_three(capsys, argv, message):
-    code, _, err = run_cli(capsys, *argv)
+    # a numerical failure reaches the terminal as its one error line,
+    # with no NumPy RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert err.startswith("numerical failure:")
     assert message in err.lower()
@@ -460,6 +470,29 @@ def test_conformal_scan_transitions(capsys):
     assert verdicts[-3.65] == "fails-second-order"
     assert verdicts[-3.0] == "fails-second-order"
     assert verdicts[-2.95] == "fails-zeroth"
+
+
+def test_conformal_scan_row_bound(capsys, monkeypatch):
+    # 2e7 rows are refused at once, before any row is classified
+    from mtwcheck import cli
+
+    def classify(a):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cf, "classify", classify)
+    code, out, err = run_cli(capsys, "conformal-scan", "--a-from", "-4",
+                             "--a-to", "1e6")
+    assert (code, out) == (2, "")
+    assert f"20000081 rows, more than {cli.CONFORMAL_SCAN_MAX_ROWS}" in err
+    monkeypatch.undo()
+    # the bound itself is allowed, one row more is not
+    monkeypatch.setattr(cli, "CONFORMAL_SCAN_MAX_ROWS", 4)
+    scan = ("conformal-scan", "--a-from", "-4", "--a-to", "-2.5", "--step")
+    code, out, _ = run_cli(capsys, *scan, "0.5")
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 4
+    code, out, err = run_cli(capsys, *scan, "0.375")
+    assert (code, out) == (2, "")
+    assert "5 rows, more than 4" in err
 
 
 def test_lemma_tests_sphere(capsys):

@@ -37,6 +37,8 @@ from mtwcheck.geometry import (
 )
 from mtwcheck.jets import JetSpace
 
+from conftest import inline3d_metric, reference_integrate
+
 EQUATOR = np.pi / 2
 
 
@@ -401,15 +403,19 @@ def test_trajectory_api_rejects_wrong_length_vectors(name, conformal_a3):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", [
+_MODES = [
     {}, {"variation": "velocity"}, {"variation": "full"}, {"transport": True},
     {"transport": True, "variation": "full"},
-])
+]
+
+
+@pytest.mark.parametrize("mode", _MODES)
 @pytest.mark.parametrize("case", ["conformal-potential", "inline3d", "sphere",
-                                  "flat-quartic"])
+                                  "flat-quartic", "sphere-long"])
 def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     # nine lanes cross a SIMD width of eight in the elementwise kernels;
-    # the flat case runs the evaluator's static-metric branch
+    # the flat case runs the evaluator's static-metric branch; the long
+    # case crosses step-map blocks at other steps in the batch than alone
     from mtwcheck import dynamics as dyn
     from mtwcheck.expr import parse_field
     from mtwcheck.geometry import MetricField, PotentialField
@@ -417,10 +423,18 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     rng = np.random.default_rng(5)
     pot = None
     center = 0.0
+    steps = 40
     if case == "inline3d":
         e = parse_field("exp(2*x*y*z)", 3)
         z = parse_field("0", 3)
         metric = MetricField.from_upper([e, z, z, e, z, e], 3)
+    elif case == "sphere-long":
+        metric = sphere
+        center = np.array([1.2, 0.1])
+        steps = 150
+        alone, batch = (max(1, dyn.STEP_MAP_BLOCK_POINTS // (4 * lanes))
+                        for lanes in (1, 9))
+        assert 1 < batch < alone < steps and alone % batch
     elif case == "sphere":
         metric = sphere
         center = np.array([1.2, 0.1])
@@ -433,12 +447,53 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     n = metric.dim
     X = center + rng.uniform(-0.2, 0.2, (9, n))
     V = rng.uniform(-0.4, 0.4, (9, n))
-    y, traj, _ = dyn._integrate(metric, pot, X, V, 40, store=True, **mode)
+    y, traj, _ = dyn._integrate(metric, pot, X, V, steps, store=True, **mode)
     assert np.array_equal(traj[-1], y)
     for b in (0, 4, 8):
-        _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], 40,
+        _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], steps,
                                      store=True, **mode)
         assert np.array_equal(traj[:, b], alone[:, 0])
+
+
+def _oracle_case(case, conformal_a3, sphere):
+    """(metric, potential, x0, v0) of one oracle case."""
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import PotentialField
+
+    if case == "sphere":
+        return sphere, None, [1.2, 0.1], [0.3, -0.4]
+    if case == "conformal-potential":
+        return (conformal_a3, PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2),
+                [0.1, -0.1], [0.3, 0.2])
+    if case == "inline3d":
+        return inline3d_metric(), None, [0.1, 0.2, -0.1], [0.2, 0.1, 0.3]
+    return (euclidean_metric(2), quartic_potential([[0.8, 0.1], [0.1, 1.2]]),
+            [0.1, -0.2], [0.3, 0.4])
+
+
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("mode", _MODES[1:])
+@pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d",
+                                  "flat-quartic"])
+def test_split_integration_matches_coupled_rk4(case, mode, store, conformal_a3,
+                                               sphere):
+    # the curve stepped alone and its transport and variation advanced by
+    # RK4 step maps give the coupled RK4 of the whole state up to rounding;
+    # 150 steps of one lane cross step-map blocks
+    from mtwcheck import dynamics as dyn
+
+    metric, pot, x0, v0 = _oracle_case(case, conformal_a3, sphere)
+    want = reference_integrate(metric, pot, np.array(x0), np.array(v0), 150, **mode)
+    y, traj, voff = dyn._integrate(metric, pot, np.array([x0]), np.array([v0]), 150,
+                                   store=store, **mode)
+    scale = np.max(np.abs(want))
+    assert y.shape == (1, want.shape[1])
+    assert np.max(np.abs(y[0] - want[-1])) <= 1e-12 * scale
+    if store:
+        assert traj.shape == (151, 1, want.shape[1])
+        assert np.max(np.abs(traj[:, 0] - want)) <= 1e-12 * scale
+    else:
+        assert traj is None
 
 
 @pytest.mark.parametrize("mode", [{}, {"transport": True, "variation": "full"}])
@@ -527,6 +582,42 @@ def test_one_lane_leaving_the_region_fails_the_batch_at_its_grid_point(
     assert str(batch.value) == str(alone.value)
     assert 1.0 + _named_point(batch.value)[1] <= 0.0
     dyn._integrate(half_plane_metric, None, X[[0, 2]], V[[0, 2]], 50)
+
+
+def test_shooting_trial_leaving_the_region_fails_its_line_search(
+        half_plane_metric):
+    # straight down the y axis, (1 + y) y'^2 is conserved, so the curve
+    # reaching y = -0.925 at unit time has |y'(0)| = c = 2/3 (1 - 0.075^1.5)
+    # and cost c^2 / 2; a full Newton step's trial curve crosses y = -1,
+    # fails its line-search test, and a halved step goes on
+    res = cost(half_plane_metric, None, [0.0, 0.0], [0.0, -0.925], steps=50)
+    c = 2.0 / 3.0 * (1.0 - 0.075 ** 1.5)
+    assert res.endpoint_error <= 1e-10
+    assert res.value == pytest.approx(0.5 * c * c, rel=1e-4)
+    assert np.all(1.0 + res.path.pos[:, 1] > 0.0)
+
+
+def test_shooting_trial_leaving_the_region_fails_only_its_lane(half_plane_metric):
+    from mtwcheck import dynamics as dyn
+
+    X = np.zeros((3, 2))
+    Y = np.array([[0.3, 0.2], [0.0, -0.925], [-0.2, 0.3]])
+    batch = dyn._costs(half_plane_metric, None, X, Y, steps=50)
+    for b, got in enumerate(batch):
+        alone = cost(half_plane_metric, None, X[b], Y[b], steps=50)
+        assert got.value == alone.value
+        assert np.array_equal(got.initial_velocity, alone.initial_velocity)
+        assert got.iterations == alone.iterations
+
+
+def test_initial_shooting_curve_leaving_the_region_raises(half_plane_metric):
+    # the first guess, the velocity Y - X, has a curve through y = -1:
+    # without a Jacobian of an accepted curve there is no Newton step
+    from mtwcheck.errors import MetricDegenerateError
+
+    with pytest.raises(MetricDegenerateError, match="not positive definite") as e:
+        cost(half_plane_metric, None, [0.0, 0.0], [0.643, -0.840], steps=50)
+    assert 1.0 + _named_point(e.value)[1] <= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,21 @@ def test_derivative_constant_past_float_range_evaluates():
     assert jet[JetSpace.get(2, 3).monomials.index((3, 0))] == math.inf
 
 
+def test_zero_times_overflowed_derivative_constant_is_zero():
+    # d^4/dx^4 of 1e308*x^3*y is exactly 0, though the product rule meets
+    # the overflowed constant 6e308 of d^3/dx^3 times d y / dx = 0
+    f = parse_field("1e308*x^3*y", 2)
+    assert eval_partial(f, (0.5, 2.0), (4, 0)) == 0.0
+    space = JetSpace.get(2, 4)
+    with np.errstate(over="ignore"):
+        jet = ex.TaylorPlan([f], space)(np.array([[0.5, 2.0]]))[0, 0]
+    assert jet[space.monomials.index((4, 0))] == 0.0
+    assert jet[space.monomials.index((3, 1))] == math.inf
+    assert not np.isnan(jet).any()
+    # a finite product folds as before, the sign of a zero included
+    assert math.copysign(1.0, ex._mk_mul(("c", -0.0), ("c", 3.0))[1]) == -1.0
+
+
 def test_unknown_identifier():
     with pytest.raises(FieldSyntaxError) as e:
         parse_field("foo(x)", 2)
