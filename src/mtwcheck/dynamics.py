@@ -11,15 +11,15 @@ step counts, no adaptive control.
 The integrator advances a batch of curves ("lanes") at once: lane b
 starts at x0[b] with velocity v0[b], and the state of the coupled
 system is one (B, size) array, a row per lane.  The metric must be
-positive definite at every grid point of every lane, or
-:class:`~mtwcheck.errors.MetricDegenerateError`, the error of the
-geometry pipeline, is raised: the start points are tested before the
-first step and the other grid points once after the last, in step
-order, so that the error names the first point that fails; a stage
-whose metric cannot be inverted raises once the grid points reached so
+positive definite at every point a lane reaches, grid and RK4 stage
+points alike, or :class:`~mtwcheck.errors.MetricDegenerateError`, the
+error of the geometry pipeline, is raised: the start points are tested
+before the first step and the other points once after the last, in step
+and stage order, so that the error names the first point that fails; a
+stage whose metric cannot be inverted raises once the points reached so
 far have been tested; a curve stops at its first non-finite state
 (NumPy's overflow warnings kept out), which raises
-:class:`~mtwcheck.errors.CurveOverflowError` unless a grid point fails
+:class:`~mtwcheck.errors.CurveOverflowError` unless a point fails
 first.  The curve [x, v] is stepped alone, as nothing in it reads the
 transport or the variation: each RK4 stage makes one call to a fused
 field evaluator without curvature, built afresh per integration on the
@@ -38,7 +38,9 @@ step.  Every operation is elementwise or a matmul stacked over lanes,
 so a lane's result is bit-identical to the curve integrated alone,
 wherever its blocks start.  The stencils of the
 cross-curvature routes run as one batch each, the damped-Newton shoot
-steps every lane with its own line search, and the single-curve
+steps every lane with its own line search, first on a grid
+COARSE_FACTOR times coarser and then on the caller's (:func:`_shoot`),
+and the single-curve
 functions (:func:`c_exp`, :func:`cost`, ...) are one-lane calls into
 the same engine.  Quantities along a stored curve (energy, transported
 norms, the variation residual, the action) are one evaluator call over
@@ -72,6 +74,7 @@ from .errors import (
     MetricDegenerateError,
     PreconditionError,
     ShootingError,
+    SolverSettingsError,
 )
 from .geometry import (
     GeometryBatch,
@@ -103,10 +106,21 @@ STAGNATION_RATIO = 0.9
 STAGNATION_STRIKES = 2
 SHOOT_INTEGRATION_BUDGET = 40
 
+# Shooting first solves on a grid COARSE_FACTOR times coarser, to the looser
+# of COARSE_TOL and the caller's tolerance, when that grid keeps at least
+# COARSE_MIN_STEPS steps (see _shoot).
+COARSE_FACTOR = 8
+COARSE_MIN_STEPS = 12
+COARSE_TOL = 1e-8
+
 # Stage points per evaluation of the transport and variation coefficients
 # (see _integrate): a block of steps holds at most this many, and at least
 # one step.  The block bounds the linear pass's memory.
 STEP_MAP_BLOCK_POINTS = 512
+
+# Points per call of the positive-definiteness test of the points a curve
+# reached (see _integrate); the chunk bounds the test's memory.
+REGION_TEST_POINTS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +424,7 @@ def _integrate(
     y = np.empty((lanes, 2 * n))
     y[:, 0:n] = x0
     y[:, n:] = v0
-    arg = np.empty((4, lanes, 2 * n))  # the stage arguments of one step
+    arg = np.stack([y] * 4)  # the stage arguments of one step
     a0, a1, a2, a3 = arg
     k1, k2, k3, k4 = (np.empty((lanes, 2 * n)) for _ in range(4))
     # per stage, the views [x, v] of its argument and [dx, dv] of its slope
@@ -483,13 +497,23 @@ def _integrate(
                     traj[k, :, cols] = Y.reshape(lanes, -1)
             part[1] = Y
 
-    # The grid states with ``store``, else the grid positions: every grid
-    # point reached is tested once for a positive-definite metric, in step
-    # order, after the steps or before a failing stage's error is raised.
-    traj = np.empty((steps + 1, lanes, size if store else n))
-    traj[0] = state(np.empty((lanes, size))) if store else x0
-    grid = traj[:, :, 0: min(traj.shape[-1], 2 * n)]  # the curve's part
-    kept = y[:, 0: grid.shape[-1]]
+    traj = np.empty((steps + 1, lanes, size)) if store else None
+    if store:
+        traj[0] = state(np.empty((lanes, size)))
+    # Per step, the positions of its stages 2-4 and of its end: every point
+    # reached is tested once for a positive-definite metric, in step and
+    # stage order, after the steps or before a failing stage's error is
+    # raised (with the failing step's stages, ``arg`` holding only points
+    # already reached).
+    reached = np.empty((steps, 4, lanes, n))
+
+    def test(points: np.ndarray) -> None:
+        """Raise naming the first point whose metric is not positive definite."""
+        if ev.static:  # a constant metric passed at the start passes everywhere
+            return
+        for k in range(0, len(points), REGION_TEST_POINTS):
+            metric.matrix(points[k: k + REGION_TEST_POINTS])
+
     # 0 * y sums to 0 where every entry of y is finite and to nan elsewhere
     flat, zeros = y.reshape(-1), np.zeros(y.size)
     done = 0  # curve steps taken
@@ -502,8 +526,11 @@ def _integrate(
                     step()
                     if linear:
                         stages[k - k0] = arg
+                    reached[k, 0:3] = arg[1:, :, 0:n]
+                    reached[k, 3] = y[:, 0:n]
                     done += 1
-                    grid[done] = kept
+                    if store:
+                        traj[done, :, 0: 2 * n] = y
                     finite = math.isfinite(flat @ zeros)
                     if not finite:
                         break
@@ -511,9 +538,10 @@ def _integrate(
                     if linear:
                         advance(k0, done - k0)
         except (np.linalg.LinAlgError, MetricDegenerateError):
-            metric.matrix(traj[1: done + 1, :, 0:n].reshape(-1, n))
+            test(np.concatenate([reached[:done].reshape(-1, n),
+                                 arg[1:, :, 0:n].reshape(-1, n)]))
             raise
-        metric.matrix(traj[1: done + 1, :, 0:n].reshape(-1, n))
+        test(reached[:done].reshape(-1, n))
     if not finite:
         lane = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
         raise CurveOverflowError(
@@ -667,8 +695,9 @@ class CostResult:
     path: CurvePath
 
 
-def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
-    """Damped-Newton shooting of every lane at once.
+def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
+    """Damped-Newton shooting of every lane at once on one grid, from the
+    velocities V (not written).
 
     Lane b solves for the velocity taking X[b] to Y[b] at time 1 with
     its own line search, and drops out of the batch once it converges.
@@ -685,9 +714,7 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     integration.
     """
     n = metric.dim
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
+    V = V.copy()
     used = np.zeros(len(X), dtype=int)  # integrations per lane
     left = (MetricDegenerateError, CurveOverflowError)
     escaped = {}  # lane: the error of its first trial curve that left
@@ -788,6 +815,48 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     return V, iters, err, curves
 
 
+def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
+    """Damped-Newton shooting of every lane at once, on two grids.
+
+    Lane b solves for the velocity taking X[b] to Y[b] at time 1.  If the
+    coarse grid of steps // COARSE_FACTOR RK4 steps keeps at least
+    COARSE_MIN_STEPS, every lane is first solved there to the looser of
+    COARSE_TOL and ``tol``; the solve on the caller's grid then starts
+    from the coarse velocities, where one Newton step and its confirming
+    integration usually suffice.  A coarse solve that raises only
+    discards the coarse start: a batch that raises is solved again lane
+    by lane, and a lane that raises alone starts from the caller's guess,
+    bit-identical to a one-grid solve.  The fine solve alone decides
+    convergence, the curves, the endpoint errors, the iterations and
+    every error raised; each grid counts its own Newton iterations and
+    SHOOT_INTEGRATION_BUDGET integrations per lane.
+
+    Returns what :func:`_newton` returns on the caller's grid.  Unless
+    ``tol`` is positive and finite and ``max_iter`` at least 1,
+    :class:`~mtwcheck.errors.SolverSettingsError` is raised first.
+    """
+    if not 0.0 < tol < np.inf or not max_iter >= 1:
+        raise SolverSettingsError(
+            f"shooting needs a positive finite tol and max_iter >= 1, "
+            f"got tol={tol}, max_iter={max_iter}")
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
+    coarse = steps // COARSE_FACTOR
+    if coarse >= COARSE_MIN_STEPS:
+        failed = (ShootingError, MetricDegenerateError, CurveOverflowError,
+                  ConjugatePointError)
+        groups = [np.arange(len(X))]  # the batch, and if it fails each lane
+        for lanes in groups:
+            try:
+                V[lanes] = _newton(metric, potential, X[lanes], Y[lanes], coarse,
+                                   max(tol, COARSE_TOL), max_iter, V[lanes])[0]
+            except failed:
+                if len(lanes) > 1:
+                    groups.extend(lanes[:, None])
+    return _newton(metric, potential, X, Y, steps, tol, max_iter, V)
+
+
 def shoot_velocity(
     metric: MetricField,
     potential: PotentialField | None,
@@ -802,8 +871,14 @@ def shoot_velocity(
 
     The Newton matrix is the endpoint block of the linearized flow,
     integrated alongside the curve, so no extra finite differencing is
-    involved.  Raises on stagnation, a singular endpoint block or an
-    exhausted integration budget.
+    involved.  For ``steps`` >= COARSE_FACTOR * COARSE_MIN_STEPS the solve
+    first runs on a grid COARSE_FACTOR times coarser and then polishes on
+    ``steps``; the iterations returned are those on ``steps``, and a
+    failed coarse solve falls back to the guess ``v_init``, or y - x
+    (see :func:`_shoot`).
+    Raises on stagnation, a singular endpoint block or an exhausted
+    integration budget (per grid), and on a ``tol`` that is not positive
+    and finite or a ``max_iter`` below 1.
     """
     V, iters, err, _ = _shoot(
         metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,
@@ -859,9 +934,11 @@ def cost(
 ) -> CostResult:
     """Least action to move from ``x`` to ``y`` in unit time.
 
-    The minimizing curve is found by shooting; the action integral is
-    accumulated with the trapezoid-free quadrature of the integrator
-    grid (Simpson on the stored samples).
+    The minimizing curve is found by shooting, first on a coarse grid
+    and then on ``steps`` as in :func:`shoot_velocity`; ``iterations``
+    and ``endpoint_error`` are those of the solve on ``steps``.  The
+    action integral is accumulated with the trapezoid-free quadrature of
+    the integrator grid (Simpson on the stored samples).
     """
     return _costs(
         metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,

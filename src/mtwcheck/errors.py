@@ -43,6 +43,11 @@ class DiscretizationError(MtwError, ValueError):
     """A step count, step size, panel count or time grid is out of range."""
 
 
+class SolverSettingsError(MtwError, ValueError):
+    """A solver's tolerance is not positive and finite, or its iteration
+    limit is below 1."""
+
+
 class NumericalError(MtwError):
     """Base class for runtime numerical failures."""
 

@@ -387,10 +387,11 @@ POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
     (("geodesic", "--metric", "inline", "--g-upper", "1 + x | 0 | 1 + y",
       "--point", "0,0", "--velocity", "0,-0.8"), "not positive definite at [0.0, -1.0"),
     # g = [[1, x], [x, 1]]: the curve's connection overflows past |x| = 1;
-    # it stops at its first non-finite state, and the first failing grid
-    # point before it names the error
+    # it stops at its first non-finite state, and the first failing point
+    # before it names the error, a stage point of step 88 (the grid points
+    # around it stay inside |x| < 1)
     (("geodesic", "--metric", "inline", "--g-upper", "1 | x | 1", "--point", "0,0",
-      "--velocity=-1.8,-1.7"), "not positive definite at [6.464563883083915, 4.52829"),
+      "--velocity=-1.8,-1.7"), "not positive definite at [-1.0044748872812392, -1.24795"),
 ], ids=["conjugate", "geodesic-start", "geodesic-stage", "cost", "jacobi",
         "closed-form-0", "geodesic-grid", "geodesic-overflow"])
 def test_numerical_failure_exit_three(capsys, argv, message):

@@ -1,5 +1,6 @@
 """Trajectories, transport, Jacobi boundary-value problems, variation families."""
 
+import collections
 import gc
 import json
 import math
@@ -122,7 +123,7 @@ def test_flat_cost_half_squared_distance(flat2):
 def test_mechanical_cost_matches_closed_form(flat2):
     # minimizer gamma(tau) = sinh(tau)/sinh(1) * y has action coth(1)|y|^2/2
     y = np.array([0.6, -0.2])
-    res = cost(flat2, harmonic_potential(2), [0.0, 0.0], y)
+    res = cost(flat2, harmonic_potential(2), [0.0, 0.0], y, steps=200)
     closed = 0.5 / math.tanh(1.0) * float(y @ y)
     assert res.value == pytest.approx(closed, abs=1e-7)
     # initial velocity of the closed-form curve is y / sinh(1)
@@ -130,7 +131,8 @@ def test_mechanical_cost_matches_closed_form(flat2):
 
 
 def test_sphere_cost_is_half_arc_squared(sphere):
-    res = cost(sphere, None, [EQUATOR, 0.0], [EQUATOR, 1.2])
+    # at 200 steps, so the fine solve starts from a coarse one's velocity
+    res = cost(sphere, None, [EQUATOR, 0.0], [EQUATOR, 1.2], steps=200)
     assert res.value == pytest.approx(0.5 * 1.2**2, abs=1e-9)
 
 
@@ -142,14 +144,15 @@ def test_antipodal_shooting_diverges(sphere):
 
 
 def test_antipodal_shoot_raises_within_budget(sphere, monkeypatch):
-    # the work before failing is bounded in integrations, not seconds
+    # the work before failing is bounded in integrations, not seconds:
+    # each grid of the nested solve spends at most its own budget
     from mtwcheck import dynamics as dyn
 
     calls = []
     integrate = dyn._integrate
 
     def counted(*args, **kwargs):
-        calls.append(len(args[2]))  # lanes in this integration
+        calls.append((args[4], len(args[2])))  # steps, lanes
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(dyn, "_integrate", counted)
@@ -157,19 +160,131 @@ def test_antipodal_shoot_raises_within_budget(sphere, monkeypatch):
     y = np.array([np.pi - 1.0, 0.3 + np.pi])
     with pytest.raises(ShootingError, match="stagnated"):
         shoot_velocity(sphere, None, x, y)
-    assert set(calls) == {1}
-    assert len(calls) <= dyn.SHOOT_INTEGRATION_BUDGET
+    assert {lanes for _, lanes in calls} == {1}
+    per_grid = collections.Counter(steps for steps, _ in calls)
+    assert set(per_grid) == {25, 200}
+    assert max(per_grid.values()) <= dyn.SHOOT_INTEGRATION_BUDGET
+
+
+def _count_grids(monkeypatch) -> list:
+    """The step count of every later _integrate call, in call order."""
+    from mtwcheck import dynamics as dyn
+
+    grids = []
+    integrate = dyn._integrate
+
+    def counted(*args, **kwargs):
+        grids.append(args[4])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "_integrate", counted)
+    return grids
 
 
 def test_shoot_integration_budget_raises(sphere, monkeypatch):
     from mtwcheck import dynamics as dyn
 
-    # this shoot converges in 3 Newton steps, 4 integrations
+    grids = _count_grids(monkeypatch)
+    # this shoot takes 3 Newton steps, 4 integrations, on the coarse grid
+    # of 25 steps, and from there 1 Newton step, 2 integrations, on the
+    # caller's grid of 200
     args = (sphere, None, [1.0, 0.2], [1.4, 0.9])
-    assert shoot_velocity(*args)[1] == 3
+    assert shoot_velocity(*args)[1] == 1
+    assert grids == [25] * 4 + [200] * 2
+    # each grid has its own budget: the coarse solve exhausts it, which
+    # only discards the coarse start, and the fine solve from the caller's
+    # guess exhausts it too and raises
+    grids.clear()
     monkeypatch.setattr(dyn, "SHOOT_INTEGRATION_BUDGET", 3)
     with pytest.raises(ShootingError, match="budget of 3 integrations"):
         shoot_velocity(*args)
+    assert grids == [25] * 3 + [200] * 3
+
+
+@pytest.mark.parametrize("settings", [
+    {"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0}, {"tol": 0.0},
+    {"max_iter": 0}, {"max_iter": -3},
+], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "max-iter-0",
+        "max-iter-negative"])
+@pytest.mark.parametrize("call", ["cost", "shoot_velocity", "_costs"])
+def test_bad_shooting_settings_raise_before_integrating(call, settings, sphere,
+                                                        monkeypatch):
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import SolverSettingsError
+
+    grids = _count_grids(monkeypatch)
+    x, y = [1.0, 0.2], [1.4, 0.9]
+    if call == "_costs":
+        x, y = np.array([x]), np.array([y])
+    with pytest.raises(SolverSettingsError, match="positive finite tol"):
+        getattr(dyn, call)(sphere, None, x, y, **settings)
+    assert grids == []
+
+
+def _fail_coarse_solves(monkeypatch, error, starts=None):
+    """Make every coarse integration raise ``error`` (only those of batches
+    holding a start point in ``starts``, when given)."""
+    from mtwcheck import dynamics as dyn
+
+    integrate = dyn._integrate
+
+    def failing(metric, potential, x0, v0, steps, **kwargs):
+        if steps == dyn.DEFAULT_STEPS // dyn.COARSE_FACTOR and (
+                starts is None or any(np.any(np.all(x0 == s, axis=1)) for s in starts)):
+            raise error("coarse failure")
+        return integrate(metric, potential, x0, v0, steps, **kwargs)
+
+    monkeypatch.setattr(dyn, "_integrate", failing)
+
+
+def _one_grid(monkeypatch, call):
+    """``call()`` with the coarse grid switched off."""
+    from mtwcheck import dynamics as dyn
+
+    with monkeypatch.context() as m:
+        m.setattr(dyn, "COARSE_MIN_STEPS", 10**9)
+        return call()
+
+
+def _same_cost(a, b) -> None:
+    assert a.value == b.value
+    assert np.array_equal(a.initial_velocity, b.initial_velocity)
+    assert a.iterations == b.iterations
+    assert a.endpoint_error == b.endpoint_error
+    assert np.array_equal(a.path.pos, b.path.pos)
+    assert np.array_equal(a.path.vel, b.path.vel)
+
+
+@pytest.mark.parametrize("error", ["ShootingError", "MetricDegenerateError",
+                                   "CurveOverflowError", "ConjugatePointError"])
+def test_failed_coarse_solve_falls_back_to_the_callers_guess(error, sphere,
+                                                             monkeypatch):
+    from mtwcheck import errors
+
+    def call():
+        return cost(sphere, None, [1.0, 0.2], [1.4, 0.9])
+
+    one_grid = _one_grid(monkeypatch, call)
+    assert one_grid.iterations == 3  # the one-grid solve walks from the guess
+    _fail_coarse_solves(monkeypatch, getattr(errors, error))
+    _same_cost(call(), one_grid)
+
+
+def test_falling_back_lane_keeps_every_batch_lane_as_alone(sphere, monkeypatch):
+    from mtwcheck import dynamics as dyn
+
+    X = np.array([[1.0, 0.2], [1.0, 0.2], [1.3, -0.4], [0.9, 0.5]])
+    Y = np.array([[1.4, 0.9], [1.0, 0.2], [1.9, 0.3], [0.2, 1.6]])
+    one_grid = _one_grid(monkeypatch, lambda: cost(sphere, None, X[2], Y[2]))
+    # the coarse solve of every batch holding lane 2's start raises
+    _fail_coarse_solves(monkeypatch, ShootingError, starts=[X[2]])
+    batch = dyn._costs(sphere, None, X, Y)
+    for b, res in enumerate(batch):
+        _same_cost(res, cost(sphere, None, X[b], Y[b]))
+    _same_cost(batch[2], one_grid)
+    # the other lanes start from their coarse velocities (from the
+    # caller's guess, lanes 0 and 3 take 3 and 6 Newton steps)
+    assert [r.iterations for r in batch] == [1, 0, 3, 1]
 
 
 def test_shoot_velocity_flat_is_difference(flat2):
@@ -557,13 +672,28 @@ def _named_point(err) -> np.ndarray:
 ], ids=["c_exp", "least_action_curve", "cost"])
 def test_curve_leaving_the_positive_definite_region_raises(call, half_plane_metric):
     # the curve runs down the y axis past y = -1 without a stage whose
-    # metric cannot be inverted: a grid point names the failure
+    # metric cannot be inverted: the first point reached past it names
+    # the failure
     from mtwcheck.errors import MetricDegenerateError
 
     with pytest.raises(MetricDegenerateError, match="not positive definite") as e:
         call(half_plane_metric)
     x, y = _named_point(e.value)
     assert x == 0.0 and 1.0 + y <= 0.0
+
+
+def test_rk4_stage_point_leaving_the_region_raises(half_plane_metric):
+    # at 50 steps every grid point of this curve stays above y = -0.954,
+    # but its RK4 stage points jump far below y = -1 and back, and the
+    # grid alone would return the endpoint (0, 226118); the exact curve
+    # reaches y = -1 at t = 8/9, and the first stage point past it names
+    # the failure
+    from mtwcheck.errors import MetricDegenerateError
+
+    with pytest.raises(MetricDegenerateError, match="not positive definite") as e:
+        c_exp(half_plane_metric, None, [0.0, 0.0], [0.0, -0.75], steps=50)
+    x, y = _named_point(e.value)
+    assert x == 0.0 and -1.01 < y <= -1.0
 
 
 def test_one_lane_leaving_the_region_fails_the_batch_at_its_grid_point(
@@ -588,9 +718,11 @@ def test_shooting_trial_leaving_the_region_fails_its_line_search(
         half_plane_metric):
     # straight down the y axis, (1 + y) y'^2 is conserved, so the curve
     # reaching y = -0.925 at unit time has |y'(0)| = c = 2/3 (1 - 0.075^1.5)
-    # and cost c^2 / 2; a full Newton step's trial curve crosses y = -1,
-    # fails its line-search test, and a halved step goes on
-    res = cost(half_plane_metric, None, [0.0, 0.0], [0.0, -0.925], steps=50)
+    # and cost c^2 / 2; from y'(0) = -0.3 a full Newton step's trial curve
+    # crosses y = -1, fails its line-search test, and a halved step goes on
+    # (the default guess y'(0) = -0.925 > c leaves the region itself)
+    res = cost(half_plane_metric, None, [0.0, 0.0], [0.0, -0.925], steps=50,
+               v_init=[0.0, -0.3])
     c = 2.0 / 3.0 * (1.0 - 0.075 ** 1.5)
     assert res.endpoint_error <= 1e-10
     assert res.value == pytest.approx(0.5 * c * c, rel=1e-4)
@@ -602,9 +734,11 @@ def test_shooting_trial_leaving_the_region_fails_only_its_lane(half_plane_metric
 
     X = np.zeros((3, 2))
     Y = np.array([[0.3, 0.2], [0.0, -0.925], [-0.2, 0.3]])
-    batch = dyn._costs(half_plane_metric, None, X, Y, steps=50)
+    V = Y - X
+    V[1] = [0.0, -0.3]  # as in the test above
+    batch = dyn._costs(half_plane_metric, None, X, Y, steps=50, V_init=V)
     for b, got in enumerate(batch):
-        alone = cost(half_plane_metric, None, X[b], Y[b], steps=50)
+        alone = cost(half_plane_metric, None, X[b], Y[b], steps=50, v_init=V[b])
         assert got.value == alone.value
         assert np.array_equal(got.initial_velocity, alone.initial_velocity)
         assert got.iterations == alone.iterations
