@@ -14,11 +14,12 @@ system is one (B, size) array, a row per lane.  The metric must be
 positive definite at every point a lane reaches, grid and RK4 stage
 points alike, or :class:`~mtwcheck.errors.MetricDegenerateError`, the
 error of the geometry pipeline, is raised: the start points are tested
-before the first step and the other points once after the last, in step
-and stage order, so that the error names the first point that fails; a
-stage whose metric cannot be inverted raises once the points reached so
-far have been tested; a curve stops at its first non-finite state
-(NumPy's overflow warnings kept out), which raises
+before the first step, the stage points after each block of steps with
+the g their stage already evaluated, and the last point after the last
+step, in step and stage order, so that the error names the first point
+that fails; a stage whose metric cannot be inverted raises once the
+points reached so far have been tested; a curve stops at its first
+non-finite state (NumPy's overflow warnings kept out), which raises
 :class:`~mtwcheck.errors.CurveOverflowError` unless a point fails
 first.  The curve [x, v] is stepped alone, as nothing in it reads the
 transport or the variation: each RK4 stage makes one call to a fused
@@ -113,14 +114,12 @@ COARSE_FACTOR = 8
 COARSE_MIN_STEPS = 12
 COARSE_TOL = 1e-8
 
-# Stage points per evaluation of the transport and variation coefficients
-# (see _integrate): a block of steps holds at most this many, and at least
-# one step.  The block bounds the linear pass's memory.
+# Stage points per block of steps (see _integrate): a block holds at most
+# this many, and at least one step.  Each block's points are tested for a
+# positive-definite metric in one call, and with a linearized flow its
+# transport and variation coefficients are evaluated in one call, so the
+# block bounds the memory of both.
 STEP_MAP_BLOCK_POINTS = 512
-
-# Points per call of the positive-definiteness test of the points a curve
-# reached (see _integrate); the chunk bounds the test's memory.
-REGION_TEST_POINTS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +416,15 @@ def _integrate(
             np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))])
 
     h = 1.0 / steps
-    block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes)) if linear else steps
+    block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes))
     if linear:
         stages = np.empty((block, 4, lanes, 2 * n))  # [x, v] at each stage
     ginvs, gams = [], []  # with ``linear``, the curve's g^-1 and Gv per stage
+    gs, xs = [], []  # unless g is constant, g and x per stage, not yet tested
     y = np.empty((lanes, 2 * n))
     y[:, 0:n] = x0
     y[:, n:] = v0
-    arg = np.stack([y] * 4)  # the stage arguments of one step
+    arg = np.empty((4, lanes, 2 * n))  # the stage arguments of one step
     a0, a1, a2, a3 = arg
     k1, k2, k3, k4 = (np.empty((lanes, 2 * n)) for _ in range(4))
     # per stage, the views [x, v] of its argument and [dx, dv] of its slope
@@ -442,6 +442,9 @@ def _integrate(
         """The curve's slope at stage i, into k_i."""
         x, v, dx, dv = views[i]
         f = ev(x, v)
+        if not ev.static:  # a constant g passed the start test everywhere
+            gs.append(f.g)
+            xs.append(x.copy())
         if linear:
             ginvs.append(f.ginv)
             gams.append(f.gam_v)
@@ -497,23 +500,19 @@ def _integrate(
                     traj[k, :, cols] = Y.reshape(lanes, -1)
             part[1] = Y
 
+    def test_region() -> None:
+        """Raise naming the first stage point, in step, stage and lane
+        order, whose g is not positive definite, of those evaluated since
+        the last test."""
+        if gs:
+            g, x = np.concatenate(gs), np.concatenate(xs)
+            gs.clear()
+            xs.clear()
+            require_positive_definite(g, x)
+
     traj = np.empty((steps + 1, lanes, size)) if store else None
     if store:
         traj[0] = state(np.empty((lanes, size)))
-    # Per step, the positions of its stages 2-4 and of its end: every point
-    # reached is tested once for a positive-definite metric, in step and
-    # stage order, after the steps or before a failing stage's error is
-    # raised (with the failing step's stages, ``arg`` holding only points
-    # already reached).
-    reached = np.empty((steps, 4, lanes, n))
-
-    def test(points: np.ndarray) -> None:
-        """Raise naming the first point whose metric is not positive definite."""
-        if ev.static:  # a constant metric passed at the start passes everywhere
-            return
-        for k in range(0, len(points), REGION_TEST_POINTS):
-            metric.matrix(points[k: k + REGION_TEST_POINTS])
-
     # 0 * y sums to 0 where every entry of y is finite and to nan elsewhere
     flat, zeros = y.reshape(-1), np.zeros(y.size)
     done = 0  # curve steps taken
@@ -526,8 +525,6 @@ def _integrate(
                     step()
                     if linear:
                         stages[k - k0] = arg
-                    reached[k, 0:3] = arg[1:, :, 0:n]
-                    reached[k, 3] = y[:, 0:n]
                     done += 1
                     if store:
                         traj[done, :, 0: 2 * n] = y
@@ -535,13 +532,14 @@ def _integrate(
                     if not finite:
                         break
                 else:
+                    test_region()
                     if linear:
                         advance(k0, done - k0)
         except (np.linalg.LinAlgError, MetricDegenerateError):
-            test(np.concatenate([reached[:done].reshape(-1, n),
-                                 arg[1:, :, 0:n].reshape(-1, n)]))
+            test_region()  # the stages before the failing one
             raise
-        test(reached[:done].reshape(-1, n))
+        test_region()
+        metric.matrix(y[:, 0:n])  # the last point reached, evaluated by no stage
     if not finite:
         lane = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
         raise CurveOverflowError(
@@ -695,7 +693,7 @@ class CostResult:
     path: CurvePath
 
 
-def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
+def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
     """Damped-Newton shooting of every lane at once on one grid, from the
     velocities V (not written).
 
@@ -708,9 +706,12 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
     the metric is positive definite, or overflows, fails its line-search
     test in the lanes that left, and the other lanes go on; a lane that
     then fails to converge raises the error of its first such trial, and
-    the initial integration raises at once.  Returns (velocities, Newton
-    iterations, endpoint errors, curves), the curves (steps+1, B, 2n)
-    being the positions and velocities of each lane's last accepted
+    the initial integration raises at once.  Given ``lost``, a boolean
+    array over the lanes, nothing raises for a lane: a lane that fails,
+    its initial curve leaving included, is marked there and dropped, and
+    each lane's result is the same in any batch.  Returns (velocities,
+    Newton iterations, endpoint errors, curves), the curves (steps+1, B,
+    2n) being the positions and velocities of each lane's last accepted
     integration.
     """
     n = metric.dim
@@ -718,10 +719,15 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
     used = np.zeros(len(X), dtype=int)  # integrations per lane
     left = (MetricDegenerateError, CurveOverflowError)
     escaped = {}  # lane: the error of its first trial curve that left
+    dropped = np.zeros(len(X), dtype=bool) if lost is None else lost
 
     def fail(lanes, message: str):
         """Raise for lanes that did not converge: the error of the first
-        one's trial curve that left, if any, else ShootingError."""
+        one's trial curve that left, if any, else ShootingError; given
+        ``lost``, mark them there instead."""
+        if lost is not None:
+            lost[lanes] = True
+            return
         raise next((escaped[b] for b in lanes if b in escaped), ShootingError(message))
 
     def run(lanes, Vl, jacobian):
@@ -734,14 +740,16 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
 
     def integrate(lanes, Vl, jacobian=True, trial=False):
         """Endpoints of some lanes, with their Jacobians and curves; in a
-        trial, NaN for each lane whose curve left the region."""
-        spent = lanes[used[lanes] >= SHOOT_INTEGRATION_BUDGET]
-        if spent.size:
-            fail(spent, f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
-                        f"integrations without converging")
+        trial, NaN for each lane whose curve left the region, and given
+        ``lost``, for each lane past its budget, which is not integrated."""
+        spent = used[lanes] >= SHOOT_INTEGRATION_BUDGET
+        if spent.any():
+            fail(lanes[spent], f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
+                               f"integrations without converging")
         used[lanes] += 1
         try:
-            return run(lanes, Vl, jacobian)
+            if not spent.any():
+                return run(lanes, Vl, jacobian)
         except left:
             if not trial:
                 raise
@@ -750,6 +758,8 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
         jac = np.full((len(lanes), n, n), np.nan) if jacobian else None
         curves = np.full((steps + 1, len(lanes), 2 * n), np.nan) if jacobian else None
         for b, lane in enumerate(lanes):
+            if spent[b]:
+                continue
             try:
                 e, j, c = run(lanes[b: b + 1], Vl[b: b + 1], jacobian)
             except left as error:
@@ -760,18 +770,22 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
                 jac[b], curves[:, b] = j[0], c[:, 0]
         return end, jac, curves
 
-    end, jac, curves = integrate(np.arange(len(X)), V)
+    end, jac, curves = integrate(np.arange(len(X)), V, trial=lost is not None)
     err = np.linalg.norm(end - Y, axis=1)
+    dropped |= np.isnan(err)  # only given ``lost``: an initial curve that left
     iters = np.zeros(len(X), dtype=int)
     strikes = np.zeros(len(X), dtype=int)
     for it in range(1, max_iter + 1):
-        active = np.flatnonzero(err > tol)
+        active = np.flatnonzero((err > tol) & ~dropped)
         if not active.size:
             break
-        if np.any(np.linalg.cond(jac[active]) > CONJUGATE_COND_LIMIT):
-            raise ShootingError(
-                "endpoint Jacobian is numerically singular during shooting"
-            )
+        singular = np.linalg.cond(jac[active]) > CONJUGATE_COND_LIMIT
+        if np.any(singular):
+            if lost is None:
+                raise ShootingError(
+                    "endpoint Jacobian is numerically singular during shooting")
+            lost[active[singular]] = True
+            active = active[~singular]
         step = np.zeros_like(V)
         step[active] = np.linalg.solve(jac[active], (Y - end)[active][..., None])[..., 0]
         lam = 1.0  # every lane still searching has halved equally often
@@ -795,7 +809,7 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
                     v_new[ok], end_new, jac_new, err_new[ok])
                 curves[:, done] = curves_new
                 iters[done] = it
-            search = search[~ok]
+            search = search[~ok & ~dropped[search]]
             lam *= 0.5
             if not search.size:
                 break
@@ -818,22 +832,19 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
 def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     """Damped-Newton shooting of every lane at once, on two grids.
 
-    Lane b solves for the velocity taking X[b] to Y[b] at time 1.  If the
-    coarse grid of steps // COARSE_FACTOR RK4 steps keeps at least
-    COARSE_MIN_STEPS, every lane is first solved there to the looser of
-    COARSE_TOL and ``tol``; the solve on the caller's grid then starts
-    from the coarse velocities, where one Newton step and its confirming
-    integration usually suffice.  A coarse solve that raises only
-    discards the coarse start: a batch that raises is solved again lane
-    by lane, and a lane that raises alone starts from the caller's guess,
-    bit-identical to a one-grid solve.  The fine solve alone decides
-    convergence, the curves, the endpoint errors, the iterations and
-    every error raised; each grid counts its own Newton iterations and
-    SHOOT_INTEGRATION_BUDGET integrations per lane.
-
-    Returns what :func:`_newton` returns on the caller's grid.  Unless
-    ``tol`` is positive and finite and ``max_iter`` at least 1,
-    :class:`~mtwcheck.errors.SolverSettingsError` is raised first.
+    Lane b solves for the velocity taking X[b] to Y[b] at time 1.  When
+    steps // COARSE_FACTOR keeps at least COARSE_MIN_STEPS, every lane is
+    first solved on that coarse grid to the looser of COARSE_TOL and
+    ``tol``, and the solve on ``steps`` starts from the coarse velocities
+    (usually one Newton step and its confirming integration).  A lane
+    whose coarse solve fails keeps the caller's guess, bit-identical to a
+    one-grid solve (the coarse :func:`_newton` drops it instead of
+    raising); an error that escapes the coarse solve drops every lane's
+    coarse start.  The fine solve alone decides convergence, the results
+    and every error; each grid counts its own Newton iterations and
+    SHOOT_INTEGRATION_BUDGET integrations per lane.  Returns what
+    :func:`_newton` returns on ``steps``; unless ``tol`` is positive and
+    finite and ``max_iter`` at least 1, SolverSettingsError is raised first.
     """
     if not 0.0 < tol < np.inf or not max_iter >= 1:
         raise SolverSettingsError(
@@ -844,16 +855,14 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
     coarse = steps // COARSE_FACTOR
     if coarse >= COARSE_MIN_STEPS:
-        failed = (ShootingError, MetricDegenerateError, CurveOverflowError,
-                  ConjugatePointError)
-        groups = [np.arange(len(X))]  # the batch, and if it fails each lane
-        for lanes in groups:
-            try:
-                V[lanes] = _newton(metric, potential, X[lanes], Y[lanes], coarse,
-                                   max(tol, COARSE_TOL), max_iter, V[lanes])[0]
-            except failed:
-                if len(lanes) > 1:
-                    groups.extend(lanes[:, None])
+        lost = np.zeros(len(X), dtype=bool)
+        try:
+            Vc = _newton(metric, potential, X, Y, coarse, max(tol, COARSE_TOL),
+                         max_iter, V, lost)[0]
+            V[~lost] = Vc[~lost]
+        except (ShootingError, MetricDegenerateError, CurveOverflowError,
+                ConjugatePointError):
+            pass
     return _newton(metric, potential, X, Y, steps, tol, max_iter, V)
 
 

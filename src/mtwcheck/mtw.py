@@ -61,11 +61,15 @@ from .geometry import (
 from . import dynamics as dyn
 
 DEFAULT_FD_STEP = 1e-2
-# The direct-cost route divides cost noise (~1e-10 from shooting and
-# quadrature) by h^4; h = 1e-2 would amplify it to O(10), so the oracle
-# runs at a coarser step where truncation and noise balance.
+# The direct-cost route divides cost noise (from shooting and quadrature)
+# by h^4; h = 1e-2 would amplify it to O(10), so the oracle runs at a
+# coarser step where truncation and noise balance.  A shot cost carries
+# its endpoint error to first order, so the stencil's shots converge to
+# DIRECT_COST_SHOOT_TOL, below the shooting default of 1e-10, at which the
+# route depends on the Newton path by up to 3e-5 relative.
 DIRECT_COST_STEP = 1e-1
 DIRECT_COST_STEPS = 100
+DIRECT_COST_SHOOT_TOL = 1e-12
 
 HESS_TOL = 1e-10
 CURVATURE_LOCUS_TOL = 1e-8
@@ -196,7 +200,7 @@ def mtw_direct_cost(
     # C[a, b] = cost(sigma[a], targets[b]): all 25 shot as one batch
     C = np.array([r.value for r in dyn._costs(
         metric, potential, np.repeat(sigma, 5, axis=0), np.tile(targets, (5, 1)),
-        steps=steps)]).reshape(5, 5)
+        steps=steps, tol=DIRECT_COST_SHOOT_TOL)]).reshape(5, 5)
 
     # s-direction first (per t-offset), then t-direction of the results
     d4, defect = _richardson_second(_richardson_second(C, h_s)[0], h_t)

@@ -270,14 +270,38 @@ def test_failed_coarse_solve_falls_back_to_the_callers_guess(error, sphere,
     _same_cost(call(), one_grid)
 
 
-def test_falling_back_lane_keeps_every_batch_lane_as_alone(sphere, monkeypatch):
+def _stall_coarse_solves(monkeypatch, start, end):
+    """Make every coarse curve from ``start`` end at ``end`` whatever its
+    velocity, so that its coarse solve cannot converge."""
     from mtwcheck import dynamics as dyn
+
+    integrate = dyn._integrate
+
+    def stalled(metric, potential, x0, v0, steps, **kwargs):
+        out = integrate(metric, potential, x0, v0, steps, **kwargs)
+        if steps == dyn.DEFAULT_STEPS // dyn.COARSE_FACTOR:
+            out[0][np.all(x0 == start, axis=1), 0: len(end)] = end
+        return out
+
+    monkeypatch.setattr(dyn, "_integrate", stalled)
+
+
+@pytest.mark.parametrize("failure", ["leaves", "stagnates"])
+def test_falling_back_lane_keeps_every_batch_lane_as_alone(failure, sphere,
+                                                          monkeypatch):
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
 
     X = np.array([[1.0, 0.2], [1.0, 0.2], [1.3, -0.4], [0.9, 0.5]])
     Y = np.array([[1.4, 0.9], [1.0, 0.2], [1.9, 0.3], [0.2, 1.6]])
     one_grid = _one_grid(monkeypatch, lambda: cost(sphere, None, X[2], Y[2]))
-    # the coarse solve of every batch holding lane 2's start raises
-    _fail_coarse_solves(monkeypatch, ShootingError, starts=[X[2]])
+    if failure == "leaves":
+        # every coarse curve from lane 2's start "leaves the region": its
+        # initial curve fails the lane alone
+        _fail_coarse_solves(monkeypatch, MetricDegenerateError, starts=[X[2]])
+    else:
+        # lane 2's coarse line search fails every trial: it stagnates
+        _stall_coarse_solves(monkeypatch, X[2], Y[2] + 1e-3)
     batch = dyn._costs(sphere, None, X, Y)
     for b, res in enumerate(batch):
         _same_cost(res, cost(sphere, None, X[b], Y[b]))
@@ -742,6 +766,28 @@ def test_shooting_trial_leaving_the_region_fails_only_its_lane(half_plane_metric
         assert got.value == alone.value
         assert np.array_equal(got.initial_velocity, alone.initial_velocity)
         assert got.iterations == alone.iterations
+
+
+def test_initial_shooting_curve_leaving_the_region_between_grid_points_raises(
+        half_plane_metric):
+    # the default guess y'(0) = -0.925 > c of the two tests above: with
+    # (1 + y) y'^2 conserved, the exact curve reaches y = -1 at
+    # t = (2/3) / 0.925 = 0.72.  At 50 steps its grid points stay above
+    # y = -0.986 (the curve ends at y = 6.34), but its RK4 stage points
+    # reach y = -1.32, so the initial curve leaves the region and raises,
+    # alone and as a lane of a batch
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    with pytest.raises(MetricDegenerateError, match="not positive definite") as alone:
+        cost(half_plane_metric, None, [0.0, 0.0], [0.0, -0.925], steps=50)
+    x, y = _named_point(alone.value)
+    assert x == 0.0 and 1.0 + y <= 0.0
+    X = np.zeros((3, 2))
+    Y = np.array([[0.3, 0.2], [0.0, -0.925], [-0.2, 0.3]])
+    with pytest.raises(MetricDegenerateError) as batch:
+        dyn._costs(half_plane_metric, None, X, Y, steps=50)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_initial_shooting_curve_leaving_the_region_raises(half_plane_metric):

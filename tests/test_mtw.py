@@ -84,6 +84,20 @@ def test_direct_cost_matches_simplified_quartic(flat2):
     assert direct.value == pytest.approx(closed, rel=1e-3)
 
 
+def test_direct_cost_does_not_depend_on_the_newton_path(flat2, monkeypatch):
+    # the stencil divides its shot costs by h_s^2 h_t^2 (6.25e-6 here):
+    # shot to the default tol 1e-10, the value moved by 1.7e-5 relative
+    # between a one-grid and a nested solve
+    def direct():
+        return mtw.mtw_direct_cost(flat2, quartic_potential([[0.6, 0.1], [0.1, 0.9]]),
+                                   ZERO2, [1.0, 0.3], ZERO2, [0.2, 1.0],
+                                   h_s=0.05, h_t=0.05).value
+
+    nested = direct()
+    monkeypatch.setattr(dyn, "COARSE_MIN_STEPS", 10**9)
+    assert nested == pytest.approx(direct(), rel=1e-10)
+
+
 def test_direct_cost_matches_jacobi_sphere(sphere):
     direct = mtw.mtw_direct_cost(sphere, None, [EQUATOR, 0.5], E1, ZERO2, E2)
     jac = mtw.mtw_jacobi(sphere, None, [EQUATOR, 0.5], E1, ZERO2, E2)
