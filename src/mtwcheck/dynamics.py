@@ -8,45 +8,41 @@ and solves the two-point linearized-variation (Jacobi) problem by
 fundamental-matrix superposition.  Everything is deterministic: fixed
 step counts, no adaptive control.
 
-The integrator advances a batch of curves ("lanes") at once: lane b
-starts at x0[b] with velocity v0[b], and the state of the coupled
-system is one (B, size) array, a row per lane.  The metric must be
-positive definite at every point a lane reaches, grid and RK4 stage
-points alike, or :class:`~mtwcheck.errors.MetricDegenerateError`, the
-error of the geometry pipeline, is raised: the start points are tested
-before the first step, the stage points after each block of steps with
-the g their stage already evaluated, and the last point after the last
-step, in step and stage order, so that the error names the first point
-that fails; a stage whose metric cannot be inverted raises once the
-points reached so far have been tested; a curve stops at its first
-non-finite state (NumPy's overflow warnings kept out), which raises
-:class:`~mtwcheck.errors.CurveOverflowError` unless a point fails
-first.  The curve [x, v] is stepped alone, as nothing in it reads the
-transport or the variation: each RK4 stage makes one call to a fused
-field evaluator without curvature, built afresh per integration on the
-cached :class:`~mtwcheck.expr.TaylorPlan` of the geometry jets
-(:func:`~mtwcheck.geometry._plan_of`), in which the velocity enters the
-Christoffel symbols of the first kind before the inverse metric lifts
-them (:func:`~mtwcheck.geometry._along_velocity`); the state, stage
-arguments and slopes are made once and written in place.  The transport
-Psi and the variation Phi solve linear equations Y' = A(t) Y, on which
-RK4 is one matrix per step (:func:`_step_maps`): per block of at most
-STEP_MAP_BLOCK_POINTS recorded stage points, the curve's g^-1 and
-Gamma v are reused, R(., v) v + Hess V is one evaluator call, the maps
-of -Gamma v and [[-Gamma v, I], [-R(., v) v - Hess V, -Gamma v]] are
-batched matmuls, and they apply in step order, one stacked matmul per
-step.  Every operation is elementwise or a matmul stacked over lanes,
-so a lane's result is bit-identical to the curve integrated alone,
-wherever its blocks start.  The stencils of the
-cross-curvature routes run as one batch each, the damped-Newton shoot
-steps every lane with its own line search, first on a grid
+The integrator advances a batch of curves ("lanes") at once; lane b
+starts at x0[b] with velocity v0[b].  The curve [x; v] is stepped
+alone, a row per coordinate, as nothing in it reads the transport or
+the variation.  Each RK4 stage is one call of a straight-line function
+generated per metric and potential: the DAG lines of the cached
+:class:`~mtwcheck.expr.TaylorPlan` of the metric entries and the
+potential, then g^-1 by cofactors and Gamma(v, v) + grad V as
+fixed-order sums over the nonzero partials.  It writes the stage's
+slope and g, and it is compiled once per plan and kept on the plan's
+entry in the plan cache (:func:`~mtwcheck.geometry._curve_stage`).
+The metric must be positive definite at every point a lane reaches,
+grid and RK4 stage points alike, or
+:class:`~mtwcheck.errors.MetricDegenerateError` is raised: the start
+points are tested first, each block of at most STEP_MAP_BLOCK_POINTS
+stage points, recorded with their g, after its steps, and the last
+point after the last step, so that the error names the first point
+that fails in step, stage and lane order.  A stage whose g is singular
+or not finite leaves its lane non-finite, without a NumPy warning; a
+curve stops at its first non-finite state, which raises
+:class:`~mtwcheck.errors.CurveOverflowError` unless a point fails first.
+The transport Psi and the variation Phi solve linear equations
+Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
+per block, g^-1, Gamma v and R(., v) v + Hess V at the recorded stage
+points are one call of the field evaluator (:class:`_FieldEval`), the
+maps are batched matmuls, and they apply in step order.  Every
+operation is elementwise or a matmul stacked over lanes, so a lane's
+result is bit-identical to the curve integrated alone.  The stencils
+of the cross-curvature routes run as one batch each, the damped-Newton
+shoot steps every lane with its own line search, first on a grid
 COARSE_FACTOR times coarser and then on the caller's (:func:`_shoot`),
-and the single-curve
-functions (:func:`c_exp`, :func:`cost`, ...) are one-lane calls into
-the same engine.  Quantities along a stored curve (energy, transported
-norms, the variation residual, the action) are one evaluator call over
-all grid points.  Every two-point variation field, of one curve or a
-batch, comes from one endpoint solve (:func:`_endpoint_solve`), and the
+and the single-curve functions (:func:`c_exp`, :func:`cost`, ...) are
+one-lane calls into the same engine.  Quantities along a stored curve
+(energy, transported norms, the variation residual, the action) are
+one evaluator call over all grid points.  Every two-point variation
+field comes from one endpoint solve (:func:`_endpoint_solve`), and the
 action integral here and the closed-form zeroth-order quadrature of
 :mod:`mtwcheck.mtw` share one rule (:func:`simpson`).
 
@@ -82,7 +78,10 @@ from .geometry import (
     MetricField,
     PotentialField,
     _along_velocity,
+    _curve_stage,
+    _fields_of,
     _first_kind_rows,
+    _partial_rows,
     _plan_of,
     as_point,
     as_vectors,
@@ -141,128 +140,69 @@ class _Fields(NamedTuple):
 
 class _FieldEval:
     """Metric, connection, curvature and potential data along a batch of
-    velocities at a batch of points.
+    velocities at a batch of points: the evaluator of every bulk use (the
+    linear pass, energy, the action) and the tests' oracle of the curve's
+    stage kernel, which is generated from the same plan
+    (:func:`~mtwcheck.geometry._stage_kernel`).
 
     One :class:`~mtwcheck.expr.TaylorPlan` of the metric entries and the
     potential returns every partial the equations need, each distinct
     partial once.  The connection and the curvature are returned
     contracted with the velocity, which enters before the inverse metric
     lifts them (see :func:`~mtwcheck.geometry._along_velocity`), so no
-    stage forms the full Christoffel or curvature arrays.  All-constant
-    metrics (flat charts) short-circuit to static data.
-
-    What depends only on the lane count is made on the first call at
-    that count and kept until a call at another: the static metric's
-    broadcast g and g^-1 and its zero connection (read-only), and the
-    lane-major buffer of the plan's values, whose constant columns are
-    filled once.  The arrays a call returns are never written again.
+    call forms the full Christoffel or curvature arrays.
     """
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
                  need_curvature: bool):
         self.need_curvature = need_curvature
         n = metric.dim
-        ents = metric.entries
-        R = range(n)
-        self.static = all(ents[i][j].tree[0] == "c" for i in R for j in R)
-        self.has_potential = potential is not None and not potential.is_zero
-        fields = [ents[i][j] for i in R for j in R]
-        if self.has_potential:
-            fields.append(potential.field)
+        fields = _fields_of(metric, potential)
+        self.has_potential = len(fields) > n * n
         space = JetSpace.get(n, 2 if need_curvature else 1)
-        self._plan = _plan_of(fields, space)
-        # per field, the plan's rows of its value, of d_m for each m and,
-        # with curvature, of d_p d_m for each (p, m)
-        e = np.eye(n, dtype=int)
-        monos = [0 * e[0], *e] + [p + m for p in e for m in e if need_curvature]
-        part = self._plan.rows[:, [space.index[tuple(m)] for m in monos]]
+        self._plan = plan = _plan_of(fields, space)
+        part = _partial_rows(plan, n, need_curvature)
 
-        # Everything a stage reads from the field values is linear in them:
-        # the entries of g, the first-kind symbols of dg and, with
-        # curvature, of d2g (the formula applied to one-hot rows), and V,
-        # dV, d2V.  Row r of the map holds the coefficients of the plan's
-        # value r, so one matmul per lane gathers and combines them all.
+        # Everything read from the field values is linear in them: the
+        # entries of g, the first-kind symbols of dg and, with curvature,
+        # of d2g (the formula applied to one-hot rows), and V, dV, d2V.
+        # Row r of the map holds the coefficients of the plan's value r, so
+        # one matmul per point gathers and combines them all.
         def rows(ix):
-            return np.moveaxis(np.eye(self._plan.distinct)[ix], -1, 0)
+            return np.moveaxis(np.eye(plan.distinct)[ix], -1, 0)
 
-        blocks = []
-        if self.static:
-            self._g = np.array([[ents[i][j].tree[1] for j in R] for i in R])
-            self._ginv = np.linalg.inv(self._g)
-        else:
-            # [0, m, i, j] = d_m g_ij and, with curvature, [1 + p, m, i, j]
-            # = d_p d_m g_ij: the layout _along_velocity expects
-            d_ix = part[: n * n, 1:].T.reshape(-1, n, n, n)
-            blocks += [rows(part[: n * n, 0].reshape(n, n)),
-                       _first_kind_rows(rows(d_ix))]
-        self._pot = sum(b[0].size for b in blocks)
+        # [0, m, i, j] = d_m g_ij and, with curvature, [1 + p, m, i, j]
+        # = d_p d_m g_ij: the layout _along_velocity expects
+        d_ix = part[: n * n, 1:].T.reshape(-1, n, n, n)
+        blocks = [rows(part[: n * n, 0].reshape(n, n)), _first_kind_rows(rows(d_ix))]
         if self.has_potential:
             blocks.append(rows(part[n * n]))  # [V, dV, d2V]
-        self._map = np.concatenate(
-            [b.reshape(self._plan.distinct, -1) for b in blocks], axis=1
-        ) if blocks else None
-        self._lanes = None  # the lane count of the data below
+        self._pot = n * n + blocks[1][0].size
+        self._map = np.concatenate([b.reshape(plan.distinct, -1) for b in blocks], axis=1)
 
-    def _for_lanes(self, B: int, n: int) -> None:
-        """Make the data that depends only on the lane count B."""
-        self._lanes = B
-        if self._map is not None:
-            plan = self._plan
-            # contiguous rows whatever the lane count, so that every lane
-            # meets the same kernels (exp, sin, cos and the gemv below)
-            self._coords = np.empty((n, B))
-            self._vals = np.empty((B, plan.distinct))
-            self._vals[:, plan._live:] = plan._consts
-        if self.static:
-            def zeros(*shape):
-                a = np.zeros(shape)
-                a.flags.writeable = False
-                return a
-
-            self._static = (
-                np.broadcast_to(self._g, (B, n, n)),
-                np.broadcast_to(self._ginv, (B, n, n)),
-                zeros(B, n, n), zeros(B, n),
-                zeros(B, n, n) if self.need_curvature else None,
-            )
-
-    def __call__(self, X: np.ndarray, V: np.ndarray,
-                 ginv: np.ndarray | None = None) -> _Fields:
-        """Field data at the points X[b] along the velocities V[b], both (B, n);
-        ``ginv``, the inverse metric at X when the caller has it, is used
-        in place of inverting the metric again."""
+    def __call__(self, X: np.ndarray, V: np.ndarray) -> _Fields:
+        """Field data at the points X[b] along the velocities V[b], both (B, n)."""
         B, n = X.shape
-        if B != self._lanes:
-            self._for_lanes(B, n)
-        if self._map is not None:
-            vals = self._vals
-            if self._plan._fn is not None:
-                np.copyto(self._coords, X.T)
-                vals[:, : self._plan._live] = self._plan._fn(self._coords).T
-            out = (vals[:, None, :] @ self._map)[:, 0]
-        if self.static:
-            g, ginv, gam_v, gam_vv, op = self._static
-        else:
-            g = out[:, 0: n * n].reshape(B, n, n)
-            if ginv is None:
-                try:
-                    ginv = np.linalg.inv(g)
-                except np.linalg.LinAlgError:
-                    require_positive_definite(g, X)
-                    raise
-            C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
-            gam_v, gam_vv, op = _along_velocity(ginv, C, V, self.need_curvature)
-
+        # a contiguous row per point whatever the batch size, so that every
+        # point meets the same kernels (the plan's, and the gemv below)
+        vals = np.ascontiguousarray(self._plan.values(X).T)
+        out = (vals[:, None, :] @ self._map)[:, 0]
+        g = out[:, 0: n * n].reshape(B, n, n)
+        try:
+            ginv = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            require_positive_definite(g, X)
+            raise
+        C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
+        gam_v, gam_vv, op = _along_velocity(ginv, C, V, self.need_curvature)
         if not self.has_potential:
             return _Fields(g, ginv, gam_v, gam_vv, op, None, 0.0)
         pot = out[:, self._pot:]  # [V, dV, d2V]
         grad = (ginv @ pot[:, 1: n + 1, None])[..., 0]
         if op is not None:
             # Hess V_ij = d_i d_j V - Gamma^m_ij d_m V = d_i d_j V - C_ij,m grad^m
-            hess = pot[:, n + 1:].reshape(B, n, n)
-            if not self.static:
-                hess = hess - (grad[:, None, :] @ C[:, 0].reshape(B, n, n * n)
-                               ).reshape(B, n, n)
+            hess = pot[:, n + 1:].reshape(B, n, n) - (
+                grad[:, None, :] @ C[:, 0].reshape(B, n, n * n)).reshape(B, n, n)
             op = op + ginv @ hess
         return _Fields(g, ginv, gam_v, gam_vv, op, grad, pot[:, 0])
 
@@ -403,9 +343,9 @@ def _integrate(
         ncols = n
     elif variation is not None:
         raise ValueError(f"unknown variation mode {variation!r}")
-    ev = _FieldEval(metric, potential, need_curvature=False)
-    if ncols:
-        lin = _FieldEval(metric, potential, need_curvature=True)
+    kern, g_fill = _curve_stage(metric, potential)
+    if transport or ncols:
+        lin = _FieldEval(metric, potential, need_curvature=ncols > 0)
     voff = 2 * n + (n * n if transport else 0)
     size = voff + 2 * n * ncols
     linear = []  # the blocks [columns in a lane's state, value] of Psi, Phi
@@ -417,55 +357,42 @@ def _integrate(
 
     h = 1.0 / steps
     block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes))
-    if linear:
-        stages = np.empty((block, 4, lanes, 2 * n))  # [x, v] at each stage
-    ginvs, gams = [], []  # with ``linear``, the curve's g^-1 and Gv per stage
-    gs, xs = [], []  # unless g is constant, g and x per stage, not yet tested
-    y = np.empty((lanes, 2 * n))
-    y[:, 0:n] = x0
-    y[:, n:] = v0
-    arg = np.empty((4, lanes, 2 * n))  # the stage arguments of one step
-    a0, a1, a2, a3 = arg
-    k1, k2, k3, k4 = (np.empty((lanes, 2 * n)) for _ in range(4))
-    # per stage, the views [x, v] of its argument and [dx, dv] of its slope
-    views = [(a[:, 0:n], a[:, n:], k[:, 0:n], k[:, n:])
-             for a, k in zip(arg, (k1, k2, k3, k4))]
+    # per step of a block, its four stage arguments [x; v], a row per
+    # coordinate, and unless g is constant the stage kernel's g at each
+    stages = np.empty((block, 4, 2 * n, lanes))
+    gs = None
+    if g_fill is not None:
+        gs = np.empty((block, 4, lanes, n, n))
+        gs[...] = g_fill
+    y = np.empty((2 * n, lanes))  # the curve's state [x; v]
+    y[0:n] = x0.T
+    y[n:] = v0.T
+    k1, k2, k3, k4 = (np.empty((2 * n, lanes)) for _ in range(4))
+    no_g = (None,) * 4
 
     def state(out: np.ndarray) -> np.ndarray:
         """[x, v, Psi, Phi] of every lane, written into out (B, size)."""
-        out[:, 0: 2 * n] = y
+        out[:, 0: 2 * n] = y.T
         for cols, Y in linear:
             out[:, cols] = Y.reshape(lanes, -1)
         return out
 
-    def slope(i: int) -> None:
-        """The curve's slope at stage i, into k_i."""
-        x, v, dx, dv = views[i]
-        f = ev(x, v)
-        if not ev.static:  # a constant g passed the start test everywhere
-            gs.append(f.g)
-            xs.append(x.copy())
-        if linear:
-            ginvs.append(f.ginv)
-            gams.append(f.gam_v)
-        np.copyto(dx, v)
-        np.negative(f.gam_vv, out=dv)
-        if f.grad is not None:
-            np.subtract(dv, f.grad, out=dv)
-
-    def step() -> None:
-        """One RK4 step of the curve, its stage arguments left in ``arg``."""
+    def step(j: int) -> None:
+        """One RK4 step of the curve, its stage arguments and g recorded
+        in step j of the block."""
+        a0, a1, a2, a3 = stages[j]
+        g0, g1, g2, g3 = no_g if gs is None else gs[j]
         np.copyto(a0, y)
-        slope(0)
+        kern(a0, k1, g0)
         np.multiply(k1, 0.5 * h, out=a1)
         np.add(y, a1, out=a1)
-        slope(1)
+        kern(a1, k2, g1)
         np.multiply(k2, 0.5 * h, out=a2)
         np.add(y, a2, out=a2)
-        slope(2)
+        kern(a2, k3, g2)
         np.multiply(k3, h, out=a3)
         np.add(y, a3, out=a3)
-        slope(3)
+        kern(a3, k4, g3)
         # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
         np.multiply(k2, 2.0, out=k2)
         np.add(k1, k2, out=k1)
@@ -475,23 +402,26 @@ def _integrate(
         np.multiply(k1, h / 6.0, out=k1)
         np.add(y, k1, out=y)
 
+    def points(count: int) -> np.ndarray:
+        """The stage points [x, v] of the block's first ``count`` steps,
+        (count * 4 * lanes, 2n) in step, stage and lane order."""
+        return stages[:count].swapaxes(-1, -2).reshape(-1, 2 * n)
+
     def advance(k0: int, count: int) -> None:
         """Psi and Phi over the steps k0 .. k0 + count - 1, by the step
-        maps of the recorded stage points, with the curve's g^-1 and Gv."""
+        maps of the recorded stage points, evaluated in one call."""
         shape = (count, 4, lanes, n, n)
-        gam_v = np.concatenate(gams).reshape(shape)
+        pts = points(count)
+        f = lin(pts[:, 0:n], pts[:, n:])
+        gam_v = f.gam_v.reshape(shape)
         gens = [np.negative(gam_v)] if transport else []
         if ncols:
-            pts = stages[:count].reshape(-1, 2 * n)
-            op = lin(pts[:, 0:n], pts[:, n:], np.concatenate(ginvs)).op
             gen = np.zeros(shape[:3] + (2 * n, 2 * n))
             gen[..., 0:n, n:] = np.eye(n)
             np.negative(gam_v, out=gen[..., 0:n, 0:n])
             gen[..., n:, n:] = gen[..., 0:n, 0:n]
-            np.negative(op.reshape(shape), out=gen[..., n:, 0:n])
+            np.negative(f.op.reshape(shape), out=gen[..., n:, 0:n])
             gens.append(gen)
-        ginvs.clear()
-        gams.clear()
         for part, gen in zip(linear, gens):
             cols, Y = part
             for k, S in enumerate(_step_maps(gen, h), start=k0 + 1):
@@ -500,15 +430,13 @@ def _integrate(
                     traj[k, :, cols] = Y.reshape(lanes, -1)
             part[1] = Y
 
-    def test_region() -> None:
-        """Raise naming the first stage point, in step, stage and lane
-        order, whose g is not positive definite, of those evaluated since
-        the last test."""
-        if gs:
-            g, x = np.concatenate(gs), np.concatenate(xs)
-            gs.clear()
-            xs.clear()
-            require_positive_definite(g, x)
+    def test_region(count: int) -> None:
+        """Raise naming the first stage point of the block's first
+        ``count`` steps, in step, stage and lane order, whose g is not
+        positive definite; a constant g passed the start test everywhere."""
+        if gs is not None and count:
+            require_positive_definite(gs[:count].reshape(-1, n, n),
+                                      points(count)[:, 0:n])
 
     traj = np.empty((steps + 1, lanes, size)) if store else None
     if store:
@@ -517,34 +445,27 @@ def _integrate(
     flat, zeros = y.reshape(-1), np.zeros(y.size)
     done = 0  # curve steps taken
     finite = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            while finite and done < steps:
-                k0 = done
-                for k in range(k0, min(k0 + block, steps)):
-                    step()
-                    if linear:
-                        stages[k - k0] = arg
-                    done += 1
-                    if store:
-                        traj[done, :, 0: 2 * n] = y
-                    finite = math.isfinite(flat @ zeros)
-                    if not finite:
-                        break
-                else:
-                    test_region()
-                    if linear:
-                        advance(k0, done - k0)
-        except (np.linalg.LinAlgError, MetricDegenerateError):
-            test_region()  # the stages before the failing one
-            raise
-        test_region()
-        metric.matrix(y[:, 0:n])  # the last point reached, evaluated by no stage
+    # a stage whose g is singular or not finite leaves its lane non-finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while finite and done < steps:
+            k0 = done
+            for k in range(k0, min(k0 + block, steps)):
+                step(k - k0)
+                done += 1
+                if store:
+                    traj[done, :, 0: 2 * n] = y.T
+                finite = math.isfinite(flat @ zeros)
+                if not finite:
+                    break
+            test_region(done - k0)
+            if finite and linear:
+                advance(k0, done - k0)
+        metric.matrix(y[0:n].T)  # the last point reached, evaluated by no stage
     if not finite:
-        lane = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
+        lane = int(np.flatnonzero(~np.isfinite(y).all(axis=0))[0])
         raise CurveOverflowError(
             f"curve state is not finite after step {done} of {steps} "
-            f"(lane {lane}: {y[lane].tolist()})")
+            f"(lane {lane}: {y[:, lane].tolist()})")
     return state(np.empty((lanes, size))), traj if store else None, voff
 
 

@@ -33,11 +33,14 @@ drops when it ends (:class:`_Dag`, hash-consing): its nodes are interned
 by kind and by their children's identities, so equal subtrees are one
 object, and :func:`_diff` derives each (node, variable) pair once.  A
 :class:`TaylorPlan` derives all partials of all its fields on one DAG
-and evaluates them through one generated NumPy function
-(:func:`_batch_function`), which names its temporaries by node identity,
-so both cost one step per distinct node.  :func:`eval_partial` derives
-one partial on a DAG of its own and evaluates it with the scalar
-evaluator (:func:`_codegen`); it stores nothing on the field.  No table
+and evaluates them through one generated NumPy function, which names
+its temporaries by node identity (:func:`_emit`), so both cost one step
+per distinct node; the plan keeps those lines, and a function derived
+from it (:meth:`TaylorPlan.function`) starts with the ones it reads,
+its own lines written by :class:`_Code`, which folds constants.
+:func:`eval_partial` derives one partial on a DAG of its own and
+evaluates it with the scalar evaluator (:func:`_codegen`); it stores
+nothing on the field.  No table
 outlives its build: the one cache that does, of plans keyed by their
 fields' texts (``ScalarField._source``), is kept by
 :mod:`mtwcheck.geometry`.
@@ -46,6 +49,7 @@ fields' texts (``ScalarField._source``), is kept by
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Sequence
@@ -266,18 +270,14 @@ _BATCH_GLOBALS = {"_exp": np.exp, "_sin": np.sin, "_cos": np.cos,
                   "inf": math.inf, "nan": math.nan}
 
 
-def _batch_function(roots: Sequence[Node]) -> Callable:
-    """One generated function evaluating interned roots of one
-    :class:`_Dag` at a batch of points.
+def _emit(roots: Sequence[Node]) -> tuple[list[str], list[str]]:
+    """The straight-line source evaluating interned roots of one
+    :class:`_Dag` at the coordinate rows ``c``: its lines, and each
+    root's expression (a temporary's name, or a literal for a constant).
 
-    The function maps coordinates ``c`` of shape (dim, B) to an array of
-    shape (len(roots), B).  A temporary is named by its node's identity,
-    so each distinct subtree across all roots is computed once, as a
-    NumPy array over the batch, and the source is built in one pass over
-    the DAG.  It performs the scalar path's operations in the same
-    order, so values are bit-identical except where NumPy's ``exp``
-    rounds differently from ``math.exp`` (by at most one ulp), a
-    difference the operations above it carry along.
+    A temporary is named by its node's identity, so each distinct subtree
+    across all roots, a coordinate row included, is bound once, and the
+    source is built in one pass over the DAG.
     """
     names: dict = {}
     lines: list[str] = []
@@ -286,12 +286,12 @@ def _batch_function(roots: Sequence[Node]) -> Callable:
         kind = node[0]
         if kind == "c":
             return f"({node[1]!r})"
-        if kind == "x":
-            return f"c[{node[1]}]"
         name = names.get(id(node))
         if name is not None:
             return name
-        if kind in ("+", "-", "*"):
+        if kind == "x":
+            src = f"c[{node[1]}]"
+        elif kind in ("+", "-", "*"):
             src = f"{emit(node[1])}{kind}{emit(node[2])}"
         elif kind == "neg":
             src = f"-{emit(node[1])}"
@@ -305,16 +305,111 @@ def _batch_function(roots: Sequence[Node]) -> Callable:
 
     out = [emit(r) for r in roots]
     del emit  # the recursive closure is a reference cycle
-    src = "\n".join(
-        ["def _batch(c):"]
-        + lines
-        + [f"    out = _empty(({len(out)},) + c.shape[1:])"]
-        + [f"    out[{k}] = {r}" for k, r in enumerate(out)]
-        + ["    return out"]
-    )
-    scope = dict(_BATCH_GLOBALS)
+    return lines, out
+
+
+# a temporary of the generated code (see _emit)
+_TEMP = re.compile(r"\bt\d+\b")
+
+
+def _compile(src: str, name: str, scope: dict | None = None) -> Callable:
+    """The function ``name`` defined by generated ``src``, run with the
+    batch evaluator's globals and ``scope``."""
+    scope = dict(_BATCH_GLOBALS, **(scope or {}))
     exec(compile(src, "<batch-field>", "exec"), scope)
-    return scope.pop("_batch")  # a function in its own globals is a cycle
+    return scope.pop(name)  # a function in its own globals is a cycle
+
+
+def _batch_function(roots: Sequence[Node]) -> Callable:
+    """One generated function evaluating interned roots of one
+    :class:`_Dag` at a batch of points.
+
+    The function maps coordinates ``c`` of shape (dim, B) to an array of
+    shape (len(roots), B), each distinct subtree computed once as a NumPy
+    array over the batch (:func:`_emit`).  It performs the scalar path's
+    operations in the same order, so values are bit-identical except
+    where NumPy's ``exp`` rounds differently from ``math.exp`` (by at
+    most one ulp), a difference the operations above it carry along.
+    """
+    lines, out = _emit(roots)
+    return _compile("\n".join(["def _batch(c):", *lines, *_gather(out)]), "_batch")
+
+
+def _gather(exprs: Sequence[str]) -> list[str]:
+    """Generated lines returning the rows ``exprs`` as one (len, B) array."""
+    return ([f"    out = _empty(({len(exprs)},) + c.shape[1:])"]
+            + [f"    out[{k}] = {r}" for k, r in enumerate(exprs)] + ["    return out"])
+
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class _Code:
+    """Generated straight-line NumPy code, folded as it is written: a
+    value is a float known at generation or the name of an array.
+    Operations on two floats run at generation (Python's float arithmetic
+    is NumPy's IEEE double), 0 and 1 fold away, 0 / x is a structural 0,
+    and a line written twice is bound once."""
+
+    def __init__(self):
+        self.lines, self._names = [], {}
+
+    def bind(self, src: str) -> str:
+        if src not in self._names:
+            self._names[src] = name = f"s{len(self._names)}"
+            self.lines.append(f"    {name} = {src}")
+        return self._names[src]
+
+    @staticmethod
+    def text(a) -> str:
+        """A value as generated code."""
+        return f"({a!r})" if isinstance(a, float) else a
+
+    def _op(self, a, sym: str, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return _FOLD[sym](a, b)
+        return self.bind(f"{self.text(a)}{sym}{self.text(b)}")
+
+    def neg(self, a):
+        return -a if isinstance(a, float) else self.bind(f"-{a}")
+
+    def add(self, a, b):
+        return b if a == 0.0 else a if b == 0.0 else self._op(a, "+", b)
+
+    def sub(self, a, b):
+        return a if b == 0.0 else self.neg(b) if a == 0.0 else self._op(a, "-", b)
+
+    def mul(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            if x in (0.0, 1.0, -1.0):  # False for a name
+                return 0.0 if x == 0.0 else y if x == 1.0 else self.neg(y)
+        return self._op(a, "*", b)
+
+    def div(self, a, b):
+        return 0.0 if a == 0.0 else self._op(a, "/", b)
+
+    def sum(self, terms):
+        """The terms summed left to right."""
+        out = 0.0
+        for t in terms:
+            out = self.add(out, t)
+        return out
+
+    def inverse(self, G: list) -> list:
+        """The inverse of a symmetric n x n matrix of values, n <= 3, as
+        its cofactors over its determinant (expanded along row 0)."""
+        n = len(G)
+
+        def cofactor(i, j):
+            r, c = [a for a in range(n) if a != i], [b for b in range(n) if b != j]
+            m = (1.0 if n == 1 else G[r[0]][c[0]] if n == 2 else
+                 self.sub(self.mul(G[r[0]][c[0]], G[r[1]][c[1]]),
+                          self.mul(G[r[0]][c[1]], G[r[1]][c[0]])))
+            return m if (i + j) % 2 == 0 else self.neg(m)
+
+        cof = [[cofactor(min(i, j), max(i, j)) for j in range(n)] for i in range(n)]
+        det = self.sum(self.mul(G[0][j], cof[0][j]) for j in range(n))
+        return [[self.div(x, det) for x in row] for row in cof]
 
 
 @dataclass(frozen=True)
@@ -413,7 +508,7 @@ class TaylorPlan:
     monomials, and commuted derivatives end at one node.  Each distinct
     partial is evaluated once, constant partials are filled in without
     evaluation, and the remaining ones come from one generated function
-    (:func:`_batch_function`).  :meth:`values` returns each distinct
+    (:meth:`function`).  :meth:`values` returns each distinct
     partial once, and ``rows[f, k]`` is the row holding field f's
     partial at monomial k of the space.
     """
@@ -445,7 +540,29 @@ class TaylorPlan:
         # a plan is shared by every equal field and thread that asks for it
         self.rows.flags.writeable = False
         self._consts.flags.writeable = False
-        self._fn = _batch_function([first[k] for k in live]) if live else None
+        self._lines, names = _emit([first[k] for k in live])
+        # the expression of each distinct partial in generated code
+        self.exprs = tuple(names) + tuple(f"({float(c)!r})" for c in self._consts)
+        self._fn = self.function("", _gather(names)) if live else None
+        # the one kernel a user derives from this plan (the RK4 curve stage
+        # of dynamics), kept with the plan so that it is compiled once
+        self.kernel = None
+
+    def function(self, params: str, body: Sequence[str],
+                 scope: dict | None = None) -> Callable:
+        """A generated function of the coordinate rows ``c`` (dim, B) and
+        ``params`` whose first lines are the plan's DAG lines that ``body``
+        reads, in their order, then ``body``, in which distinct partial r
+        reads as ``exprs[r]``; ``scope`` adds to its globals."""
+        used = set(_TEMP.findall("\n".join(body)))
+        lines = []
+        for line in reversed(self._lines):  # a line reads only earlier ones
+            name, src = line.split(" = ", 1)
+            if name.strip() in used:
+                used.update(_TEMP.findall(src))
+                lines.append(line)
+        head = f"def _plan(c{', ' if params else ''}{params}):"
+        return _compile("\n".join([head, *lines[::-1], *body]), "_plan", scope)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """The distinct partials, not divided by factorials, at the points

@@ -22,7 +22,9 @@ so :func:`_along_velocity` writes the same formulas with v contracted
 in before the inverse metric lifts them (Gamma v, Gamma(v, v) and
 R(., v) v, in the same sign convention; the tests pin it against
 :func:`_curvature_from`), on point values of the metric partials from
-exact expression-tree differentiation at a batch of lanes;
+exact expression-tree differentiation at a batch of lanes, and the RK4
+stage runs Gamma(v, v) + grad V as straight-line code generated per
+metric and potential (:func:`_stage_kernel`, checked against it);
 :class:`GeometryBatch` evaluates them on truncated Taylor jets at a
 batch of points with :func:`~mtwcheck.jets.jcontract`, which
 differentiates the whole pipeline exactly, so covariant derivatives of
@@ -30,8 +32,9 @@ curvature and of the potential need no further formulas.  The jets of
 the metric and the potential at all points come from one generated
 function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
 by its fields' expression texts and the jet space alone, in the
-package's one cache (:func:`_plan_of`, 32 plans), which the RK4
-evaluators of ``dynamics`` read too: repeated checks of identical
+package's one cache (:func:`_plan_of`, 32 plans), which the field
+evaluators of ``dynamics`` read too, and on whose entries the RK4 curve
+stage kernels of ``dynamics`` are kept: repeated checks of identical
 metric text in a process compile one plan, however often the metric is
 parsed again.  A metric that differs in any constant (each
 value of a family parameter) builds its own plan, and a one-shot
@@ -374,6 +377,124 @@ def _along_velocity(ginv: np.ndarray, C: np.ndarray, v: np.ndarray,
            - (gvv.swapaxes(-1, -2) @ C[:, 0].reshape(lanes, n, n * n)
               ).reshape(lanes, n, n))
     return gv, gvv[..., 0], ginv @ low
+
+
+# The curve's RK4 stage as generated code: the formulas above along the
+# velocity, unrolled for one metric and potential (see dynamics).
+
+
+def _fields_of(metric: MetricField, potential: PotentialField | None) -> list:
+    """The fields of the equations of motion: the metric entries row by
+    row, then V unless it is zero."""
+    R = range(metric.dim)
+    fields = [metric.entries[i][j] for i in R for j in R]
+    if potential is not None and not potential.is_zero:
+        fields.append(potential.field)
+    return fields
+
+
+def _partial_rows(plan: TaylorPlan, n: int, curvature: bool) -> np.ndarray:
+    """The plan's rows, per field, of its value, of d_m for each m and,
+    with ``curvature``, of d_p d_m for each (p, m)."""
+    e = np.eye(n, dtype=int)
+    monos = [0 * e[0], *e] + [p + m for p in e for m in e if curvature]
+    return plan.rows[:, [plan.space.index[tuple(m)] for m in monos]]
+
+
+def _inv_or_nan(g: np.ndarray) -> np.ndarray:
+    """g^-1 of a stack of matrices, NaN throughout if one is singular: the
+    lanes stop there, and the region test names the point."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        return np.full(g.shape, np.nan)
+
+
+def _stage_kernel(plan: TaylorPlan, n: int,
+                  has_potential: bool) -> tuple[Callable, np.ndarray | None]:
+    """One straight-line function for the curve's slope at a stage, and
+    the constant entries of g, (n, n) with 0 elsewhere (None if all are).
+
+    ``fn(a, k, g)`` reads the stage argument a (2n, lanes), a row per
+    coordinate [x; v], and writes the slope [v; -Gamma(v, v) - grad V]
+    into k (2n, lanes) and the entries of g that are not constant into g
+    (lanes, n, n).  Its first lines are the plan's DAG lines it reads
+    (:meth:`~mtwcheck.expr.TaylorPlan.function`), so each partial is the
+    plan's value; a constant partial is a literal, and a zero one drops
+    out.  With the partials lowered by g,
+
+        f_m = sum_ij d_m g_ij v^i v^j / 2 - sum_j (D_v g_jm) v^j - d_m V,
+
+    D_v g_jm = sum_i v^i d_i g_jm, the slope is dv = g^-1 f: g^-1 is
+    cofactors over det for n <= 3 (each entry that is not structurally
+    0) and one stacked inverse for n >= 4 (NaN if g is singular there),
+    each sum runs in a fixed order over its nonzero terms, grouped by the
+    plan row they read (a conformal g shares |v|^2 and D_v g across m),
+    and every operation is elementwise over lanes or, for n >= 4, a
+    matmul stacked over them.
+    """
+    part = _partial_rows(plan, n, False)
+    code, live = ex._Code(), plan._live
+
+    def value(r):
+        """The plan's distinct partial r: a literal, or its row's name."""
+        return plan.exprs[r] if r < live else float(plan._consts[r - live])
+
+    def vel(i):
+        return code.bind(f"c[{n + i}]")
+
+    def by_row(pairs):
+        """The sum of value(r) * t over the pairs (r, t), the terms of a
+        row summed first, rows in order of first appearance."""
+        groups: dict = {}
+        for r, t in pairs:
+            groups.setdefault(r, []).append(t)
+        return code.sum(code.mul(value(r), code.sum(ts)) for r, ts in groups.items())
+
+    def dg(m, i, j):  # the row of d_m g_ij, None where it is 0
+        r = part[i * n + j, 1 + m]
+        return None if value(r) == 0.0 else r
+
+    def d_v(i, j):  # D_v g_ij
+        return by_row((dg(m, i, j), vel(m)) for m in range(n) if dg(m, i, j) is not None)
+
+    G = [[value(part[i * n + j, 0]) for j in range(n)] for i in range(n)]
+    code.lines += [f"    g[:, {i}, {j}] = {x}" for i, row in enumerate(G)
+                   for j, x in enumerate(row) if isinstance(x, str)]
+    constant = all(isinstance(x, float) for row in G for x in row)
+    f = []
+    for m in range(n):
+        half = by_row((dg(m, i, j), code.mul(0.5, code.mul(vel(i), vel(i))) if i == j
+                       else code.mul(vel(i), vel(j)))
+                      for i in range(n) for j in range(i, n) if dg(m, i, j) is not None)
+        fm = code.sub(half, code.sum(code.mul(d, vel(j)) for j in range(n)
+                                     if (d := d_v(j, m)) != 0.0))
+        f.append(code.sub(fm, value(part[n * n, 1 + m])) if has_potential else fm)
+    if n <= 3:
+        gi = code.inverse(G)
+        dv = [code.sum(code.mul(gi[k][m], f[m]) for m in range(n)) for k in range(n)]
+        out = [f"    k[{n + k}] = {code.text(x)}" for k, x in enumerate(dv)]
+    else:  # dv = g^-1 f, one matmul stacked over lanes
+        out = ["    gi = _gi" if constant else "    gi = _inv(g)",
+               f"    f = _empty((c.shape[1], {n}))",
+               *(f"    f[:, {m}] = {code.text(x)}" for m, x in enumerate(f)),
+               f"    k[{n}:] = (gi @ f[..., None])[..., 0].T"]
+    body = code.lines + [f"    k[0:{n}] = c[{n}:]"] + out
+    scope = {"_inv": _inv_or_nan, "_gi": np.linalg.inv(G) if constant and n > 3 else None}
+    fill = None if constant else np.array(
+        [[x if isinstance(x, float) else 0.0 for x in row] for row in G])
+    return plan.function("k, g", body, scope), fill
+
+
+def _curve_stage(metric: MetricField, potential: PotentialField | None):
+    """The curve's stage kernel (:func:`_stage_kernel`), compiled on first
+    use and kept on its plan's entry in the plan cache."""
+    n = metric.dim
+    fields = _fields_of(metric, potential)
+    plan = _plan_of(fields, JetSpace.get(n, 1))
+    if plan.kernel is None:
+        plan.kernel = _stage_kernel(plan, n, len(fields) > n * n)
+    return plan.kernel
 
 
 def christoffel(metric: MetricField, x: Sequence[float]) -> np.ndarray:

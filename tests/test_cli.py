@@ -392,8 +392,18 @@ POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
     # around it stay inside |x| < 1)
     (("geodesic", "--metric", "inline", "--g-upper", "1 | x | 1", "--point", "0,0",
       "--velocity=-1.8,-1.7"), "not positive definite at [-1.0044748872812392, -1.24795"),
+    # the same metric is singular at x = 1, where stage 2 of the first of
+    # two steps lands exactly (0 + 0.5 * 0.5 * 4): the stage's det is 0
+    (("geodesic", "--metric", "inline", "--g-upper", "1 | x | 1", "--point", "0,0",
+      "--velocity", "4,0", "--steps", "2"),
+     "not positive definite at [1.0, 0.0]: min eigenvalue 0.000e+00"),
+    # the same in 4-D, where the stage inverts g with np.linalg.inv
+    (("geodesic", "--metric", "inline", "--g-upper", "1 | x | 0 | 0 | 1 | 0 | 0 | 1 | 0 | 1",
+      "--point", "0,0,0,0", "--velocity", "4,0,0,0", "--steps", "2"),
+     "not positive definite at [1.0, 0.0, 0.0, 0.0]: min eigenvalue 0.000e+00"),
 ], ids=["conjugate", "geodesic-start", "geodesic-stage", "cost", "jacobi",
-        "closed-form-0", "geodesic-grid", "geodesic-overflow"])
+        "closed-form-0", "geodesic-grid", "geodesic-overflow", "geodesic-singular-stage",
+        "geodesic-singular-stage-4d"])
 def test_numerical_failure_exit_three(capsys, argv, message):
     # a numerical failure reaches the terminal as its one error line,
     # with no NumPy RuntimeWarning before it

@@ -21,6 +21,7 @@ from mtwcheck.dynamics import (
     simpson,
     simpson_weights,
 )
+from mtwcheck import geometry
 from mtwcheck.errors import (
     ConjugatePointError,
     DimensionError,
@@ -548,25 +549,48 @@ _MODES = [
 ]
 
 
+def _inline(upper, dim, potential=None):
+    """The inline metric of the upper-triangle entry texts ``upper``, and
+    the potential of the text ``potential`` or None."""
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import MetricField, PotentialField
+
+    metric = MetricField.from_upper([parse_field(t, dim) for t in upper], dim)
+    return metric, (None if potential is None
+                    else PotentialField(parse_field(potential, dim), dim))
+
+
+# a 3-D metric with every entry of g^-1 nonzero and a potential, and a 4-D
+# one, whose stage inverts g with np.linalg.inv, with a potential
+_INLINE3D_FULL = (["exp(x*y)", "0.2*x*z", "0.1*y", "exp(y*z)", "0.1*x*y", "1 + z^2"],
+                  3, "0 - x^2*y - 0.2*z^2")
+_INLINE4D = (["exp(x1*x2)", "0", "0", "0.1*x3*x4", "exp(x1*x2)", "0", "0",
+              "exp(x1*x2)", "0.2*x2", "exp(x1*x2)"], 4, "0 - x1^2*x2 - 0.2*x4^2")
+
+
 @pytest.mark.parametrize("mode", _MODES)
 @pytest.mark.parametrize("case", ["conformal-potential", "inline3d", "sphere",
-                                  "flat-quartic", "sphere-long"])
+                                  "flat-quartic", "sphere-long", "inline3d-full",
+                                  "inline4d"])
 def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     # nine lanes cross a SIMD width of eight in the elementwise kernels;
     # the flat case runs the evaluator's static-metric branch; the long
-    # case crosses step-map blocks at other steps in the batch than alone
+    # case crosses step-map blocks at other steps in the batch than alone;
+    # the 3-D and 4-D cases run the stage's cofactor and stacked inverses
     from mtwcheck import dynamics as dyn
     from mtwcheck.expr import parse_field
-    from mtwcheck.geometry import MetricField, PotentialField
+    from mtwcheck.geometry import PotentialField
 
     rng = np.random.default_rng(5)
     pot = None
     center = 0.0
     steps = 40
     if case == "inline3d":
-        e = parse_field("exp(2*x*y*z)", 3)
-        z = parse_field("0", 3)
-        metric = MetricField.from_upper([e, z, z, e, z, e], 3)
+        metric = inline3d_metric()
+    elif case == "inline3d-full":
+        metric, pot = _inline(*_INLINE3D_FULL)
+    elif case == "inline4d":
+        metric, pot = _inline(*_INLINE4D)
     elif case == "sphere-long":
         metric = sphere
         center = np.array([1.2, 0.1])
@@ -592,6 +616,68 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
         _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], steps,
                                      store=True, **mode)
         assert np.array_equal(traj[:, b], alone[:, 0])
+
+
+@pytest.mark.parametrize("lanes", [1, 5, 25])
+@pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d",
+                                  "flat-quartic", "offdiag", "inline4d"])
+def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sphere):
+    # the generated stage computes the generic evaluator's slope with its
+    # gather unrolled and g^-1 from cofactors (np.linalg.inv in 4-D), so
+    # the slope agrees to rounding; its g is the plan's values, bit for bit
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import PotentialField
+
+    center = 0.0
+    if case == "sphere":
+        metric, pot, center = sphere, None, np.array([1.2, 0.1])
+    elif case == "conformal-potential":
+        metric = conformal_a3
+        pot = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
+    elif case == "inline3d":
+        metric, pot = inline3d_metric(), None
+    elif case == "flat-quartic":
+        metric, pot = euclidean_metric(2), quartic_potential([[0.8, 0.1], [0.1, 1.2]])
+    elif case == "offdiag":
+        metric, pot = _inline(["1", "0.2*x*y", "1"], 2)
+    else:
+        metric, pot = _inline(*_INLINE4D)
+    n = metric.dim
+    rng = np.random.default_rng(11)
+    X = center + rng.uniform(-0.3, 0.3, (lanes, n))
+    V = rng.uniform(-0.5, 0.5, (lanes, n))
+    fn, g_fill = geometry._curve_stage(metric, pot)
+    a = np.concatenate([X.T, V.T])  # a row per coordinate, as _integrate keeps it
+    k = np.full((2 * n, lanes), np.nan)
+    g = np.full((lanes, n, n), np.nan)
+    if g_fill is not None:
+        g[...] = g_fill
+    fn(a, k, g)
+    f = dyn._FieldEval(metric, pot, need_curvature=False)(X, V)
+    want = -f.gam_vv - (0.0 if f.grad is None else f.grad)
+    assert np.array_equal(k[0:n], V.T)
+    np.testing.assert_allclose(k[n:].T, want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+    assert (g_fill is None) == (case == "flat-quartic")
+    if g_fill is not None:
+        assert np.array_equal(g, f.g)
+
+
+def test_second_cost_on_an_equal_metric_compiles_no_kernel(plan_cache, monkeypatch):
+    # the stage kernel is kept on its plan, which a freshly parsed equal
+    # metric finds by content: every integration of both costs, on the
+    # coarse grid and the fine one, runs the one kernel compiled first
+    built = []
+    compile_stage = geometry._stage_kernel
+    monkeypatch.setattr(geometry, "_stage_kernel",
+                        lambda *args: built.append(args) or compile_stage(*args))
+    upper = ["1", "0", "sin(x)^2"]
+    first = cost(_inline(upper, 2)[0], None, [1.2, 0.3], [1.5, 0.6], steps=100)
+    assert len(built) == 1
+    again = cost(_inline(upper, 2)[0], None, [1.2, 0.3], [1.5, 0.6], steps=100)
+    assert len(built) == 1
+    assert again.value == first.value
 
 
 def _oracle_case(case, conformal_a3, sphere):
@@ -859,8 +945,11 @@ def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):
 
     from mtwcheck.conformal import ConformalSpec, conformal_metric
 
+    # the curve's stage kernel is kept on the same plan: a thread compiles
+    # it at most once (on a race, more than one thread may), and the plan
+    # cache keeps its bound
     space = JetSpace.get(2, 1)
-    plans, errors = [], []
+    plans, stages, errors = [], [], []
 
     def work():
         try:
@@ -868,6 +957,7 @@ def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):
                 metric = conformal_metric(ConformalSpec(a=-3.5))
                 fields = [f for row in metric.entries for f in row]
                 plans.append(_plan_of(fields, space))
+                stages.append(geometry._curve_stage(metric, None))
         except Exception as e:  # reported below, with the thread's failure
             errors.append(e)
 
@@ -885,6 +975,8 @@ def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):
     assert errors == []
     assert len(plans) == 8 * 1000
     assert all(p is plans[0] for p in plans)
+    assert len({id(s) for s in stages}) <= 8
+    assert any(s is plans[0].kernel for s in stages)
     assert len(plan_cache) <= _TAYLOR_PLAN_CACHE_SIZE
 
 

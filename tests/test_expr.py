@@ -331,6 +331,34 @@ def test_plan_arrays_are_read_only():
         plan._consts[0] = 1.0
 
 
+def test_plan_function_reads_each_partial_as_the_plan_computes_it():
+    # a function derived from the plan runs the DAG lines its body reads,
+    # in the plan's order, so each row it reads is the plan's value bit
+    # for bit, and a row no body line reads costs no line
+    from mtwcheck import conformal as cf
+
+    m = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
+    fields = [m.entries[0][0], m.entries[0][1], parse_field("0 - x^2*y - 0.3*y^4", 2)]
+    plan = ex.TaylorPlan(fields, JetSpace.get(2, 2))
+    X = np.random.default_rng(4).uniform(-0.4, 0.4, (5, 2))
+    vals = plan.values(X)
+    c = np.ascontiguousarray(X.T)
+    for r, text in enumerate(plan.exprs):
+        fn = plan.function("out", [f"    out[...] = {text}"])
+        out = np.empty(len(X))
+        fn(c, out)
+        assert np.array_equal(out, vals[r])
+    lines = []
+    compile_ = ex._compile
+    try:
+        ex._compile = lambda src, name, scope=None: lines.append(src) or compile_(
+            src, name, scope)
+        plan.function("", [f"    return {plan.exprs[0]}"])
+    finally:
+        ex._compile = compile_
+    assert len(lines[0].splitlines()) < 2 + len(plan._lines)
+
+
 # ---------------------------------------------------------------------------
 # Fused batch evaluator
 # ---------------------------------------------------------------------------
