@@ -18,6 +18,11 @@ potential, then g^-1 by cofactors and Gamma(v, v) + grad V as
 fixed-order sums over the nonzero partials.  It writes the stage's
 slope and g, and it is compiled once per plan and kept on the plan's
 entry in the plan cache (:func:`~mtwcheck.geometry._curve_stage`).
+Each line is one NumPy call whatever the lane count, so a batch of at
+most SCALAR_LANES lanes in dimension n <= 3 runs the same lines as one
+whole RK4 step of one lane in Python floats, kept with the kernel
+(:func:`~mtwcheck.geometry._scalar_step`), lane by lane, each block's
+records written into the same buffers.
 The metric must be positive definite at every point a lane reaches,
 grid and RK4 stage points alike, or
 :class:`~mtwcheck.errors.MetricDegenerateError` is raised: the start
@@ -33,7 +38,8 @@ Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
 per block, g^-1, Gamma v and R(., v) v + Hess V at the recorded stage
 points are one call of the field evaluator (:class:`_FieldEval`), the
 maps are batched matmuls, and they apply in step order.  Every
-operation is elementwise or a matmul stacked over lanes, so a lane's
+operation is elementwise or a matmul stacked over lanes, and the scalar
+step repeats the vector step's operations and functions, so a lane's
 result is bit-identical to the curve integrated alone.  The stencils
 of the cross-curvature routes run as one batch each, the damped-Newton
 shoot steps every lane with its own line search, first on a grid
@@ -112,6 +118,14 @@ SHOOT_INTEGRATION_BUDGET = 40
 COARSE_FACTOR = 8
 COARSE_MIN_STEPS = 12
 COARSE_TOL = 1e-8
+
+# A batch of at most SCALAR_LANES lanes in dimension n <= 3 steps its curve
+# by the stage kernel's scalar step (geometry._scalar_step), lane by lane in
+# Python floats, and a larger one by the vector kernel, whose NumPy calls
+# cost about the same at any lane count: the scalar path stays the faster up
+# to 9-15 lanes on the sphere and a 3-D metric and 15-25 on conformal and
+# flat metrics with a potential (BENCH_scalar_lanes.json).
+SCALAR_LANES = 8
 
 # Stage points per block of steps (see _integrate): a block holds at most
 # this many, and at least one step.  Each block's points are tested for a
@@ -343,7 +357,9 @@ def _integrate(
         ncols = n
     elif variation is not None:
         raise ValueError(f"unknown variation mode {variation!r}")
-    kern, g_fill = _curve_stage(metric, potential)
+    kern, g_fill, scalar_step = _curve_stage(metric, potential)
+    if lanes > SCALAR_LANES:
+        scalar_step = None
     if transport or ncols:
         lin = _FieldEval(metric, potential, need_curvature=ncols > 0)
     voff = 2 * n + (n * n if transport else 0)
@@ -367,7 +383,7 @@ def _integrate(
     y = np.empty((2 * n, lanes))  # the curve's state [x; v]
     y[0:n] = x0.T
     y[n:] = v0.T
-    k1, k2, k3, k4 = (np.empty((2 * n, lanes)) for _ in range(4))
+    ks = np.empty((4, 2 * n, lanes))  # the slopes k1-k4
     no_g = (None,) * 4
 
     def state(out: np.ndarray) -> np.ndarray:
@@ -377,11 +393,12 @@ def _integrate(
             out[:, cols] = Y.reshape(lanes, -1)
         return out
 
-    def step(j: int) -> None:
-        """One RK4 step of the curve, its stage arguments and g recorded
-        in step j of the block."""
-        a0, a1, a2, a3 = stages[j]
-        g0, g1, g2, g3 = no_g if gs is None else gs[j]
+    def step(y, stage, g, ks) -> None:
+        """One RK4 step of the curve y (2n, L) by the stage kernel, its
+        stage arguments recorded in stage (4, 2n, L) and g in g (4, L, n, n)."""
+        a0, a1, a2, a3 = stage
+        g0, g1, g2, g3 = g
+        k1, k2, k3, k4 = ks
         np.copyto(a0, y)
         kern(a0, k1, g0)
         np.multiply(k1, 0.5 * h, out=a1)
@@ -401,6 +418,50 @@ def _integrate(
         np.add(k1, k4, out=k1)
         np.multiply(k1, h / 6.0, out=k1)
         np.add(y, k1, out=y)
+
+    def vector_steps(k0: int, count: int) -> int:
+        """Up to ``count`` steps of every lane from step k0, recorded in the
+        block's buffers; returns the steps taken, stopping after the first
+        whose state is not finite."""
+        for j in range(count):
+            step(y, stages[j], no_g if gs is None else gs[j], ks)
+            if store:
+                traj[k0 + j + 1, :, 0: 2 * n] = y.T
+            if not math.isfinite(flat @ zeros):
+                return j + 1
+        return count
+
+    def lane_step(r: tuple) -> tuple:
+        """One step of one lane by the scalar step, or by the vector kernel
+        where the scalar step divides by 0.0 or a power leaves the floats."""
+        try:
+            return scalar_step(h, r)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            one, stage = np.array(r[0: 2 * n])[:, None], np.empty((4, 2 * n, 1))
+            g = no_g if gs is None else np.tile(g_fill, (4, 1, 1, 1))
+            step(one, stage, g, np.empty((4, 2 * n, 1)))
+            rec = [one, stage] + ([] if gs is None else [g])
+            return tuple(np.concatenate([a.ravel() for a in rec]).tolist())
+
+    def scalar_steps(k0: int, count: int) -> int:
+        """As vector_steps, by the scalar step, step-major and lane by lane,
+        its records written into the block's buffers at the end."""
+        nonlocal lane_states
+        recs = []
+        for _ in range(count):
+            lane_states = [lane_step(r) for r in lane_states]
+            recs += lane_states
+        rec = np.array(recs).reshape(count, lanes, -1)
+        bad = np.flatnonzero(~np.isfinite(rec[:, :, 0: 2 * n]).all(axis=(1, 2)))
+        count = int(bad[0]) + 1 if bad.size else count
+        y[...] = rec[count - 1, :, 0: 2 * n].T
+        stages[:count] = rec[:count, :, 2 * n: 10 * n].reshape(
+            count, lanes, 4, 2 * n).transpose(0, 2, 3, 1)
+        if gs is not None:
+            gs[:count] = rec[:count, :, 10 * n:].reshape(count, lanes, 4, n, n).swapaxes(1, 2)
+        if store:
+            traj[k0 + 1: k0 + count + 1, :, 0: 2 * n] = rec[:count, :, 0: 2 * n]
+        return count
 
     def points(count: int) -> np.ndarray:
         """The stage points [x, v] of the block's first ``count`` steps,
@@ -443,20 +504,16 @@ def _integrate(
         traj[0] = state(np.empty((lanes, size)))
     # 0 * y sums to 0 where every entry of y is finite and to nan elsewhere
     flat, zeros = y.reshape(-1), np.zeros(y.size)
+    lane_states = y.T.tolist()  # each lane's [x; v], for the scalar step
     done = 0  # curve steps taken
     finite = True
     # a stage whose g is singular or not finite leaves its lane non-finite
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while finite and done < steps:
             k0 = done
-            for k in range(k0, min(k0 + block, steps)):
-                step(k - k0)
-                done += 1
-                if store:
-                    traj[done, :, 0: 2 * n] = y.T
-                finite = math.isfinite(flat @ zeros)
-                if not finite:
-                    break
+            count = min(block, steps - k0)
+            done += (scalar_steps if scalar_step else vector_steps)(k0, count)
+            finite = math.isfinite(flat @ zeros)
             test_region(done - k0)
             if finite and linear:
                 advance(k0, done - k0)

@@ -269,6 +269,12 @@ _BATCH_GLOBALS = {"_exp": np.exp, "_sin": np.sin, "_cos": np.cos,
                   "_pow": np.float_power, "_empty": np.empty,
                   "inf": math.inf, "nan": math.nan}
 
+# The same functions on one lane's Python floats, returning floats: NumPy's
+# exp, sin and cos round a float as they round an array (math.exp differs by
+# an ulp at some inputs), and math.pow is the libm pow of np.float_power.
+_SCALAR_GLOBALS = {"_exp": lambda x: float(np.exp(x)), "_sin": lambda x: float(np.sin(x)),
+                   "_cos": lambda x: float(np.cos(x)), "_pow": math.pow}
+
 
 def _emit(roots: Sequence[Node]) -> tuple[list[str], list[str]]:
     """The straight-line source evaluating interned roots of one
@@ -548,12 +554,8 @@ class TaylorPlan:
         # of dynamics), kept with the plan so that it is compiled once
         self.kernel = None
 
-    def function(self, params: str, body: Sequence[str],
-                 scope: dict | None = None) -> Callable:
-        """A generated function of the coordinate rows ``c`` (dim, B) and
-        ``params`` whose first lines are the plan's DAG lines that ``body``
-        reads, in their order, then ``body``, in which distinct partial r
-        reads as ``exprs[r]``; ``scope`` adds to its globals."""
+    def lines(self, body: Sequence[str]) -> list[str]:
+        """The plan's DAG lines that ``body`` reads, in their order."""
         used = set(_TEMP.findall("\n".join(body)))
         lines = []
         for line in reversed(self._lines):  # a line reads only earlier ones
@@ -561,8 +563,16 @@ class TaylorPlan:
             if name.strip() in used:
                 used.update(_TEMP.findall(src))
                 lines.append(line)
+        return lines[::-1]
+
+    def function(self, params: str, body: Sequence[str],
+                 scope: dict | None = None) -> Callable:
+        """A generated function of the coordinate rows ``c`` (dim, B) and
+        ``params`` whose first lines are the plan's DAG lines that ``body``
+        reads (:meth:`lines`), then ``body``, in which distinct partial r
+        reads as ``exprs[r]``; ``scope`` adds to its globals."""
         head = f"def _plan(c{', ' if params else ''}{params}):"
-        return _compile("\n".join([head, *lines[::-1], *body]), "_plan", scope)
+        return _compile("\n".join([head, *self.lines(body), *body]), "_plan", scope)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """The distinct partials, not divided by factorials, at the points

@@ -24,7 +24,8 @@ R(., v) v, in the same sign convention; the tests pin it against
 :func:`_curvature_from`), on point values of the metric partials from
 exact expression-tree differentiation at a batch of lanes, and the RK4
 stage runs Gamma(v, v) + grad V as straight-line code generated per
-metric and potential (:func:`_stage_kernel`, checked against it);
+metric and potential (:func:`_stage_kernel`, checked against it, with
+one lane's whole RK4 step in Python floats generated from the same lines);
 :class:`GeometryBatch` evaluates them on truncated Taylor jets at a
 batch of points with :func:`~mtwcheck.jets.jcontract`, which
 differentiates the whole pipeline exactly, so covariant derivatives of
@@ -170,14 +171,26 @@ def as_vectors(dim: int, **vectors) -> list[np.ndarray]:
 def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
     """Raise :class:`MetricDegenerateError` naming the first point X[b]
     whose metric g[b] is not positive definite, a non-finite eigenvalue
-    counting as a failure; g is (B, n, n), X (B, n)."""
-    w = np.linalg.eigvalsh(g)
+    counting as a failure; g is (B, n, n), X (B, n).
+
+    A g whose Gershgorin bounds g_ii - sum_j!=i |g_ij| all clear the floor
+    by more than their rounding passes without ``eigvalsh`` (a non-finite g
+    never does); the others are decided by their eigenvalues."""
+    # 2 g_ii - sum_j |g_ij| is the bound where g_ii > 0 and at most g_ii
+    # elsewhere; 4n eps of the row sum covers its rounding
+    rows = (1.0 + 4 * g.shape[1] * 2.0**-52) * np.abs(g).sum(axis=2)
+    sure = (2.0 * np.diagonal(g, axis1=1, axis2=2)
+            > rows + METRIC_EIGENVALUE_FLOOR).all(axis=1)
+    if sure.all():
+        return
+    unsure = np.flatnonzero(~sure)
+    w = np.linalg.eigvalsh(g[unsure])
     bad = np.flatnonzero(~np.isfinite(w).all(axis=1)
                          | (w[:, 0] <= METRIC_EIGENVALUE_FLOOR))
     if bad.size:
         b = bad[0]
         raise MetricDegenerateError(
-            f"metric not positive definite at {X[b].tolist()}: "
+            f"metric not positive definite at {X[unsure[b]].tolist()}: "
             f"min eigenvalue {w[b, 0]:.3e}"
         )
 
@@ -410,10 +423,12 @@ def _inv_or_nan(g: np.ndarray) -> np.ndarray:
         return np.full(g.shape, np.nan)
 
 
-def _stage_kernel(plan: TaylorPlan, n: int,
-                  has_potential: bool) -> tuple[Callable, np.ndarray | None]:
-    """One straight-line function for the curve's slope at a stage, and
-    the constant entries of g, (n, n) with 0 elsewhere (None if all are).
+def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
+                  ) -> tuple[Callable, np.ndarray | None, Callable | None]:
+    """One straight-line function for the curve's slope at a stage, the
+    constant entries of g, (n, n) with 0 elsewhere (None if all are), and
+    for n <= 3 the same lines as one RK4 step of one lane in Python floats
+    (:func:`_scalar_step`; None for n >= 4).
 
     ``fn(a, k, g)`` reads the stage argument a (2n, lanes), a row per
     coordinate [x; v], and writes the slope [v; -Gamma(v, v) - grad V]
@@ -459,9 +474,9 @@ def _stage_kernel(plan: TaylorPlan, n: int,
         return by_row((dg(m, i, j), vel(m)) for m in range(n) if dg(m, i, j) is not None)
 
     G = [[value(part[i * n + j, 0]) for j in range(n)] for i in range(n)]
-    code.lines += [f"    g[:, {i}, {j}] = {x}" for i, row in enumerate(G)
-                   for j, x in enumerate(row) if isinstance(x, str)]
-    constant = all(isinstance(x, float) for row in G for x in row)
+    g_lines = [f"    g[:, {i}, {j}] = {x}" for i, row in enumerate(G)
+               for j, x in enumerate(row) if isinstance(x, str)]
+    constant = not g_lines
     f = []
     for m in range(n):
         half = by_row((dg(m, i, j), code.mul(0.5, code.mul(vel(i), vel(i))) if i == j
@@ -472,23 +487,66 @@ def _stage_kernel(plan: TaylorPlan, n: int,
         f.append(code.sub(fm, value(part[n * n, 1 + m])) if has_potential else fm)
     if n <= 3:
         gi = code.inverse(G)
-        dv = [code.sum(code.mul(gi[k][m], f[m]) for m in range(n)) for k in range(n)]
-        out = [f"    k[{n + k}] = {code.text(x)}" for k, x in enumerate(dv)]
+        dv = [code.text(code.sum(code.mul(gi[k][m], f[m]) for m in range(n)))
+              for k in range(n)]
+        out = [f"    k[{n + k}] = {x}" for k, x in enumerate(dv)]
     else:  # dv = g^-1 f, one matmul stacked over lanes
         out = ["    gi = _gi" if constant else "    gi = _inv(g)",
                f"    f = _empty((c.shape[1], {n}))",
                *(f"    f[:, {m}] = {code.text(x)}" for m, x in enumerate(f)),
                f"    k[{n}:] = (gi @ f[..., None])[..., 0].T"]
-    body = code.lines + [f"    k[0:{n}] = c[{n}:]"] + out
+    body = g_lines + code.lines + [f"    k[0:{n}] = c[{n}:]"] + out
     scope = {"_inv": _inv_or_nan, "_gi": np.linalg.inv(G) if constant and n > 3 else None}
     fill = None if constant else np.array(
         [[x if isinstance(x, float) else 0.0 for x in row] for row in G])
-    return plan.function("k, g", body, scope), fill
+    step = _scalar_step(plan, n, code.lines, None if constant else G, dv) if n <= 3 else None
+    return plan.function("k, g", body, scope), fill, step
+
+
+def _scalar_step(plan: TaylorPlan, n: int, lines: list, G: list | None,
+                 dv: list) -> Callable:
+    """The stage kernel's ``lines``, g ``G`` (None if constant) and slope
+    ``dv`` (n <= 3) as one whole RK4 step of one lane in Python floats.
+
+    ``step(h, r)`` reads [x; v] from r[0:2n] and returns one flat tuple:
+    [x; v] after the step, the four stage arguments and, unless g is
+    constant, their g (n x n).  Each value is the vector step's for that
+    lane, bit for bit (expr's _SCALAR_GLOBALS), but x / 0.0 and a power
+    out of range raise where NumPy returns inf or nan.
+    """
+    m = 2 * n
+    entries = [] if G is None else [x for row in G for x in row]
+    lines = plan.lines(lines + [x for x in entries + dv if isinstance(x, str)]) + lines
+
+    def k(s, i):  # the slope of coordinate i at stage s
+        return f"a{s}_{n + i}" if i < n else f"k{s}_{i}"
+
+    src = ["def _step(h, r):", *(f"    a0_{i} = r[{i}]" for i in range(m)),
+           "    hh = 0.5*h", "    h6 = h/6.0"]
+    for s in range(4):
+        if s:
+            src += [f"    a{s}_{i} = a0_{i} + {k(s - 1, i)}*{'h' if s == 3 else 'hh'}"
+                    for i in range(m)]
+        stage = lines + [f"    g{s}_{e} = {x}" for e, x in enumerate(entries)
+                         if isinstance(x, str)]
+        stage += [f"    k{s}_{n + i} = {x}" for i, x in enumerate(dv)]
+        for line in stage:
+            for i in range(m):
+                line = line.replace(f"c[{i}]", f"a{s}_{i}")
+            src.append(line)
+    # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    out = [f"a0_{i} + ((({k(0, i)} + {k(1, i)}*2.0) + {k(2, i)}*2.0) + {k(3, i)})*h6"
+           for i in range(m)]
+    out += [f"a{s}_{i}" for s in range(4) for i in range(m)]
+    out += [f"g{s}_{e}" if isinstance(x, str) else repr(x)
+            for s in range(4) for e, x in enumerate(entries)]
+    src.append(f"    return ({', '.join(out)})")
+    return ex._compile("\n".join(src), "_step", ex._SCALAR_GLOBALS)
 
 
 def _curve_stage(metric: MetricField, potential: PotentialField | None):
-    """The curve's stage kernel (:func:`_stage_kernel`), compiled on first
-    use and kept on its plan's entry in the plan cache."""
+    """The curve's stage kernel and scalar step (:func:`_stage_kernel`),
+    compiled on first use and kept on their plan's entry in the plan cache."""
     n = metric.dim
     fields = _fields_of(metric, potential)
     plan = _plan_of(fields, JetSpace.get(n, 1))

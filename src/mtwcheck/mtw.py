@@ -891,7 +891,7 @@ def _worker_count() -> int:
     """Threads the checker computes on: it runs on the calling thread.
 
     Kept only for the benchmark's provenance line, which reads it; the
-    benchmark change of ROADMAP item 1 stops reading it and deletes it.
+    benchmark change of ROADMAP item 5 stops reading it and deletes it.
     """
     return 1
 

@@ -573,10 +573,12 @@ _INLINE4D = (["exp(x1*x2)", "0", "0", "0.1*x3*x4", "exp(x1*x2)", "0", "0",
                                   "flat-quartic", "sphere-long", "inline3d-full",
                                   "inline4d"])
 def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
-    # nine lanes cross a SIMD width of eight in the elementwise kernels;
-    # the flat case runs the evaluator's static-metric branch; the long
-    # case crosses step-map blocks at other steps in the batch than alone;
-    # the 3-D and 4-D cases run the stage's cofactor and stacked inverses
+    # nine lanes cross a SIMD width of eight in the elementwise kernels and
+    # run the vector stage kernel, a batch at the lane bound and a lane
+    # alone its scalar step (the vector kernel in 4-D); the flat case runs
+    # the evaluator's static-metric branch; the long case crosses step-map
+    # blocks at other steps in each batch; the 3-D and 4-D cases run the
+    # stage's cofactor and stacked inverses
     from mtwcheck import dynamics as dyn
     from mtwcheck.expr import parse_field
     from mtwcheck.geometry import PotentialField
@@ -612,6 +614,11 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     V = rng.uniform(-0.4, 0.4, (9, n))
     y, traj, _ = dyn._integrate(metric, pot, X, V, steps, store=True, **mode)
     assert np.array_equal(traj[-1], y)
+    bound = dyn.SCALAR_LANES
+    assert bound < 9
+    _, scalar, _ = dyn._integrate(metric, pot, X[:bound], V[:bound], steps,
+                                  store=True, **mode)
+    assert np.array_equal(traj[:, :bound], scalar)
     for b in (0, 4, 8):
         _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], steps,
                                      store=True, **mode)
@@ -620,11 +627,12 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
 
 @pytest.mark.parametrize("lanes", [1, 5, 25])
 @pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d",
-                                  "flat-quartic", "offdiag", "inline4d"])
+                                  "flat-quartic", "offdiag", "inline4d", "line"])
 def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sphere):
     # the generated stage computes the generic evaluator's slope with its
     # gather unrolled and g^-1 from cofactors (np.linalg.inv in 4-D), so
-    # the slope agrees to rounding; its g is the plan's values, bit for bit
+    # the slope agrees to rounding; its g is the plan's values, bit for bit;
+    # up to 3-D, the scalar step's RK4 step of each lane is the kernel's
     from mtwcheck import dynamics as dyn
     from mtwcheck.expr import parse_field
     from mtwcheck.geometry import PotentialField
@@ -641,13 +649,15 @@ def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sph
         metric, pot = euclidean_metric(2), quartic_potential([[0.8, 0.1], [0.1, 1.2]])
     elif case == "offdiag":
         metric, pot = _inline(["1", "0.2*x*y", "1"], 2)
+    elif case == "line":
+        metric, pot = _inline(["exp(x) + x^2"], 1, "0 - x^3")
     else:
         metric, pot = _inline(*_INLINE4D)
     n = metric.dim
     rng = np.random.default_rng(11)
     X = center + rng.uniform(-0.3, 0.3, (lanes, n))
     V = rng.uniform(-0.5, 0.5, (lanes, n))
-    fn, g_fill = geometry._curve_stage(metric, pot)
+    fn, g_fill, step = geometry._curve_stage(metric, pot)
     a = np.concatenate([X.T, V.T])  # a row per coordinate, as _integrate keeps it
     k = np.full((2 * n, lanes), np.nan)
     g = np.full((lanes, n, n), np.nan)
@@ -662,6 +672,79 @@ def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sph
     assert (g_fill is None) == (case == "flat-quartic")
     if g_fill is not None:
         assert np.array_equal(g, f.g)
+    assert (step is None) == (n > 3)
+    if step is not None:
+        _assert_scalar_step_is_the_kernels(fn, g_fill, step, a)
+
+
+def _assert_scalar_step_is_the_kernels(fn, g_fill, step, a, h=0.05):
+    """The scalar step's record of one RK4 step from each column of a
+    equals the vector kernel's, bit for bit: the state after the step, the
+    four stage arguments (the slopes scaled onto the state) and their g."""
+    m, lanes = a.shape
+    n = m // 2
+    args, ks, gs = [a], [], []
+    for scale in (0.5 * h, 0.5 * h, h, None):
+        k, g = np.empty((m, lanes)), np.full((lanes, n, n), np.nan)
+        if g_fill is not None:
+            g[...] = g_fill
+        fn(args[-1], k, g)
+        ks.append(k)
+        gs.append(g)
+        if scale is not None:
+            args.append(a + k * scale)
+    y = a + (((ks[0] + ks[1] * 2.0) + ks[2] * 2.0) + ks[3]) * (h / 6.0)
+    rec = np.array([step(h, r) for r in a.T.tolist()])
+    assert np.array_equal(rec[:, 0:m], y.T)
+    assert np.array_equal(rec[:, m: 5 * m].reshape(lanes, 4, m),
+                          np.stack(args).transpose(2, 0, 1))
+    if g_fill is None:
+        assert rec.shape[1] == 5 * m
+    else:
+        assert np.array_equal(rec[:, 5 * m:].reshape(lanes, 4, n, n),
+                              np.stack(gs).swapaxes(0, 1))
+
+
+def test_scalar_step_rounds_exp_as_the_vector_kernel(conformal_a3):
+    # math.exp and np.exp round some arguments to neighbouring floats; at
+    # such points the scalar step's g is still the batch evaluator's
+    from mtwcheck import dynamics as dyn
+
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-0.6, 0.6, (400, 2))
+    V = rng.uniform(-0.5, 0.5, (400, 2))
+    want = dyn._FieldEval(conformal_a3, None, need_curvature=False)(X, V).g
+    by_math_exp = np.array([conformal_a3.entries[0][0](x) for x in X])
+    differ = np.flatnonzero(want[:, 0, 0] != by_math_exp)
+    assert differ.size >= 5
+    fn, g_fill, step = geometry._curve_stage(conformal_a3, None)
+    for b in differ:
+        g0 = np.array(step(0.05, (*X[b], *V[b]))[20:24]).reshape(2, 2)
+        assert np.array_equal(g0, want[b])
+    a = np.concatenate([X[differ].T, V[differ].T])
+    _assert_scalar_step_is_the_kernels(fn, g_fill, step, a)
+
+
+@pytest.mark.parametrize("lanes", [1, 8, 9])
+def test_singular_stage_point_raises_alike_on_both_stage_paths(lanes):
+    # stage 2 of the first of two steps lands on x = 1, where det g is 0:
+    # the scalar step's division by zero hands the lane to the vector
+    # kernel, so alone, at the lane bound and in a vector batch the error
+    # is the same, and no ZeroDivisionError or NumPy warning escapes
+    import warnings
+
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    metric, _ = _inline(["1", "x", "1"], 2)
+    X = np.zeros((lanes, 2))
+    V = np.tile([0.2, 0.1], (lanes, 1))
+    V[lanes // 2] = [4.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricDegenerateError) as err:
+            dyn._integrate(metric, None, X, V, 2)
+    assert str(err.value) == "metric not positive definite at [1.0, 0.0]: min eigenvalue 0.000e+00"
 
 
 def test_second_cost_on_an_equal_metric_compiles_no_kernel(plan_cache, monkeypatch):

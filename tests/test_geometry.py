@@ -127,6 +127,28 @@ def test_non_finite_metric_is_not_positive_definite(entry):
         require_positive_definite(g, X)
 
 
+def test_positive_definite_test_needs_no_gershgorin_bound():
+    from mtwcheck.geometry import require_positive_definite
+
+    # eigenvalues 3 -+ 2 sqrt(2) > 0, though 1 - |2| < 0
+    g = np.array([[[1.0, 2.0], [2.0, 5.0]]])
+    require_positive_definite(g, np.zeros((1, 2)))
+
+
+def test_positive_definite_test_names_a_block_s_only_failing_point():
+    from mtwcheck.geometry import require_positive_definite
+
+    # every point but the last clears its Gershgorin bound; the last is
+    # named with its eigvalsh eigenvalue
+    g = np.tile(np.eye(3), (50, 1, 1))
+    g[-1] = [[1.0, 0.5, 0.0], [0.5, 0.25, 0.0], [0.0, 0.0, 2.0]]
+    X = np.arange(150.0).reshape(50, 3)
+    w = np.linalg.eigvalsh(g[-1])[0]
+    with pytest.raises(MetricDegenerateError) as err:
+        require_positive_definite(g, X)
+    assert str(err.value).endswith(f"at [147.0, 148.0, 149.0]: min eigenvalue {w:.3e}")
+
+
 def test_matrix_of_a_batch_is_the_matrices_of_its_points(rng):
     metric = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
     X = rng.uniform(-0.3, 0.3, size=(4, 2))
