@@ -35,22 +35,30 @@ curve stops at its first non-finite state, which raises
 :class:`~mtwcheck.errors.CurveOverflowError` unless a point fails first.
 The transport Psi and the variation Phi solve linear equations
 Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
-per block, g^-1, Gamma v and R(., v) v + Hess V at the recorded stage
-points are one call of the field evaluator (:class:`_FieldEval`), the
-maps are batched matmuls, and they apply in step order.  Every
-operation is elementwise or a matmul stacked over lanes, and the scalar
-step repeats the vector step's operations and functions, so a lane's
-result is bit-identical to the curve integrated alone.  The stencils
-of the cross-curvature routes run as one batch each, the damped-Newton
-shoot steps every lane with its own line search, first on a grid
+per block, Gamma v and d_x F, F = Gamma(v, v) + grad V, at the
+recorded stage points are one call of the field evaluator
+(:class:`_FieldEval`), the maps are batched matmuls, and they apply in
+step order.  Phi = (dx, dv) is the tangent of the discrete curve step:
+a Runge-Kutta step's derivative is the same method on dy' = A dy, with
+A = [[0, I], [-d_x F, -2 Gamma v]], the slope [v; -F]'s Jacobian, at
+the step's stage values (Hairer, Nørsett and Wanner, *Solving ODEs I*,
+§II).  The "full" columns start at [[I, 0], [-Gamma v0, I]], one per
+covariant start datum (J0, P0), so dx is J, and D_tau J is
+dv + Gamma(v, J) (:func:`_two_point_fields`).  Every operation is
+elementwise or a matmul stacked over lanes, and the scalar step
+repeats the vector step's operations and functions, so a lane's result
+is bit-identical to the curve integrated alone.  The stencils of the
+cross-curvature routes run as one batch each, the damped-Newton shoot
+steps every lane with its own line search, first on a grid
 COARSE_FACTOR times coarser and then on the caller's (:func:`_shoot`),
 and the single-curve functions (:func:`c_exp`, :func:`cost`, ...) are
 one-lane calls into the same engine.  Quantities along a stored curve
-(energy, transported norms, the variation residual, the action) are
-one evaluator call over all grid points.  Every two-point variation
-field comes from one endpoint solve (:func:`_endpoint_solve`), and the
-action integral here and the closed-form zeroth-order quadrature of
-:mod:`mtwcheck.mtw` share one rule (:func:`simpson`).
+(energy, transported norms, D_tau J, the action) are one evaluator
+call over all grid points, and the variation residual one geometry
+batch.  Every two-point variation field comes from one endpoint solve
+(:func:`_endpoint_solve`), and the action integral here and the
+closed-form zeroth-order quadrature of :mod:`mtwcheck.mtw` share one
+rule (:func:`simpson`).
 
 A variation family bundles curves over an (s, t) grid of initial
 velocities t*v + s*w around a common start point, together with the
@@ -63,6 +71,7 @@ verified numerically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
@@ -147,46 +156,49 @@ class _Fields(NamedTuple):
     ginv: np.ndarray  # (B, n, n)
     gam_v: np.ndarray  # (B, n, n), Gamma^k_ij v^i
     gam_vv: np.ndarray  # (B, n), Gamma(v, v)
-    op: np.ndarray | None  # (B, n, n), R(., v) v + raised Hess V, with curvature
     grad: np.ndarray | None  # raised grad V, (B, n); None without potential
+    dx: np.ndarray | None  # (B, n, n), [k, p] = d_p (Gamma(v, v) + grad V)^k, with jacobian
     v: np.ndarray | float  # V, (B,); 0.0 without potential
 
 
 class _FieldEval:
-    """Metric, connection, curvature and potential data along a batch of
-    velocities at a batch of points: the evaluator of every bulk use (the
-    linear pass, energy, the action) and the tests' oracle of the curve's
-    stage kernel, which is generated from the same plan
+    """Metric, connection and potential data along a batch of velocities
+    at a batch of points: the evaluator of every bulk use (the linear
+    pass, energy, D_tau J, the action) and the tests' oracle of the
+    curve's stage kernel, which is generated from the same plan
     (:func:`~mtwcheck.geometry._stage_kernel`).
 
     One :class:`~mtwcheck.expr.TaylorPlan` of the metric entries and the
     potential returns every partial the equations need, each distinct
-    partial once.  The connection and the curvature are returned
-    contracted with the velocity, which enters before the inverse metric
-    lifts them (see :func:`~mtwcheck.geometry._along_velocity`), so no
-    call forms the full Christoffel or curvature arrays.
+    partial once.  The connection is returned contracted with the
+    velocity (:func:`~mtwcheck.geometry._along_velocity`), and with
+    ``jacobian`` so is the x-derivative of the stage kernel's
+    acceleration, from the second partials of g and V:
+
+        d_p F = g^-1 [d_p C(v, v) + d_p dV - d_p g F],  F = Gamma(v, v) + grad V,
+
+    with C the first-kind symbols and d_p g_ma = C_pm,a + C_pa,m.
     """
 
     def __init__(self, metric: MetricField, potential: PotentialField | None,
-                 need_curvature: bool):
-        self.need_curvature = need_curvature
+                 jacobian: bool = False):
+        self.jacobian = jacobian
         n = metric.dim
         fields = _fields_of(metric, potential)
         self.has_potential = len(fields) > n * n
-        space = JetSpace.get(n, 2 if need_curvature else 1)
+        space = JetSpace.get(n, 2 if jacobian else 1)
         self._plan = plan = _plan_of(fields, space)
-        part = _partial_rows(plan, n, need_curvature)
+        part = _partial_rows(plan, n, jacobian)
 
         # Everything read from the field values is linear in them: the
-        # entries of g, the first-kind symbols of dg and, with curvature,
+        # entries of g, the first-kind symbols of dg and, with jacobian,
         # of d2g (the formula applied to one-hot rows), and V, dV, d2V.
         # Row r of the map holds the coefficients of the plan's value r, so
         # one matmul per point gathers and combines them all.
         def rows(ix):
             return np.moveaxis(np.eye(plan.distinct)[ix], -1, 0)
 
-        # [0, m, i, j] = d_m g_ij and, with curvature, [1 + p, m, i, j]
-        # = d_p d_m g_ij: the layout _along_velocity expects
+        # [0, m, i, j] = C_ij,m and, with jacobian, [1 + p, m, i, j] = d_p C_ij,m
         d_ix = part[: n * n, 1:].T.reshape(-1, n, n, n)
         blocks = [rows(part[: n * n, 0].reshape(n, n)), _first_kind_rows(rows(d_ix))]
         if self.has_potential:
@@ -208,17 +220,23 @@ class _FieldEval:
             require_positive_definite(g, X)
             raise
         C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
-        gam_v, gam_vv, op = _along_velocity(ginv, C, V, self.need_curvature)
-        if not self.has_potential:
-            return _Fields(g, ginv, gam_v, gam_vv, op, None, 0.0)
+        gam_v, gam_vv = _along_velocity(ginv, C[:, 0], V)
         pot = out[:, self._pot:]  # [V, dV, d2V]
-        grad = (ginv @ pot[:, 1: n + 1, None])[..., 0]
-        if op is not None:
-            # Hess V_ij = d_i d_j V - Gamma^m_ij d_m V = d_i d_j V - C_ij,m grad^m
-            hess = pot[:, n + 1:].reshape(B, n, n) - (
-                grad[:, None, :] @ C[:, 0].reshape(B, n, n * n)).reshape(B, n, n)
-            op = op + ginv @ hess
-        return _Fields(g, ginv, gam_v, gam_vv, op, grad, pot[:, 0])
+        grad = (ginv @ pot[:, 1: n + 1, None])[..., 0] if self.has_potential else None
+        dx = None
+        if self.jacobian:
+            # d_p F lowered, at [m, p], then lifted
+            F = gam_vv if grad is None else gam_vv + grad
+            vc, C0 = V[:, :, None], C[:, 0]
+            dcvv = (C[:, 1:].reshape(B, n ** 3, n) @ vc).reshape(B, n * n, n) @ vc
+            low = (dcvv.reshape(B, n, n) - (F[:, None, :] @ C0.reshape(B, n, n * n)
+                                           ).reshape(B, n, n)).swapaxes(-1, -2)
+            low = low - (C0.reshape(B, n * n, n) @ F[:, :, None]).reshape(B, n, n)
+            if grad is not None:
+                low = low + pot[:, n + 1:].reshape(B, n, n)
+            dx = ginv @ low
+        return _Fields(g, ginv, gam_v, gam_vv, grad, dx,
+                       0.0 if grad is None else pot[:, 0])
 
 
 def _quadratic(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -246,8 +264,7 @@ class CurvePath:
 
     def energy(self) -> np.ndarray:
         """Conserved quantity 0.5 |dγ|^2 + V along the grid."""
-        f = _FieldEval(self.metric, self.potential, need_curvature=False)(
-            self.pos, self.vel)
+        f = _FieldEval(self.metric, self.potential)(self.pos, self.vel)
         return 0.5 * _quadratic(self.vel, f.g) + f.v
 
     def energy_drift(self) -> float:
@@ -268,8 +285,7 @@ class ParallelFrame:
     vectors: np.ndarray  # (steps+1, n)
 
     def norm_drift(self) -> float:
-        g = _FieldEval(self.path.metric, None, need_curvature=False)(
-            self.path.pos, self.path.vel).g
+        g = _FieldEval(self.path.metric, None)(self.path.pos, self.path.vel).g
         norms = np.sqrt(_quadratic(self.vectors, g))
         return float(np.max(np.abs(norms - norms[0])) / max(1.0, norms[0]))
 
@@ -330,15 +346,14 @@ def _integrate(
     None, and the offset of the variation block in a lane's state.
 
     A lane's state is [x, v, Psi, Phi]: Psi (n x n, with ``transport``)
-    transports a frame, Psi' = -Gv Psi, and Phi (2n x ncols) stacks the
-    position and covariant-derivative rows [J; P] of the linearized
-    flow, Phi' = [[-Gv, I], [-op, -Gv]] Phi, op = R(., v) v + raised
-    Hess V.  variation="full" evolves the whole 2n x 2n fundamental
-    matrix; "velocity" evolves only the n columns seeded by initial
-    covariant-derivative perturbations, which is the endpoint Jacobian
-    needed for shooting.  The curve is stepped alone, and after each
-    block of steps Psi and Phi advance by the RK4 step maps of the
-    block's recorded stage points (see the module docstring).
+    transports a frame, and Phi (2n x ncols) stacks the rows [dx; dv] of
+    the derivative of the discrete flow.  variation="full" evolves the
+    whole 2n x 2n fundamental matrix, a column per covariant start datum
+    (J0, P0); "velocity" only the n columns of initial velocity
+    perturbations, whose dx rows are the endpoint Jacobian needed for
+    shooting.  The curve is stepped alone, and after each block of steps
+    Psi and Phi advance by the RK4 step maps of the block's recorded
+    stage points (see the module docstring).
     """
     if steps < 1:
         raise DiscretizationError(f"steps must be at least 1, got {steps}")
@@ -361,15 +376,18 @@ def _integrate(
     if lanes > SCALAR_LANES:
         scalar_step = None
     if transport or ncols:
-        lin = _FieldEval(metric, potential, need_curvature=ncols > 0)
+        lin = _FieldEval(metric, potential, jacobian=ncols > 0)
     voff = 2 * n + (n * n if transport else 0)
     size = voff + 2 * n * ncols
     linear = []  # the blocks [columns in a lane's state, value] of Psi, Phi
     if transport:
         linear.append([slice(2 * n, voff), np.broadcast_to(np.eye(n), (lanes, n, n))])
     if ncols:  # "full" seeds every column, "velocity" the derivative columns
-        linear.append([slice(voff, size), np.broadcast_to(
-            np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))])
+        seed = np.broadcast_to(np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))
+        if ncols == 2 * n:  # a column per (J0, P0): dv = P0 - Gamma(v0, J0)
+            seed = seed.copy()
+            np.negative(lin(x0, v0).gam_v, out=seed[:, n:, 0:n])
+        linear.append([slice(voff, size), seed])
 
     h = 1.0 / steps
     block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes))
@@ -380,6 +398,7 @@ def _integrate(
     if g_fill is not None:
         gs = np.empty((block, 4, lanes, n, n))
         gs[...] = g_fill
+    width = 10 * n + (0 if gs is None else 4 * n * n)  # a scalar step's record
     y = np.empty((2 * n, lanes))  # the curve's state [x; v]
     y[0:n] = x0.T
     y[n:] = v0.T
@@ -451,7 +470,8 @@ def _integrate(
         for _ in range(count):
             lane_states = [lane_step(r) for r in lane_states]
             recs += lane_states
-        rec = np.array(recs).reshape(count, lanes, -1)
+        rec = np.fromiter(itertools.chain.from_iterable(recs), float,
+                          count * lanes * width).reshape(count, lanes, width)
         bad = np.flatnonzero(~np.isfinite(rec[:, :, 0: 2 * n]).all(axis=(1, 2)))
         count = int(bad[0]) + 1 if bad.size else count
         y[...] = rec[count - 1, :, 0: 2 * n].T
@@ -476,12 +496,11 @@ def _integrate(
         f = lin(pts[:, 0:n], pts[:, n:])
         gam_v = f.gam_v.reshape(shape)
         gens = [np.negative(gam_v)] if transport else []
-        if ncols:
+        if ncols:  # the slope's Jacobian [[0, I], [-d_x F, -2 Gamma v]]
             gen = np.zeros(shape[:3] + (2 * n, 2 * n))
             gen[..., 0:n, n:] = np.eye(n)
-            np.negative(gam_v, out=gen[..., 0:n, 0:n])
-            gen[..., n:, n:] = gen[..., 0:n, 0:n]
-            np.negative(f.op.reshape(shape), out=gen[..., n:, 0:n])
+            np.negative(f.dx.reshape(shape), out=gen[..., n:, 0:n])
+            np.multiply(gam_v, -2.0, out=gen[..., n:, n:])
             gens.append(gen)
         for part, gen in zip(linear, gens):
             cols, Y = part
@@ -613,14 +632,18 @@ def _endpoint_solve(Phi1: np.ndarray, U: np.ndarray, what: str) -> np.ndarray:
     return -np.linalg.solve(B, Phi1[:, 0:n, 0:n] @ U[:, :, None])[..., 0]
 
 
-def _two_point_fields(Phi: np.ndarray, U: np.ndarray, what: str):
+def _two_point_fields(metric: MetricField, traj: np.ndarray, voff: int,
+                      U: np.ndarray, what: str):
     """J and its covariant derivative, each (steps+1, B, n), with
-    J_b(0) = U[b] and J_b(1) = 0, from the fundamental matrices Phi
-    (steps+1, B, 2n, 2n) of each lane."""
+    J_b(0) = U[b] and J_b(1) = 0, from the stored states traj (steps+1,
+    B, size) of a "full" integration: D_tau J = dv + Gamma(v, J)."""
     n = U.shape[-1]
+    Phi = traj[..., voff:].reshape(traj.shape[:2] + (2 * n, 2 * n))
     P0 = _endpoint_solve(Phi[-1], U, what)
-    JP = Phi[..., 0:n] @ U[:, :, None] + Phi[..., n:] @ P0[:, :, None]
-    return JP[..., 0:n, 0], JP[..., n:, 0]
+    J, dv = np.split(Phi[..., 0:n] @ U[:, :, None] + Phi[..., n:] @ P0[:, :, None], 2, -2)
+    pts = traj[..., 0: 2 * n].reshape(-1, 2 * n)
+    gam_v = _FieldEval(metric, None)(pts[:, 0:n], pts[:, n:]).gam_v
+    return J[..., 0], (dv + gam_v.reshape(Phi.shape[:2] + (n, n)) @ J)[..., 0]
 
 
 def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
@@ -636,7 +659,7 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
         variation="full", store=True,
     )
     J, dJ = _two_point_fields(
-        traj[:, :, voff:].reshape(-1, 1, 2 * n, 2 * n), u[None],
+        path.metric, traj, voff, u[None],
         "endpoint variation block is numerically singular "
         "(conjugate point on the curve)",
     )
@@ -648,15 +671,20 @@ def jacobi_residual(sol: JacobiSolution) -> float:
 
     The covariant time derivative of dJ is estimated with a five-point
     stencil so the check is limited by the integrator, not the stencil.
+    Gamma, R and Hess V come from a :class:`GeometryBatch` along the
+    path, so the check shares no coefficient with the integrator.
     """
     path = sol.path
     h = 1.0 / path.steps
     k = np.arange(2, path.steps - 1)
-    dJ = sol.dJ
+    dJ, v = sol.dJ, path.vel[k]
     ddJ = (-dJ[k + 2] + 8 * dJ[k + 1] - 8 * dJ[k - 1] + dJ[k - 2]) / (12 * h)
-    f = _FieldEval(path.metric, path.potential, need_curvature=True)(
-        path.pos[k], path.vel[k])
-    res = ddJ + ((f.gam_v @ dJ[k][..., None]) + (f.op @ sol.J[k][..., None]))[..., 0]
+    pot = None if path.potential.is_zero else path.potential
+    geo = GeometryBatch(path.metric, path.pos[k], potential=pot, curvature_order=0)
+    res = (ddJ + np.einsum("bkij,bi,bj->bk", geo.gamma, v, dJ[k])
+           + np.einsum("blijk,bi,bj,bk->bl", geo.riemann_raised, v, sol.J[k], v))
+    if pot is not None:
+        res += (geo.g_inv @ (geo.hess_v @ sol.J[k][..., None]))[..., 0]
     return float(np.max(np.abs(res), initial=0.0))
 
 
@@ -894,7 +922,7 @@ def _costs(
                                    max_iter, V_init)
     pos = curves[:, :, 0:n].reshape(-1, n)  # grid points, lanes inner
     vel = curves[:, :, n: 2 * n].reshape(-1, n)
-    f = _FieldEval(metric, potential, need_curvature=False)(pos, vel)
+    f = _FieldEval(metric, potential)(pos, vel)
     lag = (0.5 * _quadratic(vel, f.g) - f.v).reshape(curves.shape[:2])
     values = simpson(lag.T, 1.0 / steps)
     return [
@@ -1019,8 +1047,7 @@ def variation_family(
         transport=True, variation="full", store=True,
     )
     J, dJ = _two_point_fields(
-        traj[:, :, voff:].reshape(steps + 1, len(grid), 2 * n, 2 * n),
-        np.tile(u, (len(grid), 1)),
+        metric, traj, voff, np.tile(u, (len(grid), 1)),
         "conjugate point inside a variation family member",
     )
     for b, (i, j, s, t) in enumerate(grid):

@@ -326,21 +326,6 @@ def _compile(src: str, name: str, scope: dict | None = None) -> Callable:
     return scope.pop(name)  # a function in its own globals is a cycle
 
 
-def _batch_function(roots: Sequence[Node]) -> Callable:
-    """One generated function evaluating interned roots of one
-    :class:`_Dag` at a batch of points.
-
-    The function maps coordinates ``c`` of shape (dim, B) to an array of
-    shape (len(roots), B), each distinct subtree computed once as a NumPy
-    array over the batch (:func:`_emit`).  It performs the scalar path's
-    operations in the same order, so values are bit-identical except
-    where NumPy's ``exp`` rounds differently from ``math.exp`` (by at
-    most one ulp), a difference the operations above it carry along.
-    """
-    lines, out = _emit(roots)
-    return _compile("\n".join(["def _batch(c):", *lines, *_gather(out)]), "_batch")
-
-
 def _gather(exprs: Sequence[str]) -> list[str]:
     """Generated lines returning the rows ``exprs`` as one (len, B) array."""
     return ([f"    out = _empty(({len(exprs)},) + c.shape[1:])"]

@@ -10,28 +10,29 @@ sectional curvature computed as
 
     K(u, w) = R[w, u, w, u] / (|u|^2 |w|^2 - <u, w>^2)
 
-equals +1.  The same array feeds the curve-variation equation through
-the raised operator ``(R(a, b) c)^l``, keeping the two uses mutually
-consistent; the sphere oracle in the test suite pins the sign.
+equals +1.  The same array feeds the curve-variation identities (the
+lemma suite and the variation residual of ``dynamics``) through the
+raised operator ``(R(a, b) c)^l``; the sphere oracle in the test suite
+pins the sign.
 
 Derivative strategy: the Christoffel formula and the curvature formula
 are written once, in :func:`_christoffel_from` and
-:func:`_curvature_from`, with the tensor product passed in.  The
-trajectory engine in ``dynamics`` needs them only along a velocity v,
-so :func:`_along_velocity` writes the same formulas with v contracted
-in before the inverse metric lifts them (Gamma v, Gamma(v, v) and
-R(., v) v, in the same sign convention; the tests pin it against
-:func:`_curvature_from`), on point values of the metric partials from
-exact expression-tree differentiation at a batch of lanes, and the RK4
-stage runs Gamma(v, v) + grad V as straight-line code generated per
-metric and potential (:func:`_stage_kernel`, checked against it, with
-one lane's whole RK4 step in Python floats generated from the same lines);
-:class:`GeometryBatch` evaluates them on truncated Taylor jets at a
-batch of points with :func:`~mtwcheck.jets.jcontract`, which
-differentiates the whole pipeline exactly, so covariant derivatives of
-curvature and of the potential need no further formulas.  The jets of
-the metric and the potential at all points come from one generated
-function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
+:func:`_curvature_from`, with the tensor product passed in, and
+curvature is evaluated only on jets.  :class:`GeometryBatch` evaluates
+them on truncated Taylor jets at a batch of points with
+:func:`~mtwcheck.jets.jcontract`, which differentiates the whole
+pipeline exactly, so covariant derivatives of curvature and of the
+potential need no further formulas.  The trajectory engine in
+``dynamics`` needs only the connection along a velocity v:
+:func:`_along_velocity` contracts v into the first-kind symbols before
+the inverse metric lifts them (Gamma v, Gamma(v, v)), on point values
+of the metric partials at a batch of lanes, and the RK4 stage runs
+Gamma(v, v) + grad V as straight-line code generated per metric and
+potential (:func:`_stage_kernel`, checked against it, with one lane's
+whole RK4 step in Python floats generated from the same lines); its
+linearization reads second partials of g and V, not curvature.  The
+jets of the metric and the potential at all points come from one
+generated function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
 by its fields' expression texts and the jet space alone, in the
 package's one cache (:func:`_plan_of`, 32 plans), which the field
 evaluators of ``dynamics`` read too, and on whose entries the RK4 curve
@@ -357,39 +358,18 @@ def _first_kind_rows(dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.moveaxis(T, (2, 0, 1), last)
 
 
-def _along_velocity(ginv: np.ndarray, C: np.ndarray, v: np.ndarray,
-                    curvature: bool):
-    """Connection and curvature contracted with v at every lane b.
+def _along_velocity(ginv: np.ndarray, C: np.ndarray, v: np.ndarray):
+    """The connection contracted with v at every lane b.
 
-    ``C[b, 0]`` is :func:`_first_kind_rows` of dg at lane b and, with
-    ``curvature``, ``C[b, 1 + p]`` its d_p (of d2g[b, p] = d_p dg).
-    Returns Gv[b, k, j] = Gamma^k_ij v^i, Gamma(v, v)[b, k] and
-    M[b, l, j] = Rup[l, i, j, k] v^i v^k, which is :func:`_curvature_from`
-    contracted with v in its first and last slots (R(J, v) v = M J), or
-    None.  v enters the lowered symbols before g^-1 lifts them:
-
-        M = g^-1 [ K v + Cv^T Gv - C(Gvv) ],
-
-    Cv[m, i] = C_ij,m v^j, C(Gvv)[j, m] = C_jm,a Gvv^a, and
-    K[m, j, i] = L[j, m, i] - L[i, m, j] with L[p, m, i] = d_p C_ij,m v^j.
-    K v holds the two derivative terms of the formula, and the product
-    rule's d_v g = Cv + Cv^T folds its quadratic terms into the other two.
+    ``C[b]`` is :func:`_first_kind_rows` of dg at lane b.  Returns
+    Gv[b, k, j] = Gamma^k_ij v^i and Gamma(v, v)[b, k]; v enters the
+    lowered symbols before g^-1 lifts them, Gv = g^-1 Cv with
+    Cv[m, i] = C_ij,m v^j.
     """
     lanes, n = v.shape
     vc = v[:, :, None]
-    r = C.reshape(lanes, -1, n) @ vc
-    cv = r[:, : n * n].reshape(lanes, n, n)
-    gv = ginv @ cv
-    gvv = gv @ vc
-    if not curvature:
-        return gv, gvv[..., 0], None
-    L = r[:, n * n:].reshape(lanes, n, n, n).swapaxes(-3, -2)
-    K = L - L.swapaxes(-1, -2)
-    low = ((K.reshape(lanes, n * n, n) @ vc).reshape(lanes, n, n)
-           + cv.swapaxes(-1, -2) @ gv
-           - (gvv.swapaxes(-1, -2) @ C[:, 0].reshape(lanes, n, n * n)
-              ).reshape(lanes, n, n))
-    return gv, gvv[..., 0], ginv @ low
+    gv = ginv @ (C.reshape(lanes, n * n, n) @ vc).reshape(lanes, n, n)
+    return gv, (gv @ vc)[..., 0]
 
 
 # The curve's RK4 stage as generated code: the formulas above along the
@@ -406,11 +386,11 @@ def _fields_of(metric: MetricField, potential: PotentialField | None) -> list:
     return fields
 
 
-def _partial_rows(plan: TaylorPlan, n: int, curvature: bool) -> np.ndarray:
+def _partial_rows(plan: TaylorPlan, n: int, second: bool) -> np.ndarray:
     """The plan's rows, per field, of its value, of d_m for each m and,
-    with ``curvature``, of d_p d_m for each (p, m)."""
+    with ``second``, of d_p d_m for each (p, m)."""
     e = np.eye(n, dtype=int)
-    monos = [0 * e[0], *e] + [p + m for p in e for m in e if curvature]
+    monos = [0 * e[0], *e] + [p + m for p in e for m in e if second]
     return plan.rows[:, [plan.space.index[tuple(m)] for m in monos]]
 
 

@@ -131,14 +131,16 @@ def reference_jet(f, x, space):
 def reference_integrate(metric, potential, x0, v0, steps, transport=False,
                         variation=None):
     """One lane of the coupled RK4 of the curve, its transport Psi and its
-    variation Phi, the whole state stepped together: the oracle for
-    ``dynamics._integrate``.  Returns the grid states (steps+1, size)
-    in its layout [x, v, Psi, Phi]."""
+    coordinate variation Phi = (dx, dv), Phi' = [[0, I], [-d_x F, -2 Gamma v]]
+    Phi with F = Gamma(v, v) + grad V, the whole state stepped together:
+    the oracle for ``dynamics._integrate``.  The "full" columns start at
+    [[I, 0], [-Gamma v0, I]], one per covariant start datum (J0, P0).
+    Returns the grid states (steps+1, size) in its layout [x, v, Psi, Phi]."""
     from mtwcheck.dynamics import _FieldEval
 
     n = metric.dim
     ncols = {None: 0, "velocity": n, "full": 2 * n}[variation]
-    ev = _FieldEval(metric, potential, need_curvature=ncols > 0)
+    ev = _FieldEval(metric, potential, jacobian=ncols > 0)
     voff = 2 * n + (n * n if transport else 0)
 
     def rhs(y):
@@ -149,12 +151,14 @@ def reference_integrate(metric, potential, x0, v0, steps, transport=False,
         if transport:
             parts.append((-f.gam_v[0] @ y[2 * n: voff].reshape(n, n)).ravel())
         if ncols:
-            gen = np.block([[-f.gam_v[0], np.eye(n)], [-f.op[0], -f.gam_v[0]]])
+            gen = np.block([[np.zeros((n, n)), np.eye(n)], [-f.dx[0], -2.0 * f.gam_v[0]]])
             parts.append((gen @ y[voff:].reshape(2 * n, ncols)).ravel())
         return np.concatenate(parts)
 
-    y = np.concatenate([x0, v0, np.eye(n).ravel() if transport else [],
-                        np.eye(2 * n)[:, 2 * n - ncols:].ravel()])
+    seed = np.eye(2 * n)[:, 2 * n - ncols:]
+    if variation == "full":
+        seed[n:, 0:n] = -ev(x0[None], v0[None]).gam_v[0]
+    y = np.concatenate([x0, v0, np.eye(n).ravel() if transport else [], seed.ravel()])
     h = 1.0 / steps
     out = [y]
     for _ in range(steps):

@@ -447,6 +447,48 @@ def test_jacobi_residual_small(sphere):
     assert jacobi_residual(sol) <= 1e-6
 
 
+@pytest.mark.parametrize("case", ["conformal-potential", "inline3d"])
+def test_jacobi_residual_small_with_a_potential_and_in_3d(case, conformal_a3, sphere):
+    metric, pot, x0, v0 = _oracle_case(case, conformal_a3, sphere)
+    path = least_action_curve(metric, pot, x0, v0)
+    sol = jacobi_bvp(path, np.eye(metric.dim)[0] + 0.4 * np.eye(metric.dim)[1])
+    assert jacobi_residual(sol) <= 1e-6
+
+
+def test_jacobi_residual_rejects_the_field_of_another_metric(sphere, flat2):
+    # the residual reads Gamma and the curvature from the jet pipeline along
+    # the path, not from the integrator's coefficient: the flat metric's
+    # two-point field paired with the sphere's curve fails it
+    from mtwcheck.dynamics import JacobiSolution
+
+    x, v, u = [1.0, -0.2], [0.5, 0.7], [0.3, 0.9]
+    path = least_action_curve(sphere, None, x, v)
+    right = jacobi_residual(jacobi_bvp(path, u))
+    flat = jacobi_bvp(least_action_curve(flat2, None, x, v), u)
+    wrong = jacobi_residual(JacobiSolution(path=path, u0=flat.u0, J=flat.J, dJ=flat.dJ))
+    assert wrong >= 1e3 * max(right, 1e-12)
+
+
+@pytest.mark.parametrize("steps", [12, 25])
+@pytest.mark.parametrize("case", ["sphere", "conformal-potential"])
+def test_velocity_jacobian_is_the_derivative_of_the_discrete_endpoint(
+        case, steps, conformal_a3, sphere):
+    # the variation advances by the derivative of each RK4 step, so the
+    # "velocity" columns are the Jacobian of the discrete endpoint map, not
+    # only of the exact one (which differs by O(h^4): 1.6e-7 at 12 steps)
+    from mtwcheck import dynamics as dyn
+
+    metric, pot, x0, v0 = _oracle_case(case, conformal_a3, sphere)
+    n, e = metric.dim, 1e-5
+    X, V = np.array([x0]), np.array([v0])
+    y, _, voff = dyn._integrate(metric, pot, X, V, steps, variation="velocity")
+    jac = y[0, voff:].reshape(2 * n, n)[0:n]
+    fd = np.stack([(dyn._endpoints(metric, pot, X, V + d, steps)
+                    - dyn._endpoints(metric, pot, X, V - d, steps))[0] / (2 * e)
+                   for d in np.eye(n) * e], axis=1)
+    assert np.max(np.abs(jac - fd)) <= 1e-9
+
+
 def test_jacobi_linearity(sphere):
     path = least_action_curve(sphere, None, [1.3, 0.1], [0.2, 0.8])
     u1 = np.array([1.0, 0.2])
@@ -664,7 +706,7 @@ def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sph
     if g_fill is not None:
         g[...] = g_fill
     fn(a, k, g)
-    f = dyn._FieldEval(metric, pot, need_curvature=False)(X, V)
+    f = dyn._FieldEval(metric, pot)(X, V)
     want = -f.gam_vv - (0.0 if f.grad is None else f.grad)
     assert np.array_equal(k[0:n], V.T)
     np.testing.assert_allclose(k[n:].T, want, rtol=1e-13,
@@ -705,6 +747,61 @@ def _assert_scalar_step_is_the_kernels(fn, g_fill, step, a, h=0.05):
                               np.stack(gs).swapaxes(0, 1))
 
 
+@pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d-full",
+                                  "flat-quartic", "inline4d"])
+def test_slope_jacobian_is_the_derivative_of_the_stage_slope(case, conformal_a3,
+                                                             sphere):
+    # the linear pass's coefficient d_x F, F = Gamma(v, v) + grad V, and
+    # 2 Gamma v are the x- and v-derivatives of the stage kernel's
+    # acceleration -F: against the jet pipeline's Gamma, d Gamma, grad V
+    # and Hess V (d_p grad V = g^-1 Hess V - Gamma(e_p, grad V)), and
+    # against central differences of the kernel
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import GeometryBatch, PotentialField
+
+    center = 0.0
+    if case == "sphere":
+        metric, pot, center = sphere, None, np.array([1.2, 0.1])
+    elif case == "conformal-potential":
+        metric = conformal_a3
+        pot = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
+    elif case == "inline3d-full":
+        metric, pot = _inline(*_INLINE3D_FULL)
+    elif case == "flat-quartic":
+        metric, pot = euclidean_metric(2), quartic_potential([[0.8, 0.1], [0.1, 1.2]])
+    else:
+        metric, pot = _inline(*_INLINE4D)
+    n = metric.dim
+    rng = np.random.default_rng(5)
+    X = center + rng.uniform(-0.3, 0.3, (6, n))
+    V = rng.uniform(-0.5, 0.5, (6, n))
+    f = dyn._FieldEval(metric, pot, jacobian=True)(X, V)
+    geo = GeometryBatch(metric, X, potential=pot, curvature_order=0)
+    want = np.einsum("bpkij,bi,bj->bkp", geo.dgamma, V, V)
+    if pot is not None:
+        want += geo.g_inv @ geo.hess_v - np.einsum("bkpa,ba->bkp", geo.gamma, geo.grad_v)
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(f.dx, want, rtol=1e-12, atol=1e-12 * scale)
+
+    fn, g_fill, _ = geometry._curve_stage(metric, pot)
+
+    def accel(X, V):
+        k, g = np.empty((2 * n, len(X))), np.empty((len(X), n, n))
+        if g_fill is not None:
+            g[...] = g_fill  # the 4-D kernel inverts g as filled
+        fn(np.concatenate([X.T, V.T]), k, g)
+        return k[n:].T
+
+    e = 1e-6
+    for p, d in enumerate(np.eye(n) * e):
+        by_x = (accel(X + d, V) - accel(X - d, V)) / (2 * e)
+        np.testing.assert_allclose(-by_x, f.dx[..., p], rtol=1e-8, atol=1e-8 * scale)
+        by_v = (accel(X, V + d) - accel(X, V - d)) / (2 * e)
+        np.testing.assert_allclose(-by_v, 2.0 * f.gam_v[..., p], rtol=1e-8,
+                                   atol=1e-8 * max(scale, 1.0))
+
+
 def test_scalar_step_rounds_exp_as_the_vector_kernel(conformal_a3):
     # math.exp and np.exp round some arguments to neighbouring floats; at
     # such points the scalar step's g is still the batch evaluator's
@@ -713,7 +810,7 @@ def test_scalar_step_rounds_exp_as_the_vector_kernel(conformal_a3):
     rng = np.random.default_rng(3)
     X = rng.uniform(-0.6, 0.6, (400, 2))
     V = rng.uniform(-0.5, 0.5, (400, 2))
-    want = dyn._FieldEval(conformal_a3, None, need_curvature=False)(X, V).g
+    want = dyn._FieldEval(conformal_a3, None)(X, V).g
     by_math_exp = np.array([conformal_a3.entries[0][0](x) for x in X])
     differ = np.flatnonzero(want[:, 0, 0] != by_math_exp)
     assert differ.size >= 5
@@ -829,7 +926,7 @@ def test_integration_and_field_outputs_are_not_reused(case, mode, conformal_a3):
         for a, b in zip(first, kept):
             assert (a is None and b is None) or np.array_equal(a, b)
 
-    ev = dyn._FieldEval(metric, pot, need_curvature=True)
+    ev = dyn._FieldEval(metric, pot, jacobian=True)
     first = ev(X, V)
     kept = [np.array(a, copy=True) for a in first]
     ev(X + 0.1, V - 0.1)

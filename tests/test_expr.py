@@ -387,10 +387,11 @@ def _fields_through_second_order(fields, dim):
 
 
 def _interned_batch(fields):
-    """The generated function of the fields' trees interned on one DAG,
-    as a TaylorPlan builds it."""
-    dag = ex._Dag()
-    return ex._batch_function([dag.tree(f.tree) for f in fields])
+    """The fields' values from the generated function of their TaylorPlan
+    at degree 0: a function of points of shape (dim, B) returning an
+    array of shape (fields, B)."""
+    plan = ex.TaylorPlan(fields, JetSpace.get(fields[0].dim, 0))
+    return lambda X: plan.values(X.T)[plan.rows[:, 0]]
 
 
 def _batch_case(name):
@@ -457,12 +458,13 @@ def test_batch_evaluator_matches_scalar_fields_on_dag_roots(fields, degree):
     # roots of one DAG share their subtrees (a field's partials share the
     # field's, and each other's); with the same elementary routines the
     # batch equals every field's own expression bit for bit
+    space = JetSpace.get(_TREE_DIM, degree)
     dag = ex._Dag()
-    roots = [dag.partial(dag.tree(f.tree), m)
-             for f in fields for m in JetSpace.get(_TREE_DIM, degree).monomials]
+    roots = [dag.partial(dag.tree(f.tree), m) for f in fields for m in space.monomials]
+    plan = ex.TaylorPlan(fields, space)
     X = np.random.default_rng(9).uniform(-0.5, 0.5, (_TREE_DIM, 5))
     with np.errstate(all="ignore"):
-        got = ex._batch_function(roots)(X)
+        got = plan.values(X.T)[plan.rows.ravel()]
         want = _per_field_values([ex.ScalarField(r, _TREE_DIM) for r in roots], X)
     assert np.array_equal(got, want, equal_nan=True)
 

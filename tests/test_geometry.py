@@ -27,10 +27,8 @@ from mtwcheck.geometry import (
     GeometryBatch,
     MetricField,
     PotentialField,
-    _along_velocity,
     _christoffel_from,
     _curvature_from,
-    _first_kind_rows,
     _generalized_eigh,
     _plan_of,
     christoffel,
@@ -272,11 +270,11 @@ def test_second_curvature_derivative_contractions(a, rng):
 @pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
 def test_jet_tensors_match_point_evaluator(name, rng):
     # The jet pipeline and the integrator's batched field evaluator reach
-    # the connection and the curvature by different routes: the stage
-    # contracts the velocity into the first-kind symbols and their
-    # derivatives before lifting, while the reference contracts the full
-    # arrays of _curvature_from, built from jet values.  The conformal
-    # case carries a potential, whose raised Hessian the stage adds.
+    # the connection by different routes: the evaluator contracts the
+    # velocity into the first-kind symbols before lifting, while the
+    # reference contracts the full Christoffel array built from jet values.
+    # The conformal case carries a potential, whose raised gradient the
+    # evaluator returns too.  (Its slope Jacobian is pinned in test_dynamics.)
     potential = None
     if name == "inline3d":
         metric = inline3d_metric()
@@ -286,55 +284,21 @@ def test_jet_tensors_match_point_evaluator(name, rng):
         if name == "conformal":
             potential = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
     vel = rng.normal(size=pts.shape)
-    fields = _FieldEval(metric, potential, need_curvature=True)(pts, vel)
+    fields = _FieldEval(metric, potential)(pts, vel)
     for b, (x, v) in enumerate(zip(pts, vel)):
         geo = GeometryBatch(metric, x[None], potential=potential, curvature_order=0)
         gam, ginv = geo.gamma[0], geo.g_inv[0]
-        rup = _curvature_from(np.einsum, gam, geo.dgamma[0])
         want = {
             "ginv": ginv,
             "gam_v": np.einsum("kij,i->kj", gam, v),
             "gam_vv": np.einsum("kij,i,j->k", gam, v, v),
-            "op": np.einsum("lijk,i,k->lj", rup, v, v)
-            + (0.0 if potential is None else ginv @ geo.hess_v[0]),
         }
+        if potential is not None:
+            want["grad"] = geo.grad_v[0]
         for key, ref in want.items():
             got = getattr(fields, key)[b]
             assert np.allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref))), key
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_curvature_operator_is_the_contracted_curvature(n):
-    # on random symmetric partials, against the full formulas of
-    # _christoffel_from and _curvature_from with the product rule
-    # d_p Gamma^k_ij = g^km d_p T_ijm / 2 - g^ka d_p g_ab Gamma^b_ij
-    rng = np.random.default_rng(n)
-    lanes = 4
-    a = rng.normal(size=(lanes, n, n))
-    g = a @ a.swapaxes(-1, -2) + n * np.eye(n)
-    dg = rng.normal(size=(lanes, n, n, n))
-    dg = dg + dg.swapaxes(-1, -2)
-    d2g = rng.normal(size=(lanes, n, n, n, n))
-    d2g = d2g + d2g.swapaxes(-1, -2)
-    d2g = d2g + d2g.swapaxes(1, 2)
-    v = rng.normal(size=(lanes, n))
-    ginv = np.linalg.inv(g)
-    C = _first_kind_rows(np.concatenate([dg[:, None], d2g], axis=1))
-    gv, gvv, M = _along_velocity(ginv, C, v, curvature=True)
-    for b in range(lanes):
-        gam = _christoffel_from(np.einsum, ginv[b], dg[b])
-        half_dT = np.stack([_christoffel_from(np.einsum, ginv[b], d2g[b, p])
-                            for p in range(n)])
-        dgam = half_dT - np.einsum("ka,pab,bij->pkij", ginv[b], dg[b], gam)
-        rup = _curvature_from(np.einsum, gam, dgam)
-        assert np.allclose(gv[b], np.einsum("kij,i->kj", gam, v[b]),
-                           rtol=1e-13, atol=1e-13)
-        assert np.allclose(gvv[b], np.einsum("kij,i,j->k", gam, v[b], v[b]),
-                           rtol=1e-13, atol=1e-13)
-        want = np.einsum("lijk,i,k->lj", rup, v[b], v[b])
-        assert np.allclose(M[b], want, rtol=1e-12,
-                           atol=1e-12 * np.max(np.abs(want)))
 
 
 def _degree4_reference(metric, x, potential, order):
