@@ -13,11 +13,12 @@ starts at x0[b] with velocity v0[b].  The curve [x; v] is stepped
 alone, a row per coordinate, as nothing in it reads the transport or
 the variation.  Each RK4 stage is one call of a straight-line function
 generated per metric and potential: the DAG lines of the cached
-:class:`~mtwcheck.expr.TaylorPlan` of the metric entries and the
-potential, then g^-1 by cofactors and Gamma(v, v) + grad V as
+degree-2 :class:`~mtwcheck.expr.TaylorPlan` of the metric entries and
+the potential, then g^-1 by cofactors and Gamma(v, v) + grad V as
 fixed-order sums over the nonzero partials.  It writes the stage's
-slope and g, and it is compiled once per plan and kept on the plan's
-entry in the plan cache (:func:`~mtwcheck.geometry._curve_stage`).
+slope and g.  It and the linearization generated from the same lines
+are compiled once per plan and kept on the plan's entry in the plan
+cache (:func:`~mtwcheck.geometry._curve_stage`).
 Each line is one NumPy call whatever the lane count, so a batch of at
 most SCALAR_LANES lanes in dimension n <= 3 runs the same lines as one
 whole RK4 step of one lane in Python floats, kept with the kernel
@@ -35,10 +36,9 @@ curve stops at its first non-finite state, which raises
 :class:`~mtwcheck.errors.CurveOverflowError` unless a point fails first.
 The transport Psi and the variation Phi solve linear equations
 Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
-per block, Gamma v and d_x F, F = Gamma(v, v) + grad V, at the
-recorded stage points are one call of the field evaluator
-(:class:`_FieldEval`), the maps are batched matmuls, and they apply in
-step order.  Phi = (dx, dv) is the tangent of the discrete curve step:
+per block, d_x F, F = Gamma(v, v) + grad V, and Gamma v at the
+recorded stage points are one call of the generated linearization,
+the maps are batched matmuls, and they apply in step order.  Phi = (dx, dv) is the tangent of the discrete curve step:
 a Runge-Kutta step's derivative is the same method on dy' = A dy, with
 A = [[0, I], [-d_x F, -2 Gamma v]], the slope [v; -F]'s Jacobian, at
 the step's stage values (Hairer, Nørsett and Wanner, *Solving ODEs I*,
@@ -53,9 +53,10 @@ steps every lane with its own line search, first on a grid
 COARSE_FACTOR times coarser and then on the caller's (:func:`_shoot`),
 and the single-curve functions (:func:`c_exp`, :func:`cost`, ...) are
 one-lane calls into the same engine.  Quantities along a stored curve
-(energy, transported norms, D_tau J, the action) are one evaluator
-call over all grid points, and the variation residual one geometry
-batch.  Every two-point variation field comes from one endpoint solve
+read all grid points at once: energy, transported norms and the action
+read the metric's and the potential's values, D_tau J one call of the
+linearization, and the variation residual one geometry batch.  Every
+two-point variation field comes from one endpoint solve
 (:func:`_endpoint_solve`), and the action integral here and the
 closed-form zeroth-order quadrature of :mod:`mtwcheck.mtw` share one
 rule (:func:`simpson`).
@@ -74,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,12 +93,7 @@ from .geometry import (
     GeometryBatch,
     MetricField,
     PotentialField,
-    _along_velocity,
     _curve_stage,
-    _fields_of,
-    _first_kind_rows,
-    _partial_rows,
-    _plan_of,
     as_point,
     as_vectors,
     contract,
@@ -138,105 +134,10 @@ SCALAR_LANES = 8
 
 # Stage points per block of steps (see _integrate): a block holds at most
 # this many, and at least one step.  Each block's points are tested for a
-# positive-definite metric in one call, and with a linearized flow its
-# transport and variation coefficients are evaluated in one call, so the
-# block bounds the memory of both.
+# positive-definite metric in one call, and with a linearized flow the
+# stage kernel's linearization gives their transport and variation
+# coefficients in one call, so the block bounds the memory of both.
 STEP_MAP_BLOCK_POINTS = 512
-
-
-# ---------------------------------------------------------------------------
-# Field data at a batch of points
-# ---------------------------------------------------------------------------
-
-
-class _Fields(NamedTuple):
-    """Data entering the equations of motion at lanes b, lane axis leading."""
-
-    g: np.ndarray  # (B, n, n)
-    ginv: np.ndarray  # (B, n, n)
-    gam_v: np.ndarray  # (B, n, n), Gamma^k_ij v^i
-    gam_vv: np.ndarray  # (B, n), Gamma(v, v)
-    grad: np.ndarray | None  # raised grad V, (B, n); None without potential
-    dx: np.ndarray | None  # (B, n, n), [k, p] = d_p (Gamma(v, v) + grad V)^k, with jacobian
-    v: np.ndarray | float  # V, (B,); 0.0 without potential
-
-
-class _FieldEval:
-    """Metric, connection and potential data along a batch of velocities
-    at a batch of points: the evaluator of every bulk use (the linear
-    pass, energy, D_tau J, the action) and the tests' oracle of the
-    curve's stage kernel, which is generated from the same plan
-    (:func:`~mtwcheck.geometry._stage_kernel`).
-
-    One :class:`~mtwcheck.expr.TaylorPlan` of the metric entries and the
-    potential returns every partial the equations need, each distinct
-    partial once.  The connection is returned contracted with the
-    velocity (:func:`~mtwcheck.geometry._along_velocity`), and with
-    ``jacobian`` so is the x-derivative of the stage kernel's
-    acceleration, from the second partials of g and V:
-
-        d_p F = g^-1 [d_p C(v, v) + d_p dV - d_p g F],  F = Gamma(v, v) + grad V,
-
-    with C the first-kind symbols and d_p g_ma = C_pm,a + C_pa,m.
-    """
-
-    def __init__(self, metric: MetricField, potential: PotentialField | None,
-                 jacobian: bool = False):
-        self.jacobian = jacobian
-        n = metric.dim
-        fields = _fields_of(metric, potential)
-        self.has_potential = len(fields) > n * n
-        space = JetSpace.get(n, 2 if jacobian else 1)
-        self._plan = plan = _plan_of(fields, space)
-        part = _partial_rows(plan, n, jacobian)
-
-        # Everything read from the field values is linear in them: the
-        # entries of g, the first-kind symbols of dg and, with jacobian,
-        # of d2g (the formula applied to one-hot rows), and V, dV, d2V.
-        # Row r of the map holds the coefficients of the plan's value r, so
-        # one matmul per point gathers and combines them all.
-        def rows(ix):
-            return np.moveaxis(np.eye(plan.distinct)[ix], -1, 0)
-
-        # [0, m, i, j] = C_ij,m and, with jacobian, [1 + p, m, i, j] = d_p C_ij,m
-        d_ix = part[: n * n, 1:].T.reshape(-1, n, n, n)
-        blocks = [rows(part[: n * n, 0].reshape(n, n)), _first_kind_rows(rows(d_ix))]
-        if self.has_potential:
-            blocks.append(rows(part[n * n]))  # [V, dV, d2V]
-        self._pot = n * n + blocks[1][0].size
-        self._map = np.concatenate([b.reshape(plan.distinct, -1) for b in blocks], axis=1)
-
-    def __call__(self, X: np.ndarray, V: np.ndarray) -> _Fields:
-        """Field data at the points X[b] along the velocities V[b], both (B, n)."""
-        B, n = X.shape
-        # a contiguous row per point whatever the batch size, so that every
-        # point meets the same kernels (the plan's, and the gemv below)
-        vals = np.ascontiguousarray(self._plan.values(X).T)
-        out = (vals[:, None, :] @ self._map)[:, 0]
-        g = out[:, 0: n * n].reshape(B, n, n)
-        try:
-            ginv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            require_positive_definite(g, X)
-            raise
-        C = out[:, n * n: self._pot].reshape(B, -1, n, n, n)
-        gam_v, gam_vv = _along_velocity(ginv, C[:, 0], V)
-        pot = out[:, self._pot:]  # [V, dV, d2V]
-        grad = (ginv @ pot[:, 1: n + 1, None])[..., 0] if self.has_potential else None
-        dx = None
-        if self.jacobian:
-            # d_p F lowered, at [m, p], then lifted
-            F = gam_vv if grad is None else gam_vv + grad
-            vc, C0 = V[:, :, None], C[:, 0]
-            dcvv = (C[:, 1:].reshape(B, n ** 3, n) @ vc).reshape(B, n * n, n) @ vc
-            low = (dcvv.reshape(B, n, n) - (F[:, None, :] @ C0.reshape(B, n, n * n)
-                                           ).reshape(B, n, n)).swapaxes(-1, -2)
-            low = low - (C0.reshape(B, n * n, n) @ F[:, :, None]).reshape(B, n, n)
-            if grad is not None:
-                low = low + pot[:, n + 1:].reshape(B, n, n)
-            dx = ginv @ low
-        return _Fields(g, ginv, gam_v, gam_vv, grad, dx,
-                       0.0 if grad is None else pot[:, 0])
 
 
 def _quadratic(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -264,8 +165,8 @@ class CurvePath:
 
     def energy(self) -> np.ndarray:
         """Conserved quantity 0.5 |dγ|^2 + V along the grid."""
-        f = _FieldEval(self.metric, self.potential)(self.pos, self.vel)
-        return 0.5 * _quadratic(self.vel, f.g) + f.v
+        V = self.potential.jets(self.pos, JetSpace.get(self.metric.dim, 0))[:, 0]
+        return 0.5 * _quadratic(self.vel, self.metric.matrix(self.pos)) + V
 
     def energy_drift(self) -> float:
         e = self.energy()
@@ -285,7 +186,7 @@ class ParallelFrame:
     vectors: np.ndarray  # (steps+1, n)
 
     def norm_drift(self) -> float:
-        g = _FieldEval(self.path.metric, None)(self.path.pos, self.path.vel).g
+        g = self.path.metric.matrix(self.path.pos)
         norms = np.sqrt(_quadratic(self.vectors, g))
         return float(np.max(np.abs(norms - norms[0])) / max(1.0, norms[0]))
 
@@ -351,9 +252,11 @@ def _integrate(
     whole 2n x 2n fundamental matrix, a column per covariant start datum
     (J0, P0); "velocity" only the n columns of initial velocity
     perturbations, whose dx rows are the endpoint Jacobian needed for
-    shooting.  The curve is stepped alone, and after each block of steps
-    Psi and Phi advance by the RK4 step maps of the block's recorded
-    stage points (see the module docstring).
+    shooting.  The curve is stepped alone by the stage kernel, and after
+    each block of steps Psi and Phi advance by the RK4 step maps of the
+    block's recorded stage points, whose coefficients [d_x F, Gamma v]
+    are one call of the linearization generated with the kernel (see the
+    module docstring); the "full" seed reads its Gamma v0 there too.
     """
     if steps < 1:
         raise DiscretizationError(f"steps must be at least 1, got {steps}")
@@ -372,11 +275,9 @@ def _integrate(
         ncols = n
     elif variation is not None:
         raise ValueError(f"unknown variation mode {variation!r}")
-    kern, g_fill, scalar_step = _curve_stage(metric, potential)
+    kern, g_fill, scalar_step, lin = _curve_stage(metric, potential)
     if lanes > SCALAR_LANES:
         scalar_step = None
-    if transport or ncols:
-        lin = _FieldEval(metric, potential, jacobian=ncols > 0)
     voff = 2 * n + (n * n if transport else 0)
     size = voff + 2 * n * ncols
     linear = []  # the blocks [columns in a lane's state, value] of Psi, Phi
@@ -386,7 +287,7 @@ def _integrate(
         seed = np.broadcast_to(np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))
         if ncols == 2 * n:  # a column per (J0, P0): dv = P0 - Gamma(v0, J0)
             seed = seed.copy()
-            np.negative(lin(x0, v0).gam_v, out=seed[:, n:, 0:n])
+            np.negative(lin(np.concatenate([x0.T, v0.T]))[..., n:], out=seed[:, n:, 0:n])
         linear.append([slice(voff, size), seed])
 
     h = 1.0 / steps
@@ -491,16 +392,14 @@ def _integrate(
     def advance(k0: int, count: int) -> None:
         """Psi and Phi over the steps k0 .. k0 + count - 1, by the step
         maps of the recorded stage points, evaluated in one call."""
-        shape = (count, 4, lanes, n, n)
-        pts = points(count)
-        f = lin(pts[:, 0:n], pts[:, n:])
-        gam_v = f.gam_v.reshape(shape)
-        gens = [np.negative(gam_v)] if transport else []
+        # [d_x F, Gamma v] at the stage points, a row per coordinate
+        A = lin(np.ascontiguousarray(points(count).T)).reshape(count, 4, lanes, n, 2 * n)
+        gens = [np.negative(A[..., n:])] if transport else []
         if ncols:  # the slope's Jacobian [[0, I], [-d_x F, -2 Gamma v]]
-            gen = np.zeros(shape[:3] + (2 * n, 2 * n))
+            gen = np.zeros((count, 4, lanes, 2 * n, 2 * n))
             gen[..., 0:n, n:] = np.eye(n)
-            np.negative(f.dx.reshape(shape), out=gen[..., n:, 0:n])
-            np.multiply(gam_v, -2.0, out=gen[..., n:, n:])
+            np.negative(A[..., 0:n], out=gen[..., n:, 0:n])
+            np.multiply(A[..., n:], -2.0, out=gen[..., n:, n:])
             gens.append(gen)
         for part, gen in zip(linear, gens):
             cols, Y = part
@@ -632,8 +531,8 @@ def _endpoint_solve(Phi1: np.ndarray, U: np.ndarray, what: str) -> np.ndarray:
     return -np.linalg.solve(B, Phi1[:, 0:n, 0:n] @ U[:, :, None])[..., 0]
 
 
-def _two_point_fields(metric: MetricField, traj: np.ndarray, voff: int,
-                      U: np.ndarray, what: str):
+def _two_point_fields(metric: MetricField, potential: PotentialField | None,
+                      traj: np.ndarray, voff: int, U: np.ndarray, what: str):
     """J and its covariant derivative, each (steps+1, B, n), with
     J_b(0) = U[b] and J_b(1) = 0, from the stored states traj (steps+1,
     B, size) of a "full" integration: D_tau J = dv + Gamma(v, J)."""
@@ -641,8 +540,8 @@ def _two_point_fields(metric: MetricField, traj: np.ndarray, voff: int,
     Phi = traj[..., voff:].reshape(traj.shape[:2] + (2 * n, 2 * n))
     P0 = _endpoint_solve(Phi[-1], U, what)
     J, dv = np.split(Phi[..., 0:n] @ U[:, :, None] + Phi[..., n:] @ P0[:, :, None], 2, -2)
-    pts = traj[..., 0: 2 * n].reshape(-1, 2 * n)
-    gam_v = _FieldEval(metric, None)(pts[:, 0:n], pts[:, n:]).gam_v
+    *_, lin = _curve_stage(metric, potential)
+    gam_v = lin(np.ascontiguousarray(traj[..., 0: 2 * n].reshape(-1, 2 * n).T))[..., n:]
     return J[..., 0], (dv + gam_v.reshape(Phi.shape[:2] + (n, n)) @ J)[..., 0]
 
 
@@ -659,7 +558,7 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
         variation="full", store=True,
     )
     J, dJ = _two_point_fields(
-        path.metric, traj, voff, u[None],
+        path.metric, path.potential, traj, voff, u[None],
         "endpoint variation block is numerically singular "
         "(conjugate point on the curve)",
     )
@@ -922,8 +821,8 @@ def _costs(
                                    max_iter, V_init)
     pos = curves[:, :, 0:n].reshape(-1, n)  # grid points, lanes inner
     vel = curves[:, :, n: 2 * n].reshape(-1, n)
-    f = _FieldEval(metric, potential)(pos, vel)
-    lag = (0.5 * _quadratic(vel, f.g) - f.v).reshape(curves.shape[:2])
+    pot = 0.0 if potential is None else potential.jets(pos, JetSpace.get(n, 0))[:, 0]
+    lag = (0.5 * _quadratic(vel, metric.matrix(pos)) - pot).reshape(curves.shape[:2])
     values = simpson(lag.T, 1.0 / steps)
     return [
         CostResult(
@@ -1047,7 +946,7 @@ def variation_family(
         transport=True, variation="full", store=True,
     )
     J, dJ = _two_point_fields(
-        metric, traj, voff, np.tile(u, (len(grid), 1)),
+        metric, pot, traj, voff, np.tile(u, (len(grid), 1)),
         "conjugate point inside a variation family member",
     )
     for b, (i, j, s, t) in enumerate(grid):

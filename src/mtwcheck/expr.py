@@ -535,8 +535,9 @@ class TaylorPlan:
         # the expression of each distinct partial in generated code
         self.exprs = tuple(names) + tuple(f"({float(c)!r})" for c in self._consts)
         self._fn = self.function("", _gather(names)) if live else None
-        # the one kernel a user derives from this plan (the RK4 curve stage
-        # of dynamics), kept with the plan so that it is compiled once
+        # the kernels a user derives from this plan (the RK4 curve stage of
+        # dynamics and its linearization), kept with the plan so that they
+        # are compiled once
         self.kernel = None
 
     def lines(self, body: Sequence[str]) -> list[str]:

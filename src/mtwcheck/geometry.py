@@ -23,24 +23,23 @@ them on truncated Taylor jets at a batch of points with
 :func:`~mtwcheck.jets.jcontract`, which differentiates the whole
 pipeline exactly, so covariant derivatives of curvature and of the
 potential need no further formulas.  The trajectory engine in
-``dynamics`` needs only the connection along a velocity v:
-:func:`_along_velocity` contracts v into the first-kind symbols before
-the inverse metric lifts them (Gamma v, Gamma(v, v)), on point values
-of the metric partials at a batch of lanes, and the RK4 stage runs
-Gamma(v, v) + grad V as straight-line code generated per metric and
-potential (:func:`_stage_kernel`, checked against it, with one lane's
-whole RK4 step in Python floats generated from the same lines); its
-linearization reads second partials of g and V, not curvature.  The
-jets of the metric and the potential at all points come from one
-generated function each (:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached
-by its fields' expression texts and the jet space alone, in the
-package's one cache (:func:`_plan_of`, 32 plans), which the field
-evaluators of ``dynamics`` read too, and on whose entries the RK4 curve
-stage kernels of ``dynamics`` are kept: repeated checks of identical
-metric text in a process compile one plan, however often the metric is
-parsed again.  A metric that differs in any constant (each
-value of a family parameter) builds its own plan, and a one-shot
-process still builds its plans cold.
+``dynamics`` needs only the connection along a velocity v, and reads it
+from two straight-line functions generated per metric and potential
+from the degree-2 plan of their fields (:func:`_stage_kernel`): the RK4
+stage's slope [v; -Gamma(v, v) - grad V], with one lane's whole RK4
+step in Python floats generated from the same lines, and at a batch of
+points the slope's x-derivative and Gamma v, from second partials of g
+and V, not curvature.  Both lower by g, contracting v into the partials
+of g, before the inverse metric lifts them.  The jets of the metric and
+the potential at all points come from one generated function each
+(:class:`~mtwcheck.expr.TaylorPlan`).  A plan is cached by its fields'
+expression texts and the jet space alone, in the package's one cache
+(:func:`_plan_of`, 32 plans), on whose entries the kernels of
+``dynamics`` are kept: repeated checks of identical metric text in a
+process compile one plan, however often the metric is parsed again.  A
+metric that differs in any constant (each value of a family parameter)
+builds its own plan, and a one-shot process still builds its plans
+cold.
 Each jet stage runs at the lowest Taylor degree that keeps the values
 read from it exact: every derivative costs one degree, so at curvature
 order 2 the metric runs at degree 4, the inverse metric and the
@@ -129,8 +128,9 @@ class RecentCache:
 
 # Taylor plans of the most recently used (field contents, jet space)
 # keys; the bound keeps the cache small, and a plan holds no field.  It
-# holds the 18 keys of a calibration followed by the jacobi, general
-# closed-form, direct-cost and sphere-cost routes, and a check's two.
+# holds the 11 keys of a calibration, the 16 of a whole benchmark pass
+# over the calibration and the jacobi, general closed-form, direct-cost
+# and sphere-cost routes, and a check's two.
 _TAYLOR_PLAN_CACHE_SIZE = 32
 _TAYLOR_PLANS = RecentCache(_TAYLOR_PLAN_CACHE_SIZE)
 
@@ -342,38 +342,9 @@ def _curvature_from(product, gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
     )
 
 
-# The same formulas contracted with a velocity at a batch of lanes, the
-# lane axis leading.  Each product is one batched matmul.  NumPy picks a
-# matmul kernel from the strides inside each lane's operand, so every
-# operand is laid out alike within a lane whatever the lane count, and
-# a lane's result does not depend on the batch it rides in.
-
-
-def _first_kind_rows(dg: np.ndarray) -> np.ndarray:
-    """C[..., m, i, j] = T_ijm / 2 (:func:`_first_kind`), the Christoffel
-    symbols of the first kind, from dg[..., m, i, j] with batch axes
-    leading: row m is symmetric in (i, j)."""
-    last = (-3, -2, -1)
-    T = _first_kind(np.moveaxis(dg, last, (0, 1, 2)))
-    return 0.5 * np.moveaxis(T, (2, 0, 1), last)
-
-
-def _along_velocity(ginv: np.ndarray, C: np.ndarray, v: np.ndarray):
-    """The connection contracted with v at every lane b.
-
-    ``C[b]`` is :func:`_first_kind_rows` of dg at lane b.  Returns
-    Gv[b, k, j] = Gamma^k_ij v^i and Gamma(v, v)[b, k]; v enters the
-    lowered symbols before g^-1 lifts them, Gv = g^-1 Cv with
-    Cv[m, i] = C_ij,m v^j.
-    """
-    lanes, n = v.shape
-    vc = v[:, :, None]
-    gv = ginv @ (C.reshape(lanes, n * n, n) @ vc).reshape(lanes, n, n)
-    return gv, (gv @ vc)[..., 0]
-
-
-# The curve's RK4 stage as generated code: the formulas above along the
-# velocity, unrolled for one metric and potential (see dynamics).
+# The curve's RK4 stage and the coefficients of its linearization as
+# generated code: the formulas above along the velocity, unrolled for one
+# metric and potential (see dynamics).
 
 
 def _fields_of(metric: MetricField, potential: PotentialField | None) -> list:
@@ -386,11 +357,11 @@ def _fields_of(metric: MetricField, potential: PotentialField | None) -> list:
     return fields
 
 
-def _partial_rows(plan: TaylorPlan, n: int, second: bool) -> np.ndarray:
-    """The plan's rows, per field, of its value, of d_m for each m and,
-    with ``second``, of d_p d_m for each (p, m)."""
+def _partial_rows(plan: TaylorPlan, n: int) -> np.ndarray:
+    """The plan's rows, per field, of its value, of d_m for each m and of
+    d_p d_m for each (p, m)."""
     e = np.eye(n, dtype=int)
-    monos = [0 * e[0], *e] + [p + m for p in e for m in e if second]
+    monos = [0 * e[0], *e] + [p + m for p in e for m in e]
     return plan.rows[:, [plan.space.index[tuple(m)] for m in monos]]
 
 
@@ -404,11 +375,12 @@ def _inv_or_nan(g: np.ndarray) -> np.ndarray:
 
 
 def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
-                  ) -> tuple[Callable, np.ndarray | None, Callable | None]:
-    """One straight-line function for the curve's slope at a stage, the
+                  ) -> tuple[Callable, np.ndarray | None, Callable | None, Callable]:
+    """Two straight-line functions of the degree-2 plan of the equations'
+    fields, the curve's slope at a stage and its linearization, with the
     constant entries of g, (n, n) with 0 elsewhere (None if all are), and
-    for n <= 3 the same lines as one RK4 step of one lane in Python floats
-    (:func:`_scalar_step`; None for n >= 4).
+    for n <= 3 the slope's lines as one RK4 step of one lane in Python
+    floats (:func:`_scalar_step`; None for n >= 4): (fn, fill, step, lin).
 
     ``fn(a, k, g)`` reads the stage argument a (2n, lanes), a row per
     coordinate [x; v], and writes the slope [v; -Gamma(v, v) - grad V]
@@ -427,8 +399,16 @@ def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
     plan row they read (a conformal g shares |v|^2 and D_v g across m),
     and every operation is elementwise over lanes or, for n >= 4, a
     matmul stacked over them.
+
+    ``lin(a)`` runs the same lines and returns [d_x F, Gamma v] at each
+    column of a, (columns, n, 2n), F = Gamma(v, v) + grad V = -dv, so
+    the slope's Jacobian is [[0, I], [-d_x F, -2 Gamma v]].  Lowered by
+    g, column p of d_x F is -d_p f_m, f_m with every partial shifted by
+    d_p, minus sum_a d_p g_ma F^a, and column j of Gamma v is
+    (D_v g_jm + sum_i v^i (d_j g_im - d_m g_ij)) / 2; the slope's g^-1
+    lifts both, by cofactors for n <= 3 and one stacked matmul for n >= 4.
     """
-    part = _partial_rows(plan, n, False)
+    part = _partial_rows(plan, n)
     code, live = ex._Code(), plan._live
 
     def value(r):
@@ -439,48 +419,83 @@ def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
         return code.bind(f"c[{n + i}]")
 
     def by_row(pairs):
-        """The sum of value(r) * t over the pairs (r, t), the terms of a
-        row summed first, rows in order of first appearance."""
+        """The sum of value(r) * t over the pairs (r, t) with a row r, the
+        terms of a row summed first, rows in order of first appearance."""
         groups: dict = {}
         for r, t in pairs:
-            groups.setdefault(r, []).append(t)
+            if r is not None:
+                groups.setdefault(r, []).append(t)
         return code.sum(code.mul(value(r), code.sum(ts)) for r, ts in groups.items())
 
-    def dg(m, i, j):  # the row of d_m g_ij, None where it is 0
-        r = part[i * n + j, 1 + m]
+    def col(m, p):  # the column of d_m, or of d_p d_m
+        return 1 + m if p is None else 1 + n + n * p + m
+
+    def dg(m, i, j, p=None):  # the row of d_m g_ij (d_p d_m g_ij), None where it is 0
+        r = part[i * n + j, col(m, p)]
         return None if value(r) == 0.0 else r
 
-    def d_v(i, j):  # D_v g_ij
-        return by_row((dg(m, i, j), vel(m)) for m in range(n) if dg(m, i, j) is not None)
+    def d_v(i, j, p=None):  # D_v g_ij (d_p D_v g_ij)
+        return by_row((dg(m, i, j, p), vel(m)) for m in range(n))
+
+    def force(m, p=None):  # f_m (d_p f_m); a v^i v^j no term reads is not bound
+        half = by_row((dg(m, i, j, p), code.mul(0.5, code.mul(vel(i), vel(i))) if i == j
+                       else code.mul(vel(i), vel(j)))
+                      for i in range(n) for j in range(i, n) if dg(m, i, j, p) is not None)
+        fm = code.sub(half, code.sum(code.mul(d, vel(j)) for j in range(n)
+                                     if (d := d_v(j, m, p)) != 0.0))
+        return code.sub(fm, value(part[n * n, col(m, p)])) if has_potential else fm
 
     G = [[value(part[i * n + j, 0]) for j in range(n)] for i in range(n)]
     g_lines = [f"    g[:, {i}, {j}] = {x}" for i, row in enumerate(G)
                for j, x in enumerate(row) if isinstance(x, str)]
     constant = not g_lines
-    f = []
-    for m in range(n):
-        half = by_row((dg(m, i, j), code.mul(0.5, code.mul(vel(i), vel(i))) if i == j
-                       else code.mul(vel(i), vel(j)))
-                      for i in range(n) for j in range(i, n) if dg(m, i, j) is not None)
-        fm = code.sub(half, code.sum(code.mul(d, vel(j)) for j in range(n)
-                                     if (d := d_v(j, m)) != 0.0))
-        f.append(code.sub(fm, value(part[n * n, 1 + m])) if has_potential else fm)
+    f = [force(m) for m in range(n)]
     if n <= 3:
         gi = code.inverse(G)
-        dv = [code.text(code.sum(code.mul(gi[k][m], f[m]) for m in range(n)))
-              for k in range(n)]
+        acc = [code.sum(code.mul(gi[k][m], f[m]) for m in range(n)) for k in range(n)]
+        dv = [code.text(x) for x in acc]
         out = [f"    k[{n + k}] = {x}" for k, x in enumerate(dv)]
+        slope = []
     else:  # dv = g^-1 f, one matmul stacked over lanes
-        out = ["    gi = _gi" if constant else "    gi = _inv(g)",
-               f"    f = _empty((c.shape[1], {n}))",
-               *(f"    f[:, {m}] = {code.text(x)}" for m, x in enumerate(f)),
-               f"    k[{n}:] = (gi @ f[..., None])[..., 0].T"]
-    body = g_lines + code.lines + [f"    k[0:{n}] = c[{n}:]"] + out
-    scope = {"_inv": _inv_or_nan, "_gi": np.linalg.inv(G) if constant and n > 3 else None}
+        acc = [f"dv[{a}]" for a in range(n)]
+        out = [f"    k[{n}:] = (gi @ f[..., None])[..., 0].T"]
+        slope = ["    gi = _gi" if constant else "    gi = _inv(g)",
+                 f"    f = _empty((c.shape[1], {n}))",
+                 *(f"    f[:, {m}] = {code.text(x)}" for m, x in enumerate(f))]
+    stage = list(code.lines)
+    body = g_lines + stage + [f"    k[0:{n}] = c[{n}:]"] + slope + out
+
+    def twist(j, m):  # sum_i v^i (d_j g_im - d_m g_ij), 0 where j = m
+        if j == m:
+            return 0.0
+        return code.sub(by_row((dg(j, i, m), vel(i)) for i in range(n)),
+                        by_row((dg(m, i, j), vel(i)) for i in range(n)))
+
+    # the linearization lowered by g: [m, p] = (g d_p F)_m, [m, n + j] = (g Gamma v)_mj
+    low = [[code.sub(by_row((dg(p, m, a), acc[a]) for a in range(n)), force(m, p))
+            for p in range(n)]
+           + [code.mul(0.5, code.add(d_v(j, m), twist(j, m))) for j in range(n)]
+           for m in range(n)]
+    if n <= 3:
+        lifted = [[code.sum(code.mul(gi[k][m], low[m][q]) for m in range(n))
+                   for q in range(2 * n)] for k in range(n)]
+        lin_body = code.lines + [f"    A = _empty((c.shape[1], {n}, {2 * n}))"] + [
+            f"    A[:, {k}, {q}] = {code.text(x)}" for k, row in enumerate(lifted)
+            for q, x in enumerate(row)] + ["    return A"]
+    else:
+        lin_body = ([] if constant else [f"    g = _empty((c.shape[1], {n}, {n}))",
+                                         "    g[:] = _fill", *g_lines]) + stage + slope + [
+            "    dv = (gi @ f[..., None])[..., 0].T", *code.lines[len(stage):],
+            f"    low = _empty((c.shape[1], {n}, {2 * n}))",
+            *(f"    low[:, {m}, {q}] = {code.text(x)}" for m, row in enumerate(low)
+              for q, x in enumerate(row)), "    return gi @ low"]
     fill = None if constant else np.array(
         [[x if isinstance(x, float) else 0.0 for x in row] for row in G])
-    step = _scalar_step(plan, n, code.lines, None if constant else G, dv) if n <= 3 else None
-    return plan.function("k, g", body, scope), fill, step
+    scope = {"_inv": _inv_or_nan, "_fill": fill,
+             "_gi": np.linalg.inv(G) if constant and n > 3 else None}
+    step = _scalar_step(plan, n, stage, None if constant else G, dv) if n <= 3 else None
+    return (plan.function("k, g", body, scope), fill, step,
+            plan.function("", lin_body, scope))
 
 
 def _scalar_step(plan: TaylorPlan, n: int, lines: list, G: list | None,
@@ -525,11 +540,12 @@ def _scalar_step(plan: TaylorPlan, n: int, lines: list, G: list | None,
 
 
 def _curve_stage(metric: MetricField, potential: PotentialField | None):
-    """The curve's stage kernel and scalar step (:func:`_stage_kernel`),
-    compiled on first use and kept on their plan's entry in the plan cache."""
+    """The curve's stage kernel, constant g, scalar step and linearization
+    (:func:`_stage_kernel`), compiled on first use and kept on their
+    plan's entry in the plan cache."""
     n = metric.dim
     fields = _fields_of(metric, potential)
-    plan = _plan_of(fields, JetSpace.get(n, 1))
+    plan = _plan_of(fields, JetSpace.get(n, 2))
     if plan.kernel is None:
         plan.kernel = _stage_kernel(plan, n, len(fields) > n * n)
     return plan.kernel
@@ -744,7 +760,8 @@ class GeometryBatch:
     The metric and potential jets at all points come from one generated
     function each (:meth:`MetricField.jets`).  In the jet pipeline the
     point axis sits just before the jet axis, so the connection and
-    curvature formulas shared with :mod:`dynamics` run unchanged, and
+    curvature formulas, written once for point values and jets, run
+    unchanged, and
     every jet product is a matmul per point (:func:`~mtwcheck.jets.jcontract`):
     point b of a batch equals the same point built alone, bit for bit.
     Each stage runs in the smallest jet space that keeps its values

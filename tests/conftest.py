@@ -133,31 +133,36 @@ def reference_integrate(metric, potential, x0, v0, steps, transport=False,
     """One lane of the coupled RK4 of the curve, its transport Psi and its
     coordinate variation Phi = (dx, dv), Phi' = [[0, I], [-d_x F, -2 Gamma v]]
     Phi with F = Gamma(v, v) + grad V, the whole state stepped together:
-    the oracle for ``dynamics._integrate``.  The "full" columns start at
-    [[I, 0], [-Gamma v0, I]], one per covariant start datum (J0, P0).
-    Returns the grid states (steps+1, size) in its layout [x, v, Psi, Phi]."""
-    from mtwcheck.dynamics import _FieldEval
-
+    the oracle for ``dynamics._integrate``, which steps the curve alone and
+    advances Psi and Phi by step maps.  The coefficients are the generated
+    kernels' (their values are checked against the jet pipeline).  The
+    "full" columns start at [[I, 0], [-Gamma v0, I]], one per covariant
+    start datum (J0, P0).  Returns the grid states (steps+1, size) in its
+    layout [x, v, Psi, Phi]."""
     n = metric.dim
     ncols = {None: 0, "velocity": n, "full": 2 * n}[variation]
-    ev = _FieldEval(metric, potential, jacobian=ncols > 0)
+    stage, g_fill, _, lin = geometry._curve_stage(metric, potential)
     voff = 2 * n + (n * n if transport else 0)
 
     def rhs(y):
-        x, v = y[None, 0:n], y[None, n: 2 * n]
-        f = ev(x, v)
-        dv = -f.gam_vv[0] - (0.0 if f.grad is None else f.grad[0])
-        parts = [v[0], dv]
+        a = y[0: 2 * n, None]
+        k, g = np.empty((2 * n, 1)), np.empty((1, n, n))
+        if g_fill is not None:
+            g[...] = g_fill
+        stage(a, k, g)
+        A = lin(a)[0]
+        dx, gam_v = A[:, 0:n], A[:, n:]
+        parts = [k[:, 0]]
         if transport:
-            parts.append((-f.gam_v[0] @ y[2 * n: voff].reshape(n, n)).ravel())
+            parts.append((-gam_v @ y[2 * n: voff].reshape(n, n)).ravel())
         if ncols:
-            gen = np.block([[np.zeros((n, n)), np.eye(n)], [-f.dx[0], -2.0 * f.gam_v[0]]])
+            gen = np.block([[np.zeros((n, n)), np.eye(n)], [-dx, -2.0 * gam_v]])
             parts.append((gen @ y[voff:].reshape(2 * n, ncols)).ravel())
         return np.concatenate(parts)
 
     seed = np.eye(2 * n)[:, 2 * n - ncols:]
     if variation == "full":
-        seed[n:, 0:n] = -ev(x0[None], v0[None]).gam_v[0]
+        seed[n:, 0:n] = -lin(np.concatenate([x0, v0])[:, None])[0, :, n:]
     y = np.concatenate([x0, v0, np.eye(n).ravel() if transport else [], seed.ravel()])
     h = 1.0 / steps
     out = [y]

@@ -671,13 +671,12 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
 @pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d",
                                   "flat-quartic", "offdiag", "inline4d", "line"])
 def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sphere):
-    # the generated stage computes the generic evaluator's slope with its
-    # gather unrolled and g^-1 from cofactors (np.linalg.inv in 4-D), so
-    # the slope agrees to rounding; its g is the plan's values, bit for bit;
-    # up to 3-D, the scalar step's RK4 step of each lane is the kernel's
-    from mtwcheck import dynamics as dyn
+    # the generated stage's slope is -Gamma(v, v) - grad V of the jet
+    # pipeline, with g^-1 from cofactors (np.linalg.inv in 4-D), so it
+    # agrees to rounding; its g is the metric's values, bit for bit; up to
+    # 3-D, the scalar step's RK4 step of each lane is the kernel's
     from mtwcheck.expr import parse_field
-    from mtwcheck.geometry import PotentialField
+    from mtwcheck.geometry import GeometryBatch, PotentialField
 
     center = 0.0
     if case == "sphere":
@@ -699,21 +698,23 @@ def test_stage_kernel_matches_the_field_evaluator(case, lanes, conformal_a3, sph
     rng = np.random.default_rng(11)
     X = center + rng.uniform(-0.3, 0.3, (lanes, n))
     V = rng.uniform(-0.5, 0.5, (lanes, n))
-    fn, g_fill, step = geometry._curve_stage(metric, pot)
+    fn, g_fill, step, _ = geometry._curve_stage(metric, pot)
     a = np.concatenate([X.T, V.T])  # a row per coordinate, as _integrate keeps it
     k = np.full((2 * n, lanes), np.nan)
     g = np.full((lanes, n, n), np.nan)
     if g_fill is not None:
         g[...] = g_fill
     fn(a, k, g)
-    f = dyn._FieldEval(metric, pot)(X, V)
-    want = -f.gam_vv - (0.0 if f.grad is None else f.grad)
+    geo = GeometryBatch(metric, X, potential=pot, curvature_order=0)
+    want = -np.einsum("bkij,bi,bj->bk", geo.gamma, V, V)
+    if pot is not None:
+        want -= geo.grad_v
     assert np.array_equal(k[0:n], V.T)
     np.testing.assert_allclose(k[n:].T, want, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(want)))
     assert (g_fill is None) == (case == "flat-quartic")
     if g_fill is not None:
-        assert np.array_equal(g, f.g)
+        assert np.array_equal(g, metric.matrix(X))
     assert (step is None) == (n > 3)
     if step is not None:
         _assert_scalar_step_is_the_kernels(fn, g_fill, step, a)
@@ -748,15 +749,15 @@ def _assert_scalar_step_is_the_kernels(fn, g_fill, step, a, h=0.05):
 
 
 @pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d-full",
-                                  "flat-quartic", "inline4d"])
+                                  "flat-quartic", "inline4d", "line"])
 def test_slope_jacobian_is_the_derivative_of_the_stage_slope(case, conformal_a3,
                                                              sphere):
-    # the linear pass's coefficient d_x F, F = Gamma(v, v) + grad V, and
-    # 2 Gamma v are the x- and v-derivatives of the stage kernel's
+    # the linearization's coefficients d_x F, F = Gamma(v, v) + grad V, and
+    # Gamma v are the x- and half the v-derivatives of the stage kernel's
     # acceleration -F: against the jet pipeline's Gamma, d Gamma, grad V
     # and Hess V (d_p grad V = g^-1 Hess V - Gamma(e_p, grad V)), and
-    # against central differences of the kernel
-    from mtwcheck import dynamics as dyn
+    # against central differences of the kernel; the 1-D line runs the
+    # n = 1 cofactor
     from mtwcheck.expr import parse_field
     from mtwcheck.geometry import GeometryBatch, PotentialField
 
@@ -770,21 +771,23 @@ def test_slope_jacobian_is_the_derivative_of_the_stage_slope(case, conformal_a3,
         metric, pot = _inline(*_INLINE3D_FULL)
     elif case == "flat-quartic":
         metric, pot = euclidean_metric(2), quartic_potential([[0.8, 0.1], [0.1, 1.2]])
+    elif case == "line":
+        metric, pot = _inline(["exp(x) + x^2"], 1, "0 - x^3")
     else:
         metric, pot = _inline(*_INLINE4D)
     n = metric.dim
     rng = np.random.default_rng(5)
     X = center + rng.uniform(-0.3, 0.3, (6, n))
     V = rng.uniform(-0.5, 0.5, (6, n))
-    f = dyn._FieldEval(metric, pot, jacobian=True)(X, V)
+    fn, g_fill, _, lin = geometry._curve_stage(metric, pot)
+    A = lin(np.concatenate([X.T, V.T]))
+    dx, gam_v = A[..., 0:n], A[..., n:]
     geo = GeometryBatch(metric, X, potential=pot, curvature_order=0)
     want = np.einsum("bpkij,bi,bj->bkp", geo.dgamma, V, V)
     if pot is not None:
         want += geo.g_inv @ geo.hess_v - np.einsum("bkpa,ba->bkp", geo.gamma, geo.grad_v)
     scale = np.max(np.abs(want))
-    np.testing.assert_allclose(f.dx, want, rtol=1e-12, atol=1e-12 * scale)
-
-    fn, g_fill, _ = geometry._curve_stage(metric, pot)
+    np.testing.assert_allclose(dx, want, rtol=1e-12, atol=1e-12 * scale)
 
     def accel(X, V):
         k, g = np.empty((2 * n, len(X))), np.empty((len(X), n, n))
@@ -796,25 +799,23 @@ def test_slope_jacobian_is_the_derivative_of_the_stage_slope(case, conformal_a3,
     e = 1e-6
     for p, d in enumerate(np.eye(n) * e):
         by_x = (accel(X + d, V) - accel(X - d, V)) / (2 * e)
-        np.testing.assert_allclose(-by_x, f.dx[..., p], rtol=1e-8, atol=1e-8 * scale)
+        np.testing.assert_allclose(-by_x, dx[..., p], rtol=1e-8, atol=1e-8 * scale)
         by_v = (accel(X, V + d) - accel(X, V - d)) / (2 * e)
-        np.testing.assert_allclose(-by_v, 2.0 * f.gam_v[..., p], rtol=1e-8,
+        np.testing.assert_allclose(-by_v, 2.0 * gam_v[..., p], rtol=1e-8,
                                    atol=1e-8 * max(scale, 1.0))
 
 
 def test_scalar_step_rounds_exp_as_the_vector_kernel(conformal_a3):
     # math.exp and np.exp round some arguments to neighbouring floats; at
     # such points the scalar step's g is still the batch evaluator's
-    from mtwcheck import dynamics as dyn
-
     rng = np.random.default_rng(3)
     X = rng.uniform(-0.6, 0.6, (400, 2))
     V = rng.uniform(-0.5, 0.5, (400, 2))
-    want = dyn._FieldEval(conformal_a3, None)(X, V).g
+    want = conformal_a3.matrix(X)
     by_math_exp = np.array([conformal_a3.entries[0][0](x) for x in X])
     differ = np.flatnonzero(want[:, 0, 0] != by_math_exp)
     assert differ.size >= 5
-    fn, g_fill, step = geometry._curve_stage(conformal_a3, None)
+    fn, g_fill, step, _ = geometry._curve_stage(conformal_a3, None)
     for b in differ:
         g0 = np.array(step(0.05, (*X[b], *V[b]))[20:24]).reshape(2, 2)
         assert np.array_equal(g0, want[b])
@@ -845,18 +846,26 @@ def test_singular_stage_point_raises_alike_on_both_stage_paths(lanes):
 
 
 def test_second_cost_on_an_equal_metric_compiles_no_kernel(plan_cache, monkeypatch):
-    # the stage kernel is kept on its plan, which a freshly parsed equal
-    # metric finds by content: every integration of both costs, on the
-    # coarse grid and the fine one, runs the one kernel compiled first
-    built = []
-    compile_stage = geometry._stage_kernel
+    # the stage kernel and the linearization are kept on their plan, which
+    # a freshly parsed equal metric finds by content: every integration of
+    # both costs, on the coarse grid and the fine one, linearized or not,
+    # runs the kernels compiled first, and the second cost compiles nothing
+    from mtwcheck import expr as ex
+
+    built, compiled = [], []
+    compile_stage, compile_src = geometry._stage_kernel, ex._compile
     monkeypatch.setattr(geometry, "_stage_kernel",
                         lambda *args: built.append(args) or compile_stage(*args))
+    monkeypatch.setattr(ex, "_compile",
+                        lambda *args: compiled.append(args) or compile_src(*args))
     upper = ["1", "0", "sin(x)^2"]
     first = cost(_inline(upper, 2)[0], None, [1.2, 0.3], [1.5, 0.6], steps=100)
     assert len(built) == 1
+    assert compiled
+    compiled.clear()
     again = cost(_inline(upper, 2)[0], None, [1.2, 0.3], [1.5, 0.6], steps=100)
     assert len(built) == 1
+    assert compiled == []
     assert again.value == first.value
 
 
@@ -926,12 +935,11 @@ def test_integration_and_field_outputs_are_not_reused(case, mode, conformal_a3):
         for a, b in zip(first, kept):
             assert (a is None and b is None) or np.array_equal(a, b)
 
-    ev = dyn._FieldEval(metric, pot, jacobian=True)
-    first = ev(X, V)
-    kept = [np.array(a, copy=True) for a in first]
-    ev(X + 0.1, V - 0.1)
-    for a, b in zip(first, kept):
-        assert np.array_equal(a, b)
+    lin = geometry._curve_stage(metric, pot)[3]
+    first = lin(np.concatenate([X.T, V.T]))
+    kept = first.copy()
+    lin(np.concatenate([X.T + 0.1, V.T - 0.1]))
+    assert np.array_equal(first, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1075,7 @@ def test_initial_shooting_curve_leaving_the_region_raises(half_plane_metric):
 
 
 # ---------------------------------------------------------------------------
-# The field evaluator reads the content-keyed plan cache
+# The plans and the kernels kept on them are found by content
 # ---------------------------------------------------------------------------
 
 
@@ -1119,17 +1127,20 @@ def test_repeated_routes_sequences_reuse_their_plans(plan_cache, plan_builds):
     assert len(plan_builds) == built
 
 
-def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):
+def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache, monkeypatch):
     import sys
     import threading
 
     from mtwcheck.conformal import ConformalSpec, conformal_metric
 
-    # the curve's stage kernel is kept on the same plan: a thread compiles
-    # it at most once (on a race, more than one thread may), and the plan
-    # cache keeps its bound
-    space = JetSpace.get(2, 1)
-    plans, stages, errors = [], [], []
+    # the curve's stage kernel and its linearization are kept on the same
+    # plan: a thread compiles them at most once (on a race, more than one
+    # thread may), and the plan cache keeps its bound
+    space = JetSpace.get(2, 2)
+    plans, stages, errors, built = [], [], [], []
+    compile_stage = geometry._stage_kernel
+    monkeypatch.setattr(geometry, "_stage_kernel",
+                        lambda *args: built.append(args) or compile_stage(*args))
 
     def work():
         try:
@@ -1155,8 +1166,10 @@ def test_plan_lookups_share_one_plan_under_concurrent_use(plan_cache):
     assert errors == []
     assert len(plans) == 8 * 1000
     assert all(p is plans[0] for p in plans)
+    assert 1 <= len(built) <= 8
     assert len({id(s) for s in stages}) <= 8
     assert any(s is plans[0].kernel for s in stages)
+    assert all(len(s) == 4 and callable(s[3]) for s in stages)
     assert len(plan_cache) <= _TAYLOR_PLAN_CACHE_SIZE
 
 

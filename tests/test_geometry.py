@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from mtwcheck import conformal as cf
 from mtwcheck import expr as ex
-from mtwcheck.dynamics import _FieldEval
 from mtwcheck.errors import (
     DegeneratePlaneError,
     DimensionError,
@@ -29,6 +28,7 @@ from mtwcheck.geometry import (
     PotentialField,
     _christoffel_from,
     _curvature_from,
+    _curve_stage,
     _generalized_eigh,
     _plan_of,
     christoffel,
@@ -269,12 +269,12 @@ def test_second_curvature_derivative_contractions(a, rng):
 
 @pytest.mark.parametrize("name", ["sphere", "conformal", "inline3d"])
 def test_jet_tensors_match_point_evaluator(name, rng):
-    # The jet pipeline and the integrator's batched field evaluator reach
-    # the connection by different routes: the evaluator contracts the
-    # velocity into the first-kind symbols before lifting, while the
+    # The jet pipeline and the integrator's generated kernels reach the
+    # connection by different routes: the kernels contract the velocity
+    # into the lowered partials of g before lifting by cofactors, while the
     # reference contracts the full Christoffel array built from jet values.
-    # The conformal case carries a potential, whose raised gradient the
-    # evaluator returns too.  (Its slope Jacobian is pinned in test_dynamics.)
+    # The conformal case carries a potential, whose raised gradient enters
+    # the slope.  (The slope's Jacobian is pinned in test_dynamics.)
     potential = None
     if name == "inline3d":
         metric = inline3d_metric()
@@ -284,20 +284,25 @@ def test_jet_tensors_match_point_evaluator(name, rng):
         if name == "conformal":
             potential = PotentialField(parse_field("0 - x^2*y - 0.3*y^4", 2), 2)
     vel = rng.normal(size=pts.shape)
-    fields = _FieldEval(metric, potential)(pts, vel)
+    n = metric.dim
+    fn, g_fill, _, lin = _curve_stage(metric, potential)
+    a = np.concatenate([pts.T, vel.T])
+    k, g = np.empty(a.shape), np.empty((len(pts), n, n))
+    if g_fill is not None:
+        g[...] = g_fill
+    fn(a, k, g)
+    got = {"gam_v": lin(a)[..., n:], "slope": k[n:].T}
     for b, (x, v) in enumerate(zip(pts, vel)):
         geo = GeometryBatch(metric, x[None], potential=potential, curvature_order=0)
-        gam, ginv = geo.gamma[0], geo.g_inv[0]
+        gam = geo.gamma[0]
         want = {
-            "ginv": ginv,
             "gam_v": np.einsum("kij,i->kj", gam, v),
-            "gam_vv": np.einsum("kij,i,j->k", gam, v, v),
+            "slope": -np.einsum("kij,i,j->k", gam, v, v),
         }
         if potential is not None:
-            want["grad"] = geo.grad_v[0]
+            want["slope"] -= geo.grad_v[0]
         for key, ref in want.items():
-            got = getattr(fields, key)[b]
-            assert np.allclose(got, ref, rtol=1e-12,
+            assert np.allclose(got[key][b], ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref))), key
 
 
