@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MtwError, NumericalError, PreconditionError
+from .errors import MtwError, NumericalError
 from .geometry import (
     GeometryBatch,
     MetricField,
@@ -289,12 +289,7 @@ def build_metric(cfg: RunConfig) -> MetricField:
             fields = [parse_field(e, dim) for e in entries]
         except MtwError as e:
             raise UsageError(f"bad metric entry: {e}") from None
-        grid = [[None] * dim for _ in range(dim)]
-        it = iter(fields)
-        for i in range(dim):
-            for j in range(i, dim):
-                grid[i][j] = grid[j][i] = next(it)
-        return MetricField.from_entries(grid)
+        return MetricField.from_upper(fields, dim)
     raise UsageError(
         f"unknown metric {name!r} (euclideanN, sphere2, conformal2d, inline)"
     )
@@ -779,9 +774,6 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MtwError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

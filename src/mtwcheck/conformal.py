@@ -40,7 +40,8 @@ class ConformalSpec:
     a4: float = 0.0
 
 
-def _factor_field(spec: ConformalSpec) -> ex.ScalarField:
+def conformal_factor(spec: ConformalSpec) -> ex.ScalarField:
+    """The exponent f with e^{2f} the conformal factor."""
     x = ex.var(0, 2)
     y = ex.var(1, 2)
     x2 = ex.mul(x, x)
@@ -53,14 +54,9 @@ def _factor_field(spec: ConformalSpec) -> ex.ScalarField:
     return f
 
 
-def conformal_factor(spec: ConformalSpec) -> ex.ScalarField:
-    """The exponent f with e^{2f} the conformal factor."""
-    return _factor_field(spec)
-
-
 def conformal_metric(spec: ConformalSpec) -> MetricField:
     """The metric e^{2f} (dx^2 + dy^2)."""
-    e2f = ex.exp(ex.scale(2.0, _factor_field(spec)))
+    e2f = ex.exp(ex.scale(2.0, conformal_factor(spec)))
     zero = ex.const(0.0, 2)
     return MetricField.from_entries([[e2f, zero], [zero, e2f]])
 

@@ -9,10 +9,13 @@ fundamental-matrix superposition.  Everything is deterministic: fixed
 step counts, no adaptive control.
 
 The integrator advances a batch of curves ("lanes") at once; lane b
-starts at x0[b] with velocity v0[b].  The curve [x; v] is stepped
-alone, a row per coordinate, as nothing in it reads the transport or
-the variation.  Each RK4 stage is one call of a straight-line function
-generated per metric and potential: the DAG lines of the cached
+starts at x0[b] with velocity v0[b].  It returns a :class:`Flow` of
+named arrays, time axis first and lane axis second: the curve [x, v],
+the transported frame Psi and the variation Phi, over every grid point
+or only the end.  The curve [x; v] is stepped alone, a row per
+coordinate, as nothing in it reads the transport or the variation.
+Each RK4 stage is one call of a straight-line function generated per
+metric and potential: the DAG lines of the cached
 degree-2 :class:`~mtwcheck.expr.TaylorPlan` of the metric entries and
 the potential, then g^-1 by cofactors and Gamma(v, v) + grad V as
 fixed-order sums over the nonzero partials.  It writes the stage's
@@ -38,8 +41,9 @@ The transport Psi and the variation Phi solve linear equations
 Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
 per block, d_x F, F = Gamma(v, v) + grad V, and Gamma v at the
 recorded stage points are one call of the generated linearization,
-the maps are batched matmuls, and they apply in step order.  Phi = (dx, dv) is the tangent of the discrete curve step:
-a Runge-Kutta step's derivative is the same method on dy' = A dy, with
+the maps are batched matmuls, and they apply in step order.
+Phi = (dx, dv) is the tangent of the discrete curve step: a
+Runge-Kutta step's derivative is the same method on dy' = A dy, with
 A = [[0, I], [-d_x F, -2 Gamma v]], the slope [v; -F]'s Jacobian, at
 the step's stage values (Hairer, Nørsett and Wanner, *Solving ODEs I*,
 §II).  The "full" columns start at [[I, 0], [-Gamma v0, I]], one per
@@ -64,8 +68,10 @@ rule (:func:`simpson`).
 A variation family bundles curves over an (s, t) grid of initial
 velocities t*v + s*w around a common start point, together with the
 transported frame of a reference vector and the two-point variation
-field; finite-difference estimators with Christoffel corrections
-recover covariant (s, t)-derivatives of those fields, which is how the
+field, all one batch whose lanes run s-major, so each field is one
+(steps+1, S, T, n) array.  The lemma suite differences those arrays
+at the grid's center, with Christoffel corrections, to recover
+covariant (s, t)-derivatives of the fields, which is how the
 integration-by-parts identities behind the curvature evaluators are
 verified numerically.
 """
@@ -74,7 +80,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -229,6 +235,19 @@ def _step_maps(A: np.ndarray, h: float) -> np.ndarray:
     return eye + (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
 
 
+@dataclass
+class Flow:
+    """What one integration returns: the curve [x, v] of every lane, its
+    transported frame Psi and its variation Phi = [dx; dv], each with the
+    time axis first and the lane axis second.  The time axis holds every
+    grid point of a stored integration and only the end otherwise, so
+    index -1 is the end in both cases."""
+
+    curve: np.ndarray  # (T, B, 2n)
+    psi: np.ndarray | None  # (T, B, n, n), with ``transport``
+    phi: np.ndarray | None  # (T, B, 2n, ncols), with a ``variation``
+
+
 def _integrate(
     metric: MetricField,
     potential: PotentialField | None,
@@ -239,24 +258,22 @@ def _integrate(
     transport: bool = False,
     variation: str | None = None,  # None | "full" | "velocity"
     store: bool = False,
-):
+) -> Flow:
     """RK4 integration of the curve and of its transport and variation.
 
-    ``x0`` and ``v0`` are (B, n): one lane per row.  Returns the final
-    state of shape (B, size), the stored states (steps+1, B, size) or
-    None, and the offset of the variation block in a lane's state.
-
-    A lane's state is [x, v, Psi, Phi]: Psi (n x n, with ``transport``)
-    transports a frame, and Phi (2n x ncols) stacks the rows [dx; dv] of
-    the derivative of the discrete flow.  variation="full" evolves the
-    whole 2n x 2n fundamental matrix, a column per covariant start datum
-    (J0, P0); "velocity" only the n columns of initial velocity
-    perturbations, whose dx rows are the endpoint Jacobian needed for
-    shooting.  The curve is stepped alone by the stage kernel, and after
-    each block of steps Psi and Phi advance by the RK4 step maps of the
-    block's recorded stage points, whose coefficients [d_x F, Gamma v]
-    are one call of the linearization generated with the kernel (see the
-    module docstring); the "full" seed reads its Gamma v0 there too.
+    ``x0`` and ``v0`` are (B, n): one lane per row.  Returns a
+    :class:`Flow` over the steps+1 grid points with ``store``, else over
+    the end alone.  Psi (n x n, with ``transport``) transports a frame,
+    and Phi (2n x ncols) stacks the rows [dx; dv] of the derivative of
+    the discrete flow.  variation="full" evolves the whole 2n x 2n
+    fundamental matrix, a column per covariant start datum (J0, P0);
+    "velocity" only the n columns of initial velocity perturbations,
+    whose dx rows are the endpoint Jacobian needed for shooting.  The
+    curve is stepped alone by the stage kernel, and after each block of
+    steps Psi and Phi advance by the RK4 step maps of the block's
+    recorded stage points, whose coefficients [d_x F, Gamma v] are one
+    call of the linearization generated with the kernel (see the module
+    docstring); the "full" seed reads its Gamma v0 there too.
     """
     if steps < 1:
         raise DiscretizationError(f"steps must be at least 1, got {steps}")
@@ -278,17 +295,19 @@ def _integrate(
     kern, g_fill, scalar_step, lin = _curve_stage(metric, potential)
     if lanes > SCALAR_LANES:
         scalar_step = None
-    voff = 2 * n + (n * n if transport else 0)
-    size = voff + 2 * n * ncols
-    linear = []  # the blocks [columns in a lane's state, value] of Psi, Phi
+    times = steps + 1 if store else 1
+    flow = Flow(curve=np.empty((times, lanes, 2 * n)), psi=None, phi=None)
+    linear = []  # the pairs [output, value] of Psi and Phi
     if transport:
-        linear.append([slice(2 * n, voff), np.broadcast_to(np.eye(n), (lanes, n, n))])
+        flow.psi = np.empty((times, lanes, n, n))
+        linear.append([flow.psi, np.broadcast_to(np.eye(n), (lanes, n, n))])
     if ncols:  # "full" seeds every column, "velocity" the derivative columns
         seed = np.broadcast_to(np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))
         if ncols == 2 * n:  # a column per (J0, P0): dv = P0 - Gamma(v0, J0)
             seed = seed.copy()
             np.negative(lin(np.concatenate([x0.T, v0.T]))[..., n:], out=seed[:, n:, 0:n])
-        linear.append([slice(voff, size), seed])
+        flow.phi = np.empty((times, lanes, 2 * n, ncols))
+        linear.append([flow.phi, seed])
 
     h = 1.0 / steps
     block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes))
@@ -305,13 +324,6 @@ def _integrate(
     y[n:] = v0.T
     ks = np.empty((4, 2 * n, lanes))  # the slopes k1-k4
     no_g = (None,) * 4
-
-    def state(out: np.ndarray) -> np.ndarray:
-        """[x, v, Psi, Phi] of every lane, written into out (B, size)."""
-        out[:, 0: 2 * n] = y.T
-        for cols, Y in linear:
-            out[:, cols] = Y.reshape(lanes, -1)
-        return out
 
     def step(y, stage, g, ks) -> None:
         """One RK4 step of the curve y (2n, L) by the stage kernel, its
@@ -346,7 +358,7 @@ def _integrate(
         for j in range(count):
             step(y, stages[j], no_g if gs is None else gs[j], ks)
             if store:
-                traj[k0 + j + 1, :, 0: 2 * n] = y.T
+                flow.curve[k0 + j + 1] = y.T
             if not math.isfinite(flat @ zeros):
                 return j + 1
         return count
@@ -381,7 +393,7 @@ def _integrate(
         if gs is not None:
             gs[:count] = rec[:count, :, 10 * n:].reshape(count, lanes, 4, n, n).swapaxes(1, 2)
         if store:
-            traj[k0 + 1: k0 + count + 1, :, 0: 2 * n] = rec[:count, :, 0: 2 * n]
+            flow.curve[k0 + 1: k0 + count + 1] = rec[:count, :, 0: 2 * n]
         return count
 
     def points(count: int) -> np.ndarray:
@@ -402,11 +414,11 @@ def _integrate(
             np.multiply(A[..., n:], -2.0, out=gen[..., n:, n:])
             gens.append(gen)
         for part, gen in zip(linear, gens):
-            cols, Y = part
+            out, Y = part
             for k, S in enumerate(_step_maps(gen, h), start=k0 + 1):
                 Y = S @ Y
                 if store:
-                    traj[k, :, cols] = Y.reshape(lanes, -1)
+                    out[k] = Y
             part[1] = Y
 
     def test_region(count: int) -> None:
@@ -417,9 +429,10 @@ def _integrate(
             require_positive_definite(gs[:count].reshape(-1, n, n),
                                       points(count)[:, 0:n])
 
-    traj = np.empty((steps + 1, lanes, size)) if store else None
     if store:
-        traj[0] = state(np.empty((lanes, size)))
+        flow.curve[0] = y.T
+        for out, Y in linear:
+            out[0] = Y
     # 0 * y sums to 0 where every entry of y is finite and to nan elsewhere
     flat, zeros = y.reshape(-1), np.zeros(y.size)
     lane_states = y.T.tolist()  # each lane's [x; v], for the scalar step
@@ -441,7 +454,10 @@ def _integrate(
         raise CurveOverflowError(
             f"curve state is not finite after step {done} of {steps} "
             f"(lane {lane}: {y[:, lane].tolist()})")
-    return state(np.empty((lanes, size))), traj if store else None, voff
+    flow.curve[-1] = y.T  # stored already by the last step with ``store``
+    for out, Y in linear:
+        out[-1] = Y
+    return flow
 
 
 def _require_step(h: float, what: str) -> None:
@@ -485,15 +501,14 @@ def least_action_curve(
     steps: int = DEFAULT_STEPS,
 ) -> CurvePath:
     """Critical curve of the action from ``x`` with initial velocity ``v0``."""
-    _, traj, _ = _integrate(metric, potential, *_one_lane(metric.dim, x=x, v0=v0),
-                            steps, store=True)
-    return _unpack_path(metric, potential, x, v0, steps, traj[:, 0])
+    flow = _integrate(metric, potential, *_one_lane(metric.dim, x=x, v0=v0), steps,
+                      store=True)
+    return _unpack_path(metric, potential, x, v0, steps, flow.curve[:, 0])
 
 
 def _endpoints(metric, potential, X, V, steps) -> np.ndarray:
     """Unit-time endpoints of the lanes with starts X and velocities V, (B, n)."""
-    y, _, _ = _integrate(metric, potential, X, V, steps)
-    return y[:, 0: metric.dim].copy()
+    return _integrate(metric, potential, X, V, steps).curve[-1, :, 0: metric.dim].copy()
 
 
 def c_exp(
@@ -511,12 +526,11 @@ def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
     """Transport ``u`` along ``path`` (re-integrated at the path's step count)."""
     n = path.metric.dim
     (u,) = as_vectors(n, u=u)
-    _, traj, _ = _integrate(
+    flow = _integrate(
         path.metric, path.potential, *_one_lane(n, x0=path.x0, v0=path.v0), path.steps,
         transport=True, store=True,
     )
-    Psi = traj[:, 0, 2 * n: 2 * n + n * n].reshape(-1, n, n)
-    return ParallelFrame(path=path, u0=u, vectors=Psi @ u)
+    return ParallelFrame(path=path, u0=u, vectors=flow.psi[:, 0] @ u)
 
 
 def _endpoint_solve(Phi1: np.ndarray, U: np.ndarray, what: str) -> np.ndarray:
@@ -532,16 +546,16 @@ def _endpoint_solve(Phi1: np.ndarray, U: np.ndarray, what: str) -> np.ndarray:
 
 
 def _two_point_fields(metric: MetricField, potential: PotentialField | None,
-                      traj: np.ndarray, voff: int, U: np.ndarray, what: str):
+                      flow: Flow, U: np.ndarray, what: str):
     """J and its covariant derivative, each (steps+1, B, n), with
-    J_b(0) = U[b] and J_b(1) = 0, from the stored states traj (steps+1,
-    B, size) of a "full" integration: D_tau J = dv + Gamma(v, J)."""
+    J_b(0) = U[b] and J_b(1) = 0, from a stored "full" integration:
+    D_tau J = dv + Gamma(v, J)."""
     n = U.shape[-1]
-    Phi = traj[..., voff:].reshape(traj.shape[:2] + (2 * n, 2 * n))
+    Phi = flow.phi
     P0 = _endpoint_solve(Phi[-1], U, what)
     J, dv = np.split(Phi[..., 0:n] @ U[:, :, None] + Phi[..., n:] @ P0[:, :, None], 2, -2)
     *_, lin = _curve_stage(metric, potential)
-    gam_v = lin(np.ascontiguousarray(traj[..., 0: 2 * n].reshape(-1, 2 * n).T))[..., n:]
+    gam_v = lin(np.ascontiguousarray(flow.curve.reshape(-1, 2 * n).T))[..., n:]
     return J[..., 0], (dv + gam_v.reshape(Phi.shape[:2] + (n, n)) @ J)[..., 0]
 
 
@@ -553,12 +567,12 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
     """
     n = path.metric.dim
     (u,) = as_vectors(n, u=u)
-    _, traj, voff = _integrate(
+    flow = _integrate(
         path.metric, path.potential, *_one_lane(n, x0=path.x0, v0=path.v0), path.steps,
         variation="full", store=True,
     )
     J, dJ = _two_point_fields(
-        path.metric, path.potential, traj, voff, u[None],
+        path.metric, path.potential, flow, u[None],
         "endpoint variation block is numerically singular "
         "(conjugate point on the curve)",
     )
@@ -638,10 +652,9 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
     def run(lanes, Vl, jacobian):
         if not jacobian:
             return _endpoints(metric, potential, X[lanes], Vl, steps), None, None
-        y, traj, voff = _integrate(metric, potential, X[lanes], Vl, steps,
-                                   variation="velocity", store=True)
-        jac = y[:, voff:].reshape(-1, 2 * n, n)[:, 0:n]
-        return y[:, 0:n], jac, traj[:, :, 0: 2 * n]
+        flow = _integrate(metric, potential, X[lanes], Vl, steps,
+                          variation="velocity", store=True)
+        return flow.curve[-1, :, 0:n].copy(), flow.phi[-1, :, 0:n], flow.curve
 
     def integrate(lanes, Vl, jacobian=True, trial=False):
         """Endpoints of some lanes, with their Jacobians and curves; in a
@@ -886,20 +899,11 @@ def simpson(samples: np.ndarray, h: float) -> np.ndarray:
 
 
 @dataclass
-class FamilyMember:
-    """One curve of a two-parameter variation with its attached fields."""
-
-    s: float
-    t: float
-    path: CurvePath
-    U: np.ndarray  # transported reference vector, (steps+1, n)
-    J: np.ndarray  # two-point variation field, (steps+1, n)
-    dJ: np.ndarray
-
-
-@dataclass
 class VariationFamily:
-    """Curves with initial velocity t*v + s*w over an (s, t) grid."""
+    """Curves with initial velocity t*v + s*w over an (s, t) grid.
+
+    Each field is (steps+1, S, T, n): grid step, then the s and t
+    indices, then the coordinate."""
 
     metric: MetricField
     potential: PotentialField
@@ -907,13 +911,14 @@ class VariationFamily:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    s_values: tuple[float, ...]
-    t_values: tuple[float, ...]
+    s_values: np.ndarray  # (S,)
+    t_values: np.ndarray  # (T,)
     steps: int
-    members: dict = dc_field(default_factory=dict)
-
-    def member(self, i: int, j: int) -> FamilyMember:
-        return self.members[(i, j)]
+    pos: np.ndarray
+    vel: np.ndarray
+    U: np.ndarray  # transported reference vector
+    J: np.ndarray  # two-point variation field
+    dJ: np.ndarray  # its covariant time derivative
 
 
 def variation_family(
@@ -928,156 +933,45 @@ def variation_family(
     steps: int = DEFAULT_STEPS,
 ) -> VariationFamily:
     """Build the curve family with fields over the (s, t) grid, all
-    members integrated as one batch."""
+    curves integrated as one batch in s-major lane order."""
     n = metric.dim
     x, u, v, w = as_vectors(n, x=x, u=u, v=v, w=w)
     pot = potential if potential is not None else PotentialField.zero(n)
-    fam = VariationFamily(
-        metric=metric, potential=pot, x=x, u=u, v=v, w=w,
-        s_values=tuple(float(s) for s in s_values),
-        t_values=tuple(float(t) for t in t_values),
-        steps=steps,
-    )
-    grid = [(i, j, s, t) for i, s in enumerate(fam.s_values)
-            for j, t in enumerate(fam.t_values)]
-    V0 = np.array([t * v + s * w for _, _, s, t in grid])
-    _, traj, voff = _integrate(
-        metric, pot, np.tile(x, (len(grid), 1)), V0, steps,
-        transport=True, variation="full", store=True,
-    )
+    s = np.array(s_values, dtype=float)
+    t = np.array(t_values, dtype=float)
+    V0 = (t[None, :, None] * v + s[:, None, None] * w).reshape(-1, n)
+    flow = _integrate(metric, pot, np.tile(x, (len(V0), 1)), V0, steps,
+                      transport=True, variation="full", store=True)
     J, dJ = _two_point_fields(
-        metric, pot, traj, voff, np.tile(u, (len(grid), 1)),
+        metric, pot, flow, np.tile(u, (len(V0), 1)),
         "conjugate point inside a variation family member",
     )
-    for b, (i, j, s, t) in enumerate(grid):
-        lane = traj[:, b]
-        Psi = lane[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
-        fam.members[(i, j)] = FamilyMember(
-            s=s, t=t, path=_unpack_path(metric, pot, x, V0[b], steps, lane),
-            U=Psi @ u, J=J[:, b], dJ=dJ[:, b],
-        )
-    return fam
-
-
-# ---------------------------------------------------------------------------
-# Covariant (s, t)-derivatives at the center of a variation family
-# ---------------------------------------------------------------------------
+    grid = (steps + 1, len(s), len(t), n)
+    curve = flow.curve.reshape(grid[:3] + (2 * n,))
+    return VariationFamily(
+        metric=metric, potential=pot, x=x, u=u, v=v, w=w, s_values=s, t_values=t,
+        steps=steps, pos=curve[..., 0:n], vel=curve[..., n:],
+        U=(flow.psi @ u).reshape(grid), J=J.reshape(grid), dJ=dJ.reshape(grid),
+    )
 
 
 class _Diffs:
-    """Plain central differences of one field over the 5x5 grid at one level."""
+    """Plain central differences at the center of a 5x5 (s, t) grid of
+    one field, F (5, 5, n), at one level."""
 
-    def __init__(self, F: dict, stride: int, delta: float):
-        c = F[(0, 0)]
-        p, m = stride, -stride
+    def __init__(self, F: np.ndarray, stride: int, delta: float):
+        p, m = 2 + stride, 2 - stride
+        c = F[2, 2]
         self.c = c
-        self.d_s = (F[(p, 0)] - F[(m, 0)]) / (2 * delta)
-        self.d_t = (F[(0, p)] - F[(0, m)]) / (2 * delta)
-        self.d_ss = (F[(p, 0)] - 2 * c + F[(m, 0)]) / delta**2
-        self.d_tt = (F[(0, p)] - 2 * c + F[(0, m)]) / delta**2
-        self.d_ts = (F[(p, p)] - F[(p, m)] - F[(m, p)] + F[(m, m)]) / (4 * delta**2)
+        self.d_s = (F[p, 2] - F[m, 2]) / (2 * delta)
+        self.d_t = (F[2, p] - F[2, m]) / (2 * delta)
+        self.d_ss = (F[p, 2] - 2 * c + F[m, 2]) / delta**2
+        self.d_tt = (F[2, p] - 2 * c + F[2, m]) / delta**2
+        self.d_ts = (F[p, p] - F[p, m] - F[m, p] + F[m, m]) / (4 * delta**2)
         self.d_tss = (
-            (F[(p, p)] - 2 * F[(0, p)] + F[(m, p)])
-            - (F[(p, m)] - 2 * F[(0, m)] + F[(m, m)])
+            (F[p, p] - 2 * F[2, p] + F[m, p])
+            - (F[p, m] - 2 * F[2, m] + F[m, m])
         ) / (2 * delta**3)
-
-
-class CenterStencil:
-    """Covariant (s, t)-derivative estimates at the center of a family grid.
-
-    Requires the family to be built on the symmetric five-point grids
-    {-h, -h/2, 0, h/2, h} in both parameters, and requires the
-    Christoffel symbols to vanish at the center point: the correction
-    terms below are derived under that assumption, which holds in flat
-    charts, on the sphere equator, and at the origin of the conformal
-    charts used throughout.  Estimates combine the h and h/2 levels by
-    Richardson extrapolation.  ``geo`` is the geometry at the center
-    point, a batch of one.
-    """
-
-    def __init__(self, family: VariationFamily, geo: GeometryBatch):
-        s_vals, t_vals = family.s_values, family.t_values
-        if len(s_vals) != 5 or len(t_vals) != 5 or s_vals != t_vals:
-            raise PreconditionError(
-                "center stencil needs matching five-point (s, t) grids"
-            )
-        h = s_vals[4]
-        expected = tuple(a * h / 2 for a in (-2, -1, 0, 1, 2))
-        if any(abs(a - b) > 1e-15 * max(1.0, abs(h)) for a, b in zip(s_vals, expected)):
-            raise PreconditionError(
-                "center stencil needs the symmetric grid {-h, -h/2, 0, h/2, h}"
-            )
-        if float(np.max(np.abs(geo.gamma[0]))) > 1e-10:
-            raise PreconditionError(
-                "center stencil requires vanishing Christoffel symbols "
-                "at the family base point"
-            )
-        self.family = family
-        self.dgamma = geo.dgamma[0]
-        self.d2gamma = geo.d2gamma[0]
-        self.h = h
-
-    def _fields(self, name: str, tau_index: int) -> dict:
-        out = {}
-        for (i, j), mem in self.family.members.items():
-            if name == "pos":
-                val = mem.path.pos[tau_index]
-            elif name == "vel":
-                val = mem.path.vel[tau_index]
-            elif name == "U":
-                val = mem.U[tau_index]
-            elif name == "J":
-                val = mem.J[tau_index]
-            else:
-                raise ValueError(f"unknown family field {name!r}")
-            out[(i - 2, j - 2)] = val
-        return out
-
-    def _level(self, F: dict, Y: dict, which: str, stride: int, delta: float):
-        L = _Diffs(F, stride, delta)
-        if which == "s":
-            return L.d_s
-        if which == "t":
-            return L.d_t
-        P = _Diffs(Y, stride, delta)
-        dgam, d2gam = self.dgamma, self.d2gamma
-
-        def dG(p, q, r):
-            return contract(dgam, p, None, q, r)
-
-        def d2G(p1, p2, q, r):
-            return contract(d2gam, p1, p2, None, q, r)
-
-        # Mixed selectors compose the t-derivative first, then s: "ts"
-        # estimates the s-covariant derivative of the t-covariant
-        # derivative, which is the order in which the variation
-        # identities hold.  Corrections assume vanishing symbols at the
-        # center, so only first/second symbol derivatives survive.
-        A0 = L.c
-        if which == "ts":
-            return L.d_ts + dG(P.d_s, P.d_t, A0)
-        if which == "tt":
-            return L.d_tt + dG(P.d_t, P.d_t, A0)
-        if which == "ss":
-            return L.d_ss + dG(P.d_s, P.d_s, A0)
-        if which == "tss":
-            return (
-                L.d_tss
-                + d2G(P.d_s, P.d_s, P.d_t, A0)
-                + dG(P.d_ss, P.d_t, A0)
-                + 2.0 * dG(P.d_s, P.d_ts, A0)
-                + 2.0 * dG(P.d_s, P.d_t, L.d_s)
-                + dG(P.d_s, P.d_s, L.d_t)
-            )
-        raise ValueError(f"unknown derivative selector {which!r}")
-
-    def estimate(self, field: str, which: str, tau_index: int) -> np.ndarray:
-        """Richardson-extrapolated covariant (s, t)-derivative of a field."""
-        F = self._fields(field, tau_index)
-        Y = self._fields("pos", tau_index)
-        coarse = self._level(F, Y, which, 2, self.h)
-        fine = self._level(F, Y, which, 1, self.h / 2)
-        return (4.0 * fine - coarse) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -1137,9 +1031,49 @@ def lemma_suite(
 
     offs = [a * h / 2 for a in (-2, -1, 0, 1, 2)]
     fam = variation_family(metric, pot, x, u, v, w, offs, offs, steps)
-    st = CenterStencil(fam, geo)
+    dgam, d2gam, rup = geo.dgamma[0], geo.d2gamma[0], geo.riemann_raised[0]
 
-    rup = geo.riemann_raised[0]
+    def dG(p, q, r):
+        return contract(dgam, p, None, q, r)
+
+    def d2G(p1, p2, q, r):
+        return contract(d2gam, p1, p2, None, q, r)
+
+    def level(F, Y, which: str, stride: int, delta: float):
+        L = _Diffs(F, stride, delta)
+        if which == "s":
+            return L.d_s
+        if which == "t":
+            return L.d_t
+        P = _Diffs(Y, stride, delta)
+        # Mixed selectors compose the t-derivative first, then s: "ts"
+        # estimates the s-covariant derivative of the t-covariant
+        # derivative, which is the order in which the variation
+        # identities hold.  Corrections assume vanishing symbols at the
+        # center, so only first/second symbol derivatives survive.
+        A0 = L.c
+        if which == "ts":
+            return L.d_ts + dG(P.d_s, P.d_t, A0)
+        if which == "tt":
+            return L.d_tt + dG(P.d_t, P.d_t, A0)
+        if which == "ss":
+            return L.d_ss + dG(P.d_s, P.d_s, A0)
+        return (  # "tss"
+            L.d_tss
+            + d2G(P.d_s, P.d_s, P.d_t, A0)
+            + dG(P.d_ss, P.d_t, A0)
+            + 2.0 * dG(P.d_s, P.d_ts, A0)
+            + 2.0 * dG(P.d_s, P.d_t, L.d_s)
+            + dG(P.d_s, P.d_s, L.d_t)
+        )
+
+    def estimate(field: np.ndarray, which: str, k: int) -> np.ndarray:
+        """The covariant (s, t)-derivative ``which`` of a family field at
+        the grid center and grid step k, Richardson-extrapolated from the
+        h and h/2 levels."""
+        coarse = level(field[k], fam.pos[k], which, 2, h)
+        fine = level(field[k], fam.pos[k], which, 1, h / 2)
+        return (4.0 * fine - coarse) / 3.0
 
     def Rop(a, b, c):
         return contract(rup, a, b, c)
@@ -1154,33 +1088,32 @@ def lemma_suite(
                        error=float(np.max(np.abs(est - tgt))))
         )
 
-    center = fam.member(2, 2)
     for tau, k in zip(taus, grid):
         zero = np.zeros(metric.dim)
 
         # stationarity of the center curve
-        add("center-curve-velocity", tau, center.path.vel[k], zero)
+        add("center-curve-velocity", tau, fam.vel[k, 2, 2], zero)
         # first t-derivative of the curve follows the linearized modes
-        add("curve-first-t", tau, st.estimate("pos", "t", k),
+        add("curve-first-t", tau, estimate(fam.pos, "t", k),
             E @ (mode_profile(mus, tau) * v_modes))
         # transported frame is rigid to first order in s
-        add("transport-first-s", tau, st.estimate("U", "s", k), zero)
+        add("transport-first-s", tau, estimate(fam.U, "s", k), zero)
 
         if pot.is_zero:
-            add("transport-second-t", tau, st.estimate("U", "tt", k), zero)
-            add("velocity-mixed-ts", tau, st.estimate("vel", "ts", k), zero)
-            add("velocity-mixed-tss", tau, st.estimate("vel", "tss", k),
+            add("transport-second-t", tau, estimate(fam.U, "tt", k), zero)
+            add("velocity-mixed-ts", tau, estimate(fam.vel, "ts", k), zero)
+            add("velocity-mixed-tss", tau, estimate(fam.vel, "tss", k),
                 tau**2 * Rop(v, w, w))
-            add("transport-mixed-ts", tau, st.estimate("U", "ts", k),
+            add("transport-mixed-ts", tau, estimate(fam.U, "ts", k),
                 0.5 * tau**2 * Rop(v, w, u))
-            add("jacobi-first-s", tau, st.estimate("J", "s", k), zero)
-            add("jacobi-second-t", tau, st.estimate("J", "tt", k),
+            add("jacobi-first-s", tau, estimate(fam.J, "s", k), zero)
+            add("jacobi-second-t", tau, estimate(fam.J, "tt", k),
                 tau * (tau - 1.0) * (tau - 2.0) / 3.0 * Rop(v, u, v))
-            add("jacobi-mixed-ts", tau, st.estimate("J", "ts", k),
+            add("jacobi-mixed-ts", tau, estimate(fam.J, "ts", k),
                 tau * (tau - 1.0) / 3.0
                 * ((tau - 2.0) * Rop(w, u, v) - (tau + 1.0) * Rop(v, w, u)))
         else:
             # with a potential the suite covers the flat-chart identities
-            add("transport-second-s", tau, st.estimate("U", "ss", k), zero)
+            add("transport-second-s", tau, estimate(fam.U, "ss", k), zero)
 
     return checks

@@ -111,13 +111,11 @@ def _variation_pairings(metric, potential, X, U, V0, steps) -> np.ndarray:
     pairing needs no transport.  The curves are integrated as one batch,
     and each lane's value is the one it has alone.
     """
-    n = metric.dim
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
-    state, _, voff = dyn._integrate(metric, potential, X, V0, steps, variation="full")
+    flow = dyn._integrate(metric, potential, X, V0, steps, variation="full")
     P0 = dyn._endpoint_solve(
-        state[:, voff:].reshape(-1, 2 * n, 2 * n), U,
-        "conjugate point while evaluating the two-point variation pairing")
+        flow.phi[-1], U, "conjugate point while evaluating the two-point variation pairing")
     return (P0[:, None, :] @ (metric.matrix(X) @ U[:, :, None]))[:, 0, 0]
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from mtwcheck import conformal as cf
+from mtwcheck import dynamics
 from mtwcheck import expr as ex
 from mtwcheck import geometry
 from mtwcheck.expr import ScalarField, TaylorPlan, parse_field
@@ -137,8 +138,8 @@ def reference_integrate(metric, potential, x0, v0, steps, transport=False,
     advances Psi and Phi by step maps.  The coefficients are the generated
     kernels' (their values are checked against the jet pipeline).  The
     "full" columns start at [[I, 0], [-Gamma v0, I]], one per covariant
-    start datum (J0, P0).  Returns the grid states (steps+1, size) in its
-    layout [x, v, Psi, Phi]."""
+    start datum (J0, P0).  Returns the grid states as a one-lane
+    ``dynamics.Flow``, (steps+1, 1, ...) per field."""
     n = metric.dim
     ncols = {None: 0, "velocity": n, "full": 2 * n}[variation]
     stage, g_fill, _, lin = geometry._curve_stage(metric, potential)
@@ -173,4 +174,8 @@ def reference_integrate(metric, potential, x0, v0, steps, transport=False,
         k4 = rhs(y + h * k3)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
-    return np.array(out)
+    out = np.array(out)[:, None]
+    return dynamics.Flow(
+        curve=out[..., 0: 2 * n],
+        psi=out[..., 2 * n: voff].reshape(-1, 1, n, n) if transport else None,
+        phi=out[..., voff:].reshape(-1, 1, 2 * n, ncols) if ncols else None)

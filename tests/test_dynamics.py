@@ -281,7 +281,7 @@ def _stall_coarse_solves(monkeypatch, start, end):
     def stalled(metric, potential, x0, v0, steps, **kwargs):
         out = integrate(metric, potential, x0, v0, steps, **kwargs)
         if steps == dyn.DEFAULT_STEPS // dyn.COARSE_FACTOR:
-            out[0][np.all(x0 == start, axis=1), 0: len(end)] = end
+            out.curve[-1][np.all(x0 == start, axis=1), 0: len(end)] = end
         return out
 
     monkeypatch.setattr(dyn, "_integrate", stalled)
@@ -481,8 +481,7 @@ def test_velocity_jacobian_is_the_derivative_of_the_discrete_endpoint(
     metric, pot, x0, v0 = _oracle_case(case, conformal_a3, sphere)
     n, e = metric.dim, 1e-5
     X, V = np.array([x0]), np.array([v0])
-    y, _, voff = dyn._integrate(metric, pot, X, V, steps, variation="velocity")
-    jac = y[0, voff:].reshape(2 * n, n)[0:n]
+    jac = dyn._integrate(metric, pot, X, V, steps, variation="velocity").phi[-1, 0, 0:n]
     fd = np.stack([(dyn._endpoints(metric, pot, X, V + d, steps)
                     - dyn._endpoints(metric, pot, X, V - d, steps))[0] / (2 * e)
                    for d in np.eye(n) * e], axis=1)
@@ -552,6 +551,39 @@ def test_lemma_suite_requires_normal_coordinates(sphere):
                     [0.2, 0.9], taus=(0.5,))
 
 
+@pytest.mark.parametrize("case", ["sphere", "flat-quartic", "inline3d"])
+def test_variation_family_entries_equal_single_curves(case, sphere):
+    # the family's fields are its one batch's lanes reshaped in s-major
+    # order: entry (i, j) is the curve of velocity t_j v + s_i w with its
+    # transported u and two-point field, bit for bit; the grid has 3 s- and
+    # 4 t-values, so a swapped axis cannot pass
+    from mtwcheck.dynamics import variation_family
+
+    pot = None
+    if case == "sphere":
+        metric, x = sphere, [EQUATOR, 0.0]
+    elif case == "flat-quartic":
+        metric, x = euclidean_metric(2), [0.0, 0.0]
+        pot = quartic_potential([[0.6, 0.1], [0.1, 0.9]])
+    else:
+        metric, x = inline3d_metric(), [0.0, 0.0, 0.0]
+    n, steps = metric.dim, 40
+    u, v, w = (np.array(a[:n]) for a in ([1.0, 0.3, -0.2], [0.6, -0.3, 0.2],
+                                          [0.2, 0.9, -0.1]))
+    s_values, t_values = (-0.1, 0.0, 0.05), (0.5, 0.75, 1.0, 1.25)
+    fam = variation_family(metric, pot, x, u, v, w, s_values, t_values, steps)
+    fields = (fam.pos, fam.vel, fam.U, fam.J, fam.dJ)
+    assert {a.shape for a in fields} == {(steps + 1, 3, 4, n)}
+    for i, s in enumerate(s_values):
+        for j, t in enumerate(t_values):
+            path = least_action_curve(metric, pot, x, t * v + s * w, steps)
+            sol = jacobi_bvp(path, u)
+            want = (path.pos, path.vel, parallel_transport(path, u).vectors,
+                    sol.J, sol.dJ)
+            for got, one in zip(fields, want):
+                assert np.array_equal(got[:, i, j], one)
+
+
 # A 3-vector in dimension 2, given to each trajectory entry point in
 # the slot named; the point is [0, 0] of conformal a = -3.
 _BAD = [1.0, 0.0, 0.0]
@@ -589,6 +621,15 @@ _MODES = [
     {}, {"variation": "velocity"}, {"variation": "full"}, {"transport": True},
     {"transport": True, "variation": "full"},
 ]
+
+
+def _flow_fields(flow, mode) -> list:
+    """The arrays of a Flow, curve, psi and phi, each checked to be there
+    exactly when the integration's ``mode`` asks for it."""
+    fields = [flow.curve, flow.psi, flow.phi]
+    asked = [True, mode.get("transport", False), "variation" in mode]
+    assert [a is not None for a in fields] == asked
+    return [a for a in fields if a is not None]
 
 
 def _inline(upper, dim, potential=None):
@@ -654,17 +695,22 @@ def test_lane_matches_curve_integrated_alone(case, mode, conformal_a3, sphere):
     n = metric.dim
     X = center + rng.uniform(-0.2, 0.2, (9, n))
     V = rng.uniform(-0.4, 0.4, (9, n))
-    y, traj, _ = dyn._integrate(metric, pot, X, V, steps, store=True, **mode)
-    assert np.array_equal(traj[-1], y)
+    flow = _flow_fields(dyn._integrate(metric, pot, X, V, steps, store=True, **mode),
+                        mode)
+    end = _flow_fields(dyn._integrate(metric, pot, X, V, steps, **mode), mode)
+    for a, e in zip(flow, end):
+        assert len(a) == steps + 1 and len(e) == 1
+        assert np.array_equal(a[-1:], e)
     bound = dyn.SCALAR_LANES
     assert bound < 9
-    _, scalar, _ = dyn._integrate(metric, pot, X[:bound], V[:bound], steps,
-                                  store=True, **mode)
-    assert np.array_equal(traj[:, :bound], scalar)
+    scalar = dyn._integrate(metric, pot, X[:bound], V[:bound], steps, store=True, **mode)
+    for a, sc in zip(flow, _flow_fields(scalar, mode)):
+        assert np.array_equal(a[:, :bound], sc)
     for b in (0, 4, 8):
-        _, alone, _ = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], steps,
-                                     store=True, **mode)
-        assert np.array_equal(traj[:, b], alone[:, 0])
+        alone = dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], steps,
+                               store=True, **mode)
+        for a, al in zip(flow, _flow_fields(alone, mode)):
+            assert np.array_equal(a[:, b:b + 1], al)
 
 
 @pytest.mark.parametrize("lanes", [1, 5, 25])
@@ -897,17 +943,16 @@ def test_split_integration_matches_coupled_rk4(case, mode, store, conformal_a3,
     from mtwcheck import dynamics as dyn
 
     metric, pot, x0, v0 = _oracle_case(case, conformal_a3, sphere)
-    want = reference_integrate(metric, pot, np.array(x0), np.array(v0), 150, **mode)
-    y, traj, voff = dyn._integrate(metric, pot, np.array([x0]), np.array([v0]), 150,
-                                   store=store, **mode)
-    scale = np.max(np.abs(want))
-    assert y.shape == (1, want.shape[1])
-    assert np.max(np.abs(y[0] - want[-1])) <= 1e-12 * scale
-    if store:
-        assert traj.shape == (151, 1, want.shape[1])
-        assert np.max(np.abs(traj[:, 0] - want)) <= 1e-12 * scale
-    else:
-        assert traj is None
+    want = _flow_fields(reference_integrate(metric, pot, np.array(x0), np.array(v0),
+                                            150, **mode), mode)
+    got = _flow_fields(dyn._integrate(metric, pot, np.array([x0]), np.array([v0]), 150,
+                                      store=store, **mode), mode)
+    scale = max(np.max(np.abs(w)) for w in want)
+    for g, w in zip(got, want):
+        if not store:
+            w = w[-1:]
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mode", [{}, {"transport": True, "variation": "full"}])
@@ -915,7 +960,8 @@ def test_split_integration_matches_coupled_rk4(case, mode, store, conformal_a3,
 def test_integration_and_field_outputs_are_not_reused(case, mode, conformal_a3):
     # the buffers an integration or an evaluator keeps between stages are
     # never what it returns: a second call at the same lane count, on other
-    # inputs, leaves the first call's arrays as they were
+    # inputs, leaves the first call's arrays as they were, and no two of
+    # the arrays returned share memory
     from mtwcheck import dynamics as dyn
     from mtwcheck.expr import parse_field
     from mtwcheck.geometry import PotentialField
@@ -929,11 +975,15 @@ def test_integration_and_field_outputs_are_not_reused(case, mode, conformal_a3):
     rng = np.random.default_rng(8)
     X, V = rng.uniform(-0.2, 0.2, (2, 3, 2))
     for store in (False, True):
-        first = dyn._integrate(metric, pot, X, V, 10, store=store, **mode)[:2]
-        kept = [None if a is None else a.copy() for a in first]
-        dyn._integrate(metric, pot, X + 0.1, V - 0.1, 10, store=store, **mode)
+        first = _flow_fields(dyn._integrate(metric, pot, X, V, 10, store=store, **mode),
+                             mode)
+        kept = [a.copy() for a in first]
+        second = _flow_fields(
+            dyn._integrate(metric, pot, X + 0.1, V - 0.1, 10, store=store, **mode), mode)
         for a, b in zip(first, kept):
-            assert (a is None and b is None) or np.array_equal(a, b)
+            assert np.array_equal(a, b)
+            assert not any(np.shares_memory(a, d) for d in second)
+            assert not any(np.shares_memory(a, d) for d in first if d is not a)
 
     lin = geometry._curve_stage(metric, pot)[3]
     first = lin(np.concatenate([X.T, V.T]))
