@@ -17,9 +17,9 @@ pins the sign.
 
 Derivative strategy: the Christoffel formula and the curvature formula
 are written once, in :func:`_christoffel_from` and
-:func:`_curvature_from`, with the tensor product passed in, and
-curvature is evaluated only on jets.  :class:`GeometryBatch` evaluates
-them on truncated Taylor jets at a batch of points with
+:func:`_curvature_from`, and curvature is evaluated only on jets.
+:class:`GeometryBatch` evaluates them on truncated Taylor jets at a
+batch of points, each tensor product one
 :func:`~mtwcheck.jets.jcontract`, which differentiates the whole
 pipeline exactly, so covariant derivatives of curvature and of the
 potential need no further formulas.  The trajectory engine in
@@ -304,7 +304,7 @@ class PotentialField:
 
 
 # ---------------------------------------------------------------------------
-# Connection and curvature formulas, for point values and for jets
+# Connection and curvature formulas, on jets
 # ---------------------------------------------------------------------------
 
 
@@ -317,28 +317,26 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return dg + dg.swapaxes(0, 1) - dg.swapaxes(0, 1).swapaxes(1, 2)
 
 
-def _christoffel_from(product, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols G[k, i, j] from the inverse metric and dg[m, i, j].
-
-    ``product`` is an ``np.einsum`` on (batches of) point values or a
-    bound :func:`~mtwcheck.jets.jcontract` on jets.
-    """
-    return 0.5 * product("km,ijm->kij", ginv, _first_kind(dg))
+def _christoffel_from(space: JetSpace, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols G[k, i, j] from the inverse metric and dg[m, i, j],
+    jets of ``space``."""
+    return 0.5 * jcontract(space, "km,ijm->kij", ginv, _first_kind(dg))
 
 
-def _curvature_from(product, gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
-    """Raised curvature Rup[l, i, j, k]: component l of R(e_i, e_j) e_k.
+def _curvature_from(space: JetSpace, gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
+    """Raised curvature Rup[l, i, j, k]: component l of R(e_i, e_j) e_k,
+    jets of ``space``.
 
-    ``dgam[p, k, i, j]`` is d_p Gamma^k_ij; ``product`` as in
-    :func:`_christoffel_from`.  Sign convention (sphere-calibrated, see
-    the module docstring): Rup[l, i, j, k] = d_j Gamma^l_ik
-    - d_i Gamma^l_jk + Gamma^l_jm Gamma^m_ik - Gamma^l_im Gamma^m_jk.
+    ``dgam[p, k, i, j]`` is d_p Gamma^k_ij.  Sign convention
+    (sphere-calibrated, see the module docstring): Rup[l, i, j, k] =
+    d_j Gamma^l_ik - d_i Gamma^l_jk + Gamma^l_jm Gamma^m_ik
+    - Gamma^l_im Gamma^m_jk.
     """
     return (
         np.einsum("jlik...->lijk...", dgam)
         - np.einsum("iljk...->lijk...", dgam)
-        + product("ljm,mik->lijk", gam, gam)
-        - product("lim,mjk->lijk", gam, gam)
+        + jcontract(space, "ljm,mik->lijk", gam, gam)
+        - jcontract(space, "lim,mjk->lijk", gam, gam)
     )
 
 
@@ -733,7 +731,8 @@ def _covariant_derivative_jets(
 def _values(J: np.ndarray) -> np.ndarray:
     """Values of a jet array with the point axis before the jet axis,
     as a new array with the point axis first."""
-    return np.moveaxis(jvalue(J), -1, 0).copy()
+    v = jvalue(J)
+    return v.transpose((v.ndim - 1, *range(v.ndim - 1))).copy()
 
 
 # Per-point arrays of GeometryBatch, in build order.
@@ -760,8 +759,7 @@ class GeometryBatch:
     The metric and potential jets at all points come from one generated
     function each (:meth:`MetricField.jets`).  In the jet pipeline the
     point axis sits just before the jet axis, so the connection and
-    curvature formulas, written once for point values and jets, run
-    unchanged, and
+    curvature formulas, written once, run on a batch unchanged, and
     every jet product is a matmul per point (:func:`~mtwcheck.jets.jcontract`):
     point b of a batch equals the same point built alone, bit for bit.
     Each stage runs in the smallest jet space that keeps its values
@@ -802,7 +800,7 @@ class GeometryBatch:
         require_positive_definite(self.g, X)
         space = at(gam_deg)
         Ginv = jmatinv(space, G[..., : space.size])
-        gam = _christoffel_from(partial(jcontract, space), Ginv, jgrad(space, G))
+        gam = _christoffel_from(space, Ginv, jgrad(space, G))
         dgam = jgrad(at(gam_deg - 1), gam)  # [m, k, i, j, b, :]
 
         self.g_inv = _values(Ginv)
@@ -815,9 +813,7 @@ class GeometryBatch:
 
         r_space = at(k)
         size = r_space.size
-        rup = _curvature_from(
-            partial(jcontract, r_space), gam[..., :size], dgam[..., :size]
-        )
+        rup = _curvature_from(r_space, gam[..., :size], dgam[..., :size])
         Rlow = jcontract(r_space, "mijk,lm->ijkl", rup, G[..., :size])
         self.riemann = _values(Rlow)
         self.riemann_raised = _values(rup)

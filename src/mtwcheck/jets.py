@@ -26,6 +26,8 @@ batch, so a point of a batch gets the bits it gets alone.
 Accuracy bookkeeping: if two jets carry exact coefficients through
 degree ``k``, their sum/product does too, while a derivative
 (:func:`jderiv`, :func:`jgrad`) lowers the guarantee by one degree.
+:func:`jgrad`, every first derivative at once, is one gather and one
+product from a table per jet space, the products :func:`jderiv` makes.
 The monomial order is graded, so the degree-``k`` jet of a function is
 the first ``JetSpace.get(n, k).size`` coefficients of any
 higher-degree jet of it, and a stage can run in the smallest space
@@ -123,6 +125,22 @@ class JetSpace:
         y times monomial x is z for x = ``_mul_b``."""
         return self._mul_a * self.size + self._mul_c
 
+    @cached_property
+    def _grad(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, fac), each (nvars, size): slot x^m of d_v a is a's slot
+        ``src[v, m]`` of the space one degree up, x^(m + e_v), times
+        ``fac[v, m]`` = m_v + 1.  Every slot has a source, so no slot
+        is computed as 0 * x (which would be -0.0 or NaN)."""
+        up = JetSpace.get(self.nvars, self.degree + 1)
+        src = np.empty((self.nvars, self.size), dtype=np.intp)
+        fac = np.empty((self.nvars, self.size))
+        for v in range(self.nvars):
+            for j, m in enumerate(self.monomials):
+                raised = tuple(e + (k == v) for k, e in enumerate(m))
+                src[v, j] = up.index[raised]
+                fac[v, j] = float(raised[v])
+        return src, fac
+
     @staticmethod
     @lru_cache(maxsize=None)
     def get(nvars: int, degree: int) -> "JetSpace":
@@ -134,13 +152,24 @@ def jvalue(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
-@lru_cache(maxsize=64)
-def _contract_plan(sa: str, sb: str, out: str, points: int):
-    """Axis orders that turn a jet contraction into one batched matmul:
-    ``a`` to (point, free, contracted, jet), the expanded ``b`` to
-    (point, contracted, jet, free, jet), and the product (point, free
-    of a, free of b, jet) to the output labels followed by (point, jet).
-    Also returns the contracted and free labels of each operand."""
+@lru_cache(maxsize=256)
+def _contract_plan(subscripts: str, a_shape: tuple, b_shape: tuple, size: int):
+    """All of a jet contraction but its arithmetic, per subscripts,
+    operand shapes and jet size, as the tuple (swap, flat, square,
+    a_axes, a_shape, b_axes, b_shape, shape, out_axes) that turns it
+    into one batched matmul.  ``swap``: the operands trade places, so
+    that ``a`` is the larger.  The expanded ``b`` is made ``flat``, then
+    viewed as ``square`` (y, z), transposed by ``b_axes`` to (point,
+    contracted, jet, free, jet) and reshaped to ``b_shape``; ``a`` goes
+    by ``a_axes`` to (point, free, contracted, jet) and ``a_shape``; the
+    product is reshaped to ``shape``, (point, free of a, free of b,
+    jet), and transposed by ``out_axes`` to the output labels followed
+    by (point, jet)."""
+    ins, out = subscripts.split("->")
+    sa, sb = ins.split(",")
+    swap = math.prod(a_shape) < math.prod(b_shape)
+    if swap:
+        sa, sb, a_shape, b_shape = sb, sa, b_shape, a_shape
     con = [c for c in sa if c in sb]
     fa = [c for c in sa if c not in con]
     fb = [c for c in sb if c not in con]
@@ -148,12 +177,18 @@ def _contract_plan(sa: str, sb: str, out: str, points: int):
         raise ValueError(
             f"jcontract needs a plain two-operand contraction, got {sa},{sb}->{out}")
     pa, pb = len(sa), len(sb)  # the first axis after the labels
-    a_axes = [*range(pa, pa + points), *map(sa.index, fa + con), pa + points]
+    points = len(a_shape) - 1 - pa
+    a_axes = (*range(pa, pa + points), *map(sa.index, fa + con), pa + points)
     y = pb + points  # b's jet axis, expanded into (y, z)
-    b_axes = [*range(pb, y), *map(sb.index, con), y, *map(sb.index, fb), y + 1]
-    out_axes = [points + (fa + fb).index(c) for c in out]
-    out_axes += [*range(points), points + len(fa + fb)]
-    return a_axes, b_axes, out_axes, con, fa + fb
+    b_axes = (*range(pb, y), *map(sb.index, con), y, *map(sb.index, fb), y + 1)
+    out_axes = tuple(points + (fa + fb).index(c) for c in out)
+    out_axes += (*range(points), points + len(fa + fb))
+    dims = dict(zip(sa, a_shape)) | dict(zip(sb, b_shape))
+    lead = a_shape[pa: pa + points]
+    k = math.prod(dims[c] for c in con) * size
+    return (swap, b_shape[:-1] + (size * size,), b_shape[:-1] + (size, size),
+            a_axes, lead + (-1, k), b_axes, lead + (k, -1),
+            lead + tuple(dims[c] for c in fa + fb) + (size,), out_axes)
 
 
 def jcontract(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,22 +208,14 @@ def jcontract(space: JetSpace, subscripts: str, a: np.ndarray, b: np.ndarray) ->
     number of points, so a point's result does not depend on the batch
     it rides in.
     """
-    ins, out = subscripts.split("->")
-    sa, sb = ins.split(",")
-    if a.size < b.size:
-        sa, sb, a, b = sb, sa, b, a
-    points = a.ndim - 1 - len(sa)
-    a_axes, b_axes, out_axes, con, free = _contract_plan(sa, sb, out, points)
-    size = space.size
-    dims = dict(zip(sa, a.shape)) | dict(zip(sb, b.shape))
-    lead = a.shape[len(sa): len(sa) + points]
-    k = math.prod(dims[c] for c in con) * size
-    bm = np.zeros(b.shape[:-1] + (size * size,))
+    (swap, flat, square, a_axes, a_shape, b_axes, b_shape, shape,
+     out_axes) = _contract_plan(subscripts, a.shape, b.shape, space.size)
+    if swap:
+        a, b = b, a
+    bm = np.zeros(flat)
     bm[..., space._mul_yz] = b[..., space._mul_b]
-    bm = bm.reshape(b.shape[:-1] + (size, size))
-    A = a.transpose(a_axes).reshape(lead + (-1, k))
-    Bm = bm.transpose(b_axes).reshape(lead + (k, -1))
-    shape = lead + tuple(dims[c] for c in free) + (size,)
+    A = a.transpose(a_axes).reshape(a_shape)
+    Bm = bm.reshape(square).transpose(b_axes).reshape(b_shape)
     return (A @ Bm).reshape(shape).transpose(out_axes)
 
 
@@ -205,13 +232,15 @@ def jgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
     ``a`` carries jets of degree at least ``space.degree + 1``; the
     result stacks d_v a for every variable v in front, as jets of
     ``space``.  A derivative is exact one degree below its operand, so
-    the result drops no exact coefficient.
+    the result drops no exact coefficient.  It is one gather and one
+    product from the space's table, the same products as
+    :func:`jderiv`'s, into a new C-ordered array.
     """
-    up = JetSpace.get(space.nvars, space.degree + 1)
-    a = a[..., : up.size]
-    return np.stack(
-        [jderiv(up, a, v)[..., : space.size] for v in range(space.nvars)]
-    )
+    src, fac = space._grad
+    d = a[..., src]  # (..., nvars, size)
+    lead = d.ndim - 2
+    fac = fac.reshape(fac.shape[:1] + (1,) * lead + fac.shape[1:])
+    return np.multiply(d.transpose((lead, *range(lead), lead + 1)), fac, order="C")
 
 
 def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:
@@ -221,11 +250,11 @@ def jmatinv(space: JetSpace, G: np.ndarray) -> np.ndarray:
     Newton iteration X <- X(2I - GX) doubles the correct degree each
     step, so ceil(log2(degree + 1)) steps reach the truncation order.
     """
-    n = G.shape[0]
-    x0 = np.linalg.inv(np.moveaxis(jvalue(G), (0, 1), (-2, -1)))
+    n, lead = G.shape[0], G.ndim - 3  # lead: 1 with a point axis, else 0
+    x0 = np.linalg.inv(jvalue(G).transpose((*range(2, 2 + lead), 0, 1)))
     X = np.zeros_like(G)
-    X[..., 0] = np.moveaxis(x0, (-2, -1), (0, 1))
-    two_i = np.zeros(G.shape[:2] + (1,) * (G.ndim - 3) + (space.size,))
+    X[..., 0] = x0.transpose((lead, lead + 1, *range(lead)))
+    two_i = np.zeros(G.shape[:2] + (1,) * lead + (space.size,))
     two_i[np.arange(n), np.arange(n), ..., 0] = 2.0
     steps = max(1, int(np.ceil(np.log2(space.degree + 1))))
     for _ in range(steps):

@@ -392,11 +392,13 @@ def _first_order_magnitude(geo, u, v, w, curvature_tol=None) -> np.ndarray:
 
 def _gram(g: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A^T g B for matrices whose columns are vectors, batch axes leading:
-    the bilinear form <A v, B v'> in (v, v')."""
-    n = g.shape[-1]
-    gB = [contract(g, B[..., j]) for j in range(n)]
-    return np.stack([np.stack([contract(gB[j], A[..., i]) for j in range(n)],
-                              axis=-1) for i in range(n)], axis=-2)
+    the bilinear form <A v, B v'> in (v, v').
+
+    Two product-sums over whole matrices, each in :func:`contract`'s
+    order: (gB)[j, m] = sum_k g[m, k] B[k, j], then the entry (i, j) is
+    sum_m (gB)[j, m] A[m, i]."""
+    gB = contract(g[..., None, :, :], B.swapaxes(-1, -2))
+    return contract(gB[..., None, :, :], A.swapaxes(-1, -2))
 
 
 def _second_order_form(geo, u, w, *, full: bool) -> np.ndarray:
@@ -407,7 +409,9 @@ def _second_order_form(geo, u, w, *, full: bool) -> np.ndarray:
     ``full=False`` drops the two lines that vanish identically under
     the restricted variant's hypotheses (zero-curvature orthogonal
     planes force R(w,u)w = R(u,w)u = 0).  Each line is contracted with
-    the pair (u, w), leaving its two v slots open.
+    the pair (u, w), leaving its two v slots open.  Lines that start
+    with the same slots share those contractions, which :func:`contract`
+    runs last slot first: every line keeps its own order.
     """
     geo = _against(geo, u, w)
     N2, Rup, g = geo.nabla2_r, geo.riemann_raised, geo.g
@@ -418,20 +422,24 @@ def _second_order_form(geo, u, w, *, full: bool) -> np.ndarray:
 
     # R(v, u) u, R(v, w) w, R(w, u) v, R(v, u) w and R(v, w) u as
     # matrices acting on v
-    vuu = contract(Rup, None, u, u)
-    vww = contract(Rup, None, w, w)
+    Ru, Rw = contract(Rup, u), contract(Rup, w)
+    vuu = contract(Ru, None, u)
+    vww = contract(Rw, None, w)
     wuv = contract(Rup, w, u, None)
-    vuw = contract(Rup, None, u, w)
-    vwu = contract(Rup, None, w, u)
+    vuw = contract(Rw, None, u)
+    vwu = contract(Ru, None, w)
 
-    Q = contract(N2, w, w, None, u, None, u) / 10.0
+    # N2 with slot 6, then slot 4, contracted with u
+    N2u = contract(N2, u)
+    N2uu = contract(N2u, u, None)
+    Q = contract(N2uu, w, w, None, None) / 10.0
     Q = Q - _gram(g, vuu, vww) / 5.0
     if full:
-        Q = Q + 4.0 / 15.0 * cross(contract(Rup, w, u, w), contract(Rup, None, u, None))
-    Q = Q + 2.0 / 5.0 * contract(N2, None, w, w, u, None, u)
-    Q = Q + contract(N2, None, None, w, u, w, u) / 10.0
+        Q = Q + 4.0 / 15.0 * cross(contract(vuw, w), contract(Rup, None, u, None))
+    Q = Q + 2.0 / 5.0 * contract(N2uu, None, w, w, None)
+    Q = Q + contract(N2u, None, None, w, u, w) / 10.0
     if full:
-        Q = Q - cross(contract(Rup, w, u, u), contract(Rup, None, w, None)) / 5.0
+        Q = Q - cross(contract(vuu, w), contract(Rup, None, w, None)) / 5.0
     Q = Q + 4.0 / 15.0 * (_gram(g, wuv, wuv) + _gram(g, vuw, wuv))
     Q = Q + (_gram(g, wuv, vwu) + _gram(g, vuw, vwu)) / 3.0
     return Q

@@ -325,9 +325,9 @@ def _degree4_reference(metric, x, potential, order):
 
     G = metric.jets(x, space)
     Ginv = jmatinv(space, G)
-    gam = _christoffel_from(product, Ginv, d(G))
+    gam = _christoffel_from(space, Ginv, d(G))
     dgam = d(gam)
-    rup = _curvature_from(product, gam, dgam)
+    rup = _curvature_from(space, gam, dgam)
     Rlow = product("lm,mijk->ijkl", G, rup)
     ref = {"x": np.asarray(x, dtype=float), "g": G[..., 0], "g_inv": Ginv[..., 0],
            "gamma": gam[..., 0], "dgamma": dgam[..., 0],

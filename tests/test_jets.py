@@ -97,8 +97,30 @@ def test_jderiv_matches_field_derivative(dim):
         # jgrad stacks the same derivatives, truncated to the exact degrees
         lower = JetSpace.get(dim, DEGREE - 1)
         stacked = np.stack([jderiv(space, _jet(expr, dim), v) for v in range(dim)])
-        assert np.array_equal(jgrad(lower, _jet(expr, dim)),
-                              stacked[:, : lower.size])
+        assert jgrad(lower, _jet(expr, dim)).tobytes() == stacked[:, : lower.size].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_jgrad_bits_match_stacked_jderiv(dim):
+    # bit for bit, so +0.0 against -0.0 and NaN against NaN count: row 0
+    # is a polynomial of degree below the operand's (its top coefficients
+    # +0.0) with a negative value, where a slot computed as 0 * value
+    # would read -0.0; row 1 has non-finite coefficients, where it would
+    # read NaN; row 2 holds NaN above the degree jgrad reads, which must
+    # not leak in
+    rng = np.random.default_rng(dim)
+    for degree in range(DEGREE):
+        space, up = JetSpace.get(dim, degree), JetSpace.get(dim, degree + 1)
+        a = -np.abs(rng.normal(size=(3, 2, JetSpace.get(dim, degree + 2).size)))
+        a[0, :, space.size:] = 0.0
+        a[1, 0, 0], a[1, 1, 0] = -np.inf, np.nan
+        a[1, 0, up.size - 1] = np.inf
+        a[2, :, up.size:] = np.nan
+        want = np.stack([jderiv(up, a[..., : up.size], v)[..., : space.size]
+                         for v in range(dim)])
+        got = jgrad(space, a)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
