@@ -13,7 +13,9 @@ calibrate       determine the normalization constant from the oracles
 
 Exit codes: 0 = ran, all checks passed; 1 = ran, found violations;
 2 = usage or configuration error; 3 = numerical failure (conjugate
-point, shooting divergence, calibration inconsistency).
+point, shooting divergence, calibration inconsistency); 4 = ``check``
+ran and found no violation, but some condition was evaluated at no
+sample ("vacuous").
 
 A flat ``key = value`` config file can supply any long option
 (``--config run.cfg``); explicit flags override file values.  Reports
@@ -438,7 +440,8 @@ def _cmd_check(cfg: RunConfig) -> int:
     results = [
         {
             "condition": c.name,
-            "verdict": "pass" if c.passed else "violated",
+            "verdict": ("violated" if not c.passed
+                        else "pass" if c.evaluated else "vacuous"),
             "evaluated": c.evaluated,
             "threshold": c.threshold,
             "worst_witness": None if c.worst is None else {
@@ -452,7 +455,9 @@ def _cmd_check(cfg: RunConfig) -> int:
         for c in report.conditions
     ]
     _emit_report(cfg, results, timings)
-    return 0 if report.overall_pass else 1
+    if report.overall_pass:
+        return 0
+    return 1 if any(not c.passed for c in report.conditions) else 4
 
 
 def _cmd_cost(cfg: RunConfig) -> int:

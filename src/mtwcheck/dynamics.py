@@ -27,16 +27,14 @@ most SCALAR_LANES lanes in dimension n <= 3 runs the same lines as one
 whole RK4 step of one lane in Python floats, kept with the kernel
 (:func:`~mtwcheck.geometry._scalar_step`), lane by lane, each block's
 records written into the same buffers.
-The metric must be positive definite at every point a lane reaches,
-grid and RK4 stage points alike, or
-:class:`~mtwcheck.errors.MetricDegenerateError` is raised: the start
-points are tested first, each block of at most STEP_MAP_BLOCK_POINTS
-stage points, recorded with their g, after its steps, and the last
-point after the last step, so that the error names the first point
-that fails in step, stage and lane order.  A stage whose g is singular
-or not finite leaves its lane non-finite, without a NumPy warning; a
-curve stops at its first non-finite state, which raises
-:class:`~mtwcheck.errors.CurveOverflowError` unless a point fails first.
+A lane fails at a start, RK4 stage or last point where the metric is
+not positive definite (:class:`~mtwcheck.errors.MetricDegenerateError`),
+tested per block of at most STEP_MAP_BLOCK_POINTS stage points, and at
+a state that is not finite (:class:`~mtwcheck.errors.CurveOverflowError`;
+a singular or non-finite g leaves it so, without a NumPy warning).  A
+failure is data: the :class:`Flow` keeps each lane's first, the others
+step on, and :func:`_checked` raises the batch's first in step, stage
+and lane order.
 The transport Psi and the variation Phi solve linear equations
 Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
 per block, d_x F, F = Gamma(v, v) + grad V, and Gamma v at the
@@ -79,8 +77,7 @@ verified numerically.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -90,7 +87,6 @@ from .errors import (
     CurveOverflowError,
     DimensionError,
     DiscretizationError,
-    MetricDegenerateError,
     PreconditionError,
     ShootingError,
     SolverSettingsError,
@@ -100,11 +96,12 @@ from .geometry import (
     MetricField,
     PotentialField,
     _curve_stage,
+    _degenerate,
+    _indefinite,
     as_point,
     as_vectors,
     contract,
     mode_profile,
-    require_positive_definite,
 )
 from .jets import JetSpace
 
@@ -241,13 +238,29 @@ class Flow:
     transported frame Psi and its variation Phi = [dx; dv], each with the
     time axis first and the lane axis second.  The time axis holds every
     grid point of a stored integration and only the end otherwise, so
-    index -1 is the end in both cases."""
+    index -1 is the end in both cases.
+
+    ``failed`` maps each failed lane, whose arrays hold no meaning, to its
+    first failure (key, error), keyed (0, 0) at the start point, (k, s) at
+    stage s of step k, (k, 4) at the point step k reaches if it is the
+    last or its state is not finite, and (k, 5) at that state."""
 
     curve: np.ndarray  # (T, B, 2n)
     psi: np.ndarray | None  # (T, B, n, n), with ``transport``
     phi: np.ndarray | None  # (T, B, 2n, ncols), with a ``variation``
+    failed: dict = field(default_factory=dict)  # lane: (key, error)
 
 
+def _checked(flow: Flow) -> Flow:
+    """``flow``, unless a lane failed: then the batch's first failure, by
+    (key, lane), is raised."""
+    if flow.failed:
+        lane = min(flow.failed, key=lambda b: (flow.failed[b][0], b))
+        raise flow.failed[lane][1]
+    return flow
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate(
     metric: MetricField,
     potential: PotentialField | None,
@@ -263,17 +276,13 @@ def _integrate(
 
     ``x0`` and ``v0`` are (B, n): one lane per row.  Returns a
     :class:`Flow` over the steps+1 grid points with ``store``, else over
-    the end alone.  Psi (n x n, with ``transport``) transports a frame,
-    and Phi (2n x ncols) stacks the rows [dx; dv] of the derivative of
-    the discrete flow.  variation="full" evolves the whole 2n x 2n
-    fundamental matrix, a column per covariant start datum (J0, P0);
-    "velocity" only the n columns of initial velocity perturbations,
-    whose dx rows are the endpoint Jacobian needed for shooting.  The
-    curve is stepped alone by the stage kernel, and after each block of
-    steps Psi and Phi advance by the RK4 step maps of the block's
-    recorded stage points, whose coefficients [d_x F, Gamma v] are one
-    call of the linearization generated with the kernel (see the module
-    docstring); the "full" seed reads its Gamma v0 there too.
+    the end alone, each lane that failed kept in ``Flow.failed``.  Psi
+    (n x n, with ``transport``) transports a frame, and Phi (2n x ncols)
+    stacks the rows [dx; dv] of the derivative of the discrete flow:
+    variation="full" evolves the whole 2n x 2n fundamental matrix, a
+    column per covariant start datum (J0, P0), and "velocity" the n
+    columns of initial velocity perturbations, whose dx rows are the
+    endpoint Jacobian of shooting.  The module docstring gives the scheme.
     """
     if steps < 1:
         raise DiscretizationError(f"steps must be at least 1, got {steps}")
@@ -282,31 +291,44 @@ def _integrate(
     v0 = np.asarray(v0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != n or v0.shape != x0.shape:
         raise DimensionError("start point/velocity dimension mismatch")
-    metric.matrix(x0)  # raises unless the metric is positive definite there
     lanes = x0.shape[0]
 
-    ncols = 0
-    if variation == "full":
-        ncols = 2 * n
-    elif variation == "velocity":
-        ncols = n
-    elif variation is not None:
+    ncols = {None: 0, "velocity": n, "full": 2 * n}.get(variation)
+    if ncols is None:
         raise ValueError(f"unknown variation mode {variation!r}")
+    times = steps + 1 if store else 1
+    flow = Flow(curve=np.empty((times, lanes, 2 * n)),
+                psi=np.empty((times, lanes, n, n)) if transport else None,
+                phi=np.empty((times, lanes, 2 * n, ncols)) if ncols else None)
+    failed = flow.failed
+
+    def test(X: np.ndarray, where, g=None) -> None:
+        """Keep as a lane's failure each point X[i] whose metric g[i], by
+        default read as :meth:`MetricField.matrix` reads it, is not positive
+        definite, at the (lane, key) that ``where(i)`` gives, unless the
+        lane failed before."""
+        if g is None:
+            g = np.moveaxis(metric.jets(X, JetSpace.get(n, 0))[..., 0], -1, 0)
+        bad, w = _indefinite(g)
+        for i, wi in zip(bad.tolist(), w.tolist()):
+            lane, key = where(i)
+            if lane not in failed or key < failed[lane][0]:
+                failed[lane] = (key, _degenerate(X[i], wi))
+
+    test(x0, lambda i: (i, (0, 0)))
+    if len(failed) == lanes:  # a constant g that fails compiles no kernel
+        return flow
     kern, g_fill, scalar_step, lin = _curve_stage(metric, potential)
     if lanes > SCALAR_LANES:
         scalar_step = None
-    times = steps + 1 if store else 1
-    flow = Flow(curve=np.empty((times, lanes, 2 * n)), psi=None, phi=None)
     linear = []  # the pairs [output, value] of Psi and Phi
     if transport:
-        flow.psi = np.empty((times, lanes, n, n))
         linear.append([flow.psi, np.broadcast_to(np.eye(n), (lanes, n, n))])
     if ncols:  # "full" seeds every column, "velocity" the derivative columns
         seed = np.broadcast_to(np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))
         if ncols == 2 * n:  # a column per (J0, P0): dv = P0 - Gamma(v0, J0)
             seed = seed.copy()
             np.negative(lin(np.concatenate([x0.T, v0.T]))[..., n:], out=seed[:, n:, 0:n])
-        flow.phi = np.empty((times, lanes, 2 * n, ncols))
         linear.append([flow.phi, seed])
 
     h = 1.0 / steps
@@ -351,17 +373,13 @@ def _integrate(
         np.multiply(k1, h / 6.0, out=k1)
         np.add(y, k1, out=y)
 
-    def vector_steps(k0: int, count: int) -> int:
-        """Up to ``count`` steps of every lane from step k0, recorded in the
-        block's buffers; returns the steps taken, stopping after the first
-        whose state is not finite."""
+    def vector_steps(k0: int, count: int) -> None:
+        """``count`` steps of every lane from step k0, recorded in the
+        block's buffers."""
         for j in range(count):
             step(y, stages[j], no_g if gs is None else gs[j], ks)
             if store:
                 flow.curve[k0 + j + 1] = y.T
-            if not math.isfinite(flat @ zeros):
-                return j + 1
-        return count
 
     def lane_step(r: tuple) -> tuple:
         """One step of one lane by the scalar step, or by the vector kernel
@@ -375,7 +393,7 @@ def _integrate(
             rec = [one, stage] + ([] if gs is None else [g])
             return tuple(np.concatenate([a.ravel() for a in rec]).tolist())
 
-    def scalar_steps(k0: int, count: int) -> int:
+    def scalar_steps(k0: int, count: int) -> None:
         """As vector_steps, by the scalar step, step-major and lane by lane,
         its records written into the block's buffers at the end."""
         nonlocal lane_states
@@ -385,16 +403,13 @@ def _integrate(
             recs += lane_states
         rec = np.fromiter(itertools.chain.from_iterable(recs), float,
                           count * lanes * width).reshape(count, lanes, width)
-        bad = np.flatnonzero(~np.isfinite(rec[:, :, 0: 2 * n]).all(axis=(1, 2)))
-        count = int(bad[0]) + 1 if bad.size else count
-        y[...] = rec[count - 1, :, 0: 2 * n].T
-        stages[:count] = rec[:count, :, 2 * n: 10 * n].reshape(
+        y[...] = rec[-1, :, 0: 2 * n].T
+        stages[:count] = rec[:, :, 2 * n: 10 * n].reshape(
             count, lanes, 4, 2 * n).transpose(0, 2, 3, 1)
         if gs is not None:
-            gs[:count] = rec[:count, :, 10 * n:].reshape(count, lanes, 4, n, n).swapaxes(1, 2)
+            gs[:count] = rec[:, :, 10 * n:].reshape(count, lanes, 4, n, n).swapaxes(1, 2)
         if store:
-            flow.curve[k0 + 1: k0 + count + 1] = rec[:count, :, 0: 2 * n]
-        return count
+            flow.curve[k0 + 1: k0 + count + 1] = rec[:, :, 0: 2 * n]
 
     def points(count: int) -> np.ndarray:
         """The stage points [x, v] of the block's first ``count`` steps,
@@ -421,39 +436,40 @@ def _integrate(
                     out[k] = Y
             part[1] = Y
 
-    def test_region(count: int) -> None:
-        """Raise naming the first stage point of the block's first
-        ``count`` steps, in step, stage and lane order, whose g is not
-        positive definite; a constant g passed the start test everywhere."""
-        if gs is not None and count:
-            require_positive_definite(gs[:count].reshape(-1, n, n),
-                                      points(count)[:, 0:n])
+    def test_states(k0: int, count: int) -> None:
+        """Fail each lane whose state after a step of the block is not
+        finite, at the first such step: as the point reached there if its
+        g is not positive definite, else as a curve overflow."""
+        # the state after each step: the next step's first stage, or y
+        S = np.concatenate([stages[1:count, 0], y[None]])
+        nonfinite = ~np.isfinite(S).all(axis=1)
+        cols = np.flatnonzero(nonfinite.any(axis=0))
+        done = k0 + 1 + nonfinite[:, cols].argmax(axis=0)
+        states = S[done - k0 - 1, :, cols]
+        test(states[:, 0:n], lambda i: (int(cols[i]), (int(done[i]), 4)))
+        for lane, d, state in zip(cols.tolist(), done.tolist(), states.tolist()):
+            # a failure kept before comes first: an earlier block's or (d, 4)
+            failed.setdefault(lane, ((d, 5), CurveOverflowError(
+                f"curve state is not finite after step {d} of {steps} "
+                f"(lane {lane}: {state})")))
 
     if store:
         flow.curve[0] = y.T
         for out, Y in linear:
             out[0] = Y
-    # 0 * y sums to 0 where every entry of y is finite and to nan elsewhere
-    flat, zeros = y.reshape(-1), np.zeros(y.size)
     lane_states = y.T.tolist()  # each lane's [x; v], for the scalar step
-    done = 0  # curve steps taken
-    finite = True
-    # a stage whose g is singular or not finite leaves its lane non-finite
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while finite and done < steps:
-            k0 = done
-            count = min(block, steps - k0)
-            done += (scalar_steps if scalar_step else vector_steps)(k0, count)
-            finite = math.isfinite(flat @ zeros)
-            test_region(done - k0)
-            if finite and linear:
-                advance(k0, done - k0)
-        metric.matrix(y[0:n].T)  # the last point reached, evaluated by no stage
-    if not finite:
-        lane = int(np.flatnonzero(~np.isfinite(y).all(axis=0))[0])
-        raise CurveOverflowError(
-            f"curve state is not finite after step {done} of {steps} "
-            f"(lane {lane}: {y[:, lane].tolist()})")
+    for k0 in range(0, steps, block):
+        count = min(block, steps - k0)
+        (scalar_steps if scalar_step else vector_steps)(k0, count)
+        if not np.isfinite(y).all():
+            test_states(k0, count)
+        if gs is not None:  # a constant g passed the start test everywhere
+            test(points(count)[:, 0:n],
+                 lambda i: (i % lanes, (k0 + 1 + i // (4 * lanes), i // lanes % 4)),
+                 gs[:count].reshape(-1, n, n))
+        if linear:
+            advance(k0, count)
+    test(y[0:n].T, lambda i: (i, (steps, 4)))  # the last point, evaluated by no stage
     flow.curve[-1] = y.T  # stored already by the last step with ``store``
     for out, Y in linear:
         out[-1] = Y
@@ -501,14 +517,15 @@ def least_action_curve(
     steps: int = DEFAULT_STEPS,
 ) -> CurvePath:
     """Critical curve of the action from ``x`` with initial velocity ``v0``."""
-    flow = _integrate(metric, potential, *_one_lane(metric.dim, x=x, v0=v0), steps,
-                      store=True)
+    flow = _checked(_integrate(metric, potential, *_one_lane(metric.dim, x=x, v0=v0),
+                               steps, store=True))
     return _unpack_path(metric, potential, x, v0, steps, flow.curve[:, 0])
 
 
 def _endpoints(metric, potential, X, V, steps) -> np.ndarray:
     """Unit-time endpoints of the lanes with starts X and velocities V, (B, n)."""
-    return _integrate(metric, potential, X, V, steps).curve[-1, :, 0: metric.dim].copy()
+    flow = _checked(_integrate(metric, potential, X, V, steps))
+    return flow.curve[-1, :, 0: metric.dim].copy()
 
 
 def c_exp(
@@ -526,10 +543,10 @@ def parallel_transport(path: CurvePath, u: Sequence[float]) -> ParallelFrame:
     """Transport ``u`` along ``path`` (re-integrated at the path's step count)."""
     n = path.metric.dim
     (u,) = as_vectors(n, u=u)
-    flow = _integrate(
+    flow = _checked(_integrate(
         path.metric, path.potential, *_one_lane(n, x0=path.x0, v0=path.v0), path.steps,
         transport=True, store=True,
-    )
+    ))
     return ParallelFrame(path=path, u0=u, vectors=flow.psi[:, 0] @ u)
 
 
@@ -567,10 +584,10 @@ def jacobi_bvp(path: CurvePath, u: Sequence[float]) -> JacobiSolution:
     """
     n = path.metric.dim
     (u,) = as_vectors(n, u=u)
-    flow = _integrate(
+    flow = _checked(_integrate(
         path.metric, path.potential, *_one_lane(n, x0=path.x0, v0=path.v0), path.steps,
         variation="full", store=True,
-    )
+    ))
     J, dJ = _two_point_fields(
         path.metric, path.potential, flow, u[None],
         "endpoint variation block is numerically singular "
@@ -621,76 +638,60 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
     A full Newton step is integrated with its endpoint Jacobian; halved
     trial steps integrate the curve alone, and the one accepted is
     integrated again with the Jacobian (the curve part of both runs is
-    the same computation).  A trial whose curve leaves the region where
-    the metric is positive definite, or overflows, fails its line-search
-    test in the lanes that left, and the other lanes go on; a lane that
-    then fails to converge raises the error of its first such trial, and
-    the initial integration raises at once.  Given ``lost``, a boolean
-    array over the lanes, nothing raises for a lane: a lane that fails,
-    its initial curve leaving included, is marked there and dropped, and
-    each lane's result is the same in any batch.  Returns (velocities,
-    Newton iterations, endpoint errors, curves), the curves (steps+1, B,
-    2n) being the positions and velocities of each lane's last accepted
-    integration.
+    the same computation).  A trial lane whose curve fails (see
+    :class:`Flow`) fails its line-search test; one that then fails to
+    converge raises its first trial's failure, and a failed initial
+    integration raises at once (:func:`_checked`).  Given ``lost``, a
+    boolean array over the lanes, a lane that fails, initial curve
+    included, is marked there and dropped instead, and each lane's
+    result is the same in any batch.  Returns (velocities, Newton
+    iterations, endpoint errors, curves), the curves (steps+1, B, 2n)
+    of each lane's last accepted integration.
     """
     n = metric.dim
     V = V.copy()
     used = np.zeros(len(X), dtype=int)  # integrations per lane
-    left = (MetricDegenerateError, CurveOverflowError)
-    escaped = {}  # lane: the error of its first trial curve that left
+    escaped = {}  # lane: the first failure of its trial curves
     dropped = np.zeros(len(X), dtype=bool) if lost is None else lost
 
     def fail(lanes, message: str):
-        """Raise for lanes that did not converge: the error of the first
-        one's trial curve that left, if any, else ShootingError; given
-        ``lost``, mark them there instead."""
+        """Raise for lanes that did not converge: the first one's first
+        trial failure, if any, else ShootingError; given ``lost``, mark
+        them there instead."""
         if lost is not None:
             lost[lanes] = True
             return
         raise next((escaped[b] for b in lanes if b in escaped), ShootingError(message))
 
-    def run(lanes, Vl, jacobian):
-        if not jacobian:
-            return _endpoints(metric, potential, X[lanes], Vl, steps), None, None
-        flow = _integrate(metric, potential, X[lanes], Vl, steps,
-                          variation="velocity", store=True)
-        return flow.curve[-1, :, 0:n].copy(), flow.phi[-1, :, 0:n], flow.curve
-
-    def integrate(lanes, Vl, jacobian=True, trial=False):
-        """Endpoints of some lanes, with their Jacobians and curves; in a
-        trial, NaN for each lane whose curve left the region, and given
-        ``lost``, for each lane past its budget, which is not integrated."""
+    def integrate(lanes, Vl, jacobian=True, strict=False):
+        """Endpoints of some lanes, with their Jacobians and curves: NaN
+        for each lane whose curve failed and, given ``lost``, each lane
+        past its budget, which is not integrated; ``strict`` raises."""
         spent = used[lanes] >= SHOOT_INTEGRATION_BUDGET
         if spent.any():
             fail(lanes[spent], f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
                                f"integrations without converging")
         used[lanes] += 1
-        try:
-            if not spent.any():
-                return run(lanes, Vl, jacobian)
-        except left:
-            if not trial:
-                raise
-        # each lane alone, which gives the bits it has in a batch
         end = np.full((len(lanes), n), np.nan)
         jac = np.full((len(lanes), n, n), np.nan) if jacobian else None
         curves = np.full((steps + 1, len(lanes), 2 * n), np.nan) if jacobian else None
-        for b, lane in enumerate(lanes):
-            if spent[b]:
-                continue
-            try:
-                e, j, c = run(lanes[b: b + 1], Vl[b: b + 1], jacobian)
-            except left as error:
-                escaped.setdefault(int(lane), error)
-                continue
-            end[b] = e[0]
+        ran = np.flatnonzero(~spent)
+        if ran.size:
+            flow = _integrate(metric, potential, X[lanes[ran]], Vl[ran], steps,
+                              variation="velocity" if jacobian else None, store=jacobian)
+            if strict:
+                _checked(flow)
+            end[ran] = flow.curve[-1, :, 0:n]
             if jacobian:
-                jac[b], curves[:, b] = j[0], c[:, 0]
+                jac[ran], curves[:, ran] = flow.phi[-1, :, 0:n], flow.curve
+            for b, (_, error) in flow.failed.items():
+                escaped.setdefault(int(lanes[ran[b]]), error)
+                end[ran[b]] = np.nan
         return end, jac, curves
 
-    end, jac, curves = integrate(np.arange(len(X)), V, trial=lost is not None)
+    end, jac, curves = integrate(np.arange(len(X)), V, strict=lost is None)
     err = np.linalg.norm(end - Y, axis=1)
-    dropped |= np.isnan(err)  # only given ``lost``: an initial curve that left
+    dropped |= np.isnan(err)  # only given ``lost``: an initial curve that failed
     iters = np.zeros(len(X), dtype=int)
     strikes = np.zeros(len(X), dtype=int)
     for it in range(1, max_iter + 1):
@@ -710,10 +711,9 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
         search = active
         for trial in range(LINE_SEARCH_TRIALS):
             v_new = V[search] + lam * step[search]
-            end_new, jac_new, curves_new = integrate(search, v_new, trial == 0,
-                                                      trial=True)
+            end_new, jac_new, curves_new = integrate(search, v_new, trial == 0)
             err_new = np.linalg.norm(end_new - Y[search], axis=1)
-            ok = err_new < err[search]  # False where the curve left
+            ok = err_new < err[search]  # False where the curve failed
             done = search[ok]
             if done.size:
                 if trial:
@@ -757,9 +757,8 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     (usually one Newton step and its confirming integration).  A lane
     whose coarse solve fails keeps the caller's guess, bit-identical to a
     one-grid solve (the coarse :func:`_newton` drops it instead of
-    raising); an error that escapes the coarse solve drops every lane's
-    coarse start.  The fine solve alone decides convergence, the results
-    and every error; each grid counts its own Newton iterations and
+    raising).  The fine solve alone decides convergence, the results and
+    every error; each grid counts its own Newton iterations and
     SHOOT_INTEGRATION_BUDGET integrations per lane.  Returns what
     :func:`_newton` returns on ``steps``; unless ``tol`` is positive and
     finite and ``max_iter`` at least 1, SolverSettingsError is raised first.
@@ -774,13 +773,9 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     coarse = steps // COARSE_FACTOR
     if coarse >= COARSE_MIN_STEPS:
         lost = np.zeros(len(X), dtype=bool)
-        try:
-            Vc = _newton(metric, potential, X, Y, coarse, max(tol, COARSE_TOL),
-                         max_iter, V, lost)[0]
-            V[~lost] = Vc[~lost]
-        except (ShootingError, MetricDegenerateError, CurveOverflowError,
-                ConjugatePointError):
-            pass
+        Vc = _newton(metric, potential, X, Y, coarse, max(tol, COARSE_TOL),
+                     max_iter, V, lost)[0]
+        V[~lost] = Vc[~lost]
     return _newton(metric, potential, X, Y, steps, tol, max_iter, V)
 
 
@@ -940,8 +935,8 @@ def variation_family(
     s = np.array(s_values, dtype=float)
     t = np.array(t_values, dtype=float)
     V0 = (t[None, :, None] * v + s[:, None, None] * w).reshape(-1, n)
-    flow = _integrate(metric, pot, np.tile(x, (len(V0), 1)), V0, steps,
-                      transport=True, variation="full", store=True)
+    flow = _checked(_integrate(metric, pot, np.tile(x, (len(V0), 1)), V0, steps,
+                               transport=True, variation="full", store=True))
     J, dJ = _two_point_fields(
         metric, pot, flow, np.tile(u, (len(V0), 1)),
         "conjugate point inside a variation family member",

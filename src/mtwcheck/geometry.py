@@ -53,9 +53,9 @@ one and reads its point 0.  Its values are contracted with vectors by
 :func:`contract`, whose leading batch axes (points, pairs, directions)
 broadcast and whose sums run in a fixed order, so a value computed in a
 batch equals the one computed alone.  The other shared formulas are
-written the same way, once each: :func:`require_positive_definite` is
-the metric test of every module (it raises
-:class:`MetricDegenerateError`), :func:`orthonormalize` the
+written the same way, once each: :func:`_indefinite` is the metric
+test of every module (:func:`require_positive_definite` raises its
+first failure as :class:`MetricDegenerateError`), :func:`orthonormalize` the
 Gram-Schmidt of the checker and of :func:`gram_schmidt`, and
 :meth:`GeometryBatch.hessian_modes` the per-point test for a maximum of
 the potential.
@@ -169,10 +169,10 @@ def as_vectors(dim: int, **vectors) -> list[np.ndarray]:
     return [as_point(vec) for vec in vectors.values()]
 
 
-def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
-    """Raise :class:`MetricDegenerateError` naming the first point X[b]
-    whose metric g[b] is not positive definite, a non-finite eigenvalue
-    counting as a failure; g is (B, n, n), X (B, n).
+def _indefinite(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices b, ascending, of the points whose metric g[b] is not
+    positive definite, a non-finite eigenvalue counting as a failure, and
+    the smallest eigenvalue of each; g is (B, n, n).
 
     A g whose Gershgorin bounds g_ii - sum_j!=i |g_ij| all clear the floor
     by more than their rounding passes without ``eigvalsh`` (a non-finite g
@@ -183,17 +183,27 @@ def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
     sure = (2.0 * np.diagonal(g, axis1=1, axis2=2)
             > rows + METRIC_EIGENVALUE_FLOOR).all(axis=1)
     if sure.all():
-        return
+        return np.empty(0, dtype=np.intp), np.empty(0)
     unsure = np.flatnonzero(~sure)
     w = np.linalg.eigvalsh(g[unsure])
     bad = np.flatnonzero(~np.isfinite(w).all(axis=1)
                          | (w[:, 0] <= METRIC_EIGENVALUE_FLOOR))
+    return unsure[bad], w[bad, 0]
+
+
+def _degenerate(x: np.ndarray, w: float) -> MetricDegenerateError:
+    """The error of the point ``x`` whose metric's smallest eigenvalue is ``w``."""
+    return MetricDegenerateError(
+        f"metric not positive definite at {x.tolist()}: min eigenvalue {w:.3e}")
+
+
+def require_positive_definite(g: np.ndarray, X: np.ndarray) -> None:
+    """Raise :class:`MetricDegenerateError` naming the first point X[b]
+    whose metric g[b] is not positive definite (:func:`_indefinite`);
+    g is (B, n, n), X (B, n)."""
+    bad, w = _indefinite(g)
     if bad.size:
-        b = bad[0]
-        raise MetricDegenerateError(
-            f"metric not positive definite at {X[unsure[b]].tolist()}: "
-            f"min eigenvalue {w[b, 0]:.3e}"
-        )
+        raise _degenerate(X[bad[0]], w[0])
 
 
 # ---------------------------------------------------------------------------

@@ -102,23 +102,6 @@ class MtwEvaluation:
 # ---------------------------------------------------------------------------
 
 
-def _variation_pairings(metric, potential, X, U, V0, steps) -> np.ndarray:
-    """<U[b], covariant d/dtau J_b(0)> for the two-point variation field
-    J_b along the curve from X[b] with initial velocity V0[b].
-
-    J_b solves the linearized flow along the least-action curve, with
-    J_b(0) = U[b] and J_b(1) = 0.  Both vectors live at X[b], so the
-    pairing needs no transport.  The curves are integrated as one batch,
-    and each lane's value is the one it has alone.
-    """
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    flow = dyn._integrate(metric, potential, X, V0, steps, variation="full")
-    P0 = dyn._endpoint_solve(
-        flow.phi[-1], U, "conjugate point while evaluating the two-point variation pairing")
-    return (P0[:, None, :] @ (metric.matrix(X) @ U[:, :, None]))[:, 0, 0]
-
-
 # The five-point stencil of the jacobi route: velocities v + k h w.
 JACOBI_OFFSETS = (-2, -1, 0, 1, 2)
 
@@ -135,6 +118,28 @@ def _richardson_second(F, h, scale=1.0):
     d_h = (F[..., 3] - 2.0 * F[..., 2] + F[..., 1]) / h**2
     d_2h = (F[..., 4] - 2.0 * F[..., 2] + F[..., 0]) / (4.0 * h**2)
     return scale * (4.0 * d_h - d_2h) / 3.0, scale * np.abs(d_h - d_2h) / 3.0
+
+
+def _jacobi(metric, potential, X, U, V, W, h, steps):
+    """The jacobi route's values and Richardson defects at each row b of
+    the (B, n) arrays: 3/2 the second s-derivative of
+    F_b(s) = <U[b], covariant d/dtau J(0)>, J the two-point variation
+    field with J(0) = U[b] and J(1) = 0 along the curve from X[b] with
+    initial velocity V[b] + s W[b], on the stencil of :func:`_jacobi_stencil`.
+
+    Both vectors of the pairing live at X[b], so it needs no transport.
+    Every row's stencil curves are integrated as one batch, and each
+    row's values are the ones it has alone.
+    """
+    X = np.repeat(X, len(JACOBI_OFFSETS), axis=0)
+    U = np.repeat(U, len(JACOBI_OFFSETS), axis=0)
+    stencils = np.concatenate([_jacobi_stencil(v, w, h) for v, w in zip(V, W)])
+    flow = dyn._checked(dyn._integrate(metric, potential, X, stencils, steps,
+                                       variation="full"))
+    P0 = dyn._endpoint_solve(
+        flow.phi[-1], U, "conjugate point while evaluating the two-point variation pairing")
+    F = (P0[:, None, :] @ (metric.matrix(X) @ U[:, :, None]))[:, 0, 0]
+    return _richardson_second(F.reshape(-1, len(JACOBI_OFFSETS)), h, 1.5)
 
 
 def mtw_jacobi(
@@ -155,13 +160,10 @@ def mtw_jacobi(
     error estimate is the Richardson defect.
     """
     x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
-    k = len(JACOBI_OFFSETS)
-    value, err = _richardson_second(_variation_pairings(
-        metric, potential, np.tile(x, (k, 1)), np.tile(u, (k, 1)),
-        _jacobi_stencil(v, w, h), steps), h, 1.5)
+    value, err = _jacobi(metric, potential, x[None], u[None], v[None], w[None], h, steps)
     return MtwEvaluation(
-        x=x, u=u, v=v, w=w, method="jacobi", value=float(value),
-        h_s=h, steps=steps, error_estimate=float(err),
+        x=x, u=u, v=v, w=w, method="jacobi", value=float(value[0]),
+        h_s=h, steps=steps, error_estimate=float(err[0]),
     )
 
 
@@ -791,19 +793,11 @@ def calibrate_normalization(
         groups: dict = {}
         for case in inputs:
             groups.setdefault((id(case[1]), id(case[2])), []).append(case)
-        k = len(JACOBI_OFFSETS)
         jac = {}
         for group in groups.values():
             _, metric, pot, *_ = group[0]
-            F = _variation_pairings(
-                metric, pot,
-                np.repeat([c[3] for c in group], k, axis=0),
-                np.repeat([c[4] for c in group], k, axis=0),
-                np.concatenate([_jacobi_stencil(np.zeros(metric.dim), c[5], h)
-                                for c in group]),
-                steps,
-            )
-            values, _ = _richardson_second(F.reshape(len(group), k), h, 1.5)
+            X, U, W = (np.array([c[i] for c in group]) for i in (3, 4, 5))
+            values, _ = _jacobi(metric, pot, X, U, np.zeros_like(X), W, h, steps)
             for case, value in zip(group, values):
                 jac[case[0]] = float(value)
         cases = [
@@ -879,6 +873,9 @@ class Witness:
 
 @dataclass
 class ConditionVerdict:
+    """One condition's verdict: ``passed`` holds when no sample violates
+    it, vacuously when it was ``evaluated`` at no sample."""
+
     name: str
     evaluated: int
     passed: bool
@@ -888,6 +885,9 @@ class ConditionVerdict:
 
 @dataclass
 class CheckReport:
+    """The verdicts; ``overall_pass`` holds when every condition passed at
+    some sample, so a vacuous verdict does not count as a pass."""
+
     sampling: SamplingSpec
     conditions: list
     overall_pass: bool
@@ -1141,4 +1141,4 @@ def check_a3w_necessary(
             x, np.broadcast_to(directions, gap.shape + (n,)), None,
             s.disc_w[rows]))
     return CheckReport(sampling=sampling, conditions=conditions,
-                       overall_pass=all(c.passed for c in conditions))
+                       overall_pass=all(c.passed and c.evaluated for c in conditions))

@@ -179,6 +179,26 @@ def test_check_violation_exit_code_and_report(capsys):
     assert doc["timings"] is None
 
 
+@pytest.mark.parametrize("a", ["-3.5", "-3.2"])
+def test_check_that_evaluates_a_condition_nowhere_is_vacuous(capsys, a):
+    # the box misses the zero-curvature locus at the origin, so the three
+    # locus conditions are evaluated at no sample; both metrics fail the
+    # second-order condition, which no sample can show: their verdicts
+    # read "vacuous", not "pass", and the exit code is 4, not 0
+    assert cf.classify(float(a)) == "fails-second-order"
+    code, out, _ = run_cli(
+        capsys, "check", "--metric", "conformal2d", "--param", f"a={a}",
+        "--region=-0.17,0.23", "--points-per-axis", "8", "--samples", "16",
+    )
+    assert code == 4
+    rows = {r["condition"]: r for r in json.loads(out)["results"]}
+    vacuous = ["first-order-vanishing", "g-nonneg", "discriminant-2d"]
+    for name, row in rows.items():
+        assert (row["evaluated"] == 0) == (name in vacuous)
+        assert row["verdict"] == ("vacuous" if name in vacuous else "pass")
+        assert (row["worst_witness"] is None) == (name in vacuous)
+
+
 def test_check_flat_passes(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--metric", "euclidean2", "--region", "-1,1",

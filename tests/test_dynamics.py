@@ -223,17 +223,20 @@ def test_bad_shooting_settings_raise_before_integrating(call, settings, sphere,
 
 
 def _fail_coarse_solves(monkeypatch, error, starts=None):
-    """Make every coarse integration raise ``error`` (only those of batches
-    holding a start point in ``starts``, when given)."""
+    """Make every lane of every coarse integration fail with ``error`` at
+    its start (only the lanes from a start point in ``starts``, when
+    given)."""
     from mtwcheck import dynamics as dyn
 
     integrate = dyn._integrate
 
     def failing(metric, potential, x0, v0, steps, **kwargs):
-        if steps == dyn.DEFAULT_STEPS // dyn.COARSE_FACTOR and (
-                starts is None or any(np.any(np.all(x0 == s, axis=1)) for s in starts)):
-            raise error("coarse failure")
-        return integrate(metric, potential, x0, v0, steps, **kwargs)
+        flow = integrate(metric, potential, x0, v0, steps, **kwargs)
+        if steps == dyn.DEFAULT_STEPS // dyn.COARSE_FACTOR:
+            for b, x in enumerate(x0):
+                if starts is None or any(np.array_equal(x, s) for s in starts):
+                    flow.failed[b] = ((0, 0), error("coarse failure"))
+        return flow
 
     monkeypatch.setattr(dyn, "_integrate", failing)
 
@@ -887,7 +890,7 @@ def test_singular_stage_point_raises_alike_on_both_stage_paths(lanes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MetricDegenerateError) as err:
-            dyn._integrate(metric, None, X, V, 2)
+            dyn._checked(dyn._integrate(metric, None, X, V, 2))
     assert str(err.value) == "metric not positive definite at [1.0, 0.0]: min eigenvalue 0.000e+00"
 
 
@@ -1052,14 +1055,137 @@ def test_one_lane_leaving_the_region_fails_the_batch_at_its_grid_point(
     X = np.zeros((3, 2))
     V = np.array([[0.3, 0.2], [0.0, -0.8], [-0.2, 0.3]])
     with pytest.raises(MetricDegenerateError) as alone:
-        dyn._integrate(half_plane_metric, None, X[1:2], V[1:2], 50)
+        dyn._checked(dyn._integrate(half_plane_metric, None, X[1:2], V[1:2], 50))
     with pytest.raises(MetricDegenerateError) as batch:
-        dyn._integrate(half_plane_metric, None, X, V, 50, variation="velocity")
+        dyn._checked(dyn._integrate(half_plane_metric, None, X, V, 50,
+                                    variation="velocity"))
     # the lane's grid points are bit-identical to the curve integrated
     # alone, and the other lanes stay inside the region
     assert str(batch.value) == str(alone.value)
     assert 1.0 + _named_point(batch.value)[1] <= 0.0
-    dyn._integrate(half_plane_metric, None, X[[0, 2]], V[[0, 2]], 50)
+    dyn._checked(dyn._integrate(half_plane_metric, None, X[[0, 2]], V[[0, 2]], 50))
+
+
+def _failing_batch(failure, lanes, half_plane_metric):
+    """(metric, potential, X, V, b, steps): a batch of ``lanes`` lanes
+    whose lane b leaves the region at a stage point (down the y axis past
+    y = -1 on the half plane), ends outside it with every stage point
+    inside (thrown at x = -1 by the potential 1.35 x, two steps), or
+    overflows (a flat metric whose potential -x^4 throws the curve to inf
+    after step 9 of 20), and whose other lanes stay finite inside it."""
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import PotentialField
+
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-0.1, 0.1, (lanes, 2))
+    V = rng.uniform(-0.3, 0.3, (lanes, 2))
+    b = lanes // 2
+    steps = 20
+    if failure == "leaves":
+        metric, pot = half_plane_metric, None
+        X[b], V[b] = [0.0, 0.0], [0.0, -0.8]
+    elif failure == "ends-outside":
+        metric = half_plane_metric
+        pot = PotentialField(parse_field("1.35*x", 2), 2)
+        X[:, 0] += 1.0
+        X[b], V[b] = [0.0, 0.0], [0.0, 0.0]
+        steps = 2
+    else:
+        metric = euclidean_metric(2)
+        pot = PotentialField(parse_field("0 - x^4", 2), 2)
+        X[b], V[b] = [0.0, 0.0], [30.0, 0.0]
+    return metric, pot, X, V, b, steps
+
+
+@pytest.mark.parametrize("lanes", [3, 12], ids=["scalar", "vector"])
+@pytest.mark.parametrize("failure", ["leaves", "ends-outside", "overflows"])
+def test_failed_lane_stops_no_other_lane(failure, lanes, half_plane_metric):
+    # the failing lane is kept on the Flow with the error it raises alone
+    # (naming its own lane index), and every other lane's arrays are the
+    # bits of that lane integrated alone, on the scalar and vector paths
+    from mtwcheck import dynamics as dyn
+
+    metric, pot, X, V, b, steps = _failing_batch(failure, lanes, half_plane_metric)
+    assert (lanes <= dyn.SCALAR_LANES) == (lanes == 3)
+    mode = {"transport": True, "variation": "full", "store": True}
+    flow = dyn._integrate(metric, pot, X, V, steps, **mode)
+    assert list(flow.failed) == [b]
+    key, error = flow.failed[b]
+    with pytest.raises(type(error)) as alone:
+        dyn._checked(dyn._integrate(metric, pot, X[b:b + 1], V[b:b + 1], steps, **mode))
+    assert str(error) == str(alone.value).replace("(lane 0:", f"(lane {b}:")
+    if failure == "ends-outside":
+        assert key == (2, 4) and str(error) == (
+            "metric not positive definite at [-1.0130887682558685, 0.0]: "
+            "min eigenvalue -1.309e-02")
+    if failure == "overflows":
+        assert key == (9, 5) and str(error).startswith(
+            "curve state is not finite after step 9 of 20")
+    for a in (c for c in range(lanes) if c != b):
+        one = dyn._integrate(metric, pot, X[a:a + 1], V[a:a + 1], steps, **mode)
+        assert one.failed == {}
+        for got, want in zip((flow.curve, flow.psi, flow.phi),
+                             (one.curve, one.psi, one.phi)):
+            assert got[:, a].tobytes() == want[:, 0].tobytes()
+
+
+def test_batch_raises_its_first_failure_by_key_then_lane(half_plane_metric):
+    # lanes 1 and 2 leave the region; lane 2 at an earlier step, so the
+    # batch raises lane 2's error, and with both equal, lane 1's
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    X = np.zeros((3, 2))
+    V = np.array([[0.3, 0.2], [0.0, -0.8], [0.0, -1.6]])
+    flow = dyn._integrate(half_plane_metric, None, X, V, 50)
+    assert sorted(flow.failed) == [1, 2]
+    assert flow.failed[2][0] < flow.failed[1][0]
+    with pytest.raises(MetricDegenerateError) as err:
+        dyn._checked(flow)
+    assert err.value is flow.failed[2][1]
+    V[2] = V[1]
+    flow = dyn._integrate(half_plane_metric, None, X, V, 50)
+    with pytest.raises(MetricDegenerateError) as err:
+        dyn._checked(flow)
+    assert err.value is flow.failed[1][1]
+    assert str(err.value) == str(flow.failed[2][1])
+
+
+def test_unreachable_target_costs_one_integration_per_trial(half_plane_metric,
+                                                            monkeypatch):
+    # a 25-lane batch from 0 whose last target (-0.8, 0.1) is past x = -1
+    # along its first curve: on the coarse grid of 12 steps that lane
+    # fails and drops out inside the batch's integrations, with no lane
+    # integrated again alone, and the fine solve's initial integration
+    # raises the lane's error
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    grid = np.linspace(-0.2, 0.2, 5)
+    Y = np.array([[a, c] for a in grid for c in grid])
+    X = np.zeros_like(Y)
+    calls = []
+    integrate = dyn._integrate
+
+    def counted(*args, **kwargs):
+        calls.append((args[4], len(args[2])))  # steps, lanes
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "_integrate", counted)
+    dyn._costs(half_plane_metric, None, X, Y, steps=100)
+    reachable = list(calls)
+    calls.clear()
+    Y[24] = [-0.8, 0.1]
+    with pytest.raises(MetricDegenerateError) as err:
+        dyn._costs(half_plane_metric, None, X, Y, steps=100)
+    assert str(err.value) == ("metric not positive definite at "
+                              "[-1.012326767533242, 0.08184736828405459]: "
+                              "min eigenvalue -1.233e-02")
+    assert calls == [(12, 25), (12, 23), (12, 23), (100, 25)]
+    assert len(calls) <= len(reachable)
+    with pytest.raises(MetricDegenerateError) as alone:
+        dyn._checked(integrate(half_plane_metric, None, X[24:], Y[24:], 100))
+    assert str(alone.value) == str(err.value)
 
 
 def test_shooting_trial_leaving_the_region_fails_its_line_search(
@@ -1090,6 +1216,30 @@ def test_shooting_trial_leaving_the_region_fails_only_its_lane(half_plane_metric
         assert got.value == alone.value
         assert np.array_equal(got.initial_velocity, alone.initial_velocity)
         assert got.iterations == alone.iterations
+
+
+def test_lane_that_cannot_converge_raises_its_first_trial_failure(
+        half_plane_metric):
+    # the target (0, -1.5) lies outside the region: from y'(0) = -0.3 the
+    # first curve stays inside, Newton's full trial steps cross y = -1 and
+    # the lane stagnates, so it raises its first trial curve's failure, not
+    # a ShootingError, alone and as a lane of a batch
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    want = ("metric not positive definite at [0.0, -1.2595954340398874]: "
+            "min eigenvalue -2.596e-01")
+    with pytest.raises(MetricDegenerateError) as alone:
+        cost(half_plane_metric, None, [0.0, 0.0], [0.0, -1.5], steps=50,
+             v_init=[0.0, -0.3])
+    assert str(alone.value) == want
+    X = np.zeros((3, 2))
+    Y = np.array([[0.3, 0.2], [0.0, -1.5], [-0.2, 0.3]])
+    V = Y - X
+    V[1] = [0.0, -0.3]
+    with pytest.raises(MetricDegenerateError) as batch:
+        dyn._costs(half_plane_metric, None, X, Y, steps=50, V_init=V)
+    assert str(batch.value) == want
 
 
 def test_initial_shooting_curve_leaving_the_region_between_grid_points_raises(

@@ -404,6 +404,19 @@ def test_check_conformal_violation_and_pass():
     assert rep2.overall_pass
 
 
+def test_condition_evaluated_nowhere_is_not_an_overall_pass():
+    # on a box off the locus the locus conditions see no sample: each
+    # passes vacuously, and the report does not pass overall
+    metric = cf.conformal_metric(cf.ConformalSpec(a=-3.5))
+    spec = mtw.SamplingSpec(box=((-0.17, 0.23), (-0.17, 0.23)), points_per_axis=8,
+                            directions=16, seed=42)
+    rep = mtw.check_a3w_necessary(metric, None, spec)
+    assert [c.name for c in rep.conditions if c.evaluated == 0] == [
+        "first-order-vanishing", "g-nonneg", "discriminant-2d"]
+    assert all(c.passed for c in rep.conditions)
+    assert not rep.overall_pass
+
+
 def test_check_witness_reproducible():
     """Every worst witness re-evaluates bit-exactly, with and without a
     potential; the checker already applied the zero-curvature
