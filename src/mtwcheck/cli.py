@@ -56,18 +56,6 @@ from . import mtw
 # classify): a wider range or a finer step is refused before any row.
 CONFORMAL_SCAN_MAX_ROWS = 100_000
 
-DEFAULTS = {
-    "metric": "euclidean2",
-    "potential": "none",
-    "steps": 200,
-    "fd_step": 1e-2,
-    "quad_panels": 1024,
-    "points_per_axis": 8,
-    "samples": 16,
-    "seed": 42,
-}
-
-
 class UsageError(Exception):
     """Configuration or command-line problem (exit code 2)."""
 
@@ -81,10 +69,10 @@ class RunConfig:
     """
 
     command: str
-    metric: str = DEFAULTS["metric"]
+    metric: str = "euclidean2"
     param: str = ""  # metric parameters, "a=-3.5,a4=0"
     g_upper: str = ""  # inline metric upper triangle, "|"-separated
-    potential: str = DEFAULTS["potential"]
+    potential: str = "none"
     potential_expr: str = ""
     quartic: str = ""  # rows ";"-separated, entries ","-separated
     point: str = ""
@@ -95,12 +83,12 @@ class RunConfig:
     target: str = ""
     velocity: str = ""
     region: str = ""
-    points_per_axis: int = DEFAULTS["points_per_axis"]
-    samples: int = DEFAULTS["samples"]
-    steps: int = DEFAULTS["steps"]
-    fd_step: float = DEFAULTS["fd_step"]
-    quad_panels: int = DEFAULTS["quad_panels"]
-    seed: int = DEFAULTS["seed"]
+    points_per_axis: int = 8
+    samples: int = 16
+    steps: int = dyn.DEFAULT_STEPS
+    fd_step: float = mtw.DEFAULT_FD_STEP
+    quad_panels: int = 1024
+    seed: int = 42
     a_from: float = -4.0
     a_to: float = -2.5
     a_step: float = 0.05

@@ -52,16 +52,17 @@ repeats the vector step's operations and functions, so a lane's result
 is bit-identical to the curve integrated alone.  The stencils of the
 cross-curvature routes run as one batch each, the damped-Newton shoot
 steps every lane with its own line search, first on a grid
-COARSE_FACTOR times coarser and then on the caller's (:func:`_shoot`),
-and the single-curve functions (:func:`c_exp`, :func:`cost`, ...) are
-one-lane calls into the same engine.  Quantities along a stored curve
-read all grid points at once: energy, transported norms and the action
-read the metric's and the potential's values, D_tau J one call of the
-linearization, and the variation residual one geometry batch.  Every
-two-point variation field comes from one endpoint solve
-(:func:`_endpoint_solve`), and the action integral here and the
-closed-form zeroth-order quadrature of :mod:`mtwcheck.mtw` share one
-rule (:func:`simpson`).
+COARSE_FACTOR times coarser and then on the caller's, each solve
+keeping a lane's failure as a Flow does and the fine one's first raised
+(:func:`_shoot`), and the single-curve functions (:func:`c_exp`,
+:func:`cost`, ...) are one-lane calls into the same engine.  Quantities
+along a stored curve read all grid points at once: energy, transported
+norms and the action read the metric's and the potential's values,
+D_tau J one call of the linearization, and the variation residual one
+geometry batch.  Every two-point variation field comes from one
+endpoint solve (:func:`_endpoint_solve`), and the action integral here
+and the closed-form zeroth-order quadrature of :mod:`mtwcheck.mtw`
+share one rule (:func:`simpson`).
 
 A variation family bundles curves over an (s, t) grid of initial
 velocities t*v + s*w around a common start point, together with the
@@ -175,10 +176,6 @@ class CurvePath:
         e = self.energy()
         return float(np.max(np.abs(e - e[0])) / max(1.0, abs(e[0])))
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.pos[-1]
-
 
 @dataclass
 class ParallelFrame:
@@ -251,12 +248,16 @@ class Flow:
     failed: dict = field(default_factory=dict)  # lane: (key, error)
 
 
+def _raise_first(failed: dict) -> None:
+    """Raise the first failure, by (key, lane), of failed: {lane: (key, error)}."""
+    if failed:
+        lane = min(failed, key=lambda b: (failed[b][0], b))
+        raise failed[lane][1]
+
+
 def _checked(flow: Flow) -> Flow:
-    """``flow``, unless a lane failed: then the batch's first failure, by
-    (key, lane), is raised."""
-    if flow.failed:
-        lane = min(flow.failed, key=lambda b: (flow.failed[b][0], b))
-        raise flow.failed[lane][1]
+    """``flow``, unless a lane failed: then :func:`_raise_first` raises."""
+    _raise_first(flow.failed)
     return flow
 
 
@@ -284,8 +285,7 @@ def _integrate(
     columns of initial velocity perturbations, whose dx rows are the
     endpoint Jacobian of shooting.  The module docstring gives the scheme.
     """
-    if steps < 1:
-        raise DiscretizationError(f"steps must be at least 1, got {steps}")
+    _require_steps(steps)
     n = metric.dim
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -476,6 +476,14 @@ def _integrate(
     return flow
 
 
+def _require_steps(steps) -> None:
+    """Raise :class:`DiscretizationError` unless ``steps`` is an integer >= 1."""
+    if not isinstance(steps, (int, np.integer)):
+        raise DiscretizationError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise DiscretizationError(f"steps must be at least 1, got {steps}")
+
+
 def _require_step(h: float, what: str) -> None:
     """Raise :class:`DiscretizationError` unless ``h`` is positive and finite."""
     if not 0.0 < h < np.inf:
@@ -629,44 +637,48 @@ class CostResult:
     path: CurvePath
 
 
-def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
+def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
     """Damped-Newton shooting of every lane at once on one grid, from the
     velocities V (not written).
 
     Lane b solves for the velocity taking X[b] to Y[b] at time 1 with
-    its own line search, and drops out of the batch once it converges.
-    A full Newton step is integrated with its endpoint Jacobian; halved
-    trial steps integrate the curve alone, and the one accepted is
-    integrated again with the Jacobian (the curve part of both runs is
-    the same computation).  A trial lane whose curve fails (see
-    :class:`Flow`) fails its line-search test; one that then fails to
-    converge raises its first trial's failure, and a failed initial
-    integration raises at once (:func:`_checked`).  Given ``lost``, a
-    boolean array over the lanes, a lane that fails, initial curve
-    included, is marked there and dropped instead, and each lane's
-    result is the same in any batch.  Returns (velocities, Newton
-    iterations, endpoint errors, curves), the curves (steps+1, B, 2n)
-    of each lane's last accepted integration.
+    its own line search, and drops out of the batch once it converges
+    or fails.  A full Newton step is integrated with its endpoint
+    Jacobian; halved trial steps integrate the curve alone, and the one
+    accepted is integrated again with the Jacobian (the curve part of
+    both runs is the same computation).  A trial lane whose curve fails
+    (see :class:`Flow`) fails its line-search test.  Nothing is raised:
+    each failed lane keeps (key, error), as in ``Flow.failed``, keyed in
+    the order failures happen (the initial curves' by Flow key, then by
+    event, a lane with a failed trial curve first in its event).  The
+    error is the initial curve's, a ShootingError for a singular
+    Jacobian, else the first failed trial curve's, if any, or a
+    ShootingError.  A converged lane's result is the same in any batch.
+    Returns (velocities, Newton iterations, endpoint errors, curves,
+    failures), the curves (steps+1, B, 2n) of each lane's last accepted
+    integration.
     """
     n = metric.dim
     V = V.copy()
     used = np.zeros(len(X), dtype=int)  # integrations per lane
-    escaped = {}  # lane: the first failure of its trial curves
-    dropped = np.zeros(len(X), dtype=bool) if lost is None else lost
+    escaped = {}  # lane: the first failure (key, error) of its curves
+    failed = {}  # lane: (key, error)
+    out = np.zeros(len(X), dtype=bool)  # the lanes in ``failed``
+    events = itertools.count(1)  # failing events after the initial curves, in order
 
-    def fail(lanes, message: str):
-        """Raise for lanes that did not converge: the first one's first
-        trial failure, if any, else ShootingError; given ``lost``, mark
-        them there instead."""
-        if lost is not None:
-            lost[lanes] = True
-            return
-        raise next((escaped[b] for b in lanes if b in escaped), ShootingError(message))
+    def fail(lanes, message: str, trials=True) -> None:
+        """Fail some lanes in one event: each with its first trial curve's
+        failure, given ``trials``, else with ShootingError(message)."""
+        event, error = next(events), ShootingError(message)
+        for b in lanes.tolist():
+            by_curve = trials and b in escaped
+            failed[b] = ((event, 0), escaped[b][1]) if by_curve else ((event, 1), error)
+        out[lanes] = True
 
-    def integrate(lanes, Vl, jacobian=True, strict=False):
+    def integrate(lanes, Vl, jacobian=True):
         """Endpoints of some lanes, with their Jacobians and curves: NaN
-        for each lane whose curve failed and, given ``lost``, each lane
-        past its budget, which is not integrated; ``strict`` raises."""
+        for each lane whose curve failed, kept in ``escaped``, and for
+        each lane past its budget, which fails and is not integrated."""
         spent = used[lanes] >= SHOOT_INTEGRATION_BUDGET
         if spent.any():
             fail(lanes[spent], f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
@@ -679,32 +691,28 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
         if ran.size:
             flow = _integrate(metric, potential, X[lanes[ran]], Vl[ran], steps,
                               variation="velocity" if jacobian else None, store=jacobian)
-            if strict:
-                _checked(flow)
             end[ran] = flow.curve[-1, :, 0:n]
             if jacobian:
                 jac[ran], curves[:, ran] = flow.phi[-1, :, 0:n], flow.curve
-            for b, (_, error) in flow.failed.items():
-                escaped.setdefault(int(lanes[ran[b]]), error)
+            for b, failure in flow.failed.items():
+                escaped.setdefault(int(lanes[ran[b]]), failure)
                 end[ran[b]] = np.nan
         return end, jac, curves
 
-    end, jac, curves = integrate(np.arange(len(X)), V, strict=lost is None)
+    end, jac, curves = integrate(np.arange(len(X)), V)
+    failed.update((b, ((0, key), error)) for b, (key, error) in escaped.items())
+    out[list(failed)] = True
     err = np.linalg.norm(end - Y, axis=1)
-    dropped |= np.isnan(err)  # only given ``lost``: an initial curve that failed
     iters = np.zeros(len(X), dtype=int)
     strikes = np.zeros(len(X), dtype=int)
     for it in range(1, max_iter + 1):
-        active = np.flatnonzero((err > tol) & ~dropped)
+        active = np.flatnonzero((err > tol) & ~out)
         if not active.size:
             break
         singular = np.linalg.cond(jac[active]) > CONJUGATE_COND_LIMIT
-        if np.any(singular):
-            if lost is None:
-                raise ShootingError(
-                    "endpoint Jacobian is numerically singular during shooting")
-            lost[active[singular]] = True
-            active = active[~singular]
+        fail(active[singular],
+             "endpoint Jacobian is numerically singular during shooting", trials=False)
+        active = active[~singular]
         step = np.zeros_like(V)
         step[active] = np.linalg.solve(jac[active], (Y - end)[active][..., None])[..., 0]
         lam = 1.0  # every lane still searching has halved equally often
@@ -727,24 +735,24 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V, lost=None):
                     v_new[ok], end_new, jac_new, err_new[ok])
                 curves[:, done] = curves_new
                 iters[done] = it
-            search = search[~ok & ~dropped[search]]
+            search = search[~ok & ~out[search]]
             lam *= 0.5
             if not search.size:
                 break
         else:
             fail(search, f"shooting stagnated at endpoint error "
                          f"{np.max(err[search]):.3e} after {it} iterations")
-        stuck = np.flatnonzero(strikes >= STAGNATION_STRIKES)
+        stuck = np.flatnonzero((strikes >= STAGNATION_STRIKES) & ~out)
         if stuck.size:
             fail(stuck, f"shooting stagnated at endpoint error "
                         f"{np.max(err[stuck]):.3e}: "
                         f"{STAGNATION_STRIKES} Newton steps in a row each left more "
                         f"than {STAGNATION_RATIO:g} of the error")
-    if np.any(err > tol):
-        fail(np.flatnonzero(err > tol),
-             f"shooting did not reach tolerance {tol:.1e} in {max_iter} iterations "
-             f"(endpoint error {np.max(err):.3e})")
-    return V, iters, err, curves
+    late = np.flatnonzero((err > tol) & ~out)
+    if late.size:
+        fail(late, f"shooting did not reach tolerance {tol:.1e} in {max_iter} iterations "
+                   f"(endpoint error {np.max(err[late]):.3e})")
+    return V, iters, err, curves, failed
 
 
 def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
@@ -756,27 +764,30 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     ``tol``, and the solve on ``steps`` starts from the coarse velocities
     (usually one Newton step and its confirming integration).  A lane
     whose coarse solve fails keeps the caller's guess, bit-identical to a
-    one-grid solve (the coarse :func:`_newton` drops it instead of
-    raising).  The fine solve alone decides convergence, the results and
-    every error; each grid counts its own Newton iterations and
-    SHOOT_INTEGRATION_BUDGET integrations per lane.  Returns what
-    :func:`_newton` returns on ``steps``; unless ``tol`` is positive and
-    finite and ``max_iter`` at least 1, SolverSettingsError is raised first.
+    one-grid solve.  The fine solve alone decides convergence, the results
+    and every error, raising its first failure (:func:`_newton`); each
+    grid counts its own Newton iterations and SHOOT_INTEGRATION_BUDGET
+    integrations per lane.  Returns the fine solve's velocities,
+    iterations, endpoint errors and curves; a bad ``tol``, ``max_iter`` or
+    ``steps`` raises first (SolverSettingsError, DiscretizationError).
     """
-    if not 0.0 < tol < np.inf or not max_iter >= 1:
+    if not (0.0 < tol < np.inf and isinstance(max_iter, (int, np.integer))
+            and max_iter >= 1):
         raise SolverSettingsError(
-            f"shooting needs a positive finite tol and max_iter >= 1, "
+            f"shooting needs a positive finite tol and an integer max_iter >= 1, "
             f"got tol={tol}, max_iter={max_iter}")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    _require_steps(steps)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
     coarse = steps // COARSE_FACTOR
     if coarse >= COARSE_MIN_STEPS:
-        lost = np.zeros(len(X), dtype=bool)
-        Vc = _newton(metric, potential, X, Y, coarse, max(tol, COARSE_TOL),
-                     max_iter, V, lost)[0]
-        V[~lost] = Vc[~lost]
-    return _newton(metric, potential, X, Y, steps, tol, max_iter, V)
+        Vc, *_, failed = _newton(metric, potential, X, Y, coarse, max(tol, COARSE_TOL),
+                                 max_iter, V)
+        Vc[list(failed)] = V[list(failed)]  # a failed lane keeps the guess
+        V = Vc
+    *solved, failed = _newton(metric, potential, X, Y, steps, tol, max_iter, V)
+    _raise_first(failed)
+    return solved
 
 
 def shoot_velocity(
@@ -798,9 +809,10 @@ def shoot_velocity(
     ``steps``; the iterations returned are those on ``steps``, and a
     failed coarse solve falls back to the guess ``v_init``, or y - x
     (see :func:`_shoot`).
-    Raises on stagnation, a singular endpoint block or an exhausted
-    integration budget (per grid), and on a ``tol`` that is not positive
-    and finite or a ``max_iter`` below 1.
+    Raises the first failure on ``steps``: a curve that fails, stagnation,
+    a singular endpoint block, an exhausted integration budget (per grid)
+    or a missed ``tol``; bad settings raise before any integration
+    (:func:`_shoot`).
     """
     V, iters, err, _ = _shoot(
         metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,
@@ -857,10 +869,10 @@ def cost(
     """Least action to move from ``x`` to ``y`` in unit time.
 
     The minimizing curve is found by shooting, first on a coarse grid
-    and then on ``steps`` as in :func:`shoot_velocity`; ``iterations``
-    and ``endpoint_error`` are those of the solve on ``steps``.  The
-    action integral is accumulated with the trapezoid-free quadrature of
-    the integrator grid (Simpson on the stored samples).
+    and then on ``steps`` as in :func:`shoot_velocity`, raising alike;
+    ``iterations`` and ``endpoint_error`` are those of the solve on
+    ``steps``.  The action integral is accumulated with the trapezoid-free
+    quadrature of the integrator grid (Simpson on the stored samples).
     """
     return _costs(
         metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,

@@ -38,6 +38,7 @@ from mtwcheck.geometry import (
     sphere_metric,
 )
 from mtwcheck.jets import JetSpace
+from mtwcheck.mtw import mtw_jacobi
 
 from conftest import inline3d_metric, reference_integrate
 
@@ -168,15 +169,17 @@ def test_antipodal_shoot_raises_within_budget(sphere, monkeypatch):
 
 
 def _count_grids(monkeypatch) -> list:
-    """The step count of every later _integrate call, in call order."""
+    """The step count of every later _integrate call that integrates (one
+    that raises first is not counted), in call order."""
     from mtwcheck import dynamics as dyn
 
     grids = []
     integrate = dyn._integrate
 
     def counted(*args, **kwargs):
+        flow = integrate(*args, **kwargs)
         grids.append(args[4])
-        return integrate(*args, **kwargs)
+        return flow
 
     monkeypatch.setattr(dyn, "_integrate", counted)
     return grids
@@ -202,11 +205,41 @@ def test_shoot_integration_budget_raises(sphere, monkeypatch):
     assert grids == [25] * 3 + [200] * 3
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_singular_shooting_jacobian_falls_back_then_raises(lanes, sphere, monkeypatch):
+    # with CONJUGATE_COND_LIMIT at 0 every endpoint Jacobian reads as
+    # singular: the coarse solve drops each lane after its initial
+    # integration, the fine solve starts from the caller's guess and
+    # raises after its own
+    from mtwcheck import dynamics as dyn
+
+    X = np.array([[1.0, 0.2], [1.3, -0.4]])[:lanes]
+    Y = np.array([[1.4, 0.9], [1.9, 0.3]])[:lanes]
+    starts = []
+    integrate = dyn._integrate
+
+    def counted(metric, potential, x0, v0, steps, **kwargs):
+        starts.append((steps, v0.copy()))
+        return integrate(metric, potential, x0, v0, steps, **kwargs)
+
+    monkeypatch.setattr(dyn, "_integrate", counted)
+    monkeypatch.setattr(dyn, "CONJUGATE_COND_LIMIT", 0.0)
+    with pytest.raises(ShootingError) as err:
+        if lanes == 1:
+            cost(sphere, None, X[0], Y[0])
+        else:
+            dyn._costs(sphere, None, X, Y)
+    assert str(err.value) == "endpoint Jacobian is numerically singular during shooting"
+    assert [steps for steps, _ in starts] == [25, 200]
+    for _, v0 in starts:
+        assert np.array_equal(v0, Y - X)
+
+
 @pytest.mark.parametrize("settings", [
     {"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0}, {"tol": 0.0},
-    {"max_iter": 0}, {"max_iter": -3},
+    {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5},
 ], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "max-iter-0",
-        "max-iter-negative"])
+        "max-iter-negative", "max-iter-float"])
 @pytest.mark.parametrize("call", ["cost", "shoot_velocity", "_costs"])
 def test_bad_shooting_settings_raise_before_integrating(call, settings, sphere,
                                                         monkeypatch):
@@ -217,8 +250,36 @@ def test_bad_shooting_settings_raise_before_integrating(call, settings, sphere,
     x, y = [1.0, 0.2], [1.4, 0.9]
     if call == "_costs":
         x, y = np.array([x]), np.array([y])
-    with pytest.raises(SolverSettingsError, match="positive finite tol"):
+    with pytest.raises(SolverSettingsError, match="positive finite tol") as err:
         getattr(dyn, call)(sphere, None, x, y, **settings)
+    ((name, value),) = settings.items()
+    assert f"{name}={value}" in str(err.value)
+    assert grids == []
+
+
+_STEPS_CALLS = {
+    "cost": lambda m, steps: cost(m, None, [1.0, 0.2], [1.4, 0.9], steps=steps),
+    "shoot_velocity": lambda m, steps: shoot_velocity(m, None, [1.0, 0.2], [1.4, 0.9],
+                                                      steps=steps),
+    "c_exp": lambda m, steps: c_exp(m, None, [1.0, 0.2], [0.4, 0.7], steps=steps),
+    "least_action_curve": lambda m, steps: least_action_curve(m, None, [1.0, 0.2],
+                                                              [0.4, 0.7], steps=steps),
+    "mtw_jacobi": lambda m, steps: mtw_jacobi(
+        m, None, [1.2, 0.3], [1.0, 0.0], [0.2, 0.1], [0.0, 1.0], steps=steps),
+}
+
+
+@pytest.mark.parametrize("call, steps", [
+    ("cost", 100.0), ("shoot_velocity", 96.0), ("c_exp", 10.5),
+    ("least_action_curve", 2.0), ("mtw_jacobi", 3.0),
+])
+def test_non_integer_steps_raise_before_integrating(call, steps, sphere, monkeypatch):
+    from mtwcheck.errors import DiscretizationError
+
+    grids = _count_grids(monkeypatch)
+    with pytest.raises(DiscretizationError) as err:
+        _STEPS_CALLS[call](sphere, steps)
+    assert str(err.value) == f"steps must be an integer, got {steps!r}"
     assert grids == []
 
 
@@ -1156,8 +1217,9 @@ def test_unreachable_target_costs_one_integration_per_trial(half_plane_metric,
     # a 25-lane batch from 0 whose last target (-0.8, 0.1) is past x = -1
     # along its first curve: on the coarse grid of 12 steps that lane
     # fails and drops out inside the batch's integrations, with no lane
-    # integrated again alone, and the fine solve's initial integration
-    # raises the lane's error
+    # integrated again alone; on the fine grid it fails its initial
+    # integration, the 15 other lanes not yet converged take one more,
+    # and the lane's error is raised
     from mtwcheck import dynamics as dyn
     from mtwcheck.errors import MetricDegenerateError
 
@@ -1181,7 +1243,7 @@ def test_unreachable_target_costs_one_integration_per_trial(half_plane_metric,
     assert str(err.value) == ("metric not positive definite at "
                               "[-1.012326767533242, 0.08184736828405459]: "
                               "min eigenvalue -1.233e-02")
-    assert calls == [(12, 25), (12, 23), (12, 23), (100, 25)]
+    assert calls == [(12, 25), (12, 23), (12, 23), (100, 25), (100, 15)]
     assert len(calls) <= len(reachable)
     with pytest.raises(MetricDegenerateError) as alone:
         dyn._checked(integrate(half_plane_metric, None, X[24:], Y[24:], 100))
@@ -1240,6 +1302,65 @@ def test_lane_that_cannot_converge_raises_its_first_trial_failure(
     with pytest.raises(MetricDegenerateError) as batch:
         dyn._costs(half_plane_metric, None, X, Y, steps=50, V_init=V)
     assert str(batch.value) == want
+    # with max_iter = 1 every lane misses tol in one event, lane 0 alone
+    # with a ShootingError, and lane 1's trial failure still comes first
+    with pytest.raises(ShootingError, match="did not reach tolerance"):
+        dyn._costs(half_plane_metric, None, X[:1], Y[:1], steps=50, max_iter=1,
+                   V_init=V[:1])
+    with pytest.raises(MetricDegenerateError) as batch:
+        dyn._costs(half_plane_metric, None, X, Y, steps=50, max_iter=1, V_init=V)
+    assert str(batch.value) == want
+
+
+def test_newton_keeps_each_lanes_failure_and_the_others_as_alone(half_plane_metric,
+                                                                 monkeypatch):
+    # one batch on the coarse grid of 25 steps: lane 1 stalls (its line
+    # search fails every trial), and the initial curves of lanes 2 and 4
+    # leave the region, lane 4's at step 12 and lane 2's at step 21; each
+    # keeps the error it has alone, lanes 0 and 3 converge bit for bit as
+    # alone, and shooting raises lane 4's failure, the first by key
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+
+    X = np.array([[0.0, 0.0], [0.1, 0.1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    Y = np.array([[0.3, 0.2], [0.2, 0.4], [-0.8, 0.1], [-0.2, 0.3], [-1.5, 0.0]])
+    _stall_coarse_solves(monkeypatch, X[1], Y[1] + 1e-3)
+
+    def newton(lanes):
+        return dyn._newton(half_plane_metric, None, X[lanes], Y[lanes], 25, 1e-10, 50,
+                           (Y - X)[lanes])
+
+    V, iters, err, curves, failed = newton(slice(None))
+    assert sorted(failed) == [1, 2, 4]
+    for b in failed:
+        alone = newton(slice(b, b + 1))[4]
+        assert type(failed[b][1]) is type(alone[0][1])
+        assert str(failed[b][1]) == str(alone[0][1])
+    assert str(failed[1][1]) == ("shooting stagnated at endpoint error 1.414e-03 "
+                                 "after 1 iterations")
+    for b in (0, 3):
+        Va, ia, ea, ca, fa = newton(slice(b, b + 1))
+        assert fa == {}
+        assert np.array_equal(V[b], Va[0]) and iters[b] == ia[0] and err[b] == ea[0]
+        assert np.array_equal(curves[:, b], ca[:, 0])
+    with pytest.raises(MetricDegenerateError) as raised:
+        dyn._shoot(half_plane_metric, None, X, Y, 25, 1e-10, 50, None)
+    assert str(raised.value) == ("metric not positive definite at "
+                                 "[-1.0882434645929384, 0.0]: min eigenvalue -8.824e-02")
+
+
+def test_singular_jacobian_after_a_failed_trial_raises_a_shooting_error(
+        half_plane_metric, monkeypatch):
+    # the lane of test_shooting_trial_leaving_the_region_fails_its_line_search:
+    # its first full Newton step's trial curve leaves the region, and with
+    # CONJUGATE_COND_LIMIT at 1.5 its second endpoint Jacobian (condition
+    # number 1.76, the first 1.22) reads as singular, which is its error
+    from mtwcheck import dynamics as dyn
+
+    monkeypatch.setattr(dyn, "CONJUGATE_COND_LIMIT", 1.5)
+    with pytest.raises(ShootingError, match="endpoint Jacobian is numerically singular"):
+        cost(half_plane_metric, None, [0.0, 0.0], [0.0, -0.925], steps=50,
+             v_init=[0.0, -0.3])
 
 
 def test_initial_shooting_curve_leaving_the_region_between_grid_points_raises(
