@@ -367,6 +367,12 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _steps_if_given(cfg: RunConfig, given: set) -> dict:
+    """``steps`` as a keyword argument if the option was given: the jacobi
+    and direct-cost routes choose their own step counts otherwise."""
+    return {"steps": cfg.steps} if "steps" in given else {}
+
+
 def _cmd_eval(cfg: RunConfig, given: set) -> int:
     metric = build_metric(cfg)
     pot = build_potential(cfg, metric.dim)
@@ -377,12 +383,11 @@ def _cmd_eval(cfg: RunConfig, given: set) -> int:
     t0 = time.perf_counter()
     method = cfg.method
     if method == "jacobi":
-        ev = mtw.mtw_jacobi(metric, pot, x, u, v, w, h=cfg.fd_step, steps=cfg.steps)
+        ev = mtw.mtw_jacobi(metric, pot, x, u, v, w, h=cfg.fd_step,
+                            **_steps_if_given(cfg, given))
     elif method == "direct-cost":
         # the route keeps its own defaults unless the options are given
-        kw = {}
-        if "steps" in given:
-            kw["steps"] = cfg.steps
+        kw = _steps_if_given(cfg, given)
         if "fd_step" in given:
             kw["h_s"] = kw["h_t"] = cfg.fd_step
         ev = mtw.mtw_direct_cost(metric, pot, x, u, v, w, **kw)
@@ -563,16 +568,17 @@ def _cmd_lemma_tests(cfg: RunConfig) -> int:
     return 0 if all(c.error <= tol for c in checks) else 1
 
 
-def _cmd_calibrate(cfg: RunConfig) -> int:
+def _cmd_calibrate(cfg: RunConfig, given: set) -> int:
     t0 = time.perf_counter()
-    res = mtw.calibrate_normalization(h=cfg.fd_step, steps=cfg.steps)
+    res = mtw.calibrate_normalization(h=cfg.fd_step, **_steps_if_given(cfg, given))
     timings = {"calibrate_seconds": time.perf_counter() - t0}
     _emit_report(cfg, [{
         "kappa": res.kappa,
         "fitted": res.fitted,
         "spread": res.spread,
         "cases": [
-            {"label": c.label, "jacobi": c.jacobi_value, "closed": c.closed_value}
+            {"label": c.label, "jacobi": c.jacobi_value, "steps": c.steps,
+             "closed": c.closed_value}
             for c in res.cases
         ],
     }], timings)
@@ -586,7 +592,6 @@ _COMMANDS = {
     "curvature": _cmd_curvature,
     "conformal-scan": _cmd_conformal_scan,
     "lemma-tests": _cmd_lemma_tests,
-    "calibrate": _cmd_calibrate,
 }
 
 
@@ -607,7 +612,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="potential expression for --potential inline")
     p.add_argument("--quartic", help="quartic matrix, rows ';'-separated")
     p.add_argument("--steps", type=int,
-                   help="integrator steps (default 200; direct-cost 100)")
+                   help="integrator steps (default 200; jacobi and calibrate: "
+                        "rungs 40–640 by step doubling; direct-cost 100)")
     p.add_argument("--fd-step", dest="fd_step", type=float,
                    help="finite-difference step (default 1e-2; direct-cost 0.1)")
     p.add_argument("--quad-panels", dest="quad_panels", type=int,
@@ -760,6 +766,8 @@ def main(argv=None) -> int:
         cfg = make_config(args, given)
         if cfg.command == "eval":
             return _cmd_eval(cfg, given)
+        if cfg.command == "calibrate":
+            return _cmd_calibrate(cfg, given)
         return _COMMANDS[cfg.command](cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -29,7 +29,6 @@ from . import expr as ex
 from .geometry import MetricField
 
 SECOND_ORDER_THRESHOLD = -math.sqrt(27.0 / 2.0)
-ZEROTH_ORDER_THRESHOLD = -3.0
 
 
 @dataclass(frozen=True)

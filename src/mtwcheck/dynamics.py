@@ -50,7 +50,8 @@ dv + Gamma(v, J) (:func:`_two_point_fields`).  Every operation is
 elementwise or a matmul stacked over lanes, and the scalar step
 repeats the vector step's operations and functions, so a lane's result
 is bit-identical to the curve integrated alone.  The stencils of the
-cross-curvature routes run as one batch each, the damped-Newton shoot
+cross-curvature routes run as one batch each (the jacobi route's, one
+per rung of its step ladder), the damped-Newton shoot
 steps every lane with its own line search, first on a grid
 COARSE_FACTOR times coarser and then on the caller's, each solve
 keeping a lane's failure as a Flow does and the fine one's first raised
@@ -476,12 +477,13 @@ def _integrate(
     return flow
 
 
-def _require_steps(steps) -> None:
-    """Raise :class:`DiscretizationError` unless ``steps`` is an integer >= 1."""
+def _require_steps(steps, least: int = 1) -> None:
+    """Raise :class:`DiscretizationError` unless ``steps`` is an integer
+    of at least ``least``."""
     if not isinstance(steps, (int, np.integer)):
         raise DiscretizationError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise DiscretizationError(f"steps must be at least 1, got {steps}")
+    if steps < least:
+        raise DiscretizationError(f"steps must be at least {least}, got {steps}")
 
 
 def _require_step(h: float, what: str) -> None:

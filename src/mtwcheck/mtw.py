@@ -19,7 +19,8 @@ Three independent evaluation routes are provided and cross-checked:
 * brute-force finite differencing of the cost itself (slow oracle).
 
 The two differencing routes share one Richardson second difference
-(:func:`_richardson_second`); the two-point route's endpoint solve and
+(:func:`_richardson_second`), and the two-point route chooses its RK4
+step count per row on a step-doubling ladder (:func:`_jacobi`); its endpoint solve and
 the Simpson rule come from :mod:`mtwcheck.dynamics`, and the
 checker's Gram-Schmidt from :mod:`mtwcheck.geometry`, so each formula
 has one implementation whichever route or condition reads it.
@@ -105,6 +106,13 @@ class MtwEvaluation:
 # The five-point stencil of the jacobi route: velocities v + k h w.
 JACOBI_OFFSETS = (-2, -1, 0, 1, 2)
 
+# The jacobi route's step ladder: each rung after the first integrates
+# twice the steps of the one before, and a row is accepted at the first
+# rung whose step-doubling estimate is at most JACOBI_ACCEPT of its
+# Richardson defect (see _jacobi).
+JACOBI_RUNGS = (20, 40, 80, 160, 320, 640)
+JACOBI_ACCEPT = 0.25
+
 
 def _jacobi_stencil(v, w, h) -> np.ndarray:
     dyn._require_step(h, "the finite-difference step h")
@@ -114,32 +122,86 @@ def _jacobi_stencil(v, w, h) -> np.ndarray:
 def _richardson_second(F, h, scale=1.0):
     """Richardson value and defect of scale * F'' at the stencil's center
     from F[..., k] = F((k - 2) h), k = 0..4: the (h, 2h) pair of
-    second differences.  ``scale`` multiplies before the division by 3."""
+    second differences.  ``scale`` multiplies before the division by 3.
+    The defect is the error of the plain second difference at h, which
+    overstates the error of the extrapolated value."""
     d_h = (F[..., 3] - 2.0 * F[..., 2] + F[..., 1]) / h**2
     d_2h = (F[..., 4] - 2.0 * F[..., 2] + F[..., 0]) / (4.0 * h**2)
     return scale * (4.0 * d_h - d_2h) / 3.0, scale * np.abs(d_h - d_2h) / 3.0
 
 
-def _jacobi(metric, potential, X, U, V, W, h, steps):
-    """The jacobi route's values and Richardson defects at each row b of
-    the (B, n) arrays: 3/2 the second s-derivative of
-    F_b(s) = <U[b], covariant d/dtau J(0)>, J the two-point variation
+def _jacobi(metric, potential, X, U, V, W, h, steps=None):
+    """The jacobi route's values, error estimates and step counts at each
+    row b of the (B, n) arrays.  The value is 3/2 the second s-derivative
+    of F_b(s) = <U[b], covariant d/dtau J(0)>, J the two-point variation
     field with J(0) = U[b] and J(1) = 0 along the curve from X[b] with
     initial velocity V[b] + s W[b], on the stencil of :func:`_jacobi_stencil`.
-
     Both vectors of the pairing live at X[b], so it needs no transport.
-    Every row's stencil curves are integrated as one batch, and each
-    row's values are the ones it has alone.
+
+    The step count is chosen per row on the ladder JACOBI_RUNGS: the
+    stencil curves of the rows still climbing are one batch per rung.
+    At a rung of N steps whose rung before has M, a row whose curves
+    succeeded at both extrapolates each stencil point's pairing to
+    F_N + (F_N - F_M) / (r^4 - 1), r = N / M, as RK4's error is
+    O(N^-4) (Hairer, Nørsett and Wanner, *Solving ODEs I*, §II.4 and
+    §II.9), and takes the Richardson value of that; the doubling
+    estimate of its error is |D_N - D_M| / (r^4 - 1), D the Richardson
+    value of the pairings at one step count.  The row is accepted with
+    N steps and the error estimate defect + doubling estimate once the
+    doubling estimate is at most JACOBI_ACCEPT of the defect, and at the
+    last rung whatever it reads.  A curve failure below the last rung
+    makes its row climb; a row not accepted at the last rung raises its
+    failure there, else the one at the rung before, and a singular
+    endpoint block raises at once.  An explicit ``steps``, an integer of
+    at least 2, is the single pair (steps // 2, steps).  Each row's
+    results are the ones it has alone.
     """
-    X = np.repeat(X, len(JACOBI_OFFSETS), axis=0)
-    U = np.repeat(U, len(JACOBI_OFFSETS), axis=0)
-    stencils = np.concatenate([_jacobi_stencil(v, w, h) for v, w in zip(V, W)])
-    flow = dyn._checked(dyn._integrate(metric, potential, X, stencils, steps,
-                                       variation="full"))
-    P0 = dyn._endpoint_solve(
-        flow.phi[-1], U, "conjugate point while evaluating the two-point variation pairing")
-    F = (P0[:, None, :] @ (metric.matrix(X) @ U[:, :, None]))[:, 0, 0]
-    return _richardson_second(F.reshape(-1, len(JACOBI_OFFSETS)), h, 1.5)
+    if steps is None:
+        rungs = JACOBI_RUNGS
+    else:
+        dyn._require_steps(steps, least=2)
+        rungs = (steps // 2, steps)
+    k = len(JACOBI_OFFSETS)
+    stencils = np.stack([_jacobi_stencil(v, w, h) for v, w in zip(V, W)])
+    B, n = X.shape
+    value, error, taken = np.empty(B), np.empty(B), np.zeros(B, dtype=int)
+    F = np.empty((B, k))  # each row's pairings at the rung before
+    ok = np.zeros(B, dtype=bool)  # the rows whose curves succeeded there
+    failed = {}  # the failures there, by lane b * k + j of row b
+    rows = np.arange(B)  # the rows still climbing
+    for i, N in enumerate(rungs):
+        flow = dyn._integrate(metric, potential, np.repeat(X[rows], k, axis=0),
+                              stencils[rows].reshape(-1, n), N, variation="full")
+        fails = {rows[b // k] * k + b % k: f for b, f in flow.failed.items()}
+        lost = np.zeros(len(rows), dtype=bool)
+        lost[[b // k for b in flow.failed]] = True
+        good = rows[~lost]
+        if len(good):
+            P0 = dyn._endpoint_solve(
+                flow.phi[-1][np.repeat(~lost, k)], np.repeat(U[good], k, axis=0),
+                "conjugate point while evaluating the two-point variation pairing")
+            gU = metric.matrix(X[good]) @ U[good][:, :, None]
+            F_N = (P0.reshape(-1, k, 1, n) @ gU[:, None])[..., 0, 0]
+            both = ok[good]  # the rows whose curves succeeded at the rung before too
+            if both.any():
+                fn, fm = F_N[both], F[good[both]]
+                div = (N / rungs[i - 1]) ** 4 - 1.0
+                d, defect = _richardson_second(fn + (fn - fm) / div, h, 1.5)
+                est = np.abs(_richardson_second(fn, h, 1.5)[0]
+                             - _richardson_second(fm, h, 1.5)[0]) / div
+                take = (est <= JACOBI_ACCEPT * defect) | (N == rungs[-1])
+                done = good[both][take]
+                value[done], error[done], taken[done] = d[take], (defect + est)[take], N
+            F[good] = F_N
+        ok[rows] = False
+        ok[good] = True
+        rows = rows[taken[rows] == 0]
+        if not len(rows):
+            return value, error, taken
+        failed, before = fails, failed
+    # every row left failed at the last rung or at the one before
+    for at in (failed, before):
+        dyn._raise_first({b: f for b, f in at.items() if b // k in rows})
 
 
 def mtw_jacobi(
@@ -150,20 +212,26 @@ def mtw_jacobi(
     v: Sequence[float],
     w: Sequence[float],
     h: float = DEFAULT_FD_STEP,
-    steps: int = dyn.DEFAULT_STEPS,
+    steps: int | None = None,
 ) -> MtwEvaluation:
     """Cross-curvature via second s-differences of the two-point pairing.
 
     Evaluates F(s) = <u, d/dtau J(0)> along curves with initial velocity
-    v + s w on the five-point stencil {-2h, -h, 0, h, 2h}, applies the
-    (h, 2h) Richardson pair to F'' and scales by 3/2.  The reported
-    error estimate is the Richardson defect.
+    v + s w on the five-point stencil {-2h, -h, 0, h, 2h}, each F
+    extrapolated over a step-doubling pair, applies the (h, 2h)
+    Richardson pair to F'' and scales by 3/2.  The step count climbs
+    the ladder JACOBI_RUNGS until the doubling estimate is at most
+    JACOBI_ACCEPT of the Richardson defect; an explicit ``steps`` (an
+    integer of at least 2) pins the pair (steps // 2, steps).  The
+    reported ``steps`` is the accepted count and the error estimate the
+    Richardson defect plus the doubling estimate (see :func:`_jacobi`).
     """
     x, u, v, w = as_vectors(metric.dim, x=x, u=u, v=v, w=w)
-    value, err = _jacobi(metric, potential, x[None], u[None], v[None], w[None], h, steps)
+    value, err, taken = _jacobi(metric, potential, x[None], u[None], v[None], w[None],
+                                h, steps)
     return MtwEvaluation(
         x=x, u=u, v=v, w=w, method="jacobi", value=float(value[0]),
-        h_s=h, steps=steps, error_estimate=float(err[0]),
+        h_s=h, steps=int(taken[0]), error_estimate=float(err[0]),
     )
 
 
@@ -715,6 +783,7 @@ class CalibrationCase:
     label: str
     jacobi_value: float
     closed_value: float
+    steps: int | None = None  # the jacobi route's accepted step count
 
 
 @dataclass
@@ -778,13 +847,15 @@ def _default_calibration_inputs():
 def calibrate_normalization(
     cases: Sequence[CalibrationCase] | None = None,
     h: float = DEFAULT_FD_STEP,
-    steps: int = dyn.DEFAULT_STEPS,
+    steps: int | None = None,
 ) -> CalibrationResult:
     """Determine the normalization constant from the built-in oracles.
 
     Runs the two-point method at v = 0 against the closed-form values
-    on spheres and flat quartic-potential cases.  Pre-built cases can
-    be injected for testing the failure path.
+    on spheres and flat quartic-potential cases, each case on the jacobi
+    route's step ladder, or on the pair (steps // 2, steps) when
+    ``steps`` is given, and keeps its accepted step count.  Pre-built
+    cases can be injected for testing the failure path.
     """
     if cases is None:
         inputs = _default_calibration_inputs()
@@ -797,12 +868,12 @@ def calibrate_normalization(
         for group in groups.values():
             _, metric, pot, *_ = group[0]
             X, U, W = (np.array([c[i] for c in group]) for i in (3, 4, 5))
-            values, _ = _jacobi(metric, pot, X, U, np.zeros_like(X), W, h, steps)
-            for case, value in zip(group, values):
-                jac[case[0]] = float(value)
+            values, _, taken = _jacobi(metric, pot, X, U, np.zeros_like(X), W, h, steps)
+            for case, value, count in zip(group, values, taken):
+                jac[case[0]] = float(value), int(count)
         cases = [
-            CalibrationCase(label, jac[label],
-                            mtw_zeroth_simplified(metric, pot, x, u, w))
+            CalibrationCase(label, jac[label][0],
+                            mtw_zeroth_simplified(metric, pot, x, u, w), jac[label][1])
             for label, metric, pot, x, u, w in inputs
         ]
     return fit_kappa(cases)

@@ -64,6 +64,29 @@ def plan_builds(monkeypatch):
 
 
 @pytest.fixture
+def integrations(monkeypatch):
+    """The (steps, lanes) of every _integrate call during the test, in
+    call order, a call that raises included."""
+    calls = []
+    integrate = dynamics._integrate
+
+    def counting(metric, potential, x0, v0, steps, **kwargs):
+        calls.append((steps, len(x0)))
+        return integrate(metric, potential, x0, v0, steps, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_integrate", counting)
+    return calls
+
+
+# The jacobi route's ladder climbs on this input: conformal a = -3 with
+# the potential HARD_POTENTIAL, at HARD_JACOBI = (x, u, v, w).  Some
+# curve of its stencil leaves the region at 20 and 40 RK4 steps, and
+# none does at 50 steps or on any rung above 40.
+HARD_POTENTIAL = "0-x^2-3*y^2-x*y-x^4"
+HARD_JACOBI = ([-0.06, -0.05], [0.01, -0.28], [-0.59, -0.41], [1.29, 1.01])
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(42)
 

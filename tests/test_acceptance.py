@@ -15,8 +15,11 @@ from mtwcheck import dynamics as dyn
 from mtwcheck import mtw
 from mtwcheck.cli import _jsonify
 from mtwcheck.dynamics import jacobi_bvp, least_action_curve, lemma_suite
+from mtwcheck.errors import MetricDegenerateError
+from mtwcheck.expr import parse_field
 from mtwcheck.geometry import (
     GeometryBatch,
+    PotentialField,
     euclidean_metric,
     quartic_potential,
     riemann,
@@ -24,7 +27,7 @@ from mtwcheck.geometry import (
     sphere_metric,
 )
 
-from conftest import inline3d_metric, sphere_points
+from conftest import HARD_JACOBI, HARD_POTENTIAL, inline3d_metric, sphere_points
 
 EQUATOR = np.pi / 2
 E1 = np.array([1.0, 0.0])
@@ -396,3 +399,66 @@ def test_3d_inline_metric_closed_form_matches_jacobi():
 
     _report("3-D b", "inline metric exp(2xyz) I", time.perf_counter() - t0, 2.0,
             f"closed {closed:.8f}; jacobi rel {abs(jac / closed - 1):.1e}")
+
+
+# ---------------------------------------------------------------------------
+# The jacobi route's step ladder
+# ---------------------------------------------------------------------------
+
+
+def test_jacobi_ladder_accepts_the_routes_inputs_at_its_first_pair(conformal_a3):
+    # the calibration cases, and the sphere and conformal a = -3 at three
+    # points each, the points other tests of the route use; the error is
+    # the s-stencil's, the same at 200 steps: 2.98e-8 relative at
+    # conformal (0.1, 0), 2.74e-8 with the ladder
+    t0 = time.perf_counter()
+    sphere = sphere_metric()
+    cases = [(label, metric, pot, x, u, w, mtw.mtw_zeroth_simplified(metric, pot, x, u, w))
+             for label, metric, pot, x, u, w in mtw._default_calibration_inputs()]
+    for metric, label, points in (
+            (sphere, "sphere", ([EQUATOR, 0.5], [1.2, 0.3], [1.0, 0.5])),
+            (conformal_a3, "conformal", ([0.1, -0.1], [0.1, 0.0], [0.25, -0.2]))):
+        cases += [(f"{label} {x}", metric, None, x, E1, E2,
+                   mtw.mtw_zeroth_general(metric, None, x, E1, E2)) for x in points]
+    worst = 0.0
+    for label, metric, pot, x, u, w, closed in cases:
+        ev = mtw.mtw_jacobi(metric, pot, x, u, np.zeros(2), w)
+        err = abs(ev.value - closed)
+        assert ev.steps == 40, label
+        assert err <= ev.error_estimate, label
+        assert err <= 3e-8 * abs(closed), label
+        worst = max(worst, err / max(abs(closed), 1e-300))
+
+    _report("ladder a", "jacobi at its first pair", time.perf_counter() - t0, 10.0,
+            f"{len(cases)} cases at 40 steps, worst rel {worst:.1e}")
+
+
+def test_jacobi_ladder_climbs_past_the_rungs_where_a_curve_fails(conformal_a3, integrations):
+    # before the ladder, 200 steps read 55,389 with an estimate of
+    # 14,047, 640 steps 32,513 and 3,200 steps 32,413.3, the reference;
+    # 20 and 40 steps raised
+    t0 = time.perf_counter()
+    pot = PotentialField(parse_field(HARD_POTENTIAL, 2), 2)
+    ev = mtw.mtw_jacobi(conformal_a3, pot, *HARD_JACOBI)
+    assert ev.steps >= 160
+    assert integrations == [(N, 5) for N in mtw.JACOBI_RUNGS if N <= ev.steps]
+    assert abs(ev.value - 32413.3) <= ev.error_estimate
+
+    # a pinned pair is accepted whatever its doubling estimate reads:
+    # (80, 160) reads more than a quarter of its defect
+    pinned = mtw.mtw_jacobi(conformal_a3, pot, *HARD_JACOBI, steps=160)
+    assert pinned.steps == 160
+    assert abs(pinned.value - 32413.3) <= pinned.error_estimate
+
+    # a pinned pair raises the failure of its top rung, (20, 40) the one
+    # 40 steps raised before the ladder, else that of the rung below:
+    # (40, 80) raises the same
+    messages = []
+    for steps in (40, 80):
+        with pytest.raises(MetricDegenerateError, match="not positive definite") as err:
+            mtw.mtw_jacobi(conformal_a3, pot, *HARD_JACOBI, steps=steps)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+    _report("ladder b", "jacobi climbs past failing rungs", time.perf_counter() - t0, 10.0,
+            f"accepted at {ev.steps} steps: {ev.value:.1f} +- {ev.error_estimate:.1f}")

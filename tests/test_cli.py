@@ -221,7 +221,8 @@ def test_eval_sphere_json_fields(capsys):
     assert result["method"] == "jacobi"
     assert result["value"] == pytest.approx(1.0, abs=1e-4)
     assert result["h_s"] == 0.01
-    assert result["steps"] == 200
+    # the step count the jacobi ladder accepted, not the config's default
+    assert result["steps"] == 40
     assert doc["config"]["seed"] == 42
 
 
@@ -293,13 +294,14 @@ SPHERE_EVAL = ("eval", "--metric", "sphere2", "--point", "1.5,0", "--u", "1,0",
 
 
 @pytest.mark.parametrize("argv, message", [
-    (SPHERE_EVAL + ("--steps", "0"), "steps must be at least 1, got 0"),
+    # the jacobi route's pair (steps // 2, steps) needs 2 steps or more
+    (SPHERE_EVAL + ("--steps", "0"), "steps must be at least 2, got 0"),
     (("cost", "--metric", "sphere2", "--point", "1.5,0", "--target", "1.5,0.3",
       "--steps", "0"), "steps must be at least 1, got 0"),
     (("geodesic", "--metric", "sphere2", "--point", "1.5,0", "--velocity", "0,1",
       "--steps", "0"), "steps must be at least 1, got 0"),
-    (("calibrate", "--steps", "0"), "steps must be at least 1, got 0"),
-    (SPHERE_EVAL + ("--steps", "-3"), "steps must be at least 1, got -3"),
+    (("calibrate", "--steps", "0"), "steps must be at least 2, got 0"),
+    (SPHERE_EVAL + ("--steps", "-3"), "steps must be at least 2, got -3"),
     (SPHERE_EVAL + ("--fd-step", "0"),
      "the finite-difference step h must be positive and finite, got 0.0"),
     (SPHERE_EVAL + ("--method", "closed-form-0", "--quad-panels", "3"),
@@ -559,6 +561,25 @@ def test_calibrate_command(capsys):
     doc = json.loads(out)
     assert doc["results"][0]["kappa"] == 1.0
     assert doc["results"][0]["spread"] <= 1e-3
+    # each case's accepted step count; a given --steps pins its pair
+    assert [c["steps"] for c in doc["results"][0]["cases"]] == [40] * 6
+    code, out, _ = run_cli(capsys, "calibrate", "--steps", "41")
+    assert code == 0
+    assert [c["steps"] for c in json.loads(out)["results"][0]["cases"]] == [41] * 6
+
+
+def test_eval_jacobi_passes_steps_only_when_given(capsys, tmp_path):
+    def steps(*extra):
+        code, out, _ = run_cli(capsys, *SPHERE_EVAL, "--method", "jacobi", *extra)
+        assert code == 0
+        return json.loads(out)["results"][0]["steps"]
+
+    assert steps() == 40
+    assert steps("--steps", "41") == 41
+    # the CLI's default of 200, given in a config file, still pins a pair
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("steps = 200\n")
+    assert steps("--config", str(cfg_file)) == 200
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,9 @@ def test_classify(a, expected):
 def test_second_order_threshold_constant():
     assert cf.SECOND_ORDER_THRESHOLD == pytest.approx(-math.sqrt(27.0 / 2.0))
     assert cf.classify(cf.SECOND_ORDER_THRESHOLD) == "passes-necessary"
+    # classify's second-order edge is the constant
+    assert cf.classify(cf.SECOND_ORDER_THRESHOLD - 1e-9) == "passes-necessary"
+    assert cf.classify(cf.SECOND_ORDER_THRESHOLD + 1e-9) == "fails-second-order"
 
 
 def test_boundary_discriminant_nonpositive_with_axis_equality():

@@ -15,6 +15,7 @@ from mtwcheck.cli import _jsonify
 from mtwcheck.errors import (
     CalibrationError,
     DimensionError,
+    DiscretizationError,
     PreconditionError,
 )
 from mtwcheck.geometry import (
@@ -32,7 +33,7 @@ from mtwcheck.geometry import (
 )
 from mtwcheck.expr import parse_field
 
-from conftest import inline3d_metric
+from conftest import HARD_JACOBI, HARD_POTENTIAL, inline3d_metric
 
 EQUATOR = np.pi / 2
 E1 = np.array([1.0, 0.0])
@@ -63,6 +64,75 @@ def test_jacobi_quadratic_u_scaling(sphere):
     base = mtw.mtw_jacobi(sphere, None, [EQUATOR, 0.5], E1, ZERO2, E2)
     doubled = mtw.mtw_jacobi(sphere, None, [EQUATOR, 0.5], 2 * E1, ZERO2, E2)
     assert doubled.value == pytest.approx(4 * base.value, rel=1e-6)
+
+
+def test_jacobi_ladder_accepts_an_easy_row_at_its_first_pair(sphere, integrations):
+    ev = mtw.mtw_jacobi(sphere, None, [EQUATOR, 0.5], E1, ZERO2, E2)
+    assert integrations == [(20, 5), (40, 5)]
+    assert ev.steps == 40
+
+
+def test_calibration_climbs_each_group_to_its_first_pair(integrations):
+    # the three sphere cases are one group of 15 lanes, and the flat
+    # metric's cases (quartic A = I, quartic diag(1, -1), no potential)
+    # three groups of 5
+    res = mtw.calibrate_normalization()
+    assert integrations == [(20, 15), (40, 15)] + [(20, 5), (40, 5)] * 3
+    assert [c.steps for c in res.cases] == [40] * 6
+
+
+def test_jacobi_ladder_climbs_a_failing_row_alone(conformal_a3, integrations):
+    # a batch of the hard row and an easy one: the easy row leaves the
+    # batch at 40 steps, the hard one climbs past its failing rungs, and
+    # each keeps the results it has alone
+    pot = PotentialField(parse_field(HARD_POTENTIAL, 2), 2)
+    x, u, v, w = (np.array(a) for a in HARD_JACOBI)
+    easy = (np.array([0.1, -0.1]), E1, np.array([0.3, 0.2]), E2)
+    rows = [np.stack(a) for a in zip((x, u, v, w), easy)]
+    value, err, taken = mtw._jacobi(conformal_a3, pot, *rows, mtw.DEFAULT_FD_STEP)
+    assert taken[1] == 40 and taken[0] >= 160
+    assert integrations == [(20, 10), (40, 10)] + [
+        (N, 5) for N in mtw.JACOBI_RUNGS[2:] if N <= taken[0]]
+    for b in range(2):
+        alone = mtw.mtw_jacobi(conformal_a3, pot, *(a[b] for a in rows))
+        assert (alone.value, alone.error_estimate, alone.steps) == (
+            value[b], err[b], taken[b])
+
+
+@pytest.mark.parametrize("steps, message", [
+    (1, "steps must be at least 2, got 1"),
+    (0, "steps must be at least 2, got 0"),
+    (2.5, "steps must be an integer, got 2.5"),
+])
+@pytest.mark.parametrize("route", ["mtw_jacobi", "calibrate_normalization"])
+def test_jacobi_steps_below_two_raise_before_integrating(sphere, integrations, route,
+                                                         steps, message):
+    call = {
+        "mtw_jacobi": lambda: mtw.mtw_jacobi(sphere, None, [EQUATOR, 0.5], E1, ZERO2, E2,
+                                             steps=steps),
+        "calibrate_normalization": lambda: mtw.calibrate_normalization(steps=steps),
+    }[route]
+    with pytest.raises(DiscretizationError) as err:
+        call()
+    assert str(err.value) == message
+    assert integrations == []
+
+
+def test_explicit_odd_steps_pin_one_pair(sphere, integrations, monkeypatch):
+    # steps = 41 runs (20, 41) and nothing else, and extrapolates each
+    # pairing with r^4 - 1, r = 41 / 20, where an even pair divides by 15
+    seen = []
+    richardson = mtw._richardson_second
+    monkeypatch.setattr(mtw, "_richardson_second",
+                        lambda F, h, scale=1.0: seen.append(F) or richardson(F, h, scale))
+    ev = mtw.mtw_jacobi(sphere, None, [1.2, 0.3], E1, [0.2, 0.1], E2, steps=41)
+    assert integrations == [(20, 5), (41, 5)]
+    assert ev.steps == 41
+    extrapolated, F_N, F_M = seen
+    np.testing.assert_array_equal(extrapolated, F_N + (F_N - F_M) / ((41 / 20) ** 4 - 1))
+    d_N, d_M = richardson(F_N, 0.01, 1.5)[0], richardson(F_M, 0.01, 1.5)[0]
+    defect = richardson(extrapolated, 0.01, 1.5)[1]
+    assert ev.error_estimate == (defect + abs(d_N - d_M) / ((41 / 20) ** 4 - 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +196,7 @@ def test_calibration_batches_match_per_case_jacobi():
     for case, (_, metric, pot, x, u, w) in zip(res.cases, inputs):
         alone = mtw.mtw_jacobi(metric, pot, x, u, np.zeros(metric.dim), w,
                                h=2e-2, steps=40)
-        assert case.jacobi_value == alone.value, case.label
+        assert (case.jacobi_value, case.steps) == (alone.value, 40), case.label
 
 
 def test_inconsistent_calibration_rejected():
