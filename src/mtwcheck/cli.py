@@ -17,11 +17,13 @@ point, shooting divergence, calibration inconsistency); 4 = ``check``
 ran and found no violation, but some condition was evaluated at no
 sample ("vacuous").
 
-A flat ``key = value`` config file can supply any long option
-(``--config run.cfg``); explicit flags override file values.  Reports
-are deterministic for a fixed config; wall-clock timings are only
-included with ``--timings`` so that identical configs produce
-byte-identical JSON.
+Each subcommand accepts only the options it reads.  A flat
+``key = value`` config file (``--config run.cfg``) can supply any of
+them, and explicit flags override file values.  A JSON report's
+``config`` block states them, with ``null`` where the route chose the
+value.  Reports are deterministic for a fixed config; wall-clock
+timings are only included with ``--timings`` so that identical configs
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, in serialized (string) form.
+    """The option values of a run, in serialized (string) form.
 
-    Vector/matrix-valued options stay as their textual form so the
-    config round-trips losslessly through the flat file format.
+    Vector/matrix-valued options stay in their textual form, as a flag
+    or a config file gives them.  ``steps`` and ``fd_step`` are None
+    where the route chooses them.  ``read`` names the options the
+    subcommand declares: the keys of its report's config block.
     """
 
-    command: str
     metric: str = "euclidean2"
     param: str = ""  # metric parameters, "a=-3.5,a4=0"
     g_upper: str = ""  # inline metric upper triangle, "|"-separated
@@ -85,8 +88,8 @@ class RunConfig:
     region: str = ""
     points_per_axis: int = 8
     samples: int = 16
-    steps: int = dyn.DEFAULT_STEPS
-    fd_step: float = mtw.DEFAULT_FD_STEP
+    steps: int | None = dyn.DEFAULT_STEPS
+    fd_step: float | None = mtw.DEFAULT_FD_STEP
     quad_panels: int = 1024
     seed: int = 42
     a_from: float = -4.0
@@ -96,26 +99,48 @@ class RunConfig:
     output: str = ""
     csv: str = ""
     timings: bool = False
-
-    def to_config_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            key = f.name.replace("_", "-")
-            if isinstance(val, bool):
-                val = "true" if val else "false"
-            lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_config_text(text: str) -> "RunConfig":
-        data = _parse_config_text(text)
-        if "command" not in data:
-            raise UsageError("config text must include a 'command' entry")
-        return _config_from_mapping(data)
+    read: tuple[str, ...] = ()
 
 
-def _parse_config_text(text: str) -> dict:
+# Options whose value the route chooses when it is not given: None in the
+# RunConfig, null in the report's config block.
+_ROUTE_CHOOSES = {"eval": ("steps", "fd_step"), "calibrate": ("steps",)}
+
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+
+
+def _coerce(name: str, value):
+    """``value`` as the type of the RunConfig field ``name``; a value that
+    does not convert raises UsageError naming the key and the value."""
+    kind = _FIELD_TYPES[name]
+    if kind is bool and isinstance(value, bool):
+        return value
+    try:
+        if kind is bool:
+            return {"1": True, "true": True, "yes": True, "on": True, "0": False,
+                    "false": False, "no": False, "off": False}[str(value).strip().lower()]
+        if kind is int:
+            return int(value)
+        if kind is float:
+            out = float(value)
+            if not math.isfinite(out):
+                raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
+                                 "expected a finite number")
+            return out
+    except (KeyError, ValueError):
+        want = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+        raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
+                         f"expected {want}") from None
+    return str(value)
+
+
+def _read_config(path: str) -> dict:
+    """The ``key = value`` lines of the config file ``path``."""
+    try:
+        with open(path) as f:
+            text = f.read()
+    except OSError as e:
+        raise UsageError(f"cannot read config file: {e}") from None
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -126,44 +151,6 @@ def _parse_config_text(text: str) -> dict:
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
     return out
-
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _coerce(name: str, value):
-    """``value`` as the type of the RunConfig field ``name``; a value that
-    does not convert raises UsageError naming the key and the value."""
-    kind = _FIELD_TYPES[name]
-    if kind == "bool" and isinstance(value, bool):
-        return value
-    try:
-        if kind == "bool":
-            return {"1": True, "true": True, "yes": True, "on": True, "0": False,
-                    "false": False, "no": False, "off": False}[str(value).strip().lower()]
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            out = float(value)
-            if not math.isfinite(out):
-                raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
-                                 "expected a finite number")
-            return out
-    except (KeyError, ValueError):
-        want = {"bool": "true or false", "int": "an integer", "float": "a number"}[kind]
-        raise UsageError(f"bad value {value!r} for {name.replace('_', '-')}: "
-                         f"expected {want}") from None
-    return str(value)
-
-
-def _config_from_mapping(data: dict) -> RunConfig:
-    kwargs = {}
-    for key, val in data.items():
-        name = key.replace("-", "_")
-        if name not in _FIELD_TYPES:
-            raise UsageError(f"unknown config key {key!r}")
-        kwargs[name] = _coerce(name, val)
-    return RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +316,11 @@ def _jsonify(obj):
 
 def _emit_report(cfg: RunConfig, results, timings) -> None:
     doc = {
-        "config": _jsonify(dataclasses.asdict(cfg)),
+        "config": {name: getattr(cfg, name) for name in cfg.read},
         "results": _jsonify(results),
-        "timings": _jsonify(timings) if cfg.timings else None,
     }
+    if cfg.timings:
+        doc["timings"] = timings
     _emit(cfg.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -367,13 +355,12 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _steps_if_given(cfg: RunConfig, given: set) -> dict:
-    """``steps`` as a keyword argument if the option was given: the jacobi
-    and direct-cost routes choose their own step counts otherwise."""
-    return {"steps": cfg.steps} if "steps" in given else {}
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are not None: the route chooses the others."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _cmd_eval(cfg: RunConfig, given: set) -> int:
+def _cmd_eval(cfg: RunConfig) -> int:
     metric = build_metric(cfg)
     pot = build_potential(cfg, metric.dim)
     x = _parse_vector(cfg.point, metric.dim, "--point")
@@ -383,14 +370,11 @@ def _cmd_eval(cfg: RunConfig, given: set) -> int:
     t0 = time.perf_counter()
     method = cfg.method
     if method == "jacobi":
-        ev = mtw.mtw_jacobi(metric, pot, x, u, v, w, h=cfg.fd_step,
-                            **_steps_if_given(cfg, given))
+        ev = mtw.mtw_jacobi(metric, pot, x, u, v, w,
+                            **_given(h=cfg.fd_step, steps=cfg.steps))
     elif method == "direct-cost":
-        # the route keeps its own defaults unless the options are given
-        kw = _steps_if_given(cfg, given)
-        if "fd_step" in given:
-            kw["h_s"] = kw["h_t"] = cfg.fd_step
-        ev = mtw.mtw_direct_cost(metric, pot, x, u, v, w, **kw)
+        ev = mtw.mtw_direct_cost(metric, pot, x, u, v, w, **_given(
+            h_s=cfg.fd_step, h_t=cfg.fd_step, steps=cfg.steps))
     elif method == "closed-form-0":
         if np.any(v != 0.0):
             raise UsageError("closed-form-0 is defined at v = 0; pass --v 0")
@@ -511,6 +495,8 @@ def _cmd_curvature(cfg: RunConfig) -> int:
 def _cmd_conformal_scan(cfg: RunConfig) -> int:
     if cfg.a_step <= 0:
         raise UsageError("--a-step must be positive")
+    if cfg.a_to < cfg.a_from:
+        raise UsageError(f"--a-to {cfg.a_to} is below --a-from {cfg.a_from}")
     count = int(round((cfg.a_to - cfg.a_from) / cfg.a_step))
     if count + 1 > CONFORMAL_SCAN_MAX_ROWS:
         raise UsageError(
@@ -568,9 +554,9 @@ def _cmd_lemma_tests(cfg: RunConfig) -> int:
     return 0 if all(c.error <= tol for c in checks) else 1
 
 
-def _cmd_calibrate(cfg: RunConfig, given: set) -> int:
+def _cmd_calibrate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    res = mtw.calibrate_normalization(h=cfg.fd_step, **_steps_if_given(cfg, given))
+    res = mtw.calibrate_normalization(h=cfg.fd_step, steps=cfg.steps)
     timings = {"calibrate_seconds": time.perf_counter() - t0}
     _emit_report(cfg, [{
         "kappa": res.kappa,
@@ -586,12 +572,14 @@ def _cmd_calibrate(cfg: RunConfig, given: set) -> int:
 
 
 _COMMANDS = {
+    "eval": _cmd_eval,
     "check": _cmd_check,
     "cost": _cmd_cost,
     "geodesic": _cmd_geodesic,
     "curvature": _cmd_curvature,
     "conformal-scan": _cmd_conformal_scan,
     "lemma-tests": _cmd_lemma_tests,
+    "calibrate": _cmd_calibrate,
 }
 
 
@@ -600,32 +588,45 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override")
+def _add_metric(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", help="euclideanN | sphere2 | conformal2d | inline")
-    p.add_argument("--param", action="append", default=None,
+    p.add_argument("--param", action="append",
                    help="metric parameter name=value (repeatable)")
-    p.add_argument("--g-upper", dest="g_upper",
+    p.add_argument("--g-upper",
                    help="inline metric upper-triangle entries, '|'-separated")
+
+
+def _add_potential(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential", help="none | quartic | inline")
-    p.add_argument("--potential-expr", dest="potential_expr",
+    p.add_argument("--potential-expr",
                    help="potential expression for --potential inline")
     p.add_argument("--quartic", help="quartic matrix, rows ';'-separated")
-    p.add_argument("--steps", type=int,
-                   help="integrator steps (default 200; jacobi and calibrate: "
-                        "rungs 40–640 by step doubling; direct-cost 100)")
-    p.add_argument("--fd-step", dest="fd_step", type=float,
-                   help="finite-difference step (default 1e-2; direct-cost 0.1)")
-    p.add_argument("--quad-panels", dest="quad_panels", type=int,
-                   help="quadrature subintervals (default 1024)")
+
+
+def _add_sampling(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--region", help="lo,hi (all axes) or per-axis bounds")
+    p.add_argument("--points-per-axis", type=int,
+                   help="grid points per axis (default 8)")
+    p.add_argument("--samples", type=int,
+                   help="direction samples (default 16; at least 1, and raised "
+                        "to the dimension if below it)")
     p.add_argument("--seed", type=int, help="sampling seed (default 42)")
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="JSON report path (default stdout)")
-    p.add_argument("--csv", help="CSV output path (default stdout)")
     p.add_argument("--timings", action="store_const", const=True,
                    help="include wall-clock timings in the report")
 
 
+def _add_csv(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--csv", help="CSV output path (default stdout)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mtw`` parser.  Each subparser declares the options its command
+    reads: they are its flags, its config-file keys and the keys of its
+    report's config block."""
     top = argparse.ArgumentParser(
         prog="mtw",
         description="Necessary-condition checks for smooth optimal transport "
@@ -633,58 +634,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="one cross-curvature evaluation")
-    _add_common(p)
+    def command(name, help, *groups):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="flat key = value config file; flags override")
+        for add in groups:
+            add(p)
+        return p
+
+    p = command("eval", "one cross-curvature evaluation",
+                _add_metric, _add_potential, _add_report)
     p.add_argument("--point", help="base point, comma-separated")
     p.add_argument("--u", help="first vector")
     p.add_argument("--v", help="middle vector ('0' for zero)")
     p.add_argument("--w", help="second vector")
     p.add_argument("--method", help="jacobi | direct-cost | closed-form-0|1|2")
+    p.add_argument("--steps", type=int,
+                   help="RK4 steps (default: jacobi climbs rungs 40–640 by step "
+                        "doubling; direct-cost 100)")
+    p.add_argument("--fd-step", type=float,
+                   help="finite-difference step (default: jacobi 1e-2; "
+                        "direct-cost 0.1)")
+    p.add_argument("--quad-panels", type=int,
+                   help="closed-form-0 quadrature subintervals (default 1024)")
 
-    p = sub.add_parser("check", help="region necessary-condition check")
-    _add_common(p)
-    p.add_argument("--region", help="lo,hi (all axes) or per-axis bounds")
-    p.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    p.add_argument("--samples", type=int,
-                   help="direction samples (default 16; at least 1, and raised "
-                        "to the dimension if below it)")
+    command("check", "region necessary-condition check",
+            _add_metric, _add_potential, _add_sampling, _add_report)
 
-    p = sub.add_parser("cost", help="two-point action cost")
-    _add_common(p)
+    p = command("cost", "two-point action cost",
+                _add_metric, _add_potential, _add_report)
     p.add_argument("--point", help="start point")
     p.add_argument("--target", help="end point")
+    p.add_argument("--steps", type=int, help="RK4 steps (default 200)")
 
-    p = sub.add_parser("geodesic", help="least-action curve to CSV")
-    _add_common(p)
+    p = command("geodesic", "least-action curve to CSV",
+                _add_metric, _add_potential, _add_csv)
     p.add_argument("--point", help="start point")
     p.add_argument("--velocity", help="initial velocity")
+    p.add_argument("--steps", type=int, help="RK4 steps (default 200)")
 
-    p = sub.add_parser("curvature", help="sectional-curvature grid to CSV")
-    _add_common(p)
-    p.add_argument("--region", help="lo,hi (all axes) or per-axis bounds")
-    p.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    p.add_argument("--samples", type=int,
-                   help="direction samples (default 16; at least 1, and raised "
-                        "to the dimension if below it)")
+    command("curvature", "sectional-curvature grid to CSV",
+            _add_metric, _add_sampling, _add_csv)
 
-    p = sub.add_parser("conformal-scan", help="classification sweep to CSV")
-    _add_common(p)
-    p.add_argument("--a-from", dest="a_from", type=float)
-    p.add_argument("--a-to", dest="a_to", type=float)
+    p = command("conformal-scan", "classification sweep to CSV", _add_csv)
+    p.add_argument("--a-from", type=float, help="first a (default -4)")
+    p.add_argument("--a-to", type=float, help="last a, at least --a-from (default -2.5)")
     p.add_argument("--step", "--a-step", dest="a_step", type=float,
                    help="scan step (default 0.05)")
 
-    p = sub.add_parser("lemma-tests", help="variation-identity suite")
-    _add_common(p)
+    p = command("lemma-tests", "variation-identity suite",
+                _add_metric, _add_potential, _add_report)
     p.add_argument("--point", help="base point (default per metric)")
     p.add_argument("--u", help="reference vector")
     p.add_argument("--v", help="t-direction vector")
     p.add_argument("--w", help="s-direction vector")
-    p.add_argument("--lemma-h", dest="lemma_h", type=float,
-                   help="family step (default 1e-2)")
+    p.add_argument("--lemma-h", type=float, help="family step (default 1e-2)")
+    p.add_argument("--steps", type=int, help="RK4 steps (default 200)")
 
-    p = sub.add_parser("calibrate", help="fit the normalization constant")
-    _add_common(p)
+    p = command("calibrate", "fit the normalization constant", _add_report)
+    p.add_argument("--steps", type=int,
+                   help="RK4 steps (default: each case climbs rungs 40–640 by "
+                        "step doubling)")
+    p.add_argument("--fd-step", type=float,
+                   help="finite-difference step (default 1e-2)")
 
     return top
 
@@ -696,59 +707,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def make_config(args: argparse.Namespace, given: set | None = None) -> RunConfig:
-    """The run configuration from the config file and the flags; flags win.
-
-    The names of the options the file or the flags set are added to
-    ``given``.
-    """
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as f:
-                file_values = _parse_config_text(f.read())
-        except OSError as e:
-            raise UsageError(f"cannot read config file: {e}") from None
-        file_values.pop("command", None)
-
-    cfg = _config_from_mapping(
-        {**file_values, "command": args.command}
-    )
-    if given is not None:
-        given.update(key.replace("-", "_") for key in file_values)
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "command":
-            continue
-        if not hasattr(args, f.name):
-            continue
-        val = getattr(args, f.name)
-        if val is None:
-            continue
-        if f.name == "param" and isinstance(val, list):
-            val = ",".join(val)
-        setattr(cfg, f.name, _coerce(f.name, val))
-        if given is not None:
-            given.add(f.name)
-    return cfg
-
-
-# Flags whose values can legitimately begin with a minus sign; their
-# values are folded into --flag=value form so argparse does not mistake
-# "-0.2,0.2" for an option.
-_NEGATIVE_VALUE_FLAGS = {
-    "--region", "--point", "--u", "--v", "--w", "--target", "--velocity",
-    "--a-from", "--a-to", "--step", "--a-step", "--fd-step", "--lemma-h",
-    "--quartic", "--param", "--g-upper",
-}
+def make_config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration of the parsed ``args``: the values of the
+    options its subcommand declares, from the flags, else from the config
+    file, else the defaults.  A file key that the subcommand does not
+    declare raises UsageError."""
+    read = tuple(name for name in vars(args) if name not in ("command", "config"))
+    values = dict.fromkeys(_ROUTE_CHOOSES.get(args.command, ()))
+    for key, val in (_read_config(args.config) if args.config else {}).items():
+        name = key.replace("-", "_")
+        if name not in read:
+            raise UsageError(f"{args.command} does not read config key {key!r}")
+        values[name] = _coerce(name, val)
+    for name in read:
+        val = getattr(args, name)
+        if val is not None:
+            values[name] = _coerce(name, ",".join(val) if name == "param" else val)
+    return RunConfig(**values, read=read)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with the value after each long option folded into
+    ``--option=value`` where it begins with a minus sign and a digit or a
+    point, so that argparse does not mistake "-0.2,0.2" for an option."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _NEGATIVE_VALUE_FLAGS and nxt and re.match(r"-[\d.]", nxt):
+        if (tok.startswith("--") and "=" not in tok and nxt
+                and re.match(r"-[\d.]", nxt)):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -762,13 +750,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parser().parse_args(_merge_negative_values(list(argv)))
     try:
-        given: set = set()
-        cfg = make_config(args, given)
-        if cfg.command == "eval":
-            return _cmd_eval(cfg, given)
-        if cfg.command == "calibrate":
-            return _cmd_calibrate(cfg, given)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](make_config(args))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

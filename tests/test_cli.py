@@ -43,12 +43,22 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 
-def test_config_round_trip():
-    cfg = RunConfig(command="check", metric="conformal2d", param="a=-3.5",
-                    region="-0.2,0.2", samples=12, points_per_axis=5,
-                    fd_step=0.02, timings=True)
-    again = RunConfig.from_config_text(cfg.to_config_text())
-    assert again == cfg
+def test_config_round_trip(capsys, tmp_path):
+    # a report's config block, written as a config file without its null
+    # keys, reproduces the report byte for byte
+    cfg_file = tmp_path / "run.cfg"
+    for argv in [
+        ("check", "--metric", "conformal2d", "--param", "a=-3.5", "--region",
+         "-0.2,0.2", "--samples", "12", "--points-per-axis", "5"),
+        ("eval", "--metric", "sphere2", "--point", "1.2,0.3", "--u", "1,0",
+         "--v", "0.2,0.1", "--w", "0,1", "--method", "jacobi"),
+    ]:
+        first = run_cli(capsys, *argv)
+        block = json.loads(first[1])["config"]
+        cfg_file.write_text("".join(
+            f"{key} = {str(val).lower() if isinstance(val, bool) else val}\n"
+            for key, val in block.items() if val is not None))
+        assert run_cli(capsys, argv[0], "--config", str(cfg_file)) == first
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -71,9 +81,16 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert cfg.samples == 6  # flag wins over file
 
 
-def test_unknown_config_key_rejected():
-    with pytest.raises(UsageError):
-        RunConfig.from_config_text("command = check\nnonsense = 1\n")
+def test_unknown_config_key_rejected(capsys, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("nonsense = 1\n")
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg_file))
+    assert (code, out, err) == (2, "", "error: check does not read config key 'nonsense'\n")
+
+
+# a command that reads each key below
+_READER = {"steps": "cost", "points-per-axis": "check", "fd-step": "eval",
+           "a-to": "conformal-scan", "timings": "check"}
 
 
 @pytest.mark.parametrize("line, message", [
@@ -87,8 +104,8 @@ def test_unknown_config_key_rejected():
 def test_config_value_of_wrong_type_exits_two(capsys, tmp_path, line, message):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(line + "\n")
-    code, out, err = run_cli(capsys, "check", "--config", str(cfg_file),
-                             "--metric", "euclidean2", "--region", "-1,1")
+    command = _READER[line.split(" = ")[0]]
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_file))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -96,9 +113,15 @@ def test_config_value_of_wrong_type_exits_two(capsys, tmp_path, line, message):
     ("true", True), ("On", True), ("1", True), ("yes", True),
     ("false", False), ("OFF", False), ("0", False), ("no", False),
 ])
-def test_config_bool_words(word, value):
-    cfg = RunConfig.from_config_text(f"command = check\ntimings = {word}\n")
-    assert cfg.timings is value
+def test_config_bool_words(capsys, tmp_path, word, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"timings = {word}\n")
+    code, out, _ = run_cli(capsys, "check", "--config", str(cfg_file), "--metric",
+                           "euclidean2", "--region", "-1,1", "--points-per-axis", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["timings"] is value
+    assert ("timings" in doc) is value
 
 
 @pytest.mark.parametrize("flag", ["--output", "--csv"])
@@ -125,32 +148,32 @@ def test_vector_and_region_parsing():
 
 
 def test_metric_registry():
-    assert build_metric(RunConfig(command="eval", metric="euclidean3")).dim == 3
-    assert build_metric(RunConfig(command="eval", metric="sphere2")).dim == 2
-    con = build_metric(RunConfig(command="eval", metric="conformal2d",
+    assert build_metric(RunConfig(metric="euclidean3")).dim == 3
+    assert build_metric(RunConfig(metric="sphere2")).dim == 2
+    con = build_metric(RunConfig(metric="conformal2d",
                                  param="a=-3,a4=0.5"))
     assert con.dim == 2
-    inline = build_metric(RunConfig(command="eval", metric="inline",
+    inline = build_metric(RunConfig(metric="inline",
                                     g_upper="1 + x^2 | 0 | 1"))
     assert inline.dim == 2
     assert inline.matrix([2.0, 0.0])[0, 0] == 5.0
     with pytest.raises(UsageError):
-        build_metric(RunConfig(command="eval", metric="nosuch"))
+        build_metric(RunConfig(metric="nosuch"))
     with pytest.raises(UsageError):
-        build_metric(RunConfig(command="eval", metric="conformal2d"))
+        build_metric(RunConfig(metric="conformal2d"))
 
 
 def test_potential_registry():
-    cfg = RunConfig(command="eval", potential="quartic", quartic="1,0;0,1")
+    cfg = RunConfig(potential="quartic", quartic="1,0;0,1")
     V = build_potential(cfg, 2)
     assert V is not None
-    assert build_potential(RunConfig(command="eval"), 2) is None
+    assert build_potential(RunConfig(), 2) is None
     inline = build_potential(
-        RunConfig(command="eval", potential="inline", potential_expr="x^2*y"), 2
+        RunConfig(potential="inline", potential_expr="x^2*y"), 2
     )
     assert inline is not None
     with pytest.raises(UsageError):
-        build_potential(RunConfig(command="eval", potential="quartic"), 2)
+        build_potential(RunConfig(potential="quartic"), 2)
 
 
 def test_negative_value_merging():
@@ -176,7 +199,7 @@ def test_check_violation_exit_code_and_report(capsys):
     witness = by_name["discriminant-2d"]["worst_witness"]
     assert np.allclose(witness["point"], [0.0, 0.0], atol=1e-12)
     assert witness["value"] == pytest.approx(40.0, rel=1e-6)
-    assert doc["timings"] is None
+    assert "timings" not in doc
 
 
 @pytest.mark.parametrize("a", ["-3.5", "-3.2"])
@@ -221,9 +244,10 @@ def test_eval_sphere_json_fields(capsys):
     assert result["method"] == "jacobi"
     assert result["value"] == pytest.approx(1.0, abs=1e-4)
     assert result["h_s"] == 0.01
-    # the step count the jacobi ladder accepted, not the config's default
+    # the step count the jacobi ladder accepted; the config states that
+    # the route chose it
     assert result["steps"] == 40
-    assert doc["config"]["seed"] == 42
+    assert (doc["config"]["steps"], doc["config"]["fd_step"]) == (None, None)
 
 
 def test_eval_direct_cost_honours_steps_and_fd_step(capsys, tmp_path):
@@ -337,6 +361,40 @@ def test_bad_sampling_or_dimension_exits_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, unread, count", [
+    (SPHERE_EVAL + ("--method", "closed-form-1"), "seed", 17),
+    (("check", "--metric", "euclidean2", "--region", "-1,1", "--points-per-axis", "2"),
+     "steps", 13),
+    (("cost", "--metric", "euclidean2", "--point", "0,0", "--target", "0.6,0.8"),
+     "seed", 12),
+    (("geodesic", "--metric", "euclidean2", "--point", "0,0", "--velocity", "1,2"),
+     "output", 11),
+    (("curvature", "--metric", "euclidean2", "--region", "-1,1",
+      "--points-per-axis", "2"), "potential", 9),
+    (("conformal-scan",), "seed", 5),
+    (("lemma-tests", "--metric", "euclidean2", "--steps", "100"), "seed", 15),
+    (("calibrate",), "metric", 5),
+], ids=lambda x: x[0] if isinstance(x, tuple) else None)
+def test_each_command_reads_only_its_options(capsys, tmp_path, argv, unread, count):
+    command = argv[0]
+    declared = set(vars(build_parser().parse_args([command]))) - {"command"}
+    assert len(declared) == count
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if out.startswith("{"):
+        assert set(json.loads(out)["config"]) == declared - {"config"}
+    # an option the command does not read is refused as a flag ...
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--" + unread.replace("_", "-"), "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # ... and as a config-file key
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{unread} = 1\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg_file)) == (
+        2, "", f"error: {command} does not read config key '{unread}'\n")
 
 
 CHECK_2D = ("check", "--region", "-0.5,0.5", "--points-per-axis", "2")
@@ -526,6 +584,19 @@ def test_conformal_scan_row_bound(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *scan, "0.375")
     assert (code, out) == (2, "")
     assert "5 rows, more than 4" in err
+
+
+def test_conformal_scan_refuses_a_decreasing_range(capsys, monkeypatch):
+    def classify(a):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cf, "classify", classify)
+    code, out, err = run_cli(capsys, "conformal-scan", "--a-from", "-2", "--a-to", "-4")
+    assert (code, out, err) == (2, "", "error: --a-to -4.0 is below --a-from -2.0\n")
+    monkeypatch.undo()
+    # a range of one point is one row
+    code, out, _ = run_cli(capsys, "conformal-scan", "--a-from", "-3", "--a-to", "-3")
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 1
 
 
 def test_lemma_tests_sphere(capsys):
