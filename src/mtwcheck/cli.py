@@ -17,9 +17,10 @@ point, shooting divergence, calibration inconsistency); 4 = ``check``
 ran and found no violation, but some condition was evaluated at no
 sample ("vacuous").
 
-Each subcommand accepts only the options it reads.  A flat
-``key = value`` config file (``--config run.cfg``) can supply any of
-them, and explicit flags override file values.  A JSON report's
+Each subcommand accepts only the options it reads, and ``eval`` only
+the route options (``steps``, ``fd_step``, ``quad_panels``) of its
+method.  A flat ``key = value`` config file (``--config run.cfg``) can
+supply any of them, and explicit flags override file values.  A JSON report's
 ``config`` block states them, with ``null`` where the route chose the
 value.  Reports are deterministic for a fixed config; wall-clock
 timings are only included with ``--timings`` so that identical configs
@@ -105,6 +106,16 @@ class RunConfig:
 # Options whose value the route chooses when it is not given: None in the
 # RunConfig, null in the report's config block.
 _ROUTE_CHOOSES = {"eval": ("steps", "fd_step"), "calibrate": ("steps",)}
+
+# The route options of eval that each method reads; an eval whose method
+# does not read one refuses it and leaves it out of the config block.
+_METHOD_READS = {
+    "jacobi": ("steps", "fd_step"),
+    "direct-cost": ("steps", "fd_step"),
+    "closed-form-0": ("quad_panels",),
+    "closed-form-1": (),
+    "closed-form-2": (),
+}
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
 
@@ -711,18 +722,28 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     """The run configuration of the parsed ``args``: the values of the
     options its subcommand declares, from the flags, else from the config
     file, else the defaults.  A file key that the subcommand does not
-    declare raises UsageError."""
+    declare raises UsageError, and so does a route option that eval's
+    method does not read (:data:`_METHOD_READS`), given either way."""
     read = tuple(name for name in vars(args) if name not in ("command", "config"))
     values = dict.fromkeys(_ROUTE_CHOOSES.get(args.command, ()))
+    given = {}  # each option given, as it was given
     for key, val in (_read_config(args.config) if args.config else {}).items():
         name = key.replace("-", "_")
         if name not in read:
             raise UsageError(f"{args.command} does not read config key {key!r}")
-        values[name] = _coerce(name, val)
+        values[name], given[name] = _coerce(name, val), f"config key {key!r}"
     for name in read:
         val = getattr(args, name)
         if val is not None:
             values[name] = _coerce(name, ",".join(val) if name == "param" else val)
+            given[name] = "--" + name.replace("_", "-")
+    method = values.get("method", RunConfig.method)
+    if args.command == "eval" and method in _METHOD_READS:
+        unread = set().union(*_METHOD_READS.values()) - set(_METHOD_READS[method])
+        refused = [given[name] for name in read if name in unread and name in given]
+        if refused:
+            raise UsageError(f"eval --method {method} does not read {', '.join(refused)}")
+        read = tuple(name for name in read if name not in unread)
     return RunConfig(**values, read=read)
 
 

@@ -36,10 +36,13 @@ failure is data: the :class:`Flow` keeps each lane's first, the others
 step on, and :func:`_checked` raises the batch's first in step, stage
 and lane order.
 The transport Psi and the variation Phi solve linear equations
-Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`):
-per block, d_x F, F = Gamma(v, v) + grad V, and Gamma v at the
-recorded stage points are one call of the generated linearization,
-the maps are batched matmuls, and they apply in step order.
+Y' = A(t) Y, on which RK4 is one matrix per step (:func:`_step_maps`).
+The linear pass (:func:`_linear_pass`) is a function of recorded stage
+points, a lane selection and the seed columns: per block, d_x F,
+F = Gamma(v, v) + grad V, and Gamma v at the stage points are one call
+of the generated linearization, the maps are batched matmuls, and they
+apply in step order.  A stored integration keeps its stage points, so
+the pass can also run afterwards, over some of its lanes, bit for bit.
 Phi = (dx, dv) is the tangent of the discrete curve step: a
 Runge-Kutta step's derivative is the same method on dy' = A dy, with
 A = [[0, I], [-d_x F, -2 Gamma v]], the slope [v; -F]'s Jacobian, at
@@ -55,8 +58,11 @@ per rung of its step ladder), the damped-Newton shoot
 steps every lane with its own line search, first on a grid
 COARSE_FACTOR times coarser and then on the caller's, each solve
 keeping a lane's failure as a Flow does and the fine one's first raised
-(:func:`_shoot`), and the single-curve functions (:func:`c_exp`,
-:func:`cost`, ...) are one-lane calls into the same engine.  Quantities
+(:func:`_shoot`), each trial integrated once, as a plain stored curve,
+whose stage points give the "velocity" pass only of the lanes it
+leaves above tolerance, and the single-curve functions
+(:func:`c_exp`, :func:`cost`, ...) are one-lane calls into the same
+engine.  Quantities
 along a stored curve read all grid points at once: energy, transported
 norms and the action read the metric's and the potential's values,
 D_tau J one call of the linearization, and the variation residual one
@@ -116,7 +122,8 @@ DEFAULT_STEPS = 200
 # Shooting gives up on a lane whose line search fails LINE_SEARCH_TRIALS
 # times in a row, that takes STAGNATION_STRIKES consecutive Newton steps
 # each leaving more than STAGNATION_RATIO of its endpoint error, or that
-# would need more than SHOOT_INTEGRATION_BUDGET integrations.
+# would need more than SHOOT_INTEGRATION_BUDGET curve integrations (one per
+# trial; the linear passes that give its Newton steps' Jacobians do not count).
 LINE_SEARCH_TRIALS = 12
 STAGNATION_RATIO = 0.9
 STAGNATION_STRIKES = 2
@@ -230,6 +237,47 @@ def _step_maps(A: np.ndarray, h: float) -> np.ndarray:
     return eye + (h / 6.0) * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
 
 
+def _linear_pass(lin, stages: np.ndarray, lanes, h: float, psi=None, phi=None,
+                 out=(None, None)) -> list:
+    """Psi and Phi of lanes ``lanes`` advanced over RK4 steps of h from
+    their recorded stage arguments.
+
+    ``stages`` (count, 4, 2n, B) holds the four stage arguments [x; v] of
+    each step, a row per coordinate; ``psi`` (L, n, n) and ``phi``
+    (L, 2n, ncols) are the values before the first step, None for a part
+    not advanced.  d_x F, F = Gamma(v, v) + grad V, and Gamma v at the
+    stage points are one call of the linearization ``lin``; the step maps
+    (:func:`_step_maps`) of -Gamma v and of the slope's Jacobian
+    [[0, I], [-d_x F, -2 Gamma v]] apply in step order, one stacked matmul
+    per step.  Returns [Psi, Phi] after the last step; a (count, L, ...)
+    array in ``out`` receives its part after each step.  A lane's values
+    do not depend on the others, so a pass over some lanes of a stored
+    integration afterwards gives the bits :func:`_integrate` gives."""
+    count, _, m, _ = stages.shape
+    n = m // 2
+    pts = stages[..., lanes].transpose(2, 0, 1, 3)  # (2n, count, 4, L)
+    L = pts.shape[-1]
+    # [d_x F, Gamma v] at the stage points, in step, stage and lane order
+    A = lin(np.ascontiguousarray(pts.reshape(m, -1))).reshape(count, 4, L, n, m)
+    parts = [psi, phi]
+    for i, Y in enumerate(parts):
+        if Y is None:
+            continue
+        if i == 0:
+            gen = np.negative(A[..., n:])
+        else:  # the slope's Jacobian
+            gen = np.zeros((count, 4, L, m, m))
+            gen[..., 0:n, n:] = np.eye(n)
+            np.negative(A[..., 0:n], out=gen[..., n:, 0:n])
+            np.multiply(A[..., n:], -2.0, out=gen[..., n:, n:])
+        for k, S in enumerate(_step_maps(gen, h)):
+            Y = S @ Y
+            if out[i] is not None:
+                out[i][k] = Y
+        parts[i] = Y
+    return parts
+
+
 @dataclass
 class Flow:
     """What one integration returns: the curve [x, v] of every lane, its
@@ -237,6 +285,10 @@ class Flow:
     time axis first and the lane axis second.  The time axis holds every
     grid point of a stored integration and only the end otherwise, so
     index -1 is the end in both cases.
+
+    A stored integration also keeps ``stages``, the RK4 stage arguments
+    [x; v] of its steps, one array per block of steps, from which
+    :func:`_linear_pass` can advance a transport or a variation afterwards.
 
     ``failed`` maps each failed lane, whose arrays hold no meaning, to its
     first failure (key, error), keyed (0, 0) at the start point, (k, s) at
@@ -247,6 +299,7 @@ class Flow:
     psi: np.ndarray | None  # (T, B, n, n), with ``transport``
     phi: np.ndarray | None  # (T, B, 2n, ncols), with a ``variation``
     failed: dict = field(default_factory=dict)  # lane: (key, error)
+    stages: list | None = None  # per block, (count, 4, 2n, B), with ``store``
 
 
 def _raise_first(failed: dict) -> None:
@@ -277,13 +330,13 @@ def _integrate(
     """RK4 integration of the curve and of its transport and variation.
 
     ``x0`` and ``v0`` are (B, n): one lane per row.  Returns a
-    :class:`Flow` over the steps+1 grid points with ``store``, else over
-    the end alone, each lane that failed kept in ``Flow.failed``.  Psi
-    (n x n, with ``transport``) transports a frame, and Phi (2n x ncols)
-    stacks the rows [dx; dv] of the derivative of the discrete flow:
-    variation="full" evolves the whole 2n x 2n fundamental matrix, a
-    column per covariant start datum (J0, P0), and "velocity" the n
-    columns of initial velocity perturbations, whose dx rows are the
+    :class:`Flow` over the steps+1 grid points, with their stage points,
+    with ``store``, else over the end alone, each lane that failed kept in
+    ``Flow.failed``.  Psi (n x n, with ``transport``) transports a frame,
+    and Phi (2n x ncols) stacks the rows [dx; dv] of the derivative of the
+    discrete flow: variation="full" evolves the whole 2n x 2n fundamental
+    matrix, a column per covariant start datum (J0, P0), and "velocity"
+    the n columns of initial velocity perturbations, whose dx rows are the
     endpoint Jacobian of shooting.  The module docstring gives the scheme.
     """
     _require_steps(steps)
@@ -300,7 +353,8 @@ def _integrate(
     times = steps + 1 if store else 1
     flow = Flow(curve=np.empty((times, lanes, 2 * n)),
                 psi=np.empty((times, lanes, n, n)) if transport else None,
-                phi=np.empty((times, lanes, 2 * n, ncols)) if ncols else None)
+                phi=np.empty((times, lanes, 2 * n, ncols)) if ncols else None,
+                stages=[] if store else None)
     failed = flow.failed
 
     def test(X: np.ndarray, where, g=None) -> None:
@@ -322,21 +376,20 @@ def _integrate(
     kern, g_fill, scalar_step, lin = _curve_stage(metric, potential)
     if lanes > SCALAR_LANES:
         scalar_step = None
-    linear = []  # the pairs [output, value] of Psi and Phi
-    if transport:
-        linear.append([flow.psi, np.broadcast_to(np.eye(n), (lanes, n, n))])
+    psi = np.broadcast_to(np.eye(n), (lanes, n, n)) if transport else None
+    phi = None
     if ncols:  # "full" seeds every column, "velocity" the derivative columns
-        seed = np.broadcast_to(np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))
+        phi = _seeds(n, lanes, ncols)
         if ncols == 2 * n:  # a column per (J0, P0): dv = P0 - Gamma(v0, J0)
-            seed = seed.copy()
-            np.negative(lin(np.concatenate([x0.T, v0.T]))[..., n:], out=seed[:, n:, 0:n])
-        linear.append([flow.phi, seed])
+            phi = phi.copy()
+            np.negative(lin(np.concatenate([x0.T, v0.T]))[..., n:], out=phi[:, n:, 0:n])
 
     h = 1.0 / steps
     block = max(1, STEP_MAP_BLOCK_POINTS // (4 * lanes))
     # per step of a block, its four stage arguments [x; v], a row per
-    # coordinate, and unless g is constant the stage kernel's g at each
-    stages = np.empty((block, 4, 2 * n, lanes))
+    # coordinate (each block's kept in ``flow.stages`` with ``store``), and
+    # unless g is constant the stage kernel's g at each
+    stages = None if store else np.empty((block, 4, 2 * n, lanes))
     gs = None
     if g_fill is not None:
         gs = np.empty((block, 4, lanes, n, n))
@@ -374,11 +427,11 @@ def _integrate(
         np.multiply(k1, h / 6.0, out=k1)
         np.add(y, k1, out=y)
 
-    def vector_steps(k0: int, count: int) -> None:
-        """``count`` steps of every lane from step k0, recorded in the
-        block's buffers."""
-        for j in range(count):
-            step(y, stages[j], no_g if gs is None else gs[j], ks)
+    def vector_steps(k0: int, at: np.ndarray) -> None:
+        """len(at) steps of every lane from step k0, their stage arguments
+        recorded in ``at`` and their g in the block's buffer."""
+        for j in range(len(at)):
+            step(y, at[j], no_g if gs is None else gs[j], ks)
             if store:
                 flow.curve[k0 + j + 1] = y.T
 
@@ -394,10 +447,11 @@ def _integrate(
             rec = [one, stage] + ([] if gs is None else [g])
             return tuple(np.concatenate([a.ravel() for a in rec]).tolist())
 
-    def scalar_steps(k0: int, count: int) -> None:
+    def scalar_steps(k0: int, at: np.ndarray) -> None:
         """As vector_steps, by the scalar step, step-major and lane by lane,
-        its records written into the block's buffers at the end."""
+        its records written into ``at`` and the block's buffer at the end."""
         nonlocal lane_states
+        count = len(at)
         recs = []
         for _ in range(count):
             lane_states = [lane_step(r) for r in lane_states]
@@ -405,44 +459,19 @@ def _integrate(
         rec = np.fromiter(itertools.chain.from_iterable(recs), float,
                           count * lanes * width).reshape(count, lanes, width)
         y[...] = rec[-1, :, 0: 2 * n].T
-        stages[:count] = rec[:, :, 2 * n: 10 * n].reshape(
+        at[...] = rec[:, :, 2 * n: 10 * n].reshape(
             count, lanes, 4, 2 * n).transpose(0, 2, 3, 1)
         if gs is not None:
             gs[:count] = rec[:, :, 10 * n:].reshape(count, lanes, 4, n, n).swapaxes(1, 2)
         if store:
             flow.curve[k0 + 1: k0 + count + 1] = rec[:, :, 0: 2 * n]
 
-    def points(count: int) -> np.ndarray:
-        """The stage points [x, v] of the block's first ``count`` steps,
-        (count * 4 * lanes, 2n) in step, stage and lane order."""
-        return stages[:count].swapaxes(-1, -2).reshape(-1, 2 * n)
-
-    def advance(k0: int, count: int) -> None:
-        """Psi and Phi over the steps k0 .. k0 + count - 1, by the step
-        maps of the recorded stage points, evaluated in one call."""
-        # [d_x F, Gamma v] at the stage points, a row per coordinate
-        A = lin(np.ascontiguousarray(points(count).T)).reshape(count, 4, lanes, n, 2 * n)
-        gens = [np.negative(A[..., n:])] if transport else []
-        if ncols:  # the slope's Jacobian [[0, I], [-d_x F, -2 Gamma v]]
-            gen = np.zeros((count, 4, lanes, 2 * n, 2 * n))
-            gen[..., 0:n, n:] = np.eye(n)
-            np.negative(A[..., 0:n], out=gen[..., n:, 0:n])
-            np.multiply(A[..., n:], -2.0, out=gen[..., n:, n:])
-            gens.append(gen)
-        for part, gen in zip(linear, gens):
-            out, Y = part
-            for k, S in enumerate(_step_maps(gen, h), start=k0 + 1):
-                Y = S @ Y
-                if store:
-                    out[k] = Y
-            part[1] = Y
-
-    def test_states(k0: int, count: int) -> None:
+    def test_states(k0: int, at: np.ndarray) -> None:
         """Fail each lane whose state after a step of the block is not
         finite, at the first such step: as the point reached there if its
         g is not positive definite, else as a curve overflow."""
         # the state after each step: the next step's first stage, or y
-        S = np.concatenate([stages[1:count, 0], y[None]])
+        S = np.concatenate([at[1:, 0], y[None]])
         nonfinite = ~np.isfinite(S).all(axis=1)
         cols = np.flatnonzero(nonfinite.any(axis=0))
         done = k0 + 1 + nonfinite[:, cols].argmax(axis=0)
@@ -454,27 +483,43 @@ def _integrate(
                 f"curve state is not finite after step {d} of {steps} "
                 f"(lane {lane}: {state})")))
 
+    records = (flow.psi, flow.phi) if store else (None, None)
     if store:
         flow.curve[0] = y.T
-        for out, Y in linear:
-            out[0] = Y
+        for out, Y in zip(records, (psi, phi)):
+            if Y is not None:
+                out[0] = Y
     lane_states = y.T.tolist()  # each lane's [x; v], for the scalar step
     for k0 in range(0, steps, block):
         count = min(block, steps - k0)
-        (scalar_steps if scalar_step else vector_steps)(k0, count)
+        if store:
+            at = np.empty((count, 4, 2 * n, lanes))
+            flow.stages.append(at)
+        else:
+            at = stages[:count]
+        (scalar_steps if scalar_step else vector_steps)(k0, at)
         if not np.isfinite(y).all():
-            test_states(k0, count)
+            test_states(k0, at)
         if gs is not None:  # a constant g passed the start test everywhere
-            test(points(count)[:, 0:n],
+            # the stage points, in step, stage and lane order
+            test(at.swapaxes(-1, -2).reshape(-1, 2 * n)[:, 0:n],
                  lambda i: (i % lanes, (k0 + 1 + i // (4 * lanes), i // lanes % 4)),
                  gs[:count].reshape(-1, n, n))
-        if linear:
-            advance(k0, count)
+        if transport or ncols:
+            psi, phi = _linear_pass(lin, at, slice(None), h, psi, phi, [
+                None if out is None else out[k0 + 1: k0 + count + 1] for out in records])
     test(y[0:n].T, lambda i: (i, (steps, 4)))  # the last point, evaluated by no stage
     flow.curve[-1] = y.T  # stored already by the last step with ``store``
-    for out, Y in linear:
-        out[-1] = Y
+    for out, Y in ((flow.psi, psi), (flow.phi, phi)):
+        if Y is not None:
+            out[-1] = Y
     return flow
+
+
+def _seeds(n: int, lanes: int, ncols: int) -> np.ndarray:
+    """The last ``ncols`` columns of the 2n x 2n identity for each lane,
+    (lanes, 2n, ncols): the seed of a variation, n columns for "velocity"."""
+    return np.broadcast_to(np.eye(2 * n)[:, 2 * n - ncols:], (lanes, 2 * n, ncols))
 
 
 def _require_steps(steps, least: int = 1) -> None:
@@ -639,34 +684,50 @@ class CostResult:
     path: CurvePath
 
 
+def _velocity_jacobians(metric, potential, flow: Flow, lanes) -> np.ndarray:
+    """The endpoint Jacobians d x(1) / d v0, (L, n, n), of lanes ``lanes``
+    of the stored integration ``flow``: the dx rows of its "velocity"
+    variation, advanced afterwards from its recorded stage points, block
+    by block, bit for bit those of ``_integrate(..., variation="velocity")``."""
+    n = metric.dim
+    *_, lin = _curve_stage(metric, potential)
+    phi = _seeds(n, len(lanes), n)
+    for at in flow.stages:
+        phi = _linear_pass(lin, at, lanes, 1.0 / (len(flow.curve) - 1), phi=phi)[1]
+    return phi[:, 0:n]
+
+
 def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
     """Damped-Newton shooting of every lane at once on one grid, from the
     velocities V (not written).
 
     Lane b solves for the velocity taking X[b] to Y[b] at time 1 with
     its own line search, and drops out of the batch once it converges
-    or fails.  A full Newton step is integrated with its endpoint
-    Jacobian; halved trial steps integrate the curve alone, and the one
-    accepted is integrated again with the Jacobian (the curve part of
-    both runs is the same computation).  A trial lane whose curve fails
-    (see :class:`Flow`) fails its line-search test.  Nothing is raised:
-    each failed lane keeps (key, error), as in ``Flow.failed``, keyed in
-    the order failures happen (the initial curves' by Flow key, then by
-    event, a lane with a failed trial curve first in its event).  The
-    error is the initial curve's, a ShootingError for a singular
-    Jacobian, else the first failed trial curve's, if any, or a
-    ShootingError.  A converged lane's result is the same in any batch.
-    Returns (velocities, Newton iterations, endpoint errors, curves,
-    failures), the curves (steps+1, B, 2n) of each lane's last accepted
-    integration.
+    or fails.  Every trial step is one stored plain integration.  An
+    accepted curve that leaves its lane above ``tol`` gives the endpoint
+    Jacobian of the next Newton step by the "velocity" pass from its
+    recorded stage points (:func:`_velocity_jacobians`), so the last
+    curve of a lane that converges runs no variation and no accepted
+    trial is integrated again.  A trial lane whose curve fails (see
+    :class:`Flow`) fails its line-search test.  Nothing is raised: each
+    failed lane keeps (key, error), as in ``Flow.failed``, keyed in the
+    order failures happen (the initial curves' by Flow key, then by
+    event, a lane with a failed trial curve first in its event).  The error is the initial
+    curve's, a ShootingError for a singular Jacobian, else the first
+    failed trial curve's, if any, or a ShootingError.  A converged lane's
+    result is the same in any batch.  Returns (velocities, Newton
+    iterations, endpoint errors, curves, failures), the curves
+    (steps+1, B, 2n) of each lane's last accepted integration.
     """
     n = metric.dim
     V = V.copy()
-    used = np.zeros(len(X), dtype=int)  # integrations per lane
+    used = np.zeros(len(X), dtype=int)  # curve integrations per lane
     escaped = {}  # lane: the first failure (key, error) of its curves
     failed = {}  # lane: (key, error)
     out = np.zeros(len(X), dtype=bool)  # the lanes in ``failed``
     events = itertools.count(1)  # failing events after the initial curves, in order
+    curves = np.full((steps + 1, len(X), 2 * n), np.nan)  # each lane's last accepted
+    jac = np.empty((len(X), n, n))  # their endpoint Jacobians, where a step reads one
 
     def fail(lanes, message: str, trials=True) -> None:
         """Fail some lanes in one event: each with its first trial curve's
@@ -677,34 +738,41 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
             failed[b] = ((event, 0), escaped[b][1]) if by_curve else ((event, 1), error)
         out[lanes] = True
 
-    def integrate(lanes, Vl, jacobian=True):
-        """Endpoints of some lanes, with their Jacobians and curves: NaN
-        for each lane whose curve failed, kept in ``escaped``, and for
-        each lane past its budget, which fails and is not integrated."""
+    def integrate(lanes, Vl, bound):
+        """Integrate some lanes from the velocities Vl, each a stored plain
+        curve, and accept each whose endpoint error is below ``bound``
+        (per lane) as its lane's last curve, with the endpoint Jacobian the
+        next Newton step reads if that error is above tol.  Returns the
+        endpoints, their errors and the accepted lanes' mask: NaN for each
+        lane whose curve failed, kept in ``escaped``, and for each lane past
+        its budget, which fails and is not integrated."""
         spent = used[lanes] >= SHOOT_INTEGRATION_BUDGET
         if spent.any():
             fail(lanes[spent], f"shooting used its budget of {SHOOT_INTEGRATION_BUDGET} "
                                f"integrations without converging")
         used[lanes] += 1
         end = np.full((len(lanes), n), np.nan)
-        jac = np.full((len(lanes), n, n), np.nan) if jacobian else None
-        curves = np.full((steps + 1, len(lanes), 2 * n), np.nan) if jacobian else None
         ran = np.flatnonzero(~spent)
         if ran.size:
-            flow = _integrate(metric, potential, X[lanes[ran]], Vl[ran], steps,
-                              variation="velocity" if jacobian else None, store=jacobian)
+            flow = _integrate(metric, potential, X[lanes[ran]], Vl[ran], steps, store=True)
             end[ran] = flow.curve[-1, :, 0:n]
-            if jacobian:
-                jac[ran], curves[:, ran] = flow.phi[-1, :, 0:n], flow.curve
             for b, failure in flow.failed.items():
                 escaped.setdefault(int(lanes[ran[b]]), failure)
                 end[ran[b]] = np.nan
-        return end, jac, curves
+        errs = np.linalg.norm(end - Y[lanes], axis=1)
+        ok = errs < bound  # False where the curve failed
+        if ok.any():
+            cols = (np.cumsum(~spent) - 1)[ok]  # the accepted lanes' columns in flow
+            curves[:, lanes[ok]] = flow.curve[:, cols]
+            far = errs[ok] > tol
+            if far.any():
+                jac[lanes[ok][far]] = _velocity_jacobians(metric, potential, flow,
+                                                          cols[far])
+        return end, errs, ok
 
-    end, jac, curves = integrate(np.arange(len(X)), V)
+    end, err, _ = integrate(np.arange(len(X)), V, np.inf)
     failed.update((b, ((0, key), error)) for b, (key, error) in escaped.items())
     out[list(failed)] = True
-    err = np.linalg.norm(end - Y, axis=1)
     iters = np.zeros(len(X), dtype=int)
     strikes = np.zeros(len(X), dtype=int)
     for it in range(1, max_iter + 1):
@@ -721,21 +789,12 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
         search = active
         for trial in range(LINE_SEARCH_TRIALS):
             v_new = V[search] + lam * step[search]
-            end_new, jac_new, curves_new = integrate(search, v_new, trial == 0)
-            err_new = np.linalg.norm(end_new - Y[search], axis=1)
-            ok = err_new < err[search]  # False where the curve failed
+            end_new, err_new, ok = integrate(search, v_new, err[search])
             done = search[ok]
             if done.size:
-                if trial:
-                    end_new, jac_new, curves_new = integrate(done, v_new[ok])
-                else:
-                    end_new, jac_new, curves_new = (
-                        end_new[ok], jac_new[ok], curves_new[:, ok])
                 weak = err_new[ok] > STAGNATION_RATIO * err[done]
                 strikes[done] = np.where(weak, strikes[done] + 1, 0)
-                V[done], end[done], jac[done], err[done] = (
-                    v_new[ok], end_new, jac_new, err_new[ok])
-                curves[:, done] = curves_new
+                V[done], end[done], err[done] = v_new[ok], end_new[ok], err_new[ok]
                 iters[done] = it
             search = search[~ok & ~out[search]]
             lam *= 0.5
@@ -764,14 +823,15 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     steps // COARSE_FACTOR keeps at least COARSE_MIN_STEPS, every lane is
     first solved on that coarse grid to the looser of COARSE_TOL and
     ``tol``, and the solve on ``steps`` starts from the coarse velocities
-    (usually one Newton step and its confirming integration).  A lane
-    whose coarse solve fails keeps the caller's guess, bit-identical to a
-    one-grid solve.  The fine solve alone decides convergence, the results
-    and every error, raising its first failure (:func:`_newton`); each
-    grid counts its own Newton iterations and SHOOT_INTEGRATION_BUDGET
-    integrations per lane.  Returns the fine solve's velocities,
-    iterations, endpoint errors and curves; a bad ``tol``, ``max_iter`` or
-    ``steps`` raises first (SolverSettingsError, DiscretizationError).
+    (usually one Newton step: the variation of the start curve and the
+    trial curve that converges).  A lane whose coarse solve fails keeps
+    the caller's guess, bit-identical to a one-grid solve.  The fine
+    solve alone decides convergence, the results and every error, raising
+    its first failure (:func:`_newton`); each grid counts its own Newton
+    iterations and SHOOT_INTEGRATION_BUDGET curve integrations per lane.
+    Returns the fine solve's velocities, iterations, endpoint errors and
+    curves; a bad ``tol``, ``max_iter`` or ``steps`` raises first
+    (SolverSettingsError, DiscretizationError).
     """
     if not (0.0 < tol < np.inf and isinstance(max_iter, (int, np.integer))
             and max_iter >= 1):
@@ -805,12 +865,12 @@ def shoot_velocity(
     """Damped-Newton solve for the initial velocity reaching ``y`` at time 1.
 
     The Newton matrix is the endpoint block of the linearized flow,
-    integrated alongside the curve, so no extra finite differencing is
-    involved.  For ``steps`` >= COARSE_FACTOR * COARSE_MIN_STEPS the solve
-    first runs on a grid COARSE_FACTOR times coarser and then polishes on
-    ``steps``; the iterations returned are those on ``steps``, and a
-    failed coarse solve falls back to the guess ``v_init``, or y - x
-    (see :func:`_shoot`).
+    advanced from the curve's recorded stage points, so no extra finite
+    differencing is involved.  For ``steps`` >= COARSE_FACTOR *
+    COARSE_MIN_STEPS the solve first runs on a grid COARSE_FACTOR times
+    coarser and then polishes on ``steps``; the iterations returned are
+    those on ``steps``, and a failed coarse solve falls back to the guess
+    ``v_init``, or y - x (see :func:`_shoot`).
     Raises the first failure on ``steps``: a curve that fails, stagnation,
     a singular endpoint block, an exhausted integration budget (per grid)
     or a missed ``tol``; bad settings raise before any integration
@@ -831,12 +891,13 @@ def _costs(
     tol: float = 1e-10,
     max_iter: int = 50,
     V_init: np.ndarray | None = None,
-) -> list[CostResult]:
-    """:func:`cost` from X[b] to Y[b] for every lane b, shot as one batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cost` from X[b] to Y[b] for every lane b, shot as one batch:
+    (actions, velocities, iterations, endpoint errors, curves).
 
-    The action is integrated along the curve of each lane's last
-    accepted shooting integration; its curve part is the plain
-    integration of the returned velocity.
+    The curves (steps+1, B, 2n) are each lane's last accepted shooting
+    integration, the plain integration of its velocity, along which its
+    action is integrated.
     """
     n = metric.dim
     V, iters, err, curves = _shoot(metric, potential, X, Y, steps, tol,
@@ -845,17 +906,7 @@ def _costs(
     vel = curves[:, :, n: 2 * n].reshape(-1, n)
     pot = 0.0 if potential is None else potential.jets(pos, JetSpace.get(n, 0))[:, 0]
     lag = (0.5 * _quadratic(vel, metric.matrix(pos)) - pot).reshape(curves.shape[:2])
-    values = simpson(lag.T, 1.0 / steps)
-    return [
-        CostResult(
-            value=float(values[b]),
-            initial_velocity=V[b],
-            iterations=int(iters[b]),
-            endpoint_error=float(err[b]),
-            path=_unpack_path(metric, potential, X[b], V[b], steps, curves[:, b]),
-        )
-        for b in range(len(V))
-    ]
+    return simpson(lag.T, 1.0 / steps), V, iters, err, curves
 
 
 def cost(
@@ -876,9 +927,17 @@ def cost(
     ``steps``.  The action integral is accumulated with the trapezoid-free
     quadrature of the integrator grid (Simpson on the stored samples).
     """
-    return _costs(
-        metric, potential, *_one_lane(metric.dim, x=x, y=y), steps, tol, max_iter,
-        None if v_init is None else _one_lane(metric.dim, v_init=v_init)[0])[0]
+    X, Y = _one_lane(metric.dim, x=x, y=y)
+    values, V, iters, err, curves = _costs(
+        metric, potential, X, Y, steps, tol, max_iter,
+        None if v_init is None else _one_lane(metric.dim, v_init=v_init)[0])
+    return CostResult(
+        value=float(values[0]),
+        initial_velocity=V[0],
+        iterations=int(iters[0]),
+        endpoint_error=float(err[0]),
+        path=_unpack_path(metric, potential, X[0], V[0], steps, curves[:, 0]),
+    )
 
 
 def simpson_weights(panels: int) -> np.ndarray:

@@ -151,9 +151,11 @@ def _jacobi(metric, potential, X, U, V, W, h, steps=None):
     doubling estimate is at most JACOBI_ACCEPT of the defect, and at the
     last rung whatever it reads.  A curve failure below the last rung
     makes its row climb; a row not accepted at the last rung raises its
-    failure there, else the one at the rung before, and a singular
-    endpoint block raises at once.  An explicit ``steps``, an integer of
-    at least 2, is the single pair (steps // 2, steps).  Each row's
+    failure there, else the one at the rung before.  A singular endpoint
+    block raises at once, and so does a start point outside the region,
+    which no step count moves, after the first rung.  An explicit
+    ``steps``, an integer of at least 2, is the single pair
+    (steps // 2, steps).  Each row's
     results are the ones it has alone.
     """
     if steps is None:
@@ -198,6 +200,7 @@ def _jacobi(metric, potential, X, U, V, W, h, steps=None):
         rows = rows[taken[rows] == 0]
         if not len(rows):
             return value, error, taken
+        dyn._raise_first({b: f for b, f in fails.items() if f[0] == (0, 0)})
         failed, before = fails, failed
     # every row left failed at the last rung or at the one before
     for at in (failed, before):
@@ -266,9 +269,8 @@ def mtw_direct_cost(
                            np.array([(i * h_t) * u for i in JACOBI_OFFSETS]), steps)
     targets = dyn._endpoints(metric, potential, starts, stencil, steps)
     # C[a, b] = cost(sigma[a], targets[b]): all 25 shot as one batch
-    C = np.array([r.value for r in dyn._costs(
-        metric, potential, np.repeat(sigma, 5, axis=0), np.tile(targets, (5, 1)),
-        steps=steps, tol=DIRECT_COST_SHOOT_TOL)]).reshape(5, 5)
+    C = dyn._costs(metric, potential, np.repeat(sigma, 5, axis=0), np.tile(targets, (5, 1)),
+                   steps=steps, tol=DIRECT_COST_SHOOT_TOL)[0].reshape(5, 5)
 
     # s-direction first (per t-offset), then t-direction of the results
     d4, defect = _richardson_second(_richardson_second(C, h_s)[0], h_t)

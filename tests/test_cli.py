@@ -384,7 +384,9 @@ def test_each_command_reads_only_its_options(capsys, tmp_path, argv, unread, cou
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     if out.startswith("{"):
-        assert set(json.loads(out)["config"]) == declared - {"config"}
+        # closed-form-1 reads none of eval's route options
+        route = {"steps", "fd_step", "quad_panels"} if command == "eval" else set()
+        assert set(json.loads(out)["config"]) == declared - {"config"} - route
     # an option the command does not read is refused as a flag ...
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--" + unread.replace("_", "-"), "1"])
@@ -395,6 +397,40 @@ def test_each_command_reads_only_its_options(capsys, tmp_path, argv, unread, cou
     cfg_file.write_text(f"{unread} = 1\n")
     assert run_cli(capsys, *argv, "--config", str(cfg_file)) == (
         2, "", f"error: {command} does not read config key '{unread}'\n")
+
+
+@pytest.mark.parametrize("method, reads", [
+    ("jacobi", ["steps", "fd_step"]),
+    ("direct-cost", ["steps", "fd_step"]),
+    ("closed-form-0", ["quad_panels"]),
+    ("closed-form-1", []),
+    ("closed-form-2", []),
+])
+def test_eval_reads_only_its_methods_route_options(capsys, tmp_path, method, reads):
+    # steps and fd_step are read by jacobi and direct-cost alone, and
+    # quad_panels by closed-form-0 alone: the block states the method's
+    # own, and another one exits 2 naming it, as a flag or a config key
+    values = {"steps": 6, "fd_step": 0.02, "quad_panels": 8}
+    argv = SPHERE_EVAL + ("--method", method)
+    flags = [a for name in reads for a in ("--" + name.replace("_", "-"), str(values[name]))]
+    code, out, _ = run_cli(capsys, *argv, *flags)
+    assert code == 0
+    block = json.loads(out)["config"]
+    assert {name: block[name] for name in values if name in block} == {
+        name: values[name] for name in reads}
+    cfg_file = tmp_path / "run.cfg"
+    for name in values.keys() - set(reads):
+        key = name.replace("_", "-")
+        assert run_cli(capsys, *argv, "--" + key, str(values[name])) == (
+            2, "", f"error: eval --method {method} does not read --{key}\n")
+        cfg_file.write_text(f"{key} = {values[name]}\n")
+        assert run_cli(capsys, *argv, "--config", str(cfg_file)) == (
+            2, "", f"error: eval --method {method} does not read config key '{key}'\n")
+    if not reads:
+        assert run_cli(capsys, *argv, "--steps", "5", "--fd-step", "0.5",
+                       "--quad-panels", "7") == (
+            2, "", f"error: eval --method {method} does not read --steps, --fd-step, "
+                   f"--quad-panels\n")
 
 
 CHECK_2D = ("check", "--region", "-0.5,0.5", "--points-per-axis", "2")

@@ -5,11 +5,13 @@ import gc
 import json
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mtwcheck.dynamics import (
+    CostResult,
     c_exp,
     cost,
     jacobi_bvp,
@@ -320,6 +322,15 @@ def _same_cost(a, b) -> None:
     assert np.array_equal(a.path.vel, b.path.vel)
 
 
+def _lane_cost(batch, b: int) -> CostResult:
+    """Lane b of a ``dynamics._costs`` batch as the CostResult of ``cost``."""
+    values, V, iters, err, curves = batch
+    n = V.shape[1]
+    path = SimpleNamespace(pos=curves[:, b, 0:n], vel=curves[:, b, n:])
+    return CostResult(value=float(values[b]), initial_velocity=V[b],
+                      iterations=int(iters[b]), endpoint_error=float(err[b]), path=path)
+
+
 @pytest.mark.parametrize("error", ["ShootingError", "MetricDegenerateError",
                                    "CurveOverflowError", "ConjugatePointError"])
 def test_failed_coarse_solve_falls_back_to_the_callers_guess(error, sphere,
@@ -368,12 +379,12 @@ def test_falling_back_lane_keeps_every_batch_lane_as_alone(failure, sphere,
         # lane 2's coarse line search fails every trial: it stagnates
         _stall_coarse_solves(monkeypatch, X[2], Y[2] + 1e-3)
     batch = dyn._costs(sphere, None, X, Y)
-    for b, res in enumerate(batch):
-        _same_cost(res, cost(sphere, None, X[b], Y[b]))
-    _same_cost(batch[2], one_grid)
+    for b in range(len(X)):
+        _same_cost(_lane_cost(batch, b), cost(sphere, None, X[b], Y[b]))
+    _same_cost(_lane_cost(batch, 2), one_grid)
     # the other lanes start from their coarse velocities (from the
     # caller's guess, lanes 0 and 3 take 3 and 6 Newton steps)
-    assert [r.iterations for r in batch] == [1, 0, 3, 1]
+    assert batch[2].tolist() == [1, 0, 3, 1]
 
 
 def test_shoot_velocity_flat_is_difference(flat2):
@@ -388,16 +399,10 @@ def test_batched_shoot_matches_one_lane_shoots(sphere):
     Y = np.array([[1.4, 0.9], [1.0, 0.2], [1.9, 0.3], [0.2, 1.6]])
     batch = dyn._costs(sphere, None, X, Y, steps=100)
     # lanes finish at different iterations, one without any
-    assert sorted({r.iterations for r in batch})[0] == 0
-    assert len({r.iterations for r in batch}) > 2
-    for b, res in enumerate(batch):
-        alone = cost(sphere, None, X[b], Y[b], steps=100)
-        assert np.array_equal(res.initial_velocity, alone.initial_velocity)
-        assert res.iterations == alone.iterations
-        assert res.endpoint_error == alone.endpoint_error
-        assert np.array_equal(res.path.pos, alone.path.pos)
-        assert np.array_equal(res.path.vel, alone.path.vel)
-        assert res.value == alone.value
+    assert sorted(set(batch[2]))[0] == 0
+    assert len(set(batch[2])) > 2
+    for b in range(len(X)):
+        _same_cost(_lane_cost(batch, b), cost(sphere, None, X[b], Y[b], steps=100))
 
 
 def test_cost_curve_is_the_plain_integration(sphere):
@@ -1273,11 +1278,9 @@ def test_shooting_trial_leaving_the_region_fails_only_its_lane(half_plane_metric
     V = Y - X
     V[1] = [0.0, -0.3]  # as in the test above
     batch = dyn._costs(half_plane_metric, None, X, Y, steps=50, V_init=V)
-    for b, got in enumerate(batch):
+    for b in range(len(X)):
         alone = cost(half_plane_metric, None, X[b], Y[b], steps=50, v_init=V[b])
-        assert got.value == alone.value
-        assert np.array_equal(got.initial_velocity, alone.initial_velocity)
-        assert got.iterations == alone.iterations
+        _same_cost(_lane_cost(batch, b), alone)
 
 
 def test_lane_that_cannot_converge_raises_its_first_trial_failure(
@@ -1393,6 +1396,122 @@ def test_initial_shooting_curve_leaving_the_region_raises(half_plane_metric):
     with pytest.raises(MetricDegenerateError, match="not positive definite") as e:
         cost(half_plane_metric, None, [0.0, 0.0], [0.643, -0.840], steps=50)
     assert 1.0 + _named_point(e.value)[1] <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Shooting runs its variation from the stage points a curve recorded
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lanes", [3, 12], ids=["scalar-path", "vector-path"])
+@pytest.mark.parametrize("case", ["sphere", "conformal-potential", "inline3d"])
+def test_velocity_pass_from_recorded_stages_is_the_integrated_variation(
+        case, lanes, conformal_a3, sphere):
+    # a stored plain integration keeps its stage points; the "velocity"
+    # pass run afterwards from them, over every lane or over some in any
+    # order, gives the bits of the variation integrated with the curve,
+    # across blocks of steps (37 steps of 12 lanes make four blocks)
+    from mtwcheck import dynamics as dyn
+
+    metric, pot, x0, v0 = _oracle_case(case, conformal_a3, sphere)
+    n = metric.dim
+    shift = np.linspace(-0.05, 0.05, lanes)[:, None]
+    X, V = np.array(x0) + shift, np.array(v0) - shift
+    want = dyn._integrate(metric, pot, X, V, 37, variation="velocity").phi[-1, :, 0:n]
+    flow = dyn._integrate(metric, pot, X, V, 37, store=True)
+    assert len(flow.stages) == (1 if lanes <= dyn.SCALAR_LANES else 4)
+    every = dyn._velocity_jacobians(metric, pot, flow, np.arange(lanes))
+    assert np.array_equal(every, want)
+    some = np.array([lanes - 1, 0, lanes // 2])
+    assert np.array_equal(dyn._velocity_jacobians(metric, pot, flow, some), want[some])
+
+
+@pytest.mark.parametrize("x, y, want", [
+    # a full Newton step on each grid
+    ([1.0, 0.2], [1.4, 0.9],
+     (["0x1.2a5360715e55bp-2", "0x1.a9ee108cbdecap-1"], 1, "0x1.cd82b446159f3p-50",
+      "0x1.2658cfd9c5910p-2")),
+    # the coarse line search halves twice, then converges
+    ([0.5, 0.0], [2.5, 2.0],
+     (["0x1.79edd7e3d5e78p-1", "0x1.43f4bf8a1e9ffp+2"], 2, "0x1.1e3779b97f4a8p-50",
+      "0x1.9bc72a65fb3ddp+1")),
+], ids=["full-steps", "halving"])
+def test_sphere_cost_keeps_its_bits(x, y, want, sphere):
+    # the velocities, iterations, endpoint errors and actions of the
+    # shooting that integrated each accepted trial with its variation
+    res = cost(sphere, None, x, y)
+    got = ([v.hex() for v in res.initial_velocity], res.iterations,
+           res.endpoint_error.hex(), res.value.hex())
+    assert got == want
+
+
+def test_shooting_runs_each_variation_from_a_curve_it_reads(sphere, monkeypatch):
+    # the halving cost above: every trial is integrated once, as a plain
+    # stored curve, and a Newton step runs the variation of the curve it
+    # steps from, so each grid's last curve, on which the lane converges,
+    # runs none
+    from mtwcheck import dynamics as dyn
+
+    curves, passes = [], []
+    integrate, jacobians = dyn._integrate, dyn._velocity_jacobians
+
+    def counted(metric, potential, x0, v0, steps, **kwargs):
+        assert kwargs == {"store": True}
+        flow = integrate(metric, potential, x0, v0, steps, **kwargs)
+        curves.append((steps, tuple(v0[0]), flow))
+        return flow
+
+    def counted_pass(metric, potential, flow, lanes):
+        passes.append(next(i for i, c in enumerate(curves) if c[2] is flow))
+        return jacobians(metric, potential, flow, lanes)
+
+    monkeypatch.setattr(dyn, "_integrate", counted)
+    monkeypatch.setattr(dyn, "_velocity_jacobians", counted_pass)
+    cost(sphere, None, [0.5, 0.0], [2.5, 2.0])
+    steps = [s for s, _, _ in curves]
+    assert steps == [25] * 13 + [200] * 3
+    assert len({(s, v) for s, v, _ in curves}) == len(curves)  # none integrated twice
+    # 10 coarse and 2 fine Newton steps, each from the curve accepted last
+    assert passes == [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14]
+    assert 12 not in passes and 15 not in passes
+    # in a batch with a lane that converges sooner, each Newton step of a
+    # lane runs one variation of that lane, and no other runs
+    lanes = []
+    monkeypatch.setattr(dyn, "_velocity_jacobians",
+                        lambda m, p, flow, cols: lanes.append(len(cols))
+                        or jacobians(m, p, flow, cols))
+    X, Y = np.array([[1.0, 0.2], [0.5, 0.0]]), np.array([[1.4, 0.9], [2.5, 2.0]])
+    iters = dyn._newton(sphere, None, X, Y, 25, 1e-8, 50, Y - X)[1]
+    assert iters.tolist() == [3, 10]
+    assert sum(lanes) == 13
+
+
+@pytest.mark.parametrize("metric", ["half-plane", "indefinite"])
+def test_shooting_batch_failing_at_every_start_runs_no_variation(
+        metric, half_plane_metric, monkeypatch):
+    # every lane fails at its start point, so the integration returns
+    # before it steps (for a constant indefinite g before any kernel is
+    # compiled): each lane keeps its start failure and no variation runs
+    from mtwcheck import dynamics as dyn
+    from mtwcheck.errors import MetricDegenerateError
+    from mtwcheck.expr import parse_field
+    from mtwcheck.geometry import MetricField
+
+    if metric == "indefinite":
+        half_plane_metric = MetricField.from_upper(
+            [parse_field(e, 2) for e in ("1", "2", "1")], 2)
+    monkeypatch.setattr(dyn, "_velocity_jacobians", None)
+    X = np.array([[-1.5, 0.0], [-1.2, 0.3]])
+    Y = np.array([[0.2, 0.1], [0.1, 0.4]])
+    V, iters, err, curves, failed = dyn._newton(half_plane_metric, None, X, Y, 25,
+                                                1e-10, 50, Y - X)
+    assert sorted(failed) == [0, 1]
+    assert all(key == (0, (0, 0)) for key, _ in failed.values())
+    assert np.isnan(err).all() and iters.tolist() == [0, 0]
+    with pytest.raises(MetricDegenerateError) as batch:
+        dyn._costs(half_plane_metric, None, X, Y)
+    assert str(batch.value) == str(failed[0][1])
+    assert str(batch.value).startswith("metric not positive definite at [-1.5, 0.0]")
 
 
 # ---------------------------------------------------------------------------

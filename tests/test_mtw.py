@@ -99,6 +99,30 @@ def test_jacobi_ladder_climbs_a_failing_row_alone(conformal_a3, integrations):
             value[b], err[b], taken[b])
 
 
+def test_jacobi_ladder_raises_a_start_failure_at_its_first_rung(integrations):
+    # on g = diag(1 + x, 1 + y) the start point (-1.5, 0) is outside the
+    # region at every step count: the ladder raises after its first rung
+    from mtwcheck.errors import MetricDegenerateError
+    from mtwcheck.geometry import MetricField
+
+    metric = MetricField.from_upper(
+        [parse_field(e, 2) for e in ("1 + x", "0", "1 + y")], 2)
+    with pytest.raises(MetricDegenerateError) as err:
+        mtw.mtw_jacobi(metric, None, [-1.5, 0.0], E1, [0.1, 0.0], E2)
+    assert integrations == [(20, 5)]
+    assert str(err.value) == ("metric not positive definite at [-1.5, 0.0]: "
+                              "min eigenvalue -5.000e-01")
+
+
+def test_direct_cost_keeps_its_bits(flat2):
+    # the quartic direct-cost eval of the byte-stable reports, whose 25
+    # shots ran each accepted trial's variation with its curve
+    ev = mtw.mtw_direct_cost(flat2, quartic_potential([[0.6, 0.1], [0.1, 0.9]]),
+                             ZERO2, [1.0, 0.3], ZERO2, [0.2, 1.0])
+    assert (ev.value.hex(), ev.error_estimate.hex()) == (
+        "-0x1.ee162346f6e16p-2", "0x1.c28c14f40d800p-10")
+
+
 @pytest.mark.parametrize("steps, message", [
     (1, "steps must be at least 2, got 1"),
     (0, "steps must be at least 2, got 0"),
