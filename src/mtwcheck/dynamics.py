@@ -400,6 +400,9 @@ def _integrate(
     y[n:] = v0.T
     ks = np.empty((4, 2 * n, lanes))  # the slopes k1-k4
     no_g = (None,) * 4
+    # the step's scalars as 0-d arrays, which an elementwise call takes
+    # for less than Python floats
+    half_h, full_h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
 
     def step(y, stage, g, ks) -> None:
         """One RK4 step of the curve y (2n, L) by the stage kernel, its
@@ -409,22 +412,22 @@ def _integrate(
         k1, k2, k3, k4 = ks
         np.copyto(a0, y)
         kern(a0, k1, g0)
-        np.multiply(k1, 0.5 * h, out=a1)
+        np.multiply(k1, half_h, out=a1)
         np.add(y, a1, out=a1)
         kern(a1, k2, g1)
-        np.multiply(k2, 0.5 * h, out=a2)
+        np.multiply(k2, half_h, out=a2)
         np.add(y, a2, out=a2)
         kern(a2, k3, g2)
-        np.multiply(k3, h, out=a3)
+        np.multiply(k3, full_h, out=a3)
         np.add(y, a3, out=a3)
         kern(a3, k4, g3)
         # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.multiply(k2, 2.0, out=k2)
+        np.multiply(k2, two, out=k2)
         np.add(k1, k2, out=k1)
-        np.multiply(k3, 2.0, out=k3)
+        np.multiply(k3, two, out=k3)
         np.add(k1, k3, out=k1)
         np.add(k1, k4, out=k1)
-        np.multiply(k1, h / 6.0, out=k1)
+        np.multiply(k1, sixth_h, out=k1)
         np.add(y, k1, out=y)
 
     def vector_steps(k0: int, at: np.ndarray) -> None:

@@ -30,14 +30,22 @@ canonicalized to a fixed differentiation order (variable 0 first).
 
 Derivatives are taken on a DAG that one build makes for itself and
 drops when it ends (:class:`_Dag`, hash-consing): its nodes are interned
-by kind and by their children's identities, so equal subtrees are one
+by kind and by their children's identities, the operands of ``+`` and
+``*`` in either order, so subtrees equal up to that order are one
 object, and :func:`_diff` derives each (node, variable) pair once.  A
 :class:`TaylorPlan` derives all partials of all its fields on one DAG
-and evaluates them through one generated NumPy function, which names
-its temporaries by node identity (:func:`_emit`), so both cost one step
+and evaluates them through one generated NumPy function, which binds
+each distinct node's line once (:func:`_emit`), so both cost one step
 per distinct node; the plan keeps those lines, and a function derived
 from it (:meth:`TaylorPlan.function`) starts with the ones it reads,
 its own lines written by :class:`_Code`, which folds constants.
+:func:`_emit` folds a negation into the line that reads it where an
+identity exact in IEEE 754 allows (-(-a) = a, (-a) b = -(a b),
+a + (-b) = a - b, a - (-b) = a + b), :class:`_Code` negates a negation
+to its operand, and a generated batch function reads each float literal
+from a read-only 0-d array (:func:`_bind_literals`), so each value is
+computed bit for bit as its tree gives it in fewer and cheaper NumPy
+calls.
 :func:`eval_partial` derives one partial on a DAG of its own and
 evaluates it with the scalar evaluator (:func:`_codegen`); it stores
 nothing on the field.  No table
@@ -147,11 +155,26 @@ class _Dag:
 
     A node is interned by its kind and its children's identities: a
     constant by its repr, the text the evaluators emit (so 0.0 and -0.0
-    stay apart), a variable by its index and ``^`` by its base's identity
-    and its exponent.  Equal subtrees are therefore one object, and
-    :func:`_diff` derives each (node, variable) pair once.  The tables
-    keep every node alive, which keeps the identities valid; they live
-    as long as the build that made them and are not shared.
+    stay apart), a variable by its index, ``^`` by its base's identity
+    and its exponent, and ``+`` and ``*`` by the set of their operands'
+    identities, since a + b and a b commute exactly (so do the
+    derivatives :func:`_diff` takes of them).  Subtrees equal up to the
+    order of those operands are therefore one object, x*y and y*x one
+    node, the first one met, and :func:`_diff` derives each (node,
+    variable) pair once.
+
+    No other identity rewrites a node.  The negation identities exact
+    in IEEE 754, signed zeros included (-(-a) = a, (-a) b = a (-b) =
+    -(a b), a + (-b) = a - b, (-a) + b = b - a, a - (-b) = a + b), are
+    applied where the code is written (:func:`_emit`): on the DAG they
+    would move derivatives, since the derivative of -(x y) is not the
+    tree of (-x) y's, and d2/dx2 of (-x) y would turn from 0.0 into -0.0.
+    Identities that are not exact stay out everywhere: -(a - b) = b - a
+    gives -0 where a = b, and merging 1.1*(x + x) into 2.2*x changes the
+    rounding.
+
+    The tables keep every node alive, which keeps the identities valid;
+    they live as long as the build that made them and are not shared.
     """
 
     def __init__(self):
@@ -168,6 +191,8 @@ class _Dag:
             key = n
         elif kind == "^":
             key = ("^", id(n[1]), n[2])
+        elif kind in ("+", "*"):  # one node for both operand orders
+            key = (kind, *sorted((id(n[1]), id(n[2]))))
         elif len(n) == 3:
             key = (kind, id(n[1]), id(n[2]))
         else:
@@ -264,16 +289,21 @@ _EVAL_GLOBALS = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos,
                  "inf": math.inf, "nan": math.nan}
 
 # Integer powers go through np.float_power (libm pow), the routine the
-# scalar path reaches, so polynomial fields agree bit for bit.
+# scalar path reaches, so polynomial fields agree bit for bit.  A batch
+# function reads no float literal: TaylorPlan.function binds each, the
+# exponents of _pow and the inf and nan a derivative folds included, to
+# a read-only 0-d array (_bind_literals), which NumPy takes in an
+# elementwise call for less than a Python float.
 _BATCH_GLOBALS = {"_exp": np.exp, "_sin": np.sin, "_cos": np.cos,
-                  "_pow": np.float_power, "_empty": np.empty,
-                  "inf": math.inf, "nan": math.nan}
+                  "_pow": np.float_power, "_empty": np.empty}
 
 # The same functions on one lane's Python floats, returning floats: NumPy's
 # exp, sin and cos round a float as they round an array (math.exp differs by
 # an ulp at some inputs), and math.pow is the libm pow of np.float_power.
+# The scalar step keeps its literals as Python floats.
 _SCALAR_GLOBALS = {"_exp": lambda x: float(np.exp(x)), "_sin": lambda x: float(np.sin(x)),
-                   "_cos": lambda x: float(np.cos(x)), "_pow": math.pow}
+                   "_cos": lambda x: float(np.cos(x)), "_pow": math.pow,
+                   "inf": math.inf, "nan": math.nan}
 
 
 def _emit(roots: Sequence[Node]) -> tuple[list[str], list[str]]:
@@ -281,41 +311,78 @@ def _emit(roots: Sequence[Node]) -> tuple[list[str], list[str]]:
     :class:`_Dag` at the coordinate rows ``c``: its lines, and each
     root's expression (a temporary's name, or a literal for a constant).
 
-    A temporary is named by its node's identity, so each distinct subtree
-    across all roots, a coordinate row included, is bound once, and the
-    source is built in one pass over the DAG.
+    The source is built in one pass over the DAG and computes each node's
+    value bit for bit, the sign of a NaN aside.  A negation is carried to
+    the lines that read it by identities exact in IEEE 754, signed zeros
+    included: -(-a) = a, (-a) b = a (-b) = -(a b), a + (-b) = a - b,
+    (-a) + b = b - a, a - (-b) = a + b and (-a) - (-b) = b - a.  It is
+    bound as a line of its own only where nothing folds it: at a root, a
+    power, exp, sin or cos, and in (-a) + (-b) = (-a) - b and (-a) - b
+    (-(a + b) would turn a + b = +0 into -0).  A line is bound once, the
+    operands of + and * in either order, so each distinct subtree across
+    all roots, a coordinate row included, costs at most one line and its
+    negation one more.
     """
-    names: dict = {}
+    signed: dict = {}  # id(node) -> (name or literal x, s): the node is x, negated if s
+    temps: dict = {}  # a line's key -> its temporary
     lines: list[str] = []
 
-    def emit(node: Node) -> str:
-        kind = node[0]
-        if kind == "c":
-            return f"({node[1]!r})"
-        name = names.get(id(node))
-        if name is not None:
-            return name
-        if kind == "x":
-            src = f"c[{node[1]}]"
-        elif kind in ("+", "-", "*"):
-            src = f"{emit(node[1])}{kind}{emit(node[2])}"
-        elif kind == "neg":
-            src = f"-{emit(node[1])}"
-        elif kind == "^":
-            src = f"_pow({emit(node[1])}, {node[2]})"
-        else:
-            src = f"_{kind}({emit(node[1])})"
-        name = names[id(node)] = f"t{len(names)}"
-        lines.append(f"    {name} = {src}")
+    def bind(src: str, key=None) -> str:
+        name = temps.get(src if key is None else key)
+        if name is None:
+            name = temps[src if key is None else key] = f"t{len(temps)}"
+            lines.append(f"    {name} = {src}")
         return name
 
-    out = [emit(r) for r in roots]
-    del emit  # the recursive closure is a reference cycle
+    def value(node: Node) -> str:
+        """The node's value, its negation bound as a line."""
+        x, neg = emit(node)
+        return bind(f"-{x}") if neg else x
+
+    def emit(node: Node) -> tuple[str, bool]:
+        kind = node[0]
+        if kind == "c":
+            return f"({node[1]!r})", False
+        out = signed.get(id(node))
+        if out is not None:
+            return out
+        if kind == "x":
+            out = bind(f"c[{node[1]}]"), False
+        elif kind == "neg":
+            x, neg = emit(node[1])
+            out = x, not neg
+        elif kind == "*":
+            (a, sa), (b, sb) = emit(node[1]), emit(node[2])
+            out = bind(f"{a}*{b}", ("*", *sorted((a, b)))), sa != sb
+        elif kind in ("+", "-"):
+            (a, sa), (b, sb) = emit(node[1]), emit(node[2])
+            sb ^= kind == "-"  # a - b = a + (-b)
+            if sa and sb:
+                a = bind(f"-{a}")
+            if sb:
+                out = bind(f"{a}-{b}"), False
+            elif sa:
+                out = bind(f"{b}-{a}"), False
+            else:
+                out = bind(f"{a}+{b}", ("+", *sorted((a, b)))), False
+        elif kind == "^":
+            out = bind(f"_pow({value(node[1])}, ({float(node[2])!r}))"), False
+        else:
+            out = bind(f"_{kind}({value(node[1])})"), False
+        signed[id(node)] = out
+        return out
+
+    out = [value(r) for r in roots]
+    del emit, value  # the recursive closures are reference cycles
     return lines, out
 
 
-# a temporary of the generated code (see _emit)
+# a temporary of the generated code (see _emit), a DAG line that binds
+# one as the negation of another, and a float literal as _emit and
+# _Code.text write it: the repr of a float in parentheses
 _TEMP = re.compile(r"\bt\d+\b")
+_NEGATION = re.compile(r"^    (t\d+) = -(t\d+)$", re.MULTILINE)
+_LITERAL = re.compile(r"\((-?(?:inf|nan|\d+\.\d*(?:e[-+]\d+)?|\d+e[-+]\d+))\)")
 
 
 def _compile(src: str, name: str, scope: dict | None = None) -> Callable:
@@ -324,6 +391,18 @@ def _compile(src: str, name: str, scope: dict | None = None) -> Callable:
     scope = dict(_BATCH_GLOBALS, **(scope or {}))
     exec(compile(src, "<batch-field>", "exec"), scope)
     return scope.pop(name)  # a function in its own globals is a cycle
+
+
+def _bind_literals(src: str) -> tuple[str, dict]:
+    """``src`` with each distinct float literal read from a name, and the
+    names' values: read-only 0-d float64 arrays, one per literal."""
+    names: dict = {}
+    src = _LITERAL.sub(lambda m: names.setdefault(m[1], f"_k{len(names)}"), src)
+    arrays = {}
+    for text, name in names.items():
+        arrays[name] = np.array(float(text))
+        arrays[name].flags.writeable = False
+    return src, arrays
 
 
 def _gather(exprs: Sequence[str]) -> list[str]:
@@ -340,10 +419,13 @@ class _Code:
     value is a float known at generation or the name of an array.
     Operations on two floats run at generation (Python's float arithmetic
     is NumPy's IEEE double), 0 and 1 fold away, 0 / x is a structural 0,
-    and a line written twice is bound once."""
+    a line written twice is bound once, and the negation of a name bound
+    as -x, by these lines or by the ``negations`` of a plan's DAG lines
+    ({name: x}), is x."""
 
-    def __init__(self):
+    def __init__(self, negations: dict | None = None):
         self.lines, self._names = [], {}
+        self._negated = dict(negations or {})
 
     def bind(self, src: str) -> str:
         if src not in self._names:
@@ -362,7 +444,13 @@ class _Code:
         return self.bind(f"{self.text(a)}{sym}{self.text(b)}")
 
     def neg(self, a):
-        return -a if isinstance(a, float) else self.bind(f"-{a}")
+        if isinstance(a, float):
+            return -a
+        if a in self._negated:
+            return self._negated[a]
+        name = self.bind(f"-{a}")
+        self._negated[name] = a
+        return name
 
     def add(self, a, b):
         return b if a == 0.0 else a if b == 0.0 else self._op(a, "+", b)
@@ -532,6 +620,8 @@ class TaylorPlan:
         self.rows.flags.writeable = False
         self._consts.flags.writeable = False
         self._lines, names = _emit([first[k] for k in live])
+        # {t: x} for each DAG line t = -x, for the _Code of a derived function
+        self.negations = dict(_NEGATION.findall("\n".join(self._lines)))
         # the expression of each distinct partial in generated code
         self.exprs = tuple(names) + tuple(f"({float(c)!r})" for c in self._consts)
         self._fn = self.function("", _gather(names)) if live else None
@@ -556,9 +646,11 @@ class TaylorPlan:
         """A generated function of the coordinate rows ``c`` (dim, B) and
         ``params`` whose first lines are the plan's DAG lines that ``body``
         reads (:meth:`lines`), then ``body``, in which distinct partial r
-        reads as ``exprs[r]``; ``scope`` adds to its globals."""
+        reads as ``exprs[r]``; ``scope`` adds to its globals, and each
+        float literal reads a read-only 0-d array (:func:`_bind_literals`)."""
         head = f"def _plan(c{', ' if params else ''}{params}):"
-        return _compile("\n".join([head, *self.lines(body), *body]), "_plan", scope)
+        src, arrays = _bind_literals("\n".join([head, *self.lines(body), *body]))
+        return _compile(src, "_plan", {**(scope or {}), **arrays})
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """The distinct partials, not divided by factorials, at the points

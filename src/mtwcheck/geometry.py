@@ -176,7 +176,9 @@ def _indefinite(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A g whose Gershgorin bounds g_ii - sum_j!=i |g_ij| all clear the floor
     by more than their rounding passes without ``eigvalsh`` (a non-finite g
-    never does); the others are decided by their eigenvalues."""
+    never does).  A g that is not finite fails with eigenvalue nan, and is
+    not handed to ``eigvalsh``, which may raise on it or return finite
+    eigenvalues; the others are decided by their eigenvalues."""
     # 2 g_ii - sum_j |g_ij| is the bound where g_ii > 0 and at most g_ii
     # elsewhere; 4n eps of the row sum covers its rounding
     rows = (1.0 + 4 * g.shape[1] * 2.0**-52) * np.abs(g).sum(axis=2)
@@ -185,10 +187,12 @@ def _indefinite(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if sure.all():
         return np.empty(0, dtype=np.intp), np.empty(0)
     unsure = np.flatnonzero(~sure)
-    w = np.linalg.eigvalsh(g[unsure])
-    bad = np.flatnonzero(~np.isfinite(w).all(axis=1)
-                         | (w[:, 0] <= METRIC_EIGENVALUE_FLOOR))
-    return unsure[bad], w[bad, 0]
+    finite = np.isfinite(g[unsure]).all(axis=(1, 2))
+    w = np.linalg.eigvalsh(g[unsure[finite]])
+    bad, low = ~finite, np.full(unsure.size, np.nan)
+    bad[finite] = ~np.isfinite(w).all(axis=1) | (w[:, 0] <= METRIC_EIGENVALUE_FLOOR)
+    low[finite] = w[:, 0]
+    return unsure[bad], low[bad]
 
 
 def _degenerate(x: np.ndarray, w: float) -> MetricDegenerateError:
@@ -417,7 +421,7 @@ def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
     lifts both, by cofactors for n <= 3 and one stacked matmul for n >= 4.
     """
     part = _partial_rows(plan, n)
-    code, live = ex._Code(), plan._live
+    code, live = ex._Code(plan.negations), plan._live
 
     def value(r):
         """The plan's distinct partial r: a literal, or its row's name."""

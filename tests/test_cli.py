@@ -482,6 +482,8 @@ def test_samples_below_dimension_are_raised_to_it(capsys):
 
 POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
              "--v", "0", "--w", "0,1", "--method")
+# the 3-D inline metric exp(2xyz) I, which overflows where 2xyz > 709
+EXP3D = "exp(2*x*y*z) | 0 | 0 | exp(2*x*y*z) | 0 | exp(2*x*y*z)"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -517,9 +519,14 @@ POLE_EVAL = ("eval", "--metric", "sphere2", "--point", "0,0", "--u", "1,0",
     (("geodesic", "--metric", "inline", "--g-upper", "1 | x | 0 | 0 | 1 | 0 | 0 | 1 | 0 | 1",
       "--point", "0,0,0,0", "--velocity", "4,0,0,0", "--steps", "2"),
      "not positive definite at [1.0, 0.0, 0.0, 0.0]: min eigenvalue 0.000e+00"),
+    # g = exp(2xyz) I overflows to inf at the step's second stage point,
+    # which fails without an eigenvalue
+    (("geodesic", "--metric", "inline", "--g-upper", EXP3D, "--point", "0,0,0",
+      "--velocity", "100,100,100", "--steps", "1"),
+     "not positive definite at [50.0, 50.0, 50.0]: min eigenvalue nan"),
 ], ids=["conjugate", "geodesic-start", "geodesic-stage", "cost", "jacobi",
         "closed-form-0", "geodesic-grid", "geodesic-overflow", "geodesic-singular-stage",
-        "geodesic-singular-stage-4d"])
+        "geodesic-singular-stage-4d", "geodesic-nonfinite-metric"])
 def test_numerical_failure_exit_three(capsys, argv, message):
     # a numerical failure reaches the terminal as its one error line,
     # with no NumPy RuntimeWarning before it
@@ -529,6 +536,16 @@ def test_numerical_failure_exit_three(capsys, argv, message):
     assert code == 3
     assert err.startswith("numerical failure:")
     assert message in err.lower()
+
+
+def test_shooting_trial_through_a_nonfinite_metric_is_halved(capsys):
+    # a Newton trial of this cost integrates through points where exp(2xyz)
+    # is not finite; that trial curve fails, its line search halves the
+    # step, and the solve converges, with no traceback
+    code, out, err = run_cli(capsys, "cost", "--metric", "inline", "--g-upper", EXP3D,
+                             "--point", "0.1,0.2,0", "--target", "1.8,1.5,-2.0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["endpoint_error"] < 1e-9
 
 
 def test_indefinite_constant_metric_one_error_everywhere(capsys):

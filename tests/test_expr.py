@@ -274,23 +274,41 @@ def _tree_nodes(children):
 _random_fields = st.recursive(_tree_leaves, _tree_nodes, max_leaves=6)
 
 
+def _sorted_operands(node: tuple) -> tuple:
+    """``node`` with the operands of each + and * in the order of their
+    reprs: two trees map to one repr exactly when they are equal up to the
+    order of those operands, constants compared by repr."""
+    kind = node[0]
+    if kind in ("c", "x"):
+        return node
+    if kind == "^":
+        return ("^", _sorted_operands(node[1]), node[2])
+    kids = [_sorted_operands(k) for k in node[1:]]
+    if kind in ("+", "*"):
+        kids.sort(key=repr)
+    return (kind, *kids)
+
+
 @settings(max_examples=40, deadline=None)
 @given(fields=st.lists(_random_fields, min_size=1, max_size=3),
        degree=st.integers(0, 4))
 def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
     space = JetSpace.get(_TREE_DIM, degree)
-    # the derivation the plan runs, on one DAG for all fields
+    # the derivation the plan runs, on one DAG for all fields, is the plain
+    # recursive one up to the operand order of + and * (a x*y and a y*x
+    # are one node, the first one met), constants' signs of zero included
     dag = ex._Dag()
     refs = []
     for f in fields:
         root = dag.tree(f.tree)
-        assert root == f.tree
+        assert repr(_sorted_operands(root)) == repr(_sorted_operands(f.tree))
         for m in space.monomials:
-            want = reference_partial(f.tree, m)
-            assert dag.partial(root, m) == want
+            want = _sorted_operands(reference_partial(f.tree, m))
+            assert repr(_sorted_operands(dag.partial(root, m))) == repr(want)
             refs.append(want)
-    # one row per distinct partial: equal trees share a row, and only
-    # constants of equal value but different sign of zero share more
+    # one row per distinct partial: trees equal up to operand order share
+    # a row, and only constants of equal value but different sign of zero
+    # share more
     plan = ex.TaylorPlan(fields, space)
     assert len(set(refs)) <= plan.distinct <= len(set(map(repr, refs)))
     X = np.random.default_rng(5).uniform(-0.5, 0.5, (4, _TREE_DIM))
@@ -298,6 +316,10 @@ def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
         got = plan.values(X)[plan.rows.ravel()]
         want = _per_field_values([ex.ScalarField(r, _TREE_DIM) for r in refs], X.T)
     assert np.array_equal(got, want, equal_nan=True)
+    # a partial that is not a constant has the sign of zero of its tree too
+    live = [r[0] != "c" for r in refs]
+    assert np.array_equal(np.signbit(got[live]) | np.isnan(got[live]),
+                          np.signbit(want[live]) | np.isnan(want[live]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,6 +379,56 @@ def test_plan_function_reads_each_partial_as_the_plan_computes_it():
     finally:
         ex._compile = compile_
     assert len(lines[0].splitlines()) < 2 + len(plan._lines)
+
+
+def test_commuted_sums_and_products_share_one_plan_row():
+    # x*y and y*x are one DAG node, and so are their partials and the sums
+    # that hold them in either order
+    fields = [parse_field(t, 3) for t in ("x*y", "y*x", "x*y + z", "z + y*x")]
+    plan = ex.TaylorPlan(fields, JetSpace.get(3, 2))
+    assert np.array_equal(plan.rows[0], plan.rows[1])
+    assert np.array_equal(plan.rows[2], plan.rows[3])
+    assert plan.distinct == ex.TaylorPlan(fields[::2], JetSpace.get(3, 2)).distinct
+
+
+# each identity _emit folds a negation by, and the places it binds one
+_NEGATION_FORMS = ["(0 - x)*y", "x*(0 - y)", "(0 - x)*(0 - y)", "x + (0 - y)",
+                   "(0 - x) + y", "(0 - x) + (0 - y)", "x - (0 - y)", "(0 - x) - y",
+                   "(0 - x) - (0 - y)", "0 - (0 - x)*y", "exp(0 - x)", "(0 - x)^3",
+                   "0 - x"]
+
+
+def test_emitted_negations_are_exact_at_signed_zeros():
+    # at every pair of signed zeros, infinities, NaN and finite values each
+    # form's line equals its tree evaluated node by node, the sign of zero
+    # included, and a name bound as a negation is never negated again
+    fields = [parse_field(t, 2) for t in _NEGATION_FORMS]
+    plan = ex.TaylorPlan(fields, JetSpace.get(2, 0))
+    vals = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
+    X = np.array([(a, b) for a in vals for b in vals])
+    with np.errstate(all="ignore"):
+        got = plan.values(X)[plan.rows[:, 0]]
+        want = _per_field_values(fields, X.T)
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+    # two negation lines: the root -(x y), and -x, which exp, the power,
+    # the root 0 - x and the one line of (-x) + (-y) and (-x) - y read;
+    # the other forms fold theirs into lines x y, x - y, y - x and x + y
+    assert plan.negations == {plan.exprs[0]: plan.exprs[2], plan.exprs[-1]: "t0"}
+    assert len(plan._lines) == 11
+
+
+def test_code_negation_of_a_negation_is_its_operand():
+    code = ex._Code({"t4": "t2"})  # a DAG line t4 = -t2
+    assert code.neg("t4") == "t2"
+    assert code.sub(0.0, "t4") == "t2"
+    assert code.mul(-1.0, "t4") == "t2"
+    s = code.neg("t7")
+    assert code.lines == [f"    {s} = -t7"]
+    assert code.neg(s) == "t7"
+    assert code.neg(code.neg("t2")) == "t2"
+    assert len(code.lines) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Pointwise tensor pipeline: Christoffel, curvature, covariant derivatives."""
 
 import gc
+import hashlib
+import io
+import math
+import re
+import tokenize
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -11,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtwcheck import conformal as cf
 from mtwcheck import expr as ex
+from mtwcheck import geometry
 from mtwcheck.errors import (
     DegeneratePlaneError,
     DimensionError,
@@ -304,6 +310,127 @@ def test_jet_tensors_match_point_evaluator(name, rng):
         for key, ref in want.items():
             assert np.allclose(got[key][b], ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref))), key
+
+
+def test_nonfinite_metric_fails_without_eigenvalues(monkeypatch):
+    # a g that is not finite fails with eigenvalue nan and never reaches
+    # eigvalsh, which raises on [[inf, 1], [1, 1]] and finds [[nan, 0],
+    # [0, 1]] positive semidefinite; finite ones keep their eigenvalues
+    inf, nan = math.inf, math.nan
+    g = np.array([[[2.0, 0.0], [0.0, 1.0]], [[inf, 1.0], [1.0, 1.0]],
+                  [[1.0, 2.0], [2.0, 1.0]], [[nan, 0.0], [0.0, 1.0]],
+                  [[1.0, 1.2], [1.2, 2.0]]])
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    bad, w = geometry._indefinite(g)
+    assert bad.tolist() == [1, 2, 3]
+    assert np.isnan(w[[0, 2]]).all() and w[1] == -1.0
+    assert len(seen) == 1 and np.isfinite(seen[0]).all()
+    assert np.array_equal(seen[0], g[[2, 4]])
+    with pytest.raises(MetricDegenerateError, match=r"at \[0\.5\]: min eigenvalue nan"):
+        geometry.require_positive_definite(g[1:2], np.array([[0.5]]))
+
+
+def _stage_case(name):
+    """The metric and potential of a stage-kernel case."""
+    if name == "sphere":
+        return sphere_metric(), None
+    if name == "conformal":
+        return cf.conformal_metric(cf.ConformalSpec(a=-3.0)), None
+    if name == "flat-quartic":
+        return euclidean_metric(2), quartic_potential([[0.6, 0.1], [0.1, 0.9]])
+    if name == "inline3d":
+        return inline3d_metric(), None
+    upper = ["exp(x1*x2)", "0", "0", "0.1*x3*x4", "exp(x1*x2)", "0", "0",
+             "exp(x1*x2)", "0.2*x2", "exp(x1*x2)"]  # CI's 4-D inline metric
+    return (MetricField.from_upper([parse_field(t, 4) for t in upper], 4),
+            PotentialField(parse_field("0 - x1^2*x2 - 0.2*x4^2", 4), 4))
+
+
+# The first 16 hex digits of the sha256 of the comma-joined float.hex of
+# each generated kernel's output at three fixed lanes, recorded before the
+# batch functions read their literals as 0-d arrays and folded negations
+# into the lines that read them: the stage kernel's slope and g, its
+# linearization, the plan's partials of the fields and the scalar step's
+# record (n <= 3).
+_KERNEL_PINS = {
+    "sphere": {"slope": "ded86478300dd237", "g": "87bdd50df9350ad2",
+               "lin": "fdf80fd63be7c222", "plan": "b0e2bbb6e308a364",
+               "step": "71f219ae0af47d44"},
+    "conformal": {"slope": "2ed76b61a5da54ac", "g": "b2016b87e2ec5383",
+                  "lin": "f405b654ca4c7bfb", "plan": "c3a2719fef5e77db",
+                  "step": "a0132b5f87aeac4c"},
+    "flat-quartic": {"slope": "db9cab1e33666476", "g": "c8e528897ce8e40e",
+                     "lin": "0554eb5bdc9f4950", "plan": "ce33d772d8dda7a4",
+                     "step": "14fc91f6a1793c7e"},
+    "inline3d": {"slope": "9bc49d3bc6e84336", "g": "195180ffdb83c4f7",
+                 "lin": "892601b879b89e13", "plan": "0730eb026301cd84",
+                 "step": "bfd17d0691c0b7ad"},
+    "inline4d": {"slope": "b0e3c7dcfa4b579a", "g": "c089f52ba266fde0",
+                 "lin": "4c7dae16ab679409", "plan": "ef80830c22236a19"},
+}
+
+
+def _hex_digest(values) -> str:
+    text = ",".join(map(float.hex, np.ravel(values).tolist()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PINS))
+def test_generated_kernels_keep_their_bits(name, plan_cache):
+    metric, pot = _stage_case(name)
+    n = metric.dim
+    rng = np.random.default_rng(2)
+    X = (1.2 if name == "sphere" else 0.0) + rng.uniform(-0.3, 0.3, (3, n))
+    V = rng.uniform(-0.5, 0.5, (3, n))
+    a = np.concatenate([X.T, V.T])
+    fn, g_fill, step, lin = _curve_stage(metric, pot)
+    k, g = np.empty((2 * n, 3)), np.zeros((3, n, n))
+    if g_fill is not None:
+        g[...] = g_fill
+    fn(a, k, g)
+    plan = _plan_of(geometry._fields_of(metric, pot), JetSpace.get(n, 2))
+    got = {"slope": k, "g": g, "lin": lin(a), "plan": plan.values(X)[plan.rows]}
+    if step is not None:
+        got["step"] = [step(0.05, r) for r in a.T.tolist()]
+    assert {key: _hex_digest(v) for key, v in got.items()} == _KERNEL_PINS[name]
+
+
+def test_generated_kernels_bind_literals_and_fold_negations(plan_cache, monkeypatch):
+    # every batch function (the plans' value functions, the stage kernels
+    # and their linearizations) reads its float literals from read-only
+    # 0-d arrays in its globals, and none negates a negation; the scalar
+    # step keeps Python floats
+    compiled = []
+    compile_ = ex._compile
+
+    def recording(src, name, scope=None):
+        fn = compile_(src, name, scope)
+        compiled.append((name, src, fn))
+        return fn
+
+    monkeypatch.setattr(ex, "_compile", recording)
+    for name in _KERNEL_PINS:
+        _curve_stage(*_stage_case(name))
+    assert [name for name, *_ in compiled].count("_step") == 4
+    arrays = 0
+    for name, src, fn in compiled:
+        negations = dict(re.findall(r"^    (\w+) = -(\w+)$", src, re.MULTILINE))
+        assert not set(negations.values()) & set(negations)
+        tokens = list(tokenize.generate_tokens(io.StringIO(src).readline))
+        floats = [t.string for t in tokens if t.type == tokenize.NUMBER
+                  and not t.string.isdigit() or t.string in ("inf", "nan")]
+        if name == "_step":
+            assert "0.5" in floats
+            continue
+        assert floats == []
+        for key, value in fn.__globals__.items():
+            if re.fullmatch(r"_k\d+", key):
+                arrays += 1
+                assert value.shape == () and value.dtype == np.float64
+                assert not value.flags.writeable
+    assert arrays > 20
 
 
 def _degree4_reference(metric, x, potential, order):
