@@ -31,35 +31,28 @@ canonicalized to a fixed differentiation order (variable 0 first).
 Derivatives are taken on a DAG that one build makes for itself and
 drops when it ends (:class:`_Dag`, hash-consing): its nodes are interned
 by kind and by their children's identities, the operands of ``+`` and
-``*`` in either order, so subtrees equal up to that order are one
-object, and :func:`_diff` derives each (node, variable) pair once.  A
-:class:`TaylorPlan` derives all partials of all its fields on one DAG
-and evaluates them through one generated NumPy function, which binds
-each distinct node's line once (:func:`_emit`), so both cost one step
-per distinct node; the plan keeps those lines, and a function derived
-from it (:meth:`TaylorPlan.function`) starts with the ones it reads,
-its own lines written by :class:`_Code`, which folds constants.
-:func:`_emit` folds a negation into the line that reads it where an
-identity exact in IEEE 754 allows (-(-a) = a, (-a) b = -(a b),
-a + (-b) = a - b, a - (-b) = a + b), :class:`_Code` negates a negation
-to its operand, and a generated batch function reads each float literal
-from a read-only 0-d array (:func:`_bind_literals`), so each value is
-computed bit for bit as its tree gives it in fewer and cheaper NumPy
-calls.
+``*`` in either order, and :func:`_diff` derives each (node, variable)
+pair once.  A :class:`TaylorPlan` derives all partials of all its fields
+on one DAG and evaluates them through one generated NumPy function.  One
+writer (:class:`_Writer`) writes all generated code: a plan's DAG lines,
+and continuing from them the RK4 stage kernel, its linearization and
+scalar step of :mod:`mtwcheck.geometry`.  Its lines are records, each
+bound once, its values carry a pending sign, folded by identities exact
+in IEEE 754, and a function runs only the lines its statements read, so
+each value is computed bit for bit as its tree gives it.
 :func:`eval_partial` derives one partial on a DAG of its own and
-evaluates it with the scalar evaluator (:func:`_codegen`); it stores
-nothing on the field.  No table
-outlives its build: the one cache that does, of plans keyed by their
-fields' texts (``ScalarField._source``), is kept by
-:mod:`mtwcheck.geometry`.
+evaluates it with the scalar evaluator (:func:`_codegen`).  No table
+outlives its build but the cache of plans keyed by their fields' texts
+(``ScalarField._source``), kept by :mod:`mtwcheck.geometry`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,6 +64,14 @@ from .jets import JetSpace
 # work one request can ask for, since derivative trees grow
 # combinatorially with the order.  The tensor pipeline needs order 4.
 MAX_PARTIAL_ORDER = 8
+
+# Deepest nesting parse_field accepts, in tree levels (a sum of k terms is
+# k deep) and parentheses or calls: the tree walks (_codegen, _Dag.tree,
+# _diff, _Writer.tree) recurse once per level of an order-k derivative,
+# which nests up to k + 1 per level, and the parser 4 times per parenthesis,
+# so at order 4 a text 150 deep takes about 750 of the default 1000 frames.
+# A flat sum of 900 terms, which ran before, is refused; grouped, it passes.
+MAX_NESTING = 150
 
 # ---------------------------------------------------------------------------
 # Expression trees: immutable nested tuples.
@@ -163,15 +164,9 @@ class _Dag:
     node, the first one met, and :func:`_diff` derives each (node,
     variable) pair once.
 
-    No other identity rewrites a node.  The negation identities exact
-    in IEEE 754, signed zeros included (-(-a) = a, (-a) b = a (-b) =
-    -(a b), a + (-b) = a - b, (-a) + b = b - a, a - (-b) = a + b), are
-    applied where the code is written (:func:`_emit`): on the DAG they
-    would move derivatives, since the derivative of -(x y) is not the
-    tree of (-x) y's, and d2/dx2 of (-x) y would turn from 0.0 into -0.0.
-    Identities that are not exact stay out everywhere: -(a - b) = b - a
-    gives -0 where a = b, and merging 1.1*(x + x) into 2.2*x changes the
-    rounding.
+    No other identity rewrites a node: the negation identities that
+    :class:`_Writer` applies would move derivatives here, since d2/dx2 of
+    (-x) y is 0.0 and that of -(x y) is -0.0.
 
     The tables keep every node alive, which keeps the identities valid;
     they live as long as the build that made them and are not shared.
@@ -292,8 +287,8 @@ _EVAL_GLOBALS = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos,
 # scalar path reaches, so polynomial fields agree bit for bit.  A batch
 # function reads no float literal: TaylorPlan.function binds each, the
 # exponents of _pow and the inf and nan a derivative folds included, to
-# a read-only 0-d array (_bind_literals), which NumPy takes in an
-# elementwise call for less than a Python float.
+# a read-only 0-d array, which NumPy takes in an elementwise call for
+# less than a Python float.
 _BATCH_GLOBALS = {"_exp": np.exp, "_sin": np.sin, "_cos": np.cos,
                   "_pow": np.float_power, "_empty": np.empty}
 
@@ -306,85 +301,6 @@ _SCALAR_GLOBALS = {"_exp": lambda x: float(np.exp(x)), "_sin": lambda x: float(n
                    "inf": math.inf, "nan": math.nan}
 
 
-def _emit(roots: Sequence[Node]) -> tuple[list[str], list[str]]:
-    """The straight-line source evaluating interned roots of one
-    :class:`_Dag` at the coordinate rows ``c``: its lines, and each
-    root's expression (a temporary's name, or a literal for a constant).
-
-    The source is built in one pass over the DAG and computes each node's
-    value bit for bit, the sign of a NaN aside.  A negation is carried to
-    the lines that read it by identities exact in IEEE 754, signed zeros
-    included: -(-a) = a, (-a) b = a (-b) = -(a b), a + (-b) = a - b,
-    (-a) + b = b - a, a - (-b) = a + b and (-a) - (-b) = b - a.  It is
-    bound as a line of its own only where nothing folds it: at a root, a
-    power, exp, sin or cos, and in (-a) + (-b) = (-a) - b and (-a) - b
-    (-(a + b) would turn a + b = +0 into -0).  A line is bound once, the
-    operands of + and * in either order, so each distinct subtree across
-    all roots, a coordinate row included, costs at most one line and its
-    negation one more.
-    """
-    signed: dict = {}  # id(node) -> (name or literal x, s): the node is x, negated if s
-    temps: dict = {}  # a line's key -> its temporary
-    lines: list[str] = []
-
-    def bind(src: str, key=None) -> str:
-        name = temps.get(src if key is None else key)
-        if name is None:
-            name = temps[src if key is None else key] = f"t{len(temps)}"
-            lines.append(f"    {name} = {src}")
-        return name
-
-    def value(node: Node) -> str:
-        """The node's value, its negation bound as a line."""
-        x, neg = emit(node)
-        return bind(f"-{x}") if neg else x
-
-    def emit(node: Node) -> tuple[str, bool]:
-        kind = node[0]
-        if kind == "c":
-            return f"({node[1]!r})", False
-        out = signed.get(id(node))
-        if out is not None:
-            return out
-        if kind == "x":
-            out = bind(f"c[{node[1]}]"), False
-        elif kind == "neg":
-            x, neg = emit(node[1])
-            out = x, not neg
-        elif kind == "*":
-            (a, sa), (b, sb) = emit(node[1]), emit(node[2])
-            out = bind(f"{a}*{b}", ("*", *sorted((a, b)))), sa != sb
-        elif kind in ("+", "-"):
-            (a, sa), (b, sb) = emit(node[1]), emit(node[2])
-            sb ^= kind == "-"  # a - b = a + (-b)
-            if sa and sb:
-                a = bind(f"-{a}")
-            if sb:
-                out = bind(f"{a}-{b}"), False
-            elif sa:
-                out = bind(f"{b}-{a}"), False
-            else:
-                out = bind(f"{a}+{b}", ("+", *sorted((a, b)))), False
-        elif kind == "^":
-            out = bind(f"_pow({value(node[1])}, ({float(node[2])!r}))"), False
-        else:
-            out = bind(f"_{kind}({value(node[1])})"), False
-        signed[id(node)] = out
-        return out
-
-    out = [value(r) for r in roots]
-    del emit, value  # the recursive closures are reference cycles
-    return lines, out
-
-
-# a temporary of the generated code (see _emit), a DAG line that binds
-# one as the negation of another, and a float literal as _emit and
-# _Code.text write it: the repr of a float in parentheses
-_TEMP = re.compile(r"\bt\d+\b")
-_NEGATION = re.compile(r"^    (t\d+) = -(t\d+)$", re.MULTILINE)
-_LITERAL = re.compile(r"\((-?(?:inf|nan|\d+\.\d*(?:e[-+]\d+)?|\d+e[-+]\d+))\)")
-
-
 def _compile(src: str, name: str, scope: dict | None = None) -> Callable:
     """The function ``name`` defined by generated ``src``, run with the
     batch evaluator's globals and ``scope``."""
@@ -393,86 +309,94 @@ def _compile(src: str, name: str, scope: dict | None = None) -> Callable:
     return scope.pop(name)  # a function in its own globals is a cycle
 
 
-def _bind_literals(src: str) -> tuple[str, dict]:
-    """``src`` with each distinct float literal read from a name, and the
-    names' values: read-only 0-d float64 arrays, one per literal."""
-    names: dict = {}
-    src = _LITERAL.sub(lambda m: names.setdefault(m[1], f"_k{len(names)}"), src)
-    arrays = {}
-    for text, name in names.items():
-        arrays[name] = np.array(float(text))
-        arrays[name].flags.writeable = False
-    return src, arrays
+class _Writer:
+    """Straight-line code as line records, folded as it is written; a
+    writer made from ``base`` continues from its lines.
 
+    Line k, named ``t<k>``, is a record (operation, *operands): an earlier
+    line's index or a float literal, or an input's text (``c[0]``).  A
+    value is a float known at generation or a pair (k, neg), line k
+    negated if neg: the sign stays pending until a line that cannot fold
+    it reads the value, and a statement writes it as ``-t<k>``.  Each line
+    computes its value bit for bit, the sign of a NaN aside: two floats
+    fold at generation (Python's float arithmetic is NumPy's IEEE double),
+    a record written twice, the operands of + and * in either order, is
+    one line, and signs are carried by identities exact in IEEE 754, signed
+    zeros included: -(-a) = a, (-a) b = -(a b) and so a / b, a + (-b) = a -
+    b, (-a) + b = b - a and a - (-b) = a + b.  A negation is a line only
+    under pow, exp, sin or cos and in (-a) + (-b) = (-a) - b (-(a + b)
+    turns +0 into -0); -(a - b) = b - a and 1.1*(x + x) = 2.2*x are not
+    exact and not used.  :meth:`tree` writes a DAG as it is; :meth:`add`
+    and the others also fold structural zeros and ones, as _mk_* does.
+    """
 
-def _gather(exprs: Sequence[str]) -> list[str]:
-    """Generated lines returning the rows ``exprs`` as one (len, B) array."""
-    return ([f"    out = _empty(({len(exprs)},) + c.shape[1:])"]
-            + [f"    out[{k}] = {r}" for k, r in enumerate(exprs)] + ["    return out"])
+    def __init__(self, base: "_Writer | None" = None):
+        self.lines: list = [] if base is None else list(base.lines)
+        self._index: dict = {} if base is None else dict(base._index)  # key -> line
 
+    def _line(self, op: str, *args) -> tuple:
+        keys = tuple([("k", repr(a)) if isinstance(a, float) else a for a in args])
+        key = (op, frozenset(keys)) if op in ("+", "*") else (op, *keys)
+        if key not in self._index:
+            self._index[key] = len(self.lines)
+            self.lines.append((op, *args))
+        return self._index[key], False
 
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-class _Code:
-    """Generated straight-line NumPy code, folded as it is written: a
-    value is a float known at generation or the name of an array.
-    Operations on two floats run at generation (Python's float arithmetic
-    is NumPy's IEEE double), 0 and 1 fold away, 0 / x is a structural 0,
-    a line written twice is bound once, and the negation of a name bound
-    as -x, by these lines or by the ``negations`` of a plan's DAG lines
-    ({name: x}), is x."""
-
-    def __init__(self, negations: dict | None = None):
-        self.lines, self._names = [], {}
-        self._negated = dict(negations or {})
-
-    def bind(self, src: str) -> str:
-        if src not in self._names:
-            self._names[src] = name = f"s{len(self._names)}"
-            self.lines.append(f"    {name} = {src}")
-        return self._names[src]
+    def _operand(self, a):
+        """A value as an operand: its float, or a line holding it."""
+        return a if isinstance(a, float) else self._line("neg", a[0])[0] if a[1] else a[0]
 
     @staticmethod
-    def text(a) -> str:
-        """A value as generated code."""
-        return f"({a!r})" if isinstance(a, float) else a
+    def _sign(a) -> bool:
+        return not isinstance(a, float) and a[1]
 
-    def _op(self, a, sym: str, b):
+    def _sum(self, a, b):
+        """a + b, exactly."""
         if isinstance(a, float) and isinstance(b, float):
-            return _FOLD[sym](a, b)
-        return self.bind(f"{self.text(a)}{sym}{self.text(b)}")
+            return a + b
+        if self._sign(a) and not self._sign(b):  # (-a) + b = b - a
+            a, b = b, a
+        if self._sign(b):
+            return self._line("-", self._operand(a), self._operand(self.neg(b)))
+        return self._line("+", self._operand(a), self._operand(b))
+
+    def _product(self, op: str, a, b):
+        """a op b for op * or /, exactly: the operands' signs carried out."""
+        if isinstance(a, float) and isinstance(b, float):
+            return a * b if op == "*" else a / b
+        k, _ = self._line(op, a if isinstance(a, float) else a[0],
+                          b if isinstance(b, float) else b[0])
+        return k, self._sign(a) != self._sign(b)
+
+    def input(self, text: str) -> tuple:
+        """The value an input reads: a row of an array, or a name."""
+        return self._line("in", text)
 
     def neg(self, a):
-        if isinstance(a, float):
-            return -a
-        if a in self._negated:
-            return self._negated[a]
-        name = self.bind(f"-{a}")
-        self._negated[name] = a
-        return name
+        return -a if isinstance(a, float) else (a[0], not a[1])
 
     def add(self, a, b):
-        return b if a == 0.0 else a if b == 0.0 else self._op(a, "+", b)
+        return b if a == 0.0 else a if b == 0.0 else self._sum(a, b)  # no line == 0.0
 
     def sub(self, a, b):
-        return a if b == 0.0 else self.neg(b) if a == 0.0 else self._op(a, "-", b)
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         for x, y in ((a, b), (b, a)):
-            if x in (0.0, 1.0, -1.0):  # False for a name
+            if x in (0.0, 1.0, -1.0):  # False for a line's value
                 return 0.0 if x == 0.0 else y if x == 1.0 else self.neg(y)
-        return self._op(a, "*", b)
+        return self._product("*", a, b)
 
     def div(self, a, b):
-        return 0.0 if a == 0.0 else self._op(a, "/", b)
+        return 0.0 if a == 0.0 else self._product("/", a, b)
+
+    def call(self, fn: str, a, *args) -> tuple:
+        """fn(a) for fn exp, sin or cos, or pow(a, k) for pow and a float k."""
+        return self._line(fn, self._operand(a), *args)
 
     def sum(self, terms):
         """The terms summed left to right."""
-        out = 0.0
-        for t in terms:
-            out = self.add(out, t)
-        return out
+        return reduce(self.add, terms, 0.0)
 
     def inverse(self, G: list) -> list:
         """The inverse of a symmetric n x n matrix of values, n <= 3, as
@@ -489,6 +413,69 @@ class _Code:
         cof = [[cofactor(min(i, j), max(i, j)) for j in range(n)] for i in range(n)]
         det = self.sum(self.mul(G[0][j], cof[0][j]) for j in range(n))
         return [[self.div(x, det) for x in row] for row in cof]
+
+    def tree(self, node: Node, seen: dict):
+        """The value of an interned node of a :class:`_Dag`, whose
+        coordinate x_i is the input ``c[i]``; ``seen`` maps the id of each
+        node written to its value, so a node is written once."""
+        kind = node[0]
+        if kind == "c":
+            return node[1]
+        out = seen.get(id(node))
+        if out is None:
+            if kind == "x":
+                out = self.input(f"c[{node[1]}]")
+            elif kind == "neg":
+                out = self.neg(self.tree(node[1], seen))
+            elif kind == "^":
+                out = self.call("pow", self.tree(node[1], seen), float(node[2]))
+            elif kind in _FUNCS:
+                out = self.call(kind, self.tree(node[1], seen))
+            else:
+                a, b = self.tree(node[1], seen), self.tree(node[2], seen)
+                out = (self._product("*", a, b) if kind == "*" else
+                       self._sum(a, self.neg(b) if kind == "-" else b))
+            seen[id(node)] = out
+        return out
+
+    def render(self, body: Sequence, literal: Callable = "({!r})".format,
+               inputs: dict | None = None) -> list[str]:
+        """The source of ``body``: lines of source, and runs of pairs (target,
+        value or source text), each run after the lines it reads that no
+        earlier run reads, in record order (stores after the lines run
+        faster than between them).  ``literal`` writes a float, ``inputs``
+        renames inputs, and an input reading a name is read in place."""
+        names: dict = {}  # a rendered line's index -> its name
+        src = []
+        for source, run in groupby(body, key=lambda st: isinstance(st, str)):
+            if source:
+                src += run
+                continue
+            run = list(run)
+            new, stack = set(), [v[0] for _, v in run if isinstance(v, tuple)]
+            while stack:  # the lines the run reads and no earlier one did
+                k = stack.pop()
+                if k not in names and k not in new:
+                    new.add(k)
+                    stack += [a for a in self.lines[k][1:] if type(a) is int]
+            for k in sorted(new):
+                op, *args = self.lines[k]
+                if op == "in":
+                    text = (inputs or {}).get(args[0], args[0])
+                    if text.isidentifier():
+                        names[k] = text
+                        continue
+                else:
+                    x, *y = [literal(a) if isinstance(a, float) else names[a] for a in args]
+                    text = (f"-{x}" if op == "neg" else f"_pow({x}, {y[0]})" if op == "pow"
+                            else f"{x}{op}{y[0]}" if y else f"_{op}({x})")
+                names[k] = f"t{k}"
+                src.append(f"    t{k} = {text}")
+            for target, v in run:
+                text = v if isinstance(v, str) else literal(v) if isinstance(v, float) else (
+                    "-" if v[1] else "") + names[v[0]]
+                src.append(f"    {target} = {text}")
+        return src
 
 
 @dataclass(frozen=True)
@@ -619,37 +606,32 @@ class TaylorPlan:
         # a plan is shared by every equal field and thread that asks for it
         self.rows.flags.writeable = False
         self._consts.flags.writeable = False
-        self._lines, names = _emit([first[k] for k in live])
-        # {t: x} for each DAG line t = -x, for the _Code of a derived function
-        self.negations = dict(_NEGATION.findall("\n".join(self._lines)))
-        # the expression of each distinct partial in generated code
-        self.exprs = tuple(names) + tuple(f"({float(c)!r})" for c in self._consts)
-        self._fn = self.function("", _gather(names)) if live else None
+        self.code, seen = _Writer(), {}  # which derived functions continue
+        self.partials = tuple([self.code.tree(first[k], seen) for k in live]
+                              + [first[k][1] for k in consts])
+        self._fn = self.function("", [
+            ("out", f"_empty(({len(live)},) + c.shape[1:])"),
+            *((f"out[{r}]", self.partials[r]) for r in range(len(live))),
+            "    return out"]) if live else None
         # the kernels a user derives from this plan (the RK4 curve stage of
         # dynamics and its linearization), kept with the plan so that they
         # are compiled once
         self.kernel = None
 
-    def lines(self, body: Sequence[str]) -> list[str]:
-        """The plan's DAG lines that ``body`` reads, in their order."""
-        used = set(_TEMP.findall("\n".join(body)))
-        lines = []
-        for line in reversed(self._lines):  # a line reads only earlier ones
-            name, src = line.split(" = ", 1)
-            if name.strip() in used:
-                used.update(_TEMP.findall(src))
-                lines.append(line)
-        return lines[::-1]
-
-    def function(self, params: str, body: Sequence[str],
-                 scope: dict | None = None) -> Callable:
+    def function(self, params: str, body: Sequence, scope: dict | None = None,
+                 code: _Writer | None = None) -> Callable:
         """A generated function of the coordinate rows ``c`` (dim, B) and
-        ``params`` whose first lines are the plan's DAG lines that ``body``
-        reads (:meth:`lines`), then ``body``, in which distinct partial r
-        reads as ``exprs[r]``; ``scope`` adds to its globals, and each
-        float literal reads a read-only 0-d array (:func:`_bind_literals`)."""
-        head = f"def _plan(c{', ' if params else ''}{params}):"
-        src, arrays = _bind_literals("\n".join([head, *self.lines(body), *body]))
+        ``params`` that runs ``body`` (:meth:`_Writer.render`) of ``code``,
+        a writer continuing the plan's (the plan's own by default), in
+        which distinct partial r is ``partials[r]``; ``scope`` adds to its
+        globals, and each float literal reads a read-only 0-d array."""
+        names: dict = {}  # a literal's repr -> its name
+        lines = (code or self.code).render(
+            body, lambda v: names.setdefault(repr(v), f"_k{len(names)}"))
+        arrays = {name: np.array(float(text)) for text, name in names.items()}
+        for a in arrays.values():
+            a.flags.writeable = False
+        src = "\n".join([f"def _plan(c{', ' if params else ''}{params}):", *lines])
         return _compile(src, "_plan", {**(scope or {}), **arrays})
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -762,6 +744,7 @@ class _Parser:
                 self.tokens.append((m.lastgroup, m.group(), pos))
             pos = m.end()
         self.i = 0
+        self.depth = 0  # parentheses and calls open at the current token
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -785,7 +768,26 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise FieldSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        depth, stack = 0, [(node, 1)]
+        while stack:  # the tree's depth, without recursion
+            n, d = stack.pop()
+            depth = max(depth, d)
+            stack += [(a, d + 1) for a in n[1:] if isinstance(a, tuple)]
+        if depth > MAX_NESTING:
+            raise FieldSyntaxError(
+                f"expression nests {depth} levels deep, more than {MAX_NESTING}", 0)
         return node
+
+    def _nested(self, pos: int) -> Node:
+        """The expression in the parenthesis or call opened at ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FieldSyntaxError(
+                f"parentheses and calls nest more than {MAX_NESTING} deep", pos)
+        inner = self._expr()
+        self._expect_op(")")
+        self.depth -= 1
+        return inner
 
     def _expr(self) -> Node:
         node = self._term()
@@ -829,9 +831,7 @@ class _Parser:
         if kind == "ident":
             if value in _FUNCS:
                 self._expect_op("(")
-                inner = self._expr()
-                self._expect_op(")")
-                return (value, inner)
+                return (value, self._nested(pos))
             idx = self._var_index(value)
             if idx is not None:
                 if idx >= self.dim:
@@ -843,9 +843,7 @@ class _Parser:
                 return self._constant(float(self.constants[value]), pos)
             raise FieldSyntaxError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            inner = self._expr()
-            self._expect_op(")")
-            return inner
+            return self._nested(pos)
         raise FieldSyntaxError(f"unexpected token {value!r}", pos)
 
     @staticmethod
@@ -882,7 +880,8 @@ def parse_field(
     """Parse an expression into a :class:`ScalarField` of dimension ``dim``.
 
     ``constants`` maps identifier names to decimal values bound at parse
-    time.  Syntax errors carry the character offset of the failure.
+    time.  Syntax errors, text nested deeper than MAX_NESTING included,
+    carry the character offset of the failure.
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")

@@ -391,16 +391,17 @@ def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
     """Two straight-line functions of the degree-2 plan of the equations'
     fields, the curve's slope at a stage and its linearization, with the
     constant entries of g, (n, n) with 0 elsewhere (None if all are), and
-    for n <= 3 the slope's lines as one RK4 step of one lane in Python
+    for n <= 3 the same values as one RK4 step of one lane in Python
     floats (:func:`_scalar_step`; None for n >= 4): (fn, fill, step, lin).
+    All three are written by one writer that continues from the plan's
+    (:class:`~mtwcheck.expr._Writer`), and each runs only the lines its
+    statements read, so each partial is the plan's value; a constant
+    partial is a literal, and a zero one drops out.
 
     ``fn(a, k, g)`` reads the stage argument a (2n, lanes), a row per
     coordinate [x; v], and writes the slope [v; -Gamma(v, v) - grad V]
     into k (2n, lanes) and the entries of g that are not constant into g
-    (lanes, n, n).  Its first lines are the plan's DAG lines it reads
-    (:meth:`~mtwcheck.expr.TaylorPlan.function`), so each partial is the
-    plan's value; a constant partial is a literal, and a zero one drops
-    out.  With the partials lowered by g,
+    (lanes, n, n).  With the partials lowered by g,
 
         f_m = sum_ij d_m g_ij v^i v^j / 2 - sum_j (D_v g_jm) v^j - d_m V,
 
@@ -412,23 +413,17 @@ def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
     and every operation is elementwise over lanes or, for n >= 4, a
     matmul stacked over them.
 
-    ``lin(a)`` runs the same lines and returns [d_x F, Gamma v] at each
-    column of a, (columns, n, 2n), F = Gamma(v, v) + grad V = -dv, so
-    the slope's Jacobian is [[0, I], [-d_x F, -2 Gamma v]].  Lowered by
-    g, column p of d_x F is -d_p f_m, f_m with every partial shifted by
-    d_p, minus sum_a d_p g_ma F^a, and column j of Gamma v is
-    (D_v g_jm + sum_i v^i (d_j g_im - d_m g_ij)) / 2; the slope's g^-1
-    lifts both, by cofactors for n <= 3 and one stacked matmul for n >= 4.
+    ``lin(a)`` returns [d_x F, Gamma v] at each column of a, (columns, n,
+    2n), F = Gamma(v, v) + grad V = -dv, so the slope's Jacobian is
+    [[0, I], [-d_x F, -2 Gamma v]].  Lowered by g, column p of d_x F is
+    -d_p f_m, f_m with every partial shifted by d_p, minus sum_a d_p g_ma
+    F^a, and column j of Gamma v is (D_v g_jm + sum_i v^i (d_j g_im -
+    d_m g_ij)) / 2; the slope's g^-1 lifts both, by cofactors for n <= 3
+    and one stacked matmul for n >= 4.
     """
     part = _partial_rows(plan, n)
-    code, live = ex._Code(plan.negations), plan._live
-
-    def value(r):
-        """The plan's distinct partial r: a literal, or its row's name."""
-        return plan.exprs[r] if r < live else float(plan._consts[r - live])
-
-    def vel(i):
-        return code.bind(f"c[{n + i}]")
+    code, value = ex._Writer(plan.code), plan.partials.__getitem__
+    vel = [code.input(f"c[{n + i}]") for i in range(n)]
 
     def by_row(pairs):
         """The sum of value(r) * t over the pairs (r, t) with a row r, the
@@ -447,73 +442,71 @@ def _stage_kernel(plan: TaylorPlan, n: int, has_potential: bool
         return None if value(r) == 0.0 else r
 
     def d_v(i, j, p=None):  # D_v g_ij (d_p D_v g_ij)
-        return by_row((dg(m, i, j, p), vel(m)) for m in range(n))
+        return by_row((dg(m, i, j, p), vel[m]) for m in range(n))
 
     def force(m, p=None):  # f_m (d_p f_m); a v^i v^j no term reads is not bound
-        half = by_row((dg(m, i, j, p), code.mul(0.5, code.mul(vel(i), vel(i))) if i == j
-                       else code.mul(vel(i), vel(j)))
+        half = by_row((dg(m, i, j, p), code.mul(0.5, code.mul(vel[i], vel[i])) if i == j
+                       else code.mul(vel[i], vel[j]))
                       for i in range(n) for j in range(i, n) if dg(m, i, j, p) is not None)
-        fm = code.sub(half, code.sum(code.mul(d, vel(j)) for j in range(n)
+        fm = code.sub(half, code.sum(code.mul(d, vel[j]) for j in range(n)
                                      if (d := d_v(j, m, p)) != 0.0))
         return code.sub(fm, value(part[n * n, col(m, p)])) if has_potential else fm
 
     G = [[value(part[i * n + j, 0]) for j in range(n)] for i in range(n)]
-    g_lines = [f"    g[:, {i}, {j}] = {x}" for i, row in enumerate(G)
-               for j, x in enumerate(row) if isinstance(x, str)]
-    constant = not g_lines
+    g_set = [(f"g[:, {i}, {j}]", x) for i, row in enumerate(G)
+             for j, x in enumerate(row) if not isinstance(x, float)]
+    constant = not g_set
     f = [force(m) for m in range(n)]
     if n <= 3:
         gi = code.inverse(G)
-        acc = [code.sum(code.mul(gi[k][m], f[m]) for m in range(n)) for k in range(n)]
-        dv = [code.text(x) for x in acc]
-        out = [f"    k[{n + k}] = {x}" for k, x in enumerate(dv)]
+        dv = [code.sum(code.mul(gi[k][m], f[m]) for m in range(n)) for k in range(n)]
+        out = [(f"k[{n + k}]", x) for k, x in enumerate(dv)]
         slope = []
-    else:  # dv = g^-1 f, one matmul stacked over lanes
-        acc = [f"dv[{a}]" for a in range(n)]
+    else:  # dv = g^-1 f, one matmul stacked over lanes, read by lin as dv0, dv1, ...
+        dv = [code.input(f"dv{a}") for a in range(n)]
         out = [f"    k[{n}:] = (gi @ f[..., None])[..., 0].T"]
         slope = ["    gi = _gi" if constant else "    gi = _inv(g)",
-                 f"    f = _empty((c.shape[1], {n}))",
-                 *(f"    f[:, {m}] = {code.text(x)}" for m, x in enumerate(f))]
-    stage = list(code.lines)
-    body = g_lines + stage + [f"    k[0:{n}] = c[{n}:]"] + slope + out
+                 ("f", f"_empty((c.shape[1], {n}))"),
+                 *((f"f[:, {m}]", x) for m, x in enumerate(f))]
+    body = g_set + [(f"k[0:{n}]", f"c[{n}:]")] + slope + out
 
     def twist(j, m):  # sum_i v^i (d_j g_im - d_m g_ij), 0 where j = m
         if j == m:
             return 0.0
-        return code.sub(by_row((dg(j, i, m), vel(i)) for i in range(n)),
-                        by_row((dg(m, i, j), vel(i)) for i in range(n)))
+        return code.sub(by_row((dg(j, i, m), vel[i]) for i in range(n)),
+                        by_row((dg(m, i, j), vel[i]) for i in range(n)))
 
     # the linearization lowered by g: [m, p] = (g d_p F)_m, [m, n + j] = (g Gamma v)_mj
-    low = [[code.sub(by_row((dg(p, m, a), acc[a]) for a in range(n)), force(m, p))
+    low = [[code.sub(by_row((dg(p, m, a), dv[a]) for a in range(n)), force(m, p))
             for p in range(n)]
            + [code.mul(0.5, code.add(d_v(j, m), twist(j, m))) for j in range(n)]
            for m in range(n)]
     if n <= 3:
         lifted = [[code.sum(code.mul(gi[k][m], low[m][q]) for m in range(n))
                    for q in range(2 * n)] for k in range(n)]
-        lin_body = code.lines + [f"    A = _empty((c.shape[1], {n}, {2 * n}))"] + [
-            f"    A[:, {k}, {q}] = {code.text(x)}" for k, row in enumerate(lifted)
-            for q, x in enumerate(row)] + ["    return A"]
+        lin_body = [("A", f"_empty((c.shape[1], {n}, {2 * n}))"),
+                    *((f"A[:, {k}, {q}]", x) for k, row in enumerate(lifted)
+                      for q, x in enumerate(row)), "    return A"]
     else:
         lin_body = ([] if constant else [f"    g = _empty((c.shape[1], {n}, {n}))",
-                                         "    g[:] = _fill", *g_lines]) + stage + slope + [
-            "    dv = (gi @ f[..., None])[..., 0].T", *code.lines[len(stage):],
-            f"    low = _empty((c.shape[1], {n}, {2 * n}))",
-            *(f"    low[:, {m}, {q}] = {code.text(x)}" for m, row in enumerate(low)
+                                         "    g[:] = _fill", *g_set]) + slope + [
+            f"    {', '.join(f'dv{a}' for a in range(n))} = (gi @ f[..., None])[..., 0].T",
+            ("low", f"_empty((c.shape[1], {n}, {2 * n}))"),
+            *((f"low[:, {m}, {q}]", x) for m, row in enumerate(low)
               for q, x in enumerate(row)), "    return gi @ low"]
     fill = None if constant else np.array(
         [[x if isinstance(x, float) else 0.0 for x in row] for row in G])
     scope = {"_inv": _inv_or_nan, "_fill": fill,
              "_gi": np.linalg.inv(G) if constant and n > 3 else None}
-    step = _scalar_step(plan, n, stage, None if constant else G, dv) if n <= 3 else None
-    return (plan.function("k, g", body, scope), fill, step,
-            plan.function("", lin_body, scope))
+    step = _scalar_step(code, n, None if constant else G, dv) if n <= 3 else None
+    return (plan.function("k, g", body, scope, code), fill, step,
+            plan.function("", lin_body, scope, code))
 
 
-def _scalar_step(plan: TaylorPlan, n: int, lines: list, G: list | None,
-                 dv: list) -> Callable:
-    """The stage kernel's ``lines``, g ``G`` (None if constant) and slope
-    ``dv`` (n <= 3) as one whole RK4 step of one lane in Python floats.
+def _scalar_step(code: ex._Writer, n: int, G: list | None, dv: list) -> Callable:
+    """The values of ``code`` that are g ``G`` (None if constant) and the
+    slope ``dv`` (n <= 3) as one whole RK4 step of one lane in Python
+    floats, the lines that they read rendered once per stage.
 
     ``step(h, r)`` reads [x; v] from r[0:2n] and returns one flat tuple:
     [x; v] after the step, the four stage arguments and, unless g is
@@ -523,7 +516,6 @@ def _scalar_step(plan: TaylorPlan, n: int, lines: list, G: list | None,
     """
     m = 2 * n
     entries = [] if G is None else [x for row in G for x in row]
-    lines = plan.lines(lines + [x for x in entries + dv if isinstance(x, str)]) + lines
 
     def k(s, i):  # the slope of coordinate i at stage s
         return f"a{s}_{n + i}" if i < n else f"k{s}_{i}"
@@ -534,18 +526,15 @@ def _scalar_step(plan: TaylorPlan, n: int, lines: list, G: list | None,
         if s:
             src += [f"    a{s}_{i} = a0_{i} + {k(s - 1, i)}*{'h' if s == 3 else 'hh'}"
                     for i in range(m)]
-        stage = lines + [f"    g{s}_{e} = {x}" for e, x in enumerate(entries)
-                         if isinstance(x, str)]
-        stage += [f"    k{s}_{n + i} = {x}" for i, x in enumerate(dv)]
-        for line in stage:
-            for i in range(m):
-                line = line.replace(f"c[{i}]", f"a{s}_{i}")
-            src.append(line)
+        src += code.render([(f"g{s}_{e}", x) for e, x in enumerate(entries)
+                            if not isinstance(x, float)]
+                           + [(f"k{s}_{n + i}", x) for i, x in enumerate(dv)],
+                           inputs={f"c[{i}]": f"a{s}_{i}" for i in range(m)})
     # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
     out = [f"a0_{i} + ((({k(0, i)} + {k(1, i)}*2.0) + {k(2, i)}*2.0) + {k(3, i)})*h6"
            for i in range(m)]
     out += [f"a{s}_{i}" for s in range(4) for i in range(m)]
-    out += [f"g{s}_{e}" if isinstance(x, str) else repr(x)
+    out += [repr(x) if isinstance(x, float) else f"g{s}_{e}"
             for s in range(4) for e, x in enumerate(entries)]
     src.append(f"    return ({', '.join(out)})")
     return ex._compile("\n".join(src), "_step", ex._SCALAR_GLOBALS)

@@ -80,6 +80,10 @@ INEQUALITY_SLACK = 1e-9
 # Sample points per geometry batch of the region checker (see
 # check_a3w_necessary): the chunk bounds the checker's peak memory.
 CHECK_CHUNK_POINTS = 128
+# Largest sampling plan in points x directions^2, which the checker's
+# arrays grow with (about 5 bytes each: 0.5 GB at the bound); the largest
+# run, 128^2 points x 32 directions in 2-D, is 16.8 million.
+MAX_SAMPLING_SIZE = 10**8
 
 
 @dataclass
@@ -894,6 +898,7 @@ class SamplingSpec:
     axes are always sampled); below 1, like ``points_per_axis`` below 1
     or a negative ``seed``, it raises :class:`SamplingError`, and
     :meth:`direction_set` raises :class:`DimensionError` in dimension 1.
+    A plan above MAX_SAMPLING_SIZE raises before it forms any array.
     """
 
     box: tuple  # ((lo, hi), ...) per axis
@@ -908,6 +913,11 @@ class SamplingSpec:
                 raise SamplingError(f"{name} must be at least 1, got {value}")
         if self.seed < 0:
             raise SamplingError(f"seed must be non-negative, got {self.seed}")
+        dim, D = len(self.box), max(self.directions, len(self.box))
+        size = (self.points_per_axis ** dim + 1) * D**2  # + 1: the box centre
+        if size > MAX_SAMPLING_SIZE:
+            raise SamplingError(f"{self.points_per_axis}^{dim} points x {D}^2 directions is "
+                                f"{size:.2e}, more than {MAX_SAMPLING_SIZE:.0e}")
 
     def points(self) -> np.ndarray:
         axes = [np.linspace(lo, hi, self.points_per_axis) for lo, hi in self.box]

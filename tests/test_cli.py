@@ -363,6 +363,30 @@ def test_bad_sampling_or_dimension_exits_two(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+_LONG_SUM = "1" + "+0.001*x" * 1500
+_DEEP_PARENS = "1 + " + "(" * 400 + "x" + ")" * 400
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--metric", "euclidean3", "--region", "-0.1,0.1",
+      "--points-per-axis", "10000000"),
+     "10000000^3 points x 16^2 directions is 2.56e+23, more than 1e+08"),
+    (("check", "--metric", "inline", "--g-upper", f"{_LONG_SUM} | 0 | 1",
+      "--region", "-0.1,0.1"),
+     "bad metric entry: expression nests 1502 levels deep, more than 150 (at offset 0)"),
+    (("check", "--metric", "inline", "--g-upper", f"{_DEEP_PARENS} | 0 | 1",
+      "--region", "-0.1,0.1"),
+     "bad metric entry: parentheses and calls nest more than 150 deep (at offset 154)"),
+], ids=["oversized-sampling-plan", "long-sum", "deep-parentheses"])
+def test_inputs_past_the_checkers_bounds_exit_two(capsys, argv, message):
+    # each ended in an uncaught ValueError or RecursionError (exit 1, which
+    # reads as "violations found") before the bounds were stated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, unread, count", [
     (SPHERE_EVAL + ("--method", "closed-form-1"), "seed", 17),
     (("check", "--metric", "euclidean2", "--region", "-1,1", "--points-per-axis", "2"),

@@ -1,6 +1,7 @@
 """Scalar-field parsing and exact differentiation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -353,10 +354,19 @@ def test_plan_arrays_are_read_only():
         plan._consts[0] = 1.0
 
 
+def _reached(code, k):
+    """The lines of a writer that line k reads, k included."""
+    out = {k}
+    for a in code.lines[k][1:]:
+        if type(a) is int:
+            out |= _reached(code, a)
+    return out
+
+
 def test_plan_function_reads_each_partial_as_the_plan_computes_it():
-    # a function derived from the plan runs the DAG lines its body reads,
-    # in the plan's order, so each row it reads is the plan's value bit
-    # for bit, and a row no body line reads costs no line
+    # a function derived from the plan runs the plan's lines its body
+    # reads, in their order, so each row it reads is the plan's value bit
+    # for bit, and a line no statement reads costs no line
     from mtwcheck import conformal as cf
 
     m = cf.conformal_metric(cf.ConformalSpec(a=-3.0))
@@ -365,20 +375,22 @@ def test_plan_function_reads_each_partial_as_the_plan_computes_it():
     X = np.random.default_rng(4).uniform(-0.4, 0.4, (5, 2))
     vals = plan.values(X)
     c = np.ascontiguousarray(X.T)
-    for r, text in enumerate(plan.exprs):
-        fn = plan.function("out", [f"    out[...] = {text}"])
+    for r, value in enumerate(plan.partials):
+        fn = plan.function("out", [("out[...]", value)])
         out = np.empty(len(X))
         fn(c, out)
         assert np.array_equal(out, vals[r])
-    lines = []
+    sources = []
     compile_ = ex._compile
     try:
-        ex._compile = lambda src, name, scope=None: lines.append(src) or compile_(
+        ex._compile = lambda src, name, scope=None: sources.append(src) or compile_(
             src, name, scope)
-        plan.function("", [f"    return {plan.exprs[0]}"])
+        plan.function("out", [("out[...]", plan.partials[0])])
     finally:
         ex._compile = compile_
-    assert len(lines[0].splitlines()) < 2 + len(plan._lines)
+    bound = [int(t) for t in re.findall(r"^    t(\d+) = ", sources[0], re.MULTILINE)]
+    assert bound == sorted(_reached(plan.code, plan.partials[0][0]))
+    assert len(bound) < len(plan.code.lines)
 
 
 def test_commuted_sums_and_products_share_one_plan_row():
@@ -391,44 +403,92 @@ def test_commuted_sums_and_products_share_one_plan_row():
     assert plan.distinct == ex.TaylorPlan(fields[::2], JetSpace.get(3, 2)).distinct
 
 
-# each identity _emit folds a negation by, and the places it binds one
+# each identity the writer carries a sign by, and the places it binds one
 _NEGATION_FORMS = ["(0 - x)*y", "x*(0 - y)", "(0 - x)*(0 - y)", "x + (0 - y)",
                    "(0 - x) + y", "(0 - x) + (0 - y)", "x - (0 - y)", "(0 - x) - y",
                    "(0 - x) - (0 - y)", "0 - (0 - x)*y", "exp(0 - x)", "(0 - x)^3",
                    "0 - x"]
+_SIGNED_VALUES = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
 
 
 def test_emitted_negations_are_exact_at_signed_zeros():
     # at every pair of signed zeros, infinities, NaN and finite values each
     # form's line equals its tree evaluated node by node, the sign of zero
-    # included, and a name bound as a negation is never negated again
+    # included
     fields = [parse_field(t, 2) for t in _NEGATION_FORMS]
     plan = ex.TaylorPlan(fields, JetSpace.get(2, 0))
-    vals = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
-    X = np.array([(a, b) for a in vals for b in vals])
+    X = np.array([(a, b) for a in _SIGNED_VALUES for b in _SIGNED_VALUES])
     with np.errstate(all="ignore"):
         got = plan.values(X)[plan.rows[:, 0]]
         want = _per_field_values(fields, X.T)
     assert np.array_equal(got, want, equal_nan=True)
     finite = ~np.isnan(want)
     assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
-    # two negation lines: the root -(x y), and -x, which exp, the power,
-    # the root 0 - x and the one line of (-x) + (-y) and (-x) - y read;
-    # the other forms fold theirs into lines x y, x - y, y - x and x + y
-    assert plan.negations == {plan.exprs[0]: plan.exprs[2], plan.exprs[-1]: "t0"}
-    assert len(plan._lines) == 11
+    # one negation line, -x, which exp, the power and the one line of
+    # (-x) + (-y) and (-x) - y read; the roots -(x y) and 0 - x are
+    # negated where they are written, and the other forms fold theirs
+    # into lines x y, x - y, y - x and x + y
+    x = plan.partials[-1]
+    assert x == (0, True) and plan.code.lines[x[0]] == ("in", "c[0]")
+    assert [line for line in plan.code.lines if line[0] == "neg"] == [("neg", 0)]
+    assert len(plan.code.lines) == 10
+
+
+def test_derived_arithmetic_carries_signs_exactly():
+    # the writer's arithmetic on values with pending signs equals the same
+    # operations on negated arrays, the sign of zero included
+    code = ex._Writer()
+    x, y = code.input("c[0]"), code.input("c[1]")
+    nx, ny = code.neg(x), code.neg(y)
+    forms = [code.mul(nx, y), code.mul(x, ny), code.mul(nx, ny), code.div(nx, y),
+             code.div(x, ny), code.div(nx, ny), code.add(x, ny), code.add(nx, y),
+             code.add(nx, ny), code.sub(nx, y), code.sub(nx, ny), code.sub(x, ny),
+             code.mul(2.5, nx), code.add(1.5, nx), code.sub(nx, 1.5),
+             code.call("exp", nx), code.neg(code.neg(nx))]
+    src = "\n".join(["def _plan(c, out):", *code.render(
+        [(f"out[{i}]", v) for i, v in enumerate(forms)], repr)])
+    fn = ex._compile(src, "_plan")
+    a, b = np.array([(p, q) for p in _SIGNED_VALUES for q in _SIGNED_VALUES]).T
+    with np.errstate(all="ignore"):
+        got = np.empty((len(forms), a.size))
+        fn(np.array([a, b]), got)
+        na, nb = -a, -b
+        want = [na * b, a * nb, na * nb, na / b, a / nb, na / nb, a + nb, na + b,
+                na + nb, na - b, na - nb, a - nb, 2.5 * na, 1.5 + na, na - 1.5,
+                np.exp(na), na]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+        finite = ~np.isnan(w)
+        assert np.array_equal(np.signbit(g[finite]), np.signbit(w[finite]))
+    # a negation is a line only where nothing folds it: under exp and in
+    # (-x) + (-y), and one line serves both
+    assert [line for line in code.lines if line[0] == "neg"] == [("neg", 0)]
 
 
 def test_code_negation_of_a_negation_is_its_operand():
-    code = ex._Code({"t4": "t2"})  # a DAG line t4 = -t2
-    assert code.neg("t4") == "t2"
-    assert code.sub(0.0, "t4") == "t2"
-    assert code.mul(-1.0, "t4") == "t2"
-    s = code.neg("t7")
-    assert code.lines == [f"    {s} = -t7"]
-    assert code.neg(s) == "t7"
-    assert code.neg(code.neg("t2")) == "t2"
-    assert len(code.lines) == 2
+    code = ex._Writer()
+    x = code.input("c[0]")
+    assert code.neg(code.neg(x)) == x
+    assert code.sub(0.0, code.neg(x)) == x
+    assert code.mul(-1.0, code.neg(x)) == x
+    assert code.neg(2.0) == -2.0 and code.lines == [("in", "c[0]")]
+    # a pending negation is written where it is read, once, and no line
+    # negates a negation line; a run of statements follows the lines it reads
+    e = code.call("sin", code.neg(x))
+    src = code.render([("a", code.neg(x)), ("b", e), ("c", code.neg(code.neg(x)))])
+    assert src == ["    t0 = c[0]", "    t1 = -t0", "    t2 = _sin(t1)", "    a = -t0",
+                   "    b = t2", "    c = t0"]
+
+
+def test_writer_binds_a_commuted_line_once():
+    code = ex._Writer()
+    x, y = code.input("c[0]"), code.input("c[1]")
+    assert code.mul(x, y) == code.mul(y, x) == code.neg(code.mul(code.neg(y), x))
+    assert code.add(x, y) == code.add(y, x)
+    assert code.sub(x, y) != code.sub(y, x)
+    assert code.mul(0.5, x) == code.mul(x, 0.5) != code.mul(-0.5, x)
+    assert code.add(x, -0.0) == x and code.add(x, 0.0) == x
+    assert len(code.lines) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +606,31 @@ def test_batch_evaluator_constant_and_variable_roots():
     X = np.array([[0.5, -1.0, 2.0], [3.0, 0.25, -0.5]])
     got = _interned_batch(fields)(X)
     assert np.array_equal(got, [[0.0, 0.0, 0.0], X[1], X[0] * X[1] + 2.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1" + "+0.001*x" * 1500, "expression nests 1502 levels deep"),
+    ("x*" * 151 + "y", "expression nests 152 levels deep"),
+    ("(" * 400 + "x" + ")" * 400, "parentheses and calls nest more than 150 deep"),
+    ("exp(" * 151 + "x" + ")" * 151, "parentheses and calls nest more than 150 deep"),
+], ids=["long-sum", "long-product", "parentheses", "calls"])
+def test_over_deep_text_is_a_syntax_error(text, message):
+    # the parser and the recursive walks of a tree raised RecursionError
+    with pytest.raises(FieldSyntaxError, match=re.escape(message)):
+        parse_field(text, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "1" + "*(x+y)" * (ex.MAX_NESTING - 1), "1" + "*(1+0.1*x)" * (ex.MAX_NESTING - 2),
+    "(" * (ex.MAX_NESTING - 3) + "x" + "*(y+x))" * (ex.MAX_NESTING - 3),
+    "sin(" * (ex.MAX_NESTING - 2) + "x*y" + ")" * (ex.MAX_NESTING - 2),
+    "(" * ex.MAX_NESTING + "x" + ")" * ex.MAX_NESTING],
+    ids=["product-of-sums", "product-of-affine", "nested-products", "calls", "parentheses"])
+def test_deepest_accepted_text_derives_to_order_four(text):
+    # at the bound, the shapes that nest their derivatives deepest parse,
+    # key a plan, derive and write their order-4 partials within Python's
+    # default recursion limit, under this test's own stack
+    f = parse_field(text, 2)
+    f._source()
+    plan = ex.TaylorPlan([f], JetSpace.get(2, 4))
+    assert np.all(np.isfinite(plan(np.array([[0.1, 0.2]]))))

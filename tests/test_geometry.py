@@ -433,6 +433,30 @@ def test_generated_kernels_bind_literals_and_fold_negations(plan_cache, monkeypa
     assert arrays > 20
 
 
+# The newlines of each source the five stage cases compile, in the order
+# _curve_stage compiles them (the plan's value function, the scalar step
+# for n <= 3, the stage kernel, its linearization), as one writer writes
+# them; each is at most the count of the two writers before it (sphere 15,
+# 103, 22, 49; conformal 72, 251, 59, 133; flat quartic 50, 131, 29, 48;
+# inline3d 38, 227, 51, 169; inline4d 50, 85, 234).  A writer change that
+# adds a NumPy call per stage fails here.
+_LINE_BUDGET = {"sphere": [15, 87, 21, 42], "conformal": [72, 235, 59, 133],
+                "flat-quartic": [44, 115, 27, 43], "inline3d": [38, 203, 51, 169],
+                "inline4d": [45, 82, 216]}
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_BUDGET))
+def test_generated_kernels_keep_their_line_budget(name, plan_cache, monkeypatch):
+    sources = []
+    compile_ = ex._compile
+    monkeypatch.setattr(ex, "_compile", lambda src, fn, scope=None: sources.append(
+        src) or compile_(src, fn, scope))
+    _curve_stage(*_stage_case(name))
+    counts = [src.count("\n") for src in sources]
+    assert len(counts) == len(_LINE_BUDGET[name])
+    assert all(c <= b for c, b in zip(counts, _LINE_BUDGET[name])), counts
+
+
 def _degree4_reference(metric, x, potential, order):
     """Every GeometryBatch field at one point with all stages at Taylor
     degree 4."""

@@ -17,6 +17,7 @@ from mtwcheck.errors import (
     DimensionError,
     DiscretizationError,
     PreconditionError,
+    SamplingError,
 )
 from mtwcheck.geometry import (
     GeometryBatch,
@@ -944,3 +945,23 @@ def test_check_report_deterministic(flat2):
     j1 = json.dumps(_jsonify(r1), sort_keys=True)
     j2 = json.dumps(_jsonify(r2), sort_keys=True)
     assert j1 == j2
+
+
+def test_oversized_sampling_plan_is_refused_before_any_array(monkeypatch):
+    # points x directions^2 above the bound raises from the constructor,
+    # which forms no array: the test fails if NumPy builds one
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was formed")
+
+    for name in ("linspace", "meshgrid", "array", "empty", "zeros", "eye"):
+        monkeypatch.setattr(mtw.np, name, no_array)
+    with pytest.raises(SamplingError, match=r"10000000\^3 points x 16\^2 directions"):
+        mtw.SamplingSpec(box=((-0.1, 0.1),) * 3, points_per_axis=10**7)
+    with pytest.raises(SamplingError, match=r"2\^2 points x 100000\^2 directions"):
+        mtw.SamplingSpec(box=((-0.1, 0.1),) * 2, points_per_axis=2, directions=10**5)
+    monkeypatch.undo()
+    # the largest plans run, 128^2 points x 32 directions in 2-D and 24^3 x
+    # 16 in 3-D, are within it
+    mtw.SamplingSpec(box=((-0.1, 0.1),) * 2, points_per_axis=128, directions=32)
+    mtw.SamplingSpec(box=((-0.1, 0.1),) * 3, points_per_axis=24, directions=16)
+    assert (128**2 + 1) * 32**2 <= mtw.MAX_SAMPLING_SIZE < (10**7) ** 3
