@@ -660,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="second vector")
     p.add_argument("--method", help="jacobi | direct-cost | closed-form-0|1|2")
     p.add_argument("--steps", type=int,
-                   help="RK4 steps (default: jacobi climbs rungs 40–640 by step "
+                   help="RK4 steps (default: jacobi climbs rungs 20–640 by step "
                         "doubling; direct-cost 100)")
     p.add_argument("--fd-step", type=float,
                    help="finite-difference step (default: jacobi 1e-2; "
@@ -703,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("calibrate", "fit the normalization constant", _add_report)
     p.add_argument("--steps", type=int,
-                   help="RK4 steps (default: each case climbs rungs 40–640 by "
+                   help="RK4 steps (default: each case climbs rungs 20–640 by "
                         "step doubling)")
     p.add_argument("--fd-step", type=float,
                    help="finite-difference step (default 1e-2)")

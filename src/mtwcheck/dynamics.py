@@ -60,7 +60,10 @@ COARSE_FACTOR times coarser and then on the caller's, each solve
 keeping a lane's failure as a Flow does and the fine one's first raised
 (:func:`_shoot`), each trial integrated once, as a plain stored curve,
 whose stage points give the "velocity" pass only of the lanes it
-leaves above tolerance, and the single-curve functions
+leaves above tolerance and of the coarse solve's last curve, whose
+Jacobian the fine solve's first Newton step reads (a chord step, so a
+lane that converges on it runs no fine-grid variation), and the
+single-curve functions
 (:func:`c_exp`, :func:`cost`, ...) are one-lane calls into the same
 engine.  Quantities
 along a stored curve read all grid points at once: energy, transported
@@ -700,7 +703,7 @@ def _velocity_jacobians(metric, potential, flow: Flow, lanes) -> np.ndarray:
     return phi[:, 0:n]
 
 
-def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
+def _newton(metric, potential, X, Y, steps, tol, max_iter, V, chord=None, jac_out=None):
     """Damped-Newton shooting of every lane at once on one grid, from the
     velocities V (not written).
 
@@ -711,7 +714,15 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
     Jacobian of the next Newton step by the "velocity" pass from its
     recorded stage points (:func:`_velocity_jacobians`), so the last
     curve of a lane that converges runs no variation and no accepted
-    trial is integrated again.  A trial lane whose curve fails (see
+    trial is integrated again.  With ``chord`` = (held, J), each lane b
+    with held[b] takes its first Newton step with J[b] in place of its
+    first curve's Jacobian, a simplified-Newton (chord) step whose
+    Jacobian a coarser grid gave at the same velocity (Deuflhard,
+    *Newton Methods for Nonlinear Problems*, 2004, ch. 2): that curve
+    runs no variation, and a curve the step leaves above ``tol`` runs
+    its own.  With ``jac_out``, a (B, n, n) array, every accepted curve
+    runs its variation, and jac_out[b] receives the endpoint Jacobian at
+    lane b's returned velocity unless it failed.  A trial lane whose curve fails (see
     :class:`Flow`) fails its line-search test.  Nothing is raised: each
     failed lane keeps (key, error), as in ``Flow.failed``, keyed in the
     order failures happen (the initial curves' by Flow key, then by
@@ -730,7 +741,8 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
     out = np.zeros(len(X), dtype=bool)  # the lanes in ``failed``
     events = itertools.count(1)  # failing events after the initial curves, in order
     curves = np.full((steps + 1, len(X), 2 * n), np.nan)  # each lane's last accepted
-    jac = np.empty((len(X), n, n))  # their endpoint Jacobians, where a step reads one
+    # their endpoint Jacobians, where a step reads one, or each with ``jac_out``
+    jac = np.empty((len(X), n, n)) if jac_out is None else jac_out
 
     def fail(lanes, message: str, trials=True) -> None:
         """Fail some lanes in one event: each with its first trial curve's
@@ -741,11 +753,12 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
             failed[b] = ((event, 0), escaped[b][1]) if by_curve else ((event, 1), error)
         out[lanes] = True
 
-    def integrate(lanes, Vl, bound):
+    def integrate(lanes, Vl, bound, held=None):
         """Integrate some lanes from the velocities Vl, each a stored plain
         curve, and accept each whose endpoint error is below ``bound``
         (per lane) as its lane's last curve, with the endpoint Jacobian the
-        next Newton step reads if that error is above tol.  Returns the
+        next Newton step reads if that error is above tol (always, with
+        ``jac_out``) unless the lane is ``held`` (a mask over all lanes).  Returns the
         endpoints, their errors and the accepted lanes' mask: NaN for each
         lane whose curve failed, kept in ``escaped``, and for each lane past
         its budget, which fails and is not integrated."""
@@ -767,13 +780,19 @@ def _newton(metric, potential, X, Y, steps, tol, max_iter, V):
         if ok.any():
             cols = (np.cumsum(~spent) - 1)[ok]  # the accepted lanes' columns in flow
             curves[:, lanes[ok]] = flow.curve[:, cols]
-            far = errs[ok] > tol
+            far = (errs[ok] > tol) | (jac_out is not None)
+            if held is not None:
+                far &= ~held[lanes[ok]]
             if far.any():
                 jac[lanes[ok][far]] = _velocity_jacobians(metric, potential, flow,
                                                           cols[far])
         return end, errs, ok
 
-    end, err, _ = integrate(np.arange(len(X)), V, np.inf)
+    held = None
+    if chord is not None:
+        held, J = chord
+        jac[held] = J[held]
+    end, err, _ = integrate(np.arange(len(X)), V, np.inf, held)
     failed.update((b, ((0, key), error)) for b, (key, error) in escaped.items())
     out[list(failed)] = True
     iters = np.zeros(len(X), dtype=int)
@@ -825,10 +844,15 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     Lane b solves for the velocity taking X[b] to Y[b] at time 1.  When
     steps // COARSE_FACTOR keeps at least COARSE_MIN_STEPS, every lane is
     first solved on that coarse grid to the looser of COARSE_TOL and
-    ``tol``, and the solve on ``steps`` starts from the coarse velocities
-    (usually one Newton step: the variation of the start curve and the
-    trial curve that converges).  A lane whose coarse solve fails keeps
-    the caller's guess, bit-identical to a one-grid solve.  The fine
+    ``tol``, keeping the endpoint Jacobian at each coarse solution (one
+    coarse "velocity" pass of its last curve), and the solve on ``steps``
+    starts from the coarse velocities with a chord step on those
+    Jacobians: usually one Newton step, whose trial curve converges, and
+    no fine-grid variation.  A lane the chord step leaves above ``tol``
+    runs the variation of the curve it accepted for its next step (see
+    :func:`_newton`).  A lane whose coarse solve fails keeps the caller's
+    guess and runs the variation of its first fine curve, bit-identical
+    to a one-grid solve.  The fine
     solve alone decides convergence, the results and every error, raising
     its first failure (:func:`_newton`); each grid counts its own Newton
     iterations and SHOOT_INTEGRATION_BUDGET curve integrations per lane.
@@ -845,12 +869,16 @@ def _shoot(metric, potential, X, Y, steps, tol, max_iter, V_init):
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     V = (Y - X) if V_init is None else np.array(V_init, dtype=float)
     coarse = steps // COARSE_FACTOR
+    chord = None
     if coarse >= COARSE_MIN_STEPS:
+        J = np.empty((len(X), metric.dim, metric.dim))
         Vc, *_, failed = _newton(metric, potential, X, Y, coarse, max(tol, COARSE_TOL),
-                                 max_iter, V)
-        Vc[list(failed)] = V[list(failed)]  # a failed lane keeps the guess
-        V = Vc
-    *solved, failed = _newton(metric, potential, X, Y, steps, tol, max_iter, V)
+                                 max_iter, V, jac_out=J)
+        held = np.ones(len(X), dtype=bool)
+        held[list(failed)] = False
+        Vc[~held] = V[~held]  # a failed lane keeps the guess, and has no Jacobian
+        V, chord = Vc, (held, J)
+    *solved, failed = _newton(metric, potential, X, Y, steps, tol, max_iter, V, chord)
     _raise_first(failed)
     return solved
 
@@ -869,7 +897,8 @@ def shoot_velocity(
 
     The Newton matrix is the endpoint block of the linearized flow,
     advanced from the curve's recorded stage points, so no extra finite
-    differencing is involved.  For ``steps`` >= COARSE_FACTOR *
+    differencing is involved; the first step on ``steps`` after a coarse
+    solve reads the coarse solution's.  For ``steps`` >= COARSE_FACTOR *
     COARSE_MIN_STEPS the solve first runs on a grid COARSE_FACTOR times
     coarser and then polishes on ``steps``; the iterations returned are
     those on ``steps``, and a failed coarse solve falls back to the guess

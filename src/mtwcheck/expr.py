@@ -109,8 +109,8 @@ def _mk_sub(a: Node, b: Node) -> Node:
         return ("c", a[1] - b[1])
     if _is_const(b, 0.0):
         return a
-    if _is_const(a, 0.0):
-        return _mk_neg(b)
+    if _is_const(a, 0.0) and math.copysign(1.0, a[1]) < 0:
+        return _mk_neg(b)  # -0.0 - b is -b exactly, but 0.0 - 0.0 is +0.0
     return ("-", a, b)
 
 
@@ -234,7 +234,12 @@ def _diff(node: Node, v: int, dag: _Dag) -> Node:
     elif kind == "+":
         out = mk(_mk_add(_diff(node[1], v, dag), _diff(node[2], v, dag)))
     elif kind == "-":
-        out = mk(_mk_sub(_diff(node[1], v, dag), _diff(node[2], v, dag)))
+        da, db = _diff(node[1], v, dag), _diff(node[2], v, dag)
+        # a derivative's structural zero carries no sign of its own, so a
+        # zero minuend differentiates to the negation -db, which the writer
+        # folds into the line that reads it, not to a line 0.0 - db
+        out = mk(_mk_neg(db) if _is_const(da, 0.0) and not _is_const(db)
+                 else _mk_sub(da, db))
     elif kind == "neg":
         out = mk(_mk_neg(_diff(node[1], v, dag)))
     elif kind == "*":
@@ -576,10 +581,13 @@ class TaylorPlan:
     evaluation, and the remaining ones come from one generated function
     (:meth:`function`).  :meth:`values` returns each distinct
     partial once, and ``rows[f, k]`` is the row holding field f's
-    partial at monomial k of the space.
+    partial at monomial k of the space.  A plan built with ``continued``
+    false drops its writer once its own function is compiled, so no
+    function can be derived from it afterwards.
     """
 
-    def __init__(self, fields: Sequence[ScalarField], space: JetSpace):
+    def __init__(self, fields: Sequence[ScalarField], space: JetSpace,
+                 continued: bool = True):
         for f in fields:
             if f.dim != space.nvars:
                 raise DimensionError(
@@ -613,6 +621,8 @@ class TaylorPlan:
             ("out", f"_empty(({len(live)},) + c.shape[1:])"),
             *((f"out[{r}]", self.partials[r]) for r in range(len(live))),
             "    return out"]) if live else None
+        if not continued:
+            self.code = None
         # the kernels a user derives from this plan (the RK4 curve stage of
         # dynamics and its linearization), kept with the plan so that they
         # are compiled once
@@ -676,6 +686,10 @@ def add(a: ScalarField, b: ScalarField) -> ScalarField:
 
 def sub(a: ScalarField, b: ScalarField) -> ScalarField:
     return _binary(_mk_sub, a, b)
+
+
+def neg(a: ScalarField) -> ScalarField:
+    return ScalarField(_mk_neg(a.tree), a.dim)
 
 
 def mul(a: ScalarField, b: ScalarField) -> ScalarField:

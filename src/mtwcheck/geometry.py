@@ -140,9 +140,10 @@ def _plan_of(fields: Sequence[ScalarField], space: JetSpace) -> TaylorPlan:
     content and then shared: a plan is a function of the fields' trees
     alone, so every metric parsed from the same text gets one plan, and
     fields that differ in any constant (0.0 and -0.0 too) or in their
-    dimension never share one."""
+    dimension never share one.  Only a degree-2 plan keeps its writer,
+    for the stage kernel :func:`_curve_stage` may derive from it."""
     key = (space.nvars, space.degree, *((f.dim, f._source()) for f in fields))
-    return _TAYLOR_PLANS.get(key, lambda: TaylorPlan(fields, space))
+    return _TAYLOR_PLANS.get(key, lambda: TaylorPlan(fields, space, space.degree == 2))
 
 
 def _jets_of(fields: Sequence[ScalarField], x, space: JetSpace) -> np.ndarray:
@@ -945,10 +946,10 @@ def quartic_potential(A: np.ndarray) -> PotentialField:
         ),
         n,
     )
-    return PotentialField(ex.sub(ex.const(0.0, n), ex.power(q, 2)), n)
+    return PotentialField(ex.neg(ex.power(q, 2)), n)
 
 
 def harmonic_potential(dim: int, omega: float = 1.0) -> PotentialField:
     """Concave quadratic potential V(x) = -(omega^2 / 2) |x|^2."""
     q = ex.fsum((ex.power(ex.var(i, dim), 2) for i in range(dim)), dim)
-    return PotentialField(ex.sub(ex.const(0.0, dim), ex.scale(0.5 * omega**2, q)), dim)
+    return PotentialField(ex.neg(ex.scale(0.5 * omega**2, q)), dim)

@@ -113,8 +113,11 @@ JACOBI_OFFSETS = (-2, -1, 0, 1, 2)
 # The jacobi route's step ladder: each rung after the first integrates
 # twice the steps of the one before, and a row is accepted at the first
 # rung whose step-doubling estimate is at most JACOBI_ACCEPT of its
-# Richardson defect (see _jacobi).
-JACOBI_RUNGS = (20, 40, 80, 160, 320, 640)
+# Richardson defect (see _jacobi).  A row with v = 0 starts at the first
+# rung and any other row at the second: from 10 steps the doubling
+# estimate of a curve that moves can read below its error (a conformal
+# a = -3 row with |v| = 1.15 accepted (10, 20) at 6.2 times its estimate).
+JACOBI_RUNGS = (10, 20, 40, 80, 160, 320, 640)
 JACOBI_ACCEPT = 0.25
 
 
@@ -142,8 +145,10 @@ def _jacobi(metric, potential, X, U, V, W, h, steps=None):
     initial velocity V[b] + s W[b], on the stencil of :func:`_jacobi_stencil`.
     Both vectors of the pairing live at X[b], so it needs no transport.
 
-    The step count is chosen per row on the ladder JACOBI_RUNGS: the
-    stencil curves of the rows still climbing are one batch per rung.
+    The step count is chosen per row on the ladder JACOBI_RUNGS, from
+    its first rung for a row with V[b] = 0, whose stencil curves move at
+    most 2 h |W[b]|, and from its second for any other: the stencil
+    curves of the rows still climbing are one batch per rung.
     At a rung of N steps whose rung before has M, a row whose curves
     succeeded at both extrapolates each stencil point's pairing to
     F_N + (F_N - F_M) / (r^4 - 1), r = N / M, as RK4's error is
@@ -157,25 +162,29 @@ def _jacobi(metric, potential, X, U, V, W, h, steps=None):
     makes its row climb; a row not accepted at the last rung raises its
     failure there, else the one at the rung before.  A singular endpoint
     block raises at once, and so does a start point outside the region,
-    which no step count moves, after the first rung.  An explicit
+    which no step count moves, after the row's first rung.  An explicit
     ``steps``, an integer of at least 2, is the single pair
-    (steps // 2, steps).  Each row's
+    (steps // 2, steps) for every row.  Each row's
     results are the ones it has alone.
     """
+    B, n = X.shape
     if steps is None:
         rungs = JACOBI_RUNGS
+        first = V.any(axis=1).astype(int)  # each row's first rung
     else:
         dyn._require_steps(steps, least=2)
         rungs = (steps // 2, steps)
+        first = np.zeros(B, dtype=int)
     k = len(JACOBI_OFFSETS)
     stencils = np.stack([_jacobi_stencil(v, w, h) for v, w in zip(V, W)])
-    B, n = X.shape
     value, error, taken = np.empty(B), np.empty(B), np.zeros(B, dtype=int)
     F = np.empty((B, k))  # each row's pairings at the rung before
     ok = np.zeros(B, dtype=bool)  # the rows whose curves succeeded there
     failed = {}  # the failures there, by lane b * k + j of row b
-    rows = np.arange(B)  # the rows still climbing
     for i, N in enumerate(rungs):
+        rows = np.flatnonzero((first <= i) & (taken == 0))  # the rows climbing
+        if not len(rows):
+            continue
         flow = dyn._integrate(metric, potential, np.repeat(X[rows], k, axis=0),
                               stencils[rows].reshape(-1, n), N, variation="full")
         fails = {rows[b // k] * k + b % k: f for b, f in flow.failed.items()}
@@ -201,14 +210,13 @@ def _jacobi(metric, potential, X, U, V, W, h, steps=None):
             F[good] = F_N
         ok[rows] = False
         ok[good] = True
-        rows = rows[taken[rows] == 0]
-        if not len(rows):
+        if taken.all():
             return value, error, taken
         dyn._raise_first({b: f for b, f in fails.items() if f[0] == (0, 0)})
         failed, before = fails, failed
     # every row left failed at the last rung or at the one before
     for at in (failed, before):
-        dyn._raise_first({b: f for b, f in at.items() if b // k in rows})
+        dyn._raise_first({b: f for b, f in at.items() if not taken[b // k]})
 
 
 def mtw_jacobi(
@@ -334,16 +342,19 @@ def mtw_zeroth_simplified(
     u, w = as_vectors(metric.dim, u=u, w=w)
     geo = GeometryBatch(metric, as_point(x)[None], _active_potential(potential),
                         curvature_order=0)
-    value = float(contract(geo.riemann[0], w, u, w, u))
+    return float(_zeroth_simplified(geo, u[None], w[None])[0])
+
+
+def _zeroth_simplified(geo: GeometryBatch, U, W) -> np.ndarray:
+    """:func:`mtw_zeroth_simplified` at each point b of an order-0 ``geo``
+    against U[b] and W[b], raising at the first point that fails."""
+    value = contract(geo.riemann, W, U, W, U)
     if geo.hess_v is not None:
         geo.hessian_modes("the simplified zeroth-order evaluator")
-        hnorm = float(np.max(np.abs(geo.hess_v)))
-        if hnorm > HESS_TOL:
-            raise PreconditionError(
-                "the simplified zeroth-order evaluator requires a vanishing "
-                f"potential Hessian (max |Hess V| = {hnorm:.3e})"
-            )
-        value += float(contract(geo.nabla4_v[0], w, w, u, u)) / 20.0
+        hnorm = np.max(np.abs(geo.hess_v), axis=(-2, -1))
+        _require(~(hnorm > HESS_TOL), "the simplified zeroth-order evaluator requires "
+                 "a vanishing potential Hessian (max |Hess V| = {:.3e})", hnorm)
+        value = value + contract(geo.nabla4_v, W, W, U, U) / 20.0
     return value
 
 
@@ -866,22 +877,21 @@ def calibrate_normalization(
     if cases is None:
         inputs = _default_calibration_inputs()
         # the cases sharing a (metric, potential) run as one batch of
-        # lanes; each keeps the value mtw_jacobi gives it alone
+        # lanes and one geometry batch; each keeps the values
+        # mtw_jacobi and mtw_zeroth_simplified give it alone
         groups: dict = {}
         for case in inputs:
             groups.setdefault((id(case[1]), id(case[2])), []).append(case)
-        jac = {}
+        found = {}
         for group in groups.values():
             _, metric, pot, *_ = group[0]
             X, U, W = (np.array([c[i] for c in group]) for i in (3, 4, 5))
             values, _, taken = _jacobi(metric, pot, X, U, np.zeros_like(X), W, h, steps)
-            for case, value, count in zip(group, values, taken):
-                jac[case[0]] = float(value), int(count)
-        cases = [
-            CalibrationCase(label, jac[label][0],
-                            mtw_zeroth_simplified(metric, pot, x, u, w), jac[label][1])
-            for label, metric, pot, x, u, w in inputs
-        ]
+            closed = _zeroth_simplified(GeometryBatch(metric, X, _active_potential(pot),
+                                                      curvature_order=0), U, W)
+            for case, value, close, count in zip(group, values, closed, taken):
+                found[case[0]] = float(value), float(close), int(count)
+        cases = [CalibrationCase(label, *found[label]) for label, *_ in inputs]
     return fit_kappa(cases)
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -18,6 +21,16 @@ from mtwcheck.geometry import (
 # fresh random draw cannot fail a build, and a failure prints the blob
 # that reproduces it.  Local runs keep the default, randomized profile.
 settings.register_profile("ci", derandomize=True, print_blob=True)
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's workloads, as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -55,9 +68,9 @@ def plan_builds(monkeypatch):
     built = []
     init = TaylorPlan.__init__
 
-    def counting(self, fields, space):
+    def counting(self, fields, space, *args):
         built.append(space)
-        init(self, fields, space)
+        init(self, fields, space, *args)
 
     monkeypatch.setattr(TaylorPlan, "__init__", counting)
     return built
@@ -116,7 +129,11 @@ def reference_diff(node, v):
     if kind == "+":
         return ex._mk_add(reference_diff(node[1], v), reference_diff(node[2], v))
     if kind == "-":
-        return ex._mk_sub(reference_diff(node[1], v), reference_diff(node[2], v))
+        da, db = reference_diff(node[1], v), reference_diff(node[2], v)
+        # a zero minuend's derivative is the negation of the subtrahend's
+        if ex._is_const(da, 0.0) and not ex._is_const(db):
+            return ex._mk_neg(db)
+        return ex._mk_sub(da, db)
     if kind == "neg":
         return ex._mk_neg(reference_diff(node[1], v))
     if kind == "*":

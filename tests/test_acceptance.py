@@ -410,7 +410,9 @@ def test_jacobi_ladder_accepts_the_routes_inputs_at_its_first_pair(conformal_a3)
     # the calibration cases, and the sphere and conformal a = -3 at three
     # points each, the points other tests of the route use; the error is
     # the s-stencil's, the same at 200 steps: 2.98e-8 relative at
-    # conformal (0.1, 0), 2.74e-8 with the ladder
+    # conformal (0.1, 0), 2.80e-8 with the ladder.  Every case accepts
+    # the pair (10, 20) but the flat quartic A = I, which reads a doubling
+    # estimate above a quarter of its defect there and accepts (20, 40)
     t0 = time.perf_counter()
     sphere = sphere_metric()
     cases = [(label, metric, pot, x, u, w, mtw.mtw_zeroth_simplified(metric, pot, x, u, w))
@@ -424,13 +426,13 @@ def test_jacobi_ladder_accepts_the_routes_inputs_at_its_first_pair(conformal_a3)
     for label, metric, pot, x, u, w, closed in cases:
         ev = mtw.mtw_jacobi(metric, pot, x, u, np.zeros(2), w)
         err = abs(ev.value - closed)
-        assert ev.steps == 40, label
+        assert ev.steps == (40 if label == "flat-quartic-definite" else 20), label
         assert err <= ev.error_estimate, label
         assert err <= 3e-8 * abs(closed), label
         worst = max(worst, err / max(abs(closed), 1e-300))
 
     _report("ladder a", "jacobi at its first pair", time.perf_counter() - t0, 10.0,
-            f"{len(cases)} cases at 40 steps, worst rel {worst:.1e}")
+            f"{len(cases)} cases at 20 or 40 steps, worst rel {worst:.1e}")
 
 
 def test_jacobi_ladder_climbs_past_the_rungs_where_a_curve_fails(conformal_a3, integrations):
@@ -441,7 +443,8 @@ def test_jacobi_ladder_climbs_past_the_rungs_where_a_curve_fails(conformal_a3, i
     pot = PotentialField(parse_field(HARD_POTENTIAL, 2), 2)
     ev = mtw.mtw_jacobi(conformal_a3, pot, *HARD_JACOBI)
     assert ev.steps >= 160
-    assert integrations == [(N, 5) for N in mtw.JACOBI_RUNGS if N <= ev.steps]
+    # the row moves, so it starts at the ladder's second rung
+    assert integrations == [(N, 5) for N in mtw.JACOBI_RUNGS[1:] if N <= ev.steps]
     assert abs(ev.value - 32413.3) <= ev.error_estimate
 
     # a pinned pair is accepted whatever its doubling estimate reads:

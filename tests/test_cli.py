@@ -1,6 +1,5 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -30,6 +29,8 @@ from mtwcheck.geometry import (
     euclidean_metric,
     quartic_potential,
 )
+
+from conftest import benchmark_workloads
 
 
 def run_cli(capsys, *argv):
@@ -246,7 +247,7 @@ def test_eval_sphere_json_fields(capsys):
     assert result["h_s"] == 0.01
     # the step count the jacobi ladder accepted; the config states that
     # the route chose it
-    assert result["steps"] == 40
+    assert result["steps"] == 20
     assert (doc["config"]["steps"], doc["config"]["fd_step"]) == (None, None)
 
 
@@ -710,7 +711,7 @@ def test_calibrate_command(capsys):
     assert doc["results"][0]["kappa"] == 1.0
     assert doc["results"][0]["spread"] <= 1e-3
     # each case's accepted step count; a given --steps pins its pair
-    assert [c["steps"] for c in doc["results"][0]["cases"]] == [40] * 6
+    assert [c["steps"] for c in doc["results"][0]["cases"]] == [20, 20, 20, 40, 20, 20]
     code, out, _ = run_cli(capsys, "calibrate", "--steps", "41")
     assert code == 0
     assert [c["steps"] for c in json.loads(out)["results"][0]["cases"]] == [41] * 6
@@ -722,7 +723,7 @@ def test_eval_jacobi_passes_steps_only_when_given(capsys, tmp_path):
         assert code == 0
         return json.loads(out)["results"][0]["steps"]
 
-    assert steps() == 40
+    assert steps() == 20
     assert steps("--steps", "41") == 41
     # the CLI's default of 200, given in a config file, still pins a pair
     cfg_file = tmp_path / "run.cfg"
@@ -747,18 +748,9 @@ def test_reports_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-def _benchmark_check_args() -> dict:
-    # the argument lists of the benchmark's check workloads, read from
-    # perfbench/workloads.py as the CI step reads them, not copied here
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CHECK_ARGS
-
-
-CHECK_ARGS = _benchmark_check_args()
+# the argument lists of the benchmark's check workloads, read from
+# perfbench/workloads.py as the CI step reads them, not copied here
+CHECK_ARGS = benchmark_workloads().CHECK_ARGS
 CHECK_CONFORMAL2D = CHECK_ARGS["check-conformal2d"]
 CHECK_INLINE3D = CHECK_ARGS["check-inline3d"]
 

@@ -42,7 +42,7 @@ from mtwcheck.geometry import (
 from mtwcheck.jets import JetSpace
 from mtwcheck.mtw import mtw_jacobi
 
-from conftest import inline3d_metric, reference_integrate
+from conftest import benchmark_workloads, inline3d_metric, reference_integrate
 
 EQUATOR = np.pi / 2
 
@@ -383,8 +383,60 @@ def test_falling_back_lane_keeps_every_batch_lane_as_alone(failure, sphere,
         _same_cost(_lane_cost(batch, b), cost(sphere, None, X[b], Y[b]))
     _same_cost(_lane_cost(batch, 2), one_grid)
     # the other lanes start from their coarse velocities (from the
-    # caller's guess, lanes 0 and 3 take 3 and 6 Newton steps)
-    assert batch[2].tolist() == [1, 0, 3, 1]
+    # caller's guess, lanes 0 and 3 take 3 and 6 Newton steps); lane 3's
+    # chord step leaves it above tol, so it takes a second fine step
+    assert batch[2].tolist() == [1, 0, 3, 2]
+
+
+def _fine_passes(monkeypatch) -> list:
+    """The (steps, lanes) of every "velocity" pass shooting runs on a grid
+    of at least COARSE_FACTOR * COARSE_MIN_STEPS steps, the fine grids."""
+    from mtwcheck import dynamics as dyn
+
+    passes, jacobians = [], dyn._velocity_jacobians
+
+    def counted(metric, potential, flow, lanes):
+        steps = len(flow.curve) - 1
+        if steps >= dyn.COARSE_FACTOR * dyn.COARSE_MIN_STEPS:
+            passes.append((steps, len(lanes)))
+        return jacobians(metric, potential, flow, lanes)
+
+    monkeypatch.setattr(dyn, "_velocity_jacobians", counted)
+    return passes
+
+
+def test_chord_step_that_misses_tol_falls_back_to_the_lanes_own_variation(
+        sphere, monkeypatch):
+    # the first fine Newton step of each lane reads the Jacobian of its
+    # 25-step coarse solution; the lane from (0.9, 0.5) to (0.2, 1.6) is
+    # left above tol by that step, so it runs the variation of the curve
+    # the step accepted and takes a second one, while the lanes beside it
+    # converge on the chord step; each lane keeps its one-lane results
+    from mtwcheck import dynamics as dyn
+
+    X = np.array([[1.0, 0.2], [0.9, 0.5], [1.3, -0.4]])
+    Y = np.array([[1.4, 0.9], [0.2, 1.6], [1.9, 0.3]])
+    passes = _fine_passes(monkeypatch)
+    batch = dyn._costs(sphere, None, X, Y)
+    assert batch[2].tolist() == [1, 2, 1]
+    assert passes == [(200, 1)]
+    for b in range(len(X)):
+        _same_cost(_lane_cost(batch, b), cost(sphere, None, X[b], Y[b]))
+
+
+@pytest.mark.parametrize("seed", [42, 4711])
+def test_routes_shooting_runs_no_fine_grid_variation(seed, monkeypatch):
+    # the benchmark's routes pass: the direct cost's 25 shots (100 steps)
+    # and the sphere cost (200 steps) each converge on their chord step
+    from mtwcheck import conformal, dynamics, geometry, mtw
+
+    work = benchmark_workloads().RoutesWorkload(
+        {"mtw": mtw, "dynamics": dynamics, "geometry": geometry,
+         "conformal": conformal}, seed)
+    passes = _fine_passes(monkeypatch)
+    result = work.run_once()
+    assert work.check(result)[1] == []
+    assert passes == []
 
 
 def test_shoot_velocity_flat_is_difference(flat2):
@@ -1427,18 +1479,19 @@ def test_velocity_pass_from_recorded_stages_is_the_integrated_variation(
 
 
 @pytest.mark.parametrize("x, y, want", [
-    # a full Newton step on each grid
+    # full Newton steps on the coarse grid, one chord step on the fine
     ([1.0, 0.2], [1.4, 0.9],
-     (["0x1.2a5360715e55bp-2", "0x1.a9ee108cbdecap-1"], 1, "0x1.cd82b446159f3p-50",
-      "0x1.2658cfd9c5910p-2")),
+     (["0x1.2a5360715e55fp-2", "0x1.a9ee108cbdecbp-1"], 1, "0x1.13463fa37014ep-49",
+      "0x1.2658cfd9c5914p-2")),
     # the coarse line search halves twice, then converges
     ([0.5, 0.0], [2.5, 2.0],
-     (["0x1.79edd7e3d5e78p-1", "0x1.43f4bf8a1e9ffp+2"], 2, "0x1.1e3779b97f4a8p-50",
+     (["0x1.79edd7e3d5e60p-1", "0x1.43f4bf8a1ea00p+2"], 2, "0x1.1e3779b97f4a8p-49",
       "0x1.9bc72a65fb3ddp+1")),
 ], ids=["full-steps", "halving"])
 def test_sphere_cost_keeps_its_bits(x, y, want, sphere):
     # the velocities, iterations, endpoint errors and actions of the
-    # shooting that integrated each accepted trial with its variation
+    # shooting whose first fine Newton step reads the Jacobian of the
+    # coarse solution
     res = cost(sphere, None, x, y)
     got = ([v.hex() for v in res.initial_velocity], res.iterations,
            res.endpoint_error.hex(), res.value.hex())
@@ -1448,8 +1501,9 @@ def test_sphere_cost_keeps_its_bits(x, y, want, sphere):
 def test_shooting_runs_each_variation_from_a_curve_it_reads(sphere, monkeypatch):
     # the halving cost above: every trial is integrated once, as a plain
     # stored curve, and a Newton step runs the variation of the curve it
-    # steps from, so each grid's last curve, on which the lane converges,
-    # runs none
+    # steps from, except the fine grid's first, a chord step that reads
+    # the variation of the coarse grid's last curve; the fine grid's last
+    # curve, on which the lane converges, runs none
     from mtwcheck import dynamics as dyn
 
     curves, passes = [], []
@@ -1472,8 +1526,9 @@ def test_shooting_runs_each_variation_from_a_curve_it_reads(sphere, monkeypatch)
     assert steps == [25] * 13 + [200] * 3
     assert len({(s, v) for s, v, _ in curves}) == len(curves)  # none integrated twice
     # 10 coarse and 2 fine Newton steps, each from the curve accepted last
-    assert passes == [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14]
-    assert 12 not in passes and 15 not in passes
+    # but the first fine one, which reads the coarse solution's (curve 12)
+    assert passes == [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14]
+    assert 13 not in passes and 15 not in passes
     # in a batch with a lane that converges sooner, each Newton step of a
     # lane runs one variation of that lane, and no other runs
     lanes = []

@@ -403,11 +403,16 @@ def test_commuted_sums_and_products_share_one_plan_row():
     assert plan.distinct == ex.TaylorPlan(fields[::2], JetSpace.get(3, 2)).distinct
 
 
-# each identity the writer carries a sign by, and the places it binds one
-_NEGATION_FORMS = ["(0 - x)*y", "x*(0 - y)", "(0 - x)*(0 - y)", "x + (0 - y)",
-                   "(0 - x) + y", "(0 - x) + (0 - y)", "x - (0 - y)", "(0 - x) - y",
-                   "(0 - x) - (0 - y)", "0 - (0 - x)*y", "exp(0 - x)", "(0 - x)^3",
-                   "0 - x"]
+def _negation_forms():
+    """Each identity the writer carries a sign by, and the places it binds
+    one, as fields over x, y and their negations -x, -y."""
+    x, y = ex.var(0, 2), ex.var(1, 2)
+    nx, ny = ex.neg(x), ex.neg(y)
+    return [ex.mul(nx, y), ex.mul(x, ny), ex.mul(nx, ny), ex.add(x, ny), ex.add(nx, y),
+            ex.add(nx, ny), ex.sub(x, ny), ex.sub(nx, y), ex.sub(nx, ny),
+            ex.neg(ex.mul(nx, y)), ex.exp(nx), ex.power(nx, 3), nx]
+
+
 _SIGNED_VALUES = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
 
 
@@ -415,7 +420,7 @@ def test_emitted_negations_are_exact_at_signed_zeros():
     # at every pair of signed zeros, infinities, NaN and finite values each
     # form's line equals its tree evaluated node by node, the sign of zero
     # included
-    fields = [parse_field(t, 2) for t in _NEGATION_FORMS]
+    fields = _negation_forms()
     plan = ex.TaylorPlan(fields, JetSpace.get(2, 0))
     X = np.array([(a, b) for a in _SIGNED_VALUES for b in _SIGNED_VALUES])
     with np.errstate(all="ignore"):
@@ -425,13 +430,29 @@ def test_emitted_negations_are_exact_at_signed_zeros():
     finite = ~np.isnan(want)
     assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
     # one negation line, -x, which exp, the power and the one line of
-    # (-x) + (-y) and (-x) - y read; the roots -(x y) and 0 - x are
+    # (-x) + (-y) and (-x) - y read; the roots -(x y) and -x are
     # negated where they are written, and the other forms fold theirs
     # into lines x y, x - y, y - x and x + y
     x = plan.partials[-1]
     assert x == (0, True) and plan.code.lines[x[0]] == ("in", "c[0]")
     assert [line for line in plan.code.lines if line[0] == "neg"] == [("neg", 0)]
     assert len(plan.code.lines) == 10
+
+
+def test_written_zero_minus_x_is_zero_minus_x():
+    # the text 0 - x means 0.0 - x, which is +0.0 at x = +0 and at x = -0,
+    # where the negation -x reads -0.0 at x = +0; both differentiate to -1
+    written, negated = parse_field("0 - x", 1), ex.neg(ex.var(0, 1))
+    assert written.tree == ("-", ("c", 0.0), ("x", 0))
+    assert negated.tree == ("neg", ("x", 0))
+    X = np.array([[0.0], [-0.0], [1.5]])
+    jets = ex.TaylorPlan([written, negated], JetSpace.get(1, 1))(X)
+    assert jets[:, :, 0].tolist() == [[0.0, 0.0, -1.5]] * 2
+    assert np.signbit(jets[:, :, 0]).tolist() == [[False, False, True], [True, False, True]]
+    assert jets[:, :, 1].tolist() == [[-1.0] * 3] * 2
+    assert math.copysign(1.0, eval_partial(written, [0.0], [0])) == 1.0
+    # only a written 0.0 is kept: -0.0 - x is -x at every x
+    assert ex.sub(ex.const(-0.0, 1), ex.var(0, 1)).tree == negated.tree
 
 
 def test_derived_arithmetic_carries_signs_exactly():

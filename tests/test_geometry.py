@@ -457,6 +457,20 @@ def test_generated_kernels_keep_their_line_budget(name, plan_cache, monkeypatch)
     assert all(c <= b for c, b in zip(counts, _LINE_BUDGET[name])), counts
 
 
+def test_only_degree_two_plans_keep_their_writer(plan_cache):
+    # a stage kernel continues a degree-2 plan's writer; the degree-3 and
+    # degree-4 plans of curvature orders 1 and 2 drop theirs once their
+    # own function is compiled
+    metric = inline3d_metric()
+    X = np.array([[0.1, 0.2, -0.1], [0.0, 0.1, 0.2]])
+    for order in (0, 1, 2):
+        GeometryBatch(metric, X, curvature_order=order)
+    _curve_stage(metric, None)
+    plans = list(plan_cache._entries.values())
+    assert sorted({p.space.degree for p in plans}) == [2, 3, 4]
+    assert [p.code is None for p in plans] == [p.space.degree != 2 for p in plans]
+
+
 def _degree4_reference(metric, x, potential, order):
     """Every GeometryBatch field at one point with all stages at Taylor
     degree 4."""

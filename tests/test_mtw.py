@@ -1,5 +1,6 @@
 """Cross-curvature evaluators, calibration, and the necessary-condition checker."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -69,17 +70,37 @@ def test_jacobi_quadratic_u_scaling(sphere):
 
 def test_jacobi_ladder_accepts_an_easy_row_at_its_first_pair(sphere, integrations):
     ev = mtw.mtw_jacobi(sphere, None, [EQUATOR, 0.5], E1, ZERO2, E2)
-    assert integrations == [(20, 5), (40, 5)]
-    assert ev.steps == 40
+    assert integrations == [(10, 5), (20, 5)]
+    assert ev.steps == 20
 
 
 def test_calibration_climbs_each_group_to_its_first_pair(integrations):
     # the three sphere cases are one group of 15 lanes, and the flat
     # metric's cases (quartic A = I, quartic diag(1, -1), no potential)
-    # three groups of 5
+    # three groups of 5; quartic A = I alone climbs to its second pair
     res = mtw.calibrate_normalization()
-    assert integrations == [(20, 15), (40, 15)] + [(20, 5), (40, 5)] * 3
-    assert [c.steps for c in res.cases] == [40] * 6
+    assert integrations == ([(10, 15), (20, 15)] + [(10, 5), (20, 5), (40, 5)]
+                            + [(10, 5), (20, 5)] * 2)
+    assert [c.steps for c in res.cases] == [20, 20, 20, 40, 20, 20]
+
+
+def test_calibration_builds_one_closed_form_geometry_per_group(monkeypatch):
+    # the closed forms of the cases sharing a (metric, potential) come from
+    # one order-0 geometry batch, four builds for six cases, and each case
+    # keeps the bits mtw_zeroth_simplified gives it alone
+    builds = []
+    batch = mtw.GeometryBatch
+    monkeypatch.setattr(mtw, "GeometryBatch", lambda metric, X, *args, **kwargs: (
+        builds.append((len(X), kwargs["curvature_order"])) or batch(metric, X, *args,
+                                                                     **kwargs)))
+    res = mtw.calibrate_normalization(steps=20)
+    assert builds == [(3, 0), (1, 0), (1, 0), (1, 0)]
+    monkeypatch.undo()
+    for case, (label, metric, pot, x, u, w) in zip(res.cases,
+                                                   mtw._default_calibration_inputs()):
+        alone = mtw.mtw_zeroth_simplified(metric, pot, x, u, w)
+        assert case.label == label
+        assert (case.closed_value, case.closed_value.hex()) == (alone, alone.hex())
 
 
 def test_jacobi_ladder_climbs_a_failing_row_alone(conformal_a3, integrations):
@@ -91,13 +112,80 @@ def test_jacobi_ladder_climbs_a_failing_row_alone(conformal_a3, integrations):
     easy = (np.array([0.1, -0.1]), E1, np.array([0.3, 0.2]), E2)
     rows = [np.stack(a) for a in zip((x, u, v, w), easy)]
     value, err, taken = mtw._jacobi(conformal_a3, pot, *rows, mtw.DEFAULT_FD_STEP)
+    # both rows move, so they start at the ladder's second rung
     assert taken[1] == 40 and taken[0] >= 160
     assert integrations == [(20, 10), (40, 10)] + [
-        (N, 5) for N in mtw.JACOBI_RUNGS[2:] if N <= taken[0]]
+        (N, 5) for N in mtw.JACOBI_RUNGS[3:] if N <= taken[0]]
     for b in range(2):
         alone = mtw.mtw_jacobi(conformal_a3, pot, *(a[b] for a in rows))
         assert (alone.value, alone.error_estimate, alone.steps) == (
             value[b], err[b], taken[b])
+
+
+def test_jacobi_ladder_starts_a_row_at_v_zero_one_rung_lower(sphere, integrations):
+    # a row at v = 0 starts at 10 steps and one that moves at 20; in one
+    # batch they share the rungs from 20 on, and each keeps its results
+    rows = [np.array(a) for a in ([[EQUATOR, 0.5], [1.2, 0.3]], [E1, E1],
+                                  [ZERO2, [0.2, 0.1]], [E2, E2])]
+    value, err, taken = mtw._jacobi(sphere, None, *rows, mtw.DEFAULT_FD_STEP)
+    assert taken.tolist() == [20, 40]
+    assert integrations == [(10, 5), (20, 10), (40, 5)]
+    for b in range(2):
+        alone = mtw.mtw_jacobi(sphere, None, *(a[b] for a in rows))
+        assert (alone.value, alone.error_estimate, alone.steps) == (
+            value[b], err[b], taken[b])
+
+
+# Fixed draws for the ladder's error estimate: per geometry, its metric,
+# potential and start-point draw; 12 rows at v = 0 and 12 at |v| up to 1.2.
+_LADDER_DRAWS = {
+    "sphere": (sphere_metric, None,
+               lambda r: np.array([r.uniform(0.6, np.pi - 0.6), r.uniform(-1.0, 1.0)])),
+    "conformal": (lambda: cf.conformal_metric(cf.ConformalSpec(a=-3.0)), None,
+                  lambda r: r.uniform(-0.3, 0.3, 2)),
+    "inline3d": (inline3d_metric, None, lambda r: r.uniform(-0.3, 0.3, 3)),
+    "flat-quartic": (lambda: euclidean_metric(2),
+                     lambda: quartic_potential([[0.6, 0.1], [0.1, 0.9]]),
+                     lambda r: r.uniform(-0.3, 0.3, 2)),
+}
+_LADDER_ROWS = 24
+# rows whose error is the rounding of the pairings' second differences,
+# which the estimate does not hold yet (ROADMAP item 6)
+_ROUNDING_FLOOR = {("sphere", 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_rows(name: str):
+    """The ladder's values and error estimates on the draws of ``name``,
+    and the values of the pinned pair (640, 1280) on them."""
+    metric, potential, point = _LADDER_DRAWS[name]
+    metric, potential = metric(), potential and potential()
+    n = metric.dim
+    r = np.random.default_rng([5, len(name)])
+    rows = []
+    for k in range(_LADDER_ROWS):
+        x, u, w = point(r), r.normal(size=n), r.normal(size=n)
+        v = np.zeros(n)
+        if k >= _LADDER_ROWS // 2:
+            d = r.normal(size=n)
+            v = d / np.linalg.norm(d) * r.uniform(0.0, 1.2)
+        rows.append((x, u, v, w))
+    X, U, V, W = (np.array(a) for a in zip(*rows))
+    value, err, _ = mtw._jacobi(metric, potential, X, U, V, W, mtw.DEFAULT_FD_STEP)
+    ref = mtw._jacobi(metric, potential, X, U, V, W, mtw.DEFAULT_FD_STEP, 1280)[0]
+    return value, err, ref
+
+
+@pytest.mark.parametrize("name, row", [
+    pytest.param(name, b, marks=[pytest.mark.xfail(
+        strict=True, reason="an error at the rounding floor, which the estimate "
+                            "does not count")] if (name, b) in _ROUNDING_FLOOR else [])
+    for name in _LADDER_DRAWS for b in range(_LADDER_ROWS)])
+def test_jacobi_ladder_error_estimate_bounds_its_error(name, row):
+    # the value the ladder accepts is within its error estimate of the
+    # pinned pair (640, 1280)
+    value, err, ref = _ladder_rows(name)
+    assert abs(value[row] - ref[row]) <= err[row]
 
 
 def test_jacobi_ladder_raises_a_start_failure_at_its_first_rung(integrations):
@@ -110,18 +198,19 @@ def test_jacobi_ladder_raises_a_start_failure_at_its_first_rung(integrations):
         [parse_field(e, 2) for e in ("1 + x", "0", "1 + y")], 2)
     with pytest.raises(MetricDegenerateError) as err:
         mtw.mtw_jacobi(metric, None, [-1.5, 0.0], E1, [0.1, 0.0], E2)
-    assert integrations == [(20, 5)]
+    assert integrations == [(20, 5)]  # a row that moves starts at 20 steps
     assert str(err.value) == ("metric not positive definite at [-1.5, 0.0]: "
                               "min eigenvalue -5.000e-01")
 
 
 def test_direct_cost_keeps_its_bits(flat2):
     # the quartic direct-cost eval of the byte-stable reports, whose 25
-    # shots ran each accepted trial's variation with its curve
+    # shots each take their first fine Newton step with the Jacobian of
+    # their coarse solution
     ev = mtw.mtw_direct_cost(flat2, quartic_potential([[0.6, 0.1], [0.1, 0.9]]),
                              ZERO2, [1.0, 0.3], ZERO2, [0.2, 1.0])
     assert (ev.value.hex(), ev.error_estimate.hex()) == (
-        "-0x1.ee162346f6e16p-2", "0x1.c28c14f40d800p-10")
+        "-0x1.ee162346f990ep-2", "0x1.c28c14fc99000p-10")
 
 
 @pytest.mark.parametrize("steps, message", [
