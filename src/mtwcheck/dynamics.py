@@ -956,8 +956,8 @@ def cost(
     The minimizing curve is found by shooting, first on a coarse grid
     and then on ``steps`` as in :func:`shoot_velocity`, raising alike;
     ``iterations`` and ``endpoint_error`` are those of the solve on
-    ``steps``.  The action integral is accumulated with the trapezoid-free
-    quadrature of the integrator grid (Simpson on the stored samples).
+    ``steps``.  The action integral is the fourth-order quadrature of the
+    integrator grid (:func:`simpson_weights` on the stored samples).
     """
     X, Y = _one_lane(metric.dim, x=x, y=y)
     values, V, iters, err, curves = _costs(
@@ -973,14 +973,19 @@ def cost(
 
 
 def simpson_weights(panels: int) -> np.ndarray:
-    """Composite Simpson weights of ``panels`` + 1 samples at unit step;
-    an odd panel count ends with one trapezoid panel."""
-    m = panels - panels % 2  # the Simpson panels
+    """Composite Simpson weights of ``panels`` + 1 samples at unit step,
+    fourth order at every count but 1: an odd count of at least 3 ends
+    with Simpson's 3/8 rule over its last three panels, and one panel is
+    a trapezoid."""
+    tail = 3 if panels % 2 and panels >= 3 else panels % 2
+    m = panels - tail  # the Simpson panels
     w = np.zeros(panels + 1)
     w[0:m:2] += 1.0
     w[1:m:2] += 4.0
     w[2:m + 1:2] += 1.0
-    if panels % 2:
+    if tail == 3:
+        w[m:] += (1.125, 3.375, 3.375, 1.125)  # 3/8 (1, 3, 3, 1) in units of 1/3
+    elif tail:
         w[m:] += 1.5  # the trapezoid's 1/2 in units of 1/3
     return w / 3.0
 

@@ -40,10 +40,11 @@ scalar step of :mod:`mtwcheck.geometry`.  Its lines are records, each
 bound once, its values carry a pending sign, folded by identities exact
 in IEEE 754, and a function runs only the lines its statements read, so
 each value is computed bit for bit as its tree gives it.
-:func:`eval_partial` derives one partial on a DAG of its own and
-evaluates it with the scalar evaluator (:func:`_codegen`).  No table
-outlives its build but the cache of plans keyed by their fields' texts
-(``ScalarField._source``), kept by :mod:`mtwcheck.geometry`.
+This is the package's one evaluator: :func:`eval_partial` reads a row
+of a one-point plan, and a field is not callable.  No table outlives its
+build but the cache of plans keyed by their fields' texts
+(``ScalarField._source``, the trees' reprs), kept by
+:mod:`mtwcheck.geometry`.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ import numpy as np
 from .errors import DerivativeOrderError, DimensionError, FieldSyntaxError
 from .jets import JetSpace
 
-# Highest total derivative order served by eval_partial: it bounds the
-# work one request can ask for, since derivative trees grow
-# combinatorially with the order.  The tensor pipeline needs order 4.
-MAX_PARTIAL_ORDER = 8
+# Highest total derivative order served by eval_partial, the order the
+# tensor pipeline needs and MAX_NESTING's recursion budget is sized for:
+# the plan eval_partial builds derives every partial up to it.
+MAX_PARTIAL_ORDER = 4
 
 # Deepest nesting parse_field accepts, in tree levels (a sum of k terms is
-# k deep) and parentheses or calls: the tree walks (_codegen, _Dag.tree,
-# _diff, _Writer.tree) recurse once per level of an order-k derivative,
+# k deep) and parentheses or calls: the tree walks (_Dag.tree, _diff,
+# _Writer.tree) recurse once per level of an order-k derivative,
 # which nests up to k + 1 per level, and the parser 4 times per parenthesis,
 # so at order 4 a text 150 deep takes about 750 of the default 1000 frames.
 # A flat sum of 900 terms, which ran before, is refused; grouped, it passes.
@@ -262,34 +263,8 @@ def _diff(node: Node, v: int, dag: _Dag) -> Node:
     return out
 
 
-def _codegen(node: Node) -> str:
-    kind = node[0]
-    if kind == "c":
-        return repr(node[1])
-    if kind == "x":
-        return f"c[{node[1]}]"
-    if kind == "+":
-        return f"({_codegen(node[1])}+{_codegen(node[2])})"
-    if kind == "-":
-        return f"({_codegen(node[1])}-{_codegen(node[2])})"
-    if kind == "neg":
-        return f"(-{_codegen(node[1])})"
-    if kind == "*":
-        return f"({_codegen(node[1])}*{_codegen(node[2])})"
-    if kind == "^":
-        return f"({_codegen(node[1])}**{node[2]})"
-    if kind in ("exp", "sin", "cos"):
-        return f"_{kind}({_codegen(node[1])})"
-    raise AssertionError(f"unknown node kind {kind!r}")
-
-
-# A parsed field's constants are finite, but a derivative folds its
-# own (2 * 1e308 is inf), so the generated code names inf and nan.
-_EVAL_GLOBALS = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos,
-                 "inf": math.inf, "nan": math.nan}
-
-# Integer powers go through np.float_power (libm pow), the routine the
-# scalar path reaches, so polynomial fields agree bit for bit.  A batch
+# Integer powers go through np.float_power (libm pow), the routine a
+# float's ** reaches, so a power is computed as its tree gives it.  A batch
 # function reads no float literal: TaylorPlan.function binds each, the
 # exponents of _pow and the inf and nan a derivative folds included, to
 # a read-only 0-d array, which NumPy takes in an elementwise call for
@@ -487,9 +462,9 @@ class _Writer:
 class ScalarField:
     """A smooth scalar function of ``dim`` chart coordinates.
 
-    Instances are immutable and hashable; the expression text and the
-    compiled scalar evaluator are memoized on first use, and nothing
-    else is kept on a field.
+    Instances are immutable and hashable; the tree's text is memoized on
+    first use, and nothing else is kept on a field.  A field is not
+    callable: ``eval_partial(f, x, (0,) * f.dim)`` is its value at x.
     """
 
     tree: Node
@@ -500,47 +475,37 @@ class ScalarField:
         if self.dim < 1:
             raise DimensionError(f"field dimension must be >= 1, got {self.dim}")
 
-    # -- evaluation --------------------------------------------------------
-
     def _source(self) -> str:
-        """The expression text the scalar evaluator runs, memoized.  Two
-        fields of one dimension have equal texts exactly when their trees
-        are equal with constants compared by repr, as on a :class:`_Dag`
-        (0.0 and -0.0 differ), so the text keys what is built from a tree."""
+        """The tree's text, ``repr(tree)``, memoized.  Two fields of one
+        dimension have equal texts exactly when their trees are equal with
+        constants compared by repr, as on a :class:`_Dag` (0.0 and -0.0
+        differ), so the text keys what is built from a tree."""
         src = self._cache.get("src")
         if src is None:
-            src = self._cache["src"] = _codegen(self.tree)
+            src = self._cache["src"] = repr(self.tree)
         return src
-
-    def _fn(self) -> Callable:
-        fn = self._cache.get("fn")
-        if fn is None:
-            src = f"lambda c: {self._source()}"
-            fn = eval(compile(src, "<scalar-field>", "eval"), dict(_EVAL_GLOBALS))
-            self._cache["fn"] = fn
-        return fn
-
-    def __call__(self, point: Sequence[float]) -> float:
-        if len(point) != self.dim:
-            raise DimensionError(
-                f"point has {len(point)} coordinates, field expects {self.dim}"
-            )
-        return self._fn()(tuple(point))
 
 
 def eval_partial(f: ScalarField, point: Sequence[float], idx: Sequence[int]) -> float:
     """Exact mixed partial of ``f`` at ``point``.
 
     ``idx`` gives per-variable derivative counts, e.g. ``(3, 1)`` for
-    three derivatives in the first coordinate and one in the second.
-    The partial is derived on a :class:`_Dag` of its own in the
-    canonical order (variable 0 first) and evaluated by the scalar
-    evaluator; neither is kept.
+    three derivatives in the first coordinate and one in the second, of
+    total order at most MAX_PARTIAL_ORDER.  The partial is the row of a
+    one-point :class:`TaylorPlan` of ``f`` whose degree is the order,
+    which is built for the call and not kept: its value is bit for bit
+    the one every plan holding this partial computes.  Arithmetic is
+    IEEE 754's: an overflow gives inf and an invalid operation nan,
+    without a warning.
     """
     counts = tuple(int(k) for k in idx)
     if len(counts) != f.dim:
         raise DimensionError(
             f"multi-index has {len(counts)} entries, field dimension is {f.dim}"
+        )
+    if len(point) != f.dim:
+        raise DimensionError(
+            f"point has {len(point)} coordinates, field expects {f.dim}"
         )
     if any(k < 0 for k in counts):
         raise DerivativeOrderError(f"negative derivative count in {counts}")
@@ -549,8 +514,11 @@ def eval_partial(f: ScalarField, point: Sequence[float], idx: Sequence[int]) -> 
         raise DerivativeOrderError(
             f"derivative order {order} exceeds supported maximum {MAX_PARTIAL_ORDER}"
         )
-    dag = _Dag()
-    return ScalarField(dag.partial(dag.tree(f.tree), counts), f.dim)(point)
+    space = JetSpace.get(f.dim, order)
+    plan = TaylorPlan([f], space, continued=False)
+    with np.errstate(all="ignore"):
+        values = plan.values(np.array([point], dtype=float))
+    return float(values[plan.rows[0, space.index[counts]], 0])
 
 
 def eval_partial_seq(f: ScalarField, point: Sequence[float], dirs: Iterable[int]) -> float:

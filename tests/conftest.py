@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ from mtwcheck import conformal as cf
 from mtwcheck import dynamics
 from mtwcheck import expr as ex
 from mtwcheck import geometry
-from mtwcheck.expr import ScalarField, TaylorPlan, parse_field
+from mtwcheck.expr import TaylorPlan, parse_field
 from mtwcheck.geometry import (
     MetricField,
     RecentCache,
@@ -161,11 +162,42 @@ def reference_partial(node, counts):
     return node
 
 
+# the elementary functions of reference_value: Python's, or NumPy's, which
+# the generated code calls and which can differ from math's by an ulp
+MATH_FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+NUMPY_FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+
+
+def reference_value(node, x, funcs=MATH_FUNCS):
+    """The value of a tree at the point ``x``, node by node as the tree
+    reads (a power is the operand's ``**``), with ``funcs``' exp, sin and
+    cos: the scalar evaluator every generated value is checked against."""
+    kind = node[0]
+    if kind == "c":
+        return node[1]
+    if kind == "x":
+        return x[node[1]]
+    if kind == "neg":
+        return -reference_value(node[1], x, funcs)
+    if kind == "^":
+        return reference_value(node[1], x, funcs) ** node[2]
+    if kind in funcs:
+        return funcs[kind](reference_value(node[1], x, funcs))
+    a, b = reference_value(node[1], x, funcs), reference_value(node[2], x, funcs)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    raise AssertionError(kind)
+
+
 def reference_jet(f, x, space):
     """The jet of field ``f`` about the point ``x``: each monomial's
-    reference partial, evaluated by the scalar evaluator, over its
+    reference partial, evaluated by :func:`reference_value`, over its
     factorial."""
-    return np.array([ScalarField(reference_partial(f.tree, m), f.dim)(x)
+    return np.array([reference_value(reference_partial(f.tree, m), x)
                      for m in space.monomials]) / space.factorials
 
 

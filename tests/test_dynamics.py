@@ -42,7 +42,8 @@ from mtwcheck.geometry import (
 from mtwcheck.jets import JetSpace
 from mtwcheck.mtw import mtw_jacobi
 
-from conftest import benchmark_workloads, inline3d_metric, reference_integrate
+from conftest import (benchmark_workloads, inline3d_metric, reference_integrate,
+                      reference_value)
 
 EQUATOR = np.pi / 2
 
@@ -468,12 +469,13 @@ def test_cost_curve_is_the_plain_integration(sphere):
 
 @pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 8, 199, 200])
 def test_simpson_weights_integrate_low_degrees_exactly(panels):
-    # every count integrates constants and linear functions exactly; an
-    # even count is pure Simpson and integrates cubics too, but not
-    # quartics, and an odd count's trapezoid tail misses quadratics
+    # every count integrates constants and linear functions exactly; every
+    # count of at least 2 integrates cubics too, but not quartics: an even
+    # count is pure Simpson, and an odd one ends with the 3/8 rule.  One
+    # panel is a trapezoid, which misses quadratics
     t = np.linspace(-0.5, 1.5, panels + 1)
     weights = simpson_weights(panels) * (2.0 / panels)
-    exact = 4 if panels % 2 == 0 else 2
+    exact = 4 if panels >= 2 else 2
     for k in range(exact + 1):
         want = (1.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
         got = weights @ t**k
@@ -481,6 +483,17 @@ def test_simpson_weights_integrate_low_degrees_exactly(panels):
             assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
         else:
             assert got != pytest.approx(want, rel=1e-12)
+
+
+def test_action_at_an_odd_step_count_is_fourth_order():
+    # a trapezoid tail made the action at 25 steps third order, 6.4e-5 off
+    # the 800-step action where 24 and 26 steps were 1.4e-6 and 1.0e-6 off;
+    # the 3/8 tail reads 1.7e-6
+    metric = euclidean_metric(2)
+    potential = quartic_potential(np.array([[1.0, 0.3], [0.3, 0.8]]))
+    x, y = [0.3, -0.2], [-0.5, 0.6]
+    fine = cost(metric, potential, x, y, steps=800).value
+    assert cost(metric, potential, x, y, steps=25).value == pytest.approx(fine, rel=5e-6)
 
 
 def test_simpson_even_count_is_the_classic_rule():
@@ -979,7 +992,7 @@ def test_scalar_step_rounds_exp_as_the_vector_kernel(conformal_a3):
     X = rng.uniform(-0.6, 0.6, (400, 2))
     V = rng.uniform(-0.5, 0.5, (400, 2))
     want = conformal_a3.matrix(X)
-    by_math_exp = np.array([conformal_a3.entries[0][0](x) for x in X])
+    by_math_exp = np.array([reference_value(conformal_a3.entries[0][0].tree, x) for x in X])
     differ = np.flatnonzero(want[:, 0, 0] != by_math_exp)
     assert differ.size >= 5
     fn, g_fill, step, _ = geometry._curve_stage(conformal_a3, None)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from mtwcheck import eval_partial, eval_partial_seq, parse_field
 from mtwcheck import expr as ex
-from mtwcheck.errors import DerivativeOrderError, DimensionError, FieldSyntaxError
+from mtwcheck.errors import (DerivativeOrderError, DimensionError, FieldSyntaxError,
+                             MtwError)
 from mtwcheck.jets import JetSpace
 
-from conftest import reference_diff, reference_partial
+from conftest import (MATH_FUNCS, NUMPY_FUNCS, reference_diff, reference_partial,
+                      reference_value)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +148,12 @@ def test_zero_multi_index_is_plain_evaluation():
 
 
 def test_order_cap_enforced():
+    # the one-point plan derives every partial up to the order, so an order
+    # above MAX_PARTIAL_ORDER (4) is refused before any derivation
     f = parse_field("x^2*y", 2)
-    with pytest.raises(DerivativeOrderError):
-        eval_partial(f, (1.0, 1.0), (6, 3))
+    for idx in [(5, 0), (3, 3), (0, 8), (6, 3)]:
+        with pytest.raises(DerivativeOrderError, match="exceeds supported maximum 4"):
+            eval_partial(f, (1.0, 1.0), idx)
 
 
 @pytest.mark.parametrize("point, idx, error", [
@@ -323,24 +329,27 @@ def test_plan_partials_equal_plain_recursive_derivatives(fields, degree):
                           np.signbit(want[live]) | np.isnan(want[live]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(f=_random_fields, degree=st.integers(0, 4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=_random_fields, degree=st.integers(0, ex.MAX_PARTIAL_ORDER))
 def test_eval_partial_equals_plain_recursive_derivative(f, degree):
-    # the one-point partial equals the scalar value of the plain
-    # recursive derivative bit for bit (repr tells -0.0 from 0.0), or
-    # both raise the same error, and no partial is kept on the field
-    x = (0.3, -0.2, 0.15)
+    # the one-point partial equals the plain recursive derivative evaluated
+    # node by node with NumPy's exp, sin and cos, bit for bit (repr tells
+    # -0.0 from 0.0 and shows nan), or both raise the same error, and
+    # nothing is kept on the field
+    x = np.array([0.3, -0.2, 0.15])
 
     def outcome(fn):
         try:
-            return repr(fn())
-        except (OverflowError, ValueError) as e:  # math.exp, math.sin
+            with np.errstate(all="ignore"):
+                return repr(float(fn()))
+        except (ArithmeticError, ValueError, MtwError) as e:
             return type(e)
 
     for m in JetSpace.get(_TREE_DIM, degree).monomials:
-        want = ex.ScalarField(reference_partial(f.tree, m), _TREE_DIM)
-        assert outcome(lambda: eval_partial(f, x, m)) == outcome(lambda: want(x))
-    assert set(f._cache) <= {"src", "fn"}
+        want = reference_partial(f.tree, m)
+        assert outcome(lambda: eval_partial(f, x, m)) == outcome(
+            lambda: reference_value(want, x, NUMPY_FUNCS))
+    assert not f._cache
 
 
 def test_plan_arrays_are_read_only():
@@ -517,13 +526,12 @@ def test_writer_binds_a_commuted_line_once():
 # ---------------------------------------------------------------------------
 
 
-def _per_field_values(fields, X, scope=None):
-    """Each field's own generated expression (``_codegen``) at the points
-    X[:, b], with NumPy's exp, sin and cos unless ``scope`` says otherwise:
-    an array of shape (fields, B)."""
-    scope = scope or dict(ex._EVAL_GLOBALS, _exp=np.exp, _sin=np.sin, _cos=np.cos)
-    fns = [eval(f"lambda c: {ex._codegen(f.tree)}", dict(scope)) for f in fields]
-    return np.array([[fn(tuple(X[:, b])) for b in range(X.shape[1])] for fn in fns],
+def _per_field_values(fields, X, funcs=NUMPY_FUNCS):
+    """Each field's tree evaluated node by node (``reference_value``) at the
+    points X[:, b], with NumPy's exp, sin and cos unless ``funcs`` says
+    otherwise: an array of shape (fields, B)."""
+    return np.array([[reference_value(f.tree, tuple(X[:, b]), funcs)
+                      for b in range(X.shape[1])] for f in fields],
                     dtype=float).reshape(len(fields), X.shape[1])
 
 
@@ -587,11 +595,11 @@ def test_batch_evaluator_matches_scalar_fields(name):
     base, dim, pts, has_exp = _batch_case(name)
     fields = _fields_through_second_order(base, dim)
     fn = _interned_batch(fields)
-    np_exp = dict(ex._EVAL_GLOBALS, _exp=np.exp)
+    np_exp = dict(MATH_FUNCS, exp=np.exp)
     for X in (pts[:, :1], pts):
         got = fn(X)
         assert got.shape == (len(fields), X.shape[1])
-        scalar = np.array([[f(X[:, b]) for b in range(X.shape[1])] for f in fields])
+        scalar = _per_field_values(fields, X, MATH_FUNCS)
         assert np.array_equal(got, _per_field_values(fields, X, np_exp))
         if not has_exp:
             assert np.array_equal(got, scalar)
@@ -641,12 +649,18 @@ def test_over_deep_text_is_a_syntax_error(text, message):
         parse_field(text, 2)
 
 
-@pytest.mark.parametrize("text", [
+# the accepted texts that nest their derivatives deepest; product-of-affine
+# is the 148-factor product 1*(1+0.1*x)*..., whose order-4 partial written
+# out as one tree grew past a gigabyte
+_DEEPEST_TEXTS = pytest.mark.parametrize("text", [
     "1" + "*(x+y)" * (ex.MAX_NESTING - 1), "1" + "*(1+0.1*x)" * (ex.MAX_NESTING - 2),
     "(" * (ex.MAX_NESTING - 3) + "x" + "*(y+x))" * (ex.MAX_NESTING - 3),
     "sin(" * (ex.MAX_NESTING - 2) + "x*y" + ")" * (ex.MAX_NESTING - 2),
     "(" * ex.MAX_NESTING + "x" + ")" * ex.MAX_NESTING],
     ids=["product-of-sums", "product-of-affine", "nested-products", "calls", "parentheses"])
+
+
+@_DEEPEST_TEXTS
 def test_deepest_accepted_text_derives_to_order_four(text):
     # at the bound, the shapes that nest their derivatives deepest parse,
     # key a plan, derive and write their order-4 partials within Python's
@@ -655,3 +669,18 @@ def test_deepest_accepted_text_derives_to_order_four(text):
     f._source()
     plan = ex.TaylorPlan([f], JetSpace.get(2, 4))
     assert np.all(np.isfinite(plan(np.array([[0.1, 0.2]]))))
+
+
+@_DEEPEST_TEXTS
+def test_eval_partial_of_the_deepest_text_is_bounded_work(text):
+    # eval_partial reads a one-point plan, which derives on a shared DAG,
+    # so each partial up to order 4 is finite and quick; order 5 is refused
+    f = parse_field(text, 2)
+    for k in range(ex.MAX_PARTIAL_ORDER + 1):
+        for idx in {(k, 0), (k - k // 2, k // 2)}:
+            start = time.perf_counter()
+            value = eval_partial(f, (0.3, 0.2), idx)
+            assert time.perf_counter() - start < 2.0
+            assert math.isfinite(value)
+    with pytest.raises(DerivativeOrderError):
+        eval_partial(f, (0.3, 0.2), (3, 2))
